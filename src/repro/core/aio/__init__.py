@@ -1,18 +1,21 @@
 """The asyncio-native invocation core (event-loop hot path).
 
 The thread-per-in-flight-call :class:`~repro.core.futures.ListenableFuture`
-core caps concurrency at thread-pool scale.  This package rebuilds the
-invocation hot path on one event loop:
+core caps concurrency at thread-pool scale.  This package holds the
+invocation hot path as coroutines, and the machinery to await it on
+one event loop:
 
-* :class:`AsyncInvoker` — ``await``-able mirror of
-  :class:`~repro.core.invoker.RichClient` (``ainvoke`` /
+* :class:`AsyncInvoker` — the hot-path body (``ainvoke`` /
   ``ainvoke_batched`` / ``ainvoke_many`` / ``ainvoke_all`` /
   ``ainvoke_with_failover`` / ``ainvoke_redundant``), sharing the
-  client's monitor, cache, quota, tenancy and observability so both
-  cores report into the same metric names and span names;
-* :class:`LoopRunner` — the sync facade's shim: a dedicated event-loop
-  thread that runs coroutines on behalf of blocking callers, copying
-  the caller's contextvars (tenant scope, trace span) onto the task;
+  client's monitor, cache, quota, tenancy and observability.  It is
+  the *only* implementation: :class:`~repro.core.invoker.RichClient`'s
+  blocking API drives the same coroutines in-thread through a blocking
+  binding of their wait points (see :mod:`repro.core.aio.invoker`);
+* :class:`LoopRunner` — a dedicated event-loop thread that runs
+  coroutines on behalf of blocking callers who want their calls
+  loop-served, copying the caller's contextvars (tenant scope, trace
+  span) onto the task;
 * :class:`AsyncBulkhead` / :class:`AsyncAdmissionController` —
   admission queues and DRR fair scheduling as awaitables;
 * :class:`AsyncCoalescer` — single-flight coalescing on asyncio
@@ -22,7 +25,8 @@ invocation hot path on one event loop:
 * :class:`AsyncMicroBatcher` — bounded batch windows on asyncio
   futures, no background thread;
 * :func:`ainvoke_with_retry` / :class:`AsyncFailoverInvoker` — the
-  retry/failover walk with backoffs awaited instead of slept.
+  awaitable entry points of the single retry/failover walk in
+  :mod:`repro.core.retry` (backoffs awaited instead of slept).
 
 Concurrency and cancellation rules are documented per-coroutine and in
 ``docs/async-guide.md``.
@@ -34,8 +38,9 @@ from repro.core.aio.bridge import listenable_to_asyncio, task_to_listenable
 from repro.core.aio.coalesce import AsyncCoalescer, AsyncFlight
 from repro.core.aio.hedging import AsyncHedgedInvoker
 from repro.core.aio.invoker import AsyncInvoker
-from repro.core.aio.retry import AsyncFailoverInvoker, ainvoke_with_retry
 from repro.core.aio.runner import LoopRunner
+from repro.core.retry import FailoverInvoker as AsyncFailoverInvoker
+from repro.core.retry import ainvoke_with_retry
 
 __all__ = [
     "AsyncAdmissionController",

@@ -1,17 +1,29 @@
-"""AsyncInvoker: the event-loop mirror of :class:`RichClient`.
+"""The invocation hot path: one body, two drivers.
 
-One :class:`AsyncInvoker` wraps an existing
-:class:`~repro.core.invoker.RichClient` and re-implements its hot path
-as coroutines.  Everything *stateful* is shared with the client —
-registry, monitor, cache, latency predictor, ranker, quota ledger,
-rate limiter, tenancy, observability — so results, records and metrics
-are identical whichever core served a call.  Only the *waiting*
-machinery differs: coalescing, admission and retries are loop-native
-(:mod:`repro.core.aio.coalesce`, :mod:`repro.core.aio.admission`,
-:mod:`repro.core.aio.retry`), and wire latency is awaited through
-:meth:`repro.simnet.transport.Transport.acall`.
+The Rich SDK's policy stack — cache, coalesce, tenant and quota
+reservation, rate limit, bulkhead, wire call, settle / record / cache
+— is written **once**, as the coroutines of :class:`AsyncInvoker`.
+The bodies name no waiting primitive; they await seven *wait points*
+(flight result, bulkhead acquire, service call, batch call, nested
+invoke / batch, failover walk) that a binding supplies:
 
-Cancellation contract (applies to every coroutine here):
+* :class:`AsyncInvoker` itself binds them to the loop-native machinery
+  (:mod:`repro.core.aio.coalesce`, :mod:`repro.core.aio.admission`,
+  ``service.ainvoke*``) — the API behind :attr:`RichClient.aio`;
+* :class:`_BlockingInvoker` binds them to the client's thread-safe
+  collaborators.  Each wait point then blocks on the caller's thread
+  and returns an already-resolved awaitable, so the body never
+  suspends and :func:`~repro.core.futures.run_sync` drives it without
+  a loop or a thread — :class:`RichClient`'s whole blocking API.
+
+Everything stateful besides the waiting machinery is the client's own
+object — registry, monitor, cache, ranker, quota ledger, rate limiter,
+tenancy, observability — so results, records and metrics are identical
+whichever driver served a call.
+
+Cancellation contract (every coroutine here; under the blocking driver
+"cancellation" is a ``KeyboardInterrupt`` / ``SystemExit`` raised
+inside a wait point):
 
 * cancelling a call releases its bulkhead permit and **refunds** its
   quota/tenant reservations — protections are never leaked;
@@ -31,9 +43,9 @@ from dataclasses import replace
 
 from repro.core.aio.admission import AsyncAdmissionController
 from repro.core.aio.coalesce import AsyncCoalescer
-from repro.core.aio.retry import AsyncFailoverInvoker
 from repro.core.admission import AdmissionRejectedError
 from repro.core.caching import cache_key
+from repro.core.futures import resolved
 from repro.core.invoker import InvocationResult, QualityRater, RichClient
 from repro.core.monitoring import InvocationRecord
 from repro.core.ranking import ScoreFormula, Weights
@@ -44,21 +56,34 @@ from repro.util.deadline import Deadline, DeadlineExceededError
 
 
 class AsyncInvoker:
-    """The Rich SDK's facade as coroutines, sharing one client's state.
+    """The Rich SDK's hot path as coroutines, sharing one client's state.
 
     Construct via :attr:`RichClient.aio` (lazy, cached) or directly
     from a client.  All coroutines must run on a single event loop;
-    the :class:`~repro.core.aio.runner.LoopRunner` shim provides one
-    for blocking callers.
+    :class:`~repro.core.aio.runner.LoopRunner` provides one for
+    blocking callers who want their calls loop-served.
     """
 
     def __init__(self, client: RichClient) -> None:
-        """Wrap ``client``, cloning its admission/failover policies.
+        """Wrap ``client``, cloning its coalescing/admission policies.
 
         The coalescer and admission bulkheads are loop-native clones
         (same policy, same metric names, independent permit state);
         everything else is the client's own object.
         """
+        self._share(client)
+        self.coalescer = (AsyncCoalescer()
+                          if client.coalescer is not None else None)
+        self.admission = (AsyncAdmissionController.from_sync(client.admission)
+                          if client.admission is not None else None)
+        if self.obs.enabled:
+            if self.coalescer is not None:
+                self.coalescer.bind_metrics(self.obs.metrics)
+            if self.admission is not None:
+                self.admission.bind_metrics(self.obs.metrics)
+
+    def _share(self, client: RichClient) -> None:
+        """Adopt the client's stateful collaborators (both bindings)."""
         self.client = client
         self.clock = client.clock
         self.obs = client.obs
@@ -71,21 +96,42 @@ class AsyncInvoker:
         self.cacheable_operations = client.cacheable_operations
         self.quality_raters = client.quality_raters
         self.ranker = client.ranker
-        self.coalescer = (AsyncCoalescer()
-                          if client.coalescer is not None else None)
-        self.admission = (AsyncAdmissionController.from_sync(client.admission)
-                          if client.admission is not None else None)
-        self.failover = AsyncFailoverInvoker(
-            default_policy=client.failover.default_policy,
-            per_service=client.failover.per_service,
-            clock=self.clock,
-        )
-        if self.obs.enabled:
-            if self.coalescer is not None:
-                self.coalescer.bind_metrics(self.obs.metrics)
-            if self.admission is not None:
-                self.admission.bind_metrics(self.obs.metrics)
-            self.failover.bind_obs(self.obs)
+
+    @property
+    def failover(self):
+        """The client's failover invoker (read live: it is replaceable)."""
+        return self.client.failover
+
+    # -- wait points (loop-native binding) ---------------------------------
+    #
+    # Each returns an awaitable; the bodies below await these and nothing
+    # else.  _BlockingInvoker rebinds all seven.  Nested hops go back
+    # through the public entry points, so every layer stays visible to
+    # whoever wrapped it (tracers, tests).
+
+    def _flight_result(self, flight, timeout):
+        return flight.result(timeout=timeout)
+
+    def _acquire(self, bulkhead, deadline, tenant):
+        return bulkhead.acquire(deadline=deadline, tenant=tenant)
+
+    def _call(self, service, operation, payload, timeout):
+        return service.ainvoke(operation, payload, timeout=timeout)
+
+    def _call_batch(self, service, operation, payloads, timeout):
+        return service.ainvoke_batch(operation, payloads, timeout=timeout)
+
+    def _invoke(self, *args, **kwargs):
+        return self.ainvoke(*args, **kwargs)
+
+    def _invoke_batched(self, *args, **kwargs):
+        return self.ainvoke_batched(*args, **kwargs)
+
+    def _failover_walk(self, ranked, deadline, *call, **options):
+        return self.failover.ainvoke(
+            ranked,
+            lambda name: self.ainvoke(name, *call, deadline=deadline, **options),
+            deadline=deadline)
 
     # -- core invocation ---------------------------------------------------
 
@@ -101,12 +147,14 @@ class AsyncInvoker:
         deadline: Deadline | None = None,
         allow_stale: bool = True,
     ) -> InvocationResult:
-        """Invoke one service on the event loop.
+        """Invoke one service — the body of :meth:`RichClient.invoke`.
 
-        The awaitable mirror of :meth:`RichClient.invoke`: same cache
-        probe, coalescing, protections, span names, monitor records,
-        error types and graceful-degradation paths.  See the module
-        docstring for the cancellation contract.
+        Cache probe, spent-deadline fast path, single-flight
+        coalescing, then :meth:`_ainvoke_remote` and the
+        graceful-degradation fallbacks; semantics, span names, monitor
+        records and error types are documented on
+        :meth:`RichClient.invoke`.  See the module docstring for the
+        cancellation contract.
         """
         payload = dict(payload or {})
         service = self.registry.get(service_name)
@@ -121,6 +169,7 @@ class AsyncInvoker:
                if cacheable else None)
 
         if deadline is not None and deadline.expired():
+            # Spent budget: a stale answer is the only useful response.
             try:
                 self.client._deadline_guard(
                     deadline, f"invoke {service_name}.{operation}")
@@ -137,8 +186,10 @@ class AsyncInvoker:
             leader, flight = self.coalescer.lead_or_join(key)
             if not leader:
                 wait = deadline.clamp(timeout) if deadline is not None else timeout
-                shared = await flight.result(
-                    timeout=self.client._real_timeout(wait))
+                # Follower: the leader pays the wire call, the quota and
+                # the monitor record; we report the shared outcome.
+                shared = await self._flight_result(
+                    flight, self.client._real_timeout(wait))
                 return replace(shared, coalesced=True, cost=0.0)
         try:
             result = await self._ainvoke_remote(
@@ -146,8 +197,9 @@ class AsyncInvoker:
                 key, quality_rater, deadline=deadline)
         except BaseException as error:
             if flight is not None:
-                # Fail the flight (cancellation included) so followers
-                # are never stranded on a dead leader.
+                # Fail the flight (cancellation / KeyboardInterrupt
+                # included) so followers are never stranded on a dead
+                # leader.
                 self.coalescer.fail(flight, error)
             if not isinstance(error, Exception):
                 raise
@@ -174,11 +226,22 @@ class AsyncInvoker:
     ) -> InvocationResult:
         """One real upstream call: protections, span, monitor, cache.
 
-        Same protection order as the sync core (tenant authorization,
-        quota reservation, rate limiter, bulkhead).  Cleanup handlers
-        catch ``BaseException`` so cancellation refunds reservations
-        and releases the permit; after the wire call returns there are
-        no suspension points, so settle/record/cache are atomic.
+        The client-side protections run in order: tenant authorization
+        (rate limit then budget, when a tenant scope is active), the
+        client-wide budget reservation, rate limiter, then admission
+        control — the bulkhead permit is held for exactly the duration
+        of the wire call, so it bounds concurrency rather than call
+        counts.  Budgets are charged atomically up front (a call slot
+        plus the cost-model estimate) and settled to the billed cost on
+        success or refunded on failure, so a concurrent burst cannot
+        overshoot.  With a ``deadline``, the bulkhead queues only
+        within the remaining budget and the wire timeout is clamped to
+        whatever budget survives the queue wait.
+
+        Cleanup handlers catch ``BaseException`` so cancellation
+        refunds reservations and releases the permit; after the wire
+        call returns there are no suspension points, so
+        settle/record/cache are atomic.
         """
         tracer = self.obs.tracer
         with tracer.span(names.SPAN_SDK_INVOKE,
@@ -187,6 +250,8 @@ class AsyncInvoker:
             tenant = self.client._active_tenant()
             if tenant is not None:
                 span.set_attribute("tenant", tenant.tenant_id)
+            # The cost estimate feeds the atomic budget reservations; it
+            # is only computed when some ledger will actually use it.
             estimate = 0.0
             if tenant is not None or self.quota.has_cost_limit(service_name):
                 estimate = service.cost_model.cost(
@@ -202,9 +267,9 @@ class AsyncInvoker:
                             if self.admission is not None else None)
                 if bulkhead is not None:
                     try:
-                        await bulkhead.acquire(
-                            deadline=deadline,
-                            tenant=tenant.tenant_id if tenant is not None else None)
+                        await self._acquire(
+                            bulkhead, deadline,
+                            tenant.tenant_id if tenant is not None else None)
                     except AdmissionRejectedError:
                         if tenant is not None:
                             self.tenancy.count_rejection(
@@ -223,8 +288,8 @@ class AsyncInvoker:
                     self.client._deadline_guard(
                         deadline, f"invoke {service_name}.{operation}")
                     timeout = deadline.clamp(timeout)
-                response = await service.ainvoke(operation, payload,
-                                                 timeout=timeout)
+                response = await self._call(service, operation, payload,
+                                            timeout)
             except BaseException as error:
                 if isinstance(error, Exception):
                     self.monitor.record(
@@ -270,6 +335,8 @@ class AsyncInvoker:
             if key is not None:
                 self.cache.put(key, response.value)
             if operation in ("put", "delete"):
+                # A mutation makes this service's cached reads suspect —
+                # the consistency issue §2 warns about.
                 self.cache.invalidate_service(service_name)
             return InvocationResult(
                 value=response.value,
@@ -292,12 +359,12 @@ class AsyncInvoker:
     ) -> list[InvocationResult | Exception]:
         """Ship ``payloads`` to the service's batch endpoint in one call.
 
-        The awaitable mirror of :meth:`RichClient.invoke_batched`: one
-        awaited round trip, one tenant charge, one bulkhead permit,
-        per-item outcomes in input order.  Cancellation mid-wire
-        abandons every item at once (they share the single call) and
-        refunds the tenant charge; admission and accounting are never
-        leaked.
+        The body of :meth:`RichClient.invoke_batched` (documented
+        there): one round trip, one tenant charge, one bulkhead
+        permit, per-item outcomes in input order.  Cancellation
+        mid-wire abandons every item at once (they share the single
+        call) and refunds the tenant charge; admission and accounting
+        are never leaked.
         """
         payloads = [dict(payload) for payload in payloads]
         if not payloads:
@@ -327,9 +394,9 @@ class AsyncInvoker:
                             if self.admission is not None else None)
                 if bulkhead is not None:
                     try:
-                        await bulkhead.acquire(
-                            deadline=deadline,
-                            tenant=tenant.tenant_id if tenant is not None else None)
+                        await self._acquire(
+                            bulkhead, deadline,
+                            tenant.tenant_id if tenant is not None else None)
                     except AdmissionRejectedError:
                         if tenant is not None:
                             self.tenancy.count_rejection(
@@ -340,8 +407,8 @@ class AsyncInvoker:
                         self.client._deadline_guard(
                             deadline, f"invoke_batched {service_name}.{operation}")
                         timeout = deadline.clamp(timeout)
-                    responses = await service.ainvoke_batch(
-                        operation, payloads, timeout=timeout)
+                    responses = await self._call_batch(
+                        service, operation, payloads, timeout)
                 finally:
                     if bulkhead is not None:
                         bulkhead.release()
@@ -418,9 +485,9 @@ class AsyncInvoker:
     ) -> list[InvocationResult | Exception]:
         """Run one operation over many payloads as efficiently as possible.
 
-        The awaitable mirror of :meth:`RichClient.invoke_many`: cache
-        hits first, in-burst dedup (counted as coalesce hits), then
-        batch-endpoint chunks or sequential awaited calls.  Per-item
+        The body of :meth:`RichClient.invoke_many` (documented there):
+        cache hits first, in-burst dedup (counted as coalesce hits),
+        then batch-endpoint chunks or sequential calls.  Per-item
         failures come back as exceptions; cancellation aborts the
         remaining chunks (already-returned items are simply lost with
         the coroutine, their server-side effects stand).
@@ -438,6 +505,7 @@ class AsyncInvoker:
             else:
                 remaining.append(index)
 
+        # In-batch dedup: identical payloads ride one upstream item.
         namespace = self.client._cache_tenant()
         groups: dict[str, list[int]] = {}
         for index in remaining:
@@ -454,7 +522,7 @@ class AsyncInvoker:
             for start in range(0, len(leaders), limit):
                 chunk = leaders[start:start + limit]
                 try:
-                    outcomes = await self.ainvoke_batched(
+                    outcomes = await self._invoke_batched(
                         service_name, operation,
                         [payloads[index] for index in chunk],
                         timeout=timeout, use_cache=use_cache,
@@ -466,7 +534,7 @@ class AsyncInvoker:
         else:
             for index in leaders:
                 try:
-                    results[index] = await self.ainvoke(
+                    results[index] = await self._invoke(
                         service_name, operation, payloads[index],
                         timeout=timeout, use_cache=use_cache,
                         deadline=deadline)
@@ -493,9 +561,10 @@ class AsyncInvoker:
     ) -> list[InvocationResult | Exception]:
         """Run many calls concurrently as tasks; preserves order.
 
-        The awaitable mirror of :meth:`RichClient.invoke_all` — except
-        the legs are event-loop tasks, so fan-out width is no longer
-        bounded by a thread pool.  Per-leg failures come back as their
+        The event-loop counterpart of :meth:`RichClient.invoke_all`
+        (which fans out over a thread pool instead — the one place the
+        two drivers genuinely differ): the legs are tasks, so fan-out
+        width is not bounded by a pool.  Per-leg failures come back as their
         exception; cancelling this coroutine cancels every in-flight
         leg (the legs are child tasks of the gather).
         """
@@ -527,10 +596,10 @@ class AsyncInvoker:
     ) -> InvocationResult:
         """Invoke the best-ranked service of ``kind`` with failover.
 
-        The awaitable mirror of
-        :meth:`RichClient.invoke_with_failover`: same ranking, same
-        span structure, backoffs awaited.  Cancellation stops the walk
-        immediately — no further candidate is contacted.
+        The body of :meth:`RichClient.invoke_with_failover`
+        (documented there): ranking, root span, then the failover walk.
+        Cancellation stops the walk immediately — no further candidate
+        is contacted.
         """
         with self.obs.tracer.span(names.SPAN_SDK_INVOKE_WITH_FAILOVER,
                                   {"kind": kind, "operation": operation}):
@@ -543,13 +612,9 @@ class AsyncInvoker:
             ranked = [name for name, _ in
                       self.ranker.rank(candidates, params, formula, weights)]
 
-            served_by, result, attempts = await self.failover.ainvoke(
-                ranked,
-                lambda name: self.ainvoke(name, operation, payload,
-                                          timeout=timeout, use_cache=use_cache,
-                                          deadline=deadline),
-                deadline=deadline,
-            )
+            served_by, result, attempts = await self._failover_walk(
+                ranked, deadline, operation, payload, timeout=timeout,
+                use_cache=use_cache)
         return InvocationResult(
             value=result.value,
             latency=result.latency,
@@ -576,9 +641,11 @@ class AsyncInvoker:
     ) -> dict[str, InvocationResult | Exception]:
         """Invoke the same request on several services.
 
-        The awaitable mirror of :meth:`RichClient.invoke_redundant`;
-        ``parallel=True`` fans the legs out as tasks via
-        :meth:`ainvoke_all`, which cancellation tears down together.
+        The body of :meth:`RichClient.invoke_redundant` (documented
+        there).  ``parallel=True`` fans the legs out as tasks via
+        :meth:`ainvoke_all`, which cancellation tears down together —
+        loop-only; the blocking driver runs ``parallel=False`` here
+        and keeps its thread-pool fan-out.
         """
         ordered = list(service_names)
         if parallel:
@@ -590,7 +657,7 @@ class AsyncInvoker:
         results: dict[str, InvocationResult | Exception] = {}
         for name in ordered:
             try:
-                results[name] = await self.ainvoke(
+                results[name] = await self._invoke(
                     name, operation, payload, timeout=timeout,
                     use_cache=use_cache, deadline=deadline)
             except Exception as error:
@@ -606,3 +673,49 @@ class AsyncInvoker:
 
         return AsyncMicroBatcher(self, max_batch_size=max_batch_size,
                                  max_wait=max_wait)
+
+
+class _BlockingInvoker(AsyncInvoker):
+    """The same bodies, bound to the client's blocking collaborators.
+
+    What :class:`RichClient` drives with ``run_sync``.  The coalescer
+    and admission controller are the client's own thread-safe ones;
+    each wait point is a plain ``def`` that makes its blocking call
+    (which raises exactly where the body awaits it) and returns it
+    :func:`~repro.core.futures.resolved`.  Nested hops and the failover
+    walk go through the client's public attributes.  :meth:`ainvoke_all`
+    (so ``parallel=True``) needs an event loop and is not reachable
+    from the blocking API.
+    """
+
+    def __init__(self, client: RichClient) -> None:
+        """Bind to ``client``'s own coalescer and admission controller."""
+        self._share(client)
+        self.coalescer = client.coalescer
+        self.admission = client.admission
+
+    def _flight_result(self, flight, timeout):
+        return resolved(flight.result(timeout=timeout))
+
+    def _acquire(self, bulkhead, deadline, tenant):
+        return resolved(bulkhead.acquire(deadline=deadline, tenant=tenant))
+
+    def _call(self, service, operation, payload, timeout):
+        return resolved(service.invoke(operation, payload, timeout=timeout))
+
+    def _call_batch(self, service, operation, payloads, timeout):
+        return resolved(service.invoke_batch(operation, payloads,
+                                             timeout=timeout))
+
+    def _invoke(self, *args, **kwargs):
+        return resolved(self.client.invoke(*args, **kwargs))
+
+    def _invoke_batched(self, *args, **kwargs):
+        return resolved(self.client.invoke_batched(*args, **kwargs))
+
+    def _failover_walk(self, ranked, deadline, *call, **options):
+        client = self.client
+        return resolved(client.failover.invoke(
+            ranked,
+            lambda name: client.invoke(name, *call, deadline=deadline, **options),
+            deadline=deadline))

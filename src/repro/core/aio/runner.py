@@ -1,11 +1,14 @@
-"""The sync facade's loop-runner shim.
+"""An event loop for blocking callers.
 
 :class:`LoopRunner` owns one event loop on a dedicated daemon thread.
-Blocking callers (the existing ``RichClient.invoke*`` API, tests,
-benchmarks) hand it coroutines; the runner schedules each as a task on
-the loop **inside a copy of the caller's contextvars**, so a tenant
-scope or an open trace span that is current on the submitting thread is
-still current inside the coroutine — the same propagation guarantee
+Blocking callers that want loop-served calls (applications, tests,
+benchmarks — not ``RichClient.invoke*``, which drives its coroutines
+in-thread and needs no loop) hand it coroutines, e.g.
+``runner.submit_listenable(client.aio.ainvoke(...))``; the runner
+schedules each as a task on the loop **inside a copy of the caller's
+contextvars**, so a tenant scope or an open trace span that is current
+on the submitting thread is still current inside the coroutine — the
+same propagation guarantee
 :class:`~repro.core.futures.CallbackExecutor` gives pooled work.
 """
 
@@ -25,9 +28,8 @@ class LoopRunner:
 
     Thread-safe: any number of threads may :meth:`submit` or
     :meth:`run` concurrently; each coroutine becomes an independent
-    task on the single loop.  The runner is lazy-starting in
-    :class:`~repro.core.invoker.RichClient` and idles at zero cost —
-    the loop thread sleeps in the selector when no task is live.
+    task on the single loop.  The runner idles at zero cost — the
+    loop thread sleeps in the selector when no task is live.
     """
 
     def __init__(self, name: str = "repro-aio") -> None:
@@ -70,7 +72,7 @@ class LoopRunner:
         Python 3.10 where ``create_task(context=...)`` does not exist).
         Cancelling the returned future does **not** cancel the task —
         use :meth:`submit_listenable` + task handles for cancellable
-        work; the sync facade never cancels, it only waits.
+        work; :meth:`run` never cancels, it only waits.
         """
         if not self._loop.is_running():
             raise RuntimeError("LoopRunner is shut down")

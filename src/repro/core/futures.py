@@ -7,6 +7,9 @@ reproduces that contract over :mod:`concurrent.futures`, and
 :class:`CallbackExecutor` is the bounded thread pool §2.1 prescribes
 ("to prevent the number of threads from becoming too large in corner
 cases, we use thread pools of limited size").
+
+:func:`run_sync` is how the blocking SDK API runs the one invocation
+body the asyncio core awaits: on the caller's own thread.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Coroutine
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Generic, TypeVar
 
@@ -194,3 +197,34 @@ class CallbackExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+def run_sync(coro: Coroutine[object, object, T]) -> T:
+    """Drive ``coro`` to completion on the calling thread — no event
+    loop, no thread.
+
+    For coroutines whose every ``await`` lands on an awaitable that is
+    already done (see :func:`resolved`): one ``send(None)`` runs the
+    whole body, and its exceptions propagate with their own traceback.
+    A coroutine that really suspends is a programming error: it is
+    closed and ``RuntimeError`` raised, since nothing here could ever
+    wake it.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError(
+        f"{coro!r} suspended under run_sync; only coroutines whose awaits "
+        "are all already resolved can be driven without an event loop")
+
+
+async def resolved(value: T) -> T:
+    """An awaitable that is already done: ``await resolved(x)`` is ``x``.
+
+    A blocking wait point is a plain function returning
+    ``resolved(blocking_call())``: the call blocks (or raises) right
+    where the body awaits it, and the body never suspends.
+    """
+    return value

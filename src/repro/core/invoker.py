@@ -10,30 +10,38 @@ paper's features in one coherent client:
 * ranked failover across services of a kind (retry each per its
   policy, move down the ranking);
 * redundant multi-service invocation for comparison/combination.
+
+The hot path itself — cache, coalesce, reserve, rate limit, bulkhead,
+wire, settle / record / cache — is written once, as the coroutines of
+:mod:`repro.core.aio.invoker`.  The blocking entry points here drive
+them on the caller's thread (:func:`~repro.core.futures.run_sync`)
+through a binding whose wait points block instead of suspending — no
+event loop, no extra thread; :attr:`RichClient.aio` is the same body
+bound to an event loop.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.admission import AdmissionController, AdmissionRejectedError
 from repro.core.batching import MicroBatcher, RequestCoalescer
 from repro.core.caching import DEFAULT_CACHEABLE_OPERATIONS, ServiceCache, cache_key
-from repro.core.futures import CallbackExecutor, ListenableFuture
+from repro.core.futures import CallbackExecutor, ListenableFuture, run_sync
 from repro.core.latency import LatencyPredictor
 from repro.core.monitoring import InvocationRecord, ServiceMonitor
 from repro.obs import names
 from repro.core.quota import ClientQuotaTracker
 from repro.core.ranking import ScoreFormula, ServiceRanker, Weights
 from repro.core.ratelimit import ServiceRateLimiter
-from repro.core.retry import AttemptLog, FailoverInvoker, RetryPolicy
+from repro.core.retry import AttemptLog, FailoverInvoker
 from repro.obs import Observability
-from repro.services.base import ServiceRegistry, ServiceRequest
+from repro.services.base import ServiceRegistry
 from repro.simnet.errors import NetworkError
 from repro.tenancy.model import Tenant
-from repro.tenancy.runtime import REASON_SHED, Tenancy
+from repro.tenancy.runtime import Tenancy
 from repro.util.clock import Clock
 from repro.util.deadline import Deadline, DeadlineExceededError
 
@@ -110,7 +118,6 @@ class RichClient:
         coalesce_identical: bool = True,
         serve_stale_on_error: bool = False,
         stale_while_revalidate: bool = False,
-        use_async_core: bool = False,
     ) -> None:
         """Build the client around ``registry``.
 
@@ -151,14 +158,6 @@ class RichClient:
             stale_while_revalidate: serve a stale entry immediately on
                 a cache miss while refreshing it asynchronously on the
                 thread pool (the refresh repopulates the cache).
-            use_async_core: route ``invoke`` / ``invoke_async`` /
-                ``invoke_batched`` (and everything built on them)
-                through the asyncio core (:mod:`repro.core.aio`) via a
-                loop-runner shim instead of the thread pool.  The API,
-                results, error types and metric/span names are
-                unchanged; the difference is that waits happen on one
-                event loop, so in-flight concurrency is no longer
-                bounded by threads.
         """
         self.registry = registry
         self.clock = self._registry_clock(registry)
@@ -191,11 +190,13 @@ class RichClient:
             tenancy.attach_clock(self.clock)
         self.serve_stale_on_error = serve_stale_on_error
         self.stale_while_revalidate = stale_while_revalidate
-        self.use_async_core = use_async_core
-        # Lazy async-core state: the AsyncInvoker mirror and the
-        # loop-runner shim are only built when first used.
+        # The hot-path body lives in repro.core.aio.invoker (deferred
+        # import: it imports this module).  `_body` is its blocking
+        # binding; the event-loop binding behind `.aio` is built lazily.
+        from repro.core.aio.invoker import _BlockingInvoker
+
+        self._body = _BlockingInvoker(self)
         self._aio = None
-        self._runner = None
         self._aio_lock = threading.Lock()
         # Keys with an in-flight stale-while-revalidate refresh.
         self._swr_refreshing: set[str] = set()
@@ -252,11 +253,14 @@ class RichClient:
 
     @property
     def aio(self):
-        """The event-loop mirror of this client (lazy, cached).
+        """This client's hot path bound to an event loop (lazy, cached).
 
         An :class:`repro.core.aio.AsyncInvoker` sharing this client's
         monitor, cache, quota, tenancy and observability — the
         ``await``-able API for callers that already run an event loop.
+        Blocking callers who want their calls loop-served hand its
+        coroutines to a runner:
+        ``LoopRunner().submit_listenable(client.aio.ainvoke(...))``.
         The import is deferred to keep ``repro.core.invoker`` free of a
         package cycle with :mod:`repro.core.aio`.
         """
@@ -267,16 +271,6 @@ class RichClient:
                 if self._aio is None:
                     self._aio = AsyncInvoker(self)
         return self._aio
-
-    def _loop_runner(self):
-        """The facade shim's loop runner (lazy, cached)."""
-        if self._runner is None:
-            from repro.core.aio import LoopRunner
-
-            with self._aio_lock:
-                if self._runner is None:
-                    self._runner = LoopRunner()
-        return self._runner
 
     @staticmethod
     def _registry_clock(registry: ServiceRegistry) -> Clock:
@@ -509,196 +503,17 @@ class RichClient:
         never queues past it.  ``allow_stale=False`` disables the
         degraded serve paths for this call (background refreshes use
         it).
-
-        With ``use_async_core=True`` the whole call runs as a
-        coroutine on the client's loop runner; semantics, errors and
-        telemetry are unchanged.
         """
-        if self.use_async_core:
-            return self._loop_runner().run(self.aio.ainvoke(
-                service_name, operation, payload, timeout=timeout,
-                use_cache=use_cache, quality_rater=quality_rater,
-                coalesce=coalesce, deadline=deadline,
-                allow_stale=allow_stale))
-        payload = dict(payload or {})
-        service = self.registry.get(service_name)
-        hit = self.cached_result(service_name, operation, payload, use_cache,
-                                 allow_stale=allow_stale)
-        if hit is not None:
-            return hit
-
-        cacheable = use_cache and operation in self.cacheable_operations
-        key = (cache_key(service_name, operation, payload,
-                         tenant=self._cache_tenant())
-               if cacheable else None)
-
-        if deadline is not None and deadline.expired():
-            # Spent budget: a stale answer is the only useful response.
-            try:
-                self._deadline_guard(deadline, f"invoke {service_name}.{operation}")
-            except DeadlineExceededError as error:
-                degraded = (self._serve_stale(service_name, operation, key, error)
-                            if allow_stale else None)
-                if degraded is not None:
-                    return degraded
-                raise
-
-        flight = None
-        if self.coalescer is not None and coalesce and key is not None:
-            leader, flight = self.coalescer.lead_or_join(key)
-            if not leader:
-                # Follower: the leader pays the wire call, the quota and
-                # the monitor record; we report the shared outcome.
-                wait = deadline.clamp(timeout) if deadline is not None else timeout
-                shared = flight.result(timeout=self._real_timeout(wait))
-                return replace(shared, coalesced=True, cost=0.0)
-        try:
-            result = self._invoke_remote(
-                service, service_name, operation, payload, timeout,
-                key, quality_rater, deadline=deadline)
-        except Exception as error:
-            if flight is not None:
-                self.coalescer.fail(flight, error)
-            degraded = (self._serve_stale(service_name, operation, key, error)
-                        if allow_stale else None)
-            if degraded is not None:
-                return degraded
-            raise
-        if flight is not None:
-            self.coalescer.complete(flight, result)
-        return result
+        return run_sync(self._body.ainvoke(
+            service_name, operation, payload, timeout=timeout,
+            use_cache=use_cache, quality_rater=quality_rater,
+            coalesce=coalesce, deadline=deadline, allow_stale=allow_stale))
 
     def _real_timeout(self, timeout: float | None) -> float | None:
         """Simulated timeout -> wall seconds for blocking waits."""
         if timeout is None:
             return None
         return timeout * getattr(self.clock, "time_scale", 1.0)
-
-    def _invoke_remote(
-        self,
-        service,
-        service_name: str,
-        operation: str,
-        payload: dict,
-        timeout: float | None,
-        key: str | None,
-        quality_rater: QualityRater | None,
-        deadline: Deadline | None = None,
-    ) -> InvocationResult:
-        """One real upstream call: protections, span, monitor, cache.
-
-        The client-side protections run in order: tenant authorization
-        (rate limit then budget, when a tenant scope is active), the
-        client-wide budget reservation, rate limiter, then admission
-        control — the bulkhead permit is held for exactly the duration
-        of the wire call, so it bounds concurrency rather than call
-        counts.  Budgets are charged atomically up front (a call slot
-        plus the cost-model estimate) and settled to the billed cost on
-        success or refunded on failure, so a concurrent burst cannot
-        overshoot.  With a ``deadline``, the bulkhead queues only
-        within the remaining budget and the wire timeout is clamped to
-        whatever budget survives the queue wait.
-        """
-        tracer = self.obs.tracer
-        with tracer.span(names.SPAN_SDK_INVOKE,
-                         {"service": service_name, "operation": operation}) as span:
-            trace_id = span.trace_id
-            tenant = self._active_tenant()
-            if tenant is not None:
-                span.set_attribute("tenant", tenant.tenant_id)
-            # The cost estimate feeds the atomic budget reservations; it
-            # is only computed when some ledger will actually use it.
-            estimate = 0.0
-            if tenant is not None or self.quota.has_cost_limit(service_name):
-                estimate = service.cost_model.cost(
-                    ServiceRequest(operation, payload))
-            charge = (self.tenancy.authorize(tenant, estimate)
-                      if tenant is not None else None)
-            reservation = None
-            try:
-                reservation = self.quota.reserve(service_name, estimate)
-                if self.rate_limiter is not None:
-                    self.rate_limiter.acquire_or_raise(service_name)
-                bulkhead = (self.admission.bulkhead_for(service_name)
-                            if self.admission is not None else None)
-                if bulkhead is not None:
-                    try:
-                        bulkhead.acquire(
-                            deadline=deadline,
-                            tenant=tenant.tenant_id if tenant is not None else None)
-                    except AdmissionRejectedError:
-                        if tenant is not None:
-                            self.tenancy.count_rejection(
-                                tenant.tenant_id, REASON_SHED)
-                        raise
-            except Exception:
-                if reservation is not None:
-                    self.quota.cancel(reservation)
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
-                raise
-            params = service.latency_params(ServiceRequest(operation, payload))
-            rater = quality_rater or self.quality_raters.get(operation)
-            try:
-                if deadline is not None:
-                    self._deadline_guard(
-                        deadline, f"invoke {service_name}.{operation}")
-                    timeout = deadline.clamp(timeout)
-                response = service.invoke(operation, payload, timeout=timeout)
-            except Exception as error:
-                self.monitor.record(
-                    InvocationRecord(
-                        service=service_name,
-                        operation=operation,
-                        timestamp=self.clock.now(),
-                        latency=None,
-                        cost=0.0,
-                        success=False,
-                        error=repr(error),
-                        latency_params=params,
-                        trace_id=trace_id,
-                    )
-                )
-                self.quota.cancel(reservation)
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
-                raise
-            finally:
-                if bulkhead is not None:
-                    bulkhead.release()
-
-            quality = rater(response.value) if rater is not None else None
-            self.quota.settle(reservation, response.cost)
-            if charge is not None:
-                self.tenancy.settle(tenant, charge, response.cost)
-            self.monitor.record(
-                InvocationRecord(
-                    service=service_name,
-                    operation=operation,
-                    timestamp=self.clock.now(),
-                    latency=response.latency,
-                    cost=response.cost,
-                    success=True,
-                    latency_params=params,
-                    quality=quality,
-                    trace_id=trace_id,
-                )
-            )
-            span.set_attribute("latency", response.latency)
-            span.set_attribute("cost", response.cost)
-            if key is not None:
-                self.cache.put(key, response.value)
-            if operation in ("put", "delete"):
-                # A mutation makes this service's cached reads suspect —
-                # the consistency issue §2 warns about.
-                self.cache.invalidate_service(service_name)
-            return InvocationResult(
-                value=response.value,
-                latency=response.latency,
-                cost=response.cost,
-                service=service_name,
-                operation=operation,
-            )
 
     # -- asynchronous invocation -------------------------------------------------
 
@@ -723,14 +538,10 @@ class RichClient:
         an absolute expiry, so handing it across threads keeps the
         original budget.
 
-        With ``use_async_core=True`` the call becomes an event-loop
-        task instead of occupying a pool thread; the returned
-        listenable settles from the loop with identical semantics.
+        The call occupies a pool thread for its duration; to run it as
+        an event-loop task instead, hand the coroutine to a runner:
+        ``LoopRunner().submit_listenable(client.aio.ainvoke(...))``.
         """
-        if self.use_async_core:
-            return self._loop_runner().submit_listenable(self.aio.ainvoke(
-                service_name, operation, payload, timeout=timeout,
-                use_cache=use_cache, coalesce=coalesce, deadline=deadline))
         return self.executor.submit(
             self.invoke, service_name, operation, payload,
             timeout=timeout, use_cache=use_cache, coalesce=coalesce,
@@ -770,121 +581,10 @@ class RichClient:
         per-item cost estimate, settled to the summed billed cost —
         the tenant-ledger analogue of the batch paying one wire round
         trip.
-
-        With ``use_async_core=True`` the batch call runs as a
-        coroutine on the client's loop runner, unchanged otherwise.
         """
-        if self.use_async_core:
-            return self._loop_runner().run(self.aio.ainvoke_batched(
-                service_name, operation, payloads, timeout=timeout,
-                use_cache=use_cache, deadline=deadline))
-        payloads = [dict(payload) for payload in payloads]
-        if not payloads:
-            return []
-        service = self.registry.get(service_name)
-        tracer = self.obs.tracer
-        with tracer.span(names.SPAN_SDK_INVOKE_BATCH,
-                         {"service": service_name, "operation": operation,
-                          names.BATCH_SIZE: len(payloads),
-                          "obs.category": "batch"}) as span:
-            trace_id = span.trace_id
-            self._deadline_guard(
-                deadline, f"invoke_batched {service_name}.{operation}")
-            tenant = self._active_tenant()
-            if tenant is not None:
-                span.set_attribute("tenant", tenant.tenant_id)
-            estimate = (sum(service.cost_model.cost(ServiceRequest(operation, p))
-                            for p in payloads)
-                        if tenant is not None else 0.0)
-            charge = (self.tenancy.authorize(tenant, estimate)
-                      if tenant is not None else None)
-            try:
-                self.quota.check(service_name)
-                if self.rate_limiter is not None:
-                    self.rate_limiter.acquire_or_raise(service_name)
-                bulkhead = (self.admission.bulkhead_for(service_name)
-                            if self.admission is not None else None)
-                if bulkhead is not None:
-                    try:
-                        bulkhead.acquire(
-                            deadline=deadline,
-                            tenant=tenant.tenant_id if tenant is not None else None)
-                    except AdmissionRejectedError:
-                        if tenant is not None:
-                            self.tenancy.count_rejection(
-                                tenant.tenant_id, REASON_SHED)
-                        raise
-                try:
-                    if deadline is not None:
-                        self._deadline_guard(
-                            deadline, f"invoke_batched {service_name}.{operation}")
-                        timeout = deadline.clamp(timeout)
-                    responses = service.invoke_batch(operation, payloads,
-                                                     timeout=timeout)
-                finally:
-                    if bulkhead is not None:
-                        bulkhead.release()
-            except Exception:
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
-                raise
-            if charge is not None:
-                billed = sum(response.cost for response in responses
-                             if not isinstance(response, Exception))
-                self.tenancy.settle(tenant, charge, billed)
-            if self._metric_batch_flushes is not None:
-                self._metric_batch_flushes.inc()
-                self._metric_batch_items.inc(len(payloads))
-                self._metric_batch_size.observe(float(len(payloads)))
-            now = self.clock.now()
-            cacheable = use_cache and operation in self.cacheable_operations
-            namespace = self._cache_tenant() if cacheable else None
-            batch_latency = 0.0
-            outcomes: list[InvocationResult | Exception] = []
-            for payload, response in zip(payloads, responses):
-                if isinstance(response, Exception):
-                    self.monitor.record(
-                        InvocationRecord(
-                            service=service_name,
-                            operation=operation,
-                            timestamp=now,
-                            latency=None,
-                            cost=0.0,
-                            success=False,
-                            error=repr(response),
-                            trace_id=trace_id,
-                        )
-                    )
-                    outcomes.append(response)
-                    continue
-                batch_latency = response.latency
-                self.quota.record(service_name, response.cost)
-                self.monitor.record(
-                    InvocationRecord(
-                        service=service_name,
-                        operation=operation,
-                        timestamp=now,
-                        latency=response.latency,
-                        cost=response.cost,
-                        success=True,
-                        trace_id=trace_id,
-                    )
-                )
-                if cacheable:
-                    self.cache.put(
-                        cache_key(service_name, operation, payload,
-                                  tenant=namespace),
-                        response.value)
-                outcomes.append(InvocationResult(
-                    value=response.value,
-                    latency=response.latency,
-                    cost=response.cost,
-                    service=service_name,
-                    operation=operation,
-                    batched=True,
-                ))
-            span.set_attribute("latency", batch_latency)
-            return outcomes
+        return run_sync(self._body.ainvoke_batched(
+            service_name, operation, payloads, timeout=timeout,
+            use_cache=use_cache, deadline=deadline))
 
     def invoke_many(
         self,
@@ -907,62 +607,9 @@ class RichClient:
         ``coalesced=True`` and cost 0.  Per-item failures are returned
         as exceptions rather than raised.
         """
-        payloads = [dict(payload) for payload in payloads]
-        service = self.registry.get(service_name)
-        results: list[InvocationResult | Exception | None] = [None] * len(payloads)
-
-        remaining: list[int] = []
-        for index, payload in enumerate(payloads):
-            hit = self.cached_result(service_name, operation, payload, use_cache)
-            if hit is not None:
-                results[index] = hit
-            else:
-                remaining.append(index)
-
-        # In-batch dedup: identical payloads ride one upstream item.
-        namespace = self._cache_tenant()
-        groups: dict[str, list[int]] = {}
-        for index in remaining:
-            key = cache_key(service_name, operation, payloads[index],
-                            tenant=namespace)
-            groups.setdefault(key, []).append(index)
-        folded = len(remaining) - len(groups)
-        if folded and self.coalescer is not None:
-            self.coalescer.count_folded(folded)
-        leaders = [indices[0] for indices in groups.values()]
-
-        if service.supports_batching and leaders:
-            limit = service.batch_max_size
-            for start in range(0, len(leaders), limit):
-                chunk = leaders[start:start + limit]
-                try:
-                    outcomes = self.invoke_batched(
-                        service_name, operation,
-                        [payloads[index] for index in chunk],
-                        timeout=timeout, use_cache=use_cache,
-                        deadline=deadline)
-                except DeadlineExceededError as error:
-                    outcomes = [error] * len(chunk)
-                for index, outcome in zip(chunk, outcomes):
-                    results[index] = outcome
-        else:
-            for index in leaders:
-                try:
-                    results[index] = self.invoke(
-                        service_name, operation, payloads[index],
-                        timeout=timeout, use_cache=use_cache,
-                        deadline=deadline)
-                except Exception as error:
-                    results[index] = error
-
-        for indices in groups.values():
-            shared = results[indices[0]]
-            for index in indices[1:]:
-                if isinstance(shared, InvocationResult):
-                    results[index] = replace(shared, coalesced=True, cost=0.0)
-                else:
-                    results[index] = shared
-        return results
+        return run_sync(self._body.ainvoke_many(
+            service_name, operation, payloads, timeout=timeout,
+            use_cache=use_cache, deadline=deadline))
 
     def batcher(self, max_batch_size: int | None = None,
                 max_wait: float = 0.05) -> MicroBatcher:
@@ -1024,35 +671,9 @@ class RichClient:
         whole failover walk: per-candidate retry loops stop when the
         remaining budget cannot cover the next backoff, and no new
         candidate is tried past expiry."""
-        with self.obs.tracer.span(names.SPAN_SDK_INVOKE_WITH_FAILOVER,
-                                  {"kind": kind, "operation": operation}):
-            candidates = [service.name
-                          for service in self.registry.services_of_kind(kind)]
-            if not candidates:
-                raise ValueError(f"no services of kind {kind!r}")
-            request = ServiceRequest(operation, dict(payload or {}))
-            params = self.registry.get(candidates[0]).latency_params(request)
-            ranked = [name for name, _ in
-                      self.ranker.rank(candidates, params, formula, weights)]
-
-            served_by, result, attempts = self.failover.invoke(
-                ranked,
-                lambda name: self.invoke(name, operation, payload,
-                                         timeout=timeout, use_cache=use_cache,
-                                         deadline=deadline),
-                deadline=deadline,
-            )
-        return InvocationResult(
-            value=result.value,
-            latency=result.latency,
-            cost=result.cost,
-            service=served_by,
-            operation=operation,
-            cached=result.cached,
-            attempts=tuple(attempts),
-            degraded=result.degraded,
-            stale_age=result.stale_age,
-        )
+        return run_sync(self._body.ainvoke_with_failover(
+            kind, operation, payload, timeout=timeout, weights=weights,
+            formula=formula, use_cache=use_cache, deadline=deadline))
 
     # -- redundant multi-service invocation ------------------------------------------
 
@@ -1075,22 +696,16 @@ class RichClient:
         so a partial aggregation (``combine_partial``) can still be
         built from whoever answered within the shared ``deadline``.
         """
-        names = list(service_names)
         if parallel:
+            names = list(service_names)
             outcomes = self.invoke_all(
                 [(name, operation, dict(payload or {})) for name in names],
                 timeout=timeout, use_cache=use_cache, deadline=deadline,
             )
             return dict(zip(names, outcomes))
-        results: dict[str, InvocationResult | Exception] = {}
-        for name in names:
-            try:
-                results[name] = self.invoke(name, operation, payload,
-                                            timeout=timeout, use_cache=use_cache,
-                                            deadline=deadline)
-            except Exception as error:
-                results[name] = error
-        return results
+        return run_sync(self._body.ainvoke_redundant(
+            service_names, operation, payload, timeout=timeout,
+            parallel=False, use_cache=use_cache, deadline=deadline))
 
     # -- convenience -----------------------------------------------------------------
 
@@ -1123,11 +738,8 @@ class RichClient:
         return [self.monitor.summary(name) for name in self.monitor.services()]
 
     def close(self) -> None:
-        """Shut down the thread pool (and the loop runner, if started)."""
+        """Shut down the thread pool."""
         self.executor.shutdown()
-        if self._runner is not None:
-            self._runner.shutdown()
-            self._runner = None
 
     def __enter__(self) -> "RichClient":
         return self

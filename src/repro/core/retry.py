@@ -6,17 +6,22 @@ user. ... It would generally be preferable to start with higher ranked
 services and continue with lower ranked services until a responsive
 service is found.  The number of times to retry each service before
 moving on to the next one ... may be different for different services."
+
+The retry loop and the failover walk are written once, as coroutines;
+``ainvoke*`` await them on an event loop, ``invoke*`` drive the same
+coroutines on the caller's thread (:func:`~repro.core.futures.run_sync`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Awaitable, Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
 
+from repro.core.futures import resolved, run_sync
 from repro.obs import names
 from repro.simnet.errors import NetworkError
-from repro.util.clock import Clock
+from repro.util.clock import Clock, acharge
 from repro.util.errors import ReproError
 
 T = TypeVar("T")
@@ -103,6 +108,60 @@ class AllServicesFailedError(ReproError):
         self.attempts = attempts
 
 
+async def _retry(invoke_once, charge, policy, clock, service, log, tracer,
+                 backoff_counter, deadline):
+    """The retry loop behind :func:`invoke_with_retry` (documented
+    there) and :func:`ainvoke_with_retry`.
+
+    ``invoke_once()`` and ``charge(clock, seconds)`` are its two wait
+    points and return awaitables — really pending ones on an event
+    loop, already-:func:`~repro.core.futures.resolved` ones under the
+    blocking driver, which therefore never suspends.
+    """
+    last_error: BaseException | None = None
+    for attempt in range(policy.max_attempts):
+        delay = policy.delay_before_attempt(attempt)
+        if deadline is not None and last_error is not None:
+            remaining = deadline.remaining()
+            if remaining <= 0.0 or remaining < delay:
+                raise RetriesExhaustedError(
+                    service, attempt, last_error, deadline=deadline,
+                    deadline_truncated=True) from last_error
+        if delay and clock is not None:
+            if tracer is not None:
+                tracer.add_event(
+                    "retry.backoff",
+                    {"service": service, "attempt": attempt, "seconds": delay})
+            if backoff_counter is not None:
+                backoff_counter.inc(delay, service=service)
+            await charge(clock, delay)
+        try:
+            if tracer is not None and tracer.enabled:
+                with tracer.span(names.SPAN_FAILOVER_ATTEMPT,
+                                 {"service": service, "attempt": attempt}):
+                    result = await invoke_once()
+            else:
+                result = await invoke_once()
+        except BaseException as error:  # noqa: BLE001 — classified below
+            if not policy.is_retryable(error):
+                raise
+            last_error = error
+            if log is not None:
+                log.append(AttemptLog(service, attempt, repr(error)))
+            continue
+        if log is not None:
+            log.append(AttemptLog(service, attempt, None))
+        return result
+    assert last_error is not None
+    raise RetriesExhaustedError(service, policy.max_attempts, last_error,
+                                deadline=deadline) from last_error
+
+
+def _charge_now(clock: Clock, seconds: float):
+    """The blocking backoff: slept on the caller's thread, then resolved."""
+    return resolved(clock.charge(seconds))
+
+
 def invoke_with_retry(
     invoke_once: Callable[[], T],
     policy: RetryPolicy,
@@ -132,43 +191,29 @@ def invoke_with_retry(
     ``backoff_counter`` (a metrics counter) accumulates the same waits
     fleet-wide.
     """
-    last_error: BaseException | None = None
-    for attempt in range(policy.max_attempts):
-        delay = policy.delay_before_attempt(attempt)
-        if deadline is not None and last_error is not None:
-            remaining = deadline.remaining()
-            if remaining <= 0.0 or remaining < delay:
-                raise RetriesExhaustedError(
-                    service, attempt, last_error, deadline=deadline,
-                    deadline_truncated=True) from last_error
-        if delay and clock is not None:
-            if tracer is not None:
-                tracer.add_event(
-                    "retry.backoff",
-                    {"service": service, "attempt": attempt, "seconds": delay})
-            if backoff_counter is not None:
-                backoff_counter.inc(delay, service=service)
-            clock.charge(delay)
-        try:
-            if tracer is not None and tracer.enabled:
-                with tracer.span(names.SPAN_FAILOVER_ATTEMPT,
-                                 {"service": service, "attempt": attempt}):
-                    result = invoke_once()
-            else:
-                result = invoke_once()
-        except BaseException as error:  # noqa: BLE001 — classified below
-            if not policy.is_retryable(error):
-                raise
-            last_error = error
-            if log is not None:
-                log.append(AttemptLog(service, attempt, repr(error)))
-            continue
-        if log is not None:
-            log.append(AttemptLog(service, attempt, None))
-        return result
-    assert last_error is not None
-    raise RetriesExhaustedError(service, policy.max_attempts, last_error,
-                                deadline=deadline) from last_error
+    return run_sync(_retry(
+        lambda: resolved(invoke_once()), _charge_now, policy, clock, service,
+        log, tracer, backoff_counter, deadline))
+
+
+async def ainvoke_with_retry(
+    invoke_once: Callable[[], Awaitable[T]],
+    policy: RetryPolicy,
+    clock: Clock | None = None,
+    service: str = "<service>",
+    log: list[AttemptLog] | None = None,
+    tracer=None,
+    backoff_counter=None,
+    deadline=None,
+) -> T:
+    """:func:`invoke_with_retry` on an event loop: attempts and backoffs
+    (:func:`repro.util.clock.acharge`) are awaited.
+
+    ``asyncio.CancelledError`` is never retryable, so cancelling the
+    task aborts the loop at once, mid-backoff or mid-attempt.
+    """
+    return await _retry(invoke_once, acharge, policy, clock, service, log,
+                        tracer, backoff_counter, deadline)
 
 
 class FailoverInvoker:
@@ -222,6 +267,23 @@ class FailoverInvoker:
         spent — failing over to a service there is no time left to call
         only adds load.
         """
+        return run_sync(self._walk(
+            ordered_services, lambda service: resolved(invoke_once(service)),
+            _charge_now, deadline))
+
+    async def ainvoke(
+        self,
+        ordered_services: Sequence[str],
+        invoke_once: Callable[[str], Awaitable[T]],
+        deadline=None,
+    ) -> tuple[str, T, list[AttemptLog]]:
+        """:meth:`invoke` on an event loop.  Cancellation aborts the walk
+        wherever it stands — no further candidate is contacted."""
+        return await self._walk(ordered_services, invoke_once, acharge,
+                                deadline)
+
+    async def _walk(self, ordered_services, invoke_once, charge, deadline):
+        """The walk itself; wait points as in :func:`_retry`."""
         if not ordered_services:
             raise ValueError("no candidate services to invoke")
         attempts: list[AttemptLog] = []
@@ -231,15 +293,16 @@ class FailoverInvoker:
                     and attempts):
                 break
             try:
-                result = invoke_with_retry(
-                    lambda: invoke_once(service),
+                result = await _retry(
+                    lambda service=service: invoke_once(service),
+                    charge,
                     self.policy_for(service),
-                    clock=self.clock,
-                    service=service,
-                    log=attempts,
-                    tracer=self.tracer,
-                    backoff_counter=self._metric_backoff,
-                    deadline=deadline,
+                    self.clock,
+                    service,
+                    attempts,
+                    self.tracer,
+                    self._metric_backoff,
+                    deadline,
                 )
             except RetriesExhaustedError as error:
                 # The per-attempt errors are already in `attempts`; count

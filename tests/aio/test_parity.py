@@ -2,9 +2,11 @@
 
 Each test builds two worlds from the same seed — one served by the
 thread-pool core (``client.invoke*``), one by the event-loop core
-(``await client.aio.ainvoke*`` or the ``use_async_core=True`` facade) —
-and asserts results, error types, monitor records and stats match
-field-for-field.
+(``await client.aio.ainvoke*``) — and asserts results, error types,
+monitor records and stats match field-for-field.  Both run the same
+coroutine bodies (:mod:`repro.core.aio.invoker`); what these tests pin
+is the two *drivers* — the blocking binding under ``run_sync`` and the
+loop-native binding under asyncio.
 """
 
 import asyncio
@@ -12,6 +14,7 @@ import asyncio
 import pytest
 
 from repro import RichClient, build_world
+from repro.core.aio import LoopRunner
 from repro.core.quota import BudgetExceededError
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
@@ -187,60 +190,54 @@ class TestCompositeParity:
 
 
 class TestFacadeParity:
-    """RichClient(use_async_core=True) must be indistinguishable."""
+    """Blocking callers served by the loop: ``LoopRunner`` + ``client.aio``.
 
-    def test_invoke_through_the_shim_matches_the_thread_core(self):
-        thread_world = build_world(seed=42, corpus_size=30)
-        loop_world = build_world(seed=42, corpus_size=30)
-        thread_client = RichClient(thread_world.registry)
-        loop_client = RichClient(loop_world.registry, use_async_core=True)
-        try:
-            thread_result = thread_client.invoke("lexica-prime", "analyze",
-                                                 {"text": TEXT})
-            loop_result = loop_client.invoke("lexica-prime", "analyze",
+    The runner's own tests use bare coroutines; these pin the
+    composition the docs recommend for loop-served blocking calls —
+    the client's coroutines crossing the runner with results, error
+    types and futures unchanged.
+    """
+
+    @pytest.fixture
+    def runner(self):
+        runner = LoopRunner()
+        yield runner
+        runner.shutdown()
+
+    def test_invoke_through_the_shim_matches_the_thread_core(self, pair, runner):
+        _, thread_client, _, loop_client = pair
+        thread_result = thread_client.invoke("lexica-prime", "analyze",
                                              {"text": TEXT})
-            assert loop_result.value == thread_result.value
-            assert loop_result.latency == thread_result.latency
-            assert loop_result.cost == thread_result.cost
-            assert loop_client.invoke("lexica-prime", "analyze",
-                                      {"text": TEXT}).cached
-        finally:
-            thread_client.close()
-            loop_client.close()
+        loop_result = runner.run(loop_client.aio.ainvoke(
+            "lexica-prime", "analyze", {"text": TEXT}))
+        assert loop_result.value == thread_result.value
+        assert loop_result.latency == thread_result.latency
+        assert loop_result.cost == thread_result.cost
+        assert runner.run(loop_client.aio.ainvoke(
+            "lexica-prime", "analyze", {"text": TEXT})).cached
 
-    def test_invoke_async_through_the_shim_returns_a_listenable(self):
-        world = build_world(seed=42, corpus_size=30)
-        client = RichClient(world.registry, use_async_core=True)
-        try:
-            future = client.invoke_async("lexica-prime", "analyze",
-                                         {"text": TEXT})
-            result = future.get(timeout=10)
-            assert result.service == "lexica-prime"
-            assert result.value["entities"]
-        finally:
-            client.close()
+    def test_invoke_async_through_the_shim_returns_a_listenable(self, pair, runner):
+        _, _, _, client = pair
+        future = runner.submit_listenable(client.aio.ainvoke(
+            "lexica-prime", "analyze", {"text": TEXT}))
+        result = future.get(timeout=10)
+        assert result.service == "lexica-prime"
+        assert result.value["entities"]
 
-    def test_error_types_cross_the_shim_unchanged(self):
-        world = build_world(seed=42, corpus_size=30)
+    def test_error_types_cross_the_shim_unchanged(self, pair, runner):
+        _, _, world, client = pair
         world.service("glotta").failures = ScriptedFailures({0})
-        client = RichClient(world.registry, use_async_core=True)
-        try:
-            with pytest.raises(RemoteServiceError):
-                client.invoke("glotta", "analyze", {"text": TEXT},
-                              use_cache=False)
-            with pytest.raises(ServiceTimeoutError):
-                client.invoke("lexica-prime", "analyze", {"text": TEXT},
-                              timeout=1e-6, use_cache=False)
-        finally:
-            client.close()
+        with pytest.raises(RemoteServiceError):
+            runner.run(client.aio.ainvoke(
+                "glotta", "analyze", {"text": TEXT}, use_cache=False))
+        with pytest.raises(ServiceTimeoutError):
+            runner.run(client.aio.ainvoke(
+                "lexica-prime", "analyze", {"text": TEXT},
+                timeout=1e-6, use_cache=False))
 
-    def test_invoke_batched_through_the_shim(self):
-        world = build_world(seed=42, corpus_size=30)
-        client = RichClient(world.registry, use_async_core=True)
-        try:
-            outcomes = client.invoke_batched(
-                "glotta", "analyze", [{"text": TEXT}, {"text": OTHER}])
-            assert len(outcomes) == 2
-            assert all(outcome.batched for outcome in outcomes)
-        finally:
-            client.close()
+    def test_invoke_batched_through_the_shim(self, pair, runner):
+        _, _, _, client = pair
+        outcomes = runner.run(client.aio.ainvoke_batched(
+            "glotta", "analyze", [{"text": TEXT}, {"text": OTHER}]))
+        assert len(outcomes) == 2
+        assert all(outcome.batched for outcome in outcomes)

@@ -5,7 +5,12 @@ import time
 
 import pytest
 
-from repro.core.futures import CallbackExecutor, ListenableFuture
+from repro.core.futures import (
+    CallbackExecutor,
+    ListenableFuture,
+    resolved,
+    run_sync,
+)
 
 
 class TestListenableFuture:
@@ -238,3 +243,53 @@ class TestSerializedListenerDelivery:
                 thread.join(timeout=10)
             assert not overlaps
             assert future.listener_errors == []
+
+
+class TestRunSync:
+    def test_returns_the_coroutine_value(self):
+        async def inner(value):
+            return await resolved(value) + 1
+
+        async def outer():
+            return await inner(40) + await resolved(1)
+
+        assert run_sync(outer()) == 42
+
+    def test_reraises_the_bodys_exception_with_its_traceback(self):
+        async def failing():
+            await resolved(None)
+            raise LookupError("from the body")
+
+        with pytest.raises(LookupError, match="from the body") as caught:
+            run_sync(failing())
+        frames = [entry.name for entry in caught.traceback]
+        assert frames[-1] == "failing"  # the body's own frame survives
+
+    def test_base_exceptions_cross_unchanged(self):
+        async def interrupted():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_sync(interrupted())
+
+    def test_a_coroutine_that_suspends_is_closed_and_reported(self):
+        class Pending:
+            """An awaitable that really suspends (what a loop-native
+            wait point would do)."""
+
+            def __await__(self):
+                yield self
+
+        cleaned_up = []
+
+        async def suspending():
+            try:
+                await Pending()
+            finally:
+                cleaned_up.append(True)
+
+        coro = suspending()
+        with pytest.raises(RuntimeError, match="suspended under run_sync"):
+            run_sync(coro)
+        assert cleaned_up == [True]  # close() ran the finally block
+        assert coro.cr_frame is None  # closed: cannot be resumed

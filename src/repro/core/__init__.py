@@ -25,7 +25,6 @@ from repro.core.admission import (
 )
 from repro.core.batching import (
     Flight,
-    FlightCancelledError,
     MicroBatcher,
     RequestCoalescer,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "AdmissionRejectedError",
     "Bulkhead",
     "Flight",
-    "FlightCancelledError",
     "MicroBatcher",
     "RequestCoalescer",
     "ListenableFuture",

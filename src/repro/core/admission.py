@@ -23,9 +23,10 @@ from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.core.futures import resolved, run_sync
 from repro.obs import names
 from repro.tenancy.scheduling import DrrScheduler
-from repro.util.clock import Clock
+from repro.util.clock import Clock, acharge
 from repro.util.errors import ReproError
 
 #: Rejection reasons carried by :class:`AdmissionRejectedError`.
@@ -102,8 +103,37 @@ class BulkheadStats:
         return self.shed_queue_full + self.shed_timeout + self.shed_deadline
 
 
+class _Ticket:
+    """One queued caller: its wait window and the handle that wakes it."""
+
+    __slots__ = ("tenant", "started", "timeout", "reason", "wake", "admitted")
+
+    def __init__(self, tenant: str | None, started: float, timeout: float,
+                 reason: str, wake) -> None:
+        self.tenant = tenant
+        self.started = started
+        self.timeout = timeout
+        #: Why the caller is shed if the window lapses un-granted.
+        self.reason = reason
+        self.wake = wake
+        #: Set (under the bulkhead lock) when a releaser hands over its permit.
+        self.admitted = False
+
+
 class Bulkhead:
     """One service's concurrency limit plus bounded wait queue.
+
+    The admission *policy* — admit / shed / queue, who gets a freed
+    permit, what a lapsed or departing waiter costs — lives here once,
+    as plain methods that decide under the lock and never wait.  A
+    caller that must queue gets a ticket; :meth:`release` hands its
+    permit **directly** to the wait queue's next ticket (the permit
+    never becomes free while someone is queued, so a newcomer cannot
+    barge past a waiter and wake-up order cannot override queue
+    order), and a ticket that leaves after being handed the permit
+    passes it on.  Only *parking* differs per driver: this class parks
+    a thread on an event and :class:`repro.core.aio.AsyncBulkhead`, its
+    one subclass, parks a task on a future.
 
     Thread-safe.  :meth:`acquire` either admits the caller (possibly
     after a bounded queue wait) or raises
@@ -122,23 +152,24 @@ class Bulkhead:
         drained by deficit round robin (``weight_of`` maps tenant ids
         to fair-share weights, default 1.0) — under contention an
         aggressor tenant's backlog can no longer starve everyone else,
-        because permits are *granted* to the DRR-chosen waiter instead
-        of whichever thread wins the wakeup race.  Fairness applies to
-        the threaded (scaled real clock) path; single-threaded virtual
-        clock runs keep the charge-and-reprobe behaviour, where queue
-        order is moot.
+        because freed permits go to the DRR-chosen waiter instead of
+        the longest-waiting one.  The queue discipline only shows under
+        a scaled real clock; virtual-clock runs charge the window and
+        re-probe, where queue order is moot.
         """
         self.clock = clock
         self.service = service
         self.limit = limit if limit is not None else AdmissionLimit()
         self.stats = BulkheadStats()
+        self._fair = fair
         self._inflight = 0
         self._waiting = 0
-        self._condition = threading.Condition()
-        self._fair: DrrScheduler | None = (
-            DrrScheduler(weight_of=weight_of) if fair else None)
-        # Ticket currently allowed to take the next permit (fair mode).
-        self._granted: object | None = None
+        self._lock = threading.Lock()
+        # One queue for both disciplines: deficit round robin over
+        # per-tenant sub-queues when fair; with every ticket filed in
+        # the same sub-queue (see _lane) it is plain arrival order.
+        self._queue: DrrScheduler[_Ticket] = DrrScheduler(
+            weight_of=weight_of if fair else None)
         # Pre-bound obs instruments (bind_metrics); None = unmirrored.
         self._gauge_inflight = None
         self._gauge_queue = None
@@ -167,7 +198,7 @@ class Bulkhead:
         self._metric_wait = registry.counter(
             names.ADMISSION_QUEUE_WAIT_SECONDS_TOTAL,
             "Simulated seconds spent queued for a bulkhead permit.")
-        if self._fair is not None:
+        if self._fair:
             self._metric_fair_grants = registry.counter(
                 names.ADMISSION_FAIR_GRANTS_TOTAL,
                 "Permits granted by the weighted-fair (DRR) scheduler.")
@@ -175,46 +206,145 @@ class Bulkhead:
     @property
     def inflight(self) -> int:
         """Calls currently holding a permit."""
-        with self._condition:
+        with self._lock:
             return self._inflight
 
     @property
     def queue_depth(self) -> int:
         """Callers currently waiting for a permit."""
-        with self._condition:
+        with self._lock:
             return self._waiting
+
+    # -- decisions (take and drop the lock; never wait) ---------------------
 
     def try_acquire(self) -> bool:
         """Take a permit if one is free right now; never waits or sheds."""
-        with self._condition:
+        with self._lock:
             if self._inflight < self.limit.max_concurrent:
-                self._admit_locked()
+                self._admit()
                 return True
             return False
 
-    def _fast_path_open_locked(self) -> bool:
-        """May a newcomer take a free permit without queueing?
+    def _arrive(self, deadline, tenant: str | None) -> _Ticket | None:
+        """Decide a newcomer's fate: admitted (None), shed (raises), or
+        queued (its ticket, to be parked on by :meth:`_wait`).
 
-        In FIFO mode, any free permit will do.  In fair mode a
-        newcomer must queue behind existing waiters (and behind an
-        outstanding grant), or it would jump the DRR order.
+        A free permit means an empty queue (see the class docstring),
+        so taking it jumps nobody in either queue discipline.
         """
-        if self._inflight >= self.limit.max_concurrent:
-            return False
-        if self._fair is None:
-            return True
-        return self._granted is None and not self._fair
+        with self._lock:
+            if self._inflight < self.limit.max_concurrent:
+                self._admit()
+                return None
+            if deadline is not None and deadline.remaining() <= 0.0:
+                raise self._shed(REASON_DEADLINE, tenant)
+            if self._waiting >= self.limit.max_queue:
+                raise self._shed(REASON_QUEUE_FULL, tenant)
+            timeout, reason = self._queue_window(deadline)
+            ticket = _Ticket(tenant, self.clock.now(), timeout, reason,
+                             self._new_wake())
+            self._queue.push(self._lane(tenant), ticket)
+            self._set_waiting(self._waiting + 1)
+            self.stats.queued += 1
+            return ticket
 
-    def _maybe_grant_locked(self) -> None:
-        """Hand the next free permit to the DRR-chosen waiter."""
-        if (self._fair is not None and self._granted is None
-                and self._inflight < self.limit.max_concurrent and self._fair):
-            self._granted = self._fair.pop_next()
-            if self._granted is not None:
-                self.stats.fair_grants += 1
-                if self._metric_fair_grants is not None:
-                    self._metric_fair_grants.inc(service=self.service)
-                self._condition.notify_all()
+    def _queue_window(self, deadline) -> tuple[float, str]:
+        """The bounded wait window and the shed reason if it lapses."""
+        timeout = self.limit.queue_timeout
+        if deadline is not None:
+            timeout = min(timeout, deadline.remaining())
+        # A deadline-clamped window that times out is a deadline shed:
+        # the caller was refused because *its* budget ran out, not ours.
+        reason = (REASON_DEADLINE
+                  if timeout < self.limit.queue_timeout
+                  else REASON_QUEUE_TIMEOUT)
+        return timeout, reason
+
+    def _resume(self, ticket: _Ticket) -> float:
+        """A parked caller is back, woken or lapsed: admitted or shed.
+
+        Returns the (simulated) seconds it queued.  A ticket handed the
+        permit in the very instant its window lapsed is admitted — the
+        permit is already its own.
+        """
+        with self._lock:
+            waited = self.clock.now() - ticket.started
+            self.stats.total_queue_wait += waited
+            if self._metric_wait is not None:
+                self._metric_wait.inc(waited, service=self.service)
+            if ticket.admitted:
+                return waited
+            self._dequeue(ticket)
+            raise self._shed(ticket.reason, ticket.tenant)
+
+    def _withdraw(self, ticket: _Ticket) -> None:
+        """A parked caller is leaving without an answer (cancelled or
+        interrupted): give up its queue slot, or — if a releaser had
+        already handed it the permit — pass the permit on."""
+        with self._lock:
+            if ticket.admitted:
+                self._return_permit()
+            else:
+                self._dequeue(ticket)
+
+    def release(self) -> None:
+        """Return a permit: the wait queue's next ticket (arrival order,
+        or the DRR scheduler's choice in fair mode) inherits it."""
+        with self._lock:
+            self._return_permit()
+
+    # -- bookkeeping (caller holds the lock) --------------------------------
+
+    def _return_permit(self) -> None:
+        if self._inflight <= 0:
+            raise RuntimeError(
+                f"bulkhead for {self.service!r}: release without acquire")
+        self._inflight -= 1
+        if self._gauge_inflight is not None:
+            self._gauge_inflight.set(self._inflight, service=self.service)
+        self._maybe_grant()
+
+    def _maybe_grant(self) -> None:
+        """Hand the free permit to the wait queue's next ticket, if any."""
+        ticket = self._queue.pop_next()
+        if ticket is None:
+            return
+        self._set_waiting(self._waiting - 1)
+        ticket.admitted = True
+        self._admit()
+        if self._fair:
+            self.stats.fair_grants += 1
+            if self._metric_fair_grants is not None:
+                self._metric_fair_grants.inc(service=self.service)
+        self._wake(ticket)
+
+    def _admit(self) -> None:
+        self._inflight += 1
+        self.stats.admitted += 1
+        self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
+        if self._gauge_inflight is not None:
+            self._gauge_inflight.set(self._inflight, service=self.service)
+        if self._metric_admitted is not None:
+            self._metric_admitted.inc(service=self.service)
+
+    def _lane(self, tenant: str | None) -> str | None:
+        """The wait queue's sub-queue for ``tenant`` (one for all in FIFO)."""
+        return tenant if self._fair else None
+
+    def _dequeue(self, ticket: _Ticket) -> None:
+        self._queue.remove(self._lane(ticket.tenant), ticket)
+        self._set_waiting(self._waiting - 1)
+
+    def _set_waiting(self, waiting: int) -> None:
+        self._waiting = waiting
+        if self._gauge_queue is not None:
+            self._gauge_queue.set(waiting, service=self.service)
+
+    def _shed(self, reason: str, tenant: str | None) -> AdmissionRejectedError:
+        """Count one shed and build its error (the caller raises it)."""
+        self._count_shed(reason, tenant)
+        return AdmissionRejectedError(self.service, reason,
+                                      retry_after=self.limit.queue_timeout)
 
     def _count_shed(self, reason: str, tenant: str | None) -> None:
         """Mirror one shed into stats and (when bound) metrics."""
@@ -233,6 +363,32 @@ class Bulkhead:
                 labels["tenant"] = tenant
             self._metric_shed.inc(**labels)
 
+    # -- waiting: one body, parked per driver --------------------------------
+
+    async def _wait(self, ticket: _Ticket) -> float:
+        """Wait out a queued ticket's window — written once, parked twice.
+
+        Its only suspension point is the park, so a cancellation (or,
+        under the blocking driver, a ``KeyboardInterrupt``) can only
+        land there, and the ticket is withdrawn before it propagates:
+        no queue slot, DRR entry or handed-over permit is ever leaked.
+        """
+        time_scale = getattr(self.clock, "time_scale", None)
+        try:
+            if time_scale is None:
+                # Virtual clock: charge the whole queue window, then
+                # re-probe.  A single-threaded simulation cannot release
+                # a permit while we "wait", so this deterministically
+                # models the worst case (instant bookkeeping: it never
+                # suspends, under either driver).
+                await acharge(self.clock, ticket.timeout)
+            else:
+                await self._park(ticket, ticket.timeout * time_scale)
+        except BaseException:
+            self._withdraw(ticket)
+            raise
+        return self._resume(ticket)
+
     def acquire(self, deadline=None, tenant: str | None = None) -> float:
         """Take a permit, queueing briefly if the bulkhead is full.
 
@@ -248,179 +404,20 @@ class Bulkhead:
         the remaining budget — work that cannot finish in time is shed
         instead of queued, with an honest ``retry_after``.
         """
-        ticket: object | None = None
-        with self._condition:
-            if self._fast_path_open_locked():
-                self._admit_locked()
-                return 0.0
-            if deadline is not None and deadline.remaining() <= 0.0:
-                self._count_shed(REASON_DEADLINE, tenant)
-                raise AdmissionRejectedError(
-                    self.service, REASON_DEADLINE,
-                    retry_after=self.limit.queue_timeout)
-            if self._waiting >= self.limit.max_queue:
-                self._count_shed(REASON_QUEUE_FULL, tenant)
-                raise AdmissionRejectedError(
-                    self.service, REASON_QUEUE_FULL,
-                    retry_after=self.limit.queue_timeout)
-            self._waiting += 1
-            self.stats.queued += 1
-            if self._fair is not None:
-                ticket = object()
-                self._fair.push(tenant, ticket)
-                self._maybe_grant_locked()
-            if self._gauge_queue is not None:
-                self._gauge_queue.set(self._waiting, service=self.service)
-        try:
-            if ticket is not None:
-                waited = self._wait_fair(ticket, tenant, deadline)
-            else:
-                waited = self._wait_for_permit(deadline, tenant=tenant)
-        finally:
-            with self._condition:
-                self._waiting -= 1
-                if self._gauge_queue is not None:
-                    self._gauge_queue.set(self._waiting, service=self.service)
-        return waited
+        ticket = self._arrive(deadline, tenant)
+        return 0.0 if ticket is None else run_sync(self._wait(ticket))
 
-    def _queue_window(self, deadline) -> tuple[float, str]:
-        """The bounded wait window and the shed reason if it lapses."""
-        timeout = self.limit.queue_timeout
-        if deadline is not None:
-            timeout = min(timeout, deadline.remaining())
-        # A deadline-clamped window that times out is a deadline shed:
-        # the caller was refused because *its* budget ran out, not ours.
-        reason = (REASON_DEADLINE
-                  if timeout < self.limit.queue_timeout
-                  else REASON_QUEUE_TIMEOUT)
-        return timeout, reason
+    # The park primitive, blocking binding: a thread waits on an event.
 
-    def _wait_for_permit(self, deadline=None, tenant: str | None = None) -> float:
-        """Block (scaled real clock) or charge (manual clock) for a permit."""
-        timeout, reason = self._queue_window(deadline)
-        time_scale = getattr(self.clock, "time_scale", None)
-        started = self.clock.now()
-        if time_scale is not None:
-            # Real clock: genuinely wait for a release() notification.
-            wait_until = started + timeout
-            with self._condition:
-                while self._inflight >= self.limit.max_concurrent:
-                    remaining = wait_until - self.clock.now()
-                    if remaining <= 0 or not self._condition.wait(
-                            timeout=remaining * time_scale):
-                        if self._inflight < self.limit.max_concurrent:
-                            break
-                        return self._timed_out(started, reason, tenant)
-                self._admit_locked()
-            waited = self.clock.now() - started
-        else:
-            # Virtual clock: charge the whole queue window, then re-probe.
-            # Single-threaded simulations cannot release a permit while we
-            # "wait", so this deterministically models the worst case.
-            self.clock.charge(timeout)
-            with self._condition:
-                if self._inflight >= self.limit.max_concurrent:
-                    return self._timed_out(started, reason, tenant)
-                self._admit_locked()
-            waited = timeout
-        self.stats.total_queue_wait += waited
-        if self._metric_wait is not None:
-            self._metric_wait.inc(waited, service=self.service)
-        return waited
+    def _new_wake(self):
+        return threading.Event()
 
-    def _wait_fair(self, ticket: object, tenant: str | None,
-                   deadline=None) -> float:
-        """Wait until the DRR scheduler grants this ticket a permit.
+    def _wake(self, ticket: _Ticket) -> None:
+        ticket.wake.set()
 
-        Permits freed by :meth:`release` are handed to the scheduler's
-        chosen ticket (``_granted``); every waiter wakes on the
-        broadcast and only the granted one admits itself, so wake-up
-        order can never override DRR order.  A ticket that times out
-        withdraws from its sub-queue (or re-grants, if it was the
-        chosen one) before shedding.
-        """
-        timeout, reason = self._queue_window(deadline)
-        time_scale = getattr(self.clock, "time_scale", None)
-        started = self.clock.now()
-        if time_scale is None:
-            # Virtual clock: same deterministic worst-case model as the
-            # FIFO path — charge the window, then re-probe.
-            self.clock.charge(timeout)
-            with self._condition:
-                self._withdraw_locked(ticket, tenant)
-                if self._inflight >= self.limit.max_concurrent:
-                    return self._timed_out(started, reason, tenant)
-                self._admit_locked()
-            waited = timeout
-        else:
-            wait_until = started + timeout
-            with self._condition:
-                while True:
-                    if (self._granted is ticket
-                            and self._inflight < self.limit.max_concurrent):
-                        self._granted = None
-                        self._admit_locked()
-                        self._maybe_grant_locked()
-                        break
-                    remaining = wait_until - self.clock.now()
-                    if remaining <= 0:
-                        self._withdraw_locked(ticket, tenant)
-                        return self._timed_out(started, reason, tenant)
-                    self._condition.wait(timeout=remaining * time_scale)
-            waited = self.clock.now() - started
-        self.stats.total_queue_wait += waited
-        if self._metric_wait is not None:
-            self._metric_wait.inc(waited, service=self.service)
-        return waited
-
-    def _withdraw_locked(self, ticket: object, tenant: str | None) -> None:
-        """Remove a fair-mode waiter that is giving up (caller holds lock)."""
-        if self._granted is ticket:
-            self._granted = None
-            self._maybe_grant_locked()
-        else:
-            self._fair.remove(tenant, ticket)
-
-    def _timed_out(self, started: float,
-                   reason: str = REASON_QUEUE_TIMEOUT,
-                   tenant: str | None = None) -> float:
-        waited = self.clock.now() - started
-        self.stats.total_queue_wait += waited
-        if self._metric_wait is not None:
-            self._metric_wait.inc(waited, service=self.service)
-        self._count_shed(reason, tenant)
-        raise AdmissionRejectedError(self.service, reason,
-                                     retry_after=self.limit.queue_timeout)
-
-    def _admit_locked(self) -> None:
-        """Caller holds the condition lock."""
-        self._inflight += 1
-        self.stats.admitted += 1
-        self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
-        if self._gauge_inflight is not None:
-            self._gauge_inflight.set(self._inflight, service=self.service)
-        if self._metric_admitted is not None:
-            self._metric_admitted.inc(service=self.service)
-
-    def release(self) -> None:
-        """Return a permit and wake the next waiter.
-
-        FIFO mode wakes one arbitrary waiter; fair mode grants the
-        permit to the DRR scheduler's choice and broadcasts, so the
-        chosen waiter (and any granted-but-raced waiter) re-checks.
-        """
-        with self._condition:
-            if self._inflight <= 0:
-                raise RuntimeError(
-                    f"bulkhead for {self.service!r}: release without acquire")
-            self._inflight -= 1
-            if self._gauge_inflight is not None:
-                self._gauge_inflight.set(self._inflight, service=self.service)
-            if self._fair is not None:
-                self._maybe_grant_locked()
-                self._condition.notify_all()
-            else:
-                self._condition.notify()
+    def _park(self, ticket: _Ticket, seconds: float):
+        ticket.wake.wait(seconds)
+        return resolved(None)
 
     @contextmanager
     def admit(self, tenant: str | None = None) -> Iterator[None]:
@@ -442,6 +439,10 @@ class AdmissionController:
     the wire call finishes, so the bulkhead bounds *concurrency*, not
     call counts.
     """
+
+    #: The bulkhead binding this controller builds (blocking here; the
+    #: event-loop controller subclass names the loop-parked one).
+    _bulkhead_class = Bulkhead
 
     def __init__(self, clock: Clock,
                  default_limit: AdmissionLimit | None = None,
@@ -487,8 +488,9 @@ class AdmissionController:
             limit = self._limits.get(service, self.default_limit)
             if limit is None:
                 return None
-            bulkhead = Bulkhead(self.clock, service, limit,
-                                fair=self.fair, weight_of=self.weight_of)
+            bulkhead = self._bulkhead_class(
+                self.clock, service, limit,
+                fair=self.fair, weight_of=self.weight_of)
             if self._metrics is not None:
                 bulkhead.bind_metrics(self._metrics)
             self._bulkheads[service] = bulkhead

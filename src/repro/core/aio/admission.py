@@ -1,338 +1,80 @@
-"""Admission control as awaitables: async bulkheads with DRR fairness.
+"""Admission control as awaitables: the bulkhead, parked on the loop.
 
-The event-loop analogue of :mod:`repro.core.admission`.  Semantics are
-kept deliberately identical so the sync/async parity tests can compare
-shed reasons and stats field-for-field:
+The event-loop *binding* of :mod:`repro.core.admission`.  Every
+decision — fast path, shed reasons and honest ``retry_after``, the
+bounded queue window (charged whole under a virtual clock), FIFO or
+DRR-fair hand-over of freed permits, stats and metric names — is
+:class:`~repro.core.admission.Bulkhead`'s own code; what this module
+adds is how a queued caller *parks*: on an asyncio future instead of a
+thread event, so thousands of waiters share one loop.
 
-* fast fail with :data:`~repro.core.admission.REASON_QUEUE_FULL` when
-  the wait queue is at capacity;
-* bounded queue waits shed with
-  :data:`~repro.core.admission.REASON_QUEUE_TIMEOUT` (or
-  :data:`~repro.core.admission.REASON_DEADLINE` when the caller's
-  budget clamped the window);
-* under a **virtual clock**, waiting charges the whole queue window and
-  re-probes — the same deterministic worst-case model the sync bulkhead
-  uses, because a single-threaded simulation cannot free a permit while
-  "waiting";
-* under a **scaled real clock**, waiters park on asyncio futures: FIFO
-  mode wakes in arrival order, ``fair=True`` drains waiters by deficit
-  round robin over per-tenant sub-queues
-  (:class:`~repro.tenancy.scheduling.DrrScheduler`), with permits
-  *granted* to the scheduler's choice so wake-up order can never
-  override DRR order.
-
-Everything runs on one loop, so no locks — mutation between awaits is
-atomic by construction.
+Permit state is per driver: ``client.admission`` and
+``client.aio.admission`` bound their own in-flight calls.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from collections.abc import Callable, Mapping
 
-from repro.core.admission import (
-    REASON_DEADLINE,
-    REASON_QUEUE_FULL,
-    REASON_QUEUE_TIMEOUT,
-    AdmissionController,
-    AdmissionLimit,
-    AdmissionRejectedError,
-    BulkheadStats,
-)
-from repro.obs import names
-from repro.tenancy.scheduling import DrrScheduler
-from repro.util.clock import Clock, acharge
+from repro.core.admission import AdmissionController, Bulkhead
 
 
-class AsyncBulkhead:
+class AsyncBulkhead(Bulkhead):
     """One service's concurrency limit plus bounded wait queue (async).
 
     Every successful :meth:`acquire` must be paired with
     :meth:`release`.  Cancellation-safe: a waiter cancelled mid-queue
-    withdraws cleanly (its slot is not leaked and, in fair mode, its
-    DRR ticket is removed or re-granted); a cancelled *admitted* caller
-    is the caller's responsibility to release, which
+    withdraws cleanly — its queue slot (and DRR ticket) is given up,
+    and a permit it was handed just before the cancellation landed is
+    passed on to the next waiter, never swallowed.  A cancelled
+    *admitted* caller is the caller's responsibility to release, which
     :class:`~repro.core.aio.invoker.AsyncInvoker` does in a
     ``finally``.
     """
 
-    def __init__(self, clock: Clock, service: str,
-                 limit: AdmissionLimit | None = None,
-                 fair: bool = False,
-                 weight_of: Callable[[str], float] | None = None) -> None:
-        """Build the bulkhead; ``fair=True`` enables DRR queue draining."""
-        self.clock = clock
-        self.service = service
-        self.limit = limit if limit is not None else AdmissionLimit()
-        self.stats = BulkheadStats()
-        self._inflight = 0
-        self._waiting = 0
-        self._fifo: deque[asyncio.Future] = deque()
-        self._fair: DrrScheduler | None = (
-            DrrScheduler(weight_of=weight_of) if fair else None)
-        # Ticket (a waiter's future) currently granted the next permit.
-        self._granted: asyncio.Future | None = None
-        self._gauge_inflight = None
-        self._gauge_queue = None
-        self._metric_admitted = None
-        self._metric_shed = None
-        self._metric_wait = None
-        self._metric_fair_grants = None
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror accounting into the same instruments the sync core uses."""
-        self._gauge_inflight = registry.gauge(
-            names.ADMISSION_INFLIGHT, "Calls currently holding a bulkhead permit.")
-        self._gauge_queue = registry.gauge(
-            names.ADMISSION_QUEUE_DEPTH, "Callers waiting for a bulkhead permit.")
-        self._metric_admitted = registry.counter(
-            names.ADMISSION_ADMITTED_TOTAL, "Calls admitted through the bulkhead.")
-        self._metric_shed = registry.counter(
-            names.ADMISSION_SHED_TOTAL,
-            "Calls shed by admission control, by service and reason.")
-        self._metric_wait = registry.counter(
-            names.ADMISSION_QUEUE_WAIT_SECONDS_TOTAL,
-            "Simulated seconds spent queued for a bulkhead permit.")
-        if self._fair is not None:
-            self._metric_fair_grants = registry.counter(
-                names.ADMISSION_FAIR_GRANTS_TOTAL,
-                "Permits granted by the weighted-fair (DRR) scheduler.")
-
-    @property
-    def inflight(self) -> int:
-        """Calls currently holding a permit."""
-        return self._inflight
-
-    @property
-    def queue_depth(self) -> int:
-        """Callers currently waiting for a permit."""
-        return self._waiting
-
-    def try_acquire(self) -> bool:
-        """Take a permit if one is free right now; never waits or sheds."""
-        if self._inflight < self.limit.max_concurrent:
-            self._admit()
-            return True
-        return False
-
-    def _fast_path_open(self) -> bool:
-        """May a newcomer take a free permit without queueing?
-
-        FIFO mode lets newcomers barge on any free permit (the sync
-        bulkhead behaves the same).  Fair mode makes newcomers queue
-        behind existing waiters and outstanding grants, or they would
-        jump the DRR order.
-        """
-        if self._inflight >= self.limit.max_concurrent:
-            return False
-        if self._fair is None:
-            return True
-        return self._granted is None and not self._fair
-
-    def _maybe_grant(self) -> None:
-        """Hand the next free permit to the DRR-chosen waiter."""
-        if (self._fair is not None and self._granted is None
-                and self._inflight < self.limit.max_concurrent and self._fair):
-            ticket = self._fair.pop_next()
-            if ticket is not None:
-                self._granted = ticket
-                self.stats.fair_grants += 1
-                if self._metric_fair_grants is not None:
-                    self._metric_fair_grants.inc(service=self.service)
-                if not ticket.done():
-                    ticket.set_result(None)
-
-    def _count_shed(self, reason: str, tenant: str | None) -> None:
-        if reason == REASON_QUEUE_FULL:
-            self.stats.shed_queue_full += 1
-        elif reason == REASON_DEADLINE:
-            self.stats.shed_deadline += 1
-        else:
-            self.stats.shed_timeout += 1
-        if tenant is not None:
-            self.stats.shed_by_tenant[tenant] = (
-                self.stats.shed_by_tenant.get(tenant, 0) + 1)
-        if self._metric_shed is not None:
-            labels = {"service": self.service, "reason": reason}
-            if tenant is not None:
-                labels["tenant"] = tenant
-            self._metric_shed.inc(**labels)
-
-    def _queue_window(self, deadline) -> tuple[float, str]:
-        """The bounded wait window and the shed reason if it lapses."""
-        timeout = self.limit.queue_timeout
-        if deadline is not None:
-            timeout = min(timeout, deadline.remaining())
-        reason = (REASON_DEADLINE
-                  if timeout < self.limit.queue_timeout
-                  else REASON_QUEUE_TIMEOUT)
-        return timeout, reason
-
     async def acquire(self, deadline=None, tenant: str | None = None) -> float:
         """Take a permit, awaiting briefly if the bulkhead is full.
 
-        Returns the (simulated) seconds spent waiting.  Raises
-        :class:`~repro.core.admission.AdmissionRejectedError` with the
-        same reasons and ``retry_after`` semantics as the sync
-        bulkhead.  Cancellation while queued withdraws this waiter
-        without leaking queue slots or DRR tickets; no permit is held,
-        so there is nothing to release.
+        Returns the (simulated) seconds spent waiting; reasons and
+        ``retry_after`` of :class:`~repro.core.admission.AdmissionRejectedError`
+        are those of :meth:`Bulkhead.acquire`.  Cancellation while
+        queued leaves no permit held, so there is nothing to release.
         """
-        if self._fast_path_open():
-            self._admit()
-            return 0.0
-        if deadline is not None and deadline.remaining() <= 0.0:
-            self._count_shed(REASON_DEADLINE, tenant)
-            raise AdmissionRejectedError(
-                self.service, REASON_DEADLINE,
-                retry_after=self.limit.queue_timeout)
-        if self._waiting >= self.limit.max_queue:
-            self._count_shed(REASON_QUEUE_FULL, tenant)
-            raise AdmissionRejectedError(
-                self.service, REASON_QUEUE_FULL,
-                retry_after=self.limit.queue_timeout)
-        self._waiting += 1
-        self.stats.queued += 1
-        if self._gauge_queue is not None:
-            self._gauge_queue.set(self._waiting, service=self.service)
-        try:
-            timeout, reason = self._queue_window(deadline)
-            time_scale = getattr(self.clock, "time_scale", None)
-            started = self.clock.now()
-            if time_scale is None:
-                # Virtual clock: charge the whole window, then re-probe —
-                # the sync bulkhead's deterministic worst-case model.
-                await acharge(self.clock, timeout)
-                if self._inflight >= self.limit.max_concurrent:
-                    return self._timed_out(started, reason, tenant)
-                self._admit()
-                waited = timeout
-            elif self._fair is not None:
-                waited = await self._wait_fair(started, timeout, reason,
-                                               tenant, time_scale)
-            else:
-                waited = await self._wait_fifo(started, timeout, reason,
-                                               tenant, time_scale)
-        finally:
-            self._waiting -= 1
-            if self._gauge_queue is not None:
-                self._gauge_queue.set(self._waiting, service=self.service)
-        self.stats.total_queue_wait += waited
-        if self._metric_wait is not None:
-            self._metric_wait.inc(waited, service=self.service)
-        return waited
+        ticket = self._arrive(deadline, tenant)
+        return 0.0 if ticket is None else await self._wait(ticket)
 
-    async def _wait_fifo(self, started: float, timeout: float, reason: str,
-                         tenant: str | None, time_scale: float) -> float:
-        """Park on a wake-up future until a permit frees (FIFO order)."""
-        wait_until = started + timeout
-        while self._inflight >= self.limit.max_concurrent:
-            remaining = wait_until - self.clock.now()
-            if remaining <= 0:
-                return self._timed_out(started, reason, tenant)
-            waiter = asyncio.get_running_loop().create_future()
-            self._fifo.append(waiter)
-            try:
-                await asyncio.wait_for(waiter, remaining * time_scale)
-            except asyncio.TimeoutError:  # repro: ignore[RA002] — loop re-checks and sheds on lapse
-                continue
-            finally:
-                if waiter in self._fifo:
-                    self._fifo.remove(waiter)
-        self._admit()
-        return self.clock.now() - started
+    def admit(self, tenant: str | None = None):
+        """Not on the loop binding: the inherited form would not await."""
+        raise TypeError(
+            "AsyncBulkhead has no admit(): pair `await acquire()` with release()")
 
-    async def _wait_fair(self, started: float, timeout: float, reason: str,
-                         tenant: str | None, time_scale: float) -> float:
-        """Wait until the DRR scheduler grants this ticket a permit."""
-        ticket = asyncio.get_running_loop().create_future()
-        self._fair.push(tenant, ticket)
-        self._maybe_grant()
-        try:
-            await asyncio.wait_for(ticket, timeout * time_scale)
-        except asyncio.TimeoutError:
-            self._withdraw(ticket, tenant)
-            return self._timed_out(started, reason, tenant)
-        except BaseException:
-            self._withdraw(ticket, tenant)
-            raise
-        # Granted: the permit was reserved for this ticket (_granted
-        # closes the fast path), so admission cannot race.
-        self._granted = None
-        self._admit()
-        self._maybe_grant()
-        return self.clock.now() - started
+    # The park primitive, loop binding: a task waits on a future.
 
-    def _withdraw(self, ticket: asyncio.Future, tenant: str | None) -> None:
-        """Remove a fair-mode waiter that is giving up."""
-        if self._granted is ticket:
-            self._granted = None
-            self._maybe_grant()
-        else:
-            self._fair.remove(tenant, ticket)
+    def _new_wake(self):
+        return asyncio.get_running_loop().create_future()
 
-    def _timed_out(self, started: float, reason: str,
-                   tenant: str | None) -> float:
-        waited = self.clock.now() - started
-        self.stats.total_queue_wait += waited
-        if self._metric_wait is not None:
-            self._metric_wait.inc(waited, service=self.service)
-        self._count_shed(reason, tenant)
-        raise AdmissionRejectedError(self.service, reason,
-                                     retry_after=self.limit.queue_timeout)
+    def _wake(self, ticket) -> None:
+        ticket.wake.set_result(None)
 
-    def _admit(self) -> None:
-        self._inflight += 1
-        self.stats.admitted += 1
-        self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
-        if self._gauge_inflight is not None:
-            self._gauge_inflight.set(self._inflight, service=self.service)
-        if self._metric_admitted is not None:
-            self._metric_admitted.inc(service=self.service)
-
-    def release(self) -> None:
-        """Return a permit and wake the next waiter (FIFO or DRR grant)."""
-        if self._inflight <= 0:
-            raise RuntimeError(
-                f"bulkhead for {self.service!r}: release without acquire")
-        self._inflight -= 1
-        if self._gauge_inflight is not None:
-            self._gauge_inflight.set(self._inflight, service=self.service)
-        if self._fair is not None:
-            self._maybe_grant()
-        else:
-            while self._fifo:
-                waiter = self._fifo.popleft()
-                if not waiter.done():
-                    waiter.set_result(None)
-                    break
+    async def _park(self, ticket, seconds: float) -> None:
+        # asyncio.wait, not wait_for: it neither cancels the wake-up
+        # future on a lapse nor — the 3.11 wait_for race — swallows a
+        # cancellation that lands together with the wake-up.
+        await asyncio.wait({ticket.wake}, timeout=seconds)
 
 
-class AsyncAdmissionController:
+class AsyncAdmissionController(AdmissionController):
     """Per-service async bulkheads sharing one clock and default sizing.
 
-    Mirrors :class:`~repro.core.admission.AdmissionController`'s
-    configuration surface; :meth:`from_sync` clones a sync controller's
-    limits so a :class:`~repro.core.aio.invoker.AsyncInvoker` applies
-    the same admission policy its parent client does.  Permits are
-    **not** shared with the sync controller — each core bounds its own
-    in-flight calls — but both report into the same metric names.
+    :class:`~repro.core.admission.AdmissionController` building
+    :class:`AsyncBulkhead`\\ s; :meth:`from_sync` clones a sync
+    controller's limits so a :class:`~repro.core.aio.invoker.AsyncInvoker`
+    applies the same admission policy its parent client does.  Permits
+    are **not** shared with the sync controller — each core bounds its
+    own in-flight calls — but both report into the same metric names.
     """
 
-    def __init__(self, clock: Clock,
-                 default_limit: AdmissionLimit | None = None,
-                 limits: Mapping[str, AdmissionLimit] | None = None,
-                 fair: bool = False,
-                 weight_of: Callable[[str], float] | None = None) -> None:
-        """Build the controller (same parameters as the sync one)."""
-        self.clock = clock
-        self.default_limit = default_limit
-        self.fair = fair
-        self.weight_of = weight_of
-        self._limits = dict(limits or {})
-        self._bulkheads: dict[str, AsyncBulkhead] = {}
-        self._metrics = None
+    _bulkhead_class = AsyncBulkhead
 
     @classmethod
     def from_sync(cls, controller: AdmissionController) -> "AsyncAdmissionController":
@@ -346,35 +88,3 @@ class AsyncAdmissionController:
             fair=controller.fair,
             weight_of=controller.weight_of,
         )
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror every bulkhead's accounting into ``registry``."""
-        self._metrics = registry
-        for bulkhead in self._bulkheads.values():
-            bulkhead.bind_metrics(registry)
-
-    def configure(self, service: str, limit: AdmissionLimit) -> AsyncBulkhead:
-        """Set one service's bulkhead sizing and return its bulkhead."""
-        self._limits[service] = limit
-        self._bulkheads.pop(service, None)
-        return self.bulkhead_for(service)
-
-    def bulkhead_for(self, service: str) -> AsyncBulkhead | None:
-        """The service's bulkhead, or None when it is unlimited."""
-        bulkhead = self._bulkheads.get(service)
-        if bulkhead is not None:
-            return bulkhead
-        limit = self._limits.get(service, self.default_limit)
-        if limit is None:
-            return None
-        bulkhead = AsyncBulkhead(self.clock, service, limit,
-                                 fair=self.fair, weight_of=self.weight_of)
-        if self._metrics is not None:
-            bulkhead.bind_metrics(self._metrics)
-        self._bulkheads[service] = bulkhead
-        return bulkhead
-
-    def shed_total(self) -> int:
-        """Requests shed across every bulkhead so far."""
-        return sum(bulkhead.stats.shed
-                   for bulkhead in self._bulkheads.values())

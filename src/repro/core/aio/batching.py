@@ -1,72 +1,36 @@
 """Micro-batching on asyncio futures — bounded windows, no threads.
 
-The event-loop mirror of :class:`~repro.core.batching.MicroBatcher`:
-:meth:`AsyncMicroBatcher.submit` enqueues a request into a per-
-(service, operation) window and returns an ``asyncio.Future`` for its
-individual result.  A window flushes when it reaches the batch-size
-limit or on the first submit/tick after ``max_wait`` simulated
-seconds — the same deterministic, clock-driven design as the sync
-batcher (no background task), with the flush awaited through
-:meth:`~repro.core.aio.invoker.AsyncInvoker.ainvoke_batched`.
-
-Reuses :class:`~repro.core.batching.BatchStats` so both batchers
-report identically.
+The event-loop binding of :class:`~repro.core.batching.MicroBatcher`:
+window open, tightest-deadline tracking, flush-at-size /
+flush-at-deadline, per-rider fan-out and flush accounting are that
+class's coroutines; here their one wait point is
+:meth:`~repro.core.aio.invoker.AsyncInvoker.ainvoke_batched`, awaited,
+and riders get ``asyncio.Future``\\ s.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
 
-from repro.core.batching import BatchStats
+from repro.core.batching import MicroBatcher
 from repro.util.deadline import Deadline
 
 
-@dataclass
-class _AsyncWindow:
-    """One (service, operation) batch window awaiting flush."""
-
-    service: str
-    operation: str
-    #: Absolute flush deadline (opened_at + max_wait), computed once.
-    deadline: float
-    items: list[tuple[dict, asyncio.Future]] = field(default_factory=list)
-    #: Tightest end-to-end caller deadline riding in this window.
-    call_deadline: Deadline | None = None
-
-
-class AsyncMicroBatcher:
+class AsyncMicroBatcher(MicroBatcher):
     """Bounded-window batcher over an :class:`AsyncInvoker`.
 
-    Single-loop by construction: no locks.  Cancelling a rider's
-    future before the flush detaches that rider only (its payload
-    still ships with the window — the wire call is shared); a
-    whole-batch failure fails every still-attached rider's future.
+    Cancelling a rider's future before the flush detaches that rider
+    only (its payload still ships with the window — the wire call is
+    shared); a whole-batch failure fails every still-attached rider's
+    future.
     """
 
     def __init__(self, invoker, max_batch_size: int | None = None,
                  max_wait: float = 0.05) -> None:
         """Build the batcher (same knobs as the sync one)."""
-        if max_batch_size is not None and max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
+        super().__init__(invoker.client, max_batch_size=max_batch_size,
+                         max_wait=max_wait)
         self.invoker = invoker
-        self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
-        self.stats = BatchStats()
-        self._windows: dict[tuple[str, str], _AsyncWindow] = {}
-
-    def _limit_for(self, service_name: str) -> int:
-        service = self.invoker.registry.get(service_name)
-        declared = service.batch_max_size
-        if declared is None:
-            raise ValueError(
-                f"service {service_name!r} does not declare batch support")
-        if self.max_batch_size is None:
-            return declared
-        return min(declared, self.max_batch_size)
 
     async def submit(self, service_name: str, operation: str,
                      payload: dict | None = None,
@@ -80,105 +44,24 @@ class AsyncMicroBatcher:
         be settled.  Cancellation during the flush cancels the whole
         batch call (every rider fails with the cancellation).
         """
-        payload = dict(payload or {})
-        limit = self._limit_for(service_name)
-        loop = asyncio.get_running_loop()
-        cached = self.invoker.client.cached_result(
-            service_name, operation, payload, use_cache=use_cache)
-        if cached is not None:
-            future = loop.create_future()
-            future.set_result(cached)
-            return future
-        future = loop.create_future()
-        now = self.invoker.clock.now()
-        window = self._windows.get((service_name, operation))
-        if window is None:
-            window = _AsyncWindow(service_name, operation,
-                                  deadline=now + self.max_wait)
-            self._windows[(service_name, operation)] = window
-        window.items.append((payload, future))
-        if deadline is not None and (
-                window.call_deadline is None
-                or deadline.expires_at < window.call_deadline.expires_at):
-            window.call_deadline = deadline
-        self.stats.submitted += 1
-        flush_window = None
-        if len(window.items) >= limit:
-            flush_window = self._take(window)
-            self.stats.size_flushes += 1
-        elif now >= window.deadline:
-            flush_window = self._take(window)
-            self.stats.deadline_flushes += 1
-        if flush_window is not None:
-            await self._flush_window(flush_window, use_cache=use_cache)
-        return future
+        return await self._submit(service_name, operation, payload,
+                                  use_cache, deadline)
 
     async def flush_due(self) -> int:
         """Flush every window older than ``max_wait``; returns items sent."""
-        now = self.invoker.clock.now()
-        due: list[_AsyncWindow] = []
-        for window in list(self._windows.values()):
-            if now >= window.deadline:
-                due.append(self._take(window))
-                self.stats.deadline_flushes += 1
-        sent = 0
-        for window in due:
-            sent += await self._flush_window(window)
-        return sent
+        return await self._flush(due_only=True)
 
     async def flush_all(self) -> int:
         """Flush every open window regardless of age; returns items sent."""
-        taken = [self._take(window)
-                 for window in list(self._windows.values())]
-        if not taken:
-            self.stats.empty_flushes += 1
-            return 0
-        sent = 0
-        for window in taken:
-            sent += await self._flush_window(window)
-        return sent
+        return await self._flush(due_only=False)
 
-    def pending(self) -> int:
-        """Items currently queued across all open windows."""
-        return sum(len(window.items) for window in self._windows.values())
+    # Loop binding: asyncio-future riders, awaited batched invoke.
 
-    def _take(self, window: _AsyncWindow) -> _AsyncWindow:
-        del self._windows[(window.service, window.operation)]
-        return window
+    def _new_future(self):
+        return asyncio.get_running_loop().create_future()
 
-    async def _flush_window(self, window: _AsyncWindow,
-                            use_cache: bool = True) -> int:
-        """Send one detached window as a single awaited batch call."""
-        if not window.items:
-            self.stats.empty_flushes += 1
-            return 0
-        payloads = [payload for payload, _ in window.items]
-        try:
-            outcomes = await self.invoker.ainvoke_batched(
-                window.service, window.operation, payloads,
-                use_cache=use_cache, deadline=window.call_deadline)
-        except BaseException as error:
-            # A whole-batch failure (offline, timeout, spent deadline,
-            # cancellation) fails every rider's future rather than
-            # raising only into the caller that triggered the flush.
-            for _, future in window.items:
-                if not future.done():
-                    future.set_exception(error)
-            self._account_flush(window)
-            if isinstance(error, asyncio.CancelledError):
-                raise
-            return len(window.items)
-        self._account_flush(window)
-        for (_, future), outcome in zip(window.items, outcomes):
-            if future.done():
-                continue  # rider cancelled while the batch was in flight
-            if isinstance(outcome, BaseException):
-                future.set_exception(outcome)
-            else:
-                future.set_result(outcome)
-        return len(window.items)
+    def _is_open(self, future) -> bool:
+        return not future.done()
 
-    def _account_flush(self, window: _AsyncWindow) -> None:
-        self.stats.flushes += 1
-        self.stats.items_flushed += len(window.items)
-        self.stats.max_batch = max(self.stats.max_batch, len(window.items))
+    def _invoke_batched(self, *args, **kwargs):
+        return self.invoker.ainvoke_batched(*args, **kwargs)

@@ -1,53 +1,36 @@
 """Single-flight request coalescing on asyncio futures.
 
-The event-loop analogue of
-:class:`~repro.core.batching.RequestCoalescer`: concurrent identical
-requests share one upstream call.  The leader task performs the real
-work; follower tasks await the shared flight **behind a shield**, so
-cancelling one follower detaches only that follower — the flight (and
-the leader's upstream call) survives for everyone else.  Cancelling
-the *leader* fails the flight with its cancellation, waking followers
-with the same error rather than stranding them.
-
-Accounting reuses :class:`~repro.core.batching.CoalesceStats` and the
-same metric names, so dashboards see one coalescing picture regardless
-of which core served the traffic.
+The event-loop binding of
+:class:`~repro.core.batching.RequestCoalescer`: the flight table, its
+stats and its metric names are that class's own code, and only the
+flight type differs.  The leader task performs the real work; follower
+tasks await the shared flight **behind a shield**, so cancelling one
+follower detaches only that follower — the flight (and the leader's
+upstream call) survives for everyone else.  Cancelling the *leader*
+fails the flight with its cancellation, waking followers with the same
+error rather than stranding them.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.core.batching import CoalesceStats
-from repro.obs import names
+from repro.core.batching import Flight, RequestCoalescer
 
 
-class AsyncFlight:
+class AsyncFlight(Flight):
     """One in-flight upstream call shared by any number of awaiters.
 
-    The leader settles the flight exactly once with :meth:`complete`
-    or :meth:`fail`; followers :meth:`result` it.  Single-threaded by
-    construction (everything happens on one loop), so no locking.
+    :class:`~repro.core.batching.Flight` over an ``asyncio.Future`` of
+    the running loop: the leader settles it exactly once with
+    ``complete`` or ``fail``; followers ``await`` :meth:`result`.
     """
 
-    def __init__(self, key: str) -> None:
-        """Create an unsettled flight for ``key`` on the running loop."""
-        self.key = key
-        self.future: asyncio.Future = asyncio.get_running_loop().create_future()
+    def _new_future(self):
+        return asyncio.get_running_loop().create_future()
 
-    def complete(self, value) -> bool:
-        """Settle successfully; False when already settled."""
-        if self.future.done():
-            return False
-        self.future.set_result(value)
-        return True
-
-    def fail(self, error: BaseException) -> bool:
-        """Settle with an error; False when already settled."""
-        if self.future.done():
-            return False
-        self.future.set_exception(error)
-        return True
+    def _settled(self) -> bool:
+        return self.future.done()
 
     async def result(self, timeout: float | None = None):
         """Await the shared outcome (shielded).
@@ -61,85 +44,14 @@ class AsyncFlight:
         return await asyncio.wait_for(asyncio.shield(self.future), timeout)
 
 
-class AsyncCoalescer:
-    """Single-flight table keyed by the full request (loop-local).
+class AsyncCoalescer(RequestCoalescer):
+    """Single-flight table of :class:`AsyncFlight`\\ s (loop-local state).
 
-    Mirrors :class:`~repro.core.batching.RequestCoalescer`'s contract:
-    ``lead_or_join`` installs or joins a flight, the leader must settle
-    via :meth:`complete`/:meth:`fail`, and the table entry is removed
-    on settlement so later identical requests start fresh.
+    Same contract as :class:`~repro.core.batching.RequestCoalescer`:
+    ``lead_or_join`` (call it from the loop) installs or joins a
+    flight, the leader must settle via ``complete`` / ``fail``, and the
+    table entry is removed on settlement so later identical requests
+    start fresh.
     """
 
-    def __init__(self) -> None:
-        """Create an empty flight table with fresh stats."""
-        self.stats = CoalesceStats()
-        self._flights: dict[str, AsyncFlight] = {}
-        self._metric_flights = None
-        self._metric_hits = None
-        self._metric_cancelled = None
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror accounting into the same counters the sync core uses."""
-        self._metric_flights = registry.counter(
-            names.COALESCE_FLIGHTS_TOTAL,
-            "Upstream flights led by the request coalescer.").bind()
-        self._metric_hits = registry.counter(
-            names.COALESCE_HITS_TOTAL,
-            "Duplicate in-flight requests folded into a shared flight.").bind()
-        self._metric_cancelled = registry.counter(
-            names.COALESCE_CANCELLED_TOTAL,
-            "Coalesced flights cancelled because every waiter left.").bind()
-
-    def __len__(self) -> int:
-        """Flights currently in the table."""
-        return len(self._flights)
-
-    def lead_or_join(self, key: str) -> tuple[bool, AsyncFlight]:
-        """Install a new flight for ``key`` or join the in-flight one.
-
-        Returns ``(is_leader, flight)``.  Must be called from the loop.
-        """
-        flight = self._flights.get(key)
-        if flight is not None:
-            self.stats.coalesced += 1
-            if self._metric_hits is not None:
-                self._metric_hits.inc()
-            return False, flight
-        flight = AsyncFlight(key)
-        self._flights[key] = flight
-        self.stats.flights += 1
-        if self._metric_flights is not None:
-            self._metric_flights.inc()
-        return True, flight
-
-    def complete(self, flight: AsyncFlight, value) -> None:
-        """Leader callback: publish the result to every awaiter."""
-        self._discard(flight)
-        flight.complete(value)
-
-    def fail(self, flight: AsyncFlight, error: BaseException) -> None:
-        """Leader callback: share the upstream error with every awaiter.
-
-        Counted as a cancellation when the error is the leader's own
-        ``asyncio.CancelledError`` — the flight died waiterless.
-        """
-        self._discard(flight)
-        if flight.fail(error) and isinstance(error, asyncio.CancelledError):
-            self.stats.cancelled += 1
-            if self._metric_cancelled is not None:
-                self._metric_cancelled.inc()
-
-    def count_folded(self, amount: int = 1) -> None:
-        """Account duplicates folded outside the flight table.
-
-        ``ainvoke_many`` deduplicates identical payloads within a
-        burst; those shares land on the same coalesce-hits counter.
-        """
-        if amount > 0:
-            self.stats.coalesced += amount
-            if self._metric_hits is not None:
-                self._metric_hits.inc(amount)
-
-    def _discard(self, flight: AsyncFlight) -> None:
-        if self._flights.get(flight.key) is flight:
-            del self._flights[flight.key]
+    _flight_class = AsyncFlight

@@ -1,16 +1,17 @@
 """Hedged requests as cancellable tasks.
 
-The event-loop mirror of :class:`~repro.core.hedging.HedgedInvoker`
-with the one upgrade threads could not provide: when a leg wins the
-race, the **losing leg is cancelled** instead of running to completion
-in the background.  A cancelled leg releases its bulkhead permit and
-refunds its reservations (see
+The event-loop binding of :class:`~repro.core.hedging.HedgedInvoker`
+— ranking, hedge delay, fire decision, winner selection and stats are
+that class's one policy coroutine — with the one upgrade threads could
+not provide: when a leg wins the race, the **losing leg is cancelled**
+instead of running to completion in the background.  A cancelled leg
+releases its bulkhead permit and refunds its reservations (see
 :meth:`~repro.core.aio.invoker.AsyncInvoker._ainvoke_remote`), so
 hedging no longer pays for two full calls when one answer suffices.
 
 Like the sync hedger, this requires a scaled real clock — hedging
 races timers against in-flight calls, which a virtual clock cannot
-express.  Stats and metric names are shared with the sync hedger.
+express.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import asyncio
 from collections.abc import Mapping
 
 from repro.core.aio.invoker import AsyncInvoker
-from repro.core.hedging import HedgeStats
+from repro.core.hedging import HedgedInvoker
 from repro.core.invoker import InvocationResult
 from repro.core.ranking import Weights
-from repro.obs import names
 from repro.util.deadline import Deadline
 
 
-class AsyncHedgedInvoker:
+class AsyncHedgedInvoker(HedgedInvoker):
     """Race a cancellable backup task against a slow primary.
 
     The primary leg goes through :meth:`AsyncInvoker.ainvoke` (cache,
     coalescing, admission); the backup leg uses ``coalesce=False`` so
     it never joins the flight it is hedging.  Cancelling the caller's
-    task cancels both in-flight legs.
+    task cancels both in-flight legs.  (The inherited blocking
+    ``invoke`` cannot drive loop-native legs and raises.)
     """
 
     def __init__(
@@ -43,34 +44,9 @@ class AsyncHedgedInvoker:
         weights: Weights = Weights(),
     ) -> None:
         """Build the hedger over ``invoker`` (same knobs as the sync one)."""
-        if not 0.0 < deadline_percentile < 1.0:
-            raise ValueError(
-                f"deadline_percentile must be in (0, 1), got {deadline_percentile}")
+        super().__init__(invoker.client, deadline_percentile,
+                         default_deadline, weights)
         self.invoker = invoker
-        self.client = invoker.client
-        self.deadline_percentile = deadline_percentile
-        self.default_deadline = default_deadline
-        self.weights = weights
-        self.stats = HedgeStats()
-        obs = invoker.obs
-        if obs.enabled:
-            self._metric_requests = obs.metrics.counter(
-                names.HEDGE_REQUESTS_TOTAL, "Requests that went through the hedged invoker.")
-            self._metric_fired = obs.metrics.counter(
-                names.HEDGES_FIRED_TOTAL, "Requests whose backup call was actually sent.")
-            self._metric_wins = obs.metrics.counter(
-                names.HEDGE_WINS_TOTAL, "Requests won by the backup call.")
-        else:
-            self._metric_requests = self._metric_fired = self._metric_wins = None
-
-    def deadline_for(self, service: str) -> float:
-        """The hedge deadline: the service's observed latency percentile."""
-        latencies = self.invoker.monitor.latencies(service)
-        if len(latencies) < 5:
-            return self.default_deadline
-        from repro.analytics.stats import percentile
-
-        return percentile(latencies, self.deadline_percentile)
 
     async def ainvoke(
         self,
@@ -83,136 +59,44 @@ class AsyncHedgedInvoker:
     ) -> InvocationResult:
         """Invoke with hedging across the top two ranked services.
 
-        Mirrors :meth:`~repro.core.hedging.HedgedInvoker.invoke`: the
+        :meth:`~repro.core.hedging.HedgedInvoker.invoke`, awaited: the
         backup fires when the primary is slower than its observed
         percentile (or already failed), never past the caller's
         ``deadline``; the first successful leg wins and **the loser is
         cancelled**.  Cancelling this coroutine cancels both legs.
         """
-        with self.invoker.obs.tracer.span(
-                names.SPAN_SDK_HEDGED_INVOKE, {"kind": kind, "operation": operation}):
-            return await self._ainvoke_traced(kind, operation, payload,
-                                              use_cache, candidates, deadline)
+        return await self._hedged(kind, operation, payload, use_cache,
+                                  candidates, deadline)
 
-    async def _ainvoke_traced(
-        self,
-        kind: str,
-        operation: str,
-        payload: Mapping[str, object] | None,
-        use_cache: bool,
-        candidates: list[str] | None,
-        deadline: Deadline | None,
-    ) -> InvocationResult:
-        tracer = self.invoker.obs.tracer
-        if candidates is None:
-            candidates = [service.name for service in
-                          self.invoker.registry.services_of_kind(kind)]
-            if not candidates:
-                raise ValueError(f"no services of kind {kind!r}")
-            ranked = [name for name, _ in self.invoker.ranker.rank(
-                candidates, weights=self.weights)]
-        else:
-            if not candidates:
-                raise ValueError("empty candidates override")
-            ranked = list(candidates)
-        primary = ranked[0]
-        self.stats.requests += 1
-        if self._metric_requests is not None:
-            self._metric_requests.inc()
-        start = self.invoker.clock.now()
+    # Loop binding: legs are tasks, kept as {task: role} while running.
 
-        if len(ranked) == 1:
-            result = await self.invoker.ainvoke(primary, operation, payload,
-                                                use_cache=use_cache,
-                                                deadline=deadline)
-            self.stats.primary_wins += 1
-            self.stats.latencies.append(self.invoker.clock.now() - start)
-            return result
+    _legs_type = dict
 
-        backup = ranked[1]
-        primary_task = asyncio.ensure_future(self.invoker.ainvoke(
-            primary, operation, payload, use_cache=use_cache,
-            deadline=deadline))
+    def _call(self, service: str, operation: str, payload, **options):
+        return self.invoker.ainvoke(service, operation, payload, **options)
 
-        hedge_after = self.deadline_for(primary)
-        if deadline is not None:
-            hedge_after = min(hedge_after, deadline.remaining())
-        real_deadline = hedge_after * getattr(
-            self.invoker.clock, "time_scale", 1.0)
-        wait_start = self.invoker.clock.now()
-        try:
-            done, _pending = await asyncio.wait({primary_task},
-                                                timeout=real_deadline)
-        except BaseException:
-            primary_task.cancel()
-            raise
-        tracer.add_event("hedge.wait",
-                         {"service": primary,
-                          "seconds": self.invoker.clock.now() - wait_start,
-                          "deadline": hedge_after})
-        primary_failed = bool(done) and primary_task.exception() is not None
-        fired_hedge = not done or primary_failed
-        if fired_hedge and deadline is not None and deadline.expired():
-            # A backup launched past the deadline cannot produce a
-            # usable answer; ride out the primary leg instead.
-            fired_hedge = False
-        if not fired_hedge:
-            try:
-                result = await primary_task
-            except BaseException:
-                primary_task.cancel()
-                raise
-            self.stats.primary_wins += 1
-            self.stats.latencies.append(self.invoker.clock.now() - start)
-            return result
+    def _start_leg(self, legs, role: str, service: str, operation: str,
+                   payload, **options) -> None:
+        legs[asyncio.ensure_future(
+            self._call(service, operation, payload, **options))] = role
 
-        self.stats.hedges_fired += 1
-        if self._metric_fired is not None:
-            self._metric_fired.inc()
-        backup_task = asyncio.ensure_future(self.invoker.ainvoke(
-            backup, operation, payload, use_cache=use_cache,
-            coalesce=False, deadline=deadline))
-        try:
-            role, result = await self._race(primary_task, backup_task)
-        except BaseException:
-            primary_task.cancel()
-            backup_task.cancel()
-            raise
-        if role == "primary":
-            self.stats.primary_wins += 1
-        else:
-            self.stats.hedge_wins += 1
-            if self._metric_wins is not None:
-                self._metric_wins.inc()
-        self.stats.latencies.append(self.invoker.clock.now() - start)
-        return result
+    async def _wait_next(self, legs, timeout: float | None) -> list:
+        """Legs that finished within ``timeout`` wall seconds, oldest leg
+        first; a cancelled leg counts as failed with its cancellation."""
+        done, _ = await asyncio.wait(legs, timeout=timeout,
+                                     return_when=asyncio.FIRST_COMPLETED)
+        finished = []
+        for task in [task for task in legs if task in done]:
+            error = (asyncio.CancelledError() if task.cancelled()
+                     else task.exception())
+            finished.append((legs.pop(task),
+                             error if error is not None else task.result()))
+        return finished
 
-    async def _race(self, primary_task: asyncio.Task,
-                    backup_task: asyncio.Task):
-        """First successful leg wins; the loser is cancelled.
-
-        When both legs fail, the first-completed leg's error is raised
-        (the sync hedger's behavior).  The losing task is cancelled and
-        awaited so its cleanup (permit release, refunds) has run before
-        this coroutine returns.
-        """
-        tasks = {primary_task, backup_task}
-        errors: list[BaseException] = []
-        while tasks:
-            done, tasks = await asyncio.wait(
-                tasks, return_when=asyncio.FIRST_COMPLETED)
-            for task in done:
-                if task.cancelled():
-                    errors.append(asyncio.CancelledError())
-                    continue
-                error = task.exception()
-                if error is not None:
-                    errors.append(error)
-                    continue
-                for loser in tasks:
-                    loser.cancel()
-                if tasks:
-                    await asyncio.gather(*tasks, return_exceptions=True)
-                role = "primary" if task is primary_task else "backup"
-                return role, task.result()
-        raise errors[0]
+    async def _drop_losers(self, legs) -> None:
+        """Cancel the legs still running and wait for their cleanup
+        (permit release, refunds) to have run."""
+        for task in legs:
+            task.cancel()
+        if legs:
+            await asyncio.gather(*legs, return_exceptions=True)

@@ -33,10 +33,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, TypeVar
 
-from repro.core.futures import ListenableFuture
+from repro.core.futures import ListenableFuture, resolved, run_sync
 from repro.obs import names
 from repro.util.deadline import Deadline
-from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (invoker imports us)
     from repro.core.invoker import InvocationResult, RichClient
@@ -44,79 +43,38 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle (invoker imports us)
 T = TypeVar("T")
 
 
-class FlightCancelledError(ReproError):
-    """Every waiter abandoned a coalesced flight before it completed."""
-
-    def __init__(self, key: str) -> None:
-        super().__init__(f"coalesced flight {key!r} cancelled: all waiters left")
-        self.key = key
-
-
 class Flight(Generic[T]):
     """One in-flight upstream call that any number of waiters may share.
 
-    The caller that created the flight (the *leader*) performs the real
-    work and settles the flight with :meth:`complete` or :meth:`fail`;
-    everyone else :meth:`join`\\ s and blocks on :meth:`result`.  A
-    waiter that gives up calls :meth:`abandon`; when the last waiter
-    abandons an unsettled flight it is **cancelled** — the future is
-    failed with :class:`FlightCancelledError` and a late
-    ``complete``/``fail`` from the leader becomes a no-op.
+    A future plus complete / fail / result.  The caller that created
+    the flight (the *leader*) performs the real work and settles it
+    exactly once with :meth:`complete` or :meth:`fail`; everyone else
+    blocks on :meth:`result`.  A follower that gives up waiting simply
+    stops waiting — the flight and the leader's upstream call go on
+    for everyone else.
     """
 
-    def __init__(self, key: str, on_cancel=None) -> None:
+    def __init__(self, key: str) -> None:
         self.key = key
-        self.future: ListenableFuture[T] = ListenableFuture()
-        self.cancelled = False
-        self._waiters = 1  # the leader
-        self._on_cancel = on_cancel
-        self._lock = threading.Lock()
+        self.future = self._new_future()
 
-    @property
-    def waiters(self) -> int:
-        """Callers (leader included) still interested in the result."""
-        with self._lock:
-            return self._waiters
+    def _new_future(self):
+        return ListenableFuture()
 
-    def join(self) -> "Flight[T]":
-        """Register one more waiter on this flight; returns ``self``."""
-        with self._lock:
-            self._waiters += 1
-        return self
-
-    def abandon(self) -> bool:
-        """Drop one waiter; cancels the flight when the last one leaves.
-
-        Returns True when this call cancelled the flight.  Abandoning a
-        flight that already settled is a harmless no-op bookkeeping
-        decrement.
-        """
-        cancel = False
-        with self._lock:
-            self._waiters = max(0, self._waiters - 1)
-            if (self._waiters == 0 and not self.cancelled
-                    and not self.future.is_done()):
-                self.cancelled = True
-                cancel = True
-        if cancel:
-            self.future.set_exception(FlightCancelledError(self.key))
-            if self._on_cancel is not None:
-                self._on_cancel(self)
-        return cancel
+    def _settled(self) -> bool:
+        return self.future.is_done()
 
     def complete(self, value: T) -> bool:
-        """Settle the flight successfully; False if it was cancelled."""
-        with self._lock:
-            if self.cancelled or self.future.is_done():
-                return False
+        """Settle the flight successfully; False if it already settled."""
+        if self._settled():
+            return False
         self.future.set_result(value)
         return True
 
     def fail(self, error: BaseException) -> bool:
-        """Settle the flight with an error; False if it was cancelled."""
-        with self._lock:
-            if self.cancelled or self.future.is_done():
-                return False
+        """Settle the flight with an error; False if it already settled."""
+        if self._settled():
+            return False
         self.future.set_exception(error)
         return True
 
@@ -131,6 +89,8 @@ class CoalesceStats:
 
     flights: int = 0
     coalesced: int = 0
+    #: Flights failed by a dying leader: its error was not an
+    #: ``Exception`` (task cancellation, ``KeyboardInterrupt``).
     cancelled: int = 0
 
     @property
@@ -145,14 +105,20 @@ class RequestCoalescer:
     ``lead_or_join(key)`` either installs a new :class:`Flight` (caller
     becomes leader, performs the upstream call, then settles via
     :meth:`complete`/:meth:`fail`) or joins the existing one.  The
-    table entry is removed when the flight settles or is cancelled, so
-    later identical requests start a fresh flight — coalescing only
-    ever shares *concurrent* duplicates, never stale results.
+    table entry is removed when the flight settles, so later identical
+    requests start a fresh flight — coalescing only ever shares
+    *concurrent* duplicates, never stale results.
+
+    The table, its stats and its metrics are the same code under both
+    drivers; :class:`repro.core.aio.AsyncCoalescer` only swaps the
+    flight type for one whose future is awaited instead of blocked on.
 
     Thread-safe.  Note the thread-pool caveat: waiters block their
     thread, so on a bounded pool at most ``max_workers - 1`` callers
     should wait on one flight (the leader needs a thread to run on).
     """
+
+    _flight_class = Flight
 
     def __init__(self) -> None:
         self.stats = CoalesceStats()
@@ -178,7 +144,7 @@ class RequestCoalescer:
             "Duplicate in-flight requests folded into a shared flight.").bind()
         self._metric_cancelled = registry.counter(
             names.COALESCE_CANCELLED_TOTAL,
-            "Coalesced flights cancelled because every waiter left.").bind()
+            "Coalesced flights failed by a cancelled or interrupted leader.").bind()
 
     def __len__(self) -> int:
         with self._lock:
@@ -193,12 +159,11 @@ class RequestCoalescer:
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
-                flight.join()
                 self.stats.coalesced += 1
                 if self._metric_hits is not None:
                     self._metric_hits.inc()
                 return False, flight
-            flight = Flight(key, on_cancel=self._discard)
+            flight = self._flight_class(key)
             self._flights[key] = flight
             self.stats.flights += 1
             if self._metric_flights is not None:
@@ -211,16 +176,25 @@ class RequestCoalescer:
         flight.complete(value)
 
     def fail(self, flight: Flight, error: BaseException) -> None:
-        """Leader callback: share the upstream error with every waiter."""
+        """Leader callback: share the upstream error with every waiter.
+
+        Counted as a cancellation when the error is not an
+        ``Exception`` — the leader itself was cancelled or interrupted,
+        and fails the flight so followers are not stranded on it.
+        """
         self._discard(flight)
-        flight.fail(error)
+        if flight.fail(error) and not isinstance(error, Exception):
+            self.stats.cancelled += 1
+            if self._metric_cancelled is not None:
+                self._metric_cancelled.inc()
 
     def count_folded(self, amount: int = 1) -> None:
         """Account duplicates folded outside the flight table.
 
-        :meth:`RichClient.invoke_many` deduplicates identical payloads
-        *within* a batch; those shares are coalesce hits too, and this
-        keeps them on the same counter the acceptance criteria watch.
+        ``invoke_many`` / ``ainvoke_many`` deduplicate identical
+        payloads *within* a burst; those shares are coalesce hits too,
+        and this keeps them on the same counter the acceptance criteria
+        watch.
         """
         if amount > 0:
             self.stats.coalesced += amount
@@ -231,10 +205,6 @@ class RequestCoalescer:
         with self._lock:
             if self._flights.get(flight.key) is flight:
                 del self._flights[flight.key]
-        if flight.cancelled:
-            self.stats.cancelled += 1
-            if self._metric_cancelled is not None:
-                self._metric_cancelled.inc()
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +262,13 @@ class MicroBatcher:
     the window into one batch transport call, charges admission control
     once per batch, records per-item monitor entries and populates the
     cache for each item.
+
+    The window rules are coroutines (:meth:`_submit`, :meth:`_flush`,
+    :meth:`_flush_window`) whose single wait point is the batched
+    invoke.  Here it is the blocking ``client.invoke_batched`` and the
+    public methods drive the body with ``run_sync`` on the caller's
+    thread; :class:`repro.core.aio.AsyncMicroBatcher` awaits
+    ``ainvoke_batched`` and hands out asyncio futures instead.
     """
 
     def __init__(self, client: "RichClient", max_batch_size: int | None = None,
@@ -339,15 +316,56 @@ class MicroBatcher:
         the flush fails the batch with ``DeadlineExceededError`` on the
         future, never silently.
         """
+        return run_sync(self._submit(service_name, operation, payload,
+                                     use_cache, deadline))
+
+    def flush_due(self) -> int:
+        """Flush every window older than ``max_wait``; returns items sent.
+
+        This is the clock-driven tick: deterministic under a manual
+        clock (compare ``clock.now()`` against each window's open time),
+        and cheap to call from a polling loop under a real clock.
+        """
+        return run_sync(self._flush(due_only=True))
+
+    def flush_all(self) -> int:
+        """Flush every open window regardless of age; returns items sent.
+
+        Flushing with nothing queued is a counted no-op (the "empty
+        flush window" case): no transport call is made.
+        """
+        return run_sync(self._flush(due_only=False))
+
+    def pending(self) -> int:
+        """Items currently queued across all open windows."""
+        with self._lock:
+            return sum(len(window.items) for window in self._windows.values())
+
+    # -- the batch body (one, for both drivers) ------------------------------
+
+    async def _submit(self, service_name: str, operation: str,
+                      payload: dict | None, use_cache: bool,
+                      deadline: Deadline | None):
         payload = dict(payload or {})
         limit = self._limit_for(service_name)
+        future = self._new_future()
         cached = self.client.cached_result(service_name, operation, payload,
                                            use_cache=use_cache)
         if cached is not None:
-            return ListenableFuture.completed(cached)
-        future: ListenableFuture = ListenableFuture()
+            future.set_result(cached)
+            return future
+        full = self._enqueue(service_name, operation, payload, future,
+                             deadline, limit)
+        if full is not None:
+            await self._flush_window(full, use_cache=use_cache)
+        return future
+
+    def _enqueue(self, service_name: str, operation: str, payload: dict,
+                 future, deadline: Deadline | None,
+                 limit: int) -> _Window | None:
+        """Add one rider to its window; returns the window, detached,
+        when this rider filled it or found it past its flush deadline."""
         now = self.client.clock.now()
-        flush_window = None
         with self._lock:
             window = self._windows.get((service_name, operation))
             if window is None:
@@ -361,81 +379,76 @@ class MicroBatcher:
                 window.call_deadline = deadline
             self.stats.submitted += 1
             if len(window.items) >= limit:
-                flush_window = self._take_locked(window)
                 self.stats.size_flushes += 1
             elif now >= window.deadline:
-                flush_window = self._take_locked(window)
                 self.stats.deadline_flushes += 1
-        if flush_window is not None:
-            self._flush_window(flush_window, use_cache=use_cache)
-        return future
+            else:
+                return None
+            del self._windows[(service_name, operation)]
+            return window
 
-    def flush_due(self) -> int:
-        """Flush every window older than ``max_wait``; returns items sent.
-
-        This is the clock-driven tick: deterministic under a manual
-        clock (compare ``clock.now()`` against each window's open time),
-        and cheap to call from a polling loop under a real clock.
-        """
+    def _detach(self, due_only: bool) -> list[_Window]:
+        """Detach every open window, or only those past their deadline."""
         now = self.client.clock.now()
-        due: list[_Window] = []
         with self._lock:
-            for window in list(self._windows.values()):
-                if now >= window.deadline:
-                    due.append(self._take_locked(window))
-                    self.stats.deadline_flushes += 1
-        return sum(self._flush_window(window) for window in due)
+            taken = [window for window in self._windows.values()
+                     if not due_only or now >= window.deadline]
+            for window in taken:
+                del self._windows[(window.service, window.operation)]
+            if due_only:
+                self.stats.deadline_flushes += len(taken)
+            elif not taken:
+                self.stats.empty_flushes += 1
+        return taken
 
-    def flush_all(self) -> int:
-        """Flush every open window regardless of age; returns items sent.
+    async def _flush(self, due_only: bool) -> int:
+        sent = 0
+        for window in self._detach(due_only):
+            sent += await self._flush_window(window)
+        return sent
 
-        Flushing with nothing queued is a counted no-op (the "empty
-        flush window" case): no transport call is made.
-        """
-        with self._lock:
-            taken = [self._take_locked(window)
-                     for window in list(self._windows.values())]
-        if not taken:
-            self.stats.empty_flushes += 1
-            return 0
-        return sum(self._flush_window(window) for window in taken)
-
-    def pending(self) -> int:
-        """Items currently queued across all open windows."""
-        with self._lock:
-            return sum(len(window.items) for window in self._windows.values())
-
-    def _take_locked(self, window: _Window) -> _Window:
-        """Caller holds the lock: detach a window for flushing."""
-        del self._windows[(window.service, window.operation)]
-        return window
-
-    def _flush_window(self, window: _Window, use_cache: bool = True) -> int:
+    async def _flush_window(self, window: _Window, use_cache: bool = True) -> int:
         """Send one detached window as a single batch transport call."""
-        if not window.items:
-            self.stats.empty_flushes += 1
-            return 0
-        payloads = [payload for payload, _ in window.items]
         try:
-            outcomes = self.client.invoke_batched(
-                window.service, window.operation, payloads,
+            outcomes = await self._invoke_batched(
+                window.service, window.operation,
+                [payload for payload, _ in window.items],
                 use_cache=use_cache, deadline=window.call_deadline)
-        except Exception as error:  # noqa: BLE001 — fanned out per future
-            # A whole-batch failure (offline, timeout, spent deadline)
-            # fails every rider's future rather than raising into
-            # whichever caller happened to trigger the flush.
-            for _, future in window.items:
-                future.set_exception(error)
-            self.stats.flushes += 1
-            self.stats.items_flushed += len(window.items)
-            self.stats.max_batch = max(self.stats.max_batch, len(window.items))
+        except BaseException as error:
+            # A whole-batch failure (offline, timeout, spent deadline,
+            # cancellation) fails every rider's future rather than
+            # raising only into whichever caller triggered the flush.
+            # The window is already detached, so riders not settled
+            # here would wait forever: that includes the flusher dying
+            # with a cancellation or KeyboardInterrupt, which still
+            # propagates once they are.
+            self._fan_out(window, [error] * len(window.items))
+            if not isinstance(error, Exception):
+                raise
             return len(window.items)
+        self._fan_out(window, outcomes)
+        return len(window.items)
+
+    def _fan_out(self, window: _Window, outcomes: list) -> None:
+        """Account one flush and settle each rider with its own outcome."""
         self.stats.flushes += 1
         self.stats.items_flushed += len(window.items)
         self.stats.max_batch = max(self.stats.max_batch, len(window.items))
         for (_, future), outcome in zip(window.items, outcomes):
+            if not self._is_open(future):
+                continue  # rider cancelled while the batch was in flight
             if isinstance(outcome, BaseException):
                 future.set_exception(outcome)
             else:
                 future.set_result(outcome)
-        return len(window.items)
+
+    # Blocking binding: ListenableFuture riders, blocking batched invoke.
+
+    def _new_future(self):
+        return ListenableFuture()
+
+    def _is_open(self, future) -> bool:
+        return not future.is_done()
+
+    def _invoke_batched(self, *args, **kwargs):
+        return resolved(self.client.invoke_batched(*args, **kwargs))

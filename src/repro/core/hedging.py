@@ -15,10 +15,11 @@ wall-clock timers against in-flight calls.
 
 from __future__ import annotations
 
-import threading
+import queue
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.core.futures import resolved, run_sync
 from repro.core.invoker import InvocationResult, RichClient
 from repro.core.ranking import Weights
 from repro.obs import names
@@ -50,6 +51,15 @@ class HedgedInvoker:
     a hedge that waits behind the request it is hedging would be
     useless.  Mirrors its fire/win counters to the client's metrics
     registry when observability is enabled.
+
+    The hedging *policy* — candidate ranking, the hedge delay, the
+    fire-or-ride-out decision, winner selection, stats — is the
+    coroutine :meth:`_hedged`, written once.  A driver supplies how a
+    leg is started, how the next finished leg is waited for and how a
+    loser is dropped: pool threads reporting into a ``queue.Queue``
+    here (a thread cannot be cancelled, so a losing leg runs to
+    completion unobserved), cancellable tasks in
+    :class:`repro.core.aio.AsyncHedgedInvoker`.
     """
 
     def __init__(
@@ -111,132 +121,144 @@ class HedgedInvoker:
         launched past expiry** — a hedge that cannot beat the deadline
         is pure extra load.
         """
-        with self.client.obs.tracer.span(
-                names.SPAN_SDK_HEDGED_INVOKE, {"kind": kind, "operation": operation}):
-            return self._invoke_traced(kind, operation, payload, use_cache,
-                                       candidates, deadline)
+        return run_sync(self._hedged(kind, operation, payload, use_cache,
+                                     candidates, deadline))
 
-    def _invoke_traced(
+    # -- the hedging policy (one, for both drivers) --------------------------
+
+    def _rank(self, kind: str, candidates: list[str] | None) -> list[str]:
+        """Candidate services, best first (live ranking unless pinned)."""
+        if candidates is not None:
+            if not candidates:
+                raise ValueError("empty candidates override")
+            return list(candidates)
+        candidates = [service.name for service in
+                      self.client.registry.services_of_kind(kind)]
+        if not candidates:
+            raise ValueError(f"no services of kind {kind!r}")
+        return [name for name, _ in self.client.ranker.rank(
+            candidates, weights=self.weights)]
+
+    async def _hedged(
         self,
         kind: str,
         operation: str,
         payload: Mapping[str, object] | None,
         use_cache: bool,
         candidates: list[str] | None,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
     ) -> InvocationResult:
-        tracer = self.client.obs.tracer
-        if candidates is None:
-            candidates = [service.name for service in
-                          self.client.registry.services_of_kind(kind)]
-            if not candidates:
-                raise ValueError(f"no services of kind {kind!r}")
-            ranked = [name for name, _ in self.client.ranker.rank(
-                candidates, weights=self.weights)]
-        else:
-            if not candidates:
-                raise ValueError("empty candidates override")
-            ranked = list(candidates)
-        primary = ranked[0]
-        self.stats.requests += 1
-        if self._metric_requests is not None:
-            self._metric_requests.inc()
-        start = self.client.clock.now()
-
-        if len(ranked) == 1:
-            result = self.client.invoke(primary, operation, payload,
-                                        use_cache=use_cache,
-                                        deadline=deadline)
-            self.stats.primary_wins += 1
-            self.stats.latencies.append(self.client.clock.now() - start)
+        clock = self.client.clock
+        with self.client.obs.tracer.span(
+                names.SPAN_SDK_HEDGED_INVOKE, {"kind": kind, "operation": operation}):
+            ranked = self._rank(kind, candidates)
+            self.stats.requests += 1
+            if self._metric_requests is not None:
+                self._metric_requests.inc()
+            start = clock.now()
+            if len(ranked) == 1:
+                role, result = "primary", await self._call(
+                    ranked[0], operation, payload, use_cache=use_cache,
+                    deadline=deadline)
+            else:
+                role, result = await self._race(
+                    ranked[0], ranked[1], operation, payload, use_cache,
+                    deadline)
+            if role == "primary":
+                self.stats.primary_wins += 1
+            else:
+                self.stats.hedge_wins += 1
+                if self._metric_wins is not None:
+                    self._metric_wins.inc()
+            self.stats.latencies.append(clock.now() - start)
             return result
 
-        backup = ranked[1]
-        first_done = threading.Event()
-        outcomes: list[tuple[str, InvocationResult | Exception]] = []
-        lock = threading.Lock()
+    async def _race(self, primary: str, backup: str, operation: str,
+                    payload: Mapping[str, object] | None, use_cache: bool,
+                    deadline: Deadline | None):
+        """Primary leg, maybe a backup leg; returns ``(role, result)``.
 
-        def record(role: str):
-            def callback(future):
-                error = future.exception()
-                with lock:
-                    outcomes.append((role, error if error is not None
-                                     else future.get()))
-                first_done.set()
-            return callback
+        The first *successful* leg wins; when every leg fails, the
+        first-completed leg's error is raised.  However this returns —
+        a winner, an error, the caller's own cancellation — legs still
+        running are dropped before it does.
+        """
+        clock = self.client.clock
+        legs = self._legs_type()
+        try:
+            self._start_leg(legs, "primary", primary, operation, payload,
+                            use_cache=use_cache, deadline=deadline)
+            hedge_after = self.deadline_for(primary)
+            if deadline is not None:
+                # Never wait past the caller's budget before deciding.
+                hedge_after = min(hedge_after, deadline.remaining())
+            wait_start = clock.now()
+            outcomes = await self._wait_next(
+                legs, hedge_after * getattr(clock, "time_scale", 1.0))
+            self.client.obs.tracer.add_event(
+                "hedge.wait", {"service": primary,
+                               "seconds": clock.now() - wait_start,
+                               "deadline": hedge_after})
+            # Hedge when the primary is slow — or when it already failed
+            # (an error is the slowest possible answer).  But a backup
+            # launched past the deadline cannot produce a usable answer:
+            # ride out the primary leg instead.
+            expected = 1
+            if _first_success(outcomes) is None and not (
+                    deadline is not None and deadline.expired()):
+                self.stats.hedges_fired += 1
+                if self._metric_fired is not None:
+                    self._metric_fired.inc()
+                # The backup must be an independent upstream probe: if it
+                # coalesced onto an already-slow in-flight identical call
+                # it would just wait behind the same laggard it is meant
+                # to outrun.
+                self._start_leg(legs, "backup", backup, operation, payload,
+                                use_cache=use_cache, coalesce=False,
+                                deadline=deadline)
+                expected = 2
+            while True:
+                winner = _first_success(outcomes)
+                if winner is not None:
+                    return winner
+                if len(outcomes) >= expected:
+                    raise outcomes[0][1]  # every leg failed
+                outcomes += await self._wait_next(legs, None)
+        finally:
+            await self._drop_losers(legs)
 
-        primary_future = self.client.invoke_async(
-            primary, operation, payload, use_cache=use_cache,
-            deadline=deadline)
-        primary_future.add_listener(record("primary"))
+    # Blocking binding: legs on the client's thread pool, reporting into
+    # a queue of (role, result-or-error) in completion order.
 
-        def first_success():
-            with lock:
-                for role, outcome in outcomes:
-                    if not isinstance(outcome, Exception):
-                        return role, outcome
-            return None
+    _legs_type = queue.Queue
 
-        hedge_after = self.deadline_for(primary)
-        if deadline is not None:
-            # Never wait past the caller's budget before deciding.
-            hedge_after = min(hedge_after, deadline.remaining())
-        real_deadline = hedge_after * getattr(self.client.clock, "time_scale", 1.0)
-        wait_start = self.client.clock.now()
-        completed_early = first_done.wait(timeout=real_deadline)
-        tracer.add_event("hedge.wait",
-                         {"service": primary,
-                          "seconds": self.client.clock.now() - wait_start,
-                          "deadline": hedge_after})
-        # Hedge when the primary is slow — or when it already failed
-        # (an error is the slowest possible answer).
-        fired_hedge = not completed_early or (
-            completed_early and first_success() is None
-        )
-        if fired_hedge and deadline is not None and deadline.expired():
-            # A backup launched past the deadline cannot produce a
-            # usable answer; ride out the primary leg instead.
-            fired_hedge = False
-        if fired_hedge:
-            self.stats.hedges_fired += 1
-            if self._metric_fired is not None:
-                self._metric_fired.inc()
-            # The backup must be an independent upstream probe: if it
-            # coalesced onto an already-slow in-flight identical call
-            # it would just wait behind the same laggard it is meant to
-            # outrun.
-            backup_future = self.client.invoke_async(
-                backup, operation, payload, use_cache=use_cache,
-                coalesce=False, deadline=deadline)
-            backup_future.add_listener(record("backup"))
-            first_done.wait()
+    def _call(self, service: str, operation: str, payload, **options):
+        return resolved(self.client.invoke(service, operation, payload,
+                                           **options))
 
-        expected = 2 if fired_hedge else 1
-        winner = None
-        while winner is None:
-            # Snapshot once so the success check and the all-finished
-            # check see the same state (a success landing between two
-            # separate reads must not be missed).
-            with lock:
-                snapshot = list(outcomes)
-            for role, outcome in snapshot:
-                if not isinstance(outcome, Exception):
-                    winner = (role, outcome)
-                    break
-            if winner is not None:
-                break
-            if len(snapshot) >= expected:
-                raise snapshot[0][1]  # every leg failed
-            # Poll-wait: avoids the lost-wakeup race between checking
-            # outcomes and re-arming the event.
-            first_done.wait(timeout=0.005)
+    def _start_leg(self, legs, role: str, service: str, operation: str,
+                   payload, **options) -> None:
+        def report(future) -> None:
+            error = future.exception()
+            legs.put((role, error if error is not None else future.get()))
 
-        role, result = winner
-        if role == "primary":
-            self.stats.primary_wins += 1
-        else:
-            self.stats.hedge_wins += 1
-            if self._metric_wins is not None:
-                self._metric_wins.inc()
-        self.stats.latencies.append(self.client.clock.now() - start)
-        return result
+        self.client.invoke_async(service, operation, payload,
+                                 **options).add_listener(report)
+
+    def _wait_next(self, legs, timeout: float | None):
+        """Legs that finished within ``timeout`` wall seconds (None: wait)."""
+        try:
+            return resolved([legs.get(timeout=timeout)])
+        except queue.Empty:
+            return resolved([])
+
+    def _drop_losers(self, legs):
+        return resolved(None)
+
+
+def _first_success(outcomes: list) -> tuple | None:
+    """The earliest ``(role, result)`` whose leg did not fail."""
+    for role, outcome in outcomes:
+        if not isinstance(outcome, BaseException):
+            return role, outcome
+    return None

@@ -166,6 +166,35 @@ class TestRealClockQueueing:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("fair", [False, True], ids=["fifo", "fair"])
+    def test_waiter_cancelled_after_its_wakeup_passes_the_permit_on(self, fair):
+        """release() wakes the head waiter, which is cancelled before it
+        runs: it must end cancelled (3.11's wait_for admitted it
+        instead) and the permit must reach the next waiter at once, not
+        when its own queue window lapses (3.12 lost the wake-up)."""
+        async def scenario():
+            clock = RealClock(time_scale=TIME_SCALE)
+            bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
+                max_concurrent=1, max_queue=4, queue_timeout=25.0),
+                fair=fair)
+            await bulkhead.acquire()
+            woken = asyncio.ensure_future(bulkhead.acquire(tenant="a"))
+            next_up = asyncio.ensure_future(bulkhead.acquire(tenant="b"))
+            await asyncio.sleep(0.02)
+            assert bulkhead.queue_depth == 2
+            bulkhead.release()
+            woken.cancel()
+            waited = await asyncio.wait_for(next_up, timeout=5.0)
+            await asyncio.gather(woken, return_exceptions=True)
+            assert woken.cancelled()
+            assert waited < 5.0  # of a 25 s (0.5 wall-second) window
+            assert bulkhead.inflight == 1
+            bulkhead.release()
+            assert bulkhead.inflight == 0
+            assert bulkhead.queue_depth == 0
+
+        asyncio.run(scenario())
+
 
 class TestFairness:
     def test_drr_spreads_grants_across_tenants(self):

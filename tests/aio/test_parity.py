@@ -10,14 +10,33 @@ loop-native binding under asyncio.
 """
 
 import asyncio
+import importlib
+import inspect
+import pkgutil
+from dataclasses import asdict
 
 import pytest
 
+import repro.core
 from repro import RichClient, build_world
-from repro.core.aio import LoopRunner
+from repro.core.admission import (
+    AdmissionController,
+    AdmissionLimit,
+    AdmissionRejectedError,
+)
+from repro.core.aio import (
+    AsyncAdmissionController,
+    AsyncBulkhead,
+    AsyncCoalescer,
+    AsyncHedgedInvoker,
+    LoopRunner,
+)
+from repro.core.futures import run_sync
+from repro.core.hedging import HedgedInvoker
 from repro.core.quota import BudgetExceededError
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
+from repro.util.clock import ManualClock
 from repro.util.deadline import Deadline, DeadlineExceededError
 
 TEXT = "IBM announced excellent results while Initech struggled badly."
@@ -187,6 +206,175 @@ class TestCompositeParity:
             == [r.value for r in sync_results]
         assert [r.service for r in async_results] \
             == [r.service for r in sync_results]
+
+
+    def test_micro_batcher_windows_flush_identically(self, pair):
+        sync_world, sync_client, async_world, async_client = pair
+        texts = [TEXT, OTHER, "Initech files a memo.", TEXT]
+
+        def drive_sync():
+            batcher = sync_client.batcher(max_batch_size=2, max_wait=0.05)
+            futures = [batcher.submit("glotta", "analyze", {"text": text},
+                                      use_cache=False) for text in texts[:3]]
+            sync_world.clock.advance(0.05)
+            sent = batcher.flush_due()
+            futures.append(batcher.submit("glotta", "analyze",
+                                          {"text": texts[3]}, use_cache=False))
+            sent += batcher.flush_all() + batcher.flush_all()
+            return batcher, sent, [future.get().value for future in futures]
+
+        async def drive_async():
+            batcher = async_client.aio.batcher(max_batch_size=2, max_wait=0.05)
+            futures = [await batcher.submit("glotta", "analyze", {"text": text},
+                                            use_cache=False)
+                       for text in texts[:3]]
+            async_world.clock.advance(0.05)
+            sent = await batcher.flush_due()
+            futures.append(await batcher.submit(
+                "glotta", "analyze", {"text": texts[3]}, use_cache=False))
+            sent += await batcher.flush_all() + await batcher.flush_all()
+            return batcher, sent, [(await future).value for future in futures]
+
+        sync_batcher, sync_sent, sync_values = drive_sync()
+        async_batcher, async_sent, async_values = arun(drive_async())
+        assert async_values == sync_values
+        assert async_sent == sync_sent == 2
+        assert asdict(async_batcher.stats) == asdict(sync_batcher.stats)
+        assert sync_batcher.stats.size_flushes == 1
+        assert sync_batcher.stats.deadline_flushes == 1
+        assert sync_batcher.stats.empty_flushes == 1
+
+    def test_hedger_without_a_backup_degrades_identically(self, pair):
+        _, sync_client, _, async_client = pair
+        sync_hedger = HedgedInvoker(sync_client)
+        async_hedger = AsyncHedgedInvoker(async_client.aio)
+        sync_result = sync_hedger.invoke("nlu", "analyze", {"text": TEXT},
+                                         candidates=["glotta"])
+        async_result = arun(async_hedger.ainvoke(
+            "nlu", "analyze", {"text": TEXT}, candidates=["glotta"]))
+        assert async_result.value == sync_result.value
+        assert asdict(async_hedger.stats) == asdict(sync_hedger.stats)
+        assert sync_hedger.stats.primary_wins == 1
+        for hedger, call in ((sync_hedger, sync_hedger.invoke),
+                             (async_hedger,
+                              lambda *a, **k: arun(async_hedger.ainvoke(*a, **k)))):
+            with pytest.raises(ValueError, match="empty candidates"):
+                call("nlu", "analyze", {"text": TEXT}, candidates=[])
+            with pytest.raises(ValueError, match="no services of kind"):
+                call("no-such-kind", "analyze", {"text": TEXT})
+
+
+#: name -> (limit, fair, script).  Script steps: ("acquire", tenant,
+#: budget-or-None), ("release",), ("advance", seconds).  On a virtual
+#: clock a queued acquire charges its whole window and is then shed,
+#: so every step has one deterministic outcome under either binding.
+ADMISSION_SCRIPTS = {
+    "queue-timeout-and-deadline-sheds": (
+        AdmissionLimit(max_concurrent=2, max_queue=1, queue_timeout=0.5), False,
+        [("acquire", "a", None), ("acquire", "b", None),
+         ("acquire", "a", None),      # queues 0.5 s, shed queue-timeout
+         ("acquire", "b", 0.2),       # window clamped to 0.2 s, shed deadline
+         ("advance", 1.0),
+         ("acquire", "a", 0.0),       # spent budget: shed without queueing
+         ("release",), ("acquire", None, 3.0), ("release",), ("release",)]),
+    "queue-full-fast-fail": (
+        AdmissionLimit(max_concurrent=1, max_queue=0, queue_timeout=0.25), False,
+        [("acquire", "a", None), ("acquire", "b", None), ("acquire", "b", 1.0),
+         ("release",), ("acquire", "b", None), ("release",)]),
+    "fair-queue-same-verdicts": (
+        AdmissionLimit(max_concurrent=1, max_queue=2, queue_timeout=0.5), True,
+        [("acquire", "hog", None), ("acquire", "hog", None),
+         ("acquire", "mouse", 0.1), ("release",), ("acquire", "mouse", None),
+         ("acquire", "hog", 0.0), ("release",)]),
+}
+
+
+class TestAdmissionParity:
+    """The same arrival/release script through both park bindings."""
+
+    @staticmethod
+    async def play(controller, script):
+        """Run ``script``; the blocking binding's acquire returns a float,
+        the loop binding's an awaitable of one."""
+        bulkhead = controller.bulkhead_for("svc")
+        verdicts = []
+        for step in script:
+            if step[0] == "release":
+                bulkhead.release()
+            elif step[0] == "advance":
+                controller.clock.advance(step[1])
+            else:
+                _, tenant, budget = step
+                deadline = (Deadline.after(controller.clock, budget)
+                            if budget is not None else None)
+                try:
+                    waited = bulkhead.acquire(deadline=deadline, tenant=tenant)
+                    if inspect.isawaitable(waited):
+                        waited = await waited
+                    verdicts.append(("admitted", waited))
+                except AdmissionRejectedError as shed:
+                    verdicts.append(("shed", shed.reason, shed.retry_after,
+                                     str(shed)))
+        return verdicts, bulkhead, controller.clock.now()
+
+    @pytest.mark.parametrize("name", sorted(ADMISSION_SCRIPTS))
+    def test_script_gives_identical_verdicts_and_stats(self, name):
+        limit, fair, script = ADMISSION_SCRIPTS[name]
+        blocking = AdmissionController(ManualClock(), default_limit=limit,
+                                       fair=fair)
+        loop = AsyncAdmissionController.from_sync(
+            AdmissionController(ManualClock(), default_limit=limit, fair=fair))
+        sync_verdicts, sync_gate, sync_now = run_sync(self.play(blocking, script))
+        async_verdicts, async_gate, async_now = arun(self.play(loop, script))
+        assert isinstance(async_gate, AsyncBulkhead)
+        assert not isinstance(sync_gate, AsyncBulkhead)
+        assert async_verdicts == sync_verdicts
+        assert any(verdict[0] == "shed" for verdict in sync_verdicts)
+        assert asdict(async_gate.stats) == asdict(sync_gate.stats)
+        assert async_now == sync_now
+        assert async_gate.inflight == sync_gate.inflight == 0
+        assert async_gate.queue_depth == sync_gate.queue_depth == 0
+        assert blocking.shed_total() == loop.shed_total() == sync_gate.stats.shed
+
+
+#: Waiting-policy methods that PR 13 reduced to one definition each.  A
+#: second class under ``repro.core`` defining one of them means a policy
+#: has been forked per driver again.
+SINGLE_DEFINITION = {
+    # admission
+    "_arrive", "_resume", "_withdraw", "_maybe_grant", "_return_permit",
+    "_admit", "_count_shed", "_shed", "_queue_window", "_timed_out", "_wait",
+    # coalescing
+    "lead_or_join", "count_folded", "_discard",
+    # micro-batching
+    "_limit_for", "_submit", "_enqueue", "_detach", "_flush", "_flush_window",
+    "_fan_out",
+    # hedging
+    "deadline_for", "_rank", "_hedged", "_race",
+}
+
+
+class TestPoliciesAreWrittenOnce:
+    def test_no_policy_method_is_defined_by_two_classes(self):
+        owners = {}
+        for info in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if inspect.isclass(cls) and cls.__module__ == info.name:
+                    for name in SINGLE_DEFINITION & set(vars(cls)):
+                        owners.setdefault(name, []).append(cls.__qualname__)
+        forked = {name: classes for name, classes in owners.items()
+                  if len(classes) > 1}
+        assert not forked
+        assert {"_arrive", "lead_or_join", "_flush_window", "_race"} <= set(owners)
+
+    def test_loop_bindings_inherit_their_accounting(self):
+        # bind_metrics is a name many classes legitimately own; what
+        # must not come back is a second copy on a loop binding.
+        for binding in (AsyncBulkhead, AsyncAdmissionController,
+                        AsyncCoalescer):
+            assert "bind_metrics" not in vars(binding)
+            assert "stats" not in vars(binding)
 
 
 class TestFacadeParity:

@@ -5,12 +5,7 @@ import threading
 import pytest
 
 from repro import RichClient, build_world
-from repro.core.batching import (
-    Flight,
-    FlightCancelledError,
-    MicroBatcher,
-    RequestCoalescer,
-)
+from repro.core.batching import Flight, MicroBatcher, RequestCoalescer
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError
 from repro.util.clock import RealClock
@@ -26,9 +21,15 @@ TEXT = "IBM announced excellent results while Initech struggled badly."
 class TestFlight:
     def test_complete_reaches_every_waiter(self):
         flight = Flight("k")
-        flight.join()
-        assert flight.waiters == 2
+        seen = []
+        waiters = [threading.Thread(target=lambda: seen.append(flight.result(5)))
+                   for _ in range(2)]
+        for waiter in waiters:
+            waiter.start()
         assert flight.complete("value") is True
+        for waiter in waiters:
+            waiter.join(5)
+        assert seen == ["value", "value"]
         assert flight.result() == "value"
 
     def test_fail_shares_the_error(self):
@@ -43,25 +44,6 @@ class TestFlight:
         assert flight.complete("second") is False
         assert flight.fail(RuntimeError("late")) is False
         assert flight.result() == "first"
-
-    def test_cancelled_when_all_waiters_abandon(self):
-        cancelled = []
-        flight = Flight("k", on_cancel=cancelled.append)
-        flight.join()
-        assert flight.abandon() is False  # one waiter still interested
-        assert flight.abandon() is True   # last one leaves -> cancel
-        assert flight.cancelled
-        assert cancelled == [flight]
-        with pytest.raises(FlightCancelledError):
-            flight.result()
-        # A late leader settle is a no-op on the cancelled flight.
-        assert flight.complete("too late") is False
-
-    def test_abandon_after_settle_does_not_cancel(self):
-        flight = Flight("k")
-        flight.complete("value")
-        assert flight.abandon() is False
-        assert not flight.cancelled
 
 
 class TestRequestCoalescer:
@@ -87,13 +69,19 @@ class TestRequestCoalescer:
         assert fresh is not flight
 
     def test_cancelled_flight_leaves_the_table(self):
+        # "Cancelled" has one meaning on both drivers: the leader died
+        # with a non-Exception and failed its flight on the way out.
         coalescer = RequestCoalescer()
         _, flight = coalescer.lead_or_join("k")
         coalescer.lead_or_join("k")
-        flight.abandon()
-        flight.abandon()
+        coalescer.fail(flight, KeyboardInterrupt())
         assert len(coalescer) == 0
         assert coalescer.stats.cancelled == 1
+        with pytest.raises(KeyboardInterrupt):
+            flight.result()
+        _, failed = coalescer.lead_or_join("k")
+        coalescer.fail(failed, RuntimeError("upstream died"))
+        assert coalescer.stats.cancelled == 1  # an ordinary failure is not
 
     def test_count_folded_feeds_the_hit_stat(self):
         coalescer = RequestCoalescer()

@@ -147,3 +147,19 @@ class TestBaseExceptionCleanup:
                                    [{"text": TEXT}, {"text": OTHER}])
         assert guarded.tenancy.usage("alpha")["calls"] == 0
         assert guarded.admission.bulkhead_for("glotta").inflight == 0
+
+    def test_interrupted_flush_fails_every_rider_of_the_window(
+            self, client, monkeypatch):
+        batcher = client.batcher(max_batch_size=2)
+        first = batcher.submit("glotta", "analyze", {"text": TEXT},
+                               use_cache=False)
+        monkeypatch.setattr(client, "invoke_batched", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            batcher.submit("glotta", "analyze", {"text": OTHER},
+                           use_cache=False)
+        # The window left the table when the flush began, so a rider
+        # not failed here would wait forever.
+        assert batcher.pending() == 0
+        assert first.is_done()
+        assert isinstance(first.exception(), KeyboardInterrupt)
+        assert batcher.stats.flushes == 1

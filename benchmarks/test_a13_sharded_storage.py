@@ -1,17 +1,21 @@
-"""A13 — sharded storage: parallel fan-out crossover and SQLite scale.
+"""A13 — sharded storage: what routing costs and what SQLite holds.
 
-Two quantitative claims for the storage tentpole:
+Sharding is a capacity / persistence feature: the router visits its
+shards one after another on the caller's thread.  (A 4-thread pool
+over the same shards measured 0.59x-1.01x of a single store on two
+cores — see EXPERIMENTS.md — and was removed.)  Two claims:
 
-1. **Parallel scatter beats a single store past a crossover size.**
-   The same native numeric top-k query (range filter + ORDER BY +
-   LIMIT, compiled to each shard's ``scan_numeric``) is timed against
-   ``ShardedGraph(1, sqlite)`` and ``ShardedGraph(N, sqlite)`` on a
-   ladder of triple counts.  Both sides run identical SQLite C scans —
-   the only variable is fan-out across the worker pool — so the
-   reported crossover isolates parallelism, not engine differences.
-   SQLite releases the GIL inside its scans, which is what makes the
-   threads real; the in-memory family is also timed as context to show
-   pure-Python shard scans *cannot* win under the GIL.
+1. **Routing is cheap.**  The same native numeric top-k query (range
+   filter + ORDER BY + LIMIT, compiled to each shard's
+   ``scan_numeric``) is timed against ``ShardedGraph(1, sqlite)`` and
+   ``ShardedGraph(N, sqlite)`` on a ladder of triple counts.  Both
+   sides run identical SQLite C scans over the same rows in total, so
+   the ratio isolates what the router adds: N statements instead of
+   one, N top-k lists and a ``heapq.merge``.  That is a fixed cost per
+   query, so the ratio falls towards 1 as the store grows.  The
+   in-memory family is timed as context (a plain ``Graph`` answers
+   through the generic SELECT engine, the in-memory router through
+   its Python numeric scan — different code, not a routing cost).
 
 2. **A SQLite-backed KB handles a graph beyond comfortable in-memory
    size, byte-identically.**  A file-backed KB is loaded with more
@@ -21,7 +25,7 @@ Two quantitative claims for the storage tentpole:
 
 Results land in ``benchmarks/results/BENCH_A13.json``.  The default
 run is a smoke-sized ladder (CI-friendly); set ``A13_FULL=1`` for the
-full ladder, where the crossover assertion is enforced.
+full ladder, where the routing-cost bound is enforced.
 """
 
 import os
@@ -36,10 +40,10 @@ from repro.stores.rdf.query import RangeFilter, select
 from repro.stores.rdf.shard import ShardedGraph
 
 FULL = os.environ.get("A13_FULL") == "1"
-#: Scatter wall-clock wins need real cores to land the per-shard C
-#: scans on; on a single-core host the fan-out can only tie, so the
-#: speedup assertion is gated on this.
+#: Recorded with the results; the router uses one core whatever it is.
 CORES = os.cpu_count() or 1
+#: Bound on 4-shard / 1-shard wall at the largest full rung.
+MAX_ROUTING_COST = 1.25
 SHARDS = 4
 REPEATS = 5 if FULL else 3
 LADDER = [4_000, 16_000, 64_000, 160_000] if FULL else [2_000, 8_000]
@@ -63,49 +67,46 @@ def _query(graph) -> list:
                   descending=True, limit=100)
 
 
-def _best_time(graph) -> float:
-    best = float("inf")
+def _best_times(*graphs) -> list[float]:
+    """Best wall per graph; the graphs take turns within each round, so
+    a slow stretch on the host lands on all of them alike."""
+    best = [float("inf")] * len(graphs)
     for _ in range(REPEATS):
-        started = time.perf_counter()
-        _query(graph)
-        best = min(best, time.perf_counter() - started)
+        for slot, graph in enumerate(graphs):
+            started = time.perf_counter()
+            _query(graph)
+            best[slot] = min(best[slot], time.perf_counter() - started)
     return best
 
 
 def _build(count: int, shards: int, sqlite: bool):
     factory = (lambda index: SqliteTripleStore()) if sqlite else None
-    graph = ShardedGraph(shards=shards, backend_factory=factory,
-                         parallel_threshold=0)
+    graph = ShardedGraph(shards=shards, backend_factory=factory)
     graph.add_all(_triples(count))
     return graph
 
 
-def test_a13_parallel_scatter_crossover_and_sqlite_scale(tmp_path):
-    # -- claim 1: the crossover ladder ---------------------------------
+def test_a13_routing_cost_and_sqlite_scale(tmp_path):
+    # -- claim 1: the routing-cost ladder ------------------------------
     ladder_rows = []
-    crossover = None
     for count in LADDER:
         single = _build(count, 1, sqlite=True)
         sharded = _build(count, SHARDS, sqlite=True)
         assert _query(single) == _query(sharded)  # identical bytes first
-        t_single = _best_time(single)
-        t_sharded = _best_time(sharded)
+        t_single, t_sharded = _best_times(single, sharded)
         memory_single = Graph()
         memory_single.add_all(_triples(count))
-        t_memory = _best_time(memory_single)
         memory_sharded = _build(count, SHARDS, sqlite=False)
-        t_memory_sharded = _best_time(memory_sharded)
+        t_memory, t_memory_sharded = _best_times(memory_single,
+                                                 memory_sharded)
         single.close()
         sharded.close()
         memory_sharded.close()
-        speedup = t_single / t_sharded
-        if crossover is None and t_sharded < t_single:
-            crossover = count
         ladder_rows.append({
             "triples": count,
             "sqlite_single_ms": round(t_single * 1000, 3),
             "sqlite_sharded_ms": round(t_sharded * 1000, 3),
-            "sqlite_speedup": round(speedup, 3),
+            "routing_cost": round(t_sharded / t_single, 3),
             "memory_single_ms": round(t_memory * 1000, 3),
             "memory_sharded_ms": round(t_memory_sharded * 1000, 3),
         })
@@ -142,28 +143,26 @@ def test_a13_parallel_scatter_crossover_and_sqlite_scale(tmp_path):
 
     # -- report ---------------------------------------------------------
     lines = [fmt_row("triples", "sqlite 1-shard", f"sqlite {SHARDS}-shard",
-                     "speedup", "memory 1", f"memory {SHARDS}")]
+                     "routing cost", "memory 1", f"memory {SHARDS}")]
     for row in ladder_rows:
         lines.append(fmt_row(
             row["triples"], f"{row['sqlite_single_ms']:.2f} ms",
             f"{row['sqlite_sharded_ms']:.2f} ms",
-            f"{row['sqlite_speedup']:.2f}x",
+            f"{row['routing_cost']:.2f}x",
             f"{row['memory_single_ms']:.2f} ms",
             f"{row['memory_sharded_ms']:.2f} ms"))
-    lines.append(f"crossover (sharded wins): "
-                 f"{crossover if crossover else 'not reached on this ladder'}"
-                 f" [{CORES} core(s) available]")
+    lines.append(f"routing cost = {SHARDS}-shard / 1-shard wall, serial "
+                 f"router [{CORES} core(s) available]")
     lines.append(f"sqlite KB: {KB_TRIPLES} triples, "
                  f"{disk_bytes / 1e6:.1f} MB on disk vs "
                  f"{ram_bytes / 1e6:.1f} MB resident in-memory")
-    report("A13", "sharded storage: fan-out crossover + SQLite scale", lines)
+    report("A13", "sharded storage: routing cost + SQLite scale", lines)
     report_json("A13", {
         "experiment": "A13.sharded-storage",
         "shards": SHARDS,
         "cores": CORES,
         "full": FULL,
         "ladder": ladder_rows,
-        "crossover_triples": crossover,
         "sqlite_kb": {
             "triples": KB_TRIPLES,
             "disk_bytes": disk_bytes,
@@ -172,11 +171,8 @@ def test_a13_parallel_scatter_crossover_and_sqlite_scale(tmp_path):
         },
     })
 
-    # Correctness invariants always hold; the parallel-speedup claim is
-    # only enforceable on the full ladder AND with real cores to fan
-    # out onto — a single-core host can at best tie (the numbers are
-    # still reported so the crossover is visible where it exists).
+    # The bound is only meaningful on the full ladder: at smoke sizes
+    # the router's fixed per-query cost is most of a ~1 ms scan.
     assert all(row["sqlite_sharded_ms"] > 0 for row in ladder_rows)
-    if FULL and CORES >= 2:
-        assert crossover is not None, "sharded never beat single-shard"
-        assert ladder_rows[-1]["sqlite_speedup"] > 1.2
+    if FULL:
+        assert ladder_rows[-1]["routing_cost"] <= MAX_ROUTING_COST

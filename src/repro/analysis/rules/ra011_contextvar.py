@@ -4,12 +4,12 @@ Tenant identity (:func:`repro.tenancy.context.tenant_scope`) and the
 current trace span ride on :mod:`contextvars`.  The repo's sanctioned
 hand-off points all copy the context onto the worker:
 ``CallbackExecutor.submit`` wraps the callable in
-``contextvars.copy_context().run``, the sharded-graph fan-out submits
-``context.run``, and ``LoopRunner`` enters tasks under the submitter's
-context.  A *bare* ``ThreadPoolExecutor.submit(fn)`` or
-``threading.Thread(target=fn)`` silently severs all of it: the work
-executes as no tenant (billed to nobody, guest-bucketed, cache-
-namespaced wrongly) with an orphaned trace.
+``contextvars.copy_context().run`` and ``LoopRunner`` enters tasks
+under the submitter's context.  A *bare*
+``ThreadPoolExecutor.submit(fn)`` or ``threading.Thread(target=fn)``
+silently severs all of it: the work executes as no tenant (billed to
+nobody, guest-bucketed, cache-namespaced wrongly) with an orphaned
+trace.
 
 Interprocedural resolution does the heavy lifting: the receiver's type
 comes from constructor assignments, parameter annotations or a resolved

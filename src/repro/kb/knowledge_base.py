@@ -10,6 +10,7 @@ secure / offline remote persistence.
 
 from __future__ import annotations
 
+import asyncio
 from collections.abc import Sequence
 from contextlib import nullcontext
 from pathlib import Path
@@ -55,7 +56,7 @@ class PersonalKnowledgeBase:
     the backend (``"memory"``, ``"sqlite"``, or a ``factory(index)``
     callable building any :class:`~repro.stores.backends.base.\
 StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
-    queried with parallel fan-out.  The defaults keep the original
+    behind one router.  The defaults keep the original
     single in-memory :class:`Graph` — bit-for-bit, including planner
     estimates.  SQLite shards persist under ``data_dir/triples/`` when
     a ``data_dir`` is configured (reopening the same KB finds its
@@ -142,7 +143,7 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         not a one-shard router — so existing KBs see the exact same
         object type and behavior.  Anything else goes through
         :class:`ShardedGraph` (even at ``shards=1``, which adds the
-        fan-out engine's native numeric pushdown at no routing cost).
+        router's native numeric pushdown at no routing cost).
         """
         if self.uses_default_storage:
             return Graph()
@@ -299,25 +300,13 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
             return select(self.graph, patterns, **kwargs)
 
     async def aquery(self, patterns, **kwargs):
-        """Awaitable :meth:`query` for ``repro.core.aio`` callers.
+        """Awaitable :meth:`query`: the same call on a worker thread.
 
-        Sharded stores fan out natively (one awaited task per shard);
-        single stores run the query on the default executor so the
-        event loop stays unblocked either way.
+        The event loop stays unblocked, and ``asyncio.to_thread``
+        copies the caller's context, so the ``kb.query`` span, its
+        tenant and the query counter are those of :meth:`query`.
         """
-        if self._metric_queries is not None:
-            self._metric_queries.inc()
-        arunner = getattr(self.graph, "aselect", None)
-        if self.view is None and callable(arunner):
-            return await arunner(patterns, **kwargs)
-        import asyncio
-        import functools
-
-        loop = asyncio.get_running_loop()
-        target = self.view.select if self.view is not None else functools.partial(
-            select, self.graph)
-        return await loop.run_in_executor(
-            None, functools.partial(target, patterns, **kwargs))
+        return await asyncio.to_thread(self.query, patterns, **kwargs)
 
     def explain(self, patterns, filters: Sequence = ()) -> QueryPlan:
         """The planner's chosen join order and filter placement.

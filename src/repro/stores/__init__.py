@@ -11,7 +11,8 @@ The triple store's physical layer is pluggable
 stdlib-``sqlite3`` file backend satisfy the same
 :class:`~repro.stores.backends.base.StorageBackend` contract, and
 :class:`~repro.stores.rdf.shard.ShardedGraph` composes N of either
-behind hash sharding with parallel fan-out queries.
+behind one hash-sharding router (capacity and per-shard persistence;
+shards are queried one after another on the caller's thread).
 """
 
 from repro.stores.backends import SqliteTripleStore, StorageBackend

@@ -14,8 +14,8 @@ the triples:
   stdlib-``sqlite3`` store (file or ``:memory:``) whose prefix scans
   are backed by B-tree indexes over the same three orderings;
 * :class:`~repro.stores.rdf.shard.ShardedGraph` — N independent
-  backends keyed by a stable subject hash, with parallel fan-out
-  query execution.
+  backends keyed by a stable subject hash, for capacity and
+  per-shard persistence; queries visit the shards one after another.
 
 The protocol is deliberately the surface :mod:`repro.stores.rdf.query`
 already consumes.  ``match`` *is* the prefix-scan API: each bound /
@@ -67,6 +67,11 @@ class StorageBackend(Protocol):
 
     def add_all(self, triples: Iterable[Triple | tuple]) -> int:
         """Insert many triples; returns how many were new."""
+
+    def add_many(self, triples: Iterable[Triple | tuple]) -> list[bool]:
+        """Insert many triples as one batch; per-triple newness flags
+        in input order.  A batching backend makes the call one
+        transaction: if it raises, none of the batch is visible."""
 
     def remove(self, triple: Triple | tuple) -> bool:
         """Delete a triple; returns whether it was present."""

@@ -14,8 +14,8 @@ hash indexes, so every ``match`` prefix scan is index-backed:
   ``WITHOUT ROWID`` with primary key ``(s, p, o)`` (the SPO index);
   secondary indexes cover ``(p, o, s)`` and ``(o, s, p)``.  ``onum``
   denormalizes numeric object values so range scans and top-k orders
-  can run inside SQLite's C engine (GIL released), which is what the
-  sharded scatter path parallelizes across backends.
+  can run inside SQLite's C engine, which is what the sharded
+  scatter path pushes down to each backend.
 
 Writes are batched: :meth:`add_all` / :meth:`add_many` run chunked
 ``executemany`` inside one transaction.  A ``fault_hook`` — the chaos
@@ -101,10 +101,10 @@ def _numeric_value(term: Term) -> float | None:
 class SqliteTripleStore:
     """A :class:`StorageBackend` over one stdlib-``sqlite3`` database.
 
-    Thread-safe: one connection guarded by an RLock, so independent
-    stores (e.g. shards) scan in parallel while each store serializes
-    its own access.  ``batch_size`` bounds the rows per ``executemany``
-    chunk inside :meth:`add_all` / :meth:`add_many` transactions.
+    Thread-safe: one connection guarded by an RLock, so each store
+    serializes its own access and independent stores do not contend.
+    ``batch_size`` bounds the rows per ``executemany`` chunk inside
+    :meth:`add_all` / :meth:`add_many` transactions.
     """
 
     def __init__(self, path: str | Path = ":memory:", *,
@@ -397,8 +397,8 @@ class SqliteTripleStore:
         value falls in the given range, ordered by value (ties broken
         by interned subject id, so output is deterministic for one
         store).  This is the pushed-down filter + top-k primitive the
-        sharded scatter path fans out per shard: the row scan runs
-        with the GIL released, so N shards scan on N cores.
+        sharded scatter path runs on each shard in turn: every shard
+        returns at most ``limit`` rows for the router to merge.
         """
         with self._lock:
             predicate_id = self._term_ids.get(predicate)

@@ -14,9 +14,9 @@
   planner built on them.
 * :mod:`repro.stores.rdf.materialize` — incrementally maintained
   materialized views with a version-keyed query-result cache.
-* :mod:`repro.stores.rdf.shard` — the hash-sharded composite store
-  with parallel fan-out query execution (backends pluggable via
-  :mod:`repro.stores.backends`).
+* :mod:`repro.stores.rdf.shard` — the hash-sharded composite store:
+  a serial router with scatter/gather query execution (backends
+  pluggable via :mod:`repro.stores.backends`).
 """
 
 from repro.stores.rdf.graph import Triple, Graph, RDF, RDFS, REPRO

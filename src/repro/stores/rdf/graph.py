@@ -164,9 +164,9 @@ class Graph:
     def add_many(self, triples: Iterable[Triple | tuple]) -> list[bool]:
         """Insert many triples; returns per-triple newness flags.
 
-        The sharded router prefers this over :meth:`add_all` so it can
-        maintain its global statistics from exactly the triples that
-        were new.  Batching backends override it with one transaction.
+        The sharded router writes through this so it can maintain its
+        global statistics from exactly the triples that were new.
+        Batching backends make the call one transaction.
         """
         return [self.add(triple) for triple in triples]
 

@@ -334,7 +334,7 @@ class MaterializedGraph:
             if self._metric_cache_misses is not None:
                 self._metric_cache_misses.inc()
         # A wrapped store with its own execution strategy (the sharded
-        # router's scatter/fan-out) answers itself; plain backends go
+        # router's scatter/gather) answers itself; plain backends go
         # through the single-store engine.
         runner = getattr(self.graph, "select", None)
         if callable(runner):

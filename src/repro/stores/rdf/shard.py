@@ -1,29 +1,29 @@
-"""Hash-sharded triple storage with parallel fan-out query execution.
+"""Hash-sharded triple storage: a router over N storage backends.
 
-One dictionary-encoded graph caps both KB size and scan parallelism:
-every query runs single-threaded over one index set.  A
-:class:`ShardedGraph` splits the triple set across N independent
-:class:`~repro.stores.backends.base.StorageBackend` shards keyed by a
-**stable subject hash** (CRC-32, so placement survives restarts and
-file-backed shards reopen onto the same data), and turns queries into
-scatter/gather plans:
+One store caps how many triples a KB can hold (one process's memory,
+or one file).  A :class:`ShardedGraph` splits the triple set across N
+independent :class:`~repro.stores.backends.base.StorageBackend` shards
+keyed by a **stable subject hash** (CRC-32, so placement survives
+restarts and file-backed shards reopen onto the same data), and turns
+queries into scatter/gather plans.  Sharding is a capacity and
+persistence feature, not a speed-up: per-shard work runs in shard
+order on the caller's thread (a thread pool under the GIL measured no
+gain over one store — see EXPERIMENTS.md, A13), so the router owns no
+threads and nothing it starts outlives a call.
 
 * **Routing** — a pattern with a concrete subject touches exactly one
-  shard; everything else fans out.  Because a subject's triples are
-  colocated, *star queries* (every pattern sharing one subject
-  variable) decompose perfectly: each shard answers the whole query
-  over its slice and the union of slices is the global answer.
-* **Scatter execution** — per-shard SELECTs run on a small worker
-  pool with filters and top-k heaps pushed down per shard, and merge
-  with stable ordering (``heapq.merge`` keeps ties in shard order).
-  An :func:`asyncio`-native :meth:`ShardedGraph.aselect` awaits the
-  same fan-out from coroutine code.
+  shard; everything else visits every shard.  Because a subject's
+  triples are colocated, *star queries* (every pattern sharing one
+  subject variable) decompose perfectly: each shard answers the whole
+  query over its slice and the union of slices is the global answer.
+* **Scatter execution** — per-shard SELECTs run with filters and
+  top-k heaps pushed down per shard, and merge with stable ordering
+  (``heapq.merge`` keeps ties in shard order).
 * **Native numeric pushdown** — a single-pattern query whose filters
   are :class:`~repro.stores.rdf.query.RangeFilter`\\ s compiles to each
   backend's numeric index scan
   (:meth:`~repro.stores.backends.sqlite.SqliteTripleStore.scan_numeric`),
-  so SQLite shards scan in C with the GIL released — N shards really
-  do scan on N cores.
+  so SQLite shards filter, order and trim inside their C engine.
 * **Broadcast joins** — cross-shard joins fall back to the cost-based
   planner over the router itself: each join step's pattern scan is
   scattered across shards and the bindings join at the router (the
@@ -42,18 +42,15 @@ concurrent writers need external synchronization.
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import heapq
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from functools import partial
 from itertools import chain, islice
 
 from repro.obs import names
 from repro.stores.rdf.graph import Graph, Term, Triple
-from repro.stores.rdf.materialize import MaterializedGraph
 from repro.stores.rdf.query import (
     Binding,
     Pattern,
@@ -64,7 +61,7 @@ from repro.stores.rdf.query import (
     project_bindings,
     select as _select,
 )
-from repro.stores.rdf.stats import BOUND, PredicateStats
+from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
 from repro.util.clock import SYSTEM_CLOCK, Clock
 
 #: Route labels (also used by ``FanoutPlan.explain()``).
@@ -72,11 +69,8 @@ ROUTE_SINGLE = "single-shard"
 ROUTE_SCATTER = "scatter"
 ROUTE_BROADCAST = "broadcast"
 
-#: Below this many held triples a fan-out ``match`` stays serial —
-#: thread dispatch costs more than the scan it would parallelize.
-DEFAULT_PARALLEL_THRESHOLD = 4096
-
-_POOL_CAP = 8
+#: The one key the all-predicate distinct counts are recorded under.
+_ANY_PREDICATE = None
 
 
 def shard_of(subject: str, shards: int) -> int:
@@ -101,23 +95,21 @@ def merged_range(filters: Sequence[RangeFilter]) -> tuple:
     return low, low_inc, high, high_inc
 
 
-def _fallback_numeric_scan(backend, predicate: str, low, low_inc, high,
-                           high_inc, descending: bool,
+def _fallback_numeric_scan(backend, predicate: str, low, high, *,
+                           low_inclusive: bool, high_inclusive: bool,
+                           descending: bool,
                            limit: int | None) -> list[Triple]:
     """Python-side numeric range + top-k for backends without a native scan.
 
-    Mirrors ``SqliteTripleStore.scan_numeric`` semantics: numeric
-    objects only, ordered by value with a deterministic subject
-    tie-break, bounded by a heap when a limit is given.
+    ``SqliteTripleStore.scan_numeric``'s signature (after ``backend``)
+    and semantics: numeric objects only, ordered by value with a
+    deterministic subject tie-break, bounded by a heap when a limit is
+    given.
     """
-    probe = RangeFilter("?v", low, high, low_inclusive=low_inc,
-                        high_inclusive=high_inc)
-
-    def in_range(value: object) -> bool:
-        return probe({"?v": value})
-
+    in_range = RangeFilter("?v", low, high, low_inclusive=low_inclusive,
+                           high_inclusive=high_inclusive)
     candidates = [t for t in backend.match(None, predicate, None)
-                  if in_range(t.object)]
+                  if in_range({"?v": t.object})]
     # Same total order as the SQL scan: value (per ``descending``),
     # then subject ascending for ties.
     sign = -1.0 if descending else 1.0
@@ -131,51 +123,39 @@ class ShardedGraph:
     """N independent storage shards behind one Graph-shaped surface.
 
     ``backend_factory(index)`` builds each shard (default: an
-    in-memory :class:`Graph`).  ``shard_reasoners`` wraps every shard
-    in a :class:`MaterializedGraph`, giving the scatter path per-shard
-    version-keyed query caches; only pass reasoners whose premises are
-    subject-local (schema-spanning rules like ``rdfs:subClassOf``
-    chains must instead materialize at the router — wrap the whole
-    ShardedGraph in a MaterializedGraph, which the KB's
-    ``enable_materialization`` does).
+    in-memory :class:`Graph`).  To keep the store closed under
+    reasoners, wrap the whole router in a
+    :class:`~repro.stores.rdf.materialize.MaterializedGraph` (the KB's
+    ``enable_materialization`` does): rules such as ``rdfs:subClassOf``
+    chains span subjects, hence shards.
     """
 
     def __init__(self, shards: int = 4,
                  backend_factory: Callable[[int], object] | None = None,
                  *,
-                 executor: ThreadPoolExecutor | None = None,
                  obs=None,
-                 clock: Clock | None = None,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-                 shard_reasoners: Sequence[object] | None = None) -> None:
+                 clock: Clock | None = None) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shard_count = shards
-        self.parallel_threshold = parallel_threshold
         factory = backend_factory if backend_factory is not None else (
             lambda index: Graph())
-        self._factory = factory
-        built = [factory(index) for index in range(shards)]
-        if shard_reasoners is not None:
-            built = [MaterializedGraph(base, reasoners=list(shard_reasoners))
-                     for base in built]
-        self._shards = built
-        self._owns_pool = executor is None
-        self._pool = executor
+        self._shards = [factory(index) for index in range(shards)]
         self._clock = clock if clock is not None else SYSTEM_CLOCK
-        # Router-global statistics: exact mirrors of what a single
-        # Graph's GraphStatistics would hold, maintained per mutation.
-        self._total = 0
-        self._pred_count: dict[str, int] = {}
-        self._pred_subjects: dict[str, dict[str, int]] = {}
-        self._pred_objects: dict[str, dict[Term, int]] = {}
-        self._subject_count: dict[str, int] = {}
-        self._object_count: dict[Term, int] = {}
+        # Router-global statistics, exact mirrors of a single Graph's
+        # (keyed by term, not id): per predicate in ``_stats``, and
+        # once more under one key in ``_overall`` for the distinct
+        # subject / object counts over all predicates.
+        self._stats = GraphStatistics()
+        self._overall = GraphStatistics()
+        # First-seen representation of every non-string object: equal
+        # terms (``1``, ``1.0``, ``True``) are one term on every shard,
+        # as they are inside one store.
+        self._literals: dict[Term, Term] = {}
         # File-backed shards may reopen with existing triples; hydrate
-        # the router's global statistics from them (one O(n) pass).
-        for shard in self._shards:
-            for triple in shard:
-                self._stats_add(triple)
+        # the router's global state from them (one O(n) pass).
+        for triple in self:
+            self._count(self._coerce(triple))
         if obs is not None and obs.enabled:
             self._tracer = obs.tracer
             self._metric_scans = obs.metrics.counter(
@@ -191,38 +171,17 @@ class ShardedGraph:
 
     # -- infrastructure ----------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(self.shard_count, _POOL_CAP),
-                thread_name_prefix="repro-shard")
-        return self._pool
-
-    def _submit(self, function, *args):
-        """Submit to the pool with the caller's contextvars (spans, tenant)."""
-        context = contextvars.copy_context()
-        return self._ensure_pool().submit(context.run, function, *args)
-
     def _fan_out(self, function) -> list:
-        """Run ``function(shard)`` for every shard, in parallel when the
-        pool pays for itself; results come back in shard order."""
-        if self.shard_count == 1:
-            return [function(self._shards[0])]
-        if self._metric_scans is not None:
+        """``function(shard)`` for every shard, on the caller's thread;
+        results come back in shard order."""
+        if self._metric_scans is not None and self.shard_count > 1:
             self._metric_scans.inc(self.shard_count)
-        if self._total < self.parallel_threshold:
-            return [function(shard) for shard in self._shards]
-        futures = [self._submit(function, shard) for shard in self._shards]
-        return [future.result() for future in futures]
+        return [function(shard) for shard in self._shards]
 
     def close(self) -> None:
-        """Shut down the owned worker pool and close closable shards."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Close the shards that can be closed (file-backed stores)."""
         for shard in self._shards:
-            backend = shard.graph if isinstance(shard, MaterializedGraph) else shard
-            closer = getattr(backend, "close", None)
+            closer = getattr(shard, "close", None)
             if callable(closer):
                 closer()
 
@@ -235,90 +194,68 @@ class ShardedGraph:
         """The shard backends, in index order (read-only use)."""
         return list(self._shards)
 
-    # -- statistics maintenance --------------------------------------------
+    def _coerce(self, triple: Triple | tuple) -> Triple:
+        """The triple to write: its object as first seen by the router."""
+        triple = Graph._coerce(triple)
+        obj = triple.object
+        if isinstance(obj, str):
+            return triple
+        first = self._literals.setdefault(obj, obj)
+        return (triple if first is obj
+                else Triple(triple.subject, triple.predicate, first))
 
-    def _stats_add(self, triple: Triple) -> None:
-        self._total += 1
-        predicate = triple.predicate
-        self._pred_count[predicate] = self._pred_count.get(predicate, 0) + 1
-        bucket = self._pred_subjects.setdefault(predicate, {})
-        bucket[triple.subject] = bucket.get(triple.subject, 0) + 1
-        objects = self._pred_objects.setdefault(predicate, {})
-        objects[triple.object] = objects.get(triple.object, 0) + 1
-        self._subject_count[triple.subject] = (
-            self._subject_count.get(triple.subject, 0) + 1)
-        self._object_count[triple.object] = (
-            self._object_count.get(triple.object, 0) + 1)
-
-    def _stats_remove(self, triple: Triple) -> None:
-        self._total -= 1
-        predicate = triple.predicate
-
-        def decrement(table: dict, key) -> None:
-            left = table[key] - 1
-            if left:
-                table[key] = left
-            else:
-                del table[key]
-
-        decrement(self._pred_count, predicate)
-        decrement(self._pred_subjects[predicate], triple.subject)
-        if not self._pred_subjects[predicate]:
-            del self._pred_subjects[predicate]
-        decrement(self._pred_objects[predicate], triple.object)
-        if not self._pred_objects[predicate]:
-            del self._pred_objects[predicate]
-        decrement(self._subject_count, triple.subject)
-        decrement(self._object_count, triple.object)
+    def _count(self, triple: Triple) -> None:
+        """Account for one triple a shard reported as new."""
+        self._stats.record_add(triple.subject, triple.predicate, triple.object)
+        self._overall.record_add(triple.subject, _ANY_PREDICATE, triple.object)
 
     # -- mutation ----------------------------------------------------------
 
     def add(self, triple: Triple | tuple) -> bool:
         """Insert a triple on its subject's shard."""
-        triple = Graph._coerce(triple)
+        triple = self._coerce(triple)
         added = self.shard_for(triple.subject).add(triple)
         if added:
-            self._stats_add(triple)
-        return added
-
-    def add_all(self, triples: Iterable[Triple | tuple]) -> int:
-        """Bulk insert: triples are grouped per shard and written as one
-        batched transaction each (``add_many``) where the backend
-        supports it."""
-        groups: dict[int, list[Triple]] = {}
-        for triple in triples:
-            triple = Graph._coerce(triple)
-            groups.setdefault(shard_of(triple.subject, self.shard_count),
-                              []).append(triple)
-        added = 0
-        for index in sorted(groups):
-            shard = self._shards[index]
-            batch = groups[index]
-            add_many = getattr(shard, "add_many", None)
-            if callable(add_many):
-                flags = add_many(batch)
-            else:
-                flags = [shard.add(triple) for triple in batch]
-            for triple, fresh in zip(batch, flags):
-                if fresh:
-                    self._stats_add(triple)
-                    added += 1
+            self._count(triple)
         return added
 
     def add_many(self, triples: Iterable[Triple | tuple]) -> list[bool]:
-        """Per-triple newness flags (order preserved across shards)."""
-        rows = [Graph._coerce(triple) for triple in triples]
-        flags = []
-        for triple in rows:
-            flags.append(self.add(triple))
+        """Bulk insert reporting per-triple newness in input order.
+
+        Triples are grouped per shard and each group is one
+        ``add_many`` on its shard — one transaction on a batching
+        backend.  When a shard raises, its group is not counted (the
+        backend rolled it back) and earlier shards keep theirs.
+        """
+        rows = [self._coerce(triple) for triple in triples]
+        groups: dict[int, list[int]] = {}
+        for position, triple in enumerate(rows):
+            groups.setdefault(shard_of(triple.subject, self.shard_count),
+                              []).append(position)
+        flags = [False] * len(rows)
+        for index in sorted(groups):
+            positions = groups[index]
+            fresh = self._shards[index].add_many(
+                [rows[position] for position in positions])
+            for position, new in zip(positions, fresh):
+                if new:
+                    flags[position] = True
+                    self._count(rows[position])
         return flags
+
+    def add_all(self, triples: Iterable[Triple | tuple]) -> int:
+        """Bulk insert (see :meth:`add_many`); returns how many were new."""
+        return sum(self.add_many(triples))
 
     def remove(self, triple: Triple | tuple) -> bool:
         """Delete a triple from its subject's shard."""
         triple = Graph._coerce(triple)
         removed = self.shard_for(triple.subject).remove(triple)
         if removed:
-            self._stats_remove(triple)
+            self._stats.record_remove(triple.subject, triple.predicate,
+                                      triple.object)
+            self._overall.record_remove(triple.subject, _ANY_PREDICATE,
+                                        triple.object)
         return removed
 
     def discard(self, triple: Triple | tuple) -> bool:
@@ -329,17 +266,14 @@ class ShardedGraph:
         """Clear every shard; versions still advance."""
         for shard in self._shards:
             shard.clear()
-        self._total = 0
-        self._pred_count.clear()
-        self._pred_subjects.clear()
-        self._pred_objects.clear()
-        self._subject_count.clear()
-        self._object_count.clear()
+        self._stats.clear()
+        self._overall.clear()
+        self._literals.clear()
 
     # -- reads -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._total
+        return self._stats.total
 
     def __iter__(self) -> Iterator[Triple]:
         return chain.from_iterable(self._shards)
@@ -376,12 +310,11 @@ class ShardedGraph:
 
     def predicates(self) -> set[str]:
         """Every predicate with at least one triple (router stats)."""
-        return set(self._pred_count)
+        return set(self._stats.predicate_ids())
 
     def copy(self) -> "ShardedGraph":
         """An in-memory sharded copy with the same shard count."""
-        duplicate = ShardedGraph(shards=self.shard_count,
-                                 parallel_threshold=self.parallel_threshold)
+        duplicate = ShardedGraph(shards=self.shard_count)
         duplicate.add_all(self)
         return duplicate
 
@@ -389,14 +322,15 @@ class ShardedGraph:
 
     def predicate_statistics(self) -> dict[str, PredicateStats]:
         """Global per-predicate statistics (identical to a single store's)."""
+        stats = self._stats
         return {
             predicate: PredicateStats(
                 predicate=predicate,
-                count=count,
-                distinct_subjects=len(self._pred_subjects[predicate]),
-                distinct_objects=len(self._pred_objects[predicate]),
+                count=stats.predicate_count(predicate),
+                distinct_subjects=stats.distinct_subjects(predicate),
+                distinct_objects=stats.distinct_objects(predicate),
             )
-            for predicate, count in self._pred_count.items()
+            for predicate in stats.predicate_ids()
         }
 
     def estimate_cardinality(self, subject: object = None,
@@ -411,7 +345,8 @@ class ShardedGraph:
         counts.  This is what keeps ``explain()`` byte-stable across
         shard counts.
         """
-        if self._total == 0:
+        stats = self._stats
+        if stats.total == 0:
             return 0.0
         s_const = subject is not None and subject is not BOUND
         p_const = predicate is not None and predicate is not BOUND
@@ -426,26 +361,25 @@ class ShardedGraph:
             base = sum(shard.estimate_cardinality(None, pred, objc)
                        for shard in self._shards)
         elif p_const:
-            base = float(self._pred_count.get(pred, 0))
+            base = float(stats.predicate_count(pred))
         elif o_const:
             base = sum(shard.estimate_cardinality(None, None, objc)
                        for shard in self._shards)
         else:
-            base = float(self._total)
+            base = float(stats.total)
         if base == 0:
             return 0.0
 
         estimate = float(base)
+        # Distinct counts: per predicate when it is concrete, else overall.
+        distincts, key = ((stats, pred) if p_const
+                          else (self._overall, _ANY_PREDICATE))
         if subject is BOUND:
-            distinct = (len(self._pred_subjects.get(pred, ()))
-                        if p_const else len(self._subject_count))
-            estimate /= max(1, distinct)
+            estimate /= max(1, distincts.distinct_subjects(key))
         if obj is BOUND:
-            distinct = (len(self._pred_objects.get(pred, ()))
-                        if p_const else len(self._object_count))
-            estimate /= max(1, distinct)
+            estimate /= max(1, distincts.distinct_objects(key))
         if predicate is BOUND:
-            estimate /= max(1, len(self._pred_count))
+            estimate /= max(1, len(stats.predicate_ids()))
         return estimate
 
     # -- query routing -----------------------------------------------------
@@ -516,13 +450,6 @@ class ShardedGraph:
 
     # -- scatter execution -------------------------------------------------
 
-    @staticmethod
-    def _shard_select(shard, patterns, **kwargs) -> list[Binding]:
-        """One shard's SELECT, through its materialized view if it has one."""
-        if isinstance(shard, MaterializedGraph):
-            return shard.select(patterns, **kwargs)
-        return _select(shard, patterns, **kwargs)
-
     def select(
         self,
         patterns: Sequence[Pattern],
@@ -535,8 +462,8 @@ class ShardedGraph:
         optional: Sequence[Pattern] = (),
         optimize: bool = True,
     ) -> list[Binding]:
-        """A SELECT with fan-out execution — same results as the
-        single-store engine, different evaluation topology.
+        """A SELECT with scatter/gather execution — same results as
+        the single-store engine, different evaluation topology.
 
         Colocated queries scatter whole per-shard SELECTs (filters,
         heaps and limits pushed down) and merge with stable ordering;
@@ -544,25 +471,36 @@ class ShardedGraph:
         scans.  See :meth:`route_select`.
         """
         route, target = self.route_select(patterns, optional)
-        if route == ROUTE_SINGLE:
-            return self._shard_select(
-                self._shards[target], patterns, variables=variables,
-                filters=filters, distinct=distinct, order_by=order_by,
-                descending=descending, limit=limit, optional=optional,
-                optimize=optimize)
-        if route == ROUTE_BROADCAST:
-            return _select(self, patterns, variables=variables,
+        if route != ROUTE_SCATTER:
+            # One shard holds every subject named, or the router itself
+            # is the store the planner joins over (broadcast).
+            store = self._shards[target] if route == ROUTE_SINGLE else self
+            return _select(store, patterns, variables=variables,
                            filters=filters, distinct=distinct,
                            order_by=order_by, descending=descending,
                            limit=limit, optional=optional, optimize=optimize)
-        return self._scatter_select(
-            patterns, variables=variables, filters=filters, distinct=distinct,
-            order_by=order_by, descending=descending, limit=limit,
-            optional=optional, optimize=optimize)
+        per_shard, merge_key = self._scatter_tasks(
+            patterns, filters, distinct, order_by, descending, limit,
+            optional, optimize)
+        span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
+                                  {"route": ROUTE_SCATTER,
+                                   "shards": self.shard_count,
+                                   "patterns": len(patterns)})
+                if self._tracer is not None else nullcontext())
+        with span:
+            started = self._clock.now()
+            results = self._fan_out(per_shard)
+            merged = self._merge_scatter(results, merge_key, variables,
+                                         distinct, descending, limit)
+            if self._metric_fanout is not None:
+                self._metric_fanout.observe(
+                    (self._clock.now() - started) * 1000.0)
+        return merged
 
     def _scatter_tasks(self, patterns, filters, distinct, order_by,
                        descending, limit, optional, optimize):
-        """Build the per-shard callable plus merge metadata for one scatter."""
+        """The per-shard callable for one scatter, and the key its results
+        come back ordered by (None: unordered, so they concatenate)."""
         native = self.native_numeric_pushdown(
             patterns, filters, distinct=distinct, order_by=order_by,
             optional=optional)
@@ -572,40 +510,31 @@ class ShardedGraph:
             object_var = native["object_var"]
 
             def per_shard(shard) -> list[Binding]:
-                backend = (shard.graph if isinstance(shard, MaterializedGraph)
-                           else shard)
-                scan = getattr(backend, "scan_numeric", None)
-                if callable(scan):
-                    triples = scan(
-                        native["predicate"], native["low"], native["high"],
-                        low_inclusive=native["low_inclusive"],
-                        high_inclusive=native["high_inclusive"],
-                        descending=descending, limit=push_limit)
-                else:
-                    triples = _fallback_numeric_scan(
-                        backend, native["predicate"], native["low"],
-                        native["low_inclusive"], native["high"],
-                        native["high_inclusive"], descending, push_limit)
+                scan = getattr(shard, "scan_numeric", None) or partial(
+                    _fallback_numeric_scan, shard)
+                triples = scan(
+                    native["predicate"], native["low"], native["high"],
+                    low_inclusive=native["low_inclusive"],
+                    high_inclusive=native["high_inclusive"],
+                    descending=descending, limit=push_limit)
                 return [{subject_var: t.subject, object_var: t.object}
                         for t in triples]
 
             # Native scans always come back value-ordered, so the merge
             # is sorted even when the caller gave no order_by.
-            merge_key = (lambda b: _order_key(b.get(object_var)))
-            return per_shard, merge_key, True
-        per_shard = (lambda shard: self._shard_select(
+            return per_shard, (lambda b: _order_key(b.get(object_var)))
+        per_shard = (lambda shard: _select(
             shard, patterns, variables=None, filters=filters, distinct=False,
             order_by=order_by, descending=descending, limit=push_limit,
             optional=optional, optimize=optimize))
-        if order_by is not None:
-            merge_key = (lambda b: _order_key(b.get(order_by)))
-            return per_shard, merge_key, True
-        return per_shard, None, False
+        if order_by is None:
+            return per_shard, None
+        return per_shard, (lambda b: _order_key(b.get(order_by)))
 
-    def _merge_scatter(self, results, merge_key, ordered, variables, distinct,
+    def _merge_scatter(self, results, merge_key, variables, distinct,
                        descending, limit) -> list[Binding]:
         """Gather per-shard solutions: stable merge, project, distinct, trim."""
-        if ordered:
+        if merge_key is not None:
             merged_iter = heapq.merge(*results, key=merge_key,
                                       reverse=descending)
             if limit is not None and not distinct:
@@ -622,80 +551,6 @@ class ShardedGraph:
             merged = distinct_bindings(merged)
         if limit is not None:
             merged = merged[:limit]
-        return merged
-
-    def _scatter_select(self, patterns, *, variables, filters, distinct,
-                        order_by, descending, limit, optional,
-                        optimize) -> list[Binding]:
-        per_shard, merge_key, ordered = self._scatter_tasks(
-            patterns, filters, distinct, order_by, descending, limit,
-            optional, optimize)
-        span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
-                                  {"route": ROUTE_SCATTER,
-                                   "shards": self.shard_count,
-                                   "patterns": len(patterns)})
-                if self._tracer is not None else nullcontext())
-        with span:
-            started = self._clock.now()
-            results = self._fan_out(per_shard)
-            merged = self._merge_scatter(results, merge_key, ordered,
-                                         variables, distinct, descending,
-                                         limit)
-            if self._metric_fanout is not None:
-                self._metric_fanout.observe(
-                    (self._clock.now() - started) * 1000.0)
-        return merged
-
-    async def aselect(
-        self,
-        patterns: Sequence[Pattern],
-        variables: Sequence[str] | None = None,
-        filters: Sequence = (),
-        distinct: bool = False,
-        order_by: str | None = None,
-        descending: bool = False,
-        limit: int | None = None,
-        optional: Sequence[Pattern] = (),
-        optimize: bool = True,
-    ) -> list[Binding]:
-        """Awaitable SELECT: the same fan-out on ``asyncio`` awaitables.
-
-        Scatter routes await one task per shard (each running on the
-        worker pool, so SQLite shards still scan in parallel C);
-        routed and broadcast queries run as a single pooled task.  Use
-        from :mod:`repro.core.aio` coroutine code to keep the event
-        loop unblocked during KB queries.
-        """
-        route, _target = self.route_select(patterns, optional)
-        if route != ROUTE_SCATTER:
-            future = self._submit(
-                lambda: self.select(
-                    patterns, variables=variables, filters=filters,
-                    distinct=distinct, order_by=order_by,
-                    descending=descending, limit=limit, optional=optional,
-                    optimize=optimize))
-            return await asyncio.wrap_future(future)
-        per_shard, merge_key, ordered = self._scatter_tasks(
-            patterns, filters, distinct, order_by, descending, limit,
-            optional, optimize)
-        span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
-                                  {"route": ROUTE_SCATTER,
-                                   "shards": self.shard_count,
-                                   "patterns": len(patterns), "aio": True})
-                if self._tracer is not None else nullcontext())
-        with span:
-            started = self._clock.now()
-            if self._metric_scans is not None and self.shard_count > 1:
-                self._metric_scans.inc(self.shard_count)
-            futures = [asyncio.wrap_future(self._submit(per_shard, shard))
-                       for shard in self._shards]
-            results = await asyncio.gather(*futures)
-            merged = self._merge_scatter(results, merge_key, ordered,
-                                         variables, distinct, descending,
-                                         limit)
-            if self._metric_fanout is not None:
-                self._metric_fanout.observe(
-                    (self._clock.now() - started) * 1000.0)
         return merged
 
     # -- persistence -------------------------------------------------------

@@ -12,10 +12,10 @@ scanning — so planning stays O(patterns²) regardless of graph size:
   average fan-out used to discount patterns whose subject or object is
   a join variable already bound by an earlier pattern.
 
-:class:`GraphStatistics` works on the graph's interned integer term
-ids (see :class:`repro.stores.rdf.graph.Graph`); the graph decodes ids
-back to terms for the human-facing :meth:`Graph.predicate_statistics`
-snapshot.
+:class:`GraphStatistics` counts over any hashable keys: a
+:class:`repro.stores.rdf.graph.Graph` feeds it interned integer term
+ids (decoded for :meth:`Graph.predicate_statistics`), the sharded
+router (:mod:`repro.stores.rdf.shard`) the terms themselves.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class PredicateStats:
 class GraphStatistics:
     """Incrementally-maintained cardinality statistics over term ids.
 
-    The owning :class:`~repro.stores.rdf.graph.Graph` calls
-    :meth:`record_add` / :meth:`record_remove` from its own mutation
-    path, so the counters can never drift from the indexes.
+    The owning store calls :meth:`record_add` / :meth:`record_remove`
+    from its own mutation path, once per triple that really was added
+    or removed, so the counters can never drift from the indexes.
     Multiplicity maps (term id → how many triples reference it) make
     removal exact: a subject only stops being "distinct" for a
     predicate when its last triple with that predicate goes away.
@@ -78,7 +78,7 @@ class GraphStatistics:
         self._subjects: dict[int, dict[int, int]] = {}
         self._objects: dict[int, dict[int, int]] = {}
 
-    # -- maintenance (called by Graph only) --------------------------------
+    # -- maintenance (called by the owning store only) --------------------
 
     def record_add(self, subject_id: int, predicate_id: int, object_id: int) -> None:
         """Account for one newly inserted triple."""

@@ -107,3 +107,32 @@ def test_sharded_writes_survive_single_shard_burst():
     rows = sharded.select([("?s", "p", "?v")])
     assert len(rows) == total
     sharded.close()
+
+
+def test_sharded_add_many_is_one_transaction_per_shard():
+    # The fault hits shard 2's SECOND chunk: its first chunk is already
+    # written inside the open transaction and must vanish with it.
+    calls = []
+
+    def second_chunk_fails(chunk_index):
+        calls.append(chunk_index)
+        if chunk_index == 1:
+            raise StorageFaultError("shard2")
+
+    def factory(index):
+        hook = second_chunk_fails if index == 2 else None
+        return SqliteTripleStore(batch_size=4, fault_hook=hook)
+
+    sharded = ShardedGraph(shards=3, backend_factory=factory)
+    triples = [(f"s{i}", "p", i % 6) for i in range(30)]
+    with pytest.raises(StorageFaultError):
+        sharded.add_many(triples)
+    assert calls == [0, 1]
+    assert len(sharded.shards[2]) == 0
+    held = [triple for shard in sharded.shards for triple in shard]
+    assert 0 < len(held) < len(triples)
+    assert len(sharded) == len(held)
+    reference = ShardedGraph(shards=3)
+    reference.add_all(held)
+    assert sharded.predicate_statistics() == reference.predicate_statistics()
+    sharded.close()

@@ -1,13 +1,14 @@
-"""ShardedGraph behavior: routing, global stats, fan-out execution.
+"""ShardedGraph behavior: routing, global stats, scatter execution.
 
 Equivalence of *results* with the single store is covered by the
 contract suite and the Hypothesis suite; these tests pin down the
 router's decisions — which shard serves what, when queries scatter vs
-broadcast, that the native numeric pushdown engages, and that the
-async path and observability wiring work.
+broadcast, that the native numeric pushdown engages, that bulk writes
+are one batch per shard, that no query starts a thread, and that the
+observability wiring works.
 """
 
-import asyncio
+import threading
 
 import pytest
 
@@ -25,10 +26,10 @@ from repro.stores.rdf.shard import (
 )
 
 
-def populated(shards=4, factory=None, **kwargs) -> ShardedGraph:
+def populated(shards=4, factory=None, items=40, **kwargs) -> ShardedGraph:
     sharded = ShardedGraph(shards=shards, backend_factory=factory, **kwargs)
     triples = []
-    for i in range(40):
+    for i in range(items):
         s = f"repro:item{i}"
         triples.append((s, "rdf:type", "repro:Item"))
         triples.append((s, "repro:score", i))
@@ -164,25 +165,9 @@ def test_rehydrates_statistics_from_reopened_shards(tmp_path):
     reopened.close()
 
 
-def test_aselect_matches_select():
-    sharded = populated(parallel_threshold=0)
-    patterns = [("?s", "repro:score", "?v")]
-    filters = [RangeFilter("?v", 12, 25)]
-
-    async def main():
-        scatter = await sharded.aselect(patterns, filters=filters,
-                                        order_by="?v")
-        routed = await sharded.aselect([("repro:item3", "repro:score", "?v")])
-        return scatter, routed
-
-    scatter, routed = asyncio.run(main())
-    assert scatter == sharded.select(patterns, filters=filters, order_by="?v")
-    assert routed == [{"?v": 3}]
-
-
 def test_observability_wiring():
     obs = Observability(enabled=True)
-    sharded = populated(obs=obs, parallel_threshold=0)
+    sharded = populated(obs=obs)
     sharded.select([("?s", "repro:score", "?v")],
                    filters=[RangeFilter("?v", 0, 10)])
     scans = obs.metrics.counter(names.KB_SHARD_SCANS_TOTAL)
@@ -191,18 +176,57 @@ def test_observability_wiring():
     assert fanout is not None
 
 
-def test_per_shard_materialized_views_cache_scatter_reads():
-    sharded = populated(shard_reasoners=[])
-    patterns = [("?s", "repro:score", "?v")]
-    first = sharded.select(patterns, order_by="?v", limit=5)
-    again = sharded.select(patterns, order_by="?v", limit=5)
-    assert first == again
-    hits = sum(shard.cache.hits for shard in sharded.shards)
-    assert hits >= sharded.shard_count
-    # Writes through the router invalidate the per-shard caches.
-    sharded.add(("repro:new", "repro:score", -1))
-    bumped = sharded.select(patterns, order_by="?v", limit=5)
-    assert bumped[0] == {"?s": "repro:new", "?v": -1}
+def test_scatter_starts_no_threads():
+    sharded = populated(factory=lambda i: SqliteTripleStore(), items=1400)
+    assert len(sharded) > 4096
+    before = threading.active_count()
+    scatter = sharded.select([("?s", "repro:score", "?v")],
+                             filters=[RangeFilter("?v", 100, 200)],
+                             order_by="?v", limit=5)
+    join = sharded.select([("?a", "repro:owner", "?u"),
+                           ("repro:item7", "repro:owner", "?u")], limit=5)
+    routed = sharded.select([("repro:item3", "repro:score", "?v")])
+    assert [row["?v"] for row in scatter] == [100, 101, 102, 103, 104]
+    assert len(join) == 5
+    assert routed == [{"?v": 3}]
+    # Not closed yet: nothing the router started may still be running.
+    assert threading.active_count() == before
+    sharded.close()
+
+
+@pytest.mark.parametrize("option", [{"executor": None},
+                                    {"parallel_threshold": 0},
+                                    {"shard_reasoners": []}])
+def test_removed_options_are_rejected(option):
+    with pytest.raises(TypeError):
+        ShardedGraph(shards=2, **option)
+
+
+def test_add_many_flags_keep_input_order_across_shards():
+    sharded = ShardedGraph(shards=3,
+                           backend_factory=lambda i: SqliteTripleStore())
+    first = [(f"s{i % 7}", "p", i % 5) for i in range(20)]
+    seen = set()
+    expected = [not (t in seen or seen.add(t)) for t in first]
+    assert len({shard_of(s, 3) for s, _, _ in first}) == 3
+    assert sharded.add_many(first) == expected
+    # Duplicates of an earlier call, interleaved with new triples.
+    second = [("s0", "p", 0), ("s9", "p", 9), ("s3", "p", 3), ("s9", "p", 9)]
+    assert sharded.add_many(second) == [False, True, False, False]
+    assert sharded.add_all(second + [("s8", "q", 1)]) == 1
+    assert len(sharded) == sum(expected) + 2
+    sharded.close()
+
+
+def test_equal_literals_collapse_across_shards():
+    # ``True == 1``: one term in a single store, first-seen wins — also
+    # when the two subjects live on different shards.
+    assert shard_of("s0", 2) != shard_of("s4", 2)
+    triples = [("s0", "type", True), ("s4", "type", 1), ("s4", "n", 1.0)]
+    sharded = ShardedGraph(shards=2)
+    sharded.add_all(triples)
+    assert sharded.to_list() == Graph(triples).to_list()
+    assert all(t.object is True for t in sharded)
 
 
 def test_fanout_plan_envelope():

@@ -98,23 +98,25 @@ class SentimentLexicon:
         return SentimentLexicon(kept)
 
     def score_tokens(self, tokens: list[str]) -> float:
-        """Score a token sequence with negation and intensifier handling.
+        """Score a lower-cased token sequence (as ``tokenize`` returns it).
 
         A negation within the two tokens before a sentiment word flips
         its sign and damps it (the conventional 0.5 factor); an
         intensifier immediately before it scales it.
         """
         total = 0.0
+        scores = self.scores
         for index, token in enumerate(tokens):
-            valence = self.valence(token)
+            valence = scores.get(token, 0)
             if valence == 0:
                 continue
             weight = 1.0
-            if index >= 1 and tokens[index - 1].lower() in INTENSIFIERS:
-                weight *= INTENSIFIERS[tokens[index - 1].lower()]
-            window = [tokens[back].lower() for back in range(max(0, index - 2), index)]
-            if any(word in NEGATIONS for word in window):
-                weight *= -0.5
+            if index >= 1:
+                previous = tokens[index - 1]
+                if previous in INTENSIFIERS:
+                    weight *= INTENSIFIERS[previous]
+                if previous in NEGATIONS or (index >= 2 and tokens[index - 2] in NEGATIONS):
+                    weight *= -0.5
             total += valence * weight
         return total
 

@@ -492,6 +492,9 @@ class SimulatedService(ABC):
                 continue
             try:
                 value = self._handle(request)
+            except RemoteServiceError as error:  # the handler's own verdict (400, 404)
+                results.append({"error": error.message, "status": error.status})
+                continue
             except Exception as error:  # noqa: BLE001 — isolated per item
                 results.append({"error": str(error), "status": 500})
                 continue

@@ -17,14 +17,24 @@ spread the paper targets:
 Because the synthetic corpus carries gold annotations, these quality
 differences are measurable, which gives the Rich SDK's quality signal
 ``q`` (Equations 1 and 2) real content.
+
+Each engine compiles its surface table into one :class:`SurfaceMatcher`
+(a trie over the surfaces' words) that finds every occurrence of every
+surface in one pass over a text.  ``extract_entities`` resolves them
+in a fixed order: longest surface first (ties by surface string), each
+surface's occurrences left to right and non-overlapping, an occurrence
+dropped when it overlaps a span an earlier one took.  ``analyze``
+splits, tokenises and scores each sentence once and computes only what
+the requested features need.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right, insort
 from collections import Counter, defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.data.gazetteer import Gazetteer
 from repro.data.lexicon import SentimentLexicon
@@ -34,18 +44,116 @@ from repro.simnet.errors import RemoteServiceError
 from repro.simnet.latency import LatencyDistribution
 from repro.simnet.transport import Transport
 from repro.textproc.html import strip_html
-from repro.textproc.stopwords import remove_stopwords
+from repro.textproc.stopwords import STOPWORDS
 from repro.textproc.tokenizer import split_sentences, tokenize, word_tokens
 
 ALL_FEATURES = ("entities", "keywords", "concepts", "sentiment", "entity_sentiment")
 
 _CAPITALIZED_RUN_RE = re.compile(r"\b([A-Z][a-z]+(?:\s+[A-Z][a-z]+){0,2})\b")
+_WORD_RE = re.compile(r"\w+")
+_WORD_SPLIT_RE = re.compile(r"(\w+)")
+
+Span = tuple[int, int]
 
 
 def _stable_fraction(seed: int, token: str) -> float:
     """Deterministic pseudo-uniform value in [0, 1) keyed by (seed, token)."""
     digest = hashlib.sha256(f"{seed}:{token}".encode()).digest()
     return int.from_bytes(digest[:4], "big") / 2**32
+
+
+class _CaseFold(dict):
+    """``str.translate`` table: each character to its one-character lower case.
+
+    Length-preserving, so offsets survive folding.  Seeded with ASCII
+    and the code points regex ``IGNORECASE`` equates with an ASCII
+    letter though ``str.lower`` does not; other upper-case code points
+    are added when first seen.
+    """
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        lowered = char.lower()
+        if lowered == char or len(lowered) != 1:
+            return code
+        self[code] = folded = ord(lowered)
+        return folded
+
+
+_FOLD = _CaseFold({code: ord(chr(code).lower()) for code in range(128)})
+_FOLD.update({0x130: ord("i"), 0x131: ord("i"), 0x17F: ord("s")})
+
+
+def _overlaps(taken: list[Span], start: int, end: int) -> bool:
+    """Whether ``[start, end)`` meets any of the sorted, disjoint ``taken``."""
+    index = bisect_right(taken, (start, end))
+    return (index > 0 and taken[index - 1][1] > start) or (
+        index < len(taken) and taken[index][0] < end)
+
+
+class SurfaceMatcher:
+    r"""Finds every occurrence of a fixed set of surface forms in one scan.
+
+    A surface matches where ``\b`` + surface + ``\b`` would: surfaces
+    longer than three characters case-insensitively, shorter ones
+    ("US", "IN", "CA") exactly, or they would swallow ordinary words
+    like the preposition "in".  Each surface is cut into its ``\w+``
+    words and the separators around them and stored in a trie keyed by
+    folded word, then by ``(separator, folded word)``.  ``scan`` cuts
+    the text the same way once and walks the trie from each word; since
+    words are maximal ``\w`` runs, covering whole words with exactly the
+    surface's separators *is* the ``\b`` condition at both ends.
+    """
+
+    def __init__(self, surfaces: Iterable[str]) -> None:
+        #: Resolution order: longest first, so "United States of America"
+        #: is preferred over "United States"; ties by surface string.
+        self.surfaces = sorted(surfaces, key=lambda s: (-len(s), s))
+        self._root: dict = {}
+        for rank, surface in enumerate(self.surfaces):
+            lead, *pieces = _WORD_SPLIT_RE.split(surface.translate(_FOLD))
+            if not pieces:
+                raise ValueError(f"surface form {surface!r} has no letter or digit")
+            trail = pieces.pop()
+            node = self._root.setdefault(pieces[0], {})
+            for gap, word in zip(pieces[1::2], pieces[2::2]):
+                node = node.setdefault((gap, word), {})
+            exact = surface if len(surface) <= 3 else None
+            node.setdefault(None, []).append((rank, exact, lead, trail))
+
+    def scan(self, text: str) -> list[tuple[int, int, int]]:
+        """``(rank, start, end)`` of every occurrence, sorted.
+
+        ``rank`` indexes :attr:`surfaces`.  Occurrences of different
+        surfaces — and of one surface with itself — may overlap.
+        """
+        folded = text.translate(_FOLD)
+        words = [(folded[start:end], start, end)
+                 for start, end in map(re.Match.span, _WORD_RE.finditer(text))]
+        found = []
+        for first, (word, start, end) in enumerate(words):
+            node = self._root.get(word)
+            last = first
+            while node is not None:
+                for rank, exact, lead, trail in node.get(None, ()):
+                    # A leading / trailing separator must be the whole gap
+                    # to the neighbouring word (``\b`` next to a non-word
+                    # character asks for a word character beyond it).
+                    if lead and (first == 0 or folded[words[first - 1][2]:start] != lead):
+                        continue
+                    if trail and (last + 1 == len(words)
+                                  or folded[end:words[last + 1][1]] != trail):
+                        continue
+                    if exact is None or text.startswith(exact, start - len(lead)):
+                        found.append((rank, start - len(lead), end + len(trail)))
+                last += 1
+                if last == len(words):
+                    break
+                word, next_start, next_end = words[last]
+                node = node.get((folded[end:next_start], word))
+                end = next_end
+        found.sort()
+        return found
 
 
 class NluEngine:
@@ -74,15 +182,7 @@ class NluEngine:
         self.heuristic_ner = heuristic_ner
         self.seed = seed
         self._known_surfaces = self._build_surface_table()
-        # Longest-first so greedy matching prefers "United States of America"
-        # over "United States".  Short surface forms ("US", "IN", "CA")
-        # must match case-sensitively or they would swallow ordinary
-        # words like the preposition "in".
-        self._surface_patterns = []
-        for surface in sorted(self._known_surfaces, key=lambda s: (-len(s), s)):
-            flags = 0 if len(surface) <= 3 else re.IGNORECASE
-            pattern = re.compile(r"\b" + re.escape(surface) + r"\b", flags)
-            self._surface_patterns.append((surface, pattern))
+        self._matcher = SurfaceMatcher(self._known_surfaces)
 
     def _build_surface_table(self) -> dict[str, str]:
         """Surface form (original casing) -> entity id, thinned by recall."""
@@ -98,20 +198,31 @@ class NluEngine:
 
     # -- features ----------------------------------------------------------
 
+    def _mentions(self, text: str) -> tuple[dict[str, list[str]], list[Span]]:
+        """Greedy longest-first resolution of the matcher's candidates.
+
+        Returns entity id -> mention strings (in the text's casing, in
+        resolution order) and the sorted disjoint spans they took.
+        """
+        mentions: dict[str, list[str]] = defaultdict(list)
+        taken: list[Span] = []
+        surfaces = self._matcher.surfaces
+        last_rank, resume = -1, 0
+        for rank, start, end in self._matcher.scan(text):
+            # One surface's occurrences do not overlap each other, taken
+            # or not — what ``finditer`` would have yielded.
+            if rank == last_rank and start < resume:
+                continue
+            last_rank, resume = rank, end
+            if _overlaps(taken, start, end):
+                continue
+            insort(taken, (start, end))
+            mentions[self._known_surfaces[surfaces[rank]]].append(text[start:end])
+        return mentions, taken
+
     def extract_entities(self, text: str) -> list[dict]:
         """Gazetteer NER with greedy longest-first matching."""
-        mentions: dict[str, list[str]] = defaultdict(list)
-        consumed = [False] * len(text)
-        for surface, pattern in self._surface_patterns:
-            for match in pattern.finditer(text):
-                span = range(match.start(), match.end())
-                if any(consumed[index] for index in span):
-                    continue
-                for index in span:
-                    consumed[index] = True
-                entity_id = self._known_surfaces[surface]
-                mentions[entity_id].append(match.group(0))
-
+        mentions, taken = self._mentions(text)
         results = []
         for entity_id, surfaces in mentions.items():
             entity = self.gazetteer.get(entity_id)
@@ -128,15 +239,15 @@ class NluEngine:
             )
 
         if self.heuristic_ner:
-            results.extend(self._heuristic_entities(text, consumed))
+            results.extend(self._heuristic_entities(text, taken))
         results.sort(key=lambda item: (-item["count"], item["id"]))
         return results
 
-    def _heuristic_entities(self, text: str, consumed: list[bool]) -> list[dict]:
+    def _heuristic_entities(self, text: str, taken: list[Span]) -> list[dict]:
         """Capitalized runs the gazetteer does not know — possible false positives."""
         found: Counter[str] = Counter()
         for match in _CAPITALIZED_RUN_RE.finditer(text):
-            if any(consumed[index] for index in range(match.start(), match.end())):
+            if _overlaps(taken, match.start(), match.end()):
                 continue
             candidate = match.group(1)
             first_word = candidate.split()[0].lower()
@@ -162,8 +273,11 @@ class NluEngine:
         Keywords are *not* disambiguated (the paper is explicit about
         this asymmetry with entities).
         """
-        tokens = remove_stopwords(word_tokens(text))
-        counts = Counter(token for token in tokens if len(token) > 2)
+        return self._keywords(Counter(word_tokens(text)), limit)
+
+    def _keywords(self, word_counts: Counter[str], limit: int = 10) -> list[dict]:
+        counts = Counter({word: count for word, count in word_counts.items()
+                          if len(word) > 2 and word not in STOPWORDS})
         if not counts:
             return []
         top = counts.most_common(limit)
@@ -175,11 +289,13 @@ class NluEngine:
 
     def extract_concepts(self, text: str, limit: int = 5) -> list[dict]:
         """Taxonomy concepts triggered by the document's tokens."""
-        tokens = word_tokens(text)
+        return self._concepts(Counter(word_tokens(text)), limit)
+
+    def _concepts(self, word_counts: Counter[str], limit: int = 5) -> list[dict]:
         hits: Counter[str] = Counter()
-        for token in tokens:
+        for token, count in word_counts.items():
             for concept in self.taxonomy.concepts_for_token(token):
-                hits[concept] += 1
+                hits[concept] += count
         if not hits:
             return []
         top = hits.most_common(limit)
@@ -193,16 +309,13 @@ class NluEngine:
             for concept, count in top
         ]
 
-    def document_sentiment(self, text: str) -> dict:
-        """Whole-document polarity in [-1, 1] with a discrete label."""
-        sentences = split_sentences(text)
-        total = 0.0
-        for sentence in sentences:
-            total += self.lexicon.score_tokens(tokenize(sentence))
-        # Normalize by document length: an identical rant twice as long
-        # should not look twice as polarized.
-        scale = max(1.0, len(sentences) ** 0.5) * 4.0
-        score = max(-1.0, min(1.0, total / scale))
+    def _sentence_scores(self, sentences: list[str]) -> list[float]:
+        """Lexicon score of each sentence (tokenised here, once)."""
+        return [self.lexicon.score_tokens(tokenize(sentence)) for sentence in sentences]
+
+    @staticmethod
+    def _polarity(score: float) -> dict:
+        score = max(-1.0, min(1.0, score))
         if score > 0.05:
             label = "positive"
         elif score < -0.05:
@@ -211,6 +324,19 @@ class NluEngine:
             label = "neutral"
         return {"score": round(score, 4), "label": label}
 
+    def document_sentiment(self, text: str) -> dict:
+        """Whole-document polarity in [-1, 1] with a discrete label."""
+        return self._document_sentiment(self._sentence_scores(split_sentences(text)))
+
+    def _document_sentiment(self, scores: list[float]) -> dict:
+        total = 0.0
+        for score in scores:  # not sum(): 3.12 compensates float sums, changing the rounding
+            total += score
+        # Normalize by document length: an identical rant twice as long
+        # should not look twice as polarized.
+        scale = max(1.0, len(scores) ** 0.5) * 4.0
+        return self._polarity(total / scale)
+
     def entity_sentiment(self, text: str) -> dict[str, dict]:
         """Per-entity polarity: average sentiment of sentences mentioning it.
 
@@ -218,31 +344,22 @@ class NluEngine:
         individual entities rather than whole documents.
         """
         sentences = split_sentences(text)
+        return self._entity_sentiment(sentences, self._sentence_scores(sentences))
+
+    def _entity_sentiment(self, sentences: list[str], scores: list[float]) -> dict[str, dict]:
         totals: dict[str, float] = defaultdict(float)
         counts: dict[str, int] = defaultdict(int)
-        for sentence in sentences:
-            entities_here = self.extract_entities(sentence)
-            if not entities_here:
-                continue
-            sentence_score = self.lexicon.score_tokens(tokenize(sentence))
-            for entity in entities_here:
-                if not entity["disambiguated"]:
-                    continue
-                totals[entity["id"]] += sentence_score
-                counts[entity["id"]] += 1
-        results: dict[str, dict] = {}
-        for entity_id, total in totals.items():
-            mean = total / counts[entity_id]
-            score = max(-1.0, min(1.0, mean / 4.0))
-            if score > 0.05:
-                label = "positive"
-            elif score < -0.05:
-                label = "negative"
-            else:
-                label = "neutral"
-            results[entity_id] = {"score": round(score, 4), "label": label,
-                                  "mentions": counts[entity_id]}
-        return results
+        for sentence, sentence_score in zip(sentences, scores):
+            mentions, _ = self._mentions(sentence)
+            # Same order as ``extract_entities`` reports them.
+            for entity_id in sorted(mentions, key=lambda key: (-len(mentions[key]), key)):
+                totals[entity_id] += sentence_score
+                counts[entity_id] += 1
+        return {
+            entity_id: {**self._polarity(total / counts[entity_id] / 4.0),
+                        "mentions": counts[entity_id]}
+            for entity_id, total in totals.items()
+        }
 
     def disambiguate(self, phrase: str) -> dict | None:
         """Resolve a phrase to a unique entity with its link bundle.
@@ -268,21 +385,31 @@ class NluEngine:
         }
 
     def analyze(self, text: str, features: tuple[str, ...] = ALL_FEATURES) -> dict:
-        """Run the requested features over one document."""
+        """Run the requested features over one document, in one pass.
+
+        Word counts are shared by keywords and concepts; sentences are
+        split, tokenised and scored once for both sentiment features.
+        Nothing a feature needs is computed unless it was requested.
+        """
         unknown = set(features) - set(ALL_FEATURES)
         if unknown:
             raise ValueError(f"unknown NLU features: {sorted(unknown)}")
         result: dict[str, object] = {"language": "en", "text_length": len(text)}
         if "entities" in features:
             result["entities"] = self.extract_entities(text)
-        if "keywords" in features:
-            result["keywords"] = self.extract_keywords(text)
-        if "concepts" in features:
-            result["concepts"] = self.extract_concepts(text)
-        if "sentiment" in features:
-            result["sentiment"] = self.document_sentiment(text)
-        if "entity_sentiment" in features:
-            result["entity_sentiment"] = self.entity_sentiment(text)
+        if "keywords" in features or "concepts" in features:
+            word_counts = Counter(word_tokens(text))
+            if "keywords" in features:
+                result["keywords"] = self._keywords(word_counts)
+            if "concepts" in features:
+                result["concepts"] = self._concepts(word_counts)
+        if "sentiment" in features or "entity_sentiment" in features:
+            sentences = split_sentences(text)
+            scores = self._sentence_scores(sentences)
+            if "sentiment" in features:
+                result["sentiment"] = self._document_sentiment(scores)
+            if "entity_sentiment" in features:
+                result["entity_sentiment"] = self._entity_sentiment(sentences, scores)
         return result
 
 
@@ -315,6 +442,16 @@ class NluService(SimulatedService):
         text = request.payload.get("text", "")
         return {"size": float(len(text)) if isinstance(text, str) else 0.0}
 
+    def _features(self, payload) -> tuple[str, ...]:
+        """The requested features, or status 400 — a bad list is the caller's fault."""
+        features = payload.get("features") or ALL_FEATURES
+        if not isinstance(features, (list, tuple)) or not all(
+                isinstance(feature, str) and feature in ALL_FEATURES for feature in features):
+            raise RemoteServiceError(
+                self.name, f"'features' must be a list drawn from {list(ALL_FEATURES)}, "
+                f"got {features!r}", status=400)
+        return tuple(features)
+
     def _handle(self, request: ServiceRequest) -> object:
         payload = request.payload
         if request.operation == "analyze":
@@ -322,17 +459,16 @@ class NluService(SimulatedService):
             if not isinstance(text, str) or not text.strip():
                 raise RemoteServiceError(self.name, "analyze requires non-empty 'text'",
                                          status=400)
-            features = tuple(payload.get("features") or ALL_FEATURES)
-            return self.engine.analyze(text, features)
+            return self.engine.analyze(text, self._features(payload))
         if request.operation == "analyze_url":
             if self.web_fetcher is None:
                 raise RemoteServiceError(self.name, "this service cannot fetch URLs",
                                          status=400)
+            features = self._features(payload)
             url = payload.get("url")
             html = self.web_fetcher(str(url))
             if html is None:
                 raise RemoteServiceError(self.name, f"could not fetch {url!r}", status=404)
-            features = tuple(payload.get("features") or ALL_FEATURES)
             result = self.engine.analyze(strip_html(html), features)
             result["retrieved_url"] = url
             return result

@@ -30,4 +30,5 @@ class RemoteServiceError(NetworkError):
     def __init__(self, endpoint: str, message: str, status: int = 500) -> None:
         super().__init__(f"{endpoint!r} returned {status}: {message}")
         self.endpoint = endpoint
+        self.message = message
         self.status = status

@@ -58,6 +58,30 @@ class TestScoring:
     def test_neutral_text_scores_zero(self, lexicon):
         assert lexicon.score_tokens(tokenize("the meeting is on tuesday")) == 0
 
+    @pytest.mark.parametrize("sentence", [
+        "good",                                   # nothing before the hit
+        "not good",                               # negation one back, at the edge
+        "not very good",                          # negation two back + intensifier
+        "never a good",                           # negation two back, at the edge
+        "not at all good",                        # negation three back: out of the window
+        "extremely good",                         # intensifier at the edge
+        "very not good",                          # intensifier two back: ignored
+        "barely good",                            # both a negation and an intensifier
+        "not barely terrible",
+        "slightly terrible but not really excellent and never bad",
+        "good good not good very good don't very really good",
+        "it isn't somewhat risky without fraud",
+        "3.5 excellent 42 not 7 good",            # numbers count as tokens in the window
+    ])
+    def test_bit_identical_to_the_windowed_formula(self, lexicon, sentence):
+        from tests.services.reference_nlu import reference_score_tokens
+
+        tokens = tokenize(sentence)
+        for scorer in (lexicon, lexicon.restricted(0.75), lexicon.restricted(0.5)):
+            expected = reference_score_tokens(scorer, tokens)
+            assert repr(scorer.score_tokens(tokens)) == repr(expected)
+        assert repr(lexicon.score_tokens([])) == repr(0.0)
+
 
 class TestRestriction:
     def test_restricted_is_subset(self, lexicon):

@@ -1,11 +1,15 @@
 """Tests for the NLU engine and service wrapper."""
 
+import re
+import string
+import sys
+
 import pytest
 
 from repro.data.gazetteer import default_gazetteer
 from repro.data.lexicon import default_sentiment_lexicon
 from repro.data.taxonomy import default_taxonomy
-from repro.services.nlu import ALL_FEATURES, NluEngine, NluService
+from repro.services.nlu import _FOLD, ALL_FEATURES, NluEngine, NluService, SurfaceMatcher
 from repro.simnet.errors import RemoteServiceError
 
 
@@ -197,3 +201,121 @@ class TestNluService:
         service = NluService("nlu-test", transport, engine)
         params = service.latency_params(ServiceRequest("analyze", {"text": "abcde"}))
         assert params["size"] == 5.0
+
+
+BAD_FEATURES = [["bogus"], "sentiment", 5]
+
+
+class TestBadFeaturesAreAClientError:
+    """A malformed ``features`` is status 400 on the single and the batch path."""
+
+    @pytest.fixture
+    def client(self):
+        from repro import RichClient, build_world
+
+        world = build_world(seed=3, corpus_size=20)
+        return RichClient(world.registry)
+
+    @pytest.mark.parametrize("features", BAD_FEATURES)
+    def test_invoke(self, client, features):
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.invoke("glotta", "analyze", {"text": "IBM thrived.", "features": features})
+        assert excinfo.value.status == 400
+        assert "features" in str(excinfo.value)
+
+    @pytest.mark.parametrize("features", BAD_FEATURES)
+    def test_invoke_many(self, client, features):
+        good, bad = client.invoke_many("glotta", "analyze", [
+            {"text": "IBM thrived."},
+            {"text": "IBM thrived.", "features": features},
+        ], use_cache=False)
+        assert "entities" in good.value
+        assert isinstance(bad, RemoteServiceError)
+        assert bad.status == 400
+        assert str(bad).count("returned 400") == 1
+
+    @pytest.mark.parametrize("features", BAD_FEATURES)
+    def test_analyze_url(self, transport, engine, features):
+        fetched = []
+        service = NluService("nlu-test", transport, engine,
+                             web_fetcher=lambda url: fetched.append(url))
+        with pytest.raises(RemoteServiceError) as excinfo:
+            service.invoke("analyze_url", {"url": "http://x/1", "features": features})
+        assert excinfo.value.status == 400
+        assert fetched == []   # rejected before paying for the fetch
+
+    def test_missing_or_empty_features_mean_all(self, transport, engine):
+        service = NluService("nlu-test", transport, engine)
+        for payload in ({"text": "IBM thrived."}, {"text": "IBM thrived.", "features": []},
+                        {"text": "IBM thrived.", "features": None}):
+            assert set(ALL_FEATURES) <= set(service.invoke("analyze", payload).value)
+
+    def test_tuple_and_list_accepted(self, transport, engine):
+        service = NluService("nlu-test", transport, engine)
+        for features in (["sentiment"], ("sentiment",)):
+            value = service.invoke("analyze", {"text": "IBM thrived.",
+                                               "features": features}).value
+            assert "sentiment" in value and "entities" not in value
+
+
+class TestDottedAliasQuirk:
+    r"""Pinned, not fixed: ``\bU\.S\.\b`` wants a word character after the last dot.
+
+    Known recall bug (ROADMAP item 5): fixing it changes every answer
+    digest, so it waits for the quality benchmark.
+    """
+
+    def test_trailing_dot_alias_is_missed_before_a_space(self, engine):
+        assert engine.extract_entities("The U.S. is large") == []
+        assert engine.extract_entities("Made in the U.K.") == []
+
+    def test_trailing_dot_alias_matches_before_a_letter(self, engine):
+        entities = engine.extract_entities("U.S.A. wins")
+        assert [(e["id"], e["mentions"]) for e in entities] == [("Q30", ["U.S."])]
+
+
+class TestSurfaceMatcher:
+    def test_resolution_order_is_longest_then_alphabetical(self):
+        matcher = SurfaceMatcher({"US", "New York", "City of Light", "New York City"})
+        assert matcher.surfaces == ["City of Light", "New York City", "New York", "US"]
+
+    def test_scan_reports_every_occurrence_overlaps_included(self):
+        matcher = SurfaceMatcher(["New York", "New York City", "York City Council"])
+        text = "in NEW YORK CITY Council"
+        found = [(matcher.surfaces[rank], text[start:end])
+                 for rank, start, end in matcher.scan(text)]
+        assert found == [("York City Council", "YORK CITY Council"),
+                         ("New York City", "NEW YORK CITY"),
+                         ("New York", "NEW YORK")]
+
+    def test_short_surfaces_are_case_sensitive(self):
+        matcher = SurfaceMatcher(["IN", "Acme"])
+        assert [(start, end) for _, start, end in matcher.scan("in IN In acme")] == [
+            (9, 13), (3, 5)]
+
+    def test_whole_words_only(self):
+        matcher = SurfaceMatcher(["New York"])
+        for text in ("New Yorkshire", "New  York", "Renew York", "New_York", "New Yorké"):
+            assert matcher.scan(text) == []
+
+    def test_separator_at_the_edge_must_touch_a_word(self):
+        matcher = SurfaceMatcher([".NET", "U.S."])
+        assert [(s, e) for _, s, e in matcher.scan("ASP.NET and U.S.A")] == [(3, 7), (12, 16)]
+        assert matcher.scan(".NET is old. The U.S. is large. U.S.") == []
+
+    def test_surface_without_a_word_is_rejected(self):
+        with pytest.raises(ValueError, match="no letter or digit"):
+            SurfaceMatcher(["&&"])
+
+    def test_case_folding_is_what_ignorecase_does_for_ascii_letters(self):
+        """Every code point ``(?i)[a-z]`` accepts folds onto that letter, no other does."""
+        everything = "".join(chr(code) for code in range(sys.maxunicode + 1)
+                             if not 0xD800 <= code <= 0xDFFF)
+        for letter in string.ascii_lowercase:
+            accepted = set(re.findall(letter, everything, re.IGNORECASE))
+            assert {char.translate(_FOLD) for char in accepted} == {letter}
+        # Uncased characters fold onto themselves; of the cased rest, none
+        # may land on an ASCII letter.
+        others = re.sub("(?i)[a-z]", "", everything)
+        cased = "".join(char for char in others if char.lower() != char)
+        assert not set(string.ascii_lowercase) & set(cased.translate(type(_FOLD)(_FOLD)))

@@ -1,0 +1,132 @@
+"""A16 — the join executor: id-space hook vs the generic loop.
+
+``kb-query`` (``benchmarks/e2e``) spent 99% of its time joining tuple
+at a time: one ``match`` call, one ``Triple`` and one ``dict`` copy per
+candidate row.  PR 17 gave ``plan.execute_plan`` a backend hook and
+implemented it for the in-memory ``Graph`` as a set-at-a-time join over
+the int indexes.  This benchmark times the two executors on the
+``kb-query`` store (8 triples per entity, closed under the default
+rulebase) with the suite's own query makers, one row per query kind:
+
+* ms per query through ``select`` — planner, join, top-k heap and
+  projection included, so the ratio is what a caller sees;
+* and, while it has both answers in hand, that the rows are equal **in
+  order** (``answers_digest`` hashes them in order).
+
+The generic loop is reached the way production reaches it — through a
+wrapper store without the hook (SQLite, the router's broadcast route
+and wrapper stores take it).  Results land in
+``benchmarks/results/BENCH_A16.json``.  The default ladder stops at the
+``kb-query`` size; ``A13_FULL=1`` (the storage job's weekly / manual
+switch) adds a 4x larger store.
+"""
+
+import os
+import random
+import time
+
+from benchmarks._report import fmt_row, report, report_json
+from benchmarks.e2e.workloads import (
+    _preload,
+    entity_triples,
+    join_topk,
+    point_lookup,
+    query_kwargs,
+    range_topk,
+    three_hop,
+    two_pattern,
+)
+from repro.kb import PersonalKnowledgeBase
+from repro.stores.rdf.query import select
+from tests.stores.test_join_executors import GenericOnly
+
+FULL = os.environ.get("A13_FULL") == "1"
+#: Entities in the ``kb-query`` workload's store; the floors hold here.
+KB_QUERY_ENTITIES = 5_000
+LADDER = [500, KB_QUERY_ENTITIES] + ([20_000] if FULL else [])
+QUERIES_PER_KIND = 20
+REPEATS = 5
+SEED = 7
+
+#: Measured 5.0-5.5x (join-topk), 4.9-6.7x (range-topk) and 1.2x (point)
+#: over three runs on 2 cores; the floors sit far enough below to be
+#: insensitive to a noisy runner ("point no slower": a round of point
+#: lookups is 0.5 ms of work).
+SPEEDUP_FLOORS = {"join-topk": 2.0, "range-topk": 2.0, "point": 0.9}
+
+
+def _suite(rng: random.Random, entities: int) -> dict[str, list[dict]]:
+    makers = {
+        "join-topk": lambda: join_topk(rng),
+        "range-topk": lambda: range_topk(rng),
+        "point": lambda: point_lookup(rng, entities),
+        "three-hop": lambda: three_hop(rng),
+        "two-pattern": lambda: two_pattern(rng, entities),
+    }
+    return {kind: [make() for _ in range(QUERIES_PER_KIND)]
+            for kind, make in makers.items()}
+
+
+def _answer(store, queries: list[dict]) -> tuple[list, float]:
+    started = time.perf_counter()
+    answers = [select(store, query["patterns"], **query_kwargs(query))
+               for query in queries]
+    return answers, time.perf_counter() - started
+
+
+def _rung(entities: int) -> dict:
+    rng = random.Random(SEED)
+    kb = PersonalKnowledgeBase()
+    _preload(kb, entity_triples(rng, entities))
+    hook, generic = kb.graph, GenericOnly(kb.graph)
+    kinds = {}
+    for kind, queries in _suite(rng, entities).items():
+        best = {"hook": float("inf"), "generic": float("inf")}
+        # The executors take turns within each round, so a slow stretch
+        # on the host lands on both alike.
+        for _ in range(REPEATS):
+            got, seconds = _answer(hook, queries)
+            best["hook"] = min(best["hook"], seconds)
+            want, seconds = _answer(generic, queries)
+            best["generic"] = min(best["generic"], seconds)
+            assert got == want, f"{kind}: rows differ (or their order)"
+        kinds[kind] = {
+            "generic_ms": round(best["generic"] / len(queries) * 1e3, 4),
+            "hook_ms": round(best["hook"] / len(queries) * 1e3, 4),
+            "speedup_x": round(best["generic"] / best["hook"], 2),
+            "rows": sum(len(rows) for rows in got),
+        }
+    return {"triples": len(kb.graph), "kinds": kinds}
+
+
+def test_a16_join_executor():
+    ladder = {entities: _rung(entities) for entities in LADDER}
+    for kind, floor in SPEEDUP_FLOORS.items():
+        measured = ladder[KB_QUERY_ENTITIES]["kinds"][kind]
+        assert measured["speedup_x"] >= floor, (kind, measured)
+
+    widths = (9, 9, 12, 11, 9, 8, 7)
+    rows = [fmt_row("entities", "triples", "kind", "generic ms", "hook ms",
+                    "x", "rows", widths=widths)]
+    for entities, rung in ladder.items():
+        for kind, entry in rung["kinds"].items():
+            rows.append(fmt_row(entities, rung["triples"], kind,
+                                entry["generic_ms"], entry["hook_ms"],
+                                f'{entry["speedup_x"]}x', entry["rows"],
+                                widths=widths))
+    report("A16", "join executor: generic loop vs Graph's id-space hook "
+           "(ms per query through select)", [
+               *rows,
+               f"{QUERIES_PER_KIND} queries per kind, best of {REPEATS} "
+               "alternating rounds; rows equal in order on every round",
+           ])
+    report_json("A16", {
+        "seed": SEED,
+        "queries_per_kind": QUERIES_PER_KIND,
+        "repeats": REPEATS,
+        "full_ladder": FULL,
+        "rows_equal_in_order": True,
+        "speedup_floors_x": SPEEDUP_FLOORS,
+        "floors_checked_at_entities": KB_QUERY_ENTITIES,
+        "ladder": {str(entities): rung for entities, rung in ladder.items()},
+    })

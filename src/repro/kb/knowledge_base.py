@@ -34,7 +34,12 @@ from repro.stores.kvstore import FileKeyValueStore, InMemoryKeyValueStore, KeyVa
 from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf.graph import Graph, RDF, RDFS, REPRO, Triple
 from repro.stores.rdf.materialize import MaterializedGraph
-from repro.stores.rdf.plan import QueryPlan, build_plan, build_sharded_plan
+from repro.stores.rdf.plan import (
+    QueryPlan,
+    build_plan,
+    build_sharded_plan,
+    execute_plan,
+)
 from repro.stores.rdf.query import select
 from repro.stores.rdf.shard import ShardedGraph
 from repro.stores.rdf.reasoner import RdfsReasoner, TransitiveReasoner
@@ -308,7 +313,8 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         """
         return await asyncio.to_thread(self.query, patterns, **kwargs)
 
-    def explain(self, patterns, filters: Sequence = ()) -> QueryPlan:
+    def explain(self, patterns, filters: Sequence = (),
+                analyze: bool = False) -> QueryPlan:
         """The planner's chosen join order and filter placement.
 
         Returns a :class:`QueryPlan` for single stores; sharded stores
@@ -318,10 +324,20 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         expose ``explain()`` (stable dict) and ``describe()`` (text);
         the inner join plan is byte-identical across shard counts
         because the router's statistics are global.
+
+        ``analyze=True`` also runs the join once, so every step reports
+        ``actual_rows`` beside ``estimated_rows``.  On a sharded store
+        the inner plan runs over the router (as the broadcast route
+        does), so the counts are global ones.
         """
         if hasattr(self.graph, "route_select"):
-            return build_sharded_plan(self.graph, patterns, filters)
-        return build_plan(self.graph, patterns, filters)
+            plan = build_sharded_plan(self.graph, patterns, filters)
+            inner = plan.plan
+        else:
+            plan = inner = build_plan(self.graph, patterns, filters)
+        if analyze:
+            execute_plan(self.graph, inner, filters)
+        return plan
 
     def enable_materialization(
         self, reasoners: Sequence[object] | None = None

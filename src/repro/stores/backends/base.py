@@ -35,6 +35,22 @@ pattern (S, P, O)       index           prefix
 (?, ?, o)               OSP             (o,)
 (?, ?, ?)               —               full iteration
 ======================  ==============  ========================
+
+One **optional hook** sits beside the protocol, duck-typed and
+deliberately *not* a member of it (a backend without it must still
+pass ``isinstance(store, StorageBackend)``)::
+
+    def execute_plan(self, plan: QueryPlan, filters: Sequence) -> list[Binding]
+
+A store that has it runs a whole join plan itself —
+:func:`repro.stores.rdf.plan.execute_plan` dispatches to it and falls
+back to the generic loop over ``match`` otherwise.  The obligations:
+apply each step's pushed-down filters (``step.filter_indexes``), leave
+``plan.residual_filters`` to the caller, set ``plan.actual_rows`` (rows
+alive after each step, 0 for steps never reached), and return the rows
+the generic loop would return **in the order it would return them**.
+Only :class:`Graph` implements it today (set-at-a-time joins in id
+space); ``SqliteTripleStore`` and the router take the generic loop.
 """
 
 from __future__ import annotations

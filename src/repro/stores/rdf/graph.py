@@ -13,6 +13,13 @@ compare faster during joins, and keep each index entry a machine word
 instead of a repeated string.  Terms are decoded back only at the API
 boundary, so callers still see plain :class:`Triple` values.
 
+Joins stay in id space too: :meth:`Graph.execute_plan` is the optional
+backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
+It runs a whole query plan set-at-a-time over the three indexes — no
+``Triple``, no per-row ``dict`` — and returns exactly the rows, in
+exactly the order, that the generic one-``match``-per-binding loop
+returns for the same plan.
+
 The graph also maintains per-predicate cardinality statistics
 (:mod:`repro.stores.rdf.stats`) on every ``add`` / ``discard`` and a
 monotonically increasing ``version`` — the inputs the query planner
@@ -21,12 +28,23 @@ and the incremental materializer rely on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
 
+if TYPE_CHECKING:  # pragma: no cover — import cycle (plan imports us)
+    from repro.stores.rdf.plan import QueryPlan
+
 Term = str | int | float | bool
+
+#: What probing an index for a key it does not hold yields: no second
+#: level, no members, nothing to iterate.
+_NOTHING = MappingProxyType({})
 
 
 class _Namespace:
@@ -59,6 +77,29 @@ class Triple:
 
     def __iter__(self) -> Iterator[Term]:
         return iter((self.subject, self.predicate, self.object))
+
+
+def _probe(index: dict, rows: list, first, second) -> list[tuple[int, ...]]:
+    """Every row extended by each member of its ``index[first][second]``."""
+    return [row + (member,) for row, a, b in zip(rows, first, second)
+            for member in index.get(a, _NOTHING).get(b, _NOTHING)]
+
+
+def _scan(index: dict, rows: list, first) -> list[tuple[int, ...]]:
+    """Every row extended by each ``(second, member)`` under its ``index[first]``."""
+    return [row + (b, member) for row, a in zip(rows, first)
+            for b, members in index.get(a, _NOTHING).items()
+            for member in members]
+
+
+def _column_test(accepts, decode, column: int):
+    """A row test: ``accepts`` on the decoded term of one column."""
+    return lambda row: accepts(decode(row[column]))
+
+
+def _binding_test(predicate, decode, names: tuple[str, ...]):
+    """A row test: ``predicate`` on the row decoded into a full binding."""
+    return lambda row: predicate(dict(zip(names, map(decode, row))))
 
 
 class Graph:
@@ -270,6 +311,125 @@ class Graph:
                 for item in predicates
             ]
         return list(self)
+
+    # -- set-at-a-time joins -------------------------------------------------
+
+    def execute_plan(self, plan: QueryPlan,
+                     filters: Sequence = ()) -> list[dict[str, Term]]:
+        """Run a :class:`~repro.stores.rdf.plan.QueryPlan`'s join in id space.
+
+        The running solutions are int tuples, one slot per variable in
+        first-appearance order.  Each step interns its constants once
+        and extends *all* rows in one comprehension over the index
+        :meth:`match` would have picked, iterating the same containers
+        in the same order and filtering by membership — so the rows are
+        exactly the generic loop's, in its order.  Terms are decoded
+        for pushed-down filters and for the result only.
+        """
+        # Imported here: query.py imports this module.
+        from repro.stores.rdf.query import RangeFilter, is_variable
+
+        ids = self._term_ids
+        decode = self._terms.__getitem__
+        slots: dict[str, int] = {}
+        rows: list[tuple[int, ...]] = [()]
+        counts = plan.actual_rows = [0] * len(plan.steps)
+        for position, step in enumerate(plan.steps):
+            # Per component: its id for every row (a constant's, or the
+            # slot of a variable bound earlier), None when the step binds it.
+            known = []
+            fresh = []
+            for component in step.pattern:
+                if not is_variable(component):
+                    term_id = ids.get(component)
+                    if term_id is None:
+                        return []  # a term the graph never saw matches nothing
+                    known.append(repeat(term_id))
+                elif component in slots:
+                    known.append(map(itemgetter(slots[component]), rows))
+                else:
+                    known.append(None)
+                    fresh.append(component)
+            subject, predicate, obj = known
+            pushed = [filters[index] for index in step.filter_indexes]
+            accepts = None
+            if (len(pushed) == 1 and type(pushed[0]) is RangeFilter
+                    and subject is None and obj is None and predicate is not None
+                    and pushed[0].variable == step.pattern[2] != step.pattern[0]):
+                # A range over the object of a (?s p ?o) scan is decided
+                # once per distinct object, inside the scan.
+                accepts = pushed.pop().accepts
+            rows = self._extend(rows, subject, predicate, obj, accepts)
+            width = len(slots)
+            for variable in fresh:
+                slots.setdefault(variable, len(slots))
+            if len(slots) - width < len(fresh):
+                # A variable repeated inside the pattern: its columns
+                # must agree, and only the first is kept.
+                first = [width + fresh.index(variable) for variable in fresh]
+                keep = sorted(set(first))
+                rows = [
+                    row[:width] + tuple(row[column] for column in keep)
+                    for row in rows
+                    if all(row[width + offset] == row[column]
+                           for offset, column in enumerate(first))
+                ]
+            if pushed:
+                # Per row, every filter in order — what the generic loop
+                # does, so the first filter to raise is the same one.
+                names = tuple(slots)
+                tests = [
+                    _column_test(test.accepts, decode, slots[test.variable])
+                    if type(test) is RangeFilter
+                    else _binding_test(test, decode, names)
+                    for test in pushed
+                ]
+                rows = [row for row in rows if all(test(row) for test in tests)]
+            counts[position] = len(rows)
+            if not rows:
+                return []
+        names = tuple(slots)
+        return [dict(zip(names, map(decode, row))) for row in rows]
+
+    def _extend(self, rows, subject, predicate, obj, accepts) -> list[tuple[int, ...]]:
+        """Every row extended by the triples one pattern matches for it.
+
+        ``subject`` / ``predicate`` / ``obj`` are per-row id columns, or
+        None for the components the pattern binds (appended to the row
+        in that order).  ``accepts`` is an optional test on the decoded
+        object of a ``(?s p ?o)`` scan.
+        """
+        if subject is not None:
+            if predicate is not None:
+                if obj is not None:
+                    if type(predicate) is repeat and type(obj) is repeat:
+                        # One (p, o) for every row: probe its subject
+                        # bucket rather than the whole triple set.
+                        bucket = self._pos.get(next(predicate), _NOTHING).get(
+                            next(obj), _NOTHING)
+                        return [row for row, s in zip(rows, subject)
+                                if s in bucket]
+                    triples = self._triples
+                    return [row for row, key
+                            in zip(rows, zip(subject, predicate, obj))
+                            if key in triples]
+                return _probe(self._spo, rows, subject, predicate)
+            if obj is not None:
+                return _probe(self._osp, rows, obj, subject)
+            return _scan(self._spo, rows, subject)
+        if predicate is not None:
+            if obj is not None:
+                return _probe(self._pos, rows, predicate, obj)
+            pos = self._pos
+            decode = self._terms.__getitem__
+            return [row + (s, o) for row, p in zip(rows, predicate)
+                    for o, subjects in pos.get(p, _NOTHING).items()
+                    if accepts is None or accepts(decode(o))
+                    for s in subjects]
+        if obj is not None:
+            return _scan(self._osp, rows, obj)
+        triples = self._triples
+        return [row + triple for row in rows for triple in triples]
 
     def objects(self, subject: str, predicate: str) -> set[Term]:
         """All objects of (subject, predicate, ?)."""

@@ -22,6 +22,16 @@ constants in its compiled code (a sound over-approximation: a filter
 is only pushed down when the detected set is non-empty and fully
 bound).  Filters whose variables cannot be determined run after the
 join, exactly where the naive engine ran them.
+
+:func:`execute_plan` is the query layer's one dispatch point between
+executors.  A store that can run a plan itself — it has an
+``execute_plan(plan, filters)`` method, duck-typed and optional — does
+so: the in-memory :class:`Graph` joins set-at-a-time in id space.
+Every other store (SQLite, the sharded router on its broadcast route,
+wrapper stores) is joined by the generic loop here, one ``match`` per
+binding per step.  Both return the same rows in the same order and
+record ``plan.actual_rows``, which ``explain()`` then shows beside the
+estimates (``kb.explain(..., analyze=True)``).
 """
 
 from __future__ import annotations
@@ -93,14 +103,22 @@ class QueryPlan:
                  residual_filters: tuple[int, ...]) -> None:
         self.steps = list(steps)
         self.residual_filters = residual_filters
+        #: Rows alive after each step of the last :func:`execute_plan`
+        #: over this plan (0 for steps an empty join never reached);
+        #: None until the plan has run.
+        self.actual_rows: list[int] | None = None
 
     def pattern_order(self) -> list[int]:
         """Original pattern indexes in execution order."""
         return [step.source_index for step in self.steps]
 
     def explain(self) -> dict:
-        """A stable, JSON-friendly description of the plan."""
-        return {
+        """A stable, JSON-friendly description of the plan.
+
+        Once the plan has run, each step also carries ``actual_rows``
+        beside ``estimated_rows``.
+        """
+        explained = {
             "strategy": "greedy-selectivity",
             "steps": [
                 {
@@ -114,6 +132,10 @@ class QueryPlan:
             ],
             "residual_filters": list(self.residual_filters),
         }
+        if self.actual_rows is not None:
+            for entry, actual in zip(explained["steps"], self.actual_rows):
+                entry["actual_rows"] = actual
+        return explained
 
     def describe(self) -> str:
         """Human-readable plan rendering, one line per step."""
@@ -124,9 +146,14 @@ class QueryPlan:
                 if step.filter_indexes
                 else ""
             )
+            actual = (
+                f" (actual {self.actual_rows[position - 1]})"
+                if self.actual_rows is not None
+                else ""
+            )
             lines.append(
                 f"{position}. {step.pattern!r}"
-                f"  ~{step.estimated_rows:g} rows{pushed}"
+                f"  ~{step.estimated_rows:g} rows{actual}{pushed}"
             )
         if self.residual_filters:
             lines.append(f"residual filters: {list(self.residual_filters)}")
@@ -265,12 +292,20 @@ def execute_plan(
 ) -> list[Binding]:
     """Run a plan's join, applying pushed-down filters at each step.
 
+    The one dispatch point between executors (see the module
+    docstring): the store's own ``execute_plan`` when it has one, else
+    the generic loop below.  Either way ``plan.actual_rows`` is set.
+
     Residual filters (``plan.residual_filters``) are *not* applied —
     the caller runs them after OPTIONAL extension, matching the naive
     engine's semantics.
     """
+    runner = getattr(graph, "execute_plan", None)
+    if runner is not None:
+        return runner(plan, filters)
     bindings: list[Binding] = [{}]
-    for step in plan.steps:
+    counts = plan.actual_rows = [0] * len(plan.steps)
+    for position, step in enumerate(plan.steps):
         step_filters = [filters[index] for index in step.filter_indexes]
         next_bindings: list[Binding] = []
         for binding in bindings:
@@ -278,6 +313,7 @@ def execute_plan(
                 if all(predicate(extended) for predicate in step_filters):
                     next_bindings.append(extended)
         bindings = next_bindings
+        counts[position] = len(bindings)
         if not bindings:
             break
     return bindings

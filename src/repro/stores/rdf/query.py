@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Sequence
+from operator import attrgetter
 
 from repro.stores.rdf.graph import Graph, Term
 
@@ -45,34 +46,37 @@ def is_variable(term: object) -> bool:
     return isinstance(term, str) and term.startswith("?")
 
 
-def _substitute(component: object, binding: Binding) -> object:
-    if is_variable(component) and component in binding:
-        return binding[component]
-    return component
+_COMPONENTS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
 
 
 def _match_pattern(graph: Graph, pattern: Pattern, binding: Binding) -> list[Binding]:
-    """All extensions of ``binding`` that satisfy one pattern."""
-    subject, predicate, obj = (_substitute(component, binding) for component in pattern)
-    query = (
-        None if is_variable(subject) else subject,
-        None if is_variable(predicate) else predicate,
-        None if is_variable(obj) else obj,
-    )
+    """All extensions of ``binding`` that satisfy one pattern.
+
+    Whether a component is a variable is read off the *pattern*: a
+    bound value is a term even when it starts with ``?``.
+    """
+    query: list[object] = []
+    free = []
+    for component, getter in zip(pattern, _COMPONENTS):
+        if is_variable(component):
+            if component in binding:
+                component = binding[component]
+            else:
+                free.append((component, getter))
+                component = None
+        elif component is None:
+            # ``match`` reads None as a wildcard; no stored term is None.
+            return []
+        query.append(component)
     extensions = []
     for triple in graph.match(*query):
         extended = dict(binding)
-        consistent = True
-        for component, value in zip((subject, predicate, obj), iter(triple)):
-            if is_variable(component):
-                if component in extended and extended[component] != value:
-                    consistent = False
-                    break
-                extended[component] = value
-            elif component != value:
-                consistent = False
+        for variable, getter in free:
+            value = getter(triple)
+            # A variable repeated inside the pattern must bind one value.
+            if extended.setdefault(variable, value) != value:
                 break
-        if consistent:
+        else:
             extensions.append(extended)
     return extensions
 
@@ -196,7 +200,11 @@ class RangeFilter:
 
     def __call__(self, binding: Binding) -> bool:
         """Whether the binding's value is numeric and inside the range."""
-        value = binding.get(self.variable)
+        return self.accepts(binding.get(self.variable))
+
+    def accepts(self, value: object) -> bool:
+        """The test on the one column's value (what an executor that
+        holds columns, not bindings, calls)."""
         if not isinstance(value, (bool, int, float)):
             return False
         if self.low is not None:
@@ -254,6 +262,8 @@ def select(
     placement by cost; the result set is identical to the naive
     engine's, only the evaluation order changes.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
     for pattern in list(patterns) + list(optional):
         if len(pattern) != 3:
             raise ValueError(f"patterns must be triples, got {pattern!r}")
@@ -277,7 +287,7 @@ def select(
         def sort_key(binding: Binding) -> tuple[int, object]:
             return _order_key(binding.get(order_by))
 
-        if limit is not None and limit >= 0 and not distinct:
+        if limit is not None and not distinct:
             # Top-k: a bounded heap instead of sorting everything.
             # nsmallest/nlargest are stable, so the outcome matches
             # sort + slice exactly.

@@ -109,7 +109,7 @@ def _fallback_numeric_scan(backend, predicate: str, low, high, *,
     in_range = RangeFilter("?v", low, high, low_inclusive=low_inclusive,
                            high_inclusive=high_inclusive)
     candidates = [t for t in backend.match(None, predicate, None)
-                  if in_range({"?v": t.object})]
+                  if in_range.accepts(t.object)]
     # Same total order as the SQL scan: value (per ``descending``),
     # then subject ascending for ties.
     sign = -1.0 if descending else 1.0
@@ -470,6 +470,8 @@ class ShardedGraph:
         cross-shard joins broadcast through the router's pattern
         scans.  See :meth:`route_select`.
         """
+        if limit is not None and limit < 0:
+            raise ValueError("limit must be >= 0")
         route, target = self.route_select(patterns, optional)
         if route != ROUTE_SCATTER:
             # One shard holds every subject named, or the router itself

@@ -1,5 +1,7 @@
 """Planner, explain() and materialization wiring on the PKB facade."""
 
+import pytest
+
 from repro.kb.knowledge_base import PersonalKnowledgeBase
 from repro.obs import Observability
 from repro.stores.rdf.graph import RDF, RDFS, Triple
@@ -27,6 +29,34 @@ class TestExplain:
         # The single worksAt edge runs before the five type triples.
         assert plan.pattern_order() == [1, 0]
         assert explained["steps"][0]["estimated_rows"] == 1.0
+
+
+    def test_analyze_adds_actual_rows_and_nothing_else(self):
+        kb = populated_kb()
+        patterns = [("?p", "rdf:type", "Person"), ("?p", "name", "?n")]
+        filters = [lambda b: b["?n"] != "N3"]
+        plain = kb.explain(patterns, filters).explain()
+        assert all("actual_rows" not in step for step in plain["steps"])
+        analyzed = kb.explain(patterns, filters, analyze=True)
+        steps = analyzed.explain()["steps"]
+        assert [step.pop("actual_rows") for step in steps] == [5, 4]
+        assert steps == plain["steps"]
+        assert "(actual 4)" in analyzed.describe()
+
+    @pytest.mark.parametrize("config", [
+        {}, {"shards": 3}, {"storage": "sqlite"},
+        {"storage": "sqlite", "shards": 2}])
+    def test_analyze_counts_are_the_same_on_every_store(self, config):
+        kb = populated_kb(**config)
+        # A cross-subject join (broadcast route on a router) that dies
+        # at its second step.
+        plan = kb.explain([("?p", "worksAt", "?org"), ("?org", "name", "?n")],
+                          analyze=True)
+        inner = getattr(plan, "plan", plan)
+        assert inner.actual_rows == [1, 0]
+        star = kb.explain([("?p", "rdf:type", "Person"), ("?p", "name", "?n")],
+                          analyze=True)
+        assert getattr(star, "plan", star).actual_rows == [5, 5]
 
 
 class TestQuery:

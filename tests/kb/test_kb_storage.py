@@ -73,6 +73,16 @@ def test_every_config_answers_queries_identically(name):
     assert kb.snapshot()["graph"] == reference.snapshot()["graph"]
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS), ids=sorted(CONFIGS))
+def test_negative_limit_is_rejected_by_every_config(name):
+    kb = seeded(**CONFIGS[name])
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        kb.query([("?c", "repro:population", "?p")], limit=-1)
+    kb.enable_materialization()
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        kb.query([("?c", "repro:population", "?p")], order_by="?p", limit=-1)
+
+
 def test_sharded_explain_reports_routing():
     kb = seeded(storage="sqlite", shards=3)
     assert isinstance(kb.graph, ShardedGraph)

@@ -17,6 +17,7 @@ from repro.stores.backends import (
     canonical_triple_list,
 )
 from repro.stores.rdf.graph import Graph, Triple
+from repro.stores.rdf.query import select
 from repro.stores.rdf.shard import ShardedGraph
 from repro.stores.rdf.stats import BOUND
 
@@ -171,3 +172,42 @@ def test_add_many_reports_per_triple_newness(store):
 def test_iteration_covers_everything(store, reference):
     store.add_all(TRIPLES)
     assert set(store) == set(reference)
+
+
+# -- the query engine over every backend --------------------------------------
+
+def run_select(store, patterns, **kwargs):
+    """SELECT the way the KB does: the store's own ``select`` when it has one."""
+    runner = getattr(store, "select", None)
+    if runner is not None:
+        return runner(patterns, **kwargs)
+    return select(store, patterns, **kwargs)
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_stored_term_starting_with_question_mark_stays_a_term(store, optimize):
+    # Bound to ?o, the literal "?what" used to turn back into a wildcard
+    # and the join returned two rows with a phantom "?what" key.
+    store.add_all([("a", "says", "?what"), ("b", "p", "x"), ("c", "p", "y")])
+    patterns = [("a", "says", "?o"), ("?o", "p", "?z")]
+    assert run_select(store, patterns, optimize=optimize) == []
+    store.add(("?what", "p", "z"))
+    assert run_select(store, patterns, optimize=optimize) == [
+        {"?o": "?what", "?z": "z"}]
+    assert run_select(store, [("a", "says", "?o")], optimize=optimize,
+                      optional=[("?o", "p", "?z")]) == [
+        {"?o": "?what", "?z": "z"}]
+
+
+def test_negative_limit_is_rejected(store):
+    # A Graph used to drop the last row (``rows[:-1]``), the router died
+    # inside ``islice``.
+    store.add_all(TRIPLES)
+    for patterns in ([("?s", "repro:age", "?v")],            # scatter
+                     [("repro:alice", "repro:age", "?v")],   # single shard
+                     [("?s", "repro:knows", "?t"),           # broadcast
+                      ("?t", "repro:age", "?v")]):
+        for kwargs in ({}, {"order_by": "?v"}):
+            with pytest.raises(ValueError, match="limit must be >= 0"):
+                run_select(store, patterns, limit=-1, **kwargs)
+    assert run_select(store, [("?s", "repro:age", "?v")], limit=0) == []

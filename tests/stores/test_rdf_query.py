@@ -3,7 +3,7 @@
 import pytest
 
 from repro.stores.rdf.graph import Graph
-from repro.stores.rdf.query import is_variable, select, solve
+from repro.stores.rdf.query import is_variable, select, solve, solve_optional
 
 
 @pytest.fixture
@@ -63,6 +63,28 @@ class TestSolve:
         assert bindings == [{"?x": "a"}]
 
 
+class TestBoundValueThatLooksLikeAVariable:
+    """A stored term starting with ``?`` is a term once it is bound."""
+
+    GRAPH = [("a", "says", "?what"), ("b", "p", "x"), ("c", "p", "y")]
+    PATTERNS = [("a", "says", "?o"), ("?o", "p", "?z")]
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_select(self, optimize):
+        graph = Graph(self.GRAPH)
+        assert select(graph, self.PATTERNS, optimize=optimize) == []
+        assert solve(graph, self.PATTERNS) == []
+
+    def test_solve_optional(self):
+        graph = Graph(self.GRAPH)
+        solutions = [{"?o": "?what"}]
+        assert solve_optional(graph, solutions, [("?o", "p", "?z")]) == [
+            {"?o": "?what"}]
+        graph.add(("?what", "p", "z"))
+        assert solve_optional(graph, solutions, [("?o", "p", "?z")]) == [
+            {"?o": "?what", "?z": "z"}]
+
+
 class TestSelect:
     def test_projection(self, graph):
         rows = select(graph, [("?c", "rdf:type", "Country")], variables=["?c"])
@@ -103,6 +125,12 @@ class TestSelect:
     def test_malformed_pattern_rejected(self, graph):
         with pytest.raises(ValueError):
             select(graph, [("?x", "rdf:type")])
+
+    def test_negative_limit_rejected(self, graph):
+        # ``rows[:-1]`` used to drop the last row silently.
+        for kwargs in ({}, {"order_by": "?p"}, {"distinct": True}):
+            with pytest.raises(ValueError, match="limit must be >= 0"):
+                select(graph, [("?x", "population", "?p")], limit=-1, **kwargs)
 
     def test_default_projects_all_variables(self, graph):
         rows = select(graph, [("?x", "inCountry", "?y")])

@@ -57,6 +57,17 @@ class TestForwardChaining:
         ancestors_of_tom = {t.object for t in family.match("tom", ANCESTOR, None)}
         assert ancestors_of_tom == {"bob", "liz", "ann", "sue"}
 
+    def test_bound_value_starting_with_question_mark_is_a_term(self):
+        # Bound to ?o, "?what" used to act as a wildcard in the second
+        # premise and derive ("a", "echo", "x") and ("a", "echo", "y").
+        graph = Graph([("a", "says", "?what"), ("b", "p", "x"), ("c", "p", "y")])
+        rule = Rule(premises=[("?s", "says", "?o"), ("?o", "p", "?z")],
+                    conclusions=[("?s", "echo", "?z")])
+        assert GenericRuleReasoner([rule]).forward(graph) == 0
+        graph.add(("?what", "p", "z"))
+        assert GenericRuleReasoner([rule]).forward(graph) == 1
+        assert ("a", "echo", "z") in graph
+
     def test_forward_idempotent(self, family):
         reasoner = GenericRuleReasoner(ANCESTOR_RULES)
         reasoner.forward(family)

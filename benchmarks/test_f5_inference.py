@@ -120,7 +120,7 @@ def test_rdfs_reasoning_scale(analyzed_kb):
         for index in range(instances):
             graph.add((f"item-{index}", RDF.type, "class-0"))
         started = time.perf_counter()
-        entailed = RdfsReasoner(rules=("rdfs9", "rdfs11")).apply(graph)
+        entailed = RdfsReasoner(rules=("rdfs9", "rdfs11")).forward(graph)
         elapsed_ms = (time.perf_counter() - started) * 1000
         rows.append(fmt_row(instances, instances + depth, entailed, elapsed_ms))
         assert entailed == instances * depth + (depth * (depth - 1)) // 2

@@ -113,12 +113,6 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
             self._metric_queries = None
 
     @property
-    def _store(self):
-        """Where writes go: the materialized view when enabled, else
-        the raw graph (both share the same underlying triples)."""
-        return self.view if self.view is not None else self.graph
-
-    @property
     def uses_default_storage(self) -> bool:
         """Whether the RDF store is the original single in-memory Graph."""
         return self.storage == "memory" and self.shards == 1
@@ -181,16 +175,16 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         if disambiguate:
             subject_id, resolved = self._canonical_subject(subject)
             if resolved is not None:
-                self._store.add(Triple(subject_id, RDFS.label, resolved.name))
-                self._store.add(Triple(subject_id, RDF.type, REPRO(resolved.entity_type)))
+                self.pipeline.record(Triple(subject_id, RDFS.label, resolved.name))
+                self.pipeline.record(Triple(subject_id, RDF.type, REPRO(resolved.entity_type)))
                 for source, url in resolved.links.items():
-                    self._store.add(Triple(subject_id, REPRO(f"link_{source}"), url))
+                    self.pipeline.record(Triple(subject_id, REPRO(f"link_{source}"), url))
             if isinstance(obj, str):
                 object_id, object_resolved = self._canonical_subject(obj)
                 if object_resolved is not None:
                     obj = object_id
         triple = Triple(subject_id, predicate, obj)
-        self._store.add(triple)
+        self.pipeline.record(triple)
         return triple
 
     def facts_about(self, subject: str) -> list[Triple]:
@@ -233,11 +227,11 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
             stored = 0
             for renamed_property, value in record["facts"].items():
                 canonical = reverse.get(renamed_property, renamed_property)
-                self._store.add(Triple(subject_id, REPRO(canonical), value))
+                self.pipeline.record(Triple(subject_id, REPRO(canonical), value))
                 stored += 1
-            self._store.add(Triple(subject_id, REPRO(f"source_{source}"), record["uri"]))
+            self.pipeline.record(Triple(subject_id, REPRO(f"source_{source}"), record["uri"]))
             if record.get("type_value"):
-                self._store.add(Triple(subject_id, RDF.type, REPRO(record["type_value"])))
+                self.pipeline.record(Triple(subject_id, RDF.type, REPRO(record["type_value"])))
             outcomes[source] = f"ok ({stored} facts)"
         return outcomes
 
@@ -266,7 +260,7 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
     def table_to_rdf(self, table_name: str, subject_column: str | None = None) -> int:
         """Convert a relational table into statements in the RDF store."""
         triples = table_to_triples(self.database.table(table_name), subject_column)
-        return self._store.add_all(triples)
+        return sum(map(self.pipeline.record, triples))
 
     def rdf_to_table(self, table_name: str) -> Table:
         """Pivot a table's statements (incl. inferred ones) back into a table."""
@@ -340,7 +334,7 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         return plan
 
     def enable_materialization(
-        self, reasoners: Sequence[object] | None = None
+        self, reasoners: Sequence[GenericRuleReasoner] | None = None
     ) -> MaterializedGraph:
         """Keep the store closed under ``reasoners`` incrementally.
 
@@ -361,9 +355,9 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
     def reason(self, reasoner: str = "rdfs") -> int:
         """Apply a predefined reasoner; returns new-triple count."""
         if reasoner == "rdfs":
-            return RdfsReasoner().apply(self.graph)
+            return RdfsReasoner().forward(self.graph)
         if reasoner == "transitive":
-            return TransitiveReasoner().apply(self.graph)
+            return TransitiveReasoner().forward(self.graph)
         raise ConfigurationError(
             f"unknown reasoner {reasoner!r}; choose 'rdfs' or 'transitive'"
         )
@@ -429,7 +423,7 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         except OSError:
             is_file = False  # long inline text is not a valid path
         text = candidate.read_text() if is_file else str(text_or_path)
-        return self._store.add_all(from_turtle(text))
+        return sum(map(self.pipeline.record, from_turtle(text)))
 
     def snapshot(self) -> dict:
         """The whole knowledge base as one JSON-safe dict."""

@@ -69,13 +69,19 @@ def default_rules() -> list[Rule]:
 class AnalysisPipeline:
     """Regression over numeric data, materialized as RDF, then inferred.
 
-    Inference is *incremental by default*: the pipeline remembers which
-    statements it added since the last :meth:`infer` and, when nothing
-    else touched the graph in between (checked via the graph's
-    monotonic ``version``), runs the rulebase semi-naively over just
-    that delta instead of rescanning the whole store.  Any external
-    mutation safely falls back to a full fixpoint — results are always
-    identical to full re-materialization, only cheaper.
+    Inference is *incremental by default*: every statement written
+    through :meth:`record` — the pipeline's own results and every write
+    made through the knowledge-base facade — is remembered until the
+    next :meth:`infer`, which runs the rulebase semi-naively over just
+    that delta instead of rescanning the whole store.  The check is the
+    graph's ``additions`` counter: when it has moved by exactly the
+    recorded adds, nothing unseen can have new consequences.  An add
+    the pipeline did not see (straight to the graph, another reasoner's
+    derivations, a materialized view's) makes the next :meth:`infer` a
+    full fixpoint, as does a backend without the counter; a removal
+    never does — retracting facts creates no consequences (and retracts
+    none).  Either way the adds end in the closure a full pass would
+    reach, only cheaper.
     """
 
     def __init__(
@@ -121,14 +127,32 @@ class AnalysisPipeline:
         # Swapping the graph invalidates all incremental-inference
         # bookkeeping: start over with a mandatory full fixpoint.
         self._graph = graph
-        self._pending: set[Triple] = set()
-        self._synced_version: object = None
-        self._full_fixpoint_done = False
+        # One entry per successful record() since the last infer().
+        self._pending: list[Triple] = []
+        # _counters() when the last infer() finished; None until a full
+        # fixpoint ran over a graph that counts its additions.
+        self._synced: tuple[int, int] | None = None
 
-    def _record_add(self, triple: Triple) -> None:
-        if self._graph.add(triple):
-            self._pending.add(triple)
-        self._synced_version = getattr(self._graph, "version", None)
+    def _counters(self) -> tuple[int, int] | None:
+        """The graph's (additions, removals) so far; None when it does
+        not count additions."""
+        additions = getattr(self._graph, "additions", None)
+        if additions is None:
+            return None
+        return additions, self._graph.version - additions
+
+    def record(self, triple: Triple | tuple) -> bool:
+        """Write one statement to the graph and into the next delta.
+
+        Returns whether it was new.  Every write that goes through
+        here keeps :meth:`infer` incremental; one that bypasses it
+        costs the next :meth:`infer` a full pass, never an answer.
+        """
+        triple = Graph._coerce(triple)
+        added = self._graph.add(triple)
+        if added:
+            self._pending.append(triple)
+        return added
 
     def _span(self, name: str, attributes: dict):
         if self._tracer is None:
@@ -175,15 +199,15 @@ class AnalysisPipeline:
         forecast = linear_forecast(ys, horizon=1)[0]
         fit_label = "strong" if model.r_squared >= self.r_squared_strong else "weak"
 
-        self._record_add(Triple(subject, REPRO.analyzed_series, series_name))
-        self._record_add(Triple(subject, REPRO.slope, round(model.slope, 6)))
-        self._record_add(Triple(subject, REPRO.intercept, round(model.intercept, 6)))
-        self._record_add(Triple(subject, REPRO.r_squared, round(model.r_squared, 6)))
-        self._record_add(Triple(subject, REPRO.trend, trend))
-        self._record_add(Triple(subject, REPRO.goodness_of_fit, fit_label))
-        self._record_add(Triple(subject, REPRO.forecast_next, round(forecast, 6)))
+        self.record(Triple(subject, REPRO.analyzed_series, series_name))
+        self.record(Triple(subject, REPRO.slope, round(model.slope, 6)))
+        self.record(Triple(subject, REPRO.intercept, round(model.intercept, 6)))
+        self.record(Triple(subject, REPRO.r_squared, round(model.r_squared, 6)))
+        self.record(Triple(subject, REPRO.trend, trend))
+        self.record(Triple(subject, REPRO.goodness_of_fit, fit_label))
+        self.record(Triple(subject, REPRO.forecast_next, round(forecast, 6)))
         if entity_type is not None:
-            self._record_add(Triple(subject, RDF.type, REPRO(entity_type)))
+            self.record(Triple(subject, RDF.type, REPRO(entity_type)))
         self.series_analyzed += 1
         if self._metric_series is not None:
             self._metric_series.inc()
@@ -201,9 +225,11 @@ class AnalysisPipeline:
         """Run the rulebase; returns newly derived facts.
 
         Incremental when possible: if a full fixpoint already ran and
-        every graph mutation since then came through this pipeline,
-        only the pending delta is re-derived (``last_infer_mode`` is
-        set to ``"delta"``, else ``"full"``).
+        every triple added to the graph since then came through
+        :meth:`record`, only that delta is re-derived
+        (``last_infer_mode`` is set to ``"delta"``, else ``"full"``).
+        Recorded statements removed again before this call are left
+        out of the delta: nothing is derived from a retracted fact.
 
         A ``deadline`` is checked before the run starts; the pending
         delta stays intact when it raises, so a later in-budget
@@ -211,22 +237,26 @@ class AnalysisPipeline:
         """
         if deadline is not None:
             deadline.check("pipeline infer")
-        current_version = getattr(self.graph, "version", None)
+        counters = self._counters()
         incremental = (
-            self._full_fixpoint_done
-            and current_version is not None
-            and current_version == self._synced_version
+            self._synced is not None
+            and counters is not None
+            and counters[0] == self._synced[0] + len(self._pending)
         )
         with self._span(names.SPAN_KB_INFER, {"series_analyzed": self.series_analyzed}) as span:
             if incremental:
-                derived = self.reasoner.forward_delta(self.graph, self._pending)
+                delta = self._pending
+                if counters[1] != self._synced[1]:
+                    # Something was removed since the last sync, maybe
+                    # a recorded statement: the delta must be in the graph.
+                    delta = [triple for triple in delta if triple in self.graph]
+                derived = self.reasoner.forward_delta(self.graph, delta)
                 self.last_infer_mode = "delta"
             else:
                 derived = self.reasoner.forward(self.graph)
-                self._full_fixpoint_done = True
                 self.last_infer_mode = "full"
             self._pending.clear()
-            self._synced_version = getattr(self.graph, "version", None)
+            self._synced = self._counters()
             if span is not None:
                 span.set_attribute("facts_derived", derived)
                 span.set_attribute("mode", self.last_infer_mode)

@@ -36,13 +36,22 @@ pattern (S, P, O)       index           prefix
 (?, ?, ?)               —               full iteration
 ======================  ==============  ========================
 
-One **optional hook** sits beside the protocol, duck-typed and
-deliberately *not* a member of it (a backend without it must still
-pass ``isinstance(store, StorageBackend)``)::
+Two **optional members** sit beside the protocol, duck-typed and
+deliberately *not* part of it (a backend without them must still pass
+``isinstance(store, StorageBackend)``)::
 
+    additions: int    # read-only property
     def execute_plan(self, plan: QueryPlan, filters: Sequence) -> list[Binding]
 
-A store that has it runs a whole join plan itself —
+``additions`` counts the triples ever inserted and, unlike ``version``,
+stands still on ``remove`` / ``clear``.  It is the token
+:class:`~repro.kb.pipeline.AnalysisPipeline` syncs delta inference on:
+while it has moved by exactly the adds the pipeline recorded, nothing
+unseen can have new consequences, whatever was removed in between.  A
+backend without it is always inferred over in full.  All three stores
+above have it (the router sums its shards').
+
+A store that has ``execute_plan`` runs a whole join plan itself —
 :func:`repro.stores.rdf.plan.execute_plan` dispatches to it and falls
 back to the generic loop over ``match`` otherwise.  The obligations:
 apply each step's pushed-down filters (``step.filter_indexes``), leave
@@ -75,7 +84,9 @@ class StorageBackend(Protocol):
       representation wins.  The contract suite pins this.
     * **Version discipline** — ``version`` increases on every
       successful mutation (including ``clear``) and never decreases,
-      so it stays safe as a cache-invalidation key.
+      so it stays safe as a cache-invalidation key.  A backend that
+      also has the optional ``additions`` (module docstring) moves it
+      by one per inserted triple and on nothing else.
     """
 
     def add(self, triple: Triple | tuple) -> bool:

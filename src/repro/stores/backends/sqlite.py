@@ -139,6 +139,7 @@ class SqliteTripleStore:
         row = self._conn.execute(
             "SELECT value FROM meta WHERE key = 'version'").fetchone()
         self._version = row[0] if row is not None else 0
+        self._additions = 0
         if obs is not None and obs.enabled:
             self._metric_ops = obs.metrics.counter(
                 names.STORAGE_BACKEND_OPS_TOTAL,
@@ -218,6 +219,7 @@ class SqliteTripleStore:
             if added:
                 self._size += 1
                 self._version += 1
+                self._additions += 1
                 self._persist_version()
             self._count_op("add")
             return added
@@ -268,6 +270,7 @@ class SqliteTripleStore:
                         added += self._conn.total_changes - before
                 self._size += added
                 self._version += added
+                self._additions += added
                 self._persist_version()
                 self._conn.execute("COMMIT")
             except BaseException:
@@ -358,6 +361,12 @@ class SqliteTripleStore:
     def version(self) -> int:
         """Monotonic mutation counter (persisted across reopen)."""
         return self._version
+
+    @property
+    def additions(self) -> int:
+        """Triples inserted since this store was opened (not persisted:
+        it syncs in-process readers, see :attr:`Graph.additions`)."""
+        return self._additions
 
     def match(self, subject: str | None = None, predicate: str | None = None,
               obj: Term | None = None) -> list[Triple]:

@@ -4,11 +4,11 @@
   RDF/RDFS vocabulary constants.
 * :mod:`repro.stores.rdf.query` — a SPARQL-like SELECT engine over
   basic graph patterns with filters.
-* :mod:`repro.stores.rdf.reasoner` — the predefined reasoners the paper
-  lists: transitive and RDFS-subset rule reasoners.
 * :mod:`repro.stores.rdf.rules` — the "generic rule reasoner that
   supports user-defined rules", with forward chaining and tabled
-  backward chaining.
+  backward chaining: the one inference engine.
+* :mod:`repro.stores.rdf.reasoner` — the predefined reasoners the paper
+  lists, transitive and RDFS-subset, as rule lists for that engine.
 * :mod:`repro.stores.rdf.stats` / :mod:`repro.stores.rdf.plan` —
   per-predicate cardinality statistics and the cost-based query
   planner built on them.

@@ -118,6 +118,7 @@ class Graph:
         self._osp: dict[int, dict[int, set[int]]] = {}
         self._stats = GraphStatistics()
         self._version = 0
+        self._additions = 0
         for triple in triples:
             self.add(triple)
 
@@ -141,6 +142,16 @@ class Graph:
         cache-invalidation key.
         """
         return self._version
+
+    @property
+    def additions(self) -> int:
+        """How many triples were ever inserted; removals leave it alone.
+
+        What a delta-maintained closure syncs on: while this has not
+        moved past the adds a reasoner was told of, nothing it has not
+        seen can have new consequences.
+        """
+        return self._additions
 
     @staticmethod
     def _coerce(triple: Triple | tuple) -> Triple:
@@ -196,6 +207,7 @@ class Graph:
         )
         self._stats.record_add(subject_id, predicate_id, object_id)
         self._version += 1
+        self._additions += 1
         return True
 
     def add_all(self, triples: Iterable[Triple | tuple]) -> int:

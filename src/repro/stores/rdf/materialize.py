@@ -3,9 +3,9 @@
 Full re-materialization — rerunning every reasoner over the whole
 graph — is what made "add one regression result, re-infer" scale with
 graph size instead of change size.  :class:`MaterializedGraph` keeps a
-graph *closed under its reasoners at all times*: every ``add`` routes
-the new triples through each reasoner's semi-naive ``apply_delta``, so
-only consequences of the change are derived.  Deletion falls back to
+graph *closed under its reasoners at all times*: every ``add`` seeds
+the rule engine's semi-naive ``derive`` with the new triples, so only
+consequences of the change are derived.  Deletion falls back to
 rebuild-from-base (exact truth maintenance under deletes needs full
 DRed bookkeeping; the PKB's write mix is overwhelmingly additive).
 
@@ -70,32 +70,18 @@ class QueryResultCache:
         self._entries.clear()
 
 
-def _delta_consequences(reasoner, graph: Graph,
-                        frontier: set[Triple]) -> set[Triple]:
-    """The triples ``reasoner`` derives from ``frontier``, as a set."""
-    if isinstance(reasoner, GenericRuleReasoner):
-        return reasoner._run(graph, set(frontier), None)
-    return reasoner._delta_set(graph, frontier)
-
-
-def _full_apply(reasoner, graph: Graph) -> int:
-    """Run a reasoner fully, whatever its API flavor."""
-    if isinstance(reasoner, GenericRuleReasoner):
-        return reasoner.forward(graph)
-    return reasoner.apply(graph)
-
-
 class MaterializedGraph:
     """A graph kept closed under a set of reasoners, incrementally.
 
     Wraps a base :class:`Graph` (shared, not copied) plus reasoners —
     any mix of :class:`RdfsReasoner`, :class:`TransitiveReasoner` and
-    :class:`GenericRuleReasoner` — and maintains the joint fixpoint:
+    :class:`GenericRuleReasoner`.  A reasoner is a rule list, so their
+    joint fixpoint is the fixpoint of one reasoner over all their rules
+    (:attr:`reasoner`):
 
     * construction runs a full materialization;
     * :meth:`add` / :meth:`add_all` derive only the consequences of
-      the new triples (semi-naive), iterating across reasoners until
-      no reasoner adds anything;
+      the new triples (semi-naive);
     * :meth:`remove` / :meth:`discard` rebuild from the recorded base
       facts (derived triples are never explicitly stored anywhere
       else, so deletion must re-derive);
@@ -109,14 +95,17 @@ class MaterializedGraph:
     def __init__(
         self,
         base: Graph | None = None,
-        reasoners: Sequence[object] | None = None,
+        reasoners: Sequence[GenericRuleReasoner] | None = None,
         cache_size: int = 128,
         obs=None,
     ) -> None:
         self.graph = base if base is not None else Graph()
-        self.reasoners = (
-            list(reasoners) if reasoners is not None else [RdfsReasoner()]
-        )
+        self.reasoner = GenericRuleReasoner([
+            rule
+            for reasoner in (reasoners if reasoners is not None
+                             else [RdfsReasoner()])
+            for rule in reasoner.rules
+        ])
         self._base: set[Triple] = set(self.graph)
         self._cache = QueryResultCache(capacity=cache_size)
         # Optional repro.obs.Observability wiring.
@@ -153,6 +142,12 @@ class MaterializedGraph:
     def version(self) -> int:
         """The wrapped graph's monotonic version counter."""
         return self.graph.version
+
+    @property
+    def additions(self) -> int | None:
+        """The wrapped graph's count of added triples, derived ones
+        included (None when the backend does not count them)."""
+        return getattr(self.graph, "additions", None)
 
     def match(self, subject: str | None = None, predicate: str | None = None,
               obj: Term | None = None) -> list[Triple]:
@@ -242,33 +237,18 @@ class MaterializedGraph:
     # -- materialization ---------------------------------------------------
 
     def refresh(self) -> int:
-        """Run every reasoner to a joint fixpoint; returns new triples."""
-        added_total = 0
-        changed = True
-        while changed:
-            changed = False
-            for reasoner in self.reasoners:
-                step = _full_apply(reasoner, self.graph)
-                if step:
-                    added_total += step
-                    changed = True
+        """Run every rule to the joint fixpoint; returns new triples."""
+        added = self.reasoner.forward(self.graph)
         if self._metric_full is not None:
             self._metric_full.inc()
-        return added_total
+        return added
 
     def _derive(self, frontier: set[Triple]) -> int:
-        """Joint incremental fixpoint: feed each reasoner's output to
-        the others until nobody derives anything new."""
-        added_total = 0
-        while frontier:
-            derived: set[Triple] = set()
-            for reasoner in self.reasoners:
-                derived |= _delta_consequences(reasoner, self.graph, frontier)
-            added_total += len(derived)
-            frontier = derived
+        """The joint fixpoint's extension by ``frontier``'s consequences."""
+        added = len(self.reasoner.derive(self.graph, frontier))
         if self._metric_delta is not None:
             self._metric_delta.inc()
-        return added_total
+        return added
 
     def _rebuild(self) -> None:
         self.graph.clear()

@@ -27,7 +27,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.stores.rdf.graph import Graph, Triple
-from repro.stores.rdf.query import Pattern, _match_pattern, is_variable
+from repro.stores.rdf.query import solve
 from repro.stores.rdf.rules import Rule
 
 TNorm = Callable[[Sequence[float]], float]
@@ -187,14 +187,8 @@ class ConfidenceRuleEngine:
     def _premise_confidences(
         self, store: ConfidenceGraph, rule: Rule, binding: dict
     ) -> list[float]:
-        confidences = []
-        for premise in rule.premises:
-            instantiated = Triple(*(
-                binding[component] if is_variable(component) else component
-                for component in premise
-            ))
-            confidences.append(store.confidence(instantiated))
-        return confidences
+        return [store.confidence(rule.instantiate(premise, binding))
+                for premise in rule.premises]
 
     def infer(self, store: ConfidenceGraph, max_rounds: int = 100) -> int:
         """Run to fixpoint; returns the number of *new* facts asserted.
@@ -207,16 +201,7 @@ class ConfidenceRuleEngine:
             changed = False
             for weighted in self.rules:
                 rule = weighted.rule
-                bindings: list[dict] = [{}]
-                for premise in rule.premises:
-                    next_bindings = []
-                    for binding in bindings:
-                        next_bindings.extend(
-                            _match_pattern(store.graph, premise, binding))
-                    bindings = next_bindings
-                    if not bindings:
-                        break
-                for binding in bindings:
+                for binding in solve(store.graph, rule.premises):
                     if any(not guard(binding) for guard in rule.guards):
                         continue
                     premise_confidences = self._premise_confidences(
@@ -229,11 +214,7 @@ class ConfidenceRuleEngine:
                     if derived_confidence <= 0.0:
                         continue
                     for conclusion in rule.conclusions:
-                        triple = Triple(*(
-                            binding[component] if is_variable(component)
-                            else component
-                            for component in conclusion
-                        ))
+                        triple = rule.instantiate(conclusion, binding)
                         before = store.confidence(triple)
                         if derived_confidence > before + self.epsilon:
                             was_new = store.upgrade_fact(

@@ -81,14 +81,17 @@ def _match_pattern(graph: Graph, pattern: Pattern, binding: Binding) -> list[Bin
     return extensions
 
 
-def solve(graph: Graph, patterns: Sequence[Pattern]) -> list[Binding]:
+def solve(graph: Graph, patterns: Sequence[Pattern],
+          seed: Binding | None = None) -> list[Binding]:
     """All variable bindings satisfying every pattern (natural join).
 
-    Joins in the literal pattern order — the naive reference engine.
-    ``select`` reorders via the planner instead; use this directly when
-    the given order is meaningful.
+    Joins in the literal pattern order — the naive reference engine,
+    and the one such fold in the package: OPTIONAL groups and rule
+    bodies run through it too, extending a ``seed`` binding instead of
+    the empty one.  ``select`` reorders via the planner instead; use
+    this directly when the given order is meaningful.
     """
-    bindings: list[Binding] = [{}]
+    bindings: list[Binding] = [dict(seed or ())]
     for pattern in patterns:
         next_bindings: list[Binding] = []
         for binding in bindings:
@@ -112,18 +115,7 @@ def solve_optional(
     """
     extended: list[Binding] = []
     for binding in solutions:
-        matches = [dict(binding)]
-        for pattern in optional_patterns:
-            next_matches: list[Binding] = []
-            for candidate in matches:
-                next_matches.extend(_match_pattern(graph, pattern, candidate))
-            matches = next_matches
-            if not matches:
-                break
-        if matches:
-            extended.extend(matches)
-        else:
-            extended.append(binding)
+        extended.extend(solve(graph, optional_patterns, binding) or [binding])
     return extended
 
 

@@ -2,25 +2,18 @@
 
 These mirror the first three of Jena's predefined reasoners that the
 paper lists (the fourth, the generic rule reasoner, lives in
-:mod:`repro.stores.rdf.rules`).  Both reasoners are *materializing*:
-``apply`` adds entailed triples to the graph and returns how many were
-new, so repeated application is idempotent — a property the test suite
-checks.
-
-Both are implemented as semi-naive delta rules on top of
-:class:`~repro.stores.rdf.rules.GenericRuleReasoner`.  That buys an
-incremental mode for free: :meth:`apply_delta` derives only the
-consequences of newly added triples instead of rescanning the whole
-graph every fixpoint round, which is what
-:class:`~repro.stores.rdf.materialize.MaterializedGraph` uses to keep
-a materialized view fresh under a stream of additions.
+:mod:`repro.stores.rdf.rules`).  Each is a
+:class:`~repro.stores.rdf.rules.GenericRuleReasoner` whose constructor
+builds its rule list and nothing else: ``forward`` materializes to a
+fixpoint (idempotent, a property the test suite checks) and
+``forward_delta`` derives only the consequences of newly added triples,
+which is what :class:`~repro.stores.rdf.materialize.MaterializedGraph`
+keeps a view fresh with.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from repro.stores.rdf.graph import Graph, RDF, RDFS, Triple
+from repro.stores.rdf.graph import RDF, RDFS
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
 
 
@@ -41,7 +34,7 @@ def _transitive_rule(predicate: str, name: str) -> Rule:
     )
 
 
-class TransitiveReasoner:
+class TransitiveReasoner(GenericRuleReasoner):
     """Computes the transitive closure of selected predicates.
 
     By default closes ``rdfs:subClassOf`` and ``rdfs:subPropertyOf`` —
@@ -55,34 +48,46 @@ class TransitiveReasoner:
             RDFS.subClassOf,
             RDFS.subPropertyOf,
         ]
-
-    def _engine(self) -> GenericRuleReasoner:
-        # Built per call so callers may mutate ``predicates`` freely.
-        return GenericRuleReasoner([
+        super().__init__([
             _transitive_rule(predicate, f"transitive:{predicate}")
             for predicate in self.predicates
         ])
 
-    def apply(self, graph: Graph) -> int:
-        """Materialize the closure; returns the number of new triples."""
-        return self._engine().forward(graph)
 
-    def apply_delta(self, graph: Graph, delta: Iterable[Triple | tuple]) -> int:
-        """Extend the closure with the consequences of ``delta`` only.
+# Each RDFS entailment as a Horn rule.  Premise order matters for the
+# naive first round: the schema-level premise (domain / range /
+# subClassOf / subPropertyOf) comes first because schema triples are
+# few, instance triples many.
+_RDFS_RULES = {
+    "rdfs2": Rule(
+        premises=[("?p", RDFS.domain, "?c"), ("?x", "?p", "?y")],
+        conclusions=[("?x", RDF.type, "?c")],
+        name="rdfs2",
+    ),
+    "rdfs3": Rule(
+        premises=[("?p", RDFS.range, "?c"), ("?x", "?p", "?y")],
+        conclusions=[("?y", RDF.type, "?c")],
+        name="rdfs3",
+        guards=(lambda binding: isinstance(binding["?y"], str),),
+    ),
+    "rdfs5": _transitive_rule(RDFS.subPropertyOf, "rdfs5"),
+    "rdfs7": Rule(
+        premises=[("?p", RDFS.subPropertyOf, "?q"), ("?x", "?p", "?y")],
+        conclusions=[("?x", "?q", "?y")],
+        name="rdfs7",
+        guards=(lambda binding: isinstance(binding["?q"], str),),
+    ),
+    "rdfs9": Rule(
+        premises=[("?c", RDFS.subClassOf, "?d"), ("?x", RDF.type, "?c")],
+        conclusions=[("?x", RDF.type, "?d")],
+        name="rdfs9",
+        guards=(lambda binding: isinstance(binding["?d"], str),),
+    ),
+    "rdfs11": _transitive_rule(RDFS.subClassOf, "rdfs11"),
+}
 
-        Assumes the graph was closed before the delta triples were
-        inserted (they must already be present).  Returns new-triple
-        count.
-        """
-        return len(self._delta_set(graph, delta))
 
-    def _delta_set(self, graph: Graph, delta: Iterable[Triple | tuple]) -> set[Triple]:
-        """Like :meth:`apply_delta` but returns the added triples."""
-        frontier = {Graph._coerce(triple) for triple in delta}
-        return self._engine()._run(graph, frontier, None) if frontier else set()
-
-
-class RdfsReasoner:
+class RdfsReasoner(GenericRuleReasoner):
     """A configurable subset of the RDF Schema entailment rules.
 
     Implemented rules (names from the RDFS semantics spec):
@@ -94,68 +99,15 @@ class RdfsReasoner:
     * ``rdfs9`` — instance inheritance: ``(c subClassOf d), (x type c) -> (x type d)``
     * ``rdfs11`` — subClassOf transitivity
 
-    The ``rules`` argument selects a subset, mirroring Jena's
+    The ``rules`` argument selects a subset by name, mirroring Jena's
     "configurable subset of the RDF Schema entailments".
     """
 
-    ALL_RULES = ("rdfs2", "rdfs3", "rdfs5", "rdfs7", "rdfs9", "rdfs11")
+    ALL_RULES = tuple(_RDFS_RULES)
 
     def __init__(self, rules: tuple[str, ...] | None = None) -> None:
         selected = tuple(rules) if rules is not None else self.ALL_RULES
         unknown = set(selected) - set(self.ALL_RULES)
         if unknown:
             raise ValueError(f"unknown RDFS rules: {sorted(unknown)}")
-        self.rules = selected
-        self._reasoner = GenericRuleReasoner(
-            [self._RULE_FACTORIES[name]() for name in selected]
-        )
-
-    # Each RDFS entailment as a Horn rule.  Premise order matters for
-    # the naive first round: the schema-level premise (domain / range /
-    # subClassOf / subPropertyOf) comes first because schema triples
-    # are few, instance triples many.
-    _RULE_FACTORIES = {
-        "rdfs2": lambda: Rule(
-            premises=[("?p", RDFS.domain, "?c"), ("?x", "?p", "?y")],
-            conclusions=[("?x", RDF.type, "?c")],
-            name="rdfs2",
-        ),
-        "rdfs3": lambda: Rule(
-            premises=[("?p", RDFS.range, "?c"), ("?x", "?p", "?y")],
-            conclusions=[("?y", RDF.type, "?c")],
-            name="rdfs3",
-            guards=(lambda binding: isinstance(binding["?y"], str),),
-        ),
-        "rdfs5": lambda: _transitive_rule(RDFS.subPropertyOf, "rdfs5"),
-        "rdfs7": lambda: Rule(
-            premises=[("?p", RDFS.subPropertyOf, "?q"), ("?x", "?p", "?y")],
-            conclusions=[("?x", "?q", "?y")],
-            name="rdfs7",
-            guards=(lambda binding: isinstance(binding["?q"], str),),
-        ),
-        "rdfs9": lambda: Rule(
-            premises=[("?c", RDFS.subClassOf, "?d"), ("?x", RDF.type, "?c")],
-            conclusions=[("?x", RDF.type, "?d")],
-            name="rdfs9",
-            guards=(lambda binding: isinstance(binding["?d"], str),),
-        ),
-        "rdfs11": lambda: _transitive_rule(RDFS.subClassOf, "rdfs11"),
-    }
-
-    def apply(self, graph: Graph) -> int:
-        """Run all selected rules to fixpoint; returns new-triple count."""
-        return self._reasoner.forward(graph)
-
-    def apply_delta(self, graph: Graph, delta: Iterable[Triple | tuple]) -> int:
-        """Derive only the consequences of ``delta`` (semi-naive).
-
-        Assumes the graph held an RDFS fixpoint before the delta
-        triples were inserted (they must already be present).  Returns
-        new-triple count.
-        """
-        return len(self._delta_set(graph, delta))
-
-    def _delta_set(self, graph: Graph, delta: Iterable[Triple | tuple]) -> set[Triple]:
-        """Like :meth:`apply_delta` but returns the added triples."""
-        frontier = {Graph._coerce(triple) for triple in delta}
-        return self._reasoner._run(graph, frontier, None) if frontier else set()
+        super().__init__([_RDFS_RULES[name] for name in selected])

@@ -5,7 +5,10 @@ rules ... forward chaining, tabled backward chaining, and hybrid
 execution strategies":
 
 * :meth:`GenericRuleReasoner.forward` materializes consequences to a
-  fixpoint (semi-naive: each round only re-derives from the frontier);
+  fixpoint (semi-naive: each round only re-derives from the frontier),
+  :meth:`~GenericRuleReasoner.forward_delta` only those of newly added
+  triples; both are :meth:`~GenericRuleReasoner.derive`, the one
+  fixpoint loop in the package;
 * :meth:`GenericRuleReasoner.prove` answers a goal by tabled backward
   chaining (memoized SLD resolution with cycle protection);
 * :meth:`GenericRuleReasoner.hybrid` runs one forward pass and then
@@ -27,7 +30,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.stores.rdf.graph import Graph, Triple
-from repro.stores.rdf.query import Binding, Pattern, is_variable, _match_pattern
+from repro.stores.rdf.query import Binding, Pattern, _match_pattern, is_variable, solve
 
 Guard = Callable[[Binding], bool]
 
@@ -65,7 +68,8 @@ class Rule:
                 f"rule {name!r} has unbound conclusion variables: {sorted(unbound)}"
             )
 
-    def _instantiate(self, pattern: Pattern, binding: Binding) -> Triple:
+    def instantiate(self, pattern: Pattern, binding: Binding) -> Triple:
+        """One of this rule's patterns as a triple under ``binding``."""
         subject, predicate, obj = (
             binding[component] if is_variable(component) else component
             for component in pattern
@@ -74,7 +78,12 @@ class Rule:
 
 
 class GenericRuleReasoner:
-    """Forward, backward and hybrid execution over a rule set."""
+    """Forward, backward and hybrid execution over a rule set.
+
+    A reasoner *is* its rule list: the predefined reasoners in
+    :mod:`repro.stores.rdf.reasoner` only build theirs, and the joint
+    fixpoint of several reasoners is one reasoner over all their rules.
+    """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules = list(rules)
@@ -88,7 +97,7 @@ class GenericRuleReasoner:
         Returns the number of new triples.  ``max_rounds`` bounds the
         fixpoint iteration (None = run to convergence).
         """
-        return len(self._run(graph, None, max_rounds))
+        return len(self.derive(graph, None, max_rounds))
 
     def forward_delta(
         self,
@@ -106,37 +115,38 @@ class GenericRuleReasoner:
         Returns the number of new triples.
         """
         frontier = {Graph._coerce(triple) for triple in delta}
-        if not frontier:
-            return 0
-        return len(self._run(graph, frontier, max_rounds))
+        return len(self.derive(graph, frontier, max_rounds))
 
-    def _run(
+    def derive(
         self,
         graph: Graph,
         frontier: set[Triple] | None,
-        max_rounds: int | None,
+        max_rounds: int | None = None,
     ) -> set[Triple]:
-        """The shared fixpoint loop; returns every triple it added.
+        """Run the rules to a fixpoint; returns every triple added.
 
         ``frontier=None`` means "everything is new" (full evaluation,
         first round unrestricted); a concrete frontier seeds semi-naive
-        evaluation from those triples only.
+        evaluation from those triples only, and each later round's
+        frontier is what the round before it added.
         """
         added_all: set[Triple] = set()
         rounds = 0
-        while True:
+        while frontier is None or frontier:
             rounds += 1
             new_triples: set[Triple] = set()
+            by_predicate: dict[object, list[Triple]] = {}
+            for triple in frontier or ():
+                by_predicate.setdefault(triple.predicate, []).append(triple)
             for rule in self.rules:
-                for binding in self._rule_bindings(graph, rule, frontier):
+                for binding in self._rule_bindings(
+                        graph, rule, frontier, by_predicate):
                     if any(not guard(binding) for guard in rule.guards):
                         continue
                     for conclusion in rule.conclusions:
-                        triple = rule._instantiate(conclusion, binding)
+                        triple = rule.instantiate(conclusion, binding)
                         if triple not in graph:
                             new_triples.add(triple)
-            if not new_triples:
-                break
             for triple in new_triples:
                 graph.add(triple)
             added_all |= new_triples
@@ -146,29 +156,29 @@ class GenericRuleReasoner:
         return added_all
 
     def _rule_bindings(
-        self, graph: Graph, rule: Rule, frontier: set[Triple] | None
+        self, graph: Graph, rule: Rule, frontier: set[Triple] | None,
+        by_predicate: dict[object, list[Triple]],
     ) -> list[Binding]:
         """Bindings for a rule's premises.
 
         Semi-naive restriction: when a frontier is given, only consider
         matches where at least one premise is satisfied by a frontier
         triple (anything else was already derived in a previous round).
+        A premise with a constant predicate meets only the frontier
+        triples that carry it (``by_predicate``, in frontier order).
         """
         if frontier is None:
-            return self._solve(graph, rule.premises, {})
+            return solve(graph, rule.premises)
         bindings: list[Binding] = []
-        for pivot_index in range(len(rule.premises)):
-            pivot = rule.premises[pivot_index]
-            for triple in frontier:
+        for pivot_index, pivot in enumerate(rule.premises):
+            predicate = pivot[1]
+            candidates = (frontier if is_variable(predicate)
+                          else by_predicate.get(predicate, ()))
+            rest = rule.premises[:pivot_index] + rule.premises[pivot_index + 1:]
+            for triple in candidates:
                 seed = self._unify(pivot, triple)
-                if seed is None:
-                    continue
-                rest = [
-                    premise
-                    for index, premise in enumerate(rule.premises)
-                    if index != pivot_index
-                ]
-                bindings.extend(self._solve(graph, rest, seed))
+                if seed is not None:
+                    bindings.extend(solve(graph, rest, seed))
         return bindings
 
     @staticmethod
@@ -182,18 +192,6 @@ class GenericRuleReasoner:
             elif component != value:
                 return None
         return binding
-
-    @staticmethod
-    def _solve(graph: Graph, patterns: Sequence[Pattern], seed: Binding) -> list[Binding]:
-        bindings = [dict(seed)]
-        for pattern in patterns:
-            next_bindings: list[Binding] = []
-            for binding in bindings:
-                next_bindings.extend(_match_pattern(graph, pattern, binding))
-            bindings = next_bindings
-            if not bindings:
-                break
-        return bindings
 
     # -- tabled backward chaining -------------------------------------------
 
@@ -335,18 +333,29 @@ class GenericRuleReasoner:
 
     @staticmethod
     def _rename(rule: Rule, suffix: int) -> Rule:
-        """Rename a rule's variables apart from the goal's."""
+        """Rename a rule's variables apart from the goal's.
+
+        Guards index the binding by the rule's own variable names, so
+        each is handed the binding under those.
+        """
+        tag = f"__r{suffix}"
+
         def rename(pattern: Pattern) -> Pattern:
             return tuple(
-                f"{component}__r{suffix}" if is_variable(component) else component
+                component + tag if is_variable(component) else component
                 for component in pattern
             )
+
+        def under_own_names(guard: Guard) -> Guard:
+            return lambda binding: guard({
+                name.removesuffix(tag): value for name, value in binding.items()
+            })
 
         return Rule(
             premises=[rename(premise) for premise in rule.premises],
             conclusions=[rename(conclusion) for conclusion in rule.conclusions],
             name=rule.name,
-            guards=rule.guards,
+            guards=[under_own_names(guard) for guard in rule.guards],
         )
 
     @staticmethod

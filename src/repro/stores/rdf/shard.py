@@ -287,6 +287,11 @@ class ShardedGraph:
         """Sum of shard versions — monotonic, bumps on any mutation."""
         return sum(shard.version for shard in self._shards)
 
+    @property
+    def additions(self) -> int:
+        """Sum of shard insert counts (see :attr:`Graph.additions`)."""
+        return sum(shard.additions for shard in self._shards)
+
     def match(self, subject: str | None = None, predicate: str | None = None,
               obj: Term | None = None) -> list[Triple]:
         """Prefix scan: routed when the subject is bound, else scattered.

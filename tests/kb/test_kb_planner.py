@@ -4,7 +4,7 @@ import pytest
 
 from repro.kb.knowledge_base import PersonalKnowledgeBase
 from repro.obs import Observability
-from repro.stores.rdf.graph import RDF, RDFS, Triple
+from repro.stores.rdf.graph import RDF, RDFS, REPRO, Graph, Triple
 from repro.util.clock import ManualClock
 
 
@@ -15,6 +15,12 @@ def populated_kb(**kwargs):
         kb.add_fact(f"p{index}", "name", f"N{index}")
     kb.add_fact("p1", "worksAt", "acme")
     return kb
+
+
+def remove_subject(kb, subject):
+    """Every statement about ``subject``, removed past the pipeline."""
+    for triple in kb.graph.match(subject, None, None):
+        kb.graph.remove(triple)
 
 
 class TestExplain:
@@ -148,3 +154,90 @@ class TestIncrementalPipeline:
         kb.pipeline.infer()
         assert kb.pipeline.last_infer_mode == "full"
         assert Triple("globex", "repro:outlook", "positive") in kb.graph
+
+    RISING = ([0, 1, 2], [1.0, 2.0, 3.0])
+
+    def test_facade_writes_are_part_of_the_delta(self):
+        # The type fact arrives after acme's signal was derived; only a
+        # delta that contains it can still make acme a candidate.  It
+        # used to be masked by the next pipeline write.
+        kb = PersonalKnowledgeBase()
+        kb.pipeline.analyze_series("acme", *self.RISING)
+        kb.pipeline.infer()
+        kb.add_fact("acme", RDF.type, REPRO.Company, disambiguate=False)
+        kb.pipeline.analyze_series("other", *self.RISING)
+        kb.pipeline.infer()
+        assert kb.pipeline.last_infer_mode == "delta"
+        assert kb.pipeline.recommendations() == {
+            "acme": "investment-candidate"}
+
+    def test_unseen_add_is_not_masked_by_a_later_pipeline_write(self):
+        kb = PersonalKnowledgeBase()
+        kb.pipeline.analyze_series("acme", *self.RISING)
+        kb.pipeline.infer()
+        kb.graph.add(("acme", RDF.type, REPRO.Company))
+        kb.pipeline.analyze_series("other", *self.RISING)
+        kb.pipeline.infer()
+        assert kb.pipeline.last_infer_mode == "full"
+        assert kb.pipeline.recommendations() == {
+            "acme": "investment-candidate"}
+
+    def test_another_reasoners_derivations_force_a_full_pass(self):
+        kb = PersonalKnowledgeBase()
+        kb.add_fact(REPRO.Startup, RDFS.subClassOf, REPRO.Company,
+                    disambiguate=False)
+        kb.pipeline.analyze_series("acme", *self.RISING,
+                                   entity_type="Startup")
+        kb.pipeline.infer()
+        assert kb.pipeline.recommendations() == {}
+        assert kb.reason("rdfs") > 0  # acme is a Company now
+        kb.pipeline.infer()
+        assert kb.pipeline.last_infer_mode == "full"
+        assert kb.pipeline.recommendations() == {
+            "acme": "investment-candidate"}
+
+    def test_removal_alone_keeps_delta_mode(self):
+        kb = PersonalKnowledgeBase()
+        kb.pipeline.analyze_series("acme", *self.RISING,
+                                   entity_type="Company")
+        kb.pipeline.infer()
+        remove_subject(kb, "acme")
+        kb.pipeline.analyze_series("globex", *self.RISING,
+                                   entity_type="Company")
+        kb.pipeline.infer()
+        assert kb.pipeline.last_infer_mode == "delta"
+        assert kb.pipeline.recommendations() == {
+            "globex": "investment-candidate"}
+
+    def test_nothing_is_derived_from_a_statement_removed_again(self):
+        kb = PersonalKnowledgeBase()
+        kb.pipeline.infer()
+        kb.pipeline.analyze_series("acme", *self.RISING)
+        remove_subject(kb, "acme")
+        assert kb.pipeline.infer() == 0
+        assert kb.pipeline.last_infer_mode == "delta"
+        assert len(kb.graph) == 0
+
+    def test_recording_a_removed_statement_again_keeps_delta_mode(self):
+        kb = PersonalKnowledgeBase()
+        kb.pipeline.infer()
+        for _ in range(2):
+            kb.pipeline.analyze_series("acme", *self.RISING)
+            remove_subject(kb, "acme")
+        kb.pipeline.analyze_series("acme", *self.RISING)
+        assert kb.pipeline.infer() == 2  # outlook, signal: derived once
+        assert kb.pipeline.last_infer_mode == "delta"
+
+    def test_backend_without_the_counter_is_inferred_in_full(self):
+        class Uncounted(Graph):
+            @property
+            def additions(self):
+                raise AttributeError("additions")
+
+        kb = PersonalKnowledgeBase(storage=lambda index: Uncounted())
+        for subject in ("acme", "globex"):
+            kb.pipeline.analyze_series(subject, *self.RISING,
+                                       entity_type="Company")
+            kb.pipeline.infer()
+            assert kb.pipeline.last_infer_mode == "full"
+        assert set(kb.pipeline.recommendations()) == {"acme", "globex"}

@@ -164,6 +164,23 @@ def test_version_monotonic_and_never_resets(store):
     assert store.version > before_clear + 1
 
 
+def test_additions_moves_on_inserts_only(store):
+    # The token delta inference syncs on: every way of inserting counts
+    # each new triple once; duplicates, removals and clear() do not.
+    a0 = store.additions
+    store.add(TRIPLES[0])
+    store.add(TRIPLES[0])
+    assert store.additions == a0 + 1
+    store.add_all(TRIPLES[:3])
+    store.add_many(TRIPLES[2:5])
+    assert store.additions == a0 + 5
+    store.remove(TRIPLES[0])
+    store.clear()
+    assert store.additions == a0 + 5
+    store.add(TRIPLES[0])
+    assert store.additions == a0 + 6
+
+
 def test_add_many_reports_per_triple_newness(store):
     flags = store.add_many([TRIPLES[0], TRIPLES[0], TRIPLES[1]])
     assert flags == [True, False, True]

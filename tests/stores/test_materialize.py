@@ -21,7 +21,7 @@ SCHEMA = [
 def materialized_copy(base_facts):
     """A freshly, fully materialized graph over the same base facts."""
     graph = Graph(base_facts)
-    RdfsReasoner().apply(graph)
+    RdfsReasoner().forward(graph)
     return graph
 
 
@@ -146,3 +146,9 @@ class TestMaterializedGraph:
         before = view.version
         view.remove(("tom", RDF.type, "Cat"))  # clear + rebuild inside
         assert view.version > before
+
+    def test_additions_counts_the_views_own_derivations(self):
+        view = MaterializedGraph(Graph(SCHEMA))
+        before = view.additions
+        view.add(("tom", RDF.type, "Cat"))  # + Mammal, Animal
+        assert view.additions == view.graph.additions == before + 3

@@ -14,22 +14,22 @@ class TestTransitiveReasoner:
             ("b", RDFS.subClassOf, "c"),
             ("c", RDFS.subClassOf, "d"),
         ])
-        added = TransitiveReasoner().apply(graph)
+        added = TransitiveReasoner().forward(graph)
         assert added == 3  # a-c, a-d, b-d
         assert ("a", RDFS.subClassOf, "d") in graph
 
     def test_idempotent(self):
         graph = Graph([("a", RDFS.subClassOf, "b"), ("b", RDFS.subClassOf, "c")])
         reasoner = TransitiveReasoner()
-        reasoner.apply(graph)
-        assert reasoner.apply(graph) == 0
+        reasoner.forward(graph)
+        assert reasoner.forward(graph) == 0
 
     def test_cycle_terminates(self):
         graph = Graph([
             ("a", RDFS.subClassOf, "b"),
             ("b", RDFS.subClassOf, "a"),
         ])
-        TransitiveReasoner().apply(graph)
+        TransitiveReasoner().forward(graph)
         # Mutual subclass edges exist; no self-loops added.
         assert ("a", RDFS.subClassOf, "a") not in graph
 
@@ -38,12 +38,12 @@ class TestTransitiveReasoner:
             ("tokyo", "locatedIn", "japan"),
             ("japan", "locatedIn", "asia"),
         ])
-        TransitiveReasoner(predicates=["locatedIn"]).apply(graph)
+        TransitiveReasoner(predicates=["locatedIn"]).forward(graph)
         assert ("tokyo", "locatedIn", "asia") in graph
 
     def test_unrelated_predicates_untouched(self):
         graph = Graph([("a", "likes", "b"), ("b", "likes", "c")])
-        TransitiveReasoner().apply(graph)
+        TransitiveReasoner().forward(graph)
         assert ("a", "likes", "c") not in graph
 
 
@@ -53,7 +53,7 @@ class TestRdfsReasoner:
             ("Dog", RDFS.subClassOf, "Animal"),
             ("rex", RDF.type, "Dog"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("rex", RDF.type, "Animal") in graph
 
     def test_rdfs11_subclass_transitivity(self):
@@ -61,7 +61,7 @@ class TestRdfsReasoner:
             ("Dog", RDFS.subClassOf, "Mammal"),
             ("Mammal", RDFS.subClassOf, "Animal"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("Dog", RDFS.subClassOf, "Animal") in graph
 
     def test_rdfs2_domain(self):
@@ -69,7 +69,7 @@ class TestRdfsReasoner:
             ("employs", RDFS.domain, "Company"),
             ("ibm", "employs", "ann"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("ibm", RDF.type, "Company") in graph
 
     def test_rdfs3_range(self):
@@ -77,7 +77,7 @@ class TestRdfsReasoner:
             ("employs", RDFS.range, "Person"),
             ("ibm", "employs", "ann"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("ann", RDF.type, "Person") in graph
 
     def test_rdfs7_property_inheritance(self):
@@ -85,7 +85,7 @@ class TestRdfsReasoner:
             ("employs", RDFS.subPropertyOf, "knows"),
             ("ibm", "employs", "ann"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("ibm", "knows", "ann") in graph
 
     def test_rules_compose_transitively(self):
@@ -95,7 +95,7 @@ class TestRdfsReasoner:
             ("Mammal", RDFS.subClassOf, "Animal"),
             ("rex", RDF.type, "Dog"),
         ])
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert ("rex", RDF.type, "Animal") in graph
 
     def test_configurable_subset(self):
@@ -103,7 +103,7 @@ class TestRdfsReasoner:
             ("Dog", RDFS.subClassOf, "Animal"),
             ("rex", RDF.type, "Dog"),
         ])
-        RdfsReasoner(rules=("rdfs11",)).apply(graph)
+        RdfsReasoner(rules=("rdfs11",)).forward(graph)
         # Without rdfs9, no instance inheritance.
         assert ("rex", RDF.type, "Animal") not in graph
 
@@ -117,8 +117,8 @@ class TestRdfsReasoner:
             ("rex", RDF.type, "Dog"),
         ])
         reasoner = RdfsReasoner()
-        reasoner.apply(graph)
-        assert reasoner.apply(graph) == 0
+        reasoner.forward(graph)
+        assert reasoner.forward(graph) == 0
 
     def test_monotonic(self):
         """Reasoning never removes triples."""
@@ -127,7 +127,7 @@ class TestRdfsReasoner:
             ("rex", RDF.type, "Dog"),
         ])
         before = set(graph)
-        RdfsReasoner().apply(graph)
+        RdfsReasoner().forward(graph)
         assert before <= set(graph)
 
 
@@ -141,10 +141,10 @@ class TestClosureProperties:
         graph = Graph(edges)
         before = set(graph)
         reasoner = TransitiveReasoner()
-        reasoner.apply(graph)
+        reasoner.forward(graph)
         after_once = set(graph)
         assert before <= after_once
-        assert reasoner.apply(graph) == 0
+        assert reasoner.forward(graph) == 0
         assert set(graph) == after_once
 
     @given(st.lists(
@@ -154,7 +154,7 @@ class TestClosureProperties:
     ))
     def test_closure_matches_reachability(self, edges):
         graph = Graph(edges)
-        TransitiveReasoner().apply(graph)
+        TransitiveReasoner().forward(graph)
         # Reference: reachability by BFS over the original edges.
         adjacency = {}
         for subject, _, obj in edges:
@@ -177,18 +177,18 @@ class TestApplyDelta:
     def test_transitive_delta_extends_closure(self):
         graph = Graph([("a", RDFS.subClassOf, "b"), ("b", RDFS.subClassOf, "c")])
         reasoner = TransitiveReasoner()
-        reasoner.apply(graph)
+        reasoner.forward(graph)
         delta = ("c", RDFS.subClassOf, "d")
         graph.add(delta)
         # Only consequences of the delta: a-d and b-d.
-        assert reasoner.apply_delta(graph, [delta]) == 2
+        assert reasoner.forward_delta(graph, [delta]) == 2
         assert ("a", RDFS.subClassOf, "d") in graph
 
     def test_empty_delta_is_free(self):
         graph = Graph([("a", RDFS.subClassOf, "b")])
         reasoner = TransitiveReasoner()
-        reasoner.apply(graph)
-        assert reasoner.apply_delta(graph, []) == 0
+        reasoner.forward(graph)
+        assert reasoner.forward_delta(graph, []) == 0
 
     def test_rdfs_delta_matches_full_closure(self):
         schema = [
@@ -198,13 +198,13 @@ class TestApplyDelta:
         ]
         graph = Graph(schema)
         reasoner = RdfsReasoner()
-        reasoner.apply(graph)
+        reasoner.forward(graph)
         delta = [("alice", "hasPet", "tom"), ("tom", RDF.type, "Cat")]
         for triple in delta:
             graph.add(triple)
-        reasoner.apply_delta(graph, delta)
+        reasoner.forward_delta(graph, delta)
         reference = Graph(schema + delta)
-        RdfsReasoner().apply(reference)
+        RdfsReasoner().forward(reference)
         assert set(graph) == set(reference)
         assert ("tom", RDF.type, "Animal") in graph
         assert ("alice", RDF.type, "Person") in graph
@@ -218,9 +218,9 @@ class TestApplyDelta:
     def test_delta_closure_equals_full_closure(self, edges, new_edge):
         graph = Graph(edges)
         reasoner = TransitiveReasoner()
-        reasoner.apply(graph)
+        reasoner.forward(graph)
         graph.add(new_edge)
-        reasoner.apply_delta(graph, [new_edge])
+        reasoner.forward_delta(graph, [new_edge])
         reference = Graph(edges + [new_edge])
-        TransitiveReasoner().apply(reference)
+        TransitiveReasoner().forward(reference)
         assert set(graph) == set(reference)

@@ -1,8 +1,18 @@
 """Tests for the generic (user-defined) rule reasoner."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import pytest
 
+import repro.kb
+import repro.stores
+from repro.stores.rdf import rules as rules_module
 from repro.stores.rdf.graph import Graph
+from repro.stores.rdf.reasoner import RdfsReasoner, TransitiveReasoner
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
 
 PARENT = "repro:parent"
@@ -84,6 +94,22 @@ class TestForwardChaining:
         GenericRuleReasoner([rule]).forward(family)
         assert ("bob", "repro:senior", "true") in family
         assert ("ann", "repro:senior", "true") not in family
+
+    def test_guards_read_the_rules_own_names_under_every_strategy(self):
+        # prove() renames the rule's variables apart from the goal's;
+        # the guard used to be handed the renamed binding (KeyError).
+        rule = Rule([("?p", "age", "?a")], [("?p", "is", "senior")],
+                    guards=[lambda binding: binding["?a"] >= 50])
+        reasoner = GenericRuleReasoner([rule])
+        graph = Graph([("bob", "age", 60), ("ann", "age", 30)])
+        assert reasoner.prove(graph, ("?who", "is", "senior")) == [
+            {"?who": "bob"}]
+        assert reasoner.holds(graph, ("bob", "is", "senior"))
+        assert not reasoner.holds(graph, ("ann", "is", "senior"))
+        assert ("bob", "is", "senior") not in graph  # proved, not asserted
+        assert reasoner.hybrid(graph, ("?who", "is", "senior")) == [
+            {"?who": "bob"}]
+        assert ("bob", "is", "senior") in graph
 
     def test_multiple_conclusions(self, family):
         rule = Rule(
@@ -177,3 +203,51 @@ class TestHybrid:
         answers = reasoner.hybrid(family, ("?g", GRANDPARENT, "ann"))
         assert ("tom", GRANDPARENT, "ann") in family  # forward pass ran
         assert answers and answers[0]["?g"] == "tom"
+
+
+class TestInferenceIsWrittenOnce:
+    """One fixpoint loop, one join fold, one instantiation (PR 18)."""
+
+    def test_predefined_reasoners_only_build_their_rules(self):
+        for reasoner in (TransitiveReasoner, RdfsReasoner):
+            assert issubclass(reasoner, GenericRuleReasoner)
+            methods = {name for name, member in vars(reasoner).items()
+                       if inspect.isfunction(member)}
+            assert methods == {"__init__"}
+
+    def test_the_engine_is_defined_by_one_class(self):
+        owners = {}
+        for package in (repro.stores, repro.kb):
+            for info in pkgutil.walk_packages(package.__path__,
+                                              package.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for cls in vars(module).values():
+                    if inspect.isclass(cls) and cls.__module__ == info.name:
+                        for name in {"derive", "forward", "forward_delta",
+                                     "prove", "instantiate"} & set(vars(cls)):
+                            owners.setdefault(name, []).append(cls.__qualname__)
+        assert owners == {
+            "derive": ["GenericRuleReasoner"],
+            "forward": ["GenericRuleReasoner"],
+            "forward_delta": ["GenericRuleReasoner"],
+            "prove": ["GenericRuleReasoner"],
+            "instantiate": ["Rule"],
+        }
+
+    def test_one_pattern_match_is_folded_in_three_places(self):
+        # query.py owns it (solve, the one literal-order fold), plan.py
+        # folds it with per-step filters and row counts, and backward
+        # chaining matches single goals; nobody else joins by hand.
+        source_root = Path(inspect.getfile(repro.stores)).parents[1]
+        users = {path.name for path in source_root.rglob("*.py")
+                 if "_match_pattern" in path.read_text()}
+        assert users == {"query.py", "plan.py", "rules.py"}
+        tree = ast.parse(inspect.getsource(rules_module))
+        callers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == "_match_pattern"
+        }
+        assert callers == {"prove"}

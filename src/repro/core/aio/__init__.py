@@ -34,7 +34,6 @@ Concurrency and cancellation rules are documented per-coroutine and in
 
 from repro.core.aio.admission import AsyncAdmissionController, AsyncBulkhead
 from repro.core.aio.batching import AsyncMicroBatcher
-from repro.core.aio.bridge import listenable_to_asyncio, task_to_listenable
 from repro.core.aio.coalesce import AsyncCoalescer, AsyncFlight
 from repro.core.aio.hedging import AsyncHedgedInvoker
 from repro.core.aio.invoker import AsyncInvoker
@@ -53,6 +52,4 @@ __all__ = [
     "AsyncMicroBatcher",
     "LoopRunner",
     "ainvoke_with_retry",
-    "listenable_to_asyncio",
-    "task_to_listenable",
 ]

@@ -6,7 +6,7 @@ that class's one policy coroutine — with the one upgrade threads could
 not provide: when a leg wins the race, the **losing leg is cancelled**
 instead of running to completion in the background.  A cancelled leg
 releases its bulkhead permit and refunds its reservations (see
-:meth:`~repro.core.aio.invoker.AsyncInvoker._ainvoke_remote`), so
+:meth:`~repro.core.aio.invoker.AsyncInvoker._upstream`), so
 hedging no longer pays for two full calls when one answer suffices.
 
 Like the sync hedger, this requires a scaled real clock — hedging

@@ -2,7 +2,11 @@
 
 The Rich SDK's policy stack — cache, coalesce, tenant and quota
 reservation, rate limit, bulkhead, wire call, settle / record / cache
-— is written **once**, as the coroutines of :class:`AsyncInvoker`.
+— is written **once**, as the coroutines of :class:`AsyncInvoker`, and
+the guarded round trip inside it once more narrowly: a batch is N calls
+in one round trip, so :meth:`AsyncInvoker._upstream` carries one payload
+for ``ainvoke`` and N for ``ainvoke_batched`` (N budget slots, one
+tenant charge, one rate token, one permit, one record per item).
 The bodies name no waiting primitive; they await seven *wait points*
 (flight result, bulkhead acquire, service call, batch call, nested
 invoke / batch, failover walk) that a binding supplies:
@@ -158,15 +162,16 @@ class AsyncInvoker:
         """
         payload = dict(payload or {})
         service = self.registry.get(service_name)
+        # One key per request: the probe, the flight and the cache fill
+        # all use it.
+        cacheable = use_cache and operation in self.cacheable_operations
+        key = (self.client._request_key(service_name, operation, payload)
+               if cacheable else None)
         hit = self.client.cached_result(service_name, operation, payload,
-                                        use_cache, allow_stale=allow_stale)
+                                        use_cache, allow_stale=allow_stale,
+                                        key=key)
         if hit is not None:
             return hit
-
-        cacheable = use_cache and operation in self.cacheable_operations
-        key = (cache_key(service_name, operation, payload,
-                         tenant=self.client._cache_tenant())
-               if cacheable else None)
 
         if deadline is not None and deadline.expired():
             # Spent budget: a stale answer is the only useful response.
@@ -224,127 +229,177 @@ class AsyncInvoker:
         quality_rater: QualityRater | None,
         deadline: Deadline | None = None,
     ) -> InvocationResult:
-        """One real upstream call: protections, span, monitor, cache.
+        """One real upstream call: :meth:`_upstream` carrying one payload."""
+        with self.obs.tracer.span(
+                names.SPAN_SDK_INVOKE,
+                {"service": service_name, "operation": operation}) as span:
+            (result,) = await self._upstream(
+                service, service_name, operation, [payload], [key], timeout,
+                deadline, span,
+                quality_rater or self.quality_raters.get(operation),
+                batched=False)
+            span.set_attribute("latency", result.latency)
+            span.set_attribute("cost", result.cost)
+            return result
 
-        The client-side protections run in order: tenant authorization
-        (rate limit then budget, when a tenant scope is active), the
-        client-wide budget reservation, rate limiter, then admission
-        control — the bulkhead permit is held for exactly the duration
-        of the wire call, so it bounds concurrency rather than call
-        counts.  Budgets are charged atomically up front (a call slot
-        plus the cost-model estimate) and settled to the billed cost on
-        success or refunded on failure, so a concurrent burst cannot
-        overshoot.  With a ``deadline``, the bulkhead queues only
-        within the remaining budget and the wire timeout is clamped to
-        whatever budget survives the queue wait.
+    async def _upstream(
+        self,
+        service,
+        service_name: str,
+        operation: str,
+        payloads: list[dict],
+        keys: list[str | None],
+        timeout: float | None,
+        deadline: Deadline | None,
+        span,
+        rater: QualityRater | None,
+        batched: bool,
+    ) -> list[InvocationResult | Exception]:
+        """One guarded round trip carrying ``payloads``: protections, wire, accounting.
 
-        Cleanup handlers catch ``BaseException`` so cancellation
-        refunds reservations and releases the permit; after the wire
-        call returns there are no suspension points, so
-        settle/record/cache are atomic.
+        The only place the client-side protections are spelled out: a
+        single call is this with one payload over :meth:`_call`, a batch
+        (``batched``) the same with N over :meth:`_call_batch`.
+        In order: tenant authorization (rate limit then budget, when a
+        tenant scope is active; one tenant call whatever N), the
+        client-wide budget reservation, the rate limiter (one token),
+        then admission control — the bulkhead permit is held for exactly
+        the duration of the wire call, so it bounds concurrency rather
+        than call counts.  Budgets are charged atomically up front (one
+        call slot per payload plus the summed cost-model estimate) and
+        settled to the billed cost once the wire returns — the slots of
+        a batch's failed items refunded — or refunded whole when it
+        raises, so neither a concurrent burst nor a batch can overshoot.
+        With a ``deadline``, the bulkhead queues only within the
+        remaining budget and the wire timeout is clamped to whatever
+        budget survives the queue wait.
+
+        A wire failure (or a deadline spent in the queue) leaves one
+        failed monitor record per payload and propagates.  Cleanup
+        handlers catch ``BaseException`` so cancellation refunds the
+        reservations and releases the permit; after the wire call
+        returns there are no suspension points, so settle / record /
+        cache are atomic.  Per-item outcomes come back in input order.
         """
-        tracer = self.obs.tracer
-        with tracer.span(names.SPAN_SDK_INVOKE,
-                         {"service": service_name, "operation": operation}) as span:
-            trace_id = span.trace_id
-            tenant = self.client._active_tenant()
-            if tenant is not None:
-                span.set_attribute("tenant", tenant.tenant_id)
-            # The cost estimate feeds the atomic budget reservations; it
-            # is only computed when some ledger will actually use it.
-            estimate = 0.0
-            if tenant is not None or self.quota.has_cost_limit(service_name):
-                estimate = service.cost_model.cost(
-                    ServiceRequest(operation, payload))
-            charge = (self.tenancy.authorize(tenant, estimate)
-                      if tenant is not None else None)
-            reservation = None
+        tenant = self.client._active_tenant()
+        if tenant is not None:
+            span.set_attribute("tenant", tenant.tenant_id)
+        # The cost estimate feeds the atomic budget reservations; it is
+        # only computed when some ledger will actually use it.
+        estimate = 0.0
+        if tenant is not None or self.quota.has_cost_limit(service_name):
+            estimate = sum(service.cost_model.cost(ServiceRequest(operation, payload))
+                           for payload in payloads)
+        charge = (self.tenancy.authorize(tenant, estimate)
+                  if tenant is not None else None)
+        reservation = None
+        params: dict[str, float] = {}
+        try:
+            reservation = self.quota.reserve(service_name, estimate,
+                                             calls=len(payloads))
+            if self.rate_limiter is not None:
+                self.rate_limiter.acquire_or_raise(service_name)
+            bulkhead = (self.admission.bulkhead_for(service_name)
+                        if self.admission is not None else None)
+            if bulkhead is not None:
+                try:
+                    await self._acquire(
+                        bulkhead, deadline,
+                        tenant.tenant_id if tenant is not None else None)
+                except AdmissionRejectedError:
+                    if tenant is not None:
+                        self.tenancy.count_rejection(
+                            tenant.tenant_id, REASON_SHED)
+                    raise
             try:
-                reservation = self.quota.reserve(service_name, estimate)
-                if self.rate_limiter is not None:
-                    self.rate_limiter.acquire_or_raise(service_name)
-                bulkhead = (self.admission.bulkhead_for(service_name)
-                            if self.admission is not None else None)
-                if bulkhead is not None:
-                    try:
-                        await self._acquire(
-                            bulkhead, deadline,
-                            tenant.tenant_id if tenant is not None else None)
-                    except AdmissionRejectedError:
-                        if tenant is not None:
-                            self.tenancy.count_rejection(
-                                tenant.tenant_id, REASON_SHED)
-                        raise
-            except BaseException:
-                if reservation is not None:
-                    self.quota.cancel(reservation)
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
-                raise
-            params = service.latency_params(ServiceRequest(operation, payload))
-            rater = quality_rater or self.quality_raters.get(operation)
-            try:
+                if not batched:
+                    # A batch item's latency is the whole batch's, not a
+                    # function of its own size: nothing for the
+                    # predictor to learn from.
+                    params = service.latency_params(
+                        ServiceRequest(operation, payloads[0]))
                 if deadline is not None:
                     self.client._deadline_guard(
-                        deadline, f"invoke {service_name}.{operation}")
+                        deadline,
+                        f"{'invoke_batched' if batched else 'invoke'} "
+                        f"{service_name}.{operation}")
                     timeout = deadline.clamp(timeout)
-                response = await self._call(service, operation, payload,
-                                            timeout)
-            except BaseException as error:
-                if isinstance(error, Exception):
-                    self.monitor.record(
-                        InvocationRecord(
-                            service=service_name,
-                            operation=operation,
-                            timestamp=self.clock.now(),
-                            latency=None,
-                            cost=0.0,
-                            success=False,
-                            error=repr(error),
-                            latency_params=params,
-                            trace_id=trace_id,
-                        )
-                    )
-                self.quota.cancel(reservation)
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
+                if batched:
+                    responses = await self._call_batch(
+                        service, operation, payloads, timeout)
+                else:
+                    responses = [await self._call(
+                        service, operation, payloads[0], timeout)]
+            except Exception as error:
+                now = self.clock.now()
+                for _ in payloads:
+                    self.monitor.record(self._record(
+                        service_name, operation, now, span, params,
+                        error=error))
                 raise
             finally:
                 if bulkhead is not None:
                     bulkhead.release()
-
-            quality = rater(response.value) if rater is not None else None
-            self.quota.settle(reservation, response.cost)
+        except BaseException:
+            if reservation is not None:
+                self.quota.cancel(reservation)
             if charge is not None:
-                self.tenancy.settle(tenant, charge, response.cost)
-            self.monitor.record(
-                InvocationRecord(
-                    service=service_name,
-                    operation=operation,
-                    timestamp=self.clock.now(),
-                    latency=response.latency,
-                    cost=response.cost,
-                    success=True,
-                    latency_params=params,
-                    quality=quality,
-                    trace_id=trace_id,
-                )
-            )
-            span.set_attribute("latency", response.latency)
-            span.set_attribute("cost", response.cost)
+                self.tenancy.cancel(tenant, charge)
+            raise
+
+        billed, served = 0.0, 0
+        for response in responses:
+            if not isinstance(response, Exception):
+                billed += response.cost
+                served += 1
+        self.quota.settle(reservation, billed, served=served)
+        if charge is not None:
+            self.tenancy.settle(tenant, charge, billed)
+        now = self.clock.now()
+        outcomes: list[InvocationResult | Exception] = []
+        for response, key in zip(responses, keys):
+            if isinstance(response, Exception):
+                self.monitor.record(self._record(
+                    service_name, operation, now, span, params, error=response))
+                outcomes.append(response)
+                continue
+            self.monitor.record(self._record(
+                service_name, operation, now, span, params, response,
+                rater(response.value) if rater is not None else None))
             if key is not None:
                 self.cache.put(key, response.value)
             if operation in ("put", "delete"):
                 # A mutation makes this service's cached reads suspect —
                 # the consistency issue §2 warns about.
                 self.cache.invalidate_service(service_name)
-            return InvocationResult(
+            outcomes.append(InvocationResult(
                 value=response.value,
                 latency=response.latency,
                 cost=response.cost,
                 service=service_name,
                 operation=operation,
-            )
+                batched=batched,
+            ))
+        return outcomes
+
+    @staticmethod
+    def _record(service_name: str, operation: str, timestamp: float, span,
+                params: dict[str, float], response=None,
+                quality: float | None = None,
+                error: Exception | None = None) -> InvocationRecord:
+        """The monitor record of one upstream item: served, or failed with ``error``."""
+        return InvocationRecord(
+            service=service_name,
+            operation=operation,
+            timestamp=timestamp,
+            latency=response.latency if response is not None else None,
+            cost=response.cost if response is not None else 0.0,
+            success=response is not None,
+            error=repr(error) if error is not None else None,
+            latency_params=params,
+            quality=quality,
+            trace_id=span.trace_id,
+        )
 
     # -- batched invocation ------------------------------------------------
 
@@ -360,118 +415,42 @@ class AsyncInvoker:
         """Ship ``payloads`` to the service's batch endpoint in one call.
 
         The body of :meth:`RichClient.invoke_batched` (documented
-        there): one round trip, one tenant charge, one bulkhead
-        permit, per-item outcomes in input order.  Cancellation
-        mid-wire abandons every item at once (they share the single
-        call) and refunds the tenant charge; admission and accounting
-        are never leaked.
+        there): :meth:`_upstream` carrying N payloads — one round trip,
+        one tenant charge, one rate token, one bulkhead permit, N budget
+        slots, per-item outcomes in input order.  Cancellation mid-wire
+        abandons every item at once (they share the single call) and
+        refunds the budget slots and the tenant charge; admission and
+        accounting are never leaked.
         """
         payloads = [dict(payload) for payload in payloads]
         if not payloads:
             return []
         service = self.registry.get(service_name)
-        tracer = self.obs.tracer
-        with tracer.span(names.SPAN_SDK_INVOKE_BATCH,
-                         {"service": service_name, "operation": operation,
-                          names.BATCH_SIZE: len(payloads),
-                          "obs.category": "batch"}) as span:
-            trace_id = span.trace_id
+        with self.obs.tracer.span(
+                names.SPAN_SDK_INVOKE_BATCH,
+                {"service": service_name, "operation": operation,
+                 names.BATCH_SIZE: len(payloads),
+                 "obs.category": "batch"}) as span:
             self.client._deadline_guard(
                 deadline, f"invoke_batched {service_name}.{operation}")
-            tenant = self.client._active_tenant()
-            if tenant is not None:
-                span.set_attribute("tenant", tenant.tenant_id)
-            estimate = (sum(service.cost_model.cost(ServiceRequest(operation, p))
-                            for p in payloads)
-                        if tenant is not None else 0.0)
-            charge = (self.tenancy.authorize(tenant, estimate)
-                      if tenant is not None else None)
-            try:
-                self.quota.check(service_name)
-                if self.rate_limiter is not None:
-                    self.rate_limiter.acquire_or_raise(service_name)
-                bulkhead = (self.admission.bulkhead_for(service_name)
-                            if self.admission is not None else None)
-                if bulkhead is not None:
-                    try:
-                        await self._acquire(
-                            bulkhead, deadline,
-                            tenant.tenant_id if tenant is not None else None)
-                    except AdmissionRejectedError:
-                        if tenant is not None:
-                            self.tenancy.count_rejection(
-                                tenant.tenant_id, REASON_SHED)
-                        raise
-                try:
-                    if deadline is not None:
-                        self.client._deadline_guard(
-                            deadline, f"invoke_batched {service_name}.{operation}")
-                        timeout = deadline.clamp(timeout)
-                    responses = await self._call_batch(
-                        service, operation, payloads, timeout)
-                finally:
-                    if bulkhead is not None:
-                        bulkhead.release()
-            except BaseException:
-                if charge is not None:
-                    self.tenancy.cancel(tenant, charge)
-                raise
-            if charge is not None:
-                billed = sum(response.cost for response in responses
-                             if not isinstance(response, Exception))
-                self.tenancy.settle(tenant, charge, billed)
+            if use_cache and operation in self.cacheable_operations:
+                namespace = self.client._cache_tenant()
+                keys = [cache_key(service_name, operation, payload,
+                                  tenant=namespace) for payload in payloads]
+            else:
+                keys = [None] * len(payloads)
+            outcomes = await self._upstream(
+                service, service_name, operation, payloads, keys, timeout,
+                deadline, span, self.quality_raters.get(operation),
+                batched=True)
             if self.client._metric_batch_flushes is not None:
                 self.client._metric_batch_flushes.inc()
                 self.client._metric_batch_items.inc(len(payloads))
                 self.client._metric_batch_size.observe(float(len(payloads)))
-            now = self.clock.now()
-            cacheable = use_cache and operation in self.cacheable_operations
-            namespace = self.client._cache_tenant() if cacheable else None
-            batch_latency = 0.0
-            outcomes: list[InvocationResult | Exception] = []
-            for payload, response in zip(payloads, responses):
-                if isinstance(response, Exception):
-                    self.monitor.record(
-                        InvocationRecord(
-                            service=service_name,
-                            operation=operation,
-                            timestamp=now,
-                            latency=None,
-                            cost=0.0,
-                            success=False,
-                            error=repr(response),
-                            trace_id=trace_id,
-                        )
-                    )
-                    outcomes.append(response)
-                    continue
-                batch_latency = response.latency
-                self.quota.record(service_name, response.cost)
-                self.monitor.record(
-                    InvocationRecord(
-                        service=service_name,
-                        operation=operation,
-                        timestamp=now,
-                        latency=response.latency,
-                        cost=response.cost,
-                        success=True,
-                        trace_id=trace_id,
-                    )
-                )
-                if cacheable:
-                    self.cache.put(
-                        cache_key(service_name, operation, payload,
-                                  tenant=namespace),
-                        response.value)
-                outcomes.append(InvocationResult(
-                    value=response.value,
-                    latency=response.latency,
-                    cost=response.cost,
-                    service=service_name,
-                    operation=operation,
-                    batched=True,
-                ))
-            span.set_attribute("latency", batch_latency)
+            # Served items all report the one round trip they shared.
+            span.set_attribute("latency", next(
+                (outcome.latency for outcome in outcomes
+                 if not isinstance(outcome, Exception)), 0.0))
             return outcomes
 
     async def ainvoke_many(
@@ -488,7 +467,9 @@ class AsyncInvoker:
         The body of :meth:`RichClient.invoke_many` (documented there):
         cache hits first, in-burst dedup (counted as coalesce hits),
         then batch-endpoint chunks or sequential calls.  Per-item
-        failures come back as exceptions; cancellation aborts the
+        failures come back as exceptions — a chunk whose round trip
+        failed as a whole is that exception for each of its items, and
+        the other chunks keep their results; cancellation aborts the
         remaining chunks (already-returned items are simply lost with
         the coroutine, their server-side effects stand).
         """
@@ -496,23 +477,19 @@ class AsyncInvoker:
         service = self.registry.get(service_name)
         results: list[InvocationResult | Exception | None] = [None] * len(payloads)
 
-        remaining: list[int] = []
+        # One key per payload serves the cache probe and the in-batch
+        # dedup: identical payloads ride one upstream item.
+        namespace = self.client._cache_tenant()
+        groups: dict[str, list[int]] = {}
         for index, payload in enumerate(payloads):
+            key = cache_key(service_name, operation, payload, tenant=namespace)
             hit = self.client.cached_result(service_name, operation, payload,
-                                            use_cache)
+                                            use_cache, key=key)
             if hit is not None:
                 results[index] = hit
             else:
-                remaining.append(index)
-
-        # In-batch dedup: identical payloads ride one upstream item.
-        namespace = self.client._cache_tenant()
-        groups: dict[str, list[int]] = {}
-        for index in remaining:
-            key = cache_key(service_name, operation, payloads[index],
-                            tenant=namespace)
-            groups.setdefault(key, []).append(index)
-        folded = len(remaining) - len(groups)
+                groups.setdefault(key, []).append(index)
+        folded = sum(len(indices) - 1 for indices in groups.values())
         if folded and self.coalescer is not None:
             self.coalescer.count_folded(folded)
         leaders = [indices[0] for indices in groups.values()]
@@ -527,7 +504,9 @@ class AsyncInvoker:
                         [payloads[index] for index in chunk],
                         timeout=timeout, use_cache=use_cache,
                         deadline=deadline)
-                except DeadlineExceededError as error:
+                except Exception as error:
+                    # The round trip failed for the whole chunk: that is
+                    # each item's outcome; other chunks keep theirs.
                     outcomes = [error] * len(chunk)
                 for index, outcome in zip(chunk, outcomes):
                     results[index] = outcome

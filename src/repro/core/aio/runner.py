@@ -61,7 +61,7 @@ class LoopRunner:
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
-        """The runner's event loop (for bridges and tests)."""
+        """The runner's event loop (for ``call_soon_threadsafe`` and tests)."""
         return self._loop
 
     def submit(self, coro: Coroutine) -> Future:

@@ -35,9 +35,9 @@ class ListenableFuture(Generic[T]):
     concurrently on the registering thread.  (The pre-async-core
     implementation delivered a late-registered listener immediately on
     the registering thread, which could overlap and reorder callbacks —
-    unsafe for the asyncio bridge, whose callbacks assume serialized
-    delivery.)  A listener added after delivery has fully drained runs
-    immediately on the registering thread, Guava's semantics.
+    unsafe for callbacks that assume serialized delivery.)  A listener
+    added after delivery has fully drained runs immediately on the
+    registering thread, Guava's semantics.
 
     A callback that raises cannot poison the delivering thread or
     starve the remaining callbacks: the exception is captured into

@@ -306,6 +306,12 @@ class RichClient:
             return None
         return tenant.tenant_id
 
+    def _request_key(self, service_name: str, operation: str,
+                     payload: Mapping[str, object]) -> str:
+        """One request's cache key, in the active tenant's namespace."""
+        return cache_key(service_name, operation, payload,
+                         tenant=self._cache_tenant())
+
     # -- core invocation -------------------------------------------------------
 
     def cached_result(
@@ -315,6 +321,7 @@ class RichClient:
         payload: Mapping[str, object],
         use_cache: bool = True,
         allow_stale: bool = True,
+        key: str | None = None,
     ) -> InvocationResult | None:
         """Serve one request from the local cache, or return None.
 
@@ -330,12 +337,15 @@ class RichClient:
         retained entry is served immediately (``degraded=True``) while
         an asynchronous refresh repopulates the cache; ``allow_stale=
         False`` disables that path (the refresh call itself uses it to
-        avoid serving stale to its own probe).
+        avoid serving stale to its own probe).  ``key`` is the request's
+        :func:`~repro.core.caching.cache_key` when the caller has
+        already computed it (the invoker needs it again on a miss);
+        otherwise it is computed here.
         """
         if not use_cache or operation not in self.cacheable_operations:
             return None
-        key = cache_key(service_name, operation, dict(payload),
-                        tenant=self._cache_tenant())
+        if key is None:
+            key = self._request_key(service_name, operation, payload)
         hit = self.cache.get(key)
         if hit is None:
             if allow_stale and self.stale_while_revalidate:
@@ -561,20 +571,27 @@ class RichClient:
     ) -> list[InvocationResult | Exception]:
         """Ship ``payloads`` to the service's batch endpoint in ONE call.
 
-        The whole batch pays one wire round trip, one quota check, one
-        rate-limiter token and holds one bulkhead permit; the service
-        executes the items vectorized (compute latency is the max of
-        the per-item samples, not their sum).  Per-item outcomes come
-        back in input order — a failed item is returned as its
-        exception, isolated from its batch-mates.  Each successful item
-        is recorded in the monitor, charged to the quota tracker and
-        written to the cache individually.
+        A batch is N calls in one round trip: it reserves one budget
+        slot per payload (all or none — a batch that does not fit
+        ``max_calls``, or whose summed cost estimate does not fit
+        ``max_cost``, is refused before anything is sent), and pays one
+        wire round trip, one rate-limiter token and one bulkhead permit;
+        the service executes the items vectorized (compute latency is
+        the max of the per-item samples, not their sum).  Per-item
+        outcomes come back in input order — a failed item is returned
+        as its exception, isolated from its batch-mates, and its budget
+        slot is refunded.  Each item is recorded in the monitor
+        (quality-rated by the operation's ``quality_raters`` entry) and
+        each served one written to the cache individually; the budget
+        is settled to the summed billed cost.
 
         Raises ``ValueError`` when the service declares no batch
         support (see ``batch_max_size`` in the catalog) or the batch
-        exceeds its declared limit; transport-level failures (offline,
+        exceeds its declared limit; the client-side protections raise
+        as for :meth:`invoke`; transport-level failures (offline,
         timeout) raise for the whole batch, because the single wire
-        call failed for every item.
+        call failed for every item — after one failed monitor record
+        per item, and with every reservation refunded.
 
         Under a tenant scope the batch is authorized as **one** tenant
         call (one call slot, one rate token) charged with the summed
@@ -605,7 +622,10 @@ class RichClient:
         the service declares no batch support.  Results come back in
         input order; folded duplicates share the leader's result with
         ``coalesced=True`` and cost 0.  Per-item failures are returned
-        as exceptions rather than raised.
+        as exceptions rather than raised, on either branch: a chunk
+        whose round trip failed as a whole (timeout, offline, budget,
+        rate limit, shed, spent deadline) comes back as that exception
+        for each of its items, and the other chunks keep their results.
         """
         return run_sync(self._body.ainvoke_many(
             service_name, operation, payloads, timeout=timeout,

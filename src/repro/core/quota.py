@@ -43,16 +43,19 @@ class _Spend:
 
 @dataclass
 class QuotaReservation:
-    """A call slot plus estimated cost charged atomically up front.
+    """Call slots plus estimated cost charged atomically up front.
 
     Handed out by :meth:`ClientQuotaTracker.reserve`; the caller must
-    either :meth:`~ClientQuotaTracker.settle` it (the call completed,
-    true-up to the billed cost) or :meth:`~ClientQuotaTracker.cancel`
-    it (the call failed, refund the slot and the estimate).
+    either :meth:`~ClientQuotaTracker.settle` it (the round trip
+    completed: true-up to the billed cost, refund the slots of items
+    that were not served) or :meth:`~ClientQuotaTracker.cancel` it (the
+    round trip failed: refund every slot and the estimate).  ``calls``
+    is 1 for a single invocation and the number of payloads for a batch.
     """
 
     service: str
     estimated_cost: float = 0.0
+    calls: int = 1
     open: bool = True
 
 
@@ -65,8 +68,9 @@ class ClientQuotaTracker:
     a burst of threads can all pass ``check`` before any of them
     ``record``s, overshooting ``max_calls`` and ``max_cost``.  The
     invoker therefore uses the atomic :meth:`reserve` /
-    :meth:`settle` / :meth:`cancel` path, which charges the call slot
-    and the estimated cost in the same critical section as the check.
+    :meth:`settle` / :meth:`cancel` path for single calls and batches
+    alike, which charges the call slots (one per payload) and the
+    estimated cost in the same critical section as the check.
     """
 
     budgets: dict[str, ServiceBudget] = field(default_factory=dict)
@@ -81,12 +85,13 @@ class ClientQuotaTracker:
             self.budgets[service] = ServiceBudget(max_calls=max_calls,
                                                   max_cost=max_cost)
 
-    def _check_locked(self, service: str, upcoming_cost: float) -> None:
+    def _check_locked(self, service: str, upcoming_cost: float,
+                      calls: int = 1) -> None:
         budget = self.budgets.get(service)
         if budget is None:
             return
         spend = self._spend.get(service, _Spend())
-        if budget.max_calls is not None and spend.calls + 1 > budget.max_calls:
+        if budget.max_calls is not None and spend.calls + calls > budget.max_calls:
             raise BudgetExceededError(service, "calls", budget.max_calls)
         if budget.max_cost is not None and spend.cost + upcoming_cost > budget.max_cost:
             raise BudgetExceededError(service, "cost", budget.max_cost)
@@ -111,31 +116,41 @@ class ClientQuotaTracker:
             budget = self.budgets.get(service)
             return budget is not None and budget.max_cost is not None
 
-    def reserve(self, service: str,
-                estimated_cost: float = 0.0) -> QuotaReservation:
-        """Atomically check the budget **and** charge one call.
+    def reserve(self, service: str, estimated_cost: float = 0.0,
+                calls: int = 1) -> QuotaReservation:
+        """Atomically check the budget **and** charge ``calls`` calls.
 
-        The call slot and ``estimated_cost`` are charged in the same
-        critical section as the check, so a concurrent burst cannot
-        overshoot ``max_calls`` (each admitted call holds its slot) or
-        ``max_cost`` beyond estimate error.  Pair with :meth:`settle`
-        on success (adjusts to the actual billed cost) or
-        :meth:`cancel` on failure (refunds slot and estimate).
+        The call slots (one per payload of a batch, all or none) and
+        ``estimated_cost`` (the batch's summed estimate) are charged in
+        the same critical section as the check, so a concurrent burst
+        cannot overshoot ``max_calls`` (each admitted call holds its
+        slot) or ``max_cost`` beyond estimate error.  Pair with
+        :meth:`settle` once the round trip returned (adjusts to the
+        actual billed cost) or :meth:`cancel` when it failed (refunds
+        slots and estimate).
         """
         with self._lock:
-            self._check_locked(service, estimated_cost)
+            self._check_locked(service, estimated_cost, calls)
             spend = self._spend.setdefault(service, _Spend())
-            spend.calls += 1
+            spend.calls += calls
             spend.cost += estimated_cost
-        return QuotaReservation(service, estimated_cost)
+        return QuotaReservation(service, estimated_cost, calls)
 
-    def settle(self, reservation: QuotaReservation, actual_cost: float) -> None:
-        """True a reservation up to the cost the service actually billed."""
+    def settle(self, reservation: QuotaReservation, actual_cost: float,
+               served: int | None = None) -> None:
+        """True a reservation up to the cost the service actually billed.
+
+        ``served`` is how many of the reserved calls the service
+        answered (default: all of them); the slots of a batch's failed
+        items are refunded, as a failed single call's slot is.
+        """
         with self._lock:
             if not reservation.open:
                 raise ValueError("reservation already settled or cancelled")
             reservation.open = False
             spend = self._spend.setdefault(reservation.service, _Spend())
+            if served is not None:
+                spend.calls -= reservation.calls - served
             spend.cost += actual_cost - reservation.estimated_cost
 
     def cancel(self, reservation: QuotaReservation) -> None:
@@ -145,7 +160,7 @@ class ClientQuotaTracker:
                 raise ValueError("reservation already settled or cancelled")
             reservation.open = False
             spend = self._spend.setdefault(reservation.service, _Spend())
-            spend.calls -= 1
+            spend.calls -= reservation.calls
             spend.cost -= reservation.estimated_cost
 
     def record(self, service: str, cost: float) -> None:

@@ -462,66 +462,56 @@ class SimulatedService(ABC):
     def _serve_batch(self, requests: Sequence[ServiceRequest]) -> tuple[dict, float]:
         """Serve a batch server-side: per-item isolation, max-of latency.
 
-        Each item runs through the same quota/failure/handler path as a
-        single call (consuming quota and advancing the failure model's
-        call index per item); a failing item becomes an ``error`` entry
-        instead of poisoning its batch-mates.  Compute latency is the
-        max of the per-item samples — the vectorized-execution model.
+        Each item goes through :meth:`_serve_item` exactly as a single
+        call does (consuming quota and advancing the failure model's
+        call index per item); what an item raises becomes its ``error``
+        entry instead of poisoning its batch-mates.  Compute latency is
+        the max of the per-item samples — the vectorized-execution model.
         """
         now = self.transport.clock.now()
         samples: list[float] = []
         results: list[dict] = []
         for request in requests:
-            call_index = self._call_index
-            self._call_index += 1
-            self.stats.calls += 1
             samples.append(self.latency.sample(
                 self._rng, self.latency_params(request)))
-            if self.quota is not None and not self.quota.consume(now):
-                self.stats.quota_rejections += 1
-                results.append({
-                    "error": f"quota of {self.quota.limit} calls per "
-                             f"{self.quota.window:.0f}s exceeded",
-                    "status": 429,
-                })
-                continue
-            if self.failures.should_fail(call_index, now, self._rng):
-                self.stats.failures += 1
-                results.append({"error": "internal service failure",
-                                "status": 500})
-                continue
             try:
-                value = self._handle(request)
-            except RemoteServiceError as error:  # the handler's own verdict (400, 404)
+                value, cost = self._serve_item(request, now)
+            except RemoteServiceError as error:  # 429, injected 500, the handler's own 400 / 404
                 results.append({"error": error.message, "status": error.status})
-                continue
-            except Exception as error:  # noqa: BLE001 — isolated per item
+            except Exception as error:  # noqa: BLE001 — a handler crash, isolated per item
                 results.append({"error": str(error), "status": 500})
-                continue
-            cost = self.cost_model.cost(request)
-            self.stats.revenue += cost
-            results.append({"value": value, "cost": cost})
+            else:
+                results.append({"value": value, "cost": cost})
         return {"results": results}, max(samples) if samples else 0.0
 
     def _serve(self, request: ServiceRequest, params: dict[str, float]) -> tuple[dict, float]:
+        compute_latency = self.latency.sample(self._rng, params)
+        value, cost = self._serve_item(request, self.transport.clock.now())
+        return {"value": value, "cost": cost}, compute_latency
+
+    def _serve_item(self, request: ServiceRequest, now: float) -> tuple[object, float]:
+        """The per-request serve path, single or batched: (value, billed cost).
+
+        Call index and stats, quota, failure model, handler, billing —
+        in that order, after the caller has drawn the latency sample, so
+        the service RNG sees the same draws whichever endpoint served
+        the request.  Raises :class:`QuotaExceededError` (429),
+        :class:`RemoteServiceError` (injected failure) or whatever the
+        handler raises.
+        """
         call_index = self._call_index
         self._call_index += 1
         self.stats.calls += 1
-        now = self.transport.clock.now()
-        compute_latency = self.latency.sample(self._rng, params)
-
         if self.quota is not None and not self.quota.consume(now):
             self.stats.quota_rejections += 1
             raise QuotaExceededError(self.name, self.quota.limit, self.quota.window)
-
         if self.failures.should_fail(call_index, now, self._rng):
             self.stats.failures += 1
             raise RemoteServiceError(self.name, "internal service failure")
-
         value = self._handle(request)
         cost = self.cost_model.cost(request)
         self.stats.revenue += cost
-        return {"value": value, "cost": cost}, compute_latency
+        return value, cost
 
 
 class ServiceRegistry:

@@ -9,15 +9,20 @@ is the two *drivers* — the blocking binding under ``run_sync`` and the
 loop-native binding under asyncio.
 """
 
+import ast
 import asyncio
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 import repro.core
+import repro.core.aio.invoker
+import repro.services.base
 from repro import RichClient, build_world
 from repro.core.admission import (
     AdmissionController,
@@ -33,8 +38,10 @@ from repro.core.aio import (
 )
 from repro.core.futures import run_sync
 from repro.core.hedging import HedgedInvoker
+from repro.core.invoker import InvocationResult
 from repro.core.quota import BudgetExceededError
-from repro.services.base import ScriptedFailures
+from repro.services.base import ScriptedFailures, ServiceRequest
+from repro.tenancy.context import tenant_scope
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
 from repro.util.clock import ManualClock
 from repro.util.deadline import Deadline, DeadlineExceededError
@@ -264,6 +271,151 @@ class TestCompositeParity:
                 call("no-such-kind", "analyze", {"text": TEXT})
 
 
+@pytest.fixture(params=["blocking", "loop"])
+def bound(request):
+    """The batch entry points of one binding, over a world of its own."""
+    world = build_world(seed=42, corpus_size=5)
+    client = RichClient(world.registry)
+    if request.param == "blocking":
+        many, batched = client.invoke_many, client.invoke_batched
+    else:
+        def many(*args, **kwargs):
+            return arun(client.aio.ainvoke_many(*args, **kwargs))
+
+        def batched(*args, **kwargs):
+            return arun(client.aio.ainvoke_batched(*args, **kwargs))
+    yield SimpleNamespace(world=world, client=client, many=many, batched=batched)
+    client.close()
+
+
+def documents(count):
+    return [{"text": f"Initech files memo number {n}."} for n in range(count)]
+
+
+class TestABatchIsNCallsInOneRoundTrip:
+    """The budget, the monitor and the per-item promise see a batch as
+    N calls — on both bindings.  The second copy of the upstream
+    envelope had drifted on each of these: it checked for one more call
+    whatever the batch size, never looked at ``max_cost``, recorded
+    nothing when the wire raised and rated nothing, and ``invoke_many``
+    raised for a failed chunk."""
+
+    def test_a_batch_that_does_not_fit_max_calls_sends_nothing(self, bound):
+        bound.client.quota.set_budget("lexica-prime", max_calls=3)
+        sent = bound.world.transport.stats.calls
+        results = bound.many("lexica-prime", "analyze", documents(12),
+                             use_cache=False)
+        assert len(results) == 12
+        assert all(isinstance(item, BudgetExceededError) for item in results)
+        assert bound.world.transport.stats.calls == sent
+        assert bound.client.quota.calls("lexica-prime") == 0
+
+    def test_a_batch_that_fits_charges_one_slot_per_item(self, bound):
+        bound.client.quota.set_budget("lexica-prime", max_calls=12)
+        results = bound.many("lexica-prime", "analyze", documents(12),
+                             use_cache=False)
+        assert all(isinstance(item, InvocationResult) for item in results)
+        assert bound.client.quota.calls("lexica-prime") == 12
+        assert bound.client.quota.cost("lexica-prime") == pytest.approx(
+            sum(item.cost for item in results))
+        with pytest.raises(BudgetExceededError):
+            bound.batched("lexica-prime", "analyze", [{"text": OTHER}])
+
+    def test_a_failed_item_gets_its_slot_back(self, bound):
+        bound.world.service("lexica-prime").failures = ScriptedFailures({4})
+        bound.client.quota.set_budget("lexica-prime", max_calls=12)
+        results = bound.batched("lexica-prime", "analyze", documents(12),
+                                use_cache=False)
+        assert isinstance(results[4], RemoteServiceError)
+        assert bound.client.quota.calls("lexica-prime") == 11
+        assert bound.client.monitor.failure_count("lexica-prime") == 1
+
+    def test_max_cost_refuses_a_batch_whose_summed_estimate_does_not_fit(
+            self, bound):
+        service = bound.world.service("lexica-prime")
+        one = service.cost_model.cost(ServiceRequest("analyze", documents(1)[0]))
+        bound.client.quota.set_budget("lexica-prime", max_cost=one * 3.5)
+        with pytest.raises(BudgetExceededError):
+            bound.batched("lexica-prime", "analyze", documents(4),
+                          use_cache=False)
+        assert service.stats.calls == 0
+        assert bound.client.quota.cost("lexica-prime") == 0.0
+        results = bound.batched("lexica-prime", "analyze", documents(3),
+                                use_cache=False)
+        assert bound.client.quota.cost("lexica-prime") == pytest.approx(
+            sum(item.cost for item in results))
+
+    def test_a_failed_chunk_is_its_items_outcome_and_other_chunks_stand(
+            self, bound):
+        limit = bound.world.service("lexica-prime").batch_max_size
+        bound.client.quota.set_budget("lexica-prime", max_calls=limit)
+        results = bound.many("lexica-prime", "analyze", documents(limit + 4),
+                             use_cache=False)
+        assert all(isinstance(item, InvocationResult)
+                   for item in results[:limit])
+        assert all(isinstance(item, BudgetExceededError)
+                   for item in results[limit:])
+        assert bound.client.quota.calls("lexica-prime") == limit
+
+    def test_a_timed_out_batch_is_returned_per_item_and_recorded(self, bound):
+        results = bound.many("lexica-prime", "analyze", documents(4),
+                             timeout=1e-9, use_cache=False)
+        assert len(results) == 4
+        assert all(isinstance(item, ServiceTimeoutError) for item in results)
+        monitor = bound.client.monitor
+        assert monitor.call_count("lexica-prime") == 4
+        assert monitor.failure_count("lexica-prime") == 4
+        assert monitor.availability("lexica-prime") == 0.0
+        assert bound.client.quota.calls("lexica-prime") == 0
+
+    def test_invoke_batched_still_raises_for_a_whole_batch_wire_failure(
+            self, bound):
+        with pytest.raises(ServiceTimeoutError):
+            bound.batched("lexica-prime", "analyze", documents(3),
+                          timeout=1e-9, use_cache=False)
+        assert bound.client.monitor.failure_count("lexica-prime") == 3
+
+    def test_batch_items_are_quality_rated(self, bound):
+        bound.client.quality_raters["analyze"] = lambda value: 0.25
+        bound.batched("lexica-prime", "analyze", documents(2), use_cache=False)
+        records = bound.client.monitor.records("lexica-prime")
+        assert [record.quality for record in records] == [0.25, 0.25]
+        assert bound.client.monitor.mean_quality("lexica-prime") == 0.25
+
+
+class TestBatchCancellationRefunds:
+    """Cancelling a batch mid-queue or mid-wire on the loop binding (the
+    blocking binding's ``KeyboardInterrupt`` twin lives in
+    ``tests/core/test_blocking_driver.py``)."""
+
+    @staticmethod
+    async def cancelled(*args, **kwargs):
+        raise asyncio.CancelledError
+
+    def assert_nothing_leaked(self, client):
+        assert client.quota.calls("glotta") == 0
+        assert client.quota.cost("glotta") == 0.0
+        assert client.tenancy.usage("alpha")["calls"] == 0
+        assert client.aio.admission.bulkhead_for("glotta").inflight == 0
+
+    def test_cancel_in_the_bulkhead_queue(self, guarded, monkeypatch):
+        gate = guarded.aio.admission.bulkhead_for("glotta")
+        monkeypatch.setattr(gate, "acquire", self.cancelled)
+        with tenant_scope("alpha"), pytest.raises(asyncio.CancelledError):
+            arun(guarded.aio.ainvoke_batched(
+                "glotta", "analyze", [{"text": TEXT}, {"text": OTHER}]))
+        self.assert_nothing_leaked(guarded)
+
+    def test_cancel_on_the_wire(self, world, guarded, monkeypatch):
+        monkeypatch.setattr(world.service("glotta"), "ainvoke_batch",
+                            self.cancelled)
+        with tenant_scope("alpha"), pytest.raises(asyncio.CancelledError):
+            arun(guarded.aio.ainvoke_batched(
+                "glotta", "analyze", [{"text": TEXT}, {"text": OTHER}]))
+        self.assert_nothing_leaked(guarded)
+        assert guarded.monitor.call_count("glotta") == 0
+
+
 #: name -> (limit, fair, script).  Script steps: ("acquire", tenant,
 #: budget-or-None), ("release",), ("advance", seconds).  On a virtual
 #: clock a queued acquire charges its whole window and is then shed,
@@ -375,6 +527,34 @@ class TestPoliciesAreWrittenOnce:
                         AsyncCoalescer):
             assert "bind_metrics" not in vars(binding)
             assert "stats" not in vars(binding)
+
+
+    @staticmethod
+    def call_sites(tree):
+        """Dotted name of every call in ``tree``: ``self.quota.reserve`` ..."""
+        return Counter(ast.unparse(node.func) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call))
+
+    def test_the_upstream_envelope_is_spelled_out_once(self):
+        # A batch is N calls in one round trip: a second copy of the
+        # protections (or of the record) is how the batch path drifted.
+        calls = self.call_sites(ast.parse(
+            inspect.getsource(repro.core.aio.invoker)))
+        for site in ("self.tenancy.authorize", "self.quota.reserve",
+                     "self.rate_limiter.acquire_or_raise",
+                     "self.admission.bulkhead_for", "bulkhead.release",
+                     "InvocationRecord", "self.quota.settle",
+                     "self.tenancy.settle"):
+            assert calls[site] == 1, site
+        # The racy sequential-caller pair is API, not something we use.
+        assert not calls["self.quota.check"] and not calls["self.quota.record"]
+
+    def test_a_service_has_one_per_request_serve_path(self):
+        calls = self.call_sites(ast.parse(inspect.getsource(
+            repro.services.base.SimulatedService)))
+        for site in ("self.quota.consume", "self.failures.should_fail",
+                     "self._handle", "self.cost_model.cost"):
+            assert calls[site] == 1, site
 
 
 class TestFacadeParity:

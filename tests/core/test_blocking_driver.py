@@ -15,9 +15,6 @@ import time
 
 import pytest
 
-from repro import RichClient
-from repro.core.admission import AdmissionController, AdmissionLimit
-from repro.tenancy import Tenancy, Tenant, TenantRegistry
 from repro.tenancy.context import tenant_scope
 
 TEXT = "IBM announced excellent results while Initech struggled badly."
@@ -106,19 +103,6 @@ class TestBaseExceptionCleanup:
         assert isinstance(outcomes["follower"], KeyboardInterrupt)
         assert len(client.coalescer) == 0
 
-    @pytest.fixture
-    def guarded(self, world):
-        registry = TenantRegistry()
-        registry.register(Tenant("alpha", max_calls=10))
-        tenancy = Tenancy(registry)
-        admission = AdmissionController(
-            world.clock, default_limit=AdmissionLimit(max_concurrent=2))
-        client = RichClient(world.registry, admission=admission,
-                            tenancy=tenancy)
-        client.quota.set_budget("lexica-prime", max_calls=10)
-        yield client
-        client.close()
-
     def test_interrupt_in_the_bulkhead_queue_refunds_the_reservations(
             self, guarded, monkeypatch):
         gate = guarded.admission.bulkhead_for("lexica-prime")
@@ -138,6 +122,17 @@ class TestBaseExceptionCleanup:
         assert guarded.tenancy.usage("alpha")["calls"] == 0
         assert guarded.admission.bulkhead_for("lexica-prime").inflight == 0
 
+    def test_interrupt_in_the_bulkhead_queue_of_a_batch_refunds_the_reservations(
+            self, guarded, monkeypatch):
+        gate = guarded.admission.bulkhead_for("glotta")
+        monkeypatch.setattr(gate, "acquire", interrupted)
+        with tenant_scope("alpha"), pytest.raises(KeyboardInterrupt):
+            guarded.invoke_batched("glotta", "analyze",
+                                   [{"text": TEXT}, {"text": OTHER}])
+        assert guarded.quota.calls("glotta") == 0
+        assert guarded.tenancy.usage("alpha")["calls"] == 0
+        assert gate.inflight == 0
+
     def test_interrupt_in_a_batch_call_refunds_the_tenant_charge(
             self, world, guarded, monkeypatch):
         monkeypatch.setattr(world.service("glotta"), "invoke_batch",
@@ -145,6 +140,7 @@ class TestBaseExceptionCleanup:
         with tenant_scope("alpha"), pytest.raises(KeyboardInterrupt):
             guarded.invoke_batched("glotta", "analyze",
                                    [{"text": TEXT}, {"text": OTHER}])
+        assert guarded.quota.calls("glotta") == 0
         assert guarded.tenancy.usage("alpha")["calls"] == 0
         assert guarded.admission.bulkhead_for("glotta").inflight == 0
 

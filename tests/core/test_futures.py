@@ -165,7 +165,7 @@ class TestSerializedListenerDelivery:
     during an in-progress completion immediately on the registering
     thread, overlapping (and reordering) it with the completing
     thread's own dispatch loop — unsafe for callbacks that assume
-    Guava's serialized delivery (the asyncio bridge does).
+    Guava's serialized delivery.
     """
 
     def test_listener_added_mid_delivery_waits_its_turn(self):

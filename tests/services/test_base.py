@@ -17,7 +17,9 @@ from repro.services.base import (
     SizeBasedCost,
 )
 from repro.simnet.errors import RemoteServiceError
-from repro.simnet.latency import ConstantLatency
+from repro.simnet.latency import ConstantLatency, LogNormalLatency
+from repro.simnet.transport import Transport
+from repro.util.clock import ManualClock
 from repro.util.errors import NotFoundError
 from repro.util.rng import SeededRng
 
@@ -157,6 +159,81 @@ class TestSimulatedService:
         service.invoke("echo", {})
         service.invoke("echo", {})
         assert service.stats.calls == 2
+
+
+class MoodyService(SimulatedService):
+    """Each payload picks its own fate, so one batch can mix them."""
+
+    def _handle(self, request: ServiceRequest):
+        mode = request.payload.get("mode")
+        if mode == "bad":
+            raise RemoteServiceError(self.name, "bad request", status=400)
+        if mode == "crash":
+            raise RuntimeError("boom")
+        return {"echo": request.payload["n"]}
+
+
+class TestOneServePath:
+    """``invoke`` and ``invoke_batch`` reach the same per-request path.
+
+    The same requests are served one by one on one service and as one
+    batch on its twin: every item must meet the same quota, the same
+    failure-model verdict, the same handler outcome and the same bill,
+    and the service RNG must have been drawn from identically — which
+    is what keeps simulated time independent of how a burst was shaped.
+    """
+
+    PAYLOADS = [{"n": 0}, {"n": 1}, {"n": 2, "mode": "bad"}, {"n": 3},
+                {"n": 4, "mode": "crash"}, {"n": 5}, {"n": 6}, {"n": 7}]
+
+    @staticmethod
+    def twin(failures):
+        service = MoodyService(
+            "moody", "test", Transport(clock=ManualClock(), rng=SeededRng(123)),
+            latency=LogNormalLatency(median=0.05, sigma=0.4),
+            failures=failures, cost_model=SizeBasedCost(0.01, 0.5),
+            quota=Quota(limit=len(TestOneServePath.PAYLOADS) - 1,
+                        window=1000.0))
+        service.batch_max_size = 16
+        return service
+
+    @staticmethod
+    def one_by_one(service, payloads):
+        """(value, cost, status) per request; a handler crash propagates
+        raw from a single call, the batch endpoint reports it as 500."""
+        outcomes = []
+        for payload in payloads:
+            try:
+                response = service.invoke("serve", payload)
+                outcomes.append((response.value, response.cost, None))
+            except RemoteServiceError as error:
+                outcomes.append((error.message, None, error.status))
+            except RuntimeError as error:
+                outcomes.append((str(error), None, 500))
+        return outcomes
+
+    @staticmethod
+    def as_a_batch(service, payloads):
+        return [(item.message, None, item.status)
+                if isinstance(item, RemoteServiceError)
+                else (item.value, item.cost, None)
+                for item in service.invoke_batch("serve", payloads)]
+
+    @pytest.mark.parametrize("failures, statuses", [
+        # injected failure, the handler's 400, a crash, quota spent on the last
+        (lambda: ScriptedFailures({1}), [None, 500, 400, None, 500, None, None, 429]),
+        (lambda: RandomFailures(0.4), None),   # draws from the service RNG
+    ], ids=["scripted", "random"])
+    def test_single_and_batch_agree_item_for_item(self, failures, statuses):
+        single, batched = self.twin(failures()), self.twin(failures())
+        singles = self.one_by_one(single, self.PAYLOADS)
+        assert self.as_a_batch(batched, self.PAYLOADS) == singles
+        if statuses is not None:
+            assert [status for _, _, status in singles] == statuses
+        assert batched.stats == single.stats
+        assert batched.stats.calls == len(self.PAYLOADS)
+        assert batched._call_index == single._call_index
+        assert batched._rng._random.getstate() == single._rng._random.getstate()
 
 
 class TestServiceRegistry:

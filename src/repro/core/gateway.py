@@ -3,11 +3,16 @@
 "In order to allow programs written in other languages to access the
 rich SDK, the rich SDK can expose an HTTP interface."  There is no real
 network in this reproduction, so the gateway is modelled the way the
-transport is: JSON request dict in, JSON response dict out, with every
-payload round-tripped through ``json`` to guarantee that only
-serializable data crosses — exactly the contract an HTTP server would
-impose.  A non-Python client is anything that can produce these
-envelopes.
+transport is: JSON text in, JSON text out.  ``handle_json`` is the one
+serving path — it parses the envelope once (what it dispatches on is
+JSON-pure by construction) and serialises the response once, so only
+serializable data crosses and nothing the SDK holds (a cached value,
+say) is ever shared with the caller.  The dict API ``handle`` is that
+same path seen by a Python caller: request dumped, served as text,
+response parsed back.  It keeps the two copies on purpose — dumping is
+the JSON-safety check on a caller's objects, and parsing hands back a
+deep copy the caller may mutate — and has no dispatch of its own.  A
+non-Python client is anything that can produce these envelopes.
 
 Request envelope::
 
@@ -94,13 +99,41 @@ class SdkGateway:
     # -- envelope handling ---------------------------------------------------
 
     def handle(self, request: Mapping[str, object]) -> dict:
-        """Serve one request envelope; never raises."""
-        self.requests_served += 1
+        """Serve one request envelope given as a dict; never raises.
+
+        Exactly what an HTTP client gets: the request is serialised,
+        served by :meth:`handle_json` and the response parsed back, so
+        the caller owns a deep copy (never a cached ``result.value``).
+        """
         try:
-            request = json.loads(json.dumps(dict(request)))
+            request_text = json.dumps(dict(request))
         except (TypeError, ValueError) as error:
+            self.requests_served += 1
             return self._error(400, f"request is not JSON-serializable: {error}",
                                "SerializationError")
+        return json.loads(self.handle_json(request_text))
+
+    def handle_json(self, request_text: str) -> str:
+        """Serve one envelope in the literal wire format; never raises."""
+        try:
+            request = json.loads(request_text)
+        except ValueError as error:  # JSONDecodeError, or the int digit limit
+            return json.dumps(self._error(400, f"invalid JSON: {error}",
+                                          "SerializationError"))
+        if not isinstance(request, dict):
+            return json.dumps(self._error(400, "request must be a JSON object",
+                                          "ValueError"))
+        self.requests_served += 1
+        response = self._dispatch(request)
+        try:
+            return json.dumps(response)
+        except (TypeError, ValueError) as error:
+            return json.dumps(self._error(
+                500, f"result is not JSON-serializable: {error}",
+                "SerializationError"))
+
+    def _dispatch(self, request: dict) -> dict:
+        """Run the method a parsed (hence JSON-pure) envelope names."""
         method = request.get("method")
         params = request.get("params") or {}
         if not isinstance(method, str):
@@ -125,7 +158,7 @@ class SdkGateway:
             return self._error(_status_for(error), str(error),
                                type(error).__name__,
                                retry_after=self._retry_after(error))
-        return json.loads(json.dumps({"status": 200, "result": result}))
+        return {"status": 200, "result": result}
 
     def _retry_after(self, error: Exception) -> float | None:
         """Seconds until a 429'd caller can usefully try again."""
@@ -136,18 +169,6 @@ class SdkGateway:
         if isinstance(error, AdmissionRejectedError):
             return max(0.0, error.retry_after)
         return None
-
-    def handle_json(self, request_text: str) -> str:
-        """Text-in/text-out variant: the literal wire format."""
-        try:
-            request = json.loads(request_text)
-        except json.JSONDecodeError as error:
-            return json.dumps(self._error(400, f"invalid JSON: {error}",
-                                          "SerializationError"))
-        if not isinstance(request, dict):
-            return json.dumps(self._error(400, "request must be a JSON object",
-                                          "ValueError"))
-        return json.dumps(self.handle(request))
 
     def _error(self, status: int, message: str, error_type: str,
                retry_after: float | None = None) -> dict:

@@ -42,8 +42,12 @@ class InvocationRecord:
 class ServiceMonitor:
     """Bounded per-service history of invocation records.
 
-    ``max_records`` bounds memory per service; the oldest records are
-    evicted first (the recent past predicts better anyway).
+    ``max_records`` bounds two histories per service, each evicting its
+    oldest first (the recent past predicts better anyway): the remote
+    observations every aggregate, the ranker and the predictor read, and
+    the log of records of any kind (cache hits included) behind
+    ``records(include_cached=True)``.  Hits never evict an observation
+    of the service itself, and an aggregate never scans a hit.
     """
 
     def __init__(self, max_records: int = 10_000) -> None:
@@ -51,6 +55,7 @@ class ServiceMonitor:
             raise ValueError(f"max_records must be positive, got {max_records}")
         self.max_records = max_records
         self._records: dict[str, deque[InvocationRecord]] = {}
+        self._remote: dict[str, deque[InvocationRecord]] = {}
         self._ratings: dict[str, deque[float]] = {}
         self._lock = threading.Lock()
         # Metrics mirroring (bind_metrics): record() is the single choke
@@ -83,10 +88,13 @@ class ServiceMonitor:
     def record(self, record: InvocationRecord) -> None:
         """Append one observation."""
         with self._lock:
-            history = self._records.setdefault(
+            self._records.setdefault(
                 record.service, deque(maxlen=self.max_records)
-            )
-            history.append(record)
+            ).append(record)
+            if not record.cached:
+                self._remote.setdefault(
+                    record.service, deque(maxlen=self.max_records)
+                ).append(record)
         if self._metric_invocations is not None:
             outcome = ("cached" if record.cached
                        else "success" if record.success else "failure")
@@ -100,13 +108,12 @@ class ServiceMonitor:
             return sorted(self._records)
 
     def records(self, service: str, include_cached: bool = False) -> list[InvocationRecord]:
-        """This service's history (cache hits excluded by default —
-        they say nothing about the *service*)."""
+        """This service's remote history (cache hits say nothing about
+        the *service*), or with ``include_cached`` its most recent
+        ``max_records`` records of any kind, in arrival order."""
+        view = self._records if include_cached else self._remote
         with self._lock:
-            history = list(self._records.get(service, ()))
-        if include_cached:
-            return history
-        return [record for record in history if not record.cached]
+            return list(view.get(service, ()))
 
     def call_count(self, service: str) -> int:
         """Remote calls recorded (cache hits excluded)."""
@@ -198,6 +205,15 @@ class ServiceMonitor:
 
     # -- persistence ----------------------------------------------------------
 
+    def _history_locked(self, service: str) -> list[InvocationRecord]:
+        """Everything held for ``service`` in arrival order: the remote
+        observations the any-kind log has already evicted (hits pushed
+        them out), then that log.  Replaying it rebuilds both."""
+        log = self._records[service]
+        remote = self._remote.get(service, ())
+        evicted = len(remote) - sum(1 for record in log if not record.cached)
+        return list(remote)[:evicted] + list(log)
+
     def save_to(self, store, namespace: str = "monitor") -> int:
         """Persist the collected histories into a key-value store.
 
@@ -222,9 +238,9 @@ class ServiceMonitor:
                             "cached": record.cached,
                             "trace_id": record.trace_id,
                         }
-                        for record in history
+                        for record in self._history_locked(service)
                     ]
-                    for service, history in self._records.items()
+                    for service in self._records
                 },
                 "ratings": {service: list(ratings)
                             for service, ratings in self._ratings.items()},

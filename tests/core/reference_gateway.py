@@ -1,0 +1,66 @@
+"""Test-only oracle: the gateway's envelope handling exactly as it was
+before PR 20.
+
+``handle`` was the primitive and round-tripped the request and the
+response through ``json`` to prove JSON-safety; ``handle_json`` parsed
+the text, called it and dumped again — three ``json.loads`` and three
+``json.dumps`` per text envelope.  The two bodies are moved here
+verbatim (the ``_method_*`` handlers, ``_error`` and ``_retry_after``
+are inherited, they did not change) so ``test_gateway_differential.py``
+and benchmark A17 can compare the single-parse gateway against them.
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Mapping
+
+from repro.core.gateway import SdkGateway, _status_for
+from repro.tenancy.context import tenant_scope
+
+
+class ReferenceSdkGateway(SdkGateway):
+    """``SdkGateway`` with the pre-PR-20 ``handle`` / ``handle_json``."""
+
+    def handle(self, request: Mapping[str, object]) -> dict:
+        self.requests_served += 1
+        try:
+            request = json.loads(json.dumps(dict(request)))
+        except (TypeError, ValueError) as error:
+            return self._error(400, f"request is not JSON-serializable: {error}",
+                               "SerializationError")
+        method = request.get("method")
+        params = request.get("params") or {}
+        if not isinstance(method, str):
+            return self._error(400, "missing or invalid 'method'", "ValueError")
+        if not isinstance(params, dict):
+            return self._error(400, "'params' must be an object", "ValueError")
+        handler = getattr(self, f"_method_{method}", None)
+        if handler is None:
+            return self._error(404, f"unknown method {method!r}", "NotFoundError")
+        tenant = request.get("tenant")
+        if tenant is not None and not isinstance(tenant, str):
+            return self._error(400, "'tenant' must be a string", "ValueError")
+        try:
+            if tenant is not None:
+                with tenant_scope(tenant):
+                    result = handler(params)
+            else:
+                result = handler(params)
+        except Exception as error:  # noqa: BLE001 — mapped to a status code
+            return self._error(_status_for(error), str(error),
+                               type(error).__name__,
+                               retry_after=self._retry_after(error))
+        return json.loads(json.dumps({"status": 200, "result": result}))
+
+    def handle_json(self, request_text: str) -> str:
+        try:
+            request = json.loads(request_text)
+        except json.JSONDecodeError as error:
+            return json.dumps(self._error(400, f"invalid JSON: {error}",
+                                          "SerializationError"))
+        if not isinstance(request, dict):
+            return json.dumps(self._error(400, "request must be a JSON object",
+                                          "ValueError"))
+        return json.dumps(self.handle(request))

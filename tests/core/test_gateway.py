@@ -1,6 +1,7 @@
 """Tests for the HTTP-style SDK gateway."""
 
 import json
+import sys
 
 import pytest
 
@@ -47,6 +48,17 @@ class TestEnvelopes:
     def test_invalid_json_text(self, gateway):
         response = json.loads(gateway.handle_json("{not json"))
         assert response["status"] == 400
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int digit limit")
+    def test_integer_literal_past_the_digit_limit(self, gateway):
+        """``json.loads`` refuses it with a plain ``ValueError``, not a
+        ``JSONDecodeError``; the envelope is still a 400, not a raise."""
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        text = '{"method": "health", "params": {"n": ' + digits + "}}"
+        response = json.loads(gateway.handle_json(text))
+        assert response["status"] == 400
+        assert response["error_type"] == "SerializationError"
 
     def test_non_object_request(self, gateway):
         response = json.loads(gateway.handle_json("[1, 2]"))
@@ -109,6 +121,19 @@ class TestErrorMapping:
             response = gateway.handle(request)
             assert response["status"] >= 400
         assert gateway.errors_returned >= 4
+
+    def test_unserializable_result_is_a_500_envelope(self, gateway, monkeypatch):
+        """"Never raises" includes a handler whose result ``json`` refuses."""
+        monkeypatch.setattr(gateway, "_method_health",
+                            lambda params: {"x": {1, 2}})
+        request = {"method": "health", "params": {}}
+        from_dict = gateway.handle(request)
+        from_text = json.loads(gateway.handle_json(json.dumps(request)))
+        assert from_dict == from_text
+        assert from_dict["status"] == 500
+        assert from_dict["error_type"] == "SerializationError"
+        assert "not JSON-serializable" in from_dict["error"]
+        assert (gateway.requests_served, gateway.errors_returned) == (2, 2)
 
 
 class TestMethods:

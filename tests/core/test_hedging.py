@@ -1,10 +1,13 @@
 """Tests for hedged requests (tail-latency mitigation)."""
 
+import threading
+
 import pytest
 
 from repro import RichClient, build_world
 from repro.core.hedging import HedgedInvoker
 from repro.core.ranking import Weights
+from repro.services.base import NeverFails
 from repro.util.clock import RealClock
 
 TIME_SCALE = 0.02
@@ -28,6 +31,18 @@ def warm(client, world, calls=8):
     for provider in ("lexica-prime", "glotta", "wordsmith-lite"):
         for _ in range(calls):
             client.invoke(provider, "analyze", {"text": text}, use_cache=False)
+
+
+class _Gate(NeverFails):
+    """A failure model that never fails; it runs ``action`` on the leg's
+    thread at the point where the service would have decided."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def should_fail(self, call_index, now, rng):
+        self.action()
+        return False
 
 
 class TestDeadlines:
@@ -63,9 +78,16 @@ class TestHedgedInvocation:
 
     def test_slow_primary_fires_hedge(self, rt_world, rt_client):
         warm(rt_client, rt_world)
-        invoker = HedgedInvoker(rt_client,
-                                weights=Weights(response_time=1, cost=0,
-                                                quality=0))
+        weights = Weights(response_time=1, cost=0, quality=0)
+        primary, backup = [name for name, _ in rt_client.rank_services(
+            "nlu", weights=weights)][:2]
+        # "Slow" must not depend on the scheduler: the primary's leg is
+        # held inside the service until the backup's leg reaches its own,
+        # which only a fired hedge can make happen.
+        hedged = threading.Event()
+        rt_world.service(primary).failures = _Gate(lambda: hedged.wait(10.0))
+        rt_world.service(backup).failures = _Gate(hedged.set)
+        invoker = HedgedInvoker(rt_client, weights=weights)
         invoker.deadline_for = lambda service: 0.0001  # type: ignore[assignment]
         result = invoker.invoke("nlu", "analyze",
                                 {"text": "Globex thrives today."},

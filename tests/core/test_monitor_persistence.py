@@ -50,6 +50,30 @@ class TestSaveLoad:
         restored = ServiceMonitor()
         assert restored.load_from(FileKeyValueStore(tmp_path / "monitor.json")) == 6
 
+    def test_remote_history_older_than_the_hit_log(self):
+        """Hits have pushed every remote record out of the any-kind log;
+        what the ranker reads must still survive a restart."""
+        original = ServiceMonitor(max_records=4)
+        for at, latency in enumerate((0.1, 0.2, None)):
+            original.record(InvocationRecord(
+                "store", "get", float(at), latency, 0.002, latency is not None,
+                latency_params={"size": 10.0 * at}))
+        for at in range(3, 9):
+            original.record(InvocationRecord(
+                "store", "get", float(at), 0.0, 0.0, True, cached=True))
+        assert not any(not record.cached for record in
+                       original.records("store", include_cached=True))
+
+        store = InMemoryKeyValueStore()
+        assert original.save_to(store) == 7  # 3 remote + the 4 newest hits
+        restored = ServiceMonitor(max_records=4)
+        assert restored.load_from(store) == 7
+        for include_cached in (False, True):
+            assert restored.records("store", include_cached) == \
+                original.records("store", include_cached)
+        assert restored.summary("store") == original.summary("store")
+        assert restored.mean_latency("store") == pytest.approx(0.15)
+
     def test_load_from_empty_store(self):
         assert ServiceMonitor().load_from(InMemoryKeyValueStore()) == 0
 

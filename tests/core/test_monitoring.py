@@ -39,6 +39,21 @@ class TestRecording:
         assert monitor.call_count("svc") == 1
         assert monitor.records("svc", include_cached=True)[1].cached
 
+    def test_cache_hits_do_not_evict_remote_history(self):
+        """Hits and remote observations are bounded separately."""
+        monitor = ServiceMonitor(max_records=3)
+        monitor.record(record(latency=0.2, cost=0.01))
+        monitor.record(record(latency=0.4, cost=0.03))
+        hits = [record(latency=0.0, cost=0.0, cached=True, timestamp=float(at))
+                for at in range(3)]
+        for hit in hits:
+            monitor.record(hit)
+        assert monitor.call_count("svc") == 2
+        assert monitor.mean_latency("svc") == pytest.approx(0.3)
+        assert monitor.mean_cost("svc") == pytest.approx(0.02)
+        # The any-kind log: the most recent max_records, in arrival order.
+        assert monitor.records("svc", include_cached=True) == hits
+
     def test_unknown_service_empty(self, monitor):
         assert monitor.records("ghost") == []
         assert monitor.mean_latency("ghost") is None

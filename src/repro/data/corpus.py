@@ -14,10 +14,14 @@ query results along with the query time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.data.gazetteer import Entity, Gazetteer, default_gazetteer
 from repro.textproc.html import render_html
+from repro.textproc.tfidf import content_terms
+from repro.textproc.tokenizer import word_tokens
 from repro.util.rng import SeededRng
 
 _POSITIVE_TEMPLATES = [
@@ -135,6 +139,31 @@ class SyntheticCorpus:
 
     def by_url(self, url: str) -> CorpusDocument | None:
         return self._by_url.get(url)
+
+    @cached_property
+    def _counts(self) -> tuple[dict[str, Counter[str]], Counter[str]]:
+        """One tokenise pass: per-document index terms and corpus word counts.
+
+        Built on first use and owned by this instance, so two corpora
+        share nothing; the token lists are not kept.  Every reader gets
+        the same objects: treat them as read-only.
+        """
+        term_counts, word_counts = {}, Counter()
+        for document in self.documents:
+            tokens = word_tokens(document.text)
+            word_counts.update(tokens)
+            # Engines index ``title + "\n" + text``; no token spans the newline.
+            term_counts[document.doc_id] = Counter(
+                content_terms(word_tokens(document.title) + tokens))
+        return term_counts, word_counts
+
+    def term_counts(self) -> dict[str, Counter[str]]:
+        """``doc_id`` → content-term counts of ``title + "\n" + text``."""
+        return self._counts[0]
+
+    def word_counts(self) -> Counter[str]:
+        """Raw word counts over every document's ``text``."""
+        return self._counts[1]
 
     def of_type(self, doc_type: str) -> list[CorpusDocument]:
         return [document for document in self.documents if document.doc_type == doc_type]

@@ -165,10 +165,10 @@ def build_world(
     ))
 
     # --- Spell check (remote, metered) ---------------------------------------
-    checker = SpellChecker.from_texts(
-        (document.text for document in corpus),
-        extra_words=(surface for entity in gazetteer for surface in entity.all_surface_forms()),
-    )
+    # The dictionaries are a by-product of the search engines' tokenise pass.
+    known = {surface.lower(): 1 for entity in gazetteer
+             for surface in entity.all_surface_forms()}
+    checker = SpellChecker({**known, **corpus.word_counts()})
     registry.register(SpellcheckService(
         "orthografix", transport, checker,
         latency=LogNormalLatency(median=0.08, sigma=0.30),
@@ -180,11 +180,8 @@ def build_world(
     # acuity (how much of the signal they hear) and the premium one has
     # the full dictionary while the budget one decodes with a thinner
     # model built from a fifth of the corpus.
-    thin_checker = SpellChecker.from_texts(
-        (document.text for document in corpus.documents[: max(1, len(corpus) // 5)]),
-        extra_words=(surface for entity in gazetteer
-                     for surface in entity.all_surface_forms()),
-    )
+    thin_corpus = SyntheticCorpus(corpus.documents[: max(1, len(corpus) // 5)])
+    thin_checker = SpellChecker({**known, **thin_corpus.word_counts()})
     registry.register(SpeechRecognitionService(
         "dictaphone-pro", transport, checker, acuity=0.99, seed=301,
         latency=LogNormalLatency(median=0.22, sigma=0.30),

@@ -95,10 +95,10 @@ class SearchEngineService(SimulatedService):
         self.seed = seed
         self._index = TfidfIndex()
         self._crawled: dict[str, str] = {}  # doc_id -> url
-        for document in corpus:
-            if _covered(seed, document.doc_id, coverage):
-                self._index.add_document(document.doc_id, document.title + "\n" + document.text)
-                self._crawled[document.doc_id] = document.url
+        for doc_id, counts in corpus.term_counts().items():
+            if _covered(seed, doc_id, coverage):
+                self._index.add_counts(doc_id, counts)
+                self._crawled[doc_id] = corpus.by_id(doc_id).url
 
     @property
     def crawl_size(self) -> int:

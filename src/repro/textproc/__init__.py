@@ -2,8 +2,8 @@
 
 Everything the simulated cognitive services need to do *real* language
 work locally: tokenization, sentence splitting, Porter stemming, stop
-words, n-grams, HTML parsing, TF-IDF, and edit distance.  The NLU
-providers in :mod:`repro.services.nlu`, the search engines in
+words, HTML parsing, TF-IDF, and edit distance.  The NLU providers in
+:mod:`repro.services.nlu`, the search engines in
 :mod:`repro.services.search`, and the spell checkers are all built on
 this package.
 """
@@ -11,7 +11,6 @@ this package.
 from repro.textproc.tokenizer import tokenize, word_tokens, split_sentences
 from repro.textproc.stemmer import porter_stem
 from repro.textproc.stopwords import STOPWORDS, is_stopword, remove_stopwords
-from repro.textproc.ngrams import ngrams, bigrams
 from repro.textproc.html import strip_html, extract_title, render_html
 from repro.textproc.tfidf import TfidfIndex, term_frequencies
 from repro.textproc.distance import levenshtein, damerau_levenshtein, similarity_ratio
@@ -24,8 +23,6 @@ __all__ = [
     "STOPWORDS",
     "is_stopword",
     "remove_stopwords",
-    "ngrams",
-    "bigrams",
     "strip_html",
     "extract_title",
     "render_html",

@@ -7,6 +7,8 @@ keyword extractor, and the search engines, so that a query for
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -123,16 +125,9 @@ _STEP4_SUFFIXES = [
 ]
 
 
-def _step2(word: str) -> str:
-    for suffix, replacement in _STEP2_SUFFIXES:
-        replaced = _replace_suffix(word, suffix, replacement, 0)
-        if replaced is not None:
-            return replaced
-    return word
-
-
-def _step3(word: str) -> str:
-    for suffix, replacement in _STEP3_SUFFIXES:
+def _replace_first(word: str, suffixes: list[tuple[str, str]]) -> str:
+    """Steps 2 and 3: rewrite the first listed suffix the word ends with."""
+    for suffix, replacement in suffixes:
         replaced = _replace_suffix(word, suffix, replacement, 0)
         if replaced is not None:
             return replaced
@@ -169,15 +164,17 @@ def _step5b(word: str) -> str:
     return word
 
 
+# A world has ~350 distinct words; the bound is for open-ended text.
+@lru_cache(maxsize=8192)
 def porter_stem(word: str) -> str:
-    """Return the Porter stem of ``word`` (input assumed lowercase)."""
+    """Return the Porter stem of ``word`` (input assumed lowercase); memoised."""
     if len(word) <= 2:
         return word
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_first(word, _STEP2_SUFFIXES)
+    word = _replace_first(word, _STEP3_SUFFIXES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -1,27 +1,31 @@
 """Term statistics: term frequencies and a TF-IDF index.
 
-The TF-IDF index is the shared workhorse of the keyword-extraction NLU
-providers and the BM25 search engines (BM25 needs the same document
-frequencies and length statistics).
+The TF-IDF index is the workhorse of the BM25 search engines (BM25
+needs the same document frequencies and length statistics).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.textproc.stemmer import porter_stem
 from repro.textproc.stopwords import remove_stopwords
 from repro.textproc.tokenizer import word_tokens
 
 
+def content_terms(tokens: Iterable[str], stem: bool = True) -> list[str]:
+    """Index terms of a word-token stream: stop words dropped, the rest stemmed."""
+    terms = remove_stopwords(tokens)
+    if stem:
+        terms = [porter_stem(term) for term in terms]
+    return terms
+
+
 def term_frequencies(text: str, stem: bool = True) -> Counter[str]:
     """Counts of content terms in ``text`` (stop words removed)."""
-    tokens = remove_stopwords(word_tokens(text))
-    if stem:
-        tokens = [porter_stem(token) for token in tokens]
-    return Counter(tokens)
+    return Counter(content_terms(word_tokens(text), stem))
 
 
 class TfidfIndex:
@@ -36,6 +40,7 @@ class TfidfIndex:
         self.stem = stem
         self._doc_terms: dict[str, Counter[str]] = {}
         self._doc_lengths: dict[str, int] = {}
+        self._total_length = 0
         self._document_frequency: Counter[str] = Counter()
         self._postings: dict[str, set[str]] = {}
 
@@ -45,23 +50,22 @@ class TfidfIndex:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._doc_terms
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self._doc_terms)
-
-    def _terms_of(self, text: str) -> list[str]:
-        tokens = remove_stopwords(word_tokens(text))
-        if self.stem:
-            tokens = [porter_stem(token) for token in tokens]
-        return tokens
-
     def add_document(self, doc_id: str, text: str) -> None:
         """Index ``text`` under ``doc_id``; re-adding replaces the old copy."""
+        self.add_counts(doc_id, term_frequencies(text, self.stem))
+
+    def add_counts(self, doc_id: str, counts: Counter[str]) -> None:
+        """Index ready term counts under ``doc_id``.
+
+        ``counts`` is kept as is and never edited (removal rebinds), so
+        indexes over one corpus can share it; callers must not edit it.
+        """
         if doc_id in self._doc_terms:
             self.remove_document(doc_id)
-        counts = Counter(self._terms_of(text))
+        length = sum(counts.values())
         self._doc_terms[doc_id] = counts
-        self._doc_lengths[doc_id] = sum(counts.values())
+        self._doc_lengths[doc_id] = length
+        self._total_length += length
         for term in counts:
             self._document_frequency[term] += 1
             self._postings.setdefault(term, set()).add(doc_id)
@@ -71,7 +75,7 @@ class TfidfIndex:
         counts = self._doc_terms.pop(doc_id, None)
         if counts is None:
             return
-        del self._doc_lengths[doc_id]
+        self._total_length -= self._doc_lengths.pop(doc_id)
         for term in counts:
             self._document_frequency[term] -= 1
             if self._document_frequency[term] == 0:
@@ -94,7 +98,7 @@ class TfidfIndex:
     def average_document_length(self) -> float:
         if not self._doc_lengths:
             return 0.0
-        return sum(self._doc_lengths.values()) / len(self._doc_lengths)
+        return self._total_length / len(self._doc_lengths)
 
     def tfidf_vector(self, doc_id: str) -> dict[str, float]:
         """TF-IDF weights of every term in one document."""
@@ -131,7 +135,7 @@ class TfidfIndex:
         The ``k1`` and ``b`` knobs are exposed so that the different
         simulated search engines can rank genuinely differently.
         """
-        query_terms = self._terms_of(query)
+        query_terms = content_terms(word_tokens(query), self.stem)
         if not query_terms:
             return []
         total_docs = len(self._doc_terms)

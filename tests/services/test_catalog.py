@@ -18,6 +18,25 @@ class TestBuildWorld:
         assert len(clocks) == 1
         assert world.clock is world.transport.clock
 
+    def test_two_worlds_of_one_seed_share_no_index_state(self):
+        first = build_world(seed=42, corpus_size=25)
+        second = build_world(seed=42, corpus_size=25)
+        assert first.corpus is not second.corpus
+        assert first.corpus.term_counts() is not second.corpus.term_counts()
+        assert first.corpus.word_counts() is not second.corpus.word_counts()
+        for name in ("goggle", "bung", "yahu"):
+            ours, theirs = first.service(name)._index, second.service(name)._index
+            assert ours is not theirs and ours._doc_terms == theirs._doc_terms
+            for doc_id, counts in ours._doc_terms.items():
+                assert counts is first.corpus.term_counts()[doc_id]
+                assert counts is not theirs._doc_terms[doc_id]
+            assert all(postings is not theirs._postings[term]
+                       for term, postings in ours._postings.items())
+        ours, theirs = (world.service("orthografix").checker.counts
+                        for world in (first, second))
+        assert ours == theirs and ours is not theirs
+        assert ours is not first.corpus.word_counts()
+
     def test_deterministic_construction(self):
         first = build_world(seed=9, corpus_size=10)
         second = build_world(seed=9, corpus_size=10)

@@ -1,30 +1,6 @@
-"""Tests for n-grams and stop words."""
+"""Tests for stop words."""
 
-import pytest
-
-from repro.textproc.ngrams import bigrams, ngram_strings, ngrams
 from repro.textproc.stopwords import STOPWORDS, is_stopword, remove_stopwords
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert bigrams(["a", "b", "c"]) == [("a", "b"), ("b", "c")]
-
-    def test_trigram(self):
-        assert ngrams(["a", "b", "c", "d"], 3) == [("a", "b", "c"), ("b", "c", "d")]
-
-    def test_n_equal_to_length(self):
-        assert ngrams(["a", "b"], 2) == [("a", "b")]
-
-    def test_n_longer_than_sequence(self):
-        assert ngrams(["a"], 3) == []
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
-    def test_ngram_strings(self):
-        assert ngram_strings(["new", "york", "city"], 2) == ["new york", "york city"]
 
 
 class TestStopwords:

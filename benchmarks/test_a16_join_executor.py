@@ -13,6 +13,13 @@ rulebase) with the suite's own query makers, one row per query kind:
 * and, while it has both answers in hand, that the rows are equal **in
   order** (``answers_digest`` hashes them in order).
 
+Since PR 22 a range scan reads a per-predicate sorted numeric column
+that the next write to that predicate drops, and the top-k runs on id
+rows before anything is decoded: ``range-after-write`` puts one write
+to the scanned predicate before every query (the column is rebuilt
+every time — the worst case of invalidate-on-write) and
+``range-topk-asc`` takes the ``nsmallest`` side of the heap.
+
 The generic loop is reached the way production reaches it — through a
 wrapper store without the hook (SQLite, the router's broadcast route
 and wrapper stores take it).  Results land in
@@ -37,6 +44,7 @@ from benchmarks.e2e.workloads import (
     two_pattern,
 )
 from repro.kb import PersonalKnowledgeBase
+from repro.stores.rdf.graph import REPRO, Triple
 from repro.stores.rdf.query import select
 from tests.stores.test_join_executors import GenericOnly
 
@@ -48,17 +56,31 @@ QUERIES_PER_KIND = 20
 REPEATS = 5
 SEED = 7
 
-#: Measured 5.0-5.5x (join-topk), 4.9-6.7x (range-topk) and 1.2x (point)
-#: over three runs on 2 cores; the floors sit far enough below to be
-#: insensitive to a noisy runner ("point no slower": a round of point
-#: lookups is 0.5 ms of work).
-SPEEDUP_FLOORS = {"join-topk": 2.0, "range-topk": 2.0, "point": 0.9}
+#: Measured over four runs on 2 cores: 6.2-7.0x (join-topk), 9.9-12.4x
+#: (range-topk; 4.9-6.7x before PR 22, which this floor would fail),
+#: 10.2-12.0x (range-topk-asc), 5.3-6.0x (range-after-write) and 0.9-1.2x
+#: (point).  The floors sit at about two thirds of the lowest reading:
+#: both executors slow down alike on a noisy runner ("point no slower":
+#: a round of point lookups is 0.5 ms of work).
+SPEEDUP_FLOORS = {"join-topk": 4.0, "range-topk": 6.5, "range-topk-asc": 6.5,
+                  "range-after-write": 3.5, "point": 0.9}
+
+#: What ``range-after-write`` adds or removes before each of its queries.
+WRITTEN = Triple("bench:written", REPRO.favorability, 0.0)
+
+
+def _variant(query: dict, kind: str, **kwargs) -> dict:
+    return {**query, "kind": kind, "kwargs": {**query["kwargs"], **kwargs}}
 
 
 def _suite(rng: random.Random, entities: int) -> dict[str, list[dict]]:
     makers = {
         "join-topk": lambda: join_topk(rng),
         "range-topk": lambda: range_topk(rng),
+        "range-topk-asc": lambda: _variant(range_topk(rng), "range-topk-asc",
+                                           descending=False),
+        "range-after-write": lambda: _variant(range_topk(rng),
+                                              "range-after-write"),
         "point": lambda: point_lookup(rng, entities),
         "three-hop": lambda: three_hop(rng),
         "two-pattern": lambda: two_pattern(rng, entities),
@@ -67,10 +89,15 @@ def _suite(rng: random.Random, entities: int) -> dict[str, list[dict]]:
             for kind, make in makers.items()}
 
 
-def _answer(store, queries: list[dict]) -> tuple[list, float]:
+def _answer(store, queries: list[dict], graph) -> tuple[list, float]:
     started = time.perf_counter()
-    answers = [select(store, query["patterns"], **query_kwargs(query))
-               for query in queries]
+    answers = []
+    for query in queries:
+        if query["kind"] == "range-after-write":
+            # Toggled, and an even number of times a pass: both
+            # executors meet the same sequence of graphs.
+            graph.remove(WRITTEN) or graph.add(WRITTEN)
+        answers.append(select(store, query["patterns"], **query_kwargs(query)))
     return answers, time.perf_counter() - started
 
 
@@ -85,9 +112,9 @@ def _rung(entities: int) -> dict:
         # The executors take turns within each round, so a slow stretch
         # on the host lands on both alike.
         for _ in range(REPEATS):
-            got, seconds = _answer(hook, queries)
+            got, seconds = _answer(hook, queries, kb.graph)
             best["hook"] = min(best["hook"], seconds)
-            want, seconds = _answer(generic, queries)
+            want, seconds = _answer(generic, queries, kb.graph)
             best["generic"] = min(best["generic"], seconds)
             assert got == want, f"{kind}: rows differ (or their order)"
         kinds[kind] = {
@@ -105,7 +132,7 @@ def test_a16_join_executor():
         measured = ladder[KB_QUERY_ENTITIES]["kinds"][kind]
         assert measured["speedup_x"] >= floor, (kind, measured)
 
-    widths = (9, 9, 12, 11, 9, 8, 7)
+    widths = (9, 9, 18, 11, 9, 8, 7)
     rows = [fmt_row("entities", "triples", "kind", "generic ms", "hook ms",
                     "x", "rows", widths=widths)]
     for entities, rung in ladder.items():

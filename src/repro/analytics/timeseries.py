@@ -38,10 +38,15 @@ def detect_trend(values: Sequence[float], threshold: float = 0.0) -> str:
     ``threshold`` is the absolute slope below which the series counts
     as flat (useful for noisy data).
     """
-    model = LinearRegression(range(len(values)), values)
-    if model.slope > threshold:
+    return slope_trend(LinearRegression(range(len(values)), values).slope,
+                       threshold)
+
+
+def slope_trend(slope: float, threshold: float = 0.0) -> str:
+    """:func:`detect_trend`'s label for an already fitted slope."""
+    if slope > threshold:
         return "rising"
-    if model.slope < -threshold:
+    if slope < -threshold:
         return "falling"
     return "flat"
 

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 
 from repro.analytics.regression import LinearRegression
-from repro.analytics.timeseries import detect_trend, linear_forecast
+from repro.analytics.timeseries import slope_trend
 from repro.obs import names
 from repro.stores.rdf.graph import Graph, RDF, REPRO, Triple
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
@@ -195,8 +195,11 @@ class AnalysisPipeline:
         entity_type: str | None,
     ) -> dict:
         model = LinearRegression(xs, ys)
-        trend = detect_trend(ys, threshold=self.trend_threshold)
-        forecast = linear_forecast(ys, horizon=1)[0]
+        # One fit over the index: detect_trend's label and
+        # linear_forecast's next point, without fitting it once each.
+        by_index = LinearRegression(range(len(ys)), ys)
+        trend = slope_trend(by_index.slope, self.trend_threshold)
+        forecast = by_index.predict(len(ys))
         fit_label = "strong" if model.r_squared >= self.r_squared_strong else "weak"
 
         self.record(Triple(subject, REPRO.analyzed_series, series_name))

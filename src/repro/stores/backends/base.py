@@ -41,7 +41,8 @@ deliberately *not* part of it (a backend without them must still pass
 ``isinstance(store, StorageBackend)``)::
 
     additions: int    # read-only property
-    def execute_plan(self, plan: QueryPlan, filters: Sequence) -> list[Binding]
+    def execute_plan(self, plan: QueryPlan, filters: Sequence,
+                     top: tuple[str, bool, int] | None) -> list[Binding]
 
 ``additions`` counts the triples ever inserted and, unlike ``version``,
 stands still on ``remove`` / ``clear``.  It is the token
@@ -58,8 +59,16 @@ apply each step's pushed-down filters (``step.filter_indexes``), leave
 ``plan.residual_filters`` to the caller, set ``plan.actual_rows`` (rows
 alive after each step, 0 for steps never reached), and return the rows
 the generic loop would return **in the order it would return them**.
-Only :class:`Graph` implements it today (set-at-a-time joins in id
-space); ``SqliteTripleStore`` and the router take the generic loop.
+``top = (order_by, descending, limit)`` is an advisory hint ``select``
+passes when nothing after the join can add, drop or merge rows (no
+``distinct``, no OPTIONAL, no residual filter): the caller will read
+only the stable top ``limit`` of the rows by ``order_by``.  A store may
+ignore it; one that honours it returns exactly those survivors, in
+their final order (``select`` sorts and cuts again, which changes
+nothing), and still counts ``actual_rows`` before the cut.
+Only :class:`Graph` implements the hook today (set-at-a-time joins in
+id space, top-k before decode); ``SqliteTripleStore`` and the router
+take the generic loop.
 """
 
 from __future__ import annotations

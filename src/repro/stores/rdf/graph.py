@@ -18,7 +18,16 @@ backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
 It runs a whole query plan set-at-a-time over the three indexes — no
 ``Triple``, no per-row ``dict`` — and returns exactly the rows, in
 exactly the order, that the generic one-``match``-per-binding loop
-returns for the same plan.
+returns for the same plan.  Two things keep a ranked range query off
+the per-row path.  A ``RangeFilter`` on the object of a ``(?s p ?o)``
+scan is answered from a per-predicate *numeric column* (the numeric
+object ids sorted by value): built lazily by the first such scan,
+bisected by every later one, and dropped — never maintained — by the
+next ``add`` / ``remove`` of a triple with that predicate and by
+``clear()``.  The scan still walks the POS index in its own order and
+only asks the column which objects are in range, so row order is
+untouched.  And when ``select`` says only a top-k will be read, the
+heap runs on the id rows and only the survivors are decoded.
 
 The graph also maintains per-predicate cardinality statistics
 (:mod:`repro.stores.rdf.stats`) on every ``add`` / ``discard`` and a
@@ -28,6 +37,8 @@ and the incremental materializer rely on.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -39,6 +50,7 @@ from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (plan imports us)
     from repro.stores.rdf.plan import QueryPlan
+    from repro.stores.rdf.query import RangeFilter
 
 Term = str | int | float | bool
 
@@ -116,6 +128,9 @@ class Graph:
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
         self._osp: dict[int, dict[int, set[int]]] = {}
+        # predicate id -> (object ids, their values), both sorted by value:
+        # built by the first range scan, dropped by the next write to it.
+        self._numeric: dict[int, tuple[list[int], list[Term]]] = {}
         self._stats = GraphStatistics()
         self._version = 0
         self._additions = 0
@@ -205,6 +220,8 @@ class Graph:
         self._osp.setdefault(object_id, {}).setdefault(subject_id, set()).add(
             predicate_id
         )
+        if self._numeric:
+            self._numeric.pop(predicate_id, None)
         self._stats.record_add(subject_id, predicate_id, object_id)
         self._version += 1
         self._additions += 1
@@ -245,6 +262,8 @@ class Graph:
         prune(self._spo, subject_id, predicate_id, object_id)
         prune(self._pos, predicate_id, object_id, subject_id)
         prune(self._osp, object_id, subject_id, predicate_id)
+        if self._numeric:
+            self._numeric.pop(predicate_id, None)
         self._stats.record_remove(subject_id, predicate_id, object_id)
         self._version += 1
         return True
@@ -261,6 +280,7 @@ class Graph:
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
+        self._numeric.clear()
         self._stats.clear()
         self._version += 1
 
@@ -326,8 +346,8 @@ class Graph:
 
     # -- set-at-a-time joins -------------------------------------------------
 
-    def execute_plan(self, plan: QueryPlan,
-                     filters: Sequence = ()) -> list[dict[str, Term]]:
+    def execute_plan(self, plan: QueryPlan, filters: Sequence = (),
+                     top: tuple[str, bool, int] | None = None) -> list[dict[str, Term]]:
         """Run a :class:`~repro.stores.rdf.plan.QueryPlan`'s join in id space.
 
         The running solutions are int tuples, one slot per variable in
@@ -336,10 +356,12 @@ class Graph:
         :meth:`match` would have picked, iterating the same containers
         in the same order and filtering by membership — so the rows are
         exactly the generic loop's, in its order.  Terms are decoded
-        for pushed-down filters and for the result only.
+        for pushed-down filters and for the result only: with ``top =
+        (order_by, descending, limit)`` only for the ``limit`` rows that
+        ``select``'s stable top-k would keep, returned in its order.
         """
         # Imported here: query.py imports this module.
-        from repro.stores.rdf.query import RangeFilter, is_variable
+        from repro.stores.rdf.query import RangeFilter, _order_key, is_variable
 
         ids = self._term_ids
         decode = self._terms.__getitem__
@@ -364,14 +386,14 @@ class Graph:
                     fresh.append(component)
             subject, predicate, obj = known
             pushed = [filters[index] for index in step.filter_indexes]
-            accepts = None
+            accepted = None
             if (len(pushed) == 1 and type(pushed[0]) is RangeFilter
-                    and subject is None and obj is None and predicate is not None
+                    and subject is None and obj is None and type(predicate) is repeat
                     and pushed[0].variable == step.pattern[2] != step.pattern[0]):
-                # A range over the object of a (?s p ?o) scan is decided
-                # once per distinct object, inside the scan.
-                accepts = pushed.pop().accepts
-            rows = self._extend(rows, subject, predicate, obj, accepts)
+                # A range over the object of a (?s p ?o) scan is read off
+                # the predicate's sorted numeric column, before the scan.
+                accepted = self._in_range(next(predicate), pushed.pop())
+            rows = self._extend(rows, subject, predicate, obj, accepted)
             width = len(slots)
             for variable in fresh:
                 slots.setdefault(variable, len(slots))
@@ -400,16 +422,55 @@ class Graph:
             counts[position] = len(rows)
             if not rows:
                 return []
+        if top is not None:
+            order_by, descending, limit = top
+            if order_by in slots:
+                column = slots[order_by]
+                chooser = heapq.nlargest if descending else heapq.nsmallest
+                rows = chooser(limit, rows,
+                               key=lambda row: _order_key(decode(row[column])))
+            else:
+                rows = rows[:limit]  # every key alike: a stable top-k keeps the first
         names = tuple(slots)
         return [dict(zip(names, map(decode, row))) for row in rows]
 
-    def _extend(self, rows, subject, predicate, obj, accepts) -> list[tuple[int, ...]]:
+    def _in_range(self, predicate_id: int, test: RangeFilter) -> set[int]:
+        """The object ids of one predicate that a ``RangeFilter`` accepts.
+
+        Bisects the predicate's numeric column — its non-NaN numeric
+        object ids sorted by value (Python's exact bool / int / float
+        comparison, no coercion) beside those values, built here on
+        first use — for the closed interval; ``test.accepts`` then
+        decides the two end points, so inclusivity is defined there
+        only, and a bound is compared (and may raise) exactly when
+        ``accepts`` would compare it with some object.
+        """
+        column = self._numeric.get(predicate_id)
+        if column is None:
+            terms = self._terms
+            ids = [o for o in self._pos.get(predicate_id, _NOTHING)
+                   if isinstance(terms[o], (bool, int, float))
+                   and terms[o] == terms[o]]
+            ids.sort(key=terms.__getitem__)
+            column = self._numeric[predicate_id] = (ids, [terms[o] for o in ids])
+        ids, values = column  # distinct terms: strictly increasing values
+        stop = len(ids)
+        start = 0 if test.low is None else bisect_left(values, test.low)
+        if start < stop and not test.accepts(values[start]):
+            start += 1  # an exclusive low bound's own value
+        if start < stop and test.high is not None:
+            stop = bisect_right(values, test.high, start)
+            if start < stop and not test.accepts(values[stop - 1]):
+                stop -= 1
+        return set(ids[start:stop])
+
+    def _extend(self, rows, subject, predicate, obj, accepted) -> list[tuple[int, ...]]:
         """Every row extended by the triples one pattern matches for it.
 
         ``subject`` / ``predicate`` / ``obj`` are per-row id columns, or
         None for the components the pattern binds (appended to the row
-        in that order).  ``accepts`` is an optional test on the decoded
-        object of a ``(?s p ?o)`` scan.
+        in that order).  ``accepted`` optionally names the object ids a
+        ``(?s p ?o)`` scan keeps.
         """
         if subject is not None:
             if predicate is not None:
@@ -433,10 +494,9 @@ class Graph:
             if obj is not None:
                 return _probe(self._pos, rows, predicate, obj)
             pos = self._pos
-            decode = self._terms.__getitem__
             return [row + (s, o) for row, p in zip(rows, predicate)
                     for o, subjects in pos.get(p, _NOTHING).items()
-                    if accepts is None or accepts(decode(o))
+                    if accepted is None or o in accepted
                     for s in subjects]
         if obj is not None:
             return _scan(self._osp, rows, obj)

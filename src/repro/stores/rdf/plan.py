@@ -25,7 +25,7 @@ join, exactly where the naive engine ran them.
 
 :func:`execute_plan` is the query layer's one dispatch point between
 executors.  A store that can run a plan itself — it has an
-``execute_plan(plan, filters)`` method, duck-typed and optional — does
+``execute_plan(plan, filters, top)`` method, duck-typed and optional — does
 so: the in-memory :class:`Graph` joins set-at-a-time in id space.
 Every other store (SQLite, the sharded router on its broadcast route,
 wrapper stores) is joined by the generic loop here, one ``match`` per
@@ -289,6 +289,7 @@ def execute_plan(
     graph: Graph,
     plan: QueryPlan,
     filters: Sequence[Callable[[Binding], bool]] = (),
+    top: tuple[str, bool, int] | None = None,
 ) -> list[Binding]:
     """Run a plan's join, applying pushed-down filters at each step.
 
@@ -296,13 +297,17 @@ def execute_plan(
     docstring): the store's own ``execute_plan`` when it has one, else
     the generic loop below.  Either way ``plan.actual_rows`` is set.
 
+    ``top = (order_by, descending, limit)`` is ``select``'s advisory
+    hint that only that stable top-k of the rows will be read: a hook
+    may return just those, in order; the generic loop ignores it.
+
     Residual filters (``plan.residual_filters``) are *not* applied —
     the caller runs them after OPTIONAL extension, matching the naive
     engine's semantics.
     """
     runner = getattr(graph, "execute_plan", None)
     if runner is not None:
-        return runner(plan, filters)
+        return runner(plan, filters, top)
     bindings: list[Binding] = [{}]
     counts = plan.actual_rows = [0] * len(plan.steps)
     for position, step in enumerate(plan.steps):

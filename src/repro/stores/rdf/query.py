@@ -197,8 +197,8 @@ class RangeFilter:
     def accepts(self, value: object) -> bool:
         """The test on the one column's value (what an executor that
         holds columns, not bindings, calls)."""
-        if not isinstance(value, (bool, int, float)):
-            return False
+        if not isinstance(value, (bool, int, float)) or value != value:
+            return False  # not a number, NaN included: in no range
         if self.low is not None:
             if self.low_inclusive:
                 if value < self.low:
@@ -266,7 +266,12 @@ def select(
         from repro.stores.rdf.plan import build_plan, execute_plan
 
         plan = build_plan(graph, patterns, filters)
-        solutions = execute_plan(graph, plan, filters)
+        # A hint, when nothing below can add, drop or merge rows before
+        # the top-k: a store may return just its survivors, in order.
+        top = ((order_by, descending, limit)
+               if order_by is not None and limit is not None and not distinct
+               and not optional and not plan.residual_filters else None)
+        solutions = execute_plan(graph, plan, filters, top)
         remaining_filters = [filters[index] for index in plan.residual_filters]
     else:
         solutions = solve(graph, patterns)

@@ -37,6 +37,33 @@ class TestAnalyzeSeries:
         assert strong["fit"] == "strong"
         assert weak["fit"] == "weak"
 
+    def test_one_index_fit_gives_the_trend_and_the_forecast(self, monkeypatch):
+        import random
+
+        from repro.analytics.timeseries import detect_trend, linear_forecast
+        from repro.kb import pipeline as module
+
+        fits = []
+
+        class Counted(module.LinearRegression):
+            def __init__(self, xs, ys):
+                fits.append(xs)
+                super().__init__(xs, ys)
+
+        monkeypatch.setattr(module, "LinearRegression", Counted)
+        rng = random.Random(3)
+        for threshold in (0.0, 0.5):
+            pipeline = AnalysisPipeline(trend_threshold=threshold)
+            for n in range(40):
+                xs = sorted(rng.uniform(0, 9) for _ in range(rng.randint(2, 9)))
+                ys = [rng.uniform(-2, 2) + 0.4 * x * (n % 3 - 1) for x in xs]
+                del fits[:]
+                result = pipeline.analyze_series(f"s{n}", xs, ys)
+                assert fits == [xs, range(len(ys))]  # the xs fit, one index fit
+                # Bit for bit what the two helpers compute from their own fits.
+                assert result["trend"] == detect_trend(ys, threshold=threshold)
+                assert result["forecast_next"] == linear_forecast(ys, 1)[0]
+
     def test_series_counter(self, pipeline):
         pipeline.analyze_series("a", *RISING)
         pipeline.analyze_series("b", *FALLING)

@@ -10,12 +10,15 @@ has no hook.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.workloads import KbChurn, KbQuery, query_kwargs
+from repro.stores.backends.sqlite import SqliteTripleStore
+from repro.stores.rdf import plan as plan_module
 from repro.stores.rdf.graph import Graph
 from repro.stores.rdf.plan import bound_filter, build_plan, execute_plan
 from repro.stores.rdf.query import RangeFilter, select
@@ -223,7 +226,6 @@ def test_benchmark_read_suites_row_for_row(workload_class, seed):
 
 def test_graph_has_the_hook_and_the_other_stores_do_not():
     from repro.stores.backends.base import StorageBackend
-    from repro.stores.backends.sqlite import SqliteTripleStore
     from repro.stores.rdf.materialize import MaterializedGraph
     from repro.stores.rdf.shard import ShardedGraph
 
@@ -247,16 +249,262 @@ def test_scatter_and_single_shard_routes_reach_the_hook(monkeypatch):
     calls = []
     real = Graph.execute_plan
 
-    def spy(self, plan, filters=()):
-        calls.append(self)
-        return real(self, plan, filters)
+    def spy(self, plan, filters=(), top=None):
+        calls.append(top)
+        return real(self, plan, filters, top)
 
     monkeypatch.setattr(Graph, "execute_plan", spy)
     sharded.select([("?s", "p", "?v")], order_by="?v", limit=5)
-    assert len(calls) == 3  # scatter: every shard joins its own slice
+    # scatter: every shard joins its own slice, and cuts it to its own top 5
+    assert calls == [("?v", False, 5)] * 3
     del calls[:]
     sharded.select([("s1", "p", "?v")])
-    assert len(calls) == 1  # single-shard
+    assert calls == [None]  # single-shard
     del calls[:]
     sharded.select([("?s", "p", "?v"), ("?t", "p", "?v")], limit=3)
     assert calls == []  # broadcast: the generic loop over the router
+
+
+# -- (c) top-k before decode: the ``top`` hint ---------------------------------
+
+def select_observed(store, **query):
+    """``select``'s outcome, the plans it built and every ``top`` the
+    graph's hook was handed on the way."""
+    plans, hints = [], []
+    real_build, real_hook = plan_module.build_plan, Graph.execute_plan
+
+    def build(*args):
+        plans.append(real_build(*args))
+        return plans[-1]
+
+    def hook(self, plan, filters=(), top=None):
+        hints.append(top)
+        return real_hook(self, plan, filters, top)
+
+    with mock.patch.object(plan_module, "build_plan", build), \
+            mock.patch.object(Graph, "execute_plan", hook):
+        rows = outcome(lambda: select(store, **query))
+    return rows, plans, hints
+
+
+# Few distinct values over many subjects, so that a limit cuts through
+# ties; 1 / 1.0 / True are one term, and strings, bools, ints and
+# floats share the ordered column.
+TOPK_VALUES = [0, 1, 1.0, True, False, 2.5, -3, "s1", "x", 7]
+
+topk_triples = st.lists(
+    st.tuples(st.sampled_from([f"s{n}" for n in range(8)]),
+              st.sampled_from(["p", "q"]), st.sampled_from(TOPK_VALUES)),
+    min_size=4, max_size=40)
+
+topk_patterns = st.sampled_from([
+    [("?s", "p", "?v")],
+    [("?s", "p", "?v"), ("?s", "q", "?w")],
+    [("?s", "?p", "?v")],
+    [("?s", "q", "?w"), ("?t", "p", "?w")],
+])
+
+topk_extras = st.sampled_from([
+    {},
+    {"variables": ["?v"]},
+    {"filters": [RangeFilter("?v", 0, 3)]},
+    {"filters": [bound_filter(["?v", "?s"], lambda b: b["?v"] != b["?s"])]},
+    # The hint must be off: rows are merged, added or dropped after the join.
+    {"distinct": True, "variables": ["?v"]},
+    {"optional": [("?s", "q", "?o")]},
+    {"filters": [lambda b: len(b) > 1]},
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=topk_triples, patterns=topk_patterns, extras=topk_extras,
+       order_by=st.sampled_from(["?v", "?s", "?w", "?absent"]),
+       descending=st.booleans(), limit=st.sampled_from([0, 1, 3, 1000]))
+def test_top_k_before_decode_equals_top_k_after(
+        triples, patterns, extras, order_by, descending, limit):
+    graph = Graph(triples)
+    query = dict(patterns=patterns, order_by=order_by, descending=descending,
+                 limit=limit, **extras)
+    rows, (plan,), hints = select_observed(graph, **query)
+    want_rows, (want_plan,), _ = select_observed(GenericOnly(graph), **query)
+    assert rows == want_rows
+    # Rows alive after each join step, before the top-k.
+    assert plan.actual_rows == want_plan.actual_rows
+    if isinstance(rows, list):
+        assert [list(row) for row in rows] == [list(row) for row in want_rows]
+    hinted = not ({"distinct", "optional"} & set(extras)
+                  or plan.residual_filters)
+    assert hints == [(order_by, descending, limit) if hinted else None]
+
+
+def test_the_hint_alone_cuts_and_orders_the_rows():
+    graph = Graph([(f"s{n}", "p", n % 3) for n in range(9)])
+    patterns = [("?s", "p", "?v")]
+    everything = execute_plan(graph, build_plan(graph, patterns))
+    for descending in (False, True):
+        plan = build_plan(graph, patterns)
+        top = execute_plan(graph, plan, (), ("?v", descending, 4))
+        # Stable: ties stay in join order, as sort + slice leaves them.
+        assert top == sorted(everything, key=lambda b: b["?v"],
+                             reverse=descending)[:4]
+        assert plan.actual_rows == [9]
+        # The generic loop ignores the hint: select cuts what it returns.
+        plan = build_plan(graph, patterns)
+        assert execute_plan(GenericOnly(graph), plan, (),
+                            ("?v", descending, 4)) == everything
+    assert execute_plan(graph, build_plan(graph, patterns), (),
+                        ("?absent", True, 2)) == everything[:2]
+
+
+# -- (d) the numeric column behind a range scan --------------------------------
+
+NAN = float("nan")
+BIG = 2 ** 53
+COLUMN_OBJECTS = ["x", "10", True, False, 0, 1, -1, 2.5, -0.0, BIG, BIG + 1,
+                  float(BIG), -BIG - 1, 10 ** 30, float("inf"), float("-inf"),
+                  NAN, float("nan")]
+COLUMN_BOUNDS = [None, 0, 1, 1.0, True, 2.5, -1, BIG, BIG + 1, float(BIG),
+                 10 ** 30, float("inf"), float("-inf"), NAN, "low", "10"]
+
+
+def scan_answers(triples, test):
+    """One range scan over ``p`` on every store and engine there is."""
+    from repro.stores.rdf.shard import ShardedGraph
+
+    sqlite = SqliteTripleStore()
+    stores = [Graph(), sqlite, ShardedGraph(shards=2), ShardedGraph(
+        shards=2, backend_factory=lambda index: SqliteTripleStore())]
+    answers = []
+    for store in stores:
+        store.add_all(triples)
+        run = getattr(store, "select", None) or (
+            lambda *args, store=store, **kwargs: select(store, *args, **kwargs))
+        for optimize in (True, False):
+            rows = outcome(lambda: run([("?s", "p", "?v")], filters=[test],
+                                       optimize=optimize))
+            answers.append(sorted(map(repr, rows))
+                           if isinstance(rows, list) else rows)
+    sqlite.close()
+    return answers
+
+
+def test_nan_is_in_no_range():
+    triples = [("a", "p", 0.5), ("b", "p", NAN), ("c", "p", 2.0),
+               ("d", "p", "x"), ("e", "p", float("inf"))]
+    for test, subjects in [
+            (RangeFilter("?v", 0, 1), "a"),
+            (RangeFilter("?v", None, 1), "a"),
+            (RangeFilter("?v", 0, None, low_inclusive=False), "ace"),
+            (RangeFilter("?v"), "ace")]:
+        assert not test.accepts(NAN) and not test({"?v": NAN})
+        want = sorted(repr({"?s": s, "?v": o}) for s, _, o in triples
+                      if s in subjects)
+        assert scan_answers(triples, test) == [want] * 8, test
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects=st.lists(st.sampled_from(COLUMN_OBJECTS), min_size=0,
+                        max_size=12),
+       low=st.sampled_from(COLUMN_BOUNDS), high=st.sampled_from(COLUMN_BOUNDS),
+       low_inclusive=st.booleans(), high_inclusive=st.booleans())
+# Two ints one float: a column sorted by float(value) leaves them unsorted.
+@example(objects=[BIG + 1, BIG], low=BIG + 1, high=None,
+         low_inclusive=True, high_inclusive=True)
+def test_column_accepts_what_the_filter_accepts(
+        objects, low, high, low_inclusive, high_inclusive):
+    test = RangeFilter("?v", low, high, low_inclusive=low_inclusive,
+                       high_inclusive=high_inclusive)
+    graph = Graph((f"s{n}", "p", value) for n, value in enumerate(objects))
+    graph.add(("p", "q", 1))  # "p" is a term even when nothing is under it
+    members = graph._pos.get(graph._term_ids["p"], {})
+    # In index order: the first numeric object meets an incomparable bound.
+    want = outcome(lambda: {o for o in members
+                            if test.accepts(graph._terms[o])})
+    assert outcome(lambda: graph._in_range(graph._term_ids["p"], test)) == want
+    patterns = [("?s", "p", "?v")]
+    assert (outcome(lambda: select(graph, patterns, filters=[test]))
+            == outcome(lambda: select(GenericOnly(graph), patterns,
+                                      filters=[test])))
+
+
+def column_is_exact(graph, predicate):
+    """A column the graph holds lists exactly the predicate's non-NaN
+    numeric objects, in value order."""
+    pid = graph._term_ids.get(predicate)
+    if pid not in graph._numeric:
+        return True
+    ids, values = graph._numeric[pid]
+    numeric = {o for o in graph._pos.get(pid, {})
+               if isinstance(graph._terms[o], (bool, int, float))
+               and graph._terms[o] == graph._terms[o]}
+    return (set(ids) == numeric and len(ids) == len(numeric)
+            and values == [graph._terms[o] for o in ids]
+            and values == sorted(values))
+
+
+def test_a_write_to_the_scanned_predicate_drops_its_column():
+    graph = Graph([("a", "p", 1), ("b", "p", 5), ("c", "p", 3), ("a", "q", 2)])
+    pid = graph._term_ids["p"]
+
+    def scan(low, high):
+        rows = select(graph, [("?s", "p", "?v")],
+                      filters=[RangeFilter("?v", low, high)])
+        assert rows == select(GenericOnly(graph), [("?s", "p", "?v")],
+                              filters=[RangeFilter("?v", low, high)])
+        assert column_is_exact(graph, "p") and pid in graph._numeric
+        return sorted(row["?s"] for row in rows)
+
+    assert graph._numeric == {}  # lazily built: not before the first range scan
+    assert scan(0, 4) == ["a", "c"]
+    assert not graph.add(("a", "p", 1)) and pid in graph._numeric  # no write
+    # A value the column has never seen: a stale one would leave "d" out.
+    graph.add(("d", "p", 2))
+    assert pid not in graph._numeric
+    assert scan(0, 4) == ["a", "c", "d"]
+    # The last triple of a value.  The scan walks the live index and only
+    # asks the column for membership, so a leftover id is forgiven there:
+    # that the column went is checked on the column.
+    graph.remove(("c", "p", 3))
+    assert column_is_exact(graph, "p") and pid not in graph._numeric
+    assert scan(0, 4) == ["a", "d"]
+    # Another predicate's write leaves this one's column alone.
+    held = graph._numeric[pid]
+    graph.add(("e", "q", 3))
+    graph.remove(("a", "q", 2))
+    assert graph._numeric[pid] is held
+    assert scan(0, 4) == ["a", "d"]
+    # clear() hands the same ids to other terms: a column that outlived it
+    # would accept id-of-1, which now belongs to 9.
+    before = dict(graph._term_ids)
+    graph.clear()
+    assert graph._numeric == {}
+    graph.add_all([("a", "p", 9), ("b", "p", 5), ("d", "p", 1)])
+    assert graph._term_ids[9] == before[1] and graph._term_ids["p"] == pid
+    assert scan(0, 4) == ["d"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "add", "remove"]),
+              st.sampled_from(["s0", "s1", "s2"]), st.sampled_from(["p", "q"]),
+              st.sampled_from([0, 1, 2, 2.5, 3, True, "x", NAN])),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("read"), st.integers(-1, 3), st.integers(0, 4),
+              st.booleans())), min_size=2, max_size=25))
+def test_reads_between_writes_see_the_graph_as_it_is(steps):
+    graph = Graph()
+    for step in steps:
+        if step[0] == "read":
+            _, low, high, inclusive = step
+            for predicate in ("p", "q"):
+                query = dict(
+                    patterns=[("?s", predicate, "?v")], order_by="?v", limit=2,
+                    filters=[RangeFilter("?v", low, high,
+                                         low_inclusive=inclusive)])
+                assert (select(graph, **query)
+                        == select(GenericOnly(graph), **query))
+        elif step[0] == "clear":
+            graph.clear()
+        else:
+            getattr(graph, step[0])(step[1:])
+        assert column_is_exact(graph, "p") and column_is_exact(graph, "q")

@@ -11,8 +11,8 @@ cores — see EXPERIMENTS.md — and was removed.)  Two claims:
    ``ShardedGraph(N, sqlite)`` on a ladder of triple counts.  Both
    sides run identical SQLite C scans over the same rows in total, so
    the ratio isolates what the router adds: N statements instead of
-   one, N top-k lists and a ``heapq.merge``.  That is a fixed cost per
-   query, so the ratio falls towards 1 as the store grows.  The
+   one, N top-k lists and one stable top-k over them.  That is a fixed
+   cost per query, so the ratio falls towards 1 as the store grows.  The
    in-memory family is timed as context (a plain ``Graph`` answers
    through the generic SELECT engine, the in-memory router through
    its Python numeric scan — different code, not a routing cost).

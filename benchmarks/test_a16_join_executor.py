@@ -20,6 +20,14 @@ to the scanned predicate before every query (the column is rebuilt
 every time — the worst case of invalidate-on-write) and
 ``range-topk-asc`` takes the ``nsmallest`` side of the heap.
 
+Since PR 23 every store's cardinality estimate is the one shared model
+(``TripleStoreBase.estimate_cardinality`` over four per-engine
+primitives) instead of a hand-inlined copy per engine: the ``plan-build``
+rows time ``build_plan`` alone, µs per plan, for three query shapes at
+the ``kb-query`` size, against the parent's inlined ``Graph`` estimate
+(kept verbatim in ``tests/stores/reference_estimates.py``) on
+alternating rounds of the same process, under a ceiling of 1.3x.
+
 The generic loop is reached the way production reaches it — through a
 wrapper store without the hook (SQLite, the router's broadcast route
 and wrapper stores take it).  Results land in
@@ -31,6 +39,8 @@ switch) adds a 4x larger store.
 import os
 import random
 import time
+from functools import partial
+from types import SimpleNamespace
 
 from benchmarks._report import fmt_row, report, report_json
 from benchmarks.e2e.workloads import (
@@ -45,7 +55,9 @@ from benchmarks.e2e.workloads import (
 )
 from repro.kb import PersonalKnowledgeBase
 from repro.stores.rdf.graph import REPRO, Triple
+from repro.stores.rdf.plan import build_plan
 from repro.stores.rdf.query import select
+from tests.stores.reference_estimates import reference_estimate
 from tests.stores.test_join_executors import GenericOnly
 
 FULL = os.environ.get("A13_FULL") == "1"
@@ -64,6 +76,18 @@ SEED = 7
 #: a round of point lookups is 0.5 ms of work).
 SPEEDUP_FLOORS = {"join-topk": 4.0, "range-topk": 6.5, "range-topk-asc": 6.5,
                   "range-after-write": 3.5, "point": 0.9}
+
+#: ``build_plan`` with the shared cardinality model may cost at most this
+#: multiple of ``build_plan`` with the parent's inlined estimate, timed
+#: in the same process (measured 0.96-1.05x).  For the record, the two
+#: trees back to back over three alternations on 2 cores: the parent
+#: 23.0-28.5 / 22.4-24.1 / 8.2-8.3 µs a plan (join-topk / three-hop /
+#: point), this tree 19.0-20.6 / 19.0-19.8 / 5.8-5.9 — ``build_plan`` now
+#: estimates each candidate once a step instead of re-estimating the
+#: winner, which more than pays for the shared model's extra frames.
+PLAN_BUILD_KINDS = ("join-topk", "three-hop", "point")
+PLAN_BUILD_CEILING_X = 1.3
+PLAN_REPEATS = 7
 
 #: What ``range-after-write`` adds or removes before each of its queries.
 WRITTEN = Triple("bench:written", REPRO.favorability, 0.0)
@@ -107,7 +131,8 @@ def _rung(entities: int) -> dict:
     _preload(kb, entity_triples(rng, entities))
     hook, generic = kb.graph, GenericOnly(kb.graph)
     kinds = {}
-    for kind, queries in _suite(rng, entities).items():
+    suite = _suite(rng, entities)
+    for kind, queries in suite.items():
         best = {"hook": float("inf"), "generic": float("inf")}
         # The executors take turns within each round, so a slow stretch
         # on the host lands on both alike.
@@ -123,7 +148,35 @@ def _rung(entities: int) -> dict:
             "speedup_x": round(best["generic"] / best["hook"], 2),
             "rows": sum(len(rows) for rows in got),
         }
-    return {"triples": len(kb.graph), "kinds": kinds}
+    rung = {"triples": len(kb.graph), "kinds": kinds}
+    if entities == KB_QUERY_ENTITIES:
+        rung["plan_build"] = _plan_build(kb.graph, suite)
+    return rung
+
+
+def _plan_build(graph, suite: dict[str, list[dict]]) -> dict[str, dict]:
+    """µs per ``build_plan``: the shared model vs the parent's inlined copy."""
+    inlined = SimpleNamespace(
+        estimate_cardinality=partial(reference_estimate, graph))
+    timings = {}
+    for kind in PLAN_BUILD_KINDS:
+        plans = [(query["patterns"], query_kwargs(query).get("filters", ()))
+                 for query in suite[kind]]
+        best = {"shared": float("inf"), "inlined": float("inf")}
+        for _ in range(PLAN_REPEATS):
+            for name, store in (("shared", graph), ("inlined", inlined)):
+                started = time.perf_counter()
+                for _ in range(10):
+                    for patterns, filters in plans:
+                        build_plan(store, patterns, filters)
+                best[name] = min(best[name], time.perf_counter() - started)
+        per_plan = 1e6 / (10 * len(plans))
+        timings[kind] = {
+            "shared_us": round(best["shared"] * per_plan, 2),
+            "inlined_us": round(best["inlined"] * per_plan, 2),
+            "ratio_x": round(best["shared"] / best["inlined"], 2),
+        }
+    return timings
 
 
 def test_a16_join_executor():
@@ -131,6 +184,9 @@ def test_a16_join_executor():
     for kind, floor in SPEEDUP_FLOORS.items():
         measured = ladder[KB_QUERY_ENTITIES]["kinds"][kind]
         assert measured["speedup_x"] >= floor, (kind, measured)
+    plan_build = ladder[KB_QUERY_ENTITIES]["plan_build"]
+    for kind, entry in plan_build.items():
+        assert entry["ratio_x"] <= PLAN_BUILD_CEILING_X, (kind, entry)
 
     widths = (9, 9, 18, 11, 9, 8, 7)
     rows = [fmt_row("entities", "triples", "kind", "generic ms", "hook ms",
@@ -146,6 +202,11 @@ def test_a16_join_executor():
                *rows,
                f"{QUERIES_PER_KIND} queries per kind, best of {REPEATS} "
                "alternating rounds; rows equal in order on every round",
+               *(f"plan-build {kind}: {entry['shared_us']} us per build_plan "
+                 f"at {KB_QUERY_ENTITIES} entities, {entry['inlined_us']} us "
+                 f"with the parent's inlined estimate ({entry['ratio_x']}x, "
+                 f"ceiling {PLAN_BUILD_CEILING_X}x)"
+                 for kind, entry in plan_build.items()),
            ])
     report_json("A16", {
         "seed": SEED,
@@ -155,5 +216,6 @@ def test_a16_join_executor():
         "rows_equal_in_order": True,
         "speedup_floors_x": SPEEDUP_FLOORS,
         "floors_checked_at_entities": KB_QUERY_ENTITIES,
+        "plan_build_ceiling_x": PLAN_BUILD_CEILING_X,
         "ladder": {str(entities): rung for entities, rung in ladder.items()},
     })

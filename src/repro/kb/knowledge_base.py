@@ -40,7 +40,7 @@ from repro.stores.rdf.plan import (
     build_sharded_plan,
     execute_plan,
 )
-from repro.stores.rdf.query import select
+from repro.stores.rdf.query import run_select
 from repro.stores.rdf.shard import ShardedGraph
 from repro.stores.rdf.reasoner import RdfsReasoner, TransitiveReasoner
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
@@ -289,14 +289,8 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         span = (self._tracer.span(names.SPAN_KB_QUERY, attributes)
                 if self._tracer is not None else nullcontext())
         with span:
-            if self.view is not None:
-                return self.view.select(patterns, **kwargs)
-            runner = getattr(self.graph, "select", None)
-            if callable(runner):
-                # A store with its own execution strategy (the sharded
-                # router) routes / scatters / broadcasts itself.
-                return runner(patterns, **kwargs)
-            return select(self.graph, patterns, **kwargs)
+            store = self.view if self.view is not None else self.graph
+            return run_select(store, patterns, **kwargs)
 
     async def aquery(self, patterns, **kwargs):
         """Awaitable :meth:`query`: the same call on a worker thread.

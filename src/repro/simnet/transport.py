@@ -45,13 +45,20 @@ def wire_size(payload: object) -> int:
         raise SerializationError(f"payload is not JSON-serializable: {exc}") from exc
 
 
-def _roundtrip(payload: object, direction: str) -> dict:
-    """JSON round-trip a payload to enforce the serialization boundary."""
+def _roundtrip(payload: object, direction: str) -> tuple[dict, int]:
+    """JSON round-trip a payload to enforce the serialization boundary.
+
+    Returns the decoded copy and the size of the one encoding that
+    crossed the wire.  That is :func:`wire_size` of the copy except for
+    keys that collide once JSON makes them strings (``{1: "a", "1":
+    "b"}``): the wire carried both entries and is charged for both,
+    the receiver's ``dict`` keeps the last.
+    """
     try:
         encoded = json.dumps(payload, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"{direction} payload is not JSON-serializable: {exc}") from exc
-    return json.loads(encoded)
+    return json.loads(encoded), len(encoded.encode())
 
 
 @dataclass
@@ -318,8 +325,7 @@ class Transport:
                 self._metric_offline.inc()
             raise ConnectivityError(endpoint)
 
-        request_payload = _roundtrip(dict(request), "request")
-        sent = wire_size(request_payload)
+        request_payload, sent = _roundtrip(dict(request), "request")
         outbound = self.network_latency.sample(self.rng, params)
 
         if injector is not None:
@@ -362,8 +368,7 @@ class Transport:
 
         if injector is not None:
             response_payload = injector.corrupt(endpoint, now, response_payload)
-        response_payload = _roundtrip(response_payload, "response")
-        received = wire_size(response_payload)
+        response_payload, received = _roundtrip(response_payload, "response")
 
         yield total
         self.stats.successes += 1

@@ -36,6 +36,20 @@ pattern (S, P, O)       index           prefix
 (?, ?, ?)               —               full iteration
 ======================  ==============  ========================
 
+**What an engine writes, and what it inherits.**  The three stores
+above subclass :class:`~repro.stores.rdf.stats.TripleStoreBase`.  An
+engine writes ``add`` / ``add_many`` / ``remove`` / ``clear`` /
+``match`` / ``__len__`` / ``__iter__`` / ``__contains__`` / ``version``
+and the four primitives documented there (``_term_key``, ``_matching``,
+``_distinct``, ``_predicate_terms``).  It inherits, written once:
+``estimate_cardinality`` (so estimates are bit-identical across engines
+by construction), ``predicate_statistics``, ``add_all``, ``discard``,
+``objects`` / ``subjects`` / ``predicates``, ``to_list``, ``from_list``.
+A caller-supplied backend may instead satisfy the protocol structurally
+and write those members itself; it works as a shard and as
+``storage=factory`` all the same — the router reads a shard's counts
+through its public ``estimate_cardinality`` only.
+
 Two **optional members** sit beside the protocol, duck-typed and
 deliberately *not* part of it (a backend without them must still pass
 ``isinstance(store, StorageBackend)``)::
@@ -67,8 +81,10 @@ ignore it; one that honours it returns exactly those survivors, in
 their final order (``select`` sorts and cuts again, which changes
 nothing), and still counts ``actual_rows`` before the cut.
 Only :class:`Graph` implements the hook today (set-at-a-time joins in
-id space, top-k before decode); ``SqliteTripleStore`` and the router
-take the generic loop.
+id space, top-k before decode); ``SqliteTripleStore`` and the router's
+broadcast route are joined by the generic loop.  What follows a join —
+order, project, distinct, cut — is :func:`repro.stores.rdf.query.finish`
+for every store, the router's scatter route included.
 """
 
 from __future__ import annotations
@@ -154,18 +170,3 @@ class StorageBackend(Protocol):
 
     def __contains__(self, triple: Triple | tuple) -> bool:
         """Membership test for one concrete triple."""
-
-
-def canonical_triple_list(triples: Iterable[Triple]) -> list[list[Term]]:
-    """The shared deterministic dump order every backend uses.
-
-    Matches :meth:`Graph.to_list` byte-for-byte: sort by subject,
-    predicate, object type name, then stringified object (objects mix
-    numeric and string literals, which do not compare directly).
-    """
-    ordered = sorted(
-        triples,
-        key=lambda t: (t.subject, t.predicate, type(t.object).__name__,
-                       str(t.object)),
-    )
-    return [[t.subject, t.predicate, t.object] for t in ordered]

@@ -14,8 +14,8 @@ hash indexes, so every ``match`` prefix scan is index-backed:
   ``WITHOUT ROWID`` with primary key ``(s, p, o)`` (the SPO index);
   secondary indexes cover ``(p, o, s)`` and ``(o, s, p)``.  ``onum``
   denormalizes numeric object values so range scans and top-k orders
-  can run inside SQLite's C engine, which is what the sharded
-  scatter path pushes down to each backend.
+  can run inside SQLite's C engine — :meth:`scan_numeric`, which the
+  sharded scatter path calls on each shard in turn.
 
 Writes are batched: :meth:`add_all` / :meth:`add_many` run chunked
 ``executemany`` inside one transaction.  A ``fault_hook`` — the chaos
@@ -37,9 +37,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro.obs import names
-from repro.stores.backends.base import canonical_triple_list
 from repro.stores.rdf.graph import Term, Triple
-from repro.stores.rdf.stats import BOUND, PredicateStats
+from repro.stores.rdf.stats import PredicateStats, TripleStoreBase
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS terms (
@@ -62,6 +61,7 @@ CREATE TABLE IF NOT EXISTS meta (
     value INTEGER NOT NULL
 );
 """
+_INSERT = "INSERT OR IGNORE INTO triples (s, p, o, onum) VALUES (?, ?, ?, ?)"
 
 
 def _encode(term: Term) -> tuple[str, str]:
@@ -98,7 +98,7 @@ def _numeric_value(term: Term) -> float | None:
     return None
 
 
-class SqliteTripleStore:
+class SqliteTripleStore(TripleStoreBase):
     """A :class:`StorageBackend` over one stdlib-``sqlite3`` database.
 
     Thread-safe: one connection guarded by an RLock, so each store
@@ -189,6 +189,13 @@ class SqliteTripleStore:
             if term_id is not None:
                 self._terms.pop(term_id, None)
 
+    def _row(self, triple: Triple, journal: list[Term] | None = None) -> tuple:
+        """A triple's table row; terms interned in s, p, o order (ids break ties)."""
+        ids = (self._intern(triple.subject, journal),
+               self._intern(triple.predicate, journal),
+               self._intern(triple.object, journal))
+        return (*ids, _numeric_value(self._terms[ids[2]]))
+
     def _ids_of(self, triple: Triple) -> tuple[int, int, int] | None:
         subject_id = self._term_ids.get(triple.subject)
         if subject_id is None:
@@ -207,15 +214,7 @@ class SqliteTripleStore:
         """Insert a triple; returns False when it was already present."""
         triple = Triple(*triple) if not isinstance(triple, Triple) else triple
         with self._lock:
-            subject_id = self._intern(triple.subject)
-            predicate_id = self._intern(triple.predicate)
-            object_id = self._intern(triple.object)
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO triples (s, p, o, onum) "
-                "VALUES (?, ?, ?, ?)",
-                (subject_id, predicate_id, object_id,
-                 _numeric_value(self._terms[object_id])))
-            added = cursor.rowcount == 1
+            added = self._conn.execute(_INSERT, self._row(triple)).rowcount == 1
             if added:
                 self._size += 1
                 self._version += 1
@@ -244,29 +243,15 @@ class SqliteTripleStore:
                     chunk = rows[start:start + self.batch_size]
                     if self.fault_hook is not None:
                         self.fault_hook(start // self.batch_size)
+                    encoded = [self._row(triple, journal) for triple in chunk]
                     if collect_flags:
-                        for triple in chunk:
-                            ids = (self._intern(triple.subject, journal),
-                                   self._intern(triple.predicate, journal),
-                                   self._intern(triple.object, journal))
-                            cursor = self._conn.execute(
-                                "INSERT OR IGNORE INTO triples "
-                                "(s, p, o, onum) VALUES (?, ?, ?, ?)",
-                                (*ids, _numeric_value(self._terms[ids[2]])))
-                            flags.append(cursor.rowcount == 1)
+                        for row in encoded:
+                            flags.append(
+                                self._conn.execute(_INSERT, row).rowcount == 1)
                             added += flags[-1]
                     else:
-                        encoded = []
-                        for triple in chunk:
-                            ids = (self._intern(triple.subject, journal),
-                                   self._intern(triple.predicate, journal),
-                                   self._intern(triple.object, journal))
-                            encoded.append(
-                                (*ids, _numeric_value(self._terms[ids[2]])))
                         before = self._conn.total_changes
-                        self._conn.executemany(
-                            "INSERT OR IGNORE INTO triples "
-                            "(s, p, o, onum) VALUES (?, ?, ?, ?)", encoded)
+                        self._conn.executemany(_INSERT, encoded)
                         added += self._conn.total_changes - before
                 self._size += added
                 self._version += added
@@ -311,10 +296,6 @@ class SqliteTripleStore:
             self._count_op("remove")
             return removed
 
-    def discard(self, triple: Triple | tuple) -> bool:
-        """Alias of :meth:`remove` (set-like naming)."""
-        return self.remove(triple)
-
     def clear(self) -> None:
         """Drop every triple and term; the version still advances."""
         with self._lock:
@@ -350,12 +331,10 @@ class SqliteTripleStore:
         triple = Triple(*triple) if not isinstance(triple, Triple) else triple
         with self._lock:
             ids = self._ids_of(triple)
-            if ids is None:
-                return False
-            row = self._conn.execute(
-                "SELECT 1 FROM triples WHERE s = ? AND p = ? AND o = ? "
-                "LIMIT 1", ids).fetchone()
-            return row is not None
+            # Asked once per derived conclusion: a constant statement.
+            return ids is not None and self._conn.execute(
+                "SELECT 1 FROM triples WHERE s = ? AND p = ? AND o = ?",
+                ids).fetchone() is not None
 
     @property
     def version(self) -> int:
@@ -405,9 +384,9 @@ class SqliteTripleStore:
         Returns triples ``(s, predicate, numeric o)`` whose object
         value falls in the given range, ordered by value (ties broken
         by interned subject id, so output is deterministic for one
-        store).  This is the pushed-down filter + top-k primitive the
-        sharded scatter path runs on each shard in turn: every shard
-        returns at most ``limit`` rows for the router to merge.
+        store).  This is the filter + top-k primitive the sharded
+        scatter path runs on each shard in turn: every shard returns at
+        most ``limit`` rows, which the router's SELECT tail cuts again.
         """
         with self._lock:
             predicate_id = self._term_ids.get(predicate)
@@ -432,139 +411,52 @@ class SqliteTripleStore:
         terms = self._terms
         return [Triple(terms[s], predicate, terms[o]) for s, o in rows]
 
-    def objects(self, subject: str, predicate: str) -> set[Term]:
-        """All objects of ``(subject, predicate, ?)``."""
-        return {t.object for t in self.match(subject, predicate, None)}
-
-    def subjects(self, predicate: str, obj: Term) -> set[str]:
-        """All subjects of ``(?, predicate, object)``."""
-        return {t.subject for t in self.match(None, predicate, obj)}
-
-    def predicates(self) -> set[str]:
-        """Every predicate with at least one triple."""
-        with self._lock:
-            rows = self._conn.execute("SELECT DISTINCT p FROM triples").fetchall()
-        return {self._terms[row[0]] for row in rows}
-
     # -- statistics and cardinality estimation -----------------------------
 
-    def predicate_statistics(self) -> dict[str, PredicateStats]:
-        """Per-predicate statistics computed from the POS index."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT p, COUNT(*), COUNT(DISTINCT s), COUNT(DISTINCT o) "
-                "FROM triples GROUP BY p").fetchall()
-        stats = {}
-        for predicate_id, count, distinct_subjects, distinct_objects in rows:
-            predicate = self._terms[predicate_id]
-            stats[predicate] = PredicateStats(
-                predicate=predicate, count=count,
-                distinct_subjects=distinct_subjects,
-                distinct_objects=distinct_objects)
-        return stats
+    def _term_key(self, term: Term) -> int | None:
+        return self._term_ids.get(term)
 
     def _scalar(self, sql: str, params: tuple = ()) -> int:
-        return self._conn.execute(sql, params).fetchone()[0]
+        with self._lock:
+            return self._conn.execute(sql, params).fetchone()[0]
+
+    def _matching(self, subject_id: int | None, predicate_id: int | None,
+                  object_id: int | None) -> int:
+        """Exact triple count: one ``COUNT(*)`` over the bound columns,
+        which SQLite answers from the index whose prefix they form."""
+        bound = {column: term_id for column, term_id
+                 in zip("spo", (subject_id, predicate_id, object_id))
+                 if term_id is not None}
+        if not bound:
+            return self._size
+        where = " AND ".join(f"{column} = ?" for column in bound)
+        return self._scalar(f"SELECT COUNT(*) FROM triples WHERE {where}",
+                            tuple(bound.values()))
+
+    def _distinct(self, position: str, predicate_id: int | None) -> int:
+        # ``position`` is a column name: the shared model passes only
+        # its own literals "s" / "p" / "o", never caller input.
+        sql = f"SELECT COUNT(DISTINCT {position}) FROM triples"
+        if predicate_id is None:
+            return self._scalar(sql)
+        return self._scalar(sql + " WHERE p = ?", (predicate_id,))
+
+    def _predicate_terms(self) -> list[str]:
+        with self._lock:
+            rows = self._conn.execute("SELECT DISTINCT p FROM triples").fetchall()
+        return [self._terms[row[0]] for row in rows]
 
     def estimate_cardinality(self, subject: object = None,
                              predicate: object = None,
                              obj: object = None) -> float:
-        """Estimated rows for a pattern — same contract as the graph's.
-
-        Concrete positions use exact index counts; ``BOUND`` positions
-        discount by average fan-out.  For identical content this
-        returns bit-identical floats to
-        :meth:`Graph.estimate_cardinality`, which keeps planner
-        ``explain()`` output byte-stable across backends.
-        """
+        """The shared estimate under one lock acquisition: no writer lands mid-way."""
         with self._lock:
-            total = self._size
-            if total == 0:
-                return 0.0
-            subject_id = predicate_id = object_id = None
-            if subject is not None and subject is not BOUND:
-                subject_id = self._term_ids.get(subject)
-                if subject_id is None:
-                    return 0.0
-            if predicate is not None and predicate is not BOUND:
-                predicate_id = self._term_ids.get(predicate)
-                if predicate_id is None:
-                    return 0.0
-            if obj is not None and obj is not BOUND:
-                object_id = self._term_ids.get(obj)
-                if object_id is None:
-                    return 0.0
+            return super().estimate_cardinality(subject, predicate, obj)
 
-            s_const = subject_id is not None
-            p_const = predicate_id is not None
-            o_const = object_id is not None
-            if s_const and p_const and o_const:
-                row = self._conn.execute(
-                    "SELECT 1 FROM triples WHERE s = ? AND p = ? AND o = ? "
-                    "LIMIT 1", (subject_id, predicate_id, object_id)).fetchone()
-                return 1.0 if row is not None else 0.0
-            if s_const and p_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE s = ? AND p = ?",
-                    (subject_id, predicate_id))
-            elif p_const and o_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE p = ? AND o = ?",
-                    (predicate_id, object_id))
-            elif s_const and o_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE s = ? AND o = ?",
-                    (subject_id, object_id))
-            elif s_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE s = ?", (subject_id,))
-            elif p_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE p = ?", (predicate_id,))
-            elif o_const:
-                base = self._scalar(
-                    "SELECT COUNT(*) FROM triples WHERE o = ?", (object_id,))
-            else:
-                base = total
-            if base == 0:
-                return 0.0
-
-            estimate = float(base)
-            if subject is BOUND:
-                if p_const:
-                    distinct = self._scalar(
-                        "SELECT COUNT(DISTINCT s) FROM triples WHERE p = ?",
-                        (predicate_id,))
-                else:
-                    distinct = self._scalar(
-                        "SELECT COUNT(DISTINCT s) FROM triples")
-                estimate /= max(1, distinct)
-            if obj is BOUND:
-                if p_const:
-                    distinct = self._scalar(
-                        "SELECT COUNT(DISTINCT o) FROM triples WHERE p = ?",
-                        (predicate_id,))
-                else:
-                    distinct = self._scalar(
-                        "SELECT COUNT(DISTINCT o) FROM triples")
-                estimate /= max(1, distinct)
-            if predicate is BOUND:
-                distinct = self._scalar("SELECT COUNT(DISTINCT p) FROM triples")
-                estimate /= max(1, distinct)
-            return estimate
-
-    # -- persistence -------------------------------------------------------
-
-    def to_list(self) -> list[list[Term]]:
-        """JSON-friendly dump in the shared deterministic order."""
-        return canonical_triple_list(self)
-
-    @classmethod
-    def from_list(cls, payload: Iterable[list], **kwargs) -> "SqliteTripleStore":
-        """Build a store (see ``__init__`` kwargs) from a dumped list."""
-        store = cls(**kwargs)
-        store.add_all(tuple(item) for item in payload)
-        return store
+    def predicate_statistics(self) -> dict[str, PredicateStats]:
+        """The shared snapshot, read under one lock acquisition."""
+        with self._lock:
+            return super().predicate_statistics()
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""

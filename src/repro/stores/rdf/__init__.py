@@ -29,7 +29,7 @@ from repro.stores.rdf.query import (
     RangeFilter,
     is_variable,
 )
-from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
+from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats, TripleStoreBase
 from repro.stores.rdf.plan import (
     QueryPlan,
     PlanStep,
@@ -76,6 +76,7 @@ __all__ = [
     "BOUND",
     "GraphStatistics",
     "PredicateStats",
+    "TripleStoreBase",
     "QueryPlan",
     "PlanStep",
     "FanoutPlan",

@@ -46,7 +46,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
+from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (plan imports us)
     from repro.stores.rdf.plan import QueryPlan
@@ -114,7 +114,7 @@ def _binding_test(predicate, decode, names: tuple[str, ...]):
     return lambda row: predicate(dict(zip(names, map(decode, row))))
 
 
-class Graph:
+class Graph(TripleStoreBase):
     """A set of triples with interned terms and SPO / POS / OSP indexes."""
 
     def __init__(self, triples: Iterable[Triple | tuple] = ()) -> None:
@@ -227,10 +227,6 @@ class Graph:
         self._additions += 1
         return True
 
-    def add_all(self, triples: Iterable[Triple | tuple]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for triple in triples if self.add(triple))
-
     def add_many(self, triples: Iterable[Triple | tuple]) -> list[bool]:
         """Insert many triples; returns per-triple newness flags.
 
@@ -267,10 +263,6 @@ class Graph:
         self._stats.record_remove(subject_id, predicate_id, object_id)
         self._version += 1
         return True
-
-    def discard(self, triple: Triple | tuple) -> bool:
-        """Alias of :meth:`remove` (set-like naming)."""
-        return self.remove(triple)
 
     def clear(self) -> None:
         """Drop every triple and the term dictionary; version still advances."""
@@ -503,135 +495,44 @@ class Graph:
         triples = self._triples
         return [row + triple for row in rows for triple in triples]
 
-    def objects(self, subject: str, predicate: str) -> set[Term]:
-        """All objects of (subject, predicate, ?)."""
-        subject_id = self._term_ids.get(subject)
-        predicate_id = self._term_ids.get(predicate)
-        if subject_id is None or predicate_id is None:
-            return set()
-        object_ids = self._spo.get(subject_id, {}).get(predicate_id, set())
-        return {self._terms[item] for item in object_ids}
-
-    def subjects(self, predicate: str, obj: Term) -> set[str]:
-        """All subjects of (?, predicate, object)."""
-        predicate_id = self._term_ids.get(predicate)
-        object_id = self._term_ids.get(obj)
-        if predicate_id is None or object_id is None:
-            return set()
-        subject_ids = self._pos.get(predicate_id, {}).get(object_id, set())
-        return {self._terms[item] for item in subject_ids}
-
-    def predicates(self) -> set[str]:
-        """Every predicate with at least one triple."""
-        return {self._terms[predicate_id] for predicate_id in self._pos}
-
     def copy(self) -> "Graph":
         return Graph(self)
 
-    # -- statistics and cardinality estimation -----------------------------
+    # -- what the shared estimates and statistics read ---------------------
 
-    def predicate_statistics(self) -> dict[str, PredicateStats]:
-        """A snapshot of per-predicate statistics, keyed by predicate term."""
-        stats = self._stats
-        return {
-            self._terms[predicate_id]: PredicateStats(
-                predicate=self._terms[predicate_id],
-                count=stats.predicate_count(predicate_id),
-                distinct_subjects=stats.distinct_subjects(predicate_id),
-                distinct_objects=stats.distinct_objects(predicate_id),
-            )
-            for predicate_id in stats.predicate_ids()
-        }
+    def _term_key(self, term: Term) -> int | None:
+        return self._term_ids.get(term)
 
-    def estimate_cardinality(
-        self,
-        subject: object = None,
-        predicate: object = None,
-        obj: object = None,
-    ) -> float:
-        """Estimated rows for a pattern, from indexes and statistics.
-
-        Each position is a concrete term, ``None`` (free variable) or
-        :data:`repro.stores.rdf.stats.BOUND` (a variable whose value
-        will be supplied by earlier join steps but is unknown at
-        planning time).  Concrete positions use exact index counts;
-        BOUND positions discount by the average fan-out.  O(1) except
-        for subject-only / object-only patterns, which sum one small
-        index bucket.
-        """
-        total = len(self._triples)
-        if total == 0:
-            return 0.0
-        subject_id = predicate_id = object_id = None
-        if subject is not None and subject is not BOUND:
-            subject_id = self._term_ids.get(subject)
-            if subject_id is None:
-                return 0.0
-        if predicate is not None and predicate is not BOUND:
-            predicate_id = self._term_ids.get(predicate)
-            if predicate_id is None:
-                return 0.0
-        if obj is not None and obj is not BOUND:
-            object_id = self._term_ids.get(obj)
-            if object_id is None:
-                return 0.0
-
+    def _matching(self, subject_id: int | None, predicate_id: int | None,
+                  object_id: int | None) -> int:
+        """Exact triple count for id-or-None keys: O(1), except that
+        subject-only / object-only patterns sum one small index bucket."""
         s_const = subject_id is not None
         p_const = predicate_id is not None
         o_const = object_id is not None
         if s_const and p_const and o_const:
-            key = (subject_id, predicate_id, object_id)
-            return 1.0 if key in self._triples else 0.0
+            return int((subject_id, predicate_id, object_id) in self._triples)
         if s_const and p_const:
-            base = len(self._spo.get(subject_id, {}).get(predicate_id, ()))
-        elif p_const and o_const:
-            base = len(self._pos.get(predicate_id, {}).get(object_id, ()))
-        elif s_const and o_const:
-            base = len(self._osp.get(object_id, {}).get(subject_id, ()))
-        elif s_const:
-            base = sum(len(objs) for objs in self._spo.get(subject_id, {}).values())
-        elif p_const:
-            base = self._stats.predicate_count(predicate_id)
-        elif o_const:
-            base = sum(len(preds) for preds in self._osp.get(object_id, {}).values())
-        else:
-            base = total
-        if base == 0:
-            return 0.0
+            return len(self._spo.get(subject_id, _NOTHING).get(predicate_id, ()))
+        if p_const and o_const:
+            return len(self._pos.get(predicate_id, _NOTHING).get(object_id, ()))
+        if s_const and o_const:
+            return len(self._osp.get(object_id, _NOTHING).get(subject_id, ()))
+        if s_const:
+            return sum(map(len, self._spo.get(subject_id, _NOTHING).values()))
+        if p_const:
+            return self._stats.predicate_count(predicate_id)
+        if o_const:
+            return sum(map(len, self._osp.get(object_id, _NOTHING).values()))
+        return len(self._triples)
 
-        estimate = float(base)
-        if subject is BOUND:
-            distinct = (
-                self._stats.distinct_subjects(predicate_id)
-                if p_const
-                else len(self._spo)
-            )
-            estimate /= max(1, distinct)
-        if obj is BOUND:
-            distinct = (
-                self._stats.distinct_objects(predicate_id)
-                if p_const
-                else len(self._osp)
-            )
-            estimate /= max(1, distinct)
-        if predicate is BOUND:
-            estimate /= max(1, len(self._pos))
-        return estimate
+    def _distinct(self, position: str, predicate_id: int | None) -> int:
+        if position == "p":
+            return len(self._pos)
+        if predicate_id is None:
+            return len(self._spo if position == "s" else self._osp)
+        return (self._stats.distinct_subjects(predicate_id) if position == "s"
+                else self._stats.distinct_objects(predicate_id))
 
-    # -- persistence -------------------------------------------------------
-
-    def to_list(self) -> list[list[Term]]:
-        """JSON-friendly dump, deterministically ordered.
-
-        The sort key stringifies objects because literals may mix types
-        (numbers from regression results next to string labels).
-        """
-        ordered = sorted(
-            self,
-            key=lambda t: (t.subject, t.predicate, type(t.object).__name__, str(t.object)),
-        )
-        return [[t.subject, t.predicate, t.object] for t in ordered]
-
-    @classmethod
-    def from_list(cls, payload: Iterable[list]) -> "Graph":
-        return cls(tuple(item) for item in payload)
+    def _predicate_terms(self) -> list[str]:
+        return [self._terms[predicate_id] for predicate_id in self._pos]

@@ -23,9 +23,10 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.obs import names
 from repro.stores.rdf.graph import Graph, Term, Triple
-from repro.stores.rdf.query import Binding, Pattern, select
+from repro.stores.rdf.query import Binding, Pattern, run_select
 from repro.stores.rdf.reasoner import RdfsReasoner
 from repro.stores.rdf.rules import GenericRuleReasoner
+from repro.stores.rdf.stats import TripleStoreBase
 
 
 class QueryResultCache:
@@ -70,7 +71,7 @@ class QueryResultCache:
         self._entries.clear()
 
 
-class MaterializedGraph:
+class MaterializedGraph(TripleStoreBase):
     """A graph kept closed under a set of reasoners, incrementally.
 
     Wraps a base :class:`Graph` (shared, not copied) plus reasoners —
@@ -80,8 +81,8 @@ class MaterializedGraph:
     (:attr:`reasoner`):
 
     * construction runs a full materialization;
-    * :meth:`add` / :meth:`add_all` derive only the consequences of
-      the new triples (semi-naive);
+    * :meth:`add` / :meth:`add_many` / :meth:`add_all` derive only the
+      consequences of the new triples (semi-naive), once per batch;
     * :meth:`remove` / :meth:`discard` rebuild from the recorded base
       facts (derived triples are never explicitly stored anywhere
       else, so deletion must re-derive);
@@ -154,13 +155,9 @@ class MaterializedGraph:
         """Pattern match over the materialized graph."""
         return self.graph.match(subject, predicate, obj)
 
-    def objects(self, subject: str, predicate: str) -> set[Term]:
-        """All objects of ``(subject, predicate, ?)`` in the closure."""
-        return self.graph.objects(subject, predicate)
-
-    def subjects(self, predicate: str, obj: Term) -> set[str]:
-        """All subjects of ``(?, predicate, object)`` in the closure."""
-        return self.graph.subjects(predicate, obj)
+    # What the shared surface derives from index primitives is the
+    # wrapped store's to answer; the rest works over this class's own
+    # ``match`` / ``__iter__`` / ``add_many`` / ``remove``.
 
     def predicates(self) -> set[str]:
         """Every predicate present in the materialized graph."""
@@ -176,10 +173,6 @@ class MaterializedGraph:
         """Per-predicate statistics over the materialized triples."""
         return self.graph.predicate_statistics()
 
-    def to_list(self) -> list[list[Term]]:
-        """Deterministic JSON-friendly dump of the materialized triples."""
-        return self.graph.to_list()
-
     def base_facts(self) -> set[Triple]:
         """The explicitly asserted (non-derived) triples."""
         return set(self._base)
@@ -193,27 +186,24 @@ class MaterializedGraph:
 
     def add(self, triple: Triple | tuple) -> bool:
         """Insert a triple and derive its consequences incrementally."""
-        triple = Graph._coerce(triple)
-        if not self.graph.add(triple):
-            # Already present (possibly as a derived fact) — still a
-            # base assertion from now on, so deletes keep it.
-            self._base.add(triple)
-            return False
-        self._base.add(triple)
-        self._derive({triple})
-        return True
+        return self.add_many([triple])[0]
 
-    def add_all(self, triples: Iterable[Triple | tuple]) -> int:
-        """Insert many triples, then derive from the whole batch once."""
-        fresh: set[Triple] = set()
-        for triple in triples:
-            triple = Graph._coerce(triple)
-            self._base.add(triple)
-            if self.graph.add(triple):
-                fresh.add(triple)
+    def add_many(self, triples: Iterable[Triple | tuple]) -> list[bool]:
+        """Insert a batch — one ``add_many`` on the wrapped store — then
+        derive from its new triples once; per-triple newness flags.
+
+        The base facts are recorded only after the store took the batch:
+        if it raises, the view is as it was.
+        """
+        rows = [Graph._coerce(triple) for triple in triples]
+        flags = self.graph.add_many(rows)
+        # One already present (possibly as a derived fact) is still a
+        # base assertion from now on, so deletes keep it.
+        self._base.update(rows)
+        fresh = {triple for triple, new in zip(rows, flags) if new}
         if fresh:
             self._derive(fresh)
-        return len(fresh)
+        return flags
 
     def remove(self, triple: Triple | tuple) -> bool:
         """Retract a base fact; rebuilds the materialization."""
@@ -223,10 +213,6 @@ class MaterializedGraph:
         self._base.discard(triple)
         self._rebuild()
         return True
-
-    def discard(self, triple: Triple | tuple) -> bool:
-        """Alias of :meth:`remove` (set-like naming)."""
-        return self.remove(triple)
 
     def clear(self) -> None:
         """Drop every triple, asserted and derived (version advances)."""
@@ -252,8 +238,7 @@ class MaterializedGraph:
 
     def _rebuild(self) -> None:
         self.graph.clear()
-        for triple in self._base:
-            self.graph.add(triple)
+        self.graph.add_many(self._base)
         self.refresh()
 
     # -- cached queries ----------------------------------------------------
@@ -313,22 +298,11 @@ class MaterializedGraph:
                 return [dict(binding) for binding in cached]
             if self._metric_cache_misses is not None:
                 self._metric_cache_misses.inc()
-        # A wrapped store with its own execution strategy (the sharded
-        # router's scatter/gather) answers itself; plain backends go
-        # through the single-store engine.
-        runner = getattr(self.graph, "select", None)
-        if callable(runner):
-            result = runner(
-                patterns, variables=variables, filters=filters,
-                distinct=distinct, order_by=order_by, descending=descending,
-                limit=limit, optional=optional, optimize=optimize,
-            )
-        else:
-            result = select(
-                self.graph, patterns, variables=variables, filters=filters,
-                distinct=distinct, order_by=order_by, descending=descending,
-                limit=limit, optional=optional, optimize=optimize,
-            )
+        result = run_select(
+            self.graph, patterns, variables=variables, filters=filters,
+            distinct=distinct, order_by=order_by, descending=descending,
+            limit=limit, optional=optional, optimize=optimize,
+        )
         if cacheable:
             self._cache.put(self.graph.version, key,
                             [dict(binding) for binding in result])

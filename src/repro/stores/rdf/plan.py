@@ -191,13 +191,11 @@ def build_plan(
     assigned: set[int] = set()
     steps: list[PlanStep] = []
     while remaining:
-        best = min(
-            remaining,
-            key=lambda index: (_estimate(graph, normalized[index], bound), index),
-        )
+        estimated, best = min(
+            (_estimate(graph, normalized[index], bound), index)
+            for index in remaining)
         remaining.remove(best)
         pattern = normalized[best]
-        estimated = _estimate(graph, pattern, bound)
         bound_before = tuple(sorted(bound))
         bound |= {component for component in pattern if is_variable(component)}
         pushed = tuple(

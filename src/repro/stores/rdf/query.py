@@ -232,6 +232,36 @@ def project_bindings(solutions: list[Binding],
     ]
 
 
+def finish(solutions: list[Binding], variables: Sequence[str] | None,
+           distinct: bool, order_by: str | None, descending: bool,
+           limit: int | None) -> list[Binding]:
+    """The tail of every SELECT: order, project, drop duplicates, cut.
+
+    The sort and the top-k are stable, so rows handed over as sorted
+    runs (the sharded router's per-shard answers, in shard order) come
+    out as their stable k-way merge.
+    """
+    if order_by is not None:
+        def sort_key(binding: Binding) -> tuple[int, object]:
+            return _order_key(binding.get(order_by))
+
+        if limit is not None and not distinct:
+            # Top-k: a bounded heap instead of sorting everything.
+            # nsmallest/nlargest are stable, so the outcome matches
+            # sort + slice exactly.
+            chooser = heapq.nlargest if descending else heapq.nsmallest
+            solutions = chooser(limit, solutions, key=sort_key)
+        else:
+            solutions.sort(key=sort_key, reverse=descending)
+    if variables is not None:
+        solutions = project_bindings(solutions, variables)
+    if distinct:
+        solutions = distinct_bindings(solutions)
+    if limit is not None:
+        solutions = solutions[:limit]
+    return solutions
+
+
 def select(
     graph: Graph,
     patterns: Sequence[Pattern],
@@ -280,25 +310,17 @@ def select(
         solutions = solve_optional(graph, solutions, optional)
     for predicate in remaining_filters:
         solutions = [binding for binding in solutions if predicate(binding)]
-    if order_by is not None:
-        def sort_key(binding: Binding) -> tuple[int, object]:
-            return _order_key(binding.get(order_by))
+    return finish(solutions, variables, distinct, order_by, descending, limit)
 
-        if limit is not None and not distinct:
-            # Top-k: a bounded heap instead of sorting everything.
-            # nsmallest/nlargest are stable, so the outcome matches
-            # sort + slice exactly.
-            chooser = heapq.nlargest if descending else heapq.nsmallest
-            solutions = chooser(limit, solutions, key=sort_key)
-        else:
-            solutions.sort(key=sort_key, reverse=descending)
-    if variables is not None:
-        solutions = project_bindings(solutions, variables)
-    if distinct:
-        solutions = distinct_bindings(solutions)
-    if limit is not None:
-        solutions = solutions[:limit]
-    return solutions
+
+def run_select(store, patterns: Sequence[Pattern], **options) -> list[Binding]:
+    """A SELECT answered by the store's own ``select`` when it has one
+    (the router's scatter / gather, a view's cache, or one installed on
+    the instance), else by :func:`select`."""
+    runner = getattr(store, "select", None)
+    if callable(runner):
+        return runner(patterns, **options)
+    return select(store, patterns, **options)
 
 
 def union(

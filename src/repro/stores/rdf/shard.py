@@ -17,8 +17,10 @@ threads and nothing it starts outlives a call.
   subject variable) decompose perfectly: each shard answers the whole
   query over its slice and the union of slices is the global answer.
 * **Scatter execution** — per-shard SELECTs run with filters and
-  top-k heaps pushed down per shard, and merge with stable ordering
-  (``heapq.merge`` keeps ties in shard order).
+  top-k heaps pushed down per shard; their rows concatenate in shard
+  order and take the one SELECT tail
+  (:func:`~repro.stores.rdf.query.finish`), whose stable sort keeps
+  ties in shard order.
 * **Native numeric pushdown** — a single-pattern query whose filters
   are :class:`~repro.stores.rdf.query.RangeFilter`\\ s compiles to each
   backend's numeric index scan
@@ -30,8 +32,10 @@ threads and nothing it starts outlives a call.
   "broadcast" side of the broadcast-vs-colocate decision).
 
 The router maintains **global cardinality statistics** (predicate
-counts plus distinct subject/object multiplicities) so
-:meth:`estimate_cardinality` returns bit-identical floats to a single
+counts plus distinct subject/object multiplicities) and answers the
+primitives of the shared estimate
+(:class:`~repro.stores.rdf.stats.TripleStoreBase`) from them, so
+``estimate_cardinality`` returns bit-identical floats to a single
 :class:`~repro.stores.rdf.graph.Graph` holding the same triples —
 which keeps planner ``explain()`` output byte-stable across shard
 counts.
@@ -47,7 +51,7 @@ import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from repro.obs import names
 from repro.stores.rdf.graph import Graph, Term, Triple
@@ -55,13 +59,11 @@ from repro.stores.rdf.query import (
     Binding,
     Pattern,
     RangeFilter,
-    _order_key,
-    distinct_bindings,
+    finish,
     is_variable,
-    project_bindings,
     select as _select,
 )
-from repro.stores.rdf.stats import BOUND, GraphStatistics, PredicateStats
+from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase
 from repro.util.clock import SYSTEM_CLOCK, Clock
 
 #: Route labels (also used by ``FanoutPlan.explain()``).
@@ -119,7 +121,7 @@ def _fallback_numeric_scan(backend, predicate: str, low, high, *,
     return sorted(candidates, key=key)
 
 
-class ShardedGraph:
+class ShardedGraph(TripleStoreBase):
     """N independent storage shards behind one Graph-shaped surface.
 
     ``backend_factory(index)`` builds each shard (default: an
@@ -243,10 +245,6 @@ class ShardedGraph:
                     self._count(rows[position])
         return flags
 
-    def add_all(self, triples: Iterable[Triple | tuple]) -> int:
-        """Bulk insert (see :meth:`add_many`); returns how many were new."""
-        return sum(self.add_many(triples))
-
     def remove(self, triple: Triple | tuple) -> bool:
         """Delete a triple from its subject's shard."""
         triple = Graph._coerce(triple)
@@ -257,10 +255,6 @@ class ShardedGraph:
             self._overall.record_remove(triple.subject, _ANY_PREDICATE,
                                         triple.object)
         return removed
-
-    def discard(self, triple: Triple | tuple) -> bool:
-        """Alias of :meth:`remove` (set-like naming)."""
-        return self.remove(triple)
 
     def clear(self) -> None:
         """Clear every shard; versions still advance."""
@@ -305,87 +299,43 @@ class ShardedGraph:
                                                           obj))
         return [triple for rows in results for triple in rows]
 
-    def objects(self, subject: str, predicate: str) -> set[Term]:
-        """All objects of ``(subject, predicate, ?)`` — routed."""
-        return {t.object for t in self.match(subject, predicate, None)}
-
-    def subjects(self, predicate: str, obj: Term) -> set[str]:
-        """All subjects of ``(?, predicate, object)`` — scattered."""
-        return {t.subject for t in self.match(None, predicate, obj)}
-
-    def predicates(self) -> set[str]:
-        """Every predicate with at least one triple (router stats)."""
-        return set(self._stats.predicate_ids())
-
     def copy(self) -> "ShardedGraph":
         """An in-memory sharded copy with the same shard count."""
         duplicate = ShardedGraph(shards=self.shard_count)
         duplicate.add_all(self)
         return duplicate
 
-    # -- statistics and cardinality estimation -----------------------------
+    # -- what the shared estimates and statistics read ---------------------
+    # The router keys its statistics by the terms themselves.  A subject's
+    # triples are colocated, so its shard's exact count is global; an
+    # object's are summed over the shards' *public* estimates (exact for a
+    # concrete-or-None pattern), which any StorageBackend has.
 
-    def predicate_statistics(self) -> dict[str, PredicateStats]:
-        """Global per-predicate statistics (identical to a single store's)."""
-        stats = self._stats
-        return {
-            predicate: PredicateStats(
-                predicate=predicate,
-                count=stats.predicate_count(predicate),
-                distinct_subjects=stats.distinct_subjects(predicate),
-                distinct_objects=stats.distinct_objects(predicate),
-            )
-            for predicate in stats.predicate_ids()
-        }
+    def _term_key(self, term: Term) -> Term:
+        return term
 
-    def estimate_cardinality(self, subject: object = None,
-                             predicate: object = None,
-                             obj: object = None) -> float:
-        """Bit-identical to a single Graph's estimate on the same data.
-
-        Concrete-subject patterns route to one shard (which holds every
-        triple of that subject, so its exact count *is* the global
-        count); concrete predicate/object bases sum exact per-shard
-        counts; BOUND discounts divide by the router's global distinct
-        counts.  This is what keeps ``explain()`` byte-stable across
-        shard counts.
-        """
-        stats = self._stats
-        if stats.total == 0:
-            return 0.0
-        s_const = subject is not None and subject is not BOUND
-        p_const = predicate is not None and predicate is not BOUND
-        o_const = obj is not None and obj is not BOUND
-
-        sub = subject if s_const else None
-        pred = predicate if p_const else None
-        objc = obj if o_const else None
-        if s_const:
-            base = self.shard_for(sub).estimate_cardinality(sub, pred, objc)
-        elif p_const and o_const:
-            base = sum(shard.estimate_cardinality(None, pred, objc)
+    def _matching(self, subject: str | None, predicate: str | None,
+                  obj: Term | None) -> float:
+        if subject is not None:
+            return self.shard_for(subject).estimate_cardinality(
+                subject, predicate, obj)
+        if obj is not None:
+            return sum(shard.estimate_cardinality(None, predicate, obj)
                        for shard in self._shards)
-        elif p_const:
-            base = float(stats.predicate_count(pred))
-        elif o_const:
-            base = sum(shard.estimate_cardinality(None, None, objc)
-                       for shard in self._shards)
-        else:
-            base = float(stats.total)
-        if base == 0:
-            return 0.0
+        if predicate is not None:
+            return self._stats.predicate_count(predicate)
+        return self._stats.total
 
-        estimate = float(base)
-        # Distinct counts: per predicate when it is concrete, else overall.
-        distincts, key = ((stats, pred) if p_const
-                          else (self._overall, _ANY_PREDICATE))
-        if subject is BOUND:
-            estimate /= max(1, distincts.distinct_subjects(key))
-        if obj is BOUND:
-            estimate /= max(1, distincts.distinct_objects(key))
-        if predicate is BOUND:
-            estimate /= max(1, len(stats.predicate_ids()))
-        return estimate
+    def _distinct(self, position: str, predicate: str | None) -> int:
+        if position == "p":
+            return len(self._stats.predicate_ids())
+        # ``_overall`` records every triple under the one key None.
+        stats = self._overall if predicate is None else self._stats
+        return (stats.distinct_subjects(predicate) if position == "s"
+                else stats.distinct_objects(predicate))
+
+    def _predicate_terms(self) -> list[str]:
+        return self._stats.predicate_ids()
 
     # -- query routing -----------------------------------------------------
 
@@ -471,7 +421,7 @@ class ShardedGraph:
         the single-store engine, different evaluation topology.
 
         Colocated queries scatter whole per-shard SELECTs (filters,
-        heaps and limits pushed down) and merge with stable ordering;
+        heaps and limits pushed down) whose rows take one shared tail;
         cross-shard joins broadcast through the router's pattern
         scans.  See :meth:`route_select`.
         """
@@ -486,7 +436,7 @@ class ShardedGraph:
                            filters=filters, distinct=distinct,
                            order_by=order_by, descending=descending,
                            limit=limit, optional=optional, optimize=optimize)
-        per_shard, merge_key = self._scatter_tasks(
+        per_shard, ordered_by = self._scatter_tasks(
             patterns, filters, distinct, order_by, descending, limit,
             optional, optimize)
         span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
@@ -496,9 +446,12 @@ class ShardedGraph:
                 if self._tracer is not None else nullcontext())
         with span:
             started = self._clock.now()
-            results = self._fan_out(per_shard)
-            merged = self._merge_scatter(results, merge_key, variables,
-                                         distinct, descending, limit)
+            # Sorted per-shard runs, concatenated in shard order: the
+            # tail's stable sort / top-k is then a stable k-way merge.
+            rows = [binding for shard_rows in self._fan_out(per_shard)
+                    for binding in shard_rows]
+            merged = finish(rows, variables, distinct, ordered_by,
+                            descending, limit)
             if self._metric_fanout is not None:
                 self._metric_fanout.observe(
                     (self._clock.now() - started) * 1000.0)
@@ -506,8 +459,8 @@ class ShardedGraph:
 
     def _scatter_tasks(self, patterns, filters, distinct, order_by,
                        descending, limit, optional, optimize):
-        """The per-shard callable for one scatter, and the key its results
-        come back ordered by (None: unordered, so they concatenate)."""
+        """The per-shard callable for one scatter, and the variable its
+        results come back ordered by (None: unordered)."""
         native = self.native_numeric_pushdown(
             patterns, filters, distinct=distinct, order_by=order_by,
             optional=optional)
@@ -527,50 +480,11 @@ class ShardedGraph:
                 return [{subject_var: t.subject, object_var: t.object}
                         for t in triples]
 
-            # Native scans always come back value-ordered, so the merge
+            # Native scans always come back value-ordered, so the result
             # is sorted even when the caller gave no order_by.
-            return per_shard, (lambda b: _order_key(b.get(object_var)))
+            return per_shard, object_var
         per_shard = (lambda shard: _select(
             shard, patterns, variables=None, filters=filters, distinct=False,
             order_by=order_by, descending=descending, limit=push_limit,
             optional=optional, optimize=optimize))
-        if order_by is None:
-            return per_shard, None
-        return per_shard, (lambda b: _order_key(b.get(order_by)))
-
-    def _merge_scatter(self, results, merge_key, variables, distinct,
-                       descending, limit) -> list[Binding]:
-        """Gather per-shard solutions: stable merge, project, distinct, trim."""
-        if merge_key is not None:
-            merged_iter = heapq.merge(*results, key=merge_key,
-                                      reverse=descending)
-            if limit is not None and not distinct:
-                merged = list(islice(merged_iter, limit))
-            else:
-                merged = list(merged_iter)
-        else:
-            merged = [binding for rows in results for binding in rows]
-            if limit is not None and not distinct:
-                merged = merged[:limit]
-        if variables is not None:
-            merged = project_bindings(merged, variables)
-        if distinct:
-            merged = distinct_bindings(merged)
-        if limit is not None:
-            merged = merged[:limit]
-        return merged
-
-    # -- persistence -------------------------------------------------------
-
-    def to_list(self) -> list[list[Term]]:
-        """JSON-friendly dump in the shared deterministic order."""
-        from repro.stores.backends.base import canonical_triple_list
-
-        return canonical_triple_list(self)
-
-    @classmethod
-    def from_list(cls, payload: Iterable[list], **kwargs) -> "ShardedGraph":
-        """Build a sharded graph (see ``__init__`` kwargs) from a dump."""
-        sharded = cls(**kwargs)
-        sharded.add_all(tuple(item) for item in payload)
-        return sharded
+        return per_shard, order_by

@@ -2,8 +2,8 @@
 
 Everything the simulated cognitive services need to do *real* language
 work locally: tokenization, sentence splitting, Porter stemming, stop
-words, HTML parsing, TF-IDF, and edit distance.  The NLU providers in
-:mod:`repro.services.nlu`, the search engines in
+words, HTML parsing, a BM25 term index, and edit distance.  The NLU
+providers in :mod:`repro.services.nlu`, the search engines in
 :mod:`repro.services.search`, and the spell checkers are all built on
 this package.
 """

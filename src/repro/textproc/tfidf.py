@@ -1,7 +1,7 @@
-"""Term statistics: term frequencies and a TF-IDF index.
+"""Term statistics: term frequencies and the inverted index BM25 reads.
 
-The TF-IDF index is the workhorse of the BM25 search engines (BM25
-needs the same document frequencies and length statistics).
+:class:`TfidfIndex` keeps the per-document term frequencies, document
+frequencies and length statistics the BM25 search engines score with.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ def term_frequencies(text: str, stem: bool = True) -> Counter[str]:
 
 
 class TfidfIndex:
-    """An inverted index with TF-IDF and BM25 scoring.
+    """An inverted index with BM25 scoring.
 
     Documents are added with a stable ``doc_id``.  The index keeps raw
     term frequencies per document, document frequencies per term, and
-    document lengths, which is everything both scoring functions need.
+    document lengths, which is everything BM25 needs.
     """
 
     def __init__(self, stem: bool = True) -> None:
@@ -90,30 +90,10 @@ class TfidfIndex:
     def document_frequency(self, term: str) -> int:
         return self._document_frequency.get(term, 0)
 
-    def inverse_document_frequency(self, term: str) -> float:
-        """Smoothed IDF: log((N + 1) / (df + 1)) + 1, always positive."""
-        count = len(self._doc_terms)
-        return math.log((count + 1) / (self.document_frequency(term) + 1)) + 1.0
-
     def average_document_length(self) -> float:
         if not self._doc_lengths:
             return 0.0
         return self._total_length / len(self._doc_lengths)
-
-    def tfidf_vector(self, doc_id: str) -> dict[str, float]:
-        """TF-IDF weights of every term in one document."""
-        counts = self._doc_terms[doc_id]
-        length = max(self._doc_lengths[doc_id], 1)
-        return {
-            term: (frequency / length) * self.inverse_document_frequency(term)
-            for term, frequency in counts.items()
-        }
-
-    def top_terms(self, doc_id: str, limit: int = 10) -> list[tuple[str, float]]:
-        """The highest-TF-IDF terms of one document, best first."""
-        vector = self.tfidf_vector(doc_id)
-        ranked = sorted(vector.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:limit]
 
     # -- retrieval -------------------------------------------------------
 
@@ -153,16 +133,3 @@ class TfidfIndex:
                     frequency * (k1 + 1) / (frequency + k1 * length_norm)
                 )
         return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-
-
-def cosine_similarity(vector_a: dict[str, float], vector_b: dict[str, float]) -> float:
-    """Cosine similarity between two sparse term-weight vectors."""
-    if not vector_a or not vector_b:
-        return 0.0
-    shorter, longer = sorted((vector_a, vector_b), key=len)
-    dot = sum(weight * longer.get(term, 0.0) for term, weight in shorter.items())
-    norm_a = math.sqrt(sum(weight**2 for weight in vector_a.values()))
-    norm_b = math.sqrt(sum(weight**2 for weight in vector_b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)

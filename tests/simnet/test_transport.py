@@ -118,3 +118,36 @@ class TestTransportCall:
         assert stats.bytes_sent > 0
         assert stats.bytes_received > 0
         assert stats.total_latency == pytest.approx(0.3)
+
+    def test_bytes_are_the_size_of_what_was_encoded(self, transport):
+        request = {"text": "caf\u00e9", "n": [1, 2.5, None], 7: True}
+        result = transport.call("svc", echo_server, request)
+        assert result.payload == {"echo": {"text": "caf\u00e9",
+                                           "n": [1, 2.5, None], "7": True}}
+        assert result.bytes_sent == wire_size(request)
+        assert result.bytes_received == wire_size(result.payload)
+        assert transport.stats.bytes_sent == result.bytes_sent
+        assert transport.stats.bytes_received == result.bytes_received
+
+    def test_colliding_keys_are_charged_as_sent(self, transport):
+        # 1 and "1" are one key once JSON makes keys strings: the wire
+        # carried both entries (and is charged for both), the receiver's
+        # dict keeps the last.
+        def colliding_server(payload):
+            return {1: "a", "1": "b"}, 0.0
+
+        result = transport.call("svc", colliding_server, {1: "x", "1": "y"})
+        assert result.payload == {"1": "b"}
+        assert result.bytes_sent == len(b'{"1":"x","1":"y"}')
+        assert result.bytes_received == len(b'{"1":"a","1":"b"}')
+        assert result.bytes_received > wire_size(result.payload)
+
+    @pytest.mark.parametrize("direction", ["request", "response"])
+    def test_serialization_error_names_the_direction(self, transport, direction):
+        def server(payload):
+            return ({"value": object()} if direction == "response" else {}), 0.0
+
+        request = {"bad": object()} if direction == "request" else {}
+        with pytest.raises(SerializationError,
+                           match=f"^{direction} payload is not JSON-serializable: "):
+            transport.call("svc", server, request)

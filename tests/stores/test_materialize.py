@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.chaos import StorageFaultError
 from repro.obs import Observability
+from repro.stores.backends import SqliteTripleStore, StorageBackend
 from repro.stores.rdf.graph import Graph, RDF, RDFS, Triple
 from repro.stores.rdf.materialize import MaterializedGraph, QueryResultCache
 from repro.stores.rdf.reasoner import RdfsReasoner, TransitiveReasoner
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
+from repro.stores.rdf.shard import ShardedGraph, shard_of
 from repro.util.clock import ManualClock
 
 
@@ -152,3 +155,89 @@ class TestMaterializedGraph:
         before = view.additions
         view.add(("tom", RDF.type, "Cat"))  # + Mammal, Animal
         assert view.additions == view.graph.additions == before + 3
+
+
+class TestBatchWrites:
+    """A view is a StorageBackend: a batch is one ``add_many`` on the
+    wrapped store (one transaction per shard), then one ``derive``."""
+
+    @staticmethod
+    def subjects_on(shard, shards, count):
+        """``count`` instance names whose triples live on ``shard``."""
+        names = (f"pet{n}" for n in range(1000))
+        return [name for name in names if shard_of(name, shards) == shard][:count]
+
+    def test_a_view_is_a_storage_backend(self):
+        view = MaterializedGraph(ShardedGraph(shards=2))
+        assert isinstance(view, StorageBackend)
+        assert view.add_many([("a", "p", 1), ("a", "p", 1.0)]) == [True, False]
+        assert view.add_all([("a", "p", True), ("b", "p", 2)]) == 1
+        assert view.discard(("b", "p", 2)) and not view.discard(("b", "p", 2))
+        assert view.to_list() == view.graph.to_list() == [["a", "p", 1]]
+        assert view.objects("a", "p") == {1} and view.subjects("p", 1) == {"a"}
+
+    def test_a_batch_is_one_add_many_per_shard(self):
+        calls = []
+
+        class Spied(SqliteTripleStore):
+            def add(self, triple):
+                calls.append(("add", 1))
+                return super().add(triple)
+
+            def add_many(self, triples):
+                triples = list(triples)
+                calls.append(("add_many", len(triples)))
+                return super().add_many(triples)
+
+        router = ShardedGraph(shards=2, backend_factory=lambda index: Spied())
+        router.add_all(SCHEMA)
+        view = MaterializedGraph(router)
+        batch = [(name, RDF.type, "Cat")
+                 for shard in (0, 1) for name in self.subjects_on(shard, 2, 3)]
+        del calls[:]
+        assert view.add_all(batch) == 6
+        # The batch itself: one add_many a shard.  What derive() then
+        # infers from it is written triple by triple, as it always was.
+        assert calls[:2] == [("add_many", 3), ("add_many", 3)]
+        assert {kind for kind, _ in calls[2:]} <= {"add"}
+        assert set(view.graph) == set(materialized_copy(SCHEMA + batch))
+        assert view.base_facts() == {Graph._coerce(t) for t in SCHEMA + batch}
+
+    def test_batch_and_one_by_one_reach_the_same_view(self):
+        facts = [("tom", RDF.type, "Cat"), ("alice", "hasPet", "tom"),
+                 ("tom", RDF.type, "Cat"), ("tom", RDF.type, "Mammal")]
+        one_by_one = MaterializedGraph(Graph(SCHEMA))
+        batched = MaterializedGraph(Graph(SCHEMA))
+        # The batch is stored before anything is derived from it, so
+        # the last fact is still new there; one by one it was derived.
+        assert batched.add_many(facts) == [True, True, False, True]
+        assert [one_by_one.add(t) for t in facts] == [True, True, False, False]
+        assert set(batched.graph) == set(one_by_one.graph)
+        assert batched.base_facts() == one_by_one.base_facts()
+        # An asserted fact that was already derived is a base fact now.
+        batched.remove(("tom", RDF.type, "Cat"))
+        assert Triple("tom", RDF.type, "Mammal") in batched
+
+    def test_a_shard_raising_mid_batch_leaves_the_view_as_it_was(self):
+        def second_chunk_fails(chunk_index):
+            if chunk_index == 1:
+                raise StorageFaultError("shard0")
+
+        router = ShardedGraph(shards=2, backend_factory=lambda index: (
+            SqliteTripleStore(batch_size=2, fault_hook=second_chunk_fails)
+            if index == 0 else SqliteTripleStore()))
+        router.add_all(SCHEMA[:1])  # one chunk: under the fault's threshold
+        view = MaterializedGraph(router)
+        view.add(("tom", RDF.type, "Cat"))
+        patterns = [("?x", RDF.type, "Mammal")]
+        answer = view.select(patterns)
+        before = (view.base_facts(), set(view.graph), view.version,
+                  view.cache.hits, len(view.cache))
+        batch = [(name, RDF.type, "Cat")
+                 for shard in (0, 1) for name in self.subjects_on(shard, 2, 3)]
+        with pytest.raises(StorageFaultError):
+            view.add_many(batch)  # shard 0 goes first and rolls back
+        assert (view.base_facts(), set(view.graph), view.version,
+                view.cache.hits, len(view.cache)) == before
+        assert view.select(patterns) == answer
+        assert view.cache.hits == before[3] + 1  # still the cached answer

@@ -1,8 +1,8 @@
-"""Tests for the TF-IDF index and BM25 scoring."""
+"""Tests for the term index and BM25 scoring."""
 
 import pytest
 
-from repro.textproc.tfidf import TfidfIndex, cosine_similarity, term_frequencies
+from repro.textproc.tfidf import TfidfIndex, term_frequencies
 
 
 @pytest.fixture
@@ -58,15 +58,6 @@ class TestIndexMaintenance:
 
 
 class TestScoring:
-    def test_idf_decreases_with_commonness(self, index):
-        rare = index.inverse_document_frequency("quantum")
-        common = index.inverse_document_frequency("cat")
-        assert rare > common
-
-    def test_top_terms_ranked(self, index):
-        top = index.top_terms("d1", limit=3)
-        assert top[0][0] == "cat"  # most frequent content term
-
     def test_bm25_ranks_matching_doc_first(self, index):
         scores = index.bm25_scores("cat mat")
         assert scores[0][0] == "d1"
@@ -91,21 +82,3 @@ class TestScoring:
     def test_candidates(self, index):
         assert index.candidates(["cat"]) == {"d1", "d2"}
 
-
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        vector = {"a": 1.0, "b": 2.0}
-        assert cosine_similarity(vector, vector) == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        assert cosine_similarity({"a": 1.0}, {"b": 1.0}) == 0.0
-
-    def test_empty_vector(self):
-        assert cosine_similarity({}, {"a": 1.0}) == 0.0
-
-    def test_symmetry(self):
-        first = {"a": 1.0, "b": 0.5}
-        second = {"b": 2.0, "c": 1.0}
-        assert cosine_similarity(first, second) == pytest.approx(
-            cosine_similarity(second, first)
-        )

@@ -5,17 +5,18 @@ shards one after another on the caller's thread.  (A 4-thread pool
 over the same shards measured 0.59x-1.01x of a single store on two
 cores — see EXPERIMENTS.md — and was removed.)  Two claims:
 
-1. **Routing is cheap.**  The same native numeric top-k query (range
-   filter + ORDER BY + LIMIT, compiled to each shard's
-   ``scan_numeric``) is timed against ``ShardedGraph(1, sqlite)`` and
-   ``ShardedGraph(N, sqlite)`` on a ladder of triple counts.  Both
-   sides run identical SQLite C scans over the same rows in total, so
-   the ratio isolates what the router adds: N statements instead of
-   one, N top-k lists and one stable top-k over them.  That is a fixed
-   cost per query, so the ratio falls towards 1 as the store grows.  The
-   in-memory family is timed as context (a plain ``Graph`` answers
-   through the generic SELECT engine, the in-memory router through
-   its Python numeric scan — different code, not a routing cost).
+1. **Routing is cheap.**  The same numeric top-k query (range filter +
+   ORDER BY + LIMIT, which ``SqliteTripleStore.execute_plan`` compiles
+   to one ``scan_numeric`` statement) is timed against the bare store
+   — what a ``shards=1`` KB holds — ``ShardedGraph(1, sqlite)`` and
+   ``ShardedGraph(N, sqlite)`` on a ladder of triple counts.  All three
+   run identical SQLite C scans over the same rows in total, through
+   the same hook, so the ratios isolate what the router adds: its plan
+   against global statistics, N statements instead of one, N top-k
+   lists and one stable top-k over them.  That is a fixed cost per
+   query, so the ratio falls towards 1 as the store grows.  The
+   in-memory family is timed as context (``Graph`` and the in-memory
+   router's ``Graph`` shards both answer through ``Graph``'s hook).
 
 2. **A SQLite-backed KB handles a graph beyond comfortable in-memory
    size, byte-identically.**  A file-backed KB is loaded with more
@@ -36,13 +37,13 @@ from benchmarks._report import fmt_row, report, report_json
 from repro.kb import PersonalKnowledgeBase
 from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf.graph import Graph
-from repro.stores.rdf.query import RangeFilter, select
+from repro.stores.rdf.query import RangeFilter, run_select
 from repro.stores.rdf.shard import ShardedGraph
 
 FULL = os.environ.get("A13_FULL") == "1"
 #: Recorded with the results; the router uses one core whatever it is.
 CORES = os.cpu_count() or 1
-#: Bound on 4-shard / 1-shard wall at the largest full rung.
+#: Bound on 4-shard / bare-store wall at the largest full rung.
 MAX_ROUTING_COST = 1.25
 SHARDS = 4
 REPEATS = 5 if FULL else 3
@@ -59,12 +60,8 @@ def _query(graph) -> list:
     """The benchmarked query: numeric range + descending top-100."""
     patterns = [("?s", "repro:value", "?v")]
     filters = [RangeFilter("?v", 100.0, None)]
-    runner = getattr(graph, "select", None)
-    if callable(runner):
-        return runner(patterns, filters=filters, order_by="?v",
+    return run_select(graph, patterns, filters=filters, order_by="?v",
                       descending=True, limit=100)
-    return select(graph, patterns, filters=filters, order_by="?v",
-                  descending=True, limit=100)
 
 
 def _best_times(*graphs) -> list[float]:
@@ -90,23 +87,28 @@ def test_a13_routing_cost_and_sqlite_scale(tmp_path):
     # -- claim 1: the routing-cost ladder ------------------------------
     ladder_rows = []
     for count in LADDER:
+        store = SqliteTripleStore()
+        store.add_all(_triples(count))
         single = _build(count, 1, sqlite=True)
         sharded = _build(count, SHARDS, sqlite=True)
-        assert _query(single) == _query(sharded)  # identical bytes first
-        t_single, t_sharded = _best_times(single, sharded)
+        # Identical bytes first.
+        assert _query(store) == _query(single) == _query(sharded)
+        t_store, t_single, t_sharded = _best_times(store, single, sharded)
+        store.close()
+        single.close()
+        sharded.close()
         memory_single = Graph()
         memory_single.add_all(_triples(count))
         memory_sharded = _build(count, SHARDS, sqlite=False)
         t_memory, t_memory_sharded = _best_times(memory_single,
                                                  memory_sharded)
-        single.close()
-        sharded.close()
-        memory_sharded.close()
         ladder_rows.append({
             "triples": count,
+            "sqlite_store_ms": round(t_store * 1000, 3),
             "sqlite_single_ms": round(t_single * 1000, 3),
             "sqlite_sharded_ms": round(t_sharded * 1000, 3),
-            "routing_cost": round(t_sharded / t_single, 3),
+            "one_shard_cost": round(t_single / t_store, 3),
+            "routing_cost": round(t_sharded / t_store, 3),
             "memory_single_ms": round(t_memory * 1000, 3),
             "memory_sharded_ms": round(t_memory_sharded * 1000, 3),
         })
@@ -142,17 +144,20 @@ def test_a13_routing_cost_and_sqlite_scale(tmp_path):
     kb.graph.close()
 
     # -- report ---------------------------------------------------------
-    lines = [fmt_row("triples", "sqlite 1-shard", f"sqlite {SHARDS}-shard",
-                     "routing cost", "memory 1", f"memory {SHARDS}")]
+    lines = [fmt_row("triples", "sqlite store", "sqlite 1-shard",
+                     f"sqlite {SHARDS}-shard", "1-shard cost", "routing cost",
+                     "memory 1", f"memory {SHARDS}")]
     for row in ladder_rows:
         lines.append(fmt_row(
-            row["triples"], f"{row['sqlite_single_ms']:.2f} ms",
+            row["triples"], f"{row['sqlite_store_ms']:.2f} ms",
+            f"{row['sqlite_single_ms']:.2f} ms",
             f"{row['sqlite_sharded_ms']:.2f} ms",
-            f"{row['routing_cost']:.2f}x",
+            f"{row['one_shard_cost']:.2f}x", f"{row['routing_cost']:.2f}x",
             f"{row['memory_single_ms']:.2f} ms",
             f"{row['memory_sharded_ms']:.2f} ms"))
-    lines.append(f"routing cost = {SHARDS}-shard / 1-shard wall, serial "
-                 f"router [{CORES} core(s) available]")
+    lines.append(f"1-shard cost / routing cost = 1-shard / {SHARDS}-shard "
+                 f"router wall over the bare store's, serial router "
+                 f"[{CORES} core(s) available]")
     lines.append(f"sqlite KB: {KB_TRIPLES} triples, "
                  f"{disk_bytes / 1e6:.1f} MB on disk vs "
                  f"{ram_bytes / 1e6:.1f} MB resident in-memory")

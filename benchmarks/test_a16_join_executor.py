@@ -28,9 +28,22 @@ the ``kb-query`` size, against the parent's inlined ``Graph`` estimate
 (kept verbatim in ``tests/stores/reference_estimates.py``) on
 alternating rounds of the same process, under a ceiling of 1.3x.
 
+Since PR 24 ``SqliteTripleStore`` has the hook too, for one shape, and
+the router plans a scatter once instead of once per shard.  The
+``sqlite …`` rows load the same closed store into a ``:memory:`` SQLite
+store and a 4-shard SQLite router: ``sqlite range-topk`` (one
+``ORDER BY onum … LIMIT`` statement) and ``sqlite range-unordered`` (one
+``ORDER BY o, s`` statement, no order, no limit) against the generic
+loop over the same store, and ``sqlite scatter-star-join`` (the
+``join-topk`` star on the router: one plan against the router's
+statistics, run by every shard) against the parent's route — every
+shard plans and runs a whole SELECT, then a k-way merge — kept as the
+test-only oracle of ``tests/stores/test_store_surface.py``.
+
 The generic loop is reached the way production reaches it — through a
-wrapper store without the hook (SQLite, the router's broadcast route
-and wrapper stores take it).  Results land in
+wrapper store without the hook (the router's broadcast route and
+wrapper stores take it, and SQLite for every plan it does not
+compile).  Results land in
 ``benchmarks/results/BENCH_A16.json``.  The default ladder stops at the
 ``kb-query`` size; ``A13_FULL=1`` (the storage job's weekly / manual
 switch) adds a 4x larger store.
@@ -54,11 +67,14 @@ from benchmarks.e2e.workloads import (
     two_pattern,
 )
 from repro.kb import PersonalKnowledgeBase
+from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf.graph import REPRO, Triple
 from repro.stores.rdf.plan import build_plan
 from repro.stores.rdf.query import select
+from repro.stores.rdf.shard import ShardedGraph
 from tests.stores.reference_estimates import reference_estimate
 from tests.stores.test_join_executors import GenericOnly
+from tests.stores.test_store_surface import scatter_oracle
 
 FULL = os.environ.get("A13_FULL") == "1"
 #: Entities in the ``kb-query`` workload's store; the floors hold here.
@@ -76,6 +92,17 @@ SEED = 7
 #: a round of point lookups is 0.5 ms of work).
 SPEEDUP_FLOORS = {"join-topk": 4.0, "range-topk": 6.5, "range-topk-asc": 6.5,
                   "range-after-write": 3.5, "point": 0.9}
+
+#: SQLite's hook and the plan-once scatter at the ``kb-query`` size, as
+#: "replaced route ms / new route ms".  Measured over five runs on 2
+#: cores: 7.0-8.2x (sqlite range-topk), 4.0-5.1x (sqlite
+#: range-unordered), 1.22-1.52x (sqlite scatter-star-join).  Floors at
+#: about two thirds of the lowest reading, except the scatter row, whose
+#: claim is "no slower": its join is the generic loop on both sides, and
+#: what it saves is three of the four plans.
+SQLITE_FLOORS = {"sqlite range-topk": 4.5, "sqlite range-unordered": 2.7,
+                 "sqlite scatter-star-join": 0.9}
+SQLITE_SHARDS = 4
 
 #: ``build_plan`` with the shared cardinality model may cost at most this
 #: multiple of ``build_plan`` with the parent's inlined estimate, timed
@@ -151,7 +178,58 @@ def _rung(entities: int) -> dict:
     rung = {"triples": len(kb.graph), "kinds": kinds}
     if entities == KB_QUERY_ENTITIES:
         rung["plan_build"] = _plan_build(kb.graph, suite)
+        rung["kinds"].update(_sqlite_kinds(kb.graph, suite))
     return rung
+
+
+def _timed(answer, queries: list[dict]) -> tuple[list, float]:
+    started = time.perf_counter()
+    answers = [answer(query["patterns"], **query_kwargs(query))
+               for query in queries]
+    return answers, time.perf_counter() - started
+
+
+def _sqlite_kinds(graph, suite: dict[str, list[dict]]) -> dict[str, dict]:
+    """The hook and the plan-once scatter against the routes they replace."""
+    store = SqliteTripleStore()
+    store.add_all(graph)
+    router = ShardedGraph(shards=SQLITE_SHARDS,
+                          backend_factory=lambda index: SqliteTripleStore())
+    router.add_all(graph)
+    unordered = [_variant(query, "range-unordered", order_by=None, limit=None)
+                 for query in suite["range-topk"]]
+    assert all(router.route_select(query["patterns"])[0] == "scatter"
+               for query in suite["join-topk"])
+    # (new route, old route, queries); "generic" is the old route's column.
+    rows = {
+        "sqlite range-topk": (partial(select, store),
+                              partial(select, GenericOnly(store)),
+                              suite["range-topk"]),
+        "sqlite range-unordered": (partial(select, store),
+                                   partial(select, GenericOnly(store)),
+                                   unordered),
+        "sqlite scatter-star-join": (router.select,
+                                     partial(scatter_oracle, router),
+                                     suite["join-topk"]),
+    }
+    kinds = {}
+    for kind, (new, old, queries) in rows.items():
+        best = {"hook": float("inf"), "generic": float("inf")}
+        for _ in range(REPEATS):
+            got, seconds = _timed(new, queries)
+            best["hook"] = min(best["hook"], seconds)
+            want, seconds = _timed(old, queries)
+            best["generic"] = min(best["generic"], seconds)
+            assert got == want, f"{kind}: rows differ (or their order)"
+        kinds[kind] = {
+            "generic_ms": round(best["generic"] / len(queries) * 1e3, 4),
+            "hook_ms": round(best["hook"] / len(queries) * 1e3, 4),
+            "speedup_x": round(best["generic"] / best["hook"], 2),
+            "rows": sum(len(rows) for rows in got),
+        }
+    store.close()
+    router.close()
+    return kinds
 
 
 def _plan_build(graph, suite: dict[str, list[dict]]) -> dict[str, dict]:
@@ -181,14 +259,14 @@ def _plan_build(graph, suite: dict[str, list[dict]]) -> dict[str, dict]:
 
 def test_a16_join_executor():
     ladder = {entities: _rung(entities) for entities in LADDER}
-    for kind, floor in SPEEDUP_FLOORS.items():
+    for kind, floor in {**SPEEDUP_FLOORS, **SQLITE_FLOORS}.items():
         measured = ladder[KB_QUERY_ENTITIES]["kinds"][kind]
         assert measured["speedup_x"] >= floor, (kind, measured)
     plan_build = ladder[KB_QUERY_ENTITIES]["plan_build"]
     for kind, entry in plan_build.items():
         assert entry["ratio_x"] <= PLAN_BUILD_CEILING_X, (kind, entry)
 
-    widths = (9, 9, 18, 11, 9, 8, 7)
+    widths = (9, 9, 24, 11, 9, 8, 7)
     rows = [fmt_row("entities", "triples", "kind", "generic ms", "hook ms",
                     "x", "rows", widths=widths)]
     for entities, rung in ladder.items():
@@ -202,6 +280,11 @@ def test_a16_join_executor():
                *rows,
                f"{QUERIES_PER_KIND} queries per kind, best of {REPEATS} "
                "alternating rounds; rows equal in order on every round",
+               "sqlite rows: a :memory: SQLite store / a "
+               f"{SQLITE_SHARDS}-shard SQLite router holding the same "
+               "triples; 'generic' is the route replaced (the generic loop; "
+               "for scatter-star-join a plan and a whole SELECT per shard), "
+               "'hook' the new one",
                *(f"plan-build {kind}: {entry['shared_us']} us per build_plan "
                  f"at {KB_QUERY_ENTITIES} entities, {entry['inlined_us']} us "
                  f"with the parent's inlined estimate ({entry['ratio_x']}x, "
@@ -214,7 +297,7 @@ def test_a16_join_executor():
         "repeats": REPEATS,
         "full_ladder": FULL,
         "rows_equal_in_order": True,
-        "speedup_floors_x": SPEEDUP_FLOORS,
+        "speedup_floors_x": {**SPEEDUP_FLOORS, **SQLITE_FLOORS},
         "floors_checked_at_entities": KB_QUERY_ENTITIES,
         "plan_build_ceiling_x": PLAN_BUILD_CEILING_X,
         "ladder": {str(entities): rung for entities, rung in ladder.items()},

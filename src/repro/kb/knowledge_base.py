@@ -60,10 +60,11 @@ class PersonalKnowledgeBase:
     The RDF store's physical layer is configurable: ``storage`` picks
     the backend (``"memory"``, ``"sqlite"``, or a ``factory(index)``
     callable building any :class:`~repro.stores.backends.base.\
-StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
-    behind one router.  The defaults keep the original
-    single in-memory :class:`Graph` — bit-for-bit, including planner
-    estimates.  SQLite shards persist under ``data_dir/triples/`` when
+StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
+    pieces behind one router; with one shard ``graph`` is the backend
+    itself.  The defaults keep the original single in-memory
+    :class:`Graph` — bit-for-bit, including planner estimates.  SQLite
+    shards persist under ``data_dir/triples/`` when
     a ``data_dir`` is configured (reopening the same KB finds its
     triples again), else they live in ``:memory:``.
     """
@@ -112,11 +113,6 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
             self._tracer = None
             self._metric_queries = None
 
-    @property
-    def uses_default_storage(self) -> bool:
-        """Whether the RDF store is the original single in-memory Graph."""
-        return self.storage == "memory" and self.shards == 1
-
     def _backend_factory(self):
         """The per-shard backend builder for the configured storage."""
         if callable(self.storage):
@@ -138,16 +134,16 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
     def _build_graph(self):
         """Construct the RDF store per ``storage`` / ``shards``.
 
-        The default configuration returns a plain :class:`Graph` —
-        not a one-shard router — so existing KBs see the exact same
-        object type and behavior.  Anything else goes through
-        :class:`ShardedGraph` (even at ``shards=1``, which adds the
-        router's native numeric pushdown at no routing cost).
+        One shard is the store itself — a plain :class:`Graph`, a bare
+        :class:`SqliteTripleStore`, whatever the factory builds — not a
+        one-shard router: the router would add nothing (pushdown is the
+        store's own ``execute_plan`` hook) and keep a second, resident
+        copy of the statistics beside the file.
         """
-        if self.uses_default_storage:
-            return Graph()
-        return ShardedGraph(shards=self.shards,
-                            backend_factory=self._backend_factory(),
+        factory = self._backend_factory()
+        if self.shards == 1:
+            return factory(0)
+        return ShardedGraph(shards=self.shards, backend_factory=factory,
                             obs=self._storage_obs)
 
     # ------------------------------------------------------------------
@@ -308,7 +304,7 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
         Returns a :class:`QueryPlan` for single stores; sharded stores
         get a :class:`~repro.stores.rdf.plan.FanoutPlan` whose envelope
         adds the routing decision (scatter / broadcast / single-shard)
-        and native-pushdown flag around the same inner plan.  Both
+        around the same inner plan.  Both
         expose ``explain()`` (stable dict) and ``describe()`` (text);
         the inner join plan is byte-identical across shard counts
         because the router's statistics are global.
@@ -429,16 +425,12 @@ StorageBackend`) and ``shards`` splits it into N hash-sharded pieces
 
     def restore(self, snapshot: dict) -> None:
         """Replace current contents with a snapshot's."""
-        payload = snapshot.get("graph", [])
-        if self.uses_default_storage:
-            self.graph = Graph.from_list(payload)
-        else:
-            # Reuse the configured backends in place (SQLite files stay
-            # open and are cleared transactionally; versions advance).
-            self.graph.clear()
-            self.graph.add_all(tuple(item) for item in payload)
+        # The configured store is reused in place (SQLite files stay
+        # open and are cleared transactionally; versions advance).
+        self.graph.clear()
+        self.graph.add_all(tuple(item) for item in snapshot.get("graph", []))
         if self.view is not None:
-            # Re-wrap the fresh graph; restored triples all count as
+            # Re-wrap the refilled graph; restored triples all count as
             # base facts (a snapshot of a closed graph stays closed).
             self.view = MaterializedGraph(
                 self.graph, reasoners=self._view_reasoners, obs=self.obs)

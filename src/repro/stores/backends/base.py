@@ -79,10 +79,18 @@ passes when nothing after the join can add, drop or merge rows (no
 only the stable top ``limit`` of the rows by ``order_by``.  A store may
 ignore it; one that honours it returns exactly those survivors, in
 their final order (``select`` sorts and cuts again, which changes
-nothing), and still counts ``actual_rows`` before the cut.
-Only :class:`Graph` implements the hook today (set-at-a-time joins in
-id space, top-k before decode); ``SqliteTripleStore`` and the router's
-broadcast route are joined by the generic loop.  What follows a join —
+nothing).  ``actual_rows`` counts the rows before the cut when the
+store has them in hand (:class:`Graph`); a store that cuts inside its
+engine counts what came back (SQLite's ``LIMIT``) —
+``kb.explain(analyze=True)`` runs without the hint, so what it reports
+is always the full count.
+:class:`Graph` implements the hook for every plan (set-at-a-time joins
+in id space, top-k before decode); ``SqliteTripleStore`` compiles a
+range scan over one predicate's numeric objects, with its top-k, to
+one statement and hands every other plan to the generic loop
+(:func:`repro.stores.rdf.plan.join_by_match`); the router has no hook —
+its scatter route gives each shard the one plan it built, its
+broadcast route is joined by the generic loop.  What follows a join —
 order, project, distinct, cut — is :func:`repro.stores.rdf.query.finish`
 for every store, the router's scatter route included.
 """

@@ -14,8 +14,10 @@ hash indexes, so every ``match`` prefix scan is index-backed:
   ``WITHOUT ROWID`` with primary key ``(s, p, o)`` (the SPO index);
   secondary indexes cover ``(p, o, s)`` and ``(o, s, p)``.  ``onum``
   denormalizes numeric object values so range scans and top-k orders
-  can run inside SQLite's C engine — :meth:`scan_numeric`, which the
-  sharded scatter path calls on each shard in turn.
+  can run inside SQLite's C engine — :meth:`scan_numeric`, reached
+  through the store's :meth:`execute_plan` hook (the one pushdown
+  protocol, see :func:`repro.stores.rdf.plan.execute_plan`), whether
+  the store stands alone or is one shard of a router.
 
 Writes are batched: :meth:`add_all` / :meth:`add_many` run chunked
 ``executemany`` inside one transaction.  A ``fault_hook`` — the chaos
@@ -32,12 +34,14 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 
 from repro.obs import names
 from repro.stores.rdf.graph import Term, Triple
+from repro.stores.rdf.plan import QueryPlan, join_by_match
+from repro.stores.rdf.query import RangeFilter, is_variable
 from repro.stores.rdf.stats import PredicateStats, TripleStoreBase
 
 _SCHEMA = """
@@ -381,12 +385,17 @@ class SqliteTripleStore(TripleStoreBase):
                      limit: int | None = None) -> list[Triple]:
         """Numeric-object scan executed inside SQLite's C engine.
 
-        Returns triples ``(s, predicate, numeric o)`` whose object
-        value falls in the given range, ordered by value (ties broken
-        by interned subject id, so output is deterministic for one
-        store).  This is the filter + top-k primitive the sharded
-        scatter path runs on each shard in turn: every shard returns at
-        most ``limit`` rows, which the router's SELECT tail cuts again.
+        Returns the triples ``(s, predicate, numeric o)`` whose object
+        value falls in the given range, in the ``(p, o, s)`` index
+        order :meth:`match` returns them in.  With ``limit`` it returns
+        the stable top-``limit`` of those rows by value (``descending``
+        picks the end; ties keep the index order) — what ``select``'s
+        own top-k would keep of the whole scan, in its order.
+
+        ``onum`` is the object's ``float()``: NaN is stored as NULL and
+        is in no range (as :class:`~repro.stores.rdf.query.RangeFilter`
+        has it), an int beyond float range has none either and is left
+        out, and the comparison is exact up to 2**53.
         """
         with self._lock:
             predicate_id = self._term_ids.get(predicate)
@@ -400,16 +409,51 @@ class SqliteTripleStore(TripleStoreBase):
             if high is not None:
                 clauses.append("onum <= ?" if high_inclusive else "onum < ?")
                 params.append(high)
-            direction = "DESC" if descending else "ASC"
             sql = ("SELECT s, o FROM triples WHERE " + " AND ".join(clauses)
-                   + f" ORDER BY onum {direction}, s ASC")
+                   + " ORDER BY ")
             if limit is not None:
-                sql += " LIMIT ?"
+                sql += f"onum {'DESC' if descending else 'ASC'}, o, s LIMIT ?"
                 params.append(limit)
+            else:
+                sql += "o, s"
             rows = self._conn.execute(sql, params).fetchall()
             self._count_op("scan_numeric")
         terms = self._terms
         return [Triple(terms[s], predicate, terms[o]) for s, o in rows]
+
+    def execute_plan(self, plan: QueryPlan, filters: Sequence = (),
+                     top: tuple[str, bool, int] | None = None) -> list[dict[str, Term]]:
+        """Run a :class:`~repro.stores.rdf.plan.QueryPlan`, in SQL where it can.
+
+        The shape :meth:`Graph.execute_plan` reads off its numeric
+        column — a one-step ``(?s p ?o)`` plan whose one pushed filter
+        is a ``RangeFilter`` on ``?o`` — is one :meth:`scan_numeric`,
+        which also takes the cut when ``top`` orders by ``?o``; rows
+        and order are the generic loop's followed by ``select``'s tail
+        (but see :meth:`scan_numeric` on ints beyond float range).
+        Every other plan goes to that loop.  ``plan.actual_rows``
+        counts what the statement returned: after a cut made in SQL,
+        the rows the scan never produced are not counted.
+        """
+        if len(plan.steps) == 1 and len(plan.steps[0].filter_indexes) == 1:
+            step = plan.steps[0]
+            subject, predicate, obj = step.pattern
+            test = filters[step.filter_indexes[0]]
+            if (type(test) is RangeFilter and is_variable(subject)
+                    and not is_variable(predicate)
+                    and test.variable == obj != subject):
+                # The cut runs in SQL only for a top-k over the scanned column.
+                _, descending, limit = (top if top is not None
+                                        and top[0] == obj else (obj, False, None))
+                triples = self.scan_numeric(
+                    predicate, test.low, test.high,
+                    low_inclusive=test.low_inclusive,
+                    high_inclusive=test.high_inclusive,
+                    descending=descending, limit=limit)
+                plan.actual_rows = [len(triples)]
+                return [{subject: triple.subject, obj: triple.object}
+                        for triple in triples]
+        return join_by_match(self, plan, filters)
 
     # -- statistics and cardinality estimation -----------------------------
 

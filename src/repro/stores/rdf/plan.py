@@ -26,12 +26,17 @@ join, exactly where the naive engine ran them.
 :func:`execute_plan` is the query layer's one dispatch point between
 executors.  A store that can run a plan itself — it has an
 ``execute_plan(plan, filters, top)`` method, duck-typed and optional — does
-so: the in-memory :class:`Graph` joins set-at-a-time in id space.
-Every other store (SQLite, the sharded router on its broadcast route,
-wrapper stores) is joined by the generic loop here, one ``match`` per
-binding per step.  Both return the same rows in the same order and
-record ``plan.actual_rows``, which ``explain()`` then shows beside the
-estimates (``kb.explain(..., analyze=True)``).
+so: the in-memory :class:`Graph` joins set-at-a-time in id space, and
+:class:`~repro.stores.backends.sqlite.SqliteTripleStore` answers a
+range scan (with its top-k) in one SQL statement.  Every other store
+(the sharded router on its broadcast route, wrapper stores) and every
+plan a hook does not compile is joined by the generic loop here,
+:func:`join_by_match`, one ``match`` per binding per step.  All return
+the same rows in the same order and record ``plan.actual_rows``, which
+``explain()`` then shows beside the estimates
+(``kb.explain(..., analyze=True)``).  This is the only pushdown
+protocol: the router's scatter route hands each shard the one plan it
+built and lets this dispatch decide.
 """
 
 from __future__ import annotations
@@ -216,23 +221,23 @@ def build_plan(
 class FanoutPlan:
     """A sharded execution wrapper around a :class:`QueryPlan`.
 
-    Adds the routing layer's decisions — which shards participate,
-    whether the query scatters whole per-shard SELECTs or broadcasts
-    a router-level join, and whether the per-shard work compiles to a
-    native numeric index scan — on top of the inner join plan.  The
-    inner plan is built against the sharded store's *global*
+    Adds the routing layer's decisions — which shards participate, and
+    whether the query scatters this one plan over the shards or
+    broadcasts a router-level join — on top of the inner join plan.
+    The inner plan is built against the sharded store's *global*
     statistics, so its ``explain()`` is byte-identical to the plan a
     single store holding the same triples would produce; only the
-    fan-out envelope differs.
+    fan-out envelope differs.  On the scatter route it is also the plan
+    every shard runs (through :func:`execute_plan`, so a shard with the
+    hook pushes it down).
     """
 
     def __init__(self, plan: QueryPlan, route: str, target_shard: int | None,
-                 shards: int, native_numeric: bool) -> None:
+                 shards: int) -> None:
         self.plan = plan
         self.route = route
         self.target_shard = target_shard
         self.shards = shards
-        self.native_numeric = native_numeric
 
     def explain(self) -> dict:
         """The inner plan's explain plus a stable fan-out envelope."""
@@ -241,7 +246,6 @@ class FanoutPlan:
             "route": self.route,
             "target_shard": self.target_shard,
             "shards": self.shards,
-            "native_numeric": self.native_numeric,
             "plan": self.plan.explain(),
         }
 
@@ -249,8 +253,7 @@ class FanoutPlan:
         """Human-readable rendering: routing header, then join steps."""
         target = (f" -> shard {self.target_shard}"
                   if self.target_shard is not None else "")
-        native = " | native numeric scan" if self.native_numeric else ""
-        header = f"route {self.route}{target} over {self.shards} shard(s){native}"
+        header = f"route {self.route}{target} over {self.shards} shard(s)"
         return "\n".join([header, self.plan.describe()])
 
 
@@ -265,22 +268,15 @@ def build_sharded_plan(
     Works on any graph: a store without routing hooks plans as one
     ``single-shard`` target.  For a
     :class:`~repro.stores.rdf.shard.ShardedGraph` the route comes from
-    its broadcast-vs-colocate decision and ``native_numeric`` reports
-    whether the per-shard scans will run inside the backend's numeric
-    index (duck-typed so this module needs no import of the sharding
-    layer).
+    its broadcast-vs-colocate decision (duck-typed so this module needs
+    no import of the sharding layer).
     """
     inner = build_plan(graph, patterns, filters)
     route_fn = getattr(graph, "route_select", None)
     if route_fn is None:
-        return FanoutPlan(inner, "single-shard", 0, 1, False)
+        return FanoutPlan(inner, "single-shard", 0, 1)
     route, target = route_fn(patterns, optional)
-    pushdown_fn = getattr(graph, "native_numeric_pushdown", None)
-    native = (pushdown_fn is not None
-              and route == "scatter"
-              and pushdown_fn(patterns, filters, optional=optional) is not None)
-    return FanoutPlan(inner, route, target,
-                      getattr(graph, "shard_count", 1), native)
+    return FanoutPlan(inner, route, target, getattr(graph, "shard_count", 1))
 
 
 def execute_plan(
@@ -293,7 +289,7 @@ def execute_plan(
 
     The one dispatch point between executors (see the module
     docstring): the store's own ``execute_plan`` when it has one, else
-    the generic loop below.  Either way ``plan.actual_rows`` is set.
+    :func:`join_by_match`.  Either way ``plan.actual_rows`` is set.
 
     ``top = (order_by, descending, limit)`` is ``select``'s advisory
     hint that only that stable top-k of the rows will be read: a hook
@@ -306,6 +302,19 @@ def execute_plan(
     runner = getattr(graph, "execute_plan", None)
     if runner is not None:
         return runner(plan, filters, top)
+    return join_by_match(graph, plan, filters)
+
+
+def join_by_match(
+    graph: Graph,
+    plan: QueryPlan,
+    filters: Sequence[Callable[[Binding], bool]] = (),
+) -> list[Binding]:
+    """The generic loop: one ``match`` per binding per step, on any store.
+
+    What :func:`execute_plan` runs for a store without the hook, and
+    what a store's own hook hands the plans it does not compile.
+    """
     bindings: list[Binding] = [{}]
     counts = plan.actual_rows = [0] * len(plan.steps)
     for position, step in enumerate(plan.steps):

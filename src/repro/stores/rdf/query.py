@@ -122,18 +122,22 @@ def solve_optional(
 def _order_key(value: object) -> tuple[int, object]:
     """A total-order sort key over mixed-type binding values.
 
-    Values are ranked by class — None, then numerics, then strings,
-    then everything else by its repr — and compared by value within a
-    rank.  bool / int / float all coerce to float, so mixed numeric
-    columns sort numerically instead of grouping by type name.
+    Values are ranked by class — None, then NaN, then numerics, then
+    strings, then everything else by its repr — and compared by value
+    within a rank.  bool / int / float all coerce to float, so mixed
+    numeric columns sort numerically instead of grouping by type name.
+    NaN compares false with everything, itself included, so it gets a
+    rank of its own: every NaN sorts below every number (where SQLite
+    sorts the NULL it stores a NaN ``onum`` as — its ``ORDER BY`` never
+    sees one) and ties with every other NaN.
     """
     if value is None:
         return (0, 0.0)
     if isinstance(value, (bool, int, float)):
-        return (1, float(value))
+        return (2, float(value)) if value == value else (1, 0.0)
     if isinstance(value, str):
-        return (2, value)
-    return (3, str(value))
+        return (3, value)
+    return (4, str(value))
 
 
 def _binding_key(binding: Binding) -> frozenset:
@@ -160,10 +164,10 @@ class RangeFilter:
     passed anywhere in ``filters`` — but carries its variable and
     bounds as inspectable data, so execution layers can do better than
     calling it per binding: the planner pushes it down like any
-    ``bound_filter`` (it exposes ``variables``), and storage backends
-    with native numeric scans (SQLite's ``onum`` column, fanned out
-    per shard by :class:`~repro.stores.rdf.shard.ShardedGraph`)
-    evaluate the range inside the index scan itself.
+    ``bound_filter`` (it exposes ``variables``), and a store whose
+    ``execute_plan`` hook meets it on the object of a ``(?s p ?o)``
+    scan evaluates the range inside the scan itself (``Graph`` bisects
+    a sorted numeric column, SQLite compares its ``onum`` column).
 
     Non-numeric binding values never satisfy a RangeFilter (a
     declared numeric range is also a numeric type constraint).
@@ -284,18 +288,42 @@ def select(
     placement by cost; the result set is identical to the naive
     engine's, only the evaluation order changes.
     """
+    check_select(patterns, optional, limit)
+    solutions = join_and_filter(graph, patterns, filters, distinct, order_by,
+                                descending, limit, optional, optimize)
+    return finish(solutions, variables, distinct, order_by, descending, limit)
+
+
+def check_select(patterns: Sequence[Pattern], optional: Sequence[Pattern],
+                 limit: int | None) -> None:
+    """Reject a malformed SELECT before any of it runs."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
     for pattern in list(patterns) + list(optional):
         if len(pattern) != 3:
             raise ValueError(f"patterns must be triples, got {pattern!r}")
+
+
+def join_and_filter(graph: Graph, patterns: Sequence[Pattern],
+                    filters: Sequence[Callable[[Binding], bool]],
+                    distinct: bool, order_by: str | None, descending: bool,
+                    limit: int | None, optional: Sequence[Pattern],
+                    optimize: bool, plan=None) -> list[Binding]:
+    """The half of :func:`select` before :func:`finish`: the join (through
+    the one dispatch), OPTIONAL, residual filters.
+
+    ``plan`` is a ``QueryPlan`` already built for these patterns and
+    filters — the sharded router builds one against its global
+    statistics and runs it on every shard; None builds one here.
+    """
     filters = list(filters)
     if optimize and patterns:
         # Imported lazily: plan.py imports this module for pattern
         # matching, so a top-level import would be circular.
         from repro.stores.rdf.plan import build_plan, execute_plan
 
-        plan = build_plan(graph, patterns, filters)
+        if plan is None:
+            plan = build_plan(graph, patterns, filters)
         # A hint, when nothing below can add, drop or merge rows before
         # the top-k: a store may return just its survivors, in order.
         top = ((order_by, descending, limit)
@@ -310,7 +338,7 @@ def select(
         solutions = solve_optional(graph, solutions, optional)
     for predicate in remaining_filters:
         solutions = [binding for binding in solutions if predicate(binding)]
-    return finish(solutions, variables, distinct, order_by, descending, limit)
+    return solutions
 
 
 def run_select(store, patterns: Sequence[Pattern], **options) -> list[Binding]:

@@ -16,16 +16,19 @@ threads and nothing it starts outlives a call.
   triples are colocated, *star queries* (every pattern sharing one
   subject variable) decompose perfectly: each shard answers the whole
   query over its slice and the union of slices is the global answer.
-* **Scatter execution** — per-shard SELECTs run with filters and
-  top-k heaps pushed down per shard; their rows concatenate in shard
-  order and take the one SELECT tail
+* **Scatter execution** — the router plans a colocated query once,
+  against its global statistics, and every shard runs that plan through
+  the body ``select`` itself runs
+  (:func:`~repro.stores.rdf.query.join_and_filter`); the rows
+  concatenate in shard order and take the one SELECT tail
   (:func:`~repro.stores.rdf.query.finish`), whose stable sort keeps
   ties in shard order.
-* **Native numeric pushdown** — a single-pattern query whose filters
-  are :class:`~repro.stores.rdf.query.RangeFilter`\\ s compiles to each
-  backend's numeric index scan
-  (:meth:`~repro.stores.backends.sqlite.SqliteTripleStore.scan_numeric`),
-  so SQLite shards filter, order and trim inside their C engine.
+* **Pushdown is the shard's job** — the one protocol is the optional
+  ``execute_plan(plan, filters, top)`` hook behind
+  :func:`~repro.stores.rdf.plan.execute_plan`: a :class:`Graph` shard
+  joins in id space, a SQLite shard answers a range scan and its top-k
+  inside its C engine, any other shard is joined by the generic loop.
+  The router has no pushdown of its own.
 * **Broadcast joins** — cross-shard joins fall back to the cost-based
   planner over the router itself: each join step's pattern scan is
   scattered across shards and the bindings join at the router (the
@@ -46,21 +49,21 @@ concurrent writers need external synchronization.
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
-from functools import partial
 from itertools import chain
 
 from repro.obs import names
+from repro.stores.rdf import plan as _plan
 from repro.stores.rdf.graph import Graph, Term, Triple
 from repro.stores.rdf.query import (
     Binding,
     Pattern,
-    RangeFilter,
+    check_select,
     finish,
     is_variable,
+    join_and_filter,
     select as _select,
 )
 from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase
@@ -78,47 +81,6 @@ _ANY_PREDICATE = None
 def shard_of(subject: str, shards: int) -> int:
     """The stable shard index for a subject (CRC-32 of its UTF-8)."""
     return zlib.crc32(subject.encode("utf-8")) % shards
-
-
-def merged_range(filters: Sequence[RangeFilter]) -> tuple:
-    """Intersect RangeFilters into one ``(low, low_inc, high, high_inc)``."""
-    low: float | None = None
-    low_inc = True
-    high: float | None = None
-    high_inc = True
-    for f in filters:
-        if f.low is not None and (low is None or f.low > low
-                                  or (f.low == low and not f.low_inclusive)):
-            low, low_inc = f.low, f.low_inclusive
-        if f.high is not None and (high is None or f.high < high
-                                   or (f.high == high
-                                       and not f.high_inclusive)):
-            high, high_inc = f.high, f.high_inclusive
-    return low, low_inc, high, high_inc
-
-
-def _fallback_numeric_scan(backend, predicate: str, low, high, *,
-                           low_inclusive: bool, high_inclusive: bool,
-                           descending: bool,
-                           limit: int | None) -> list[Triple]:
-    """Python-side numeric range + top-k for backends without a native scan.
-
-    ``SqliteTripleStore.scan_numeric``'s signature (after ``backend``)
-    and semantics: numeric objects only, ordered by value with a
-    deterministic subject tie-break, bounded by a heap when a limit is
-    given.
-    """
-    in_range = RangeFilter("?v", low, high, low_inclusive=low_inclusive,
-                           high_inclusive=high_inclusive)
-    candidates = [t for t in backend.match(None, predicate, None)
-                  if in_range.accepts(t.object)]
-    # Same total order as the SQL scan: value (per ``descending``),
-    # then subject ascending for ties.
-    sign = -1.0 if descending else 1.0
-    key = (lambda t: (sign * float(t.object), t.subject))
-    if limit is not None:
-        return heapq.nsmallest(limit, candidates, key=key)
-    return sorted(candidates, key=key)
 
 
 class ShardedGraph(TripleStoreBase):
@@ -299,12 +261,6 @@ class ShardedGraph(TripleStoreBase):
                                                           obj))
         return [triple for rows in results for triple in rows]
 
-    def copy(self) -> "ShardedGraph":
-        """An in-memory sharded copy with the same shard count."""
-        duplicate = ShardedGraph(shards=self.shard_count)
-        duplicate.add_all(self)
-        return duplicate
-
     # -- what the shared estimates and statistics read ---------------------
     # The router keys its statistics by the terms themselves.  A subject's
     # triples are colocated, so its shard's exact count is global; an
@@ -368,41 +324,6 @@ class ShardedGraph(TripleStoreBase):
                 return ROUTE_SCATTER, None
         return ROUTE_BROADCAST, None
 
-    def native_numeric_pushdown(self, patterns: Sequence[Pattern],
-                                filters: Sequence = (),
-                                distinct: bool = False,
-                                order_by: str | None = None,
-                                optional: Sequence[Pattern] = ()) -> dict | None:
-        """The compiled per-shard numeric scan, or None when inapplicable.
-
-        Applies to ``[(?s, p, ?v)]`` with every filter a
-        :class:`RangeFilter` on ``?v`` (at least one — the declared
-        range is also the numeric-type constraint that makes the
-        index scan exact) and ordering absent or on ``?v``.
-        """
-        if len(patterns) != 1 or optional:
-            return None
-        subject, predicate, obj = tuple(patterns[0])
-        if not (is_variable(subject) and is_variable(obj)
-                and subject != obj):
-            return None
-        if not isinstance(predicate, str) or is_variable(predicate):
-            return None
-        if order_by not in (None, obj):
-            return None
-        if not filters or not all(
-                isinstance(f, RangeFilter) and f.variable == obj
-                for f in filters):
-            return None
-        low, low_inc, high, high_inc = merged_range(filters)
-        return {
-            "subject_var": subject,
-            "object_var": obj,
-            "predicate": predicate,
-            "low": low, "low_inclusive": low_inc,
-            "high": high, "high_inclusive": high_inc,
-        }
-
     # -- scatter execution -------------------------------------------------
 
     def select(
@@ -420,13 +341,15 @@ class ShardedGraph(TripleStoreBase):
         """A SELECT with scatter/gather execution — same results as
         the single-store engine, different evaluation topology.
 
-        Colocated queries scatter whole per-shard SELECTs (filters,
-        heaps and limits pushed down) whose rows take one shared tail;
-        cross-shard joins broadcast through the router's pattern
-        scans.  See :meth:`route_select`.
+        A colocated query is planned once, against the router's global
+        statistics, and every shard runs that plan through
+        :func:`~repro.stores.rdf.query.join_and_filter` — the body
+        ``select`` itself runs, so a shard with the ``execute_plan``
+        hook pushes filters and the top-k down; the rows then take the
+        one tail.  Cross-shard joins broadcast through the router's
+        pattern scans.  See :meth:`route_select`.
         """
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be >= 0")
+        check_select(patterns, optional, limit)
         route, target = self.route_select(patterns, optional)
         if route != ROUTE_SCATTER:
             # One shard holds every subject named, or the router itself
@@ -436,9 +359,19 @@ class ShardedGraph(TripleStoreBase):
                            filters=filters, distinct=distinct,
                            order_by=order_by, descending=descending,
                            limit=limit, optional=optional, optimize=optimize)
-        per_shard, ordered_by = self._scatter_tasks(
-            patterns, filters, distinct, order_by, descending, limit,
-            optional, optimize)
+        filters = list(filters)
+        # Resolved through the module on every call, as ``select`` does.
+        plan = (_plan.build_plan(self, patterns, filters)
+                if optimize and patterns else None)
+        # With no order the first ``limit`` rows of the concatenation
+        # lie within the first ``limit`` of each shard.
+        cut = limit if order_by is None and not distinct else None
+
+        def per_shard(shard) -> list[Binding]:
+            return join_and_filter(shard, patterns, filters, distinct,
+                                   order_by, descending, limit, optional,
+                                   optimize, plan)[:cut]
+
         span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
                                   {"route": ROUTE_SCATTER,
                                    "shards": self.shard_count,
@@ -446,45 +379,13 @@ class ShardedGraph(TripleStoreBase):
                 if self._tracer is not None else nullcontext())
         with span:
             started = self._clock.now()
-            # Sorted per-shard runs, concatenated in shard order: the
-            # tail's stable sort / top-k is then a stable k-way merge.
-            rows = [binding for shard_rows in self._fan_out(per_shard)
-                    for binding in shard_rows]
-            merged = finish(rows, variables, distinct, ordered_by,
+            # Per-shard runs (sorted ones, from a hook given the top-k
+            # hint) concatenated in shard order: the tail's stable sort
+            # / top-k is then a stable k-way merge.
+            rows = list(chain.from_iterable(self._fan_out(per_shard)))
+            merged = finish(rows, variables, distinct, order_by,
                             descending, limit)
             if self._metric_fanout is not None:
                 self._metric_fanout.observe(
                     (self._clock.now() - started) * 1000.0)
         return merged
-
-    def _scatter_tasks(self, patterns, filters, distinct, order_by,
-                       descending, limit, optional, optimize):
-        """The per-shard callable for one scatter, and the variable its
-        results come back ordered by (None: unordered)."""
-        native = self.native_numeric_pushdown(
-            patterns, filters, distinct=distinct, order_by=order_by,
-            optional=optional)
-        push_limit = limit if not distinct else None
-        if native is not None:
-            subject_var = native["subject_var"]
-            object_var = native["object_var"]
-
-            def per_shard(shard) -> list[Binding]:
-                scan = getattr(shard, "scan_numeric", None) or partial(
-                    _fallback_numeric_scan, shard)
-                triples = scan(
-                    native["predicate"], native["low"], native["high"],
-                    low_inclusive=native["low_inclusive"],
-                    high_inclusive=native["high_inclusive"],
-                    descending=descending, limit=push_limit)
-                return [{subject_var: t.subject, object_var: t.object}
-                        for t in triples]
-
-            # Native scans always come back value-ordered, so the result
-            # is sorted even when the caller gave no order_by.
-            return per_shard, object_var
-        per_shard = (lambda shard: _select(
-            shard, patterns, variables=None, filters=filters, distinct=False,
-            order_by=order_by, descending=descending, limit=push_limit,
-            optional=optional, optimize=optimize))
-        return per_shard, order_by

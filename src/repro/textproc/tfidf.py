@@ -97,13 +97,6 @@ class TfidfIndex:
 
     # -- retrieval -------------------------------------------------------
 
-    def candidates(self, query_terms: Iterable[str]) -> set[str]:
-        """Documents containing at least one query term."""
-        matches: set[str] = set()
-        for term in query_terms:
-            matches |= self._postings.get(term, set())
-        return matches
-
     def bm25_scores(
         self,
         query: str,

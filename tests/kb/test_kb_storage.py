@@ -43,9 +43,18 @@ def test_knowledgebase_alias():
 
 
 def test_default_storage_is_plain_graph():
-    kb = PersonalKnowledgeBase()
-    assert type(kb.graph) is Graph
-    assert kb.uses_default_storage
+    assert type(PersonalKnowledgeBase().graph) is Graph
+
+
+def test_one_shard_is_the_store_itself():
+    # Not a one-shard router: nothing resident beside the file.
+    kb = PersonalKnowledgeBase(storage="sqlite")
+    assert type(kb.graph) is SqliteTripleStore
+    kb.graph.close()
+    built = []
+    custom = PersonalKnowledgeBase(
+        storage=lambda index: built.append(index) or Graph())
+    assert type(custom.graph) is Graph and built == [0]
 
 
 def test_unknown_storage_rejected():
@@ -91,7 +100,7 @@ def test_sharded_explain_reports_routing():
     info = plan.explain()
     assert info["route"] == "scatter"
     assert info["shards"] == 3
-    assert info["native_numeric"] is True
+    assert set(info) == {"strategy", "route", "target_shard", "shards", "plan"}
     # Default KBs keep returning the plain QueryPlan dict shape.
     flat = seeded().explain([("?c", "repro:population", "?p")])
     assert flat.explain()["strategy"] == "greedy-selectivity"
@@ -117,6 +126,24 @@ def test_restore_reuses_configured_backends():
     assert kb.graph is graph_before  # cleared in place, not rebuilt
     assert kb.snapshot()["graph"] == snapshot["graph"]
     kb.graph.close()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS), ids=sorted(CONFIGS))
+def test_restore_is_in_place_on_every_config(name):
+    kb = seeded(**CONFIGS[name])
+    graph_before = kb.graph
+    in_range = dict(patterns=[("?c", "repro:population", "?p")],
+                    filters=[RangeFilter("?p", 50, 120)], order_by="?p")
+    assert len(kb.query(**in_range)) == 8  # Graph builds its numeric column
+    other = PersonalKnowledgeBase()
+    other.add_fact("repro:city99", "repro:population", 77, disambiguate=False)
+    kb.restore(other.snapshot())
+    assert kb.graph is graph_before
+    assert kb.pipeline.graph is kb.graph
+    assert kb.snapshot()["graph"] == other.snapshot()["graph"]
+    # Ids, indexes, numeric columns and statistics all start over.
+    assert kb.query(**in_range) == [{"?c": "repro:city99", "?p": 77}]
+    assert kb.graph.predicate_statistics() == other.graph.predicate_statistics()
 
 
 def test_materialization_composes_with_sharded_storage():

@@ -2,7 +2,9 @@
 
 ``plan.execute_plan`` hands a plan to the store's own ``execute_plan``
 hook when it has one (the in-memory :class:`Graph` joins set-at-a-time
-in id space) and otherwise joins it itself, one ``match`` per binding.
+in id space; SQLite's hook has its own differential in
+``test_sqlite_pushdown.py``) and otherwise joins it itself, one
+``match`` per binding.
 The two must return ``==`` lists — same rows, same order, same
 exception — and record the same ``actual_rows``.  The generic loop is
 reached the way production reaches it: through a wrapper store that
@@ -224,14 +226,16 @@ def test_benchmark_read_suites_row_for_row(workload_class, seed):
     assert kinds == expected
 
 
-def test_graph_has_the_hook_and_the_other_stores_do_not():
+def test_graph_and_sqlite_have_the_hook_the_router_and_the_view_do_not():
     from repro.stores.backends.base import StorageBackend
     from repro.stores.rdf.materialize import MaterializedGraph
     from repro.stores.rdf.shard import ShardedGraph
 
-    assert callable(Graph().execute_plan)
     sqlite = SqliteTripleStore()
-    for store in (sqlite, ShardedGraph(shards=2), MaterializedGraph(Graph())):
+    for store in (Graph(), sqlite):
+        assert callable(store.execute_plan)
+    # The router hands its shards the plan; the view asks its store.
+    for store in (ShardedGraph(shards=2), MaterializedGraph(Graph())):
         assert not hasattr(store, "execute_plan")
     # The hook is optional: not a member of the storage protocol.
     assert isinstance(sqlite, StorageBackend)

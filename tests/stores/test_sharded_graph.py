@@ -3,9 +3,9 @@
 Equivalence of *results* with the single store is covered by the
 contract suite and the Hypothesis suite; these tests pin down the
 router's decisions — which shard serves what, when queries scatter vs
-broadcast, that the native numeric pushdown engages, that bulk writes
-are one batch per shard, that no query starts a thread, and that the
-observability wiring works.
+broadcast, that a scatter is planned once and pushed down by the shards'
+own hooks, that bulk writes are one batch per shard, that no query
+starts a thread, and that the observability wiring works.
 """
 
 import threading
@@ -98,26 +98,6 @@ def test_broadcast_join_matches_single_store():
     assert canon(sharded.select(patterns)) == canon(select(single, patterns))
 
 
-def test_native_numeric_pushdown_detection():
-    sharded = populated()
-    patterns = [("?s", "repro:score", "?v")]
-    in_range = [RangeFilter("?v", 10, 20)]
-    assert sharded.native_numeric_pushdown(patterns, in_range) is not None
-    assert sharded.native_numeric_pushdown(
-        patterns, in_range, order_by="?v") is not None
-    # Disqualifiers: no filters, a non-range filter, ordering on the
-    # subject, multiple patterns, optional patterns.
-    assert sharded.native_numeric_pushdown(patterns, []) is None
-    assert sharded.native_numeric_pushdown(
-        patterns, [lambda b: True]) is None
-    assert sharded.native_numeric_pushdown(
-        patterns, in_range, order_by="?s") is None
-    assert sharded.native_numeric_pushdown(
-        patterns + [("?s", "rdf:type", "repro:Item")], in_range) is None
-    assert sharded.native_numeric_pushdown(
-        patterns, in_range, optional=[("?s", "repro:owner", "?u")]) is None
-
-
 @pytest.mark.parametrize("factory", [None, lambda i: SqliteTripleStore()],
                          ids=["memory", "sqlite"])
 def test_native_numeric_scan_matches_generic_path(factory):
@@ -133,6 +113,40 @@ def test_native_numeric_scan_matches_generic_path(factory):
     assert got == want
     if factory is not None:
         sharded.close()
+
+
+def test_scatter_plans_once_and_asks_no_shard_for_an_estimate(monkeypatch):
+    """The router plans a scatter against its own statistics: one
+    ``build_plan`` a query, and — for patterns without a concrete object,
+    which the router counts itself — not one shard-level estimate (on
+    SQLite each is a ``COUNT(*)``).  The parent planned on every shard."""
+    from repro.stores.rdf import plan as plan_module
+
+    sharded = populated(factory=lambda i: SqliteTripleStore())
+    plans, estimates = [], []
+    real_build = plan_module.build_plan
+    monkeypatch.setattr(
+        plan_module, "build_plan",
+        lambda graph, *args: plans.append(graph) or real_build(graph, *args))
+    real_estimate = SqliteTripleStore.estimate_cardinality
+    monkeypatch.setattr(
+        SqliteTripleStore, "estimate_cardinality",
+        lambda self, *args: estimates.append(args)
+        or real_estimate(self, *args))
+    star = [("?s", "repro:score", "?v"), ("?s", "repro:owner", "?u")]
+    queries = [
+        dict(patterns=star, order_by="?v", limit=5),
+        dict(patterns=star[:1], filters=[RangeFilter("?v", 5, 30)],
+             order_by="?v", descending=True, limit=9),
+        dict(patterns=star, filters=[lambda b: b["?v"] > 3], distinct=True),
+    ]
+    for query in queries:
+        assert sharded.route_select(query["patterns"])[0] == ROUTE_SCATTER
+        rows = sharded.select(**query)
+        assert rows
+    assert plans == [sharded] * len(queries)
+    assert estimates == []
+    sharded.close()
 
 
 def test_global_statistics_exactness_through_mutation():
@@ -240,7 +254,7 @@ def test_fanout_plan_envelope():
     assert info["strategy"] == "shard-fanout"
     assert info["route"] == "scatter"
     assert info["shards"] == 4
-    assert info["native_numeric"] is True
+    assert set(info) == {"strategy", "route", "target_shard", "shards", "plan"}
     assert info["plan"] == build_plan(single, patterns, filters).explain()
     assert "scatter" in plan.describe()
     # Non-sharded graphs still plan (single-shard envelope).

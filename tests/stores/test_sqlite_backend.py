@@ -79,14 +79,20 @@ def test_scan_numeric_orders_and_limits():
     store.add_all([("a", "score", 3), ("b", "score", 1.5), ("c", "score", 9),
                    ("d", "score", 3), ("e", "score", "not-numeric"),
                    ("f", "other", 2)])
+    # Uncut: numeric objects only, in the (p, o, s) index order match() has.
     rows = store.scan_numeric("score")
     assert [(t.subject, t.object) for t in rows] == [
-        ("b", 1.5), ("a", 3), ("d", 3), ("c", 9)]
+        ("a", 3), ("d", 3), ("b", 1.5), ("c", 9)]
+    assert rows == [t for t in store.match(None, "score", None)
+                    if t.object != "not-numeric"]
     rows = store.scan_numeric("score", low=2, high=5)
     assert [t.subject for t in rows] == ["a", "d"]
     rows = store.scan_numeric("score", low=3, low_inclusive=False)
     assert [t.subject for t in rows] == ["c"]
-    # Descending orders by value only; ties stay subject-ascending.
+    # With a limit: the stable top-k by value, ties in index order.
+    rows = store.scan_numeric("score", limit=10)
+    assert [(t.subject, t.object) for t in rows] == [
+        ("b", 1.5), ("a", 3), ("d", 3), ("c", 9)]
     rows = store.scan_numeric("score", descending=True, limit=2)
     assert [t.subject for t in rows] == ["c", "a"]
 

@@ -13,6 +13,7 @@ mutants to show it can fail.
 import ast
 import inspect
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -246,16 +247,18 @@ def test_the_mutant_script_is_clean_on_the_real_engines():
         assert first_disagreement(store, graph) is None
 
 
-# -- the scatter route's tail ≡ the old k-way merge ---------------------------
+# -- the scatter route ≡ per-shard SELECTs and the old k-way merge ------------
 
 def scatter_oracle(store, patterns, variables=None, filters=(), distinct=False,
                    order_by=None, descending=False, limit=None):
-    """What the router returned when it gathered with ``heapq.merge``."""
-    per_shard, ordered_by = store._scatter_tasks(
-        patterns, filters, distinct, order_by, descending, limit, (), True)
-    results = [per_shard(shard) for shard in store.shards]
-    merge_key = (None if ordered_by is None
-                 else lambda binding: _order_key(binding.get(ordered_by)))
+    """What the router returned when every shard planned and ran a whole
+    SELECT of its own and the router gathered with ``heapq.merge``."""
+    results = [select(shard, patterns, filters=filters, order_by=order_by,
+                      descending=descending,
+                      limit=None if distinct else limit)
+               for shard in store.shards]
+    merge_key = (None if order_by is None
+                 else lambda binding: _order_key(binding.get(order_by)))
     return reference_merge_scatter(results, merge_key, variables, distinct,
                                    descending, limit)
 
@@ -279,19 +282,15 @@ tails = st.fixed_dictionaries({
 @pytest.mark.parametrize("shards,engine", [
     (2, "memory"), (4, "memory"), (7, "memory"), (3, "sqlite")])
 @settings(max_examples=40, deadline=None)
-@given(triples=star_triples, tail=tails, native=st.booleans())
-def test_scatter_tail_equals_the_old_merge(shards, engine, triples, tail, native):
+@given(triples=star_triples, tail=tails, ranged=st.booleans())
+def test_scatter_tail_equals_the_old_merge(shards, engine, triples, tail, ranged):
     factory = (lambda index: SqliteTripleStore()) if engine == "sqlite" else None
     store = ShardedGraph(shards=shards, backend_factory=factory)
     try:
         store.add_all(triples)
         patterns = [("?s", "score", "?v")]
-        # A RangeFilter on ?v alone takes the native numeric route, which
-        # comes back value-ordered even with order_by=None.
-        filters = [RangeFilter("?v", 0, 2.5)] if native else []
-        if tail["order_by"] == "?s" and native:
-            assert store.native_numeric_pushdown(
-                patterns, filters, order_by="?s") is None
+        # A RangeFilter on ?v alone is the shape both hooks push down.
+        filters = [RangeFilter("?v", 0, 2.5)] if ranged else []
         assert store.route_select(patterns)[0] == "scatter"
         assert (store.select(patterns, filters=filters, **tail)
                 == scatter_oracle(store, patterns, filters=filters, **tail))
@@ -410,6 +409,35 @@ class TestTheSurfaceIsWrittenOnce:
                        and ast.unparse(node.func) == "getattr"
                        and ast.unparse(node.args[1]) == "'select'"]
             assert not lookups, (module.__name__, lookups)
+
+    def test_one_pushdown_protocol_one_onum_range_statement(self):
+        """Pushdown is ``execute_plan`` behind the one dispatch: the
+        router's own numeric route (detector, Python fallback scan,
+        range merger, envelope flag) is gone from code and docs, one
+        function compares ``onum`` with a bound, one calls a store's
+        hook, and the scatter route runs ``select``'s own body."""
+        repo = Path(repro.__file__).parents[2]
+        retired = ("native_numeric", "_fallback_numeric_scan", "merged_range",
+                   "_scatter_tasks", "uses_default_storage")
+        texts = {path: path.read_text()
+                 for root, glob in ((repo / "src", "*.py"), (repo / "docs", "*.md"))
+                 for path in sorted(root.rglob(glob))}
+        assert len(texts) > 100
+        for path, text in texts.items():
+            assert not [name for name in retired if name in text], path
+        ranges, hook_callers = [], []
+        for module, tree in store_sources().items():
+            for function in (n for n in ast.walk(tree)
+                             if isinstance(n, ast.FunctionDef)):
+                source = ast.unparse(function)
+                if re.search(r"onum\s*[<>]", source):
+                    ranges.append(f"{module}:{function.name}")
+                if "getattr(graph, 'execute_plan'" in source:
+                    hook_callers.append(f"{module}:{function.name}")
+        assert ranges == ["backends/sqlite.py:scan_numeric"]
+        assert hook_callers == ["rdf/plan.py:execute_plan"]
+        assert "join_and_filter(" in inspect.getsource(ShardedGraph.select)
+        assert "join_and_filter(" in inspect.getsource(select)
 
 
 def test_the_view_and_the_kb_reach_an_instance_level_select():

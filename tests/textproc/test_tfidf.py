@@ -79,6 +79,3 @@ class TestScoring:
         flat = dict(index.bm25_scores("cat", k1=0.1, b=0.0))
         assert default != flat
 
-    def test_candidates(self, index):
-        assert index.candidates(["cat"]) == {"d1", "d2"}
-

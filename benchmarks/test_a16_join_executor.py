@@ -20,6 +20,13 @@ to the scanned predicate before every query (the column is rebuilt
 every time — the worst case of invalidate-on-write) and
 ``range-topk-asc`` takes the ``nsmallest`` side of the heap.
 
+A top-k over the scanned variable itself walks that column from the
+asked-for end and stops after ``limit`` rows, so neither the scan nor
+the heap runs: ``range-topk`` and ``range-topk-asc`` time the walk, and
+``range-topk-ties`` runs it over a predicate with few values across
+many subjects (``bench:tie:*``, 250 subjects a value at the ``kb-query``
+size), where every cut falls inside a tie that must keep index order.
+
 Since PR 23 every store's cardinality estimate is the one shared model
 (``TripleStoreBase.estimate_cardinality`` over four per-engine
 primitives) instead of a hand-inlined copy per engine: the ``plan-build``
@@ -84,14 +91,17 @@ QUERIES_PER_KIND = 20
 REPEATS = 5
 SEED = 7
 
-#: Measured over four runs on 2 cores: 6.2-7.0x (join-topk), 9.9-12.4x
-#: (range-topk; 4.9-6.7x before PR 22, which this floor would fail),
-#: 10.2-12.0x (range-topk-asc), 5.3-6.0x (range-after-write) and 0.9-1.2x
-#: (point).  The floors sit at about two thirds of the lowest reading:
-#: both executors slow down alike on a noisy runner ("point no slower":
-#: a round of point lookups is 0.5 ms of work).
-SPEEDUP_FLOORS = {"join-topk": 4.0, "range-topk": 6.5, "range-topk-asc": 6.5,
-                  "range-after-write": 3.5, "point": 0.9}
+#: Measured over four runs on 2 cores: 7.4-7.5x (join-topk), 83.9-85.2x
+#: (range-topk), 83.3-86.8x (range-topk-asc) and 121-125x
+#: (range-topk-ties) — the three kinds that walk the column, where the
+#: scan-and-heap executor read 9.9-12.4x — 6.3-6.5x (range-after-write:
+#: the column is rebuilt before every query) and 1.2x (point).  The
+#: floors sit at about two thirds of the lowest reading: both executors
+#: slow down alike on a noisy runner ("point no slower": a round of point
+#: lookups is 0.5 ms of work).
+SPEEDUP_FLOORS = {"join-topk": 4.0, "range-topk": 55.0, "range-topk-asc": 55.0,
+                  "range-topk-ties": 80.0, "range-after-write": 3.5,
+                  "point": 0.9}
 
 #: SQLite's hook and the plan-once scatter at the ``kb-query`` size, as
 #: "replaced route ms / new route ms".  Measured over five runs on 2
@@ -119,6 +129,24 @@ PLAN_REPEATS = 7
 #: What ``range-after-write`` adds or removes before each of its queries.
 WRITTEN = Triple("bench:written", REPRO.favorability, 0.0)
 
+#: ``range-topk-ties``' predicate, over ``entities`` subjects of its own:
+#: TIE_VALUES values (0, 0.25, ... 4.75), each held by every
+#: TIE_VALUES-th subject, so that a top 100 cuts through a tie.
+TIER = REPRO.tier
+TIE_VALUES = 20
+
+
+def _tie_triples(entities: int) -> list[Triple]:
+    return [Triple(f"bench:tie:{index:06d}", TIER, index % TIE_VALUES / 4)
+            for index in range(entities)]
+
+
+def _range_topk_ties(rng: random.Random) -> dict:
+    low = rng.randrange(TIE_VALUES // 2) / 4
+    return {"kind": "range-topk-ties", "patterns": [("?s", TIER, "?t")],
+            "range": ("?t", low, low + 2.0),
+            "kwargs": {"order_by": "?t", "descending": True, "limit": 100}}
+
 
 def _variant(query: dict, kind: str, **kwargs) -> dict:
     return {**query, "kind": kind, "kwargs": {**query["kwargs"], **kwargs}}
@@ -135,6 +163,8 @@ def _suite(rng: random.Random, entities: int) -> dict[str, list[dict]]:
         "point": lambda: point_lookup(rng, entities),
         "three-hop": lambda: three_hop(rng),
         "two-pattern": lambda: two_pattern(rng, entities),
+        # Last, so that the other kinds draw the queries they always drew.
+        "range-topk-ties": lambda: _range_topk_ties(rng),
     }
     return {kind: [make() for _ in range(QUERIES_PER_KIND)]
             for kind, make in makers.items()}
@@ -156,6 +186,7 @@ def _rung(entities: int) -> dict:
     rng = random.Random(SEED)
     kb = PersonalKnowledgeBase()
     _preload(kb, entity_triples(rng, entities))
+    kb.graph.add_all(_tie_triples(entities))
     hook, generic = kb.graph, GenericOnly(kb.graph)
     kinds = {}
     suite = _suite(rng, entities)

@@ -18,16 +18,21 @@ backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
 It runs a whole query plan set-at-a-time over the three indexes — no
 ``Triple``, no per-row ``dict`` — and returns exactly the rows, in
 exactly the order, that the generic one-``match``-per-binding loop
-returns for the same plan.  Two things keep a ranked range query off
+returns for the same plan.  Three things keep a ranked range query off
 the per-row path.  A ``RangeFilter`` on the object of a ``(?s p ?o)``
 scan is answered from a per-predicate *numeric column* (the numeric
 object ids sorted by value): built lazily by the first such scan,
 bisected by every later one, and dropped — never maintained — by the
 next ``add`` / ``remove`` of a triple with that predicate and by
-``clear()``.  The scan still walks the POS index in its own order and
-only asks the column which objects are in range, so row order is
-untouched.  And when ``select`` says only a top-k will be read, the
-heap runs on the id rows and only the survivors are decoded.
+``clear()``.  An unranked scan still walks the POS index in its own
+order and only asks the column which objects are in range, so row
+order is untouched.  When ``select`` says only a top-k will be read,
+the heap runs on the id rows and only the survivors are decoded.  And
+when that top-k ranks the scanned object itself, there is no scan and
+no heap: the column is walked from the asked-for end, each object's
+subjects in index order, until ``limit`` rows — the heap's own order,
+because no two column values share an ``_order_key`` rank (a column
+where ``float()`` collapses two of them keeps the scan and the heap).
 
 The graph also maintains per-predicate cardinality statistics
 (:mod:`repro.stores.rdf.stats`) on every ``add`` / ``discard`` and a
@@ -41,8 +46,8 @@ import heapq
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
+from itertools import accumulate, islice, repeat
+from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -53,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle (plan imports us)
     from repro.stores.rdf.query import RangeFilter
 
 Term = str | int | float | bool
+
+#: A predicate's numeric column: object ids by value, their values, the
+#: cumulative subject-bucket sizes, and whether the ``_order_key`` ranks
+#: are strictly increasing (see :meth:`Graph._in_range`).
+_Column = tuple[list[int], list[Term], list[int], bool]
 
 #: What probing an index for a key it does not hold yields: no second
 #: level, no members, nothing to iterate.
@@ -128,9 +138,9 @@ class Graph(TripleStoreBase):
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
         self._osp: dict[int, dict[int, set[int]]] = {}
-        # predicate id -> (object ids, their values), both sorted by value:
-        # built by the first range scan, dropped by the next write to it.
-        self._numeric: dict[int, tuple[list[int], list[Term]]] = {}
+        # predicate id -> its numeric column: built by the first range
+        # scan, dropped by the next write to that predicate.
+        self._numeric: dict[int, _Column] = {}
         self._stats = GraphStatistics()
         self._version = 0
         self._additions = 0
@@ -350,7 +360,11 @@ class Graph(TripleStoreBase):
         exactly the generic loop's, in its order.  Terms are decoded
         for pushed-down filters and for the result only: with ``top =
         (order_by, descending, limit)`` only for the ``limit`` rows that
-        ``select``'s stable top-k would keep, returned in its order.
+        ``select``'s stable top-k would keep, returned in its order.  A
+        one-step range scan ranked by its own object skips the scan and
+        the heap: it walks the numeric column from the asked-for end and
+        stops after ``limit`` rows (``actual_rows`` still counts the
+        whole range, from the column's cumulative bucket sizes).
         """
         # Imported here: query.py imports this module.
         from repro.stores.rdf.query import RangeFilter, _order_key, is_variable
@@ -384,7 +398,26 @@ class Graph(TripleStoreBase):
                     and pushed[0].variable == step.pattern[2] != step.pattern[0]):
                 # A range over the object of a (?s p ?o) scan is read off
                 # the predicate's sorted numeric column, before the scan.
-                accepted = self._in_range(next(predicate), pushed.pop())
+                predicate_id = next(predicate)
+                column, start, stop = self._in_range(predicate_id, pushed.pop())
+                objects, _, sizes, strict = column
+                in_range = objects[start:stop]
+                if (top is not None and top[0] == step.pattern[2]
+                        and strict and len(plan.steps) == 1):
+                    # A top-k over the scanned variable alone is walked
+                    # off the column from the end it asks for.  Ranks
+                    # strictly increase along it, so the only ties are
+                    # one object's subjects, emitted in bucket order as
+                    # the scan emits them and the stable heap keeps them.
+                    counts[0] = sizes[stop] - sizes[start]
+                    _, descending, limit = top
+                    bucket = self._pos.get(predicate_id, _NOTHING)
+                    walk = reversed(in_range) if descending else in_range
+                    names = (step.pattern[0], step.pattern[2])
+                    return [dict(zip(names, (decode(s), decode(o))))
+                            for s, o in islice(((s, o) for o in walk
+                                                for s in bucket[o]), limit)]
+                accepted = set(in_range)
             rows = self._extend(rows, subject, predicate, obj, accepted)
             width = len(slots)
             for variable in fresh:
@@ -426,26 +459,45 @@ class Graph(TripleStoreBase):
         names = tuple(slots)
         return [dict(zip(names, map(decode, row))) for row in rows]
 
-    def _in_range(self, predicate_id: int, test: RangeFilter) -> set[int]:
-        """The object ids of one predicate that a ``RangeFilter`` accepts.
+    def _in_range(self, predicate_id: int,
+                  test: RangeFilter) -> tuple[_Column, int, int]:
+        """The predicate's numeric column and the ``[start, stop)`` of its
+        object ids that a ``RangeFilter`` accepts.
 
-        Bisects the predicate's numeric column — its non-NaN numeric
-        object ids sorted by value (Python's exact bool / int / float
-        comparison, no coercion) beside those values, built here on
-        first use — for the closed interval; ``test.accepts`` then
-        decides the two end points, so inclusivity is defined there
+        The column — built here on first use — holds the predicate's
+        non-NaN numeric object ids sorted by value (Python's exact bool
+        / int / float comparison, no coercion), those values, the
+        cumulative sizes of their subject buckets (``sizes[i]`` rows lie
+        before ``ids[i]``) and whether ``_order_key`` ranks the values
+        strictly increasing (False when ``float()`` collapses two of
+        them).  It is bisected for the closed interval; ``test.accepts``
+        then decides the two end points, so inclusivity is defined there
         only, and a bound is compared (and may raise) exactly when
         ``accepts`` would compare it with some object.
         """
         column = self._numeric.get(predicate_id)
         if column is None:
+            from repro.stores.rdf.query import _order_key
+
             terms = self._terms
-            ids = [o for o in self._pos.get(predicate_id, _NOTHING)
+            bucket = self._pos.get(predicate_id, _NOTHING)
+            ids = [o for o in bucket
                    if isinstance(terms[o], (bool, int, float))
                    and terms[o] == terms[o]]
             ids.sort(key=terms.__getitem__)
-            column = self._numeric[predicate_id] = (ids, [terms[o] for o in ids])
-        ids, values = column  # distinct terms: strictly increasing values
+            values = [terms[o] for o in ids]
+            try:
+                # _order_key ranks a number by its float; mapped in C here
+                # because a write drops the column and a rebuild pays this.
+                ranks = list(map(float, values))
+            except OverflowError:  # an int beyond float range
+                ranks = list(map(_order_key, values))
+            column = self._numeric[predicate_id] = (
+                ids, values,
+                list(accumulate(map(len, map(bucket.__getitem__, ids)),
+                                initial=0)),
+                all(map(lt, ranks, ranks[1:])))
+        ids, values, _, _ = column  # distinct terms: strictly increasing values
         stop = len(ids)
         start = 0 if test.low is None else bisect_left(values, test.low)
         if start < stop and not test.accepts(values[start]):
@@ -454,7 +506,7 @@ class Graph(TripleStoreBase):
             stop = bisect_right(values, test.high, start)
             if start < stop and not test.accepts(values[stop - 1]):
                 stop -= 1
-        return set(ids[start:stop])
+        return column, start, stop
 
     def _extend(self, rows, subject, predicate, obj, accepted) -> list[tuple[int, ...]]:
         """Every row extended by the triples one pattern matches for it.
@@ -494,9 +546,6 @@ class Graph(TripleStoreBase):
             return _scan(self._osp, rows, obj)
         triples = self._triples
         return [row + triple for row in rows for triple in triples]
-
-    def copy(self) -> "Graph":
-        return Graph(self)
 
     # -- what the shared estimates and statistics read ---------------------
 

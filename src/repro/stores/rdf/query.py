@@ -32,6 +32,7 @@ Example::
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Sequence
 from operator import attrgetter
 
@@ -73,8 +74,10 @@ def _match_pattern(graph: Graph, pattern: Pattern, binding: Binding) -> list[Bin
         extended = dict(binding)
         for variable, getter in free:
             value = getter(triple)
-            # A variable repeated inside the pattern must bind one value.
-            if extended.setdefault(variable, value) != value:
+            # A variable repeated inside the pattern must bind one value
+            # (identity first: a NaN is not equal to itself).
+            bound = extended.setdefault(variable, value)
+            if bound is not value and bound != value:
                 break
         else:
             extensions.append(extended)
@@ -129,12 +132,18 @@ def _order_key(value: object) -> tuple[int, object]:
     NaN compares false with everything, itself included, so it gets a
     rank of its own: every NaN sorts below every number (where SQLite
     sorts the NULL it stores a NaN ``onum`` as — its ``ORDER BY`` never
-    sees one) and ties with every other NaN.
+    sees one) and ties with every other NaN.  An int beyond float range
+    ranks as the infinity of its sign, where ``float()`` would round it.
     """
     if value is None:
         return (0, 0.0)
     if isinstance(value, (bool, int, float)):
-        return (2, float(value)) if value == value else (1, 0.0)
+        if value != value:
+            return (1, 0.0)
+        try:
+            return (2, float(value))
+        except OverflowError:
+            return (2, math.inf if value > 0 else -math.inf)
     if isinstance(value, str):
         return (3, value)
     return (4, str(value))

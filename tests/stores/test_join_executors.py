@@ -11,7 +11,9 @@ reached the way production reaches it: through a wrapper store that
 has no hook.
 """
 
+import math
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf import plan as plan_module
 from repro.stores.rdf.graph import Graph
 from repro.stores.rdf.plan import bound_filter, build_plan, execute_plan
-from repro.stores.rdf.query import RangeFilter, select
+from repro.stores.rdf.query import RangeFilter, _order_key, finish, select
 from tests.stores.test_equivalence_backends import (
     build_query,
     query_strategy,
@@ -424,7 +426,12 @@ def test_column_accepts_what_the_filter_accepts(
     # In index order: the first numeric object meets an incomparable bound.
     want = outcome(lambda: {o for o in members
                             if test.accepts(graph._terms[o])})
-    assert outcome(lambda: graph._in_range(graph._term_ids["p"], test)) == want
+
+    def in_range():
+        (ids, *_), start, stop = graph._in_range(graph._term_ids["p"], test)
+        return set(ids[start:stop])
+
+    assert outcome(in_range) == want
     patterns = [("?s", "p", "?v")]
     assert (outcome(lambda: select(graph, patterns, filters=[test]))
             == outcome(lambda: select(GenericOnly(graph), patterns,
@@ -433,17 +440,23 @@ def test_column_accepts_what_the_filter_accepts(
 
 def column_is_exact(graph, predicate):
     """A column the graph holds lists exactly the predicate's non-NaN
-    numeric objects, in value order."""
+    numeric objects, in value order, with their current cumulative
+    bucket sizes and the right strictness flag."""
     pid = graph._term_ids.get(predicate)
     if pid not in graph._numeric:
         return True
-    ids, values = graph._numeric[pid]
-    numeric = {o for o in graph._pos.get(pid, {})
+    ids, values, sizes, strict = graph._numeric[pid]
+    bucket = graph._pos.get(pid, {})
+    numeric = {o for o in bucket
                if isinstance(graph._terms[o], (bool, int, float))
                and graph._terms[o] == graph._terms[o]}
+    keys = [_order_key(value) for value in values]
     return (set(ids) == numeric and len(ids) == len(numeric)
             and values == [graph._terms[o] for o in ids]
-            and values == sorted(values))
+            and values == sorted(values)
+            and sizes == [sum(len(bucket[o]) for o in ids[:n])
+                          for n in range(len(ids) + 1)]
+            and strict == all(a < b for a, b in zip(keys, keys[1:])))
 
 
 def test_a_write_to_the_scanned_predicate_drops_its_column():
@@ -494,21 +507,157 @@ def test_a_write_to_the_scanned_predicate_drops_its_column():
               st.sampled_from([0, 1, 2, 2.5, 3, True, "x", NAN])),
     st.tuples(st.just("clear")),
     st.tuples(st.just("read"), st.integers(-1, 3), st.integers(0, 4),
-              st.booleans())), min_size=2, max_size=25))
+              st.booleans(), st.booleans())), min_size=2, max_size=25))
 def test_reads_between_writes_see_the_graph_as_it_is(steps):
+    # column_is_exact recomputes the cumulative bucket sizes from the
+    # live index after every step: a column that outlived a write would
+    # miscount actual_rows even where its ids still answer right.
     graph = Graph()
     for step in steps:
         if step[0] == "read":
-            _, low, high, inclusive = step
+            _, low, high, inclusive, descending = step
             for predicate in ("p", "q"):
                 query = dict(
                     patterns=[("?s", predicate, "?v")], order_by="?v", limit=2,
+                    descending=descending,
                     filters=[RangeFilter("?v", low, high,
                                          low_inclusive=inclusive)])
-                assert (select(graph, **query)
-                        == select(GenericOnly(graph), **query))
+                rows, (plan,), _ = select_observed(graph, **query)
+                want, (want_plan,), _ = select_observed(GenericOnly(graph),
+                                                        **query)
+                assert rows == want
+                assert plan.actual_rows == want_plan.actual_rows
         elif step[0] == "clear":
             graph.clear()
         else:
             getattr(graph, step[0])(step[1:])
         assert column_is_exact(graph, "p") and column_is_exact(graph, "q")
+
+
+# -- (e) a ranked range read walks the column ---------------------------------
+
+# 1 / 1.0 / True and 0 / -0.0 / False intern to one term each; BIG + 1
+# and BIG (float(BIG) is BIG's term) share a float, and so do 10 ** 400
+# and inf: either pair makes the column non-strict, so the scan and the
+# heap run instead of the walk.
+WALK_VALUES = [0, -0.0, False, 1, 1.0, True, 2.5, -3, BIG, BIG + 1,
+               float(BIG), 10 ** 400, -10 ** 400, float("inf"), NAN, "x"]
+WALK_BOUNDS = [None, 0, 1, 2.5, -3, BIG, 10 ** 400, float("inf"), "low"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=st.lists(
+           st.tuples(st.sampled_from([f"s{n}" for n in range(6)]),
+                     st.just("p"), st.sampled_from(WALK_VALUES)),
+           min_size=1, max_size=40),
+       with_inf=st.booleans(),
+       low=st.sampled_from(WALK_BOUNDS), high=st.sampled_from(WALK_BOUNDS),
+       low_inclusive=st.booleans(), high_inclusive=st.booleans(),
+       descending=st.booleans(), limit=st.sampled_from([0, 1, 3, 1000]))
+@example(triples=[("s0", "p", BIG + 1), ("s1", "p", BIG), ("s2", "p", BIG)],
+         with_inf=False, low=None, high=None, low_inclusive=True,
+         high_inclusive=True, descending=True, limit=2)
+@example(triples=[(f"s{n}", "p", n % 2) for n in range(6)], with_inf=False,
+         low=0, high=None, low_inclusive=True, high_inclusive=True,
+         descending=False, limit=3)
+def test_the_walk_equals_the_generic_loop_and_finish(
+        triples, with_inf, low, high, low_inclusive, high_inclusive,
+        descending, limit):
+    if not with_inf:
+        triples = [t for t in triples if t[2] != float("inf")]
+    graph = Graph(triples)
+    test = RangeFilter("?v", low, high, low_inclusive=low_inclusive,
+                       high_inclusive=high_inclusive)
+    patterns = [("?s", "p", "?v")]
+    plan = build_plan(graph, patterns, [test])
+    rows = outcome(lambda: execute_plan(graph, plan, [test],
+                                        ("?v", descending, limit)))
+    want_plan = build_plan(graph, patterns, [test])
+    want = outcome(lambda: finish(
+        execute_plan(GenericOnly(graph), want_plan, [test]), None, False,
+        "?v", descending, limit))
+    assert rows == want
+    assert plan.actual_rows == want_plan.actual_rows
+    if isinstance(rows, list):
+        assert [list(row) for row in rows] == [list(row) for row in want]
+        assert column_is_exact(graph, "p")
+
+
+def test_the_kb_query_range_topk_walks_the_column_and_decodes_its_cut(
+        monkeypatch):
+    state = KbQuery("smoke").setup(7)
+    graph = state.kb.graph
+    step = next(step for step in state.steps if step["kind"] == "range-topk")
+    query = query_kwargs(step)
+    want = select(GenericOnly(graph), step["patterns"], **query)
+    select(graph, step["patterns"], **query)  # builds the column
+
+    class CountingTerms(list):
+        decoded = 0
+
+        def __getitem__(self, index):
+            CountingTerms.decoded += 1
+            return list.__getitem__(self, index)
+
+    def no_scan(*args):
+        raise AssertionError("the range was scanned")
+
+    monkeypatch.setattr(graph, "_terms", CountingTerms(graph._terms))
+    monkeypatch.setattr(Graph, "_extend", no_scan)
+    rows = select(graph, step["patterns"], **query)
+    assert rows == want and len(rows) == query["limit"]
+    # Two terms a row, and only the rows the cut keeps.
+    assert CountingTerms.decoded == 2 * query["limit"]
+
+
+def test_a_row_that_binds_nan_is_kept_by_every_engine():
+    from repro.stores.rdf.shard import ShardedGraph
+
+    triples = [("a", "p", 1.5), ("b", "p", NAN), ("c", "p", "x"),
+               ("a", "q", 1), ("b", "q", 2)]
+    graph = Graph(triples)
+    sqlite = SqliteTripleStore()
+    sharded = ShardedGraph(shards=2)
+    for store in (sqlite, sharded):
+        store.add_all(triples)
+    for patterns, want in [
+            ([("?s", "p", "?v")],
+             [{"?s": "a", "?v": 1.5}, {"?s": "b", "?v": NAN},
+              {"?s": "c", "?v": "x"}]),
+            ([("?s", "q", "?w"), ("?s", "p", "?v")],
+             [{"?s": "a", "?w": 1, "?v": 1.5}, {"?s": "b", "?w": 2, "?v": NAN}])]:
+        answers = [
+            select(graph, patterns),
+            select(GenericOnly(graph), patterns),
+            select(graph, patterns, optimize=False),
+            select(sqlite, patterns),
+            sharded.select(patterns),
+        ]
+        assert ([sorted(map(repr, rows)) for rows in answers]
+                == [sorted(map(repr, want))] * 5), patterns
+    sqlite.close()
+
+
+def test_an_int_beyond_float_range_ranks_as_an_infinity():
+    from repro.stores.rdf.shard import ShardedGraph
+
+    huge = 10 ** 400
+    assert _order_key(huge) == (2, math.inf)
+    assert _order_key(-huge) == (2, -math.inf)
+    triples = [("a", "p", huge), ("b", "p", 1.0), ("c", "p", -huge),
+               ("d", "p", "x")]
+    graph = Graph(triples)
+    sqlite = SqliteTripleStore()
+    sharded = ShardedGraph(shards=2)
+    for store in (sqlite, sharded):
+        store.add_all(triples)
+    runs = [partial(select, graph), partial(select, GenericOnly(graph)),
+            partial(select, graph, optimize=False), partial(select, sqlite),
+            sharded.select]
+    for descending, limit, want in [(False, None, "cbad"), (True, None, "dabc"),
+                                    (False, 2, "cb"), (True, 3, "dab")]:
+        for run in runs:
+            rows = run([("?s", "p", "?v")], order_by="?v",
+                       descending=descending, limit=limit)
+            assert "".join(row["?s"] for row in rows) == want, run
+    sqlite.close()

@@ -114,10 +114,10 @@ class TestPersistence:
         assert set(restored) == set(graph)
 
     def test_to_list_deterministic(self, graph):
-        assert graph.to_list() == graph.copy().to_list()
+        assert graph.to_list() == Graph(graph).to_list()
 
     def test_copy_is_independent(self, graph):
-        clone = graph.copy()
+        clone = Graph(graph)
         clone.add(("extra", "p", "o"))
         assert len(clone) == len(graph) + 1
 

@@ -136,10 +136,10 @@ class TestForwardChaining:
 
     def test_semi_naive_matches_naive(self, family):
         """The frontier optimization must not change the result."""
-        fast = family.copy()
+        fast = Graph(family)
         GenericRuleReasoner(ANCESTOR_RULES + [GRANDPARENT_RULE]).forward(fast)
 
-        slow = family.copy()
+        slow = Graph(family)
         # Naive fixpoint: re-run single rounds from scratch until stable.
         reasoner = GenericRuleReasoner(ANCESTOR_RULES + [GRANDPARENT_RULE])
         while True:
@@ -184,7 +184,7 @@ class TestBackwardChaining:
 
     def test_backward_agrees_with_forward(self, family):
         reasoner = GenericRuleReasoner(ANCESTOR_RULES + [GRANDPARENT_RULE])
-        materialized = family.copy()
+        materialized = Graph(family)
         reasoner.forward(materialized)
         for predicate in (ANCESTOR, GRANDPARENT):
             forward_facts = {

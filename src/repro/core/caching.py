@@ -12,6 +12,10 @@ which a cached value is obsolete", which the TTL bounds.
 (service, operation, canonicalized payload).  It can persist through
 any :class:`repro.stores.kvstore.KeyValueStore`, giving the PKB a
 cache that survives restarts and disconnections.
+
+A stored value is treated as immutable (every hit shares the one
+object), so once the gateway has served an entry it keeps the value's
+JSON text (:meth:`ServiceCache.json_text`), which lives and dies with it.
 """
 
 from __future__ import annotations
@@ -147,8 +151,9 @@ class ServiceCache:
         self.clock = clock
         self.stale_grace = stale_grace
         self.stats = CacheStats()
-        # key -> (value, stored_at); insertion order tracks recency.
-        self._entries: OrderedDict[str, tuple[object, float]] = OrderedDict()
+        # key -> [value, stored_at, JSON text or None]; insertion order
+        # tracks recency.
+        self._entries: OrderedDict[str, list] = OrderedDict()
         # Pre-bound metric counters (see bind_metrics); None = unmirrored.
         self._metric_hits = None
         self._metric_misses = None
@@ -184,8 +189,10 @@ class ServiceCache:
     def __contains__(self, key: str) -> bool:
         """Live-entry membership; stat-free (an earlier version routed
         through :meth:`get`, inflating hit/miss counts on every ``in``
-        check)."""
-        return self.peek(key) is not None or key in self._entries
+        check).  A stored ``None`` counts as present; an expired entry,
+        even one retained for ``stale_grace``, does not."""
+        entry = self._entries.get(key)
+        return entry is not None and not self._expired(entry[1])
 
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
@@ -208,7 +215,7 @@ class ServiceCache:
         """
         entry = self._entries.get(key)
         if entry is not None:
-            value, stored_at = entry
+            value, stored_at, _ = entry
             if self._expired(stored_at):
                 self.stats.expired_reads += 1
                 if self._beyond_grace(stored_at):
@@ -234,8 +241,20 @@ class ServiceCache:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        value, stored_at = entry
+        value, stored_at, _ = entry
         return None if self._expired(stored_at) else value
+
+    def json_text(self, key: str, value: object) -> str | None:
+        """``json.dumps(value)``, encoded on first ask and kept in the
+        live entry at ``key``; None unless that entry still holds
+        ``value`` itself.  Writing into an entry a ``put`` has since
+        replaced re-inserts nothing.  Stat- and recency-free."""
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not value or self._expired(entry[1]):
+            return None
+        if entry[2] is None:
+            entry[2] = json.dumps(value)
+        return entry[2]
 
     def get_stale(self, key: str) -> StaleEntry | None:
         """Serve an entry in degraded mode, fresh or stale.
@@ -251,7 +270,7 @@ class ServiceCache:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        value, stored_at = entry
+        value, stored_at, _ = entry
         age = self._now() - stored_at
         if not self._expired(stored_at):
             return StaleEntry(value, age)
@@ -270,7 +289,7 @@ class ServiceCache:
         """Insert/refresh an entry, evicting the LRU entry when full."""
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (value, self._now())
+        self._entries[key] = [value, self._now(), None]
         self.stats.puts += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -288,9 +307,16 @@ class ServiceCache:
         return existed
 
     def invalidate_service(self, service: str) -> int:
-        """Drop every entry belonging to one service."""
-        prefix = json.dumps({"service": service}, separators=(",", ":"))[1:-1]
-        doomed = [key for key in self._entries if prefix in key]
+        """Drop every entry belonging to one service.
+
+        Keys are sorted (``payload`` before ``service``) and string
+        values escaped, so the last ``"service":`` is the top-level one.
+        """
+        field = '"service":'
+        name = json.dumps(service)
+        doomed = [key for key in self._entries
+                  if (at := key.rfind(field)) >= 0
+                  and key.startswith(name, at + len(field))]
         for key in doomed:
             del self._entries[key]
         self.stats.invalidations += len(doomed)
@@ -308,7 +334,7 @@ class ServiceCache:
         """Persist all live entries into a key-value store."""
         snapshot = {
             key: [value, stored_at]
-            for key, (value, stored_at) in self._entries.items()
+            for key, (value, stored_at, _) in self._entries.items()
             if not self._expired(stored_at)
         }
         store.put(namespace, snapshot)
@@ -322,7 +348,7 @@ class ServiceCache:
         loaded = 0
         for key, (value, stored_at) in snapshot.items():
             if not self._expired(stored_at):
-                self._entries[key] = (value, stored_at)
+                self._entries[key] = [value, stored_at, None]
                 loaded += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -7,7 +7,9 @@ transport is: JSON text in, JSON text out.  ``handle_json`` is the one
 serving path — it parses the envelope once (what it dispatches on is
 JSON-pure by construction) and serialises the response once, so only
 serializable data crosses and nothing the SDK holds (a cached value,
-say) is ever shared with the caller.  The dict API ``handle`` is that
+say) is ever shared with the caller; a warm ``invoke`` splices in the
+JSON text its cache entry kept from its first serve instead of encoding
+the value again.  The dict API ``handle`` is that
 same path seen by a Python caller: request dumped, served as text,
 response parsed back.  It keeps the two copies on purpose — dumping is
 the JSON-safety check on a caller's objects, and parsing hands back a
@@ -33,7 +35,7 @@ from collections.abc import Mapping
 
 from repro.core.admission import AdmissionRejectedError
 from repro.core.circuitbreaker import CircuitOpenError
-from repro.core.invoker import RichClient
+from repro.core.invoker import InvocationResult, RichClient
 from repro.core.quota import BudgetExceededError
 from repro.core.ranking import Weights
 from repro.core.ratelimit import RateLimitExceededError
@@ -126,6 +128,8 @@ class SdkGateway:
         self.requests_served += 1
         response = self._dispatch(request)
         try:
+            if isinstance(response.get("result"), InvocationResult):
+                return self._render_invoke(response["result"])
             return json.dumps(response)
         except (TypeError, ValueError) as error:
             return json.dumps(self._error(
@@ -198,8 +202,9 @@ class SdkGateway:
             return None
         return Deadline.after(self.client.clock, float(raw))
 
-    def _method_invoke(self, params: Mapping[str, object]) -> dict:
-        result = self.client.invoke(
+    def _method_invoke(self, params: Mapping[str, object]) -> InvocationResult:
+        """The result itself; :meth:`_render_invoke` encodes it."""
+        return self.client.invoke(
             str(params["service"]),
             str(params["operation"]),
             params.get("payload") or {},
@@ -207,14 +212,20 @@ class SdkGateway:
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
         )
-        return {
-            "value": result.value,
-            "latency": result.latency,
-            "cost": result.cost,
-            "service": result.service,
-            "cached": result.cached,
-            "degraded": result.degraded,
-        }
+
+    def _render_invoke(self, result: InvocationResult) -> str:
+        """``json.dumps`` of the 200 envelope, byte for byte, with the
+        value's text spliced in: a cache hit's from its entry, any other
+        result's encoded here."""
+        text = None
+        if result.entry_key is not None:
+            text = self.client.cache.json_text(result.entry_key, result.value)
+        if text is None:
+            text = json.dumps(result.value)
+        rest = json.dumps({"latency": result.latency, "cost": result.cost,
+                           "service": result.service, "cached": result.cached,
+                           "degraded": result.degraded})
+        return '{"status": 200, "result": {"value": ' + text + ", " + rest[1:] + "}"
 
     def _method_invoke_many(self, params: Mapping[str, object]) -> dict:
         """Batch entry point: one envelope, many payloads, per-item results."""

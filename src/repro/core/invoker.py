@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.admission import AdmissionController, AdmissionRejectedError
 from repro.core.batching import MicroBatcher, RequestCoalescer
@@ -71,6 +71,8 @@ class InvocationResult:
     produced by graceful degradation — a stale cache serve or a
     partial aggregation — rather than a fresh upstream response;
     ``stale_age`` carries the served entry's age for stale serves.
+    ``entry_key`` names the cache entry a fresh hit was served from
+    (None otherwise), so the gateway can reuse that entry's JSON text.
     """
 
     value: object
@@ -84,6 +86,7 @@ class InvocationResult:
     batched: bool = False
     degraded: bool = False
     stale_age: float | None = None
+    entry_key: str | None = field(default=None, compare=False, repr=False)
 
 
 class RichClient:
@@ -380,6 +383,7 @@ class RichClient:
             service=service_name,
             operation=operation,
             cached=True,
+            entry_key=key,
         )
 
     # -- graceful degradation ---------------------------------------------------

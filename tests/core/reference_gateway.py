@@ -5,10 +5,13 @@ before PR 20.
 response through ``json`` to prove JSON-safety; ``handle_json`` parsed
 the text, called it and dumped again — three ``json.loads`` and three
 ``json.dumps`` per text envelope.  The two bodies are moved here
-verbatim (the ``_method_*`` handlers, ``_error`` and ``_retry_after``
-are inherited, they did not change) so ``test_gateway_differential.py``
-and benchmark A17 can compare the single-parse gateway against them.
-Nothing under ``src/`` imports this module.
+verbatim, and so is ``_method_invoke`` as it was before a warm hit
+reused its cache entry's JSON text: it builds the result dict that one
+``json.dumps`` over the whole response then encodes.  The other
+``_method_*`` handlers, ``_error`` and ``_retry_after`` are inherited;
+they did not change.  ``test_gateway_differential.py`` and benchmark
+A17 compare the serving gateway against this one.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -21,7 +24,26 @@ from repro.tenancy.context import tenant_scope
 
 
 class ReferenceSdkGateway(SdkGateway):
-    """``SdkGateway`` with the pre-PR-20 ``handle`` / ``handle_json``."""
+    """``SdkGateway`` with the old ``handle`` / ``handle_json`` and the
+    old ``_method_invoke``: every response is one ``json.dumps``."""
+
+    def _method_invoke(self, params: Mapping[str, object]) -> dict:
+        result = self.client.invoke(
+            str(params["service"]),
+            str(params["operation"]),
+            params.get("payload") or {},
+            timeout=params.get("timeout"),
+            use_cache=bool(params.get("use_cache", True)),
+            deadline=self._deadline_from(params),
+        )
+        return {
+            "value": result.value,
+            "latency": result.latency,
+            "cost": result.cost,
+            "service": result.service,
+            "cached": result.cached,
+            "degraded": result.degraded,
+        }
 
     def handle(self, request: Mapping[str, object]) -> dict:
         self.requests_served += 1

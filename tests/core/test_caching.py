@@ -62,10 +62,24 @@ class TestBasicOperations:
         key_b = cache_key("svc-b", "op", {})
         cache.put(key_a, 1)
         cache.put(key_b, 2)
+        # Only the top-level service field counts: a payload (or a
+        # tenant) that mentions "svc-a" does not make an entry svc-a's.
+        names_a = cache_key("svc-b", "get", {"service": "svc-a",
+                                             "nested": {"service": "svc-a"}})
+        tenanted_a = cache_key("svc-a", "op", {"service": "svc-b"},
+                               tenant='"service":"svc-b"')
+        tenant_names_a = cache_key("svc-b", "op", {}, tenant='"service":"svc-a"')
+        cache.put(names_a, 3)
+        cache.put(tenanted_a, 4)
+        cache.put(tenant_names_a, 5)
+        cache.put(cache_key("svc-a2", "op", {}), 6)
         dropped = cache.invalidate_service("svc-a")
-        assert dropped == 1
-        assert cache.peek(key_a) is None
+        assert dropped == 2
+        assert cache.peek(key_a) is None and cache.peek(tenanted_a) is None
         assert cache.peek(key_b) == 2
+        assert [cache.peek(names_a), cache.peek(tenant_names_a)] == [3, 5]
+        assert cache.invalidate_service("svc-b") == 3
+        assert len(cache) == 1
 
     def test_hit_ratio(self):
         cache = ServiceCache(capacity=10)
@@ -147,6 +161,22 @@ class TestTtl:
         cache.put("k", "v2")
         clock.advance(4.0)
         assert cache.get("k") == "v2"
+
+    @pytest.mark.parametrize("grace", [None, 5.0])
+    def test_membership_ends_with_the_ttl(self, grace):
+        """``in`` is live-entry membership: False once the TTL passed,
+        even while the entry is retained for ``stale_grace``; a stored
+        ``None`` is present while it lives."""
+        clock = ManualClock()
+        cache = ServiceCache(capacity=10, ttl=5.0, clock=clock,
+                             stale_grace=grace)
+        cache.put("k", "v")
+        cache.put("none", None)
+        assert "k" in cache and "none" in cache and "other" not in cache
+        clock.advance(5.1)
+        assert "k" not in cache and "none" not in cache
+        assert cache.peek("k") is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
     def test_no_ttl_never_expires(self):
         clock = ManualClock()

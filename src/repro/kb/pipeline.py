@@ -16,6 +16,7 @@ facts no single regression produced.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 
@@ -178,7 +179,9 @@ class AnalysisPipeline:
         A ``deadline`` (:class:`repro.util.deadline.Deadline`) is
         checked *before* any statement is written: an out-of-budget
         analysis raises without half-materializing its results, so the
-        graph never holds a partial series.
+        graph never holds a partial series.  So does a fit that
+        overflows: a non-finite slope, intercept, r² or forecast raises
+        ``ValueError`` before anything is written.
         """
         if deadline is not None:
             deadline.check(f"analyze_series {subject}/{series_name}")
@@ -200,6 +203,10 @@ class AnalysisPipeline:
         by_index = LinearRegression(range(len(ys)), ys)
         trend = slope_trend(by_index.slope, self.trend_threshold)
         forecast = by_index.predict(len(ys))
+        if not all(map(math.isfinite, (model.slope, model.intercept, model.r_squared,
+                                       by_index.slope, forecast))):
+            raise ValueError(f"analyze_series {subject}/{series_name}: "
+                             "the fit is not finite")
         fit_label = "strong" if model.r_squared >= self.r_squared_strong else "weak"
 
         self.record(Triple(subject, REPRO.analyzed_series, series_name))

@@ -10,10 +10,11 @@ confidence threshold.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 from repro.analytics.regression import LinearRegression
-from repro.analytics.timeseries import detect_trend
+from repro.analytics.timeseries import slope_trend
 from repro.stores.rdf.graph import RDF, REPRO, Triple
 from repro.stores.rdf.provenance import (
     ConfidenceGraph,
@@ -101,9 +102,13 @@ class TrustAwarePipeline:
                        ys: Sequence[float],
                        entity_type: str | None = None) -> dict:
         """Regress a series; the trend fact's confidence is the fit's r²
-        (clamped), scaled by the 'regression' source prior."""
+        (clamped), scaled by the 'regression' source prior.  A fit that
+        overflows raises ``ValueError`` before any fact is asserted."""
         model = LinearRegression(xs, ys)
-        trend = detect_trend(ys)
+        by_index = LinearRegression(range(len(ys)), ys)
+        if not all(map(math.isfinite, (model.slope, model.r_squared, by_index.slope))):
+            raise ValueError(f"analyze_series {subject}: the fit is not finite")
+        trend = slope_trend(by_index.slope)
         trend_confidence = max(0.05, min(model.r_squared, 1.0))
         self.assert_from_source(Triple(subject, REPRO.trend, trend),
                                 "regression", trend_confidence)

@@ -16,9 +16,16 @@ Design:
   confidence is ``rule.strength × T(premise confidences)`` where ``T``
   is a configurable t-norm (``min`` — Gödel — by default, or
   ``product``);
-* inference runs to a fixpoint with an epsilon: a derivation only
-  counts when it *raises* a fact's confidence by more than epsilon, so
-  cyclic rules terminate.
+* inference is semi-naive, on the one fixpoint loop
+  (:meth:`GenericRuleReasoner.derive`); derivations combine by max and
+  premises by the t-norm (the annotation of Green et al., "Provenance
+  Semirings", PODS 2007).  A derivation counts only when it *raises* a
+  fact's confidence by more than ``epsilon``, and a raised fact seeds
+  the next round.  Every raise exceeds ``epsilon`` and no confidence
+  exceeds 1, so the loop ends, cyclic rules included;
+* an inferred fact's ``sources`` name the rules whose derivations
+  raised it, which depends on evaluation order (its confidence does
+  not, to within ``epsilon``).
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.stores.rdf.graph import Graph, Triple
-from repro.stores.rdf.query import solve
-from repro.stores.rdf.rules import Rule
+from repro.stores.rdf.query import Binding
+from repro.stores.rdf.rules import GenericRuleReasoner, Rule
 
 TNorm = Callable[[Sequence[float]], float]
 
@@ -169,7 +176,7 @@ class ConfidenceGraph:
         ]
 
 
-class ConfidenceRuleEngine:
+class ConfidenceRuleEngine(GenericRuleReasoner):
     """Forward chaining that propagates confidence through rules."""
 
     def __init__(
@@ -179,52 +186,38 @@ class ConfidenceRuleEngine:
         confidence_floor: float = 0.0,
         epsilon: float = 1e-6,
     ) -> None:
-        self.rules = list(rules)
+        super().__init__([weighted.rule for weighted in rules])
+        self.strengths = [weighted.strength for weighted in rules]
         self.tnorm = tnorm
         self.confidence_floor = confidence_floor
         self.epsilon = epsilon
+        self._store: ConfidenceGraph | None = None  # set by infer()
 
-    def _premise_confidences(
-        self, store: ConfidenceGraph, rule: Rule, binding: dict
-    ) -> list[float]:
-        return [store.confidence(rule.instantiate(premise, binding))
-                for premise in rule.premises]
+    def infer(self, store: ConfidenceGraph) -> int:
+        """Run to fixpoint; returns the number of *new* facts asserted."""
+        self._store = store
+        before = len(store)
+        self.derive(store.graph, None)
+        return len(store) - before
 
-    def infer(self, store: ConfidenceGraph, max_rounds: int = 100) -> int:
-        """Run to fixpoint; returns the number of *new* facts asserted.
-
-        Confidence-raising re-derivations (> epsilon) also keep the
-        iteration alive, so corroborating chains settle properly.
-        """
-        new_facts = 0
-        for _ in range(max_rounds):
-            changed = False
-            for weighted in self.rules:
-                rule = weighted.rule
-                for binding in solve(store.graph, rule.premises):
-                    if any(not guard(binding) for guard in rule.guards):
-                        continue
-                    premise_confidences = self._premise_confidences(
-                        store, rule, binding)
-                    if any(conf < self.confidence_floor
-                           for conf in premise_confidences):
-                        continue
-                    derived_confidence = weighted.strength * self.tnorm(
-                        premise_confidences)
-                    if derived_confidence <= 0.0:
-                        continue
-                    for conclusion in rule.conclusions:
-                        triple = rule.instantiate(conclusion, binding)
-                        before = store.confidence(triple)
-                        if derived_confidence > before + self.epsilon:
-                            was_new = store.upgrade_fact(
-                                triple,
-                                min(derived_confidence, 1.0),
-                                source=f"inferred:{rule.name}",
-                            )
-                            if was_new:
-                                new_facts += 1
-                            changed = True
-            if not changed:
-                break
-        return new_facts
+    def _conclude(self, graph: Graph, index: int, bindings: list[Binding],
+                  new_triples: set[Triple]) -> None:
+        """Upgrade, and put in the next frontier, each conclusion a
+        binding raises by more than epsilon."""
+        store = self._store
+        rule = self.rules[index]
+        strength = self.strengths[index]
+        for binding in bindings:
+            if any(not guard(binding) for guard in rule.guards):
+                continue
+            premises = [store.confidence(rule.instantiate(premise, binding))
+                        for premise in rule.premises]
+            if any(value < self.confidence_floor for value in premises):
+                continue
+            derived = strength * self.tnorm(premises)
+            for conclusion in rule.conclusions:
+                triple = rule.instantiate(conclusion, binding)
+                if derived > store.confidence(triple) + self.epsilon:
+                    store.upgrade_fact(triple, min(derived, 1.0),
+                                       source=f"inferred:{rule.name}")
+                    new_triples.add(triple)

@@ -8,7 +8,9 @@ execution strategies":
   fixpoint (semi-naive: each round only re-derives from the frontier),
   :meth:`~GenericRuleReasoner.forward_delta` only those of newly added
   triples; both are :meth:`~GenericRuleReasoner.derive`, the one
-  fixpoint loop in the package;
+  fixpoint loop in the package — the confidence-propagating
+  :class:`~repro.stores.rdf.provenance.ConfidenceRuleEngine` runs on it
+  too, overriding only its per-rule ``_conclude`` hook;
 * :meth:`GenericRuleReasoner.prove` answers a goal by tabled backward
   chaining (memoized SLD resolution with cycle protection);
 * :meth:`GenericRuleReasoner.hybrid` runs one forward pass and then
@@ -91,20 +93,11 @@ class GenericRuleReasoner:
 
     # -- forward chaining --------------------------------------------------
 
-    def forward(self, graph: Graph, max_rounds: int | None = None) -> int:
-        """Materialize all rule consequences in ``graph``.
+    def forward(self, graph: Graph) -> int:
+        """Materialize all rule consequences; returns the new triple count."""
+        return len(self.derive(graph, None))
 
-        Returns the number of new triples.  ``max_rounds`` bounds the
-        fixpoint iteration (None = run to convergence).
-        """
-        return len(self.derive(graph, None, max_rounds))
-
-    def forward_delta(
-        self,
-        graph: Graph,
-        delta: Iterable[Triple | tuple],
-        max_rounds: int | None = None,
-    ) -> int:
+    def forward_delta(self, graph: Graph, delta: Iterable[Triple | tuple]) -> int:
         """Materialize only the consequences of ``delta`` triples.
 
         Semi-naive incremental maintenance: assuming ``graph`` was
@@ -115,45 +108,45 @@ class GenericRuleReasoner:
         Returns the number of new triples.
         """
         frontier = {Graph._coerce(triple) for triple in delta}
-        return len(self.derive(graph, frontier, max_rounds))
+        return len(self.derive(graph, frontier))
 
-    def derive(
-        self,
-        graph: Graph,
-        frontier: set[Triple] | None,
-        max_rounds: int | None = None,
-    ) -> set[Triple]:
+    def derive(self, graph: Graph, frontier: set[Triple] | None) -> set[Triple]:
         """Run the rules to a fixpoint; returns every triple added.
 
         ``frontier=None`` means "everything is new" (full evaluation,
         first round unrestricted); a concrete frontier seeds semi-naive
         evaluation from those triples only, and each later round's
-        frontier is what the round before it added.
+        frontier is what the round before it added.  Rules cannot
+        invent terms, so the loop always ends.
         """
         added_all: set[Triple] = set()
-        rounds = 0
         while frontier is None or frontier:
-            rounds += 1
             new_triples: set[Triple] = set()
             by_predicate: dict[object, list[Triple]] = {}
             for triple in frontier or ():
                 by_predicate.setdefault(triple.predicate, []).append(triple)
-            for rule in self.rules:
-                for binding in self._rule_bindings(
-                        graph, rule, frontier, by_predicate):
-                    if any(not guard(binding) for guard in rule.guards):
-                        continue
-                    for conclusion in rule.conclusions:
-                        triple = rule.instantiate(conclusion, binding)
-                        if triple not in graph:
-                            new_triples.add(triple)
+            for index, rule in enumerate(self.rules):
+                self._conclude(graph, index, self._rule_bindings(
+                    graph, rule, frontier, by_predicate), new_triples)
             for triple in new_triples:
                 graph.add(triple)
             added_all |= new_triples
             frontier = new_triples
-            if max_rounds is not None and rounds >= max_rounds:
-                break
         return added_all
+
+    def _conclude(self, graph: Graph, index: int, bindings: list[Binding],
+                  new_triples: set[Triple]) -> None:
+        """:meth:`derive`'s per-rule hook: add to ``new_triples`` (the
+        next frontier) what rule ``index`` concludes under ``bindings``
+        that ``graph`` does not hold yet."""
+        rule = self.rules[index]
+        for binding in bindings:
+            if any(not guard(binding) for guard in rule.guards):
+                continue
+            for conclusion in rule.conclusions:
+                triple = rule.instantiate(conclusion, binding)
+                if triple not in graph:
+                    new_triples.add(triple)
 
     def _rule_bindings(
         self, graph: Graph, rule: Rule, frontier: set[Triple] | None,

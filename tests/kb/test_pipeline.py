@@ -64,6 +64,16 @@ class TestAnalyzeSeries:
                 assert result["trend"] == detect_trend(ys, threshold=threshold)
                 assert result["forecast_next"] == linear_forecast(ys, 1)[0]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_fit_that_overflows_writes_nothing(self, pipeline):
+        # r² of this fit is NaN; it used to be stored, and as no NaN
+        # equals another each re-analysis added one more triple.
+        with pytest.raises(ValueError, match="not finite"):
+            pipeline.analyze_series("X", range(6), [1e200, -1e200] * 3)
+        assert len(pipeline.graph) == 0
+        assert pipeline.series_analyzed == 0
+        assert pipeline.infer() == 0
+
     def test_series_counter(self, pipeline):
         pipeline.analyze_series("a", *RISING)
         pipeline.analyze_series("b", *FALLING)

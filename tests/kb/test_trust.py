@@ -48,6 +48,15 @@ class TestAnalysisConfidence:
                                          entity_type="Company")
         assert result["trend_confidence"] < 0.2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_fit_that_overflows_asserts_nothing(self):
+        # Its NaN r² used to become a "falling" trend at 0.045.
+        pipeline = TrustAwarePipeline()
+        with pytest.raises(ValueError, match="not finite"):
+            pipeline.analyze_series("X", range(6), [1e200, -1e200] * 3,
+                                    entity_type="Company")
+        assert len(pipeline.store) == 0
+
 
 class TestInferenceWithAccuracy:
     def test_confident_analysis_yields_recommendation(self):

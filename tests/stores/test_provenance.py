@@ -167,6 +167,42 @@ class TestConfidenceRuleEngine:
         assert ("a", "grade", "high") in store
         assert ("b", "grade", "high") not in store
 
+    def test_premise_raised_above_the_floor_later_fires_the_rule_again(self):
+        # "consume" comes first, so the full first round sees ("a", "p",
+        # "b") below the floor; "lift" raises it in that round, and the
+        # raised fact must seed the next round although it is not new.
+        lift = Rule([("?x", "q", "?y")], [("?x", "p", "?y")], name="lift")
+        consume = Rule([("?x", "p", "?y")], [("?x", "r", "?y")], name="consume")
+        store = ConfidenceGraph()
+        store.assert_fact(("a", "p", "b"), 0.3)
+        store.assert_fact(("a", "q", "b"), 0.9)
+        engine = ConfidenceRuleEngine(
+            [WeightedRule(consume), WeightedRule(lift)], confidence_floor=0.5)
+        assert engine.infer(store) == 1
+        assert store.confidence(("a", "p", "b")) == pytest.approx(0.9)
+        assert store.confidence(("a", "r", "b")) == pytest.approx(0.9)
+        assert store.sources(("a", "p", "b")) == {"user", "inferred:lift"}
+
+    @pytest.mark.parametrize("strengths", [(0.5, 0.9), (0.9, 0.5)])
+    def test_a_rule_listed_twice_keeps_both_strengths(self, strengths):
+        rule = Rule([("?x", "p", "?y")], [("?y", "q", "?x")], name="flip")
+        store = ConfidenceGraph()
+        store.assert_fact(("a", "p", "b"), 0.8)
+        ConfidenceRuleEngine(
+            [WeightedRule(rule, strength) for strength in strengths]
+        ).infer(store)
+        assert store.confidence(("b", "q", "a")) == pytest.approx(0.9 * 0.8)
+
+    def test_every_conclusion_of_a_rule_is_annotated(self):
+        rule = Rule([("?x", "p", "?y")],
+                    [("?y", "q", "?x"), ("?x", "r", "yes")], name="both")
+        store = ConfidenceGraph()
+        store.assert_fact(("a", "p", "b"), 0.8)
+        assert ConfidenceRuleEngine([WeightedRule(rule, 0.5)]).infer(store) == 2
+        for conclusion in [("b", "q", "a"), ("a", "r", "yes")]:
+            assert store.confidence(conclusion) == pytest.approx(0.4)
+            assert store.sources(conclusion) == {"inferred:both"}
+
     def test_strength_validated(self):
         with pytest.raises(ValueError):
             WeightedRule(RULES[0].rule, strength=0.0)

@@ -12,6 +12,8 @@ import repro.kb
 import repro.stores
 from repro.stores.rdf import rules as rules_module
 from repro.stores.rdf.graph import Graph
+from repro.stores.rdf.provenance import ConfidenceRuleEngine
+from repro.stores.rdf.query import solve
 from repro.stores.rdf.reasoner import RdfsReasoner, TransitiveReasoner
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
 
@@ -121,13 +123,6 @@ class TestForwardChaining:
         assert ("bob", "repro:child_of", "tom") in family
         assert ("tom", "repro:has_child", "true") in family
 
-    def test_max_rounds_bounds_iteration(self, family):
-        reasoner = GenericRuleReasoner(ANCESTOR_RULES)
-        reasoner.forward(family, max_rounds=1)
-        # Only one round: base facts derived, deep recursion not yet.
-        assert ("tom", ANCESTOR, "bob") in family
-        assert ("tom", ANCESTOR, "sue") not in family
-
     def test_cyclic_data_terminates(self):
         graph = Graph([("a", PARENT, "b"), ("b", PARENT, "a")])
         reasoner = GenericRuleReasoner(ANCESTOR_RULES)
@@ -140,13 +135,19 @@ class TestForwardChaining:
         GenericRuleReasoner(ANCESTOR_RULES + [GRANDPARENT_RULE]).forward(fast)
 
         slow = Graph(family)
-        # Naive fixpoint: re-run single rounds from scratch until stable.
-        reasoner = GenericRuleReasoner(ANCESTOR_RULES + [GRANDPARENT_RULE])
+        # Naive fixpoint: re-solve every rule over the whole graph until
+        # a round adds nothing.
         while True:
-            before = len(slow)
-            reasoner.forward(slow, max_rounds=1)
-            if len(slow) == before:
+            derived = {
+                rule.instantiate(conclusion, binding)
+                for rule in ANCESTOR_RULES + [GRANDPARENT_RULE]
+                for binding in solve(slow, rule.premises)
+                for conclusion in rule.conclusions
+            }
+            if derived <= set(slow):
                 break
+            for triple in derived:
+                slow.add(triple)
         assert set(fast) == set(slow)
 
 
@@ -214,6 +215,15 @@ class TestInferenceIsWrittenOnce:
             methods = {name for name, member in vars(reasoner).items()
                        if inspect.isfunction(member)}
             assert methods == {"__init__"}
+
+    def test_confidence_inference_is_a_hook_on_derive(self):
+        assert issubclass(ConfidenceRuleEngine, GenericRuleReasoner)
+        methods = {name for name, member in vars(ConfidenceRuleEngine).items()
+                   if inspect.isfunction(member)}
+        assert methods == {"__init__", "infer", "_conclude"}
+        source_root = Path(inspect.getfile(repro.stores)).parent
+        assert not [path.name for path in source_root.rglob("*.py")
+                    if "max_rounds" in path.read_text()]
 
     def test_the_engine_is_defined_by_one_class(self):
         owners = {}

@@ -19,12 +19,23 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from contextlib import nullcontext
+from operator import eq
 
 from repro.analytics.regression import LinearRegression
 from repro.analytics.timeseries import slope_trend
 from repro.obs import names
 from repro.stores.rdf.graph import Graph, RDF, REPRO, Triple
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
+
+
+def is_index(xs: Sequence[float]) -> bool:
+    """Whether ``xs`` is ``0, 1, 2, …`` element for element.
+
+    A fit over such ``xs`` converts them to the same float64 array as a
+    fit over ``range(len(xs))``, so it *is* the fit over the index, bit
+    for bit, and need not be run twice.
+    """
+    return all(map(eq, xs, range(len(xs))))
 
 
 def default_rules() -> list[Rule]:
@@ -200,7 +211,7 @@ class AnalysisPipeline:
         model = LinearRegression(xs, ys)
         # One fit over the index: detect_trend's label and
         # linear_forecast's next point, without fitting it once each.
-        by_index = LinearRegression(range(len(ys)), ys)
+        by_index = model if is_index(xs) else LinearRegression(range(len(ys)), ys)
         trend = slope_trend(by_index.slope, self.trend_threshold)
         forecast = by_index.predict(len(ys))
         if not all(map(math.isfinite, (model.slope, model.intercept, model.r_squared,

@@ -15,6 +15,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.analytics.regression import LinearRegression
 from repro.analytics.timeseries import slope_trend
+from repro.kb.pipeline import is_index
 from repro.stores.rdf.graph import RDF, REPRO, Triple
 from repro.stores.rdf.provenance import (
     ConfidenceGraph,
@@ -105,7 +106,7 @@ class TrustAwarePipeline:
         (clamped), scaled by the 'regression' source prior.  A fit that
         overflows raises ``ValueError`` before any fact is asserted."""
         model = LinearRegression(xs, ys)
-        by_index = LinearRegression(range(len(ys)), ys)
+        by_index = model if is_index(xs) else LinearRegression(range(len(ys)), ys)
         if not all(map(math.isfinite, (model.slope, model.r_squared, by_index.slope))):
             raise ValueError(f"analyze_series {subject}: the fit is not finite")
         trend = slope_trend(by_index.slope)

@@ -42,7 +42,7 @@ from repro.obs import names
 from repro.stores.rdf.graph import Term, Triple
 from repro.stores.rdf.plan import QueryPlan, join_by_match
 from repro.stores.rdf.query import RangeFilter, is_variable
-from repro.stores.rdf.stats import PredicateStats, TripleStoreBase
+from repro.stores.rdf.stats import PredicateStats, TripleStoreBase, reject_nan
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS terms (
@@ -194,7 +194,11 @@ class SqliteTripleStore(TripleStoreBase):
                 self._terms.pop(term_id, None)
 
     def _row(self, triple: Triple, journal: list[Term] | None = None) -> tuple:
-        """A triple's table row; terms interned in s, p, o order (ids break ties)."""
+        """A triple's table row; terms interned in s, p, o order (ids break ties).
+
+        A NaN term raises ``ValueError`` before any term is interned.
+        """
+        reject_nan((triple,))
         ids = (self._intern(triple.subject, journal),
                self._intern(triple.predicate, journal),
                self._intern(triple.object, journal))

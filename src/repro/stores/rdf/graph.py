@@ -34,10 +34,18 @@ subjects in index order, until ``limit`` rows — the heap's own order,
 because no two column values share an ``_order_key`` rank (a column
 where ``float()`` collapses two of them keeps the scan and the heap).
 
-The graph also maintains per-predicate cardinality statistics
-(:mod:`repro.stores.rdf.stats`) on every ``add`` / ``discard`` and a
-monotonically increasing ``version`` — the inputs the query planner
-and the incremental materializer rely on.
+The planner's per-predicate statistics come from the indexes
+themselves: the distinct objects of a predicate are its POS bucket's
+size, and two counters per predicate — its triples, and its distinct
+subjects (moved when an SPO ``(s, p)`` bucket is created or emptied) —
+are kept by ``add`` / ``remove``.  A monotonically increasing
+``version`` is what the incremental materializer keys on.
+
+NaN is not a storable term: it equals nothing, itself included, so a
+stored NaN could never be found, removed or deduplicated again.  A write
+holding one raises ``ValueError`` before anything is written.  ``add``
+checks only when a term is new to the dictionary, so a write of known
+terms pays nothing for it; ``add_many`` checks its batch up front.
 """
 
 from __future__ import annotations
@@ -45,13 +53,12 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase
+from repro.stores.rdf.stats import TripleStoreBase, reject_nan
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (plan imports us)
     from repro.stores.rdf.plan import QueryPlan
@@ -89,16 +96,14 @@ RDFS = _Namespace("rdfs:")
 REPRO = _Namespace("repro:")
 
 
-@dataclass(frozen=True)
-class Triple:
-    """One RDF statement."""
+class Triple(NamedTuple):
+    """One RDF statement: a 3-tuple with named fields, so it equals,
+    hashes, unpacks and indexes exactly like ``(subject, predicate,
+    object)``."""
 
     subject: str
     predicate: str
     object: Term
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter((self.subject, self.predicate, self.object))
 
 
 def _probe(index: dict, rows: list, first, second) -> list[tuple[int, ...]]:
@@ -112,6 +117,29 @@ def _scan(index: dict, rows: list, first) -> list[tuple[int, ...]]:
     return [row + (b, member) for row, a in zip(rows, first)
             for b, members in index.get(a, _NOTHING).items()
             for member in members]
+
+
+def _prune(index: dict, first: int, second: int, third: int) -> bool:
+    """Drop ``third`` from ``index[first][second]``, and the buckets it
+    empties; returns whether the ``(first, second)`` bucket went."""
+    by_second = index[first]
+    members = by_second[second]
+    members.discard(third)
+    if members:
+        return False
+    del by_second[second]
+    if not by_second:
+        del index[first]
+    return True
+
+
+def _decrement(counts: dict[int, int], key: int) -> None:
+    """One less under ``key``; a count that reaches zero is dropped."""
+    left = counts[key] - 1
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
 
 
 def _column_test(accepts, decode, column: int):
@@ -141,7 +169,10 @@ class Graph(TripleStoreBase):
         # predicate id -> its numeric column: built by the first range
         # scan, dropped by the next write to that predicate.
         self._numeric: dict[int, _Column] = {}
-        self._stats = GraphStatistics()
+        # predicate id -> its triples, and its distinct subjects (SPO
+        # (s, p) buckets); its distinct objects are ``len(_pos[p])``.
+        self._predicate_triples: dict[int, int] = {}
+        self._predicate_subjects: dict[int, int] = {}
         self._version = 0
         self._additions = 0
         for triple in triples:
@@ -156,8 +187,10 @@ class Graph(TripleStoreBase):
             yield Triple(terms[subject_id], terms[predicate_id], terms[object_id])
 
     def __contains__(self, triple: Triple | tuple) -> bool:
-        key = self._key_of(self._coerce(triple))
-        return key is not None and key in self._triples
+        ids = self._term_ids
+        subject, predicate, obj = triple
+        # A term never interned gets None, and no stored key holds one.
+        return (ids.get(subject), ids.get(predicate), ids.get(obj)) in self._triples
 
     @property
     def version(self) -> int:
@@ -195,44 +228,64 @@ class Graph(TripleStoreBase):
             self._terms.append(term)
         return term_id
 
-    def _key_of(self, triple: Triple) -> tuple[int, int, int] | None:
-        """The triple's id-key, or None when any term was never interned."""
-        ids = self._term_ids
-        subject_id = ids.get(triple.subject)
-        if subject_id is None:
-            return None
-        predicate_id = ids.get(triple.predicate)
-        if predicate_id is None:
-            return None
-        object_id = ids.get(triple.object)
-        if object_id is None:
-            return None
-        return subject_id, predicate_id, object_id
+    def _intern_triple(self, subject: Term, predicate: Term,
+                       obj: Term) -> tuple[int, int, int]:
+        """Ids for a triple holding a term new to the dictionary, interned
+        in s, p, o order — after checking that none of them is NaN."""
+        reject_nan(((subject, predicate, obj),))
+        return self._intern(subject), self._intern(predicate), self._intern(obj)
 
     # -- mutation ----------------------------------------------------------
 
     def add(self, triple: Triple | tuple) -> bool:
-        """Insert a triple; returns False when it was already present."""
-        triple = self._coerce(triple)
-        subject_id = self._intern(triple.subject)
-        predicate_id = self._intern(triple.predicate)
-        object_id = self._intern(triple.object)
+        """Insert a triple; returns False when it was already present.
+
+        Raises ``ValueError``, writing nothing, when a term is NaN.
+        """
+        ids = self._term_ids
+        subject, predicate, obj = triple
+        subject_id = ids.get(subject)
+        predicate_id = ids.get(predicate)
+        object_id = ids.get(obj)
+        if subject_id is None or predicate_id is None or object_id is None:
+            subject_id, predicate_id, object_id = self._intern_triple(
+                subject, predicate, obj)
         key = (subject_id, predicate_id, object_id)
         if key in self._triples:
             return False
         self._triples.add(key)
-        self._spo.setdefault(subject_id, {}).setdefault(predicate_id, set()).add(
-            object_id
-        )
-        self._pos.setdefault(predicate_id, {}).setdefault(object_id, set()).add(
-            subject_id
-        )
-        self._osp.setdefault(object_id, {}).setdefault(subject_id, set()).add(
-            predicate_id
-        )
+        # Buckets are got-or-created by hand: ``setdefault`` would build
+        # a throwaway dict / set on every call.
+        by_predicate = self._spo.get(subject_id)
+        if by_predicate is None:
+            by_predicate = self._spo[subject_id] = {}
+        objects = by_predicate.get(predicate_id)
+        if objects is None:
+            by_predicate[predicate_id] = {object_id}
+            counts = self._predicate_subjects
+            counts[predicate_id] = counts.get(predicate_id, 0) + 1
+        else:
+            objects.add(object_id)
+        by_object = self._pos.get(predicate_id)
+        if by_object is None:
+            by_object = self._pos[predicate_id] = {}
+        subjects = by_object.get(object_id)
+        if subjects is None:
+            by_object[object_id] = {subject_id}
+        else:
+            subjects.add(subject_id)
+        by_subject = self._osp.get(object_id)
+        if by_subject is None:
+            by_subject = self._osp[object_id] = {}
+        predicates = by_subject.get(subject_id)
+        if predicates is None:
+            by_subject[subject_id] = {predicate_id}
+        else:
+            predicates.add(predicate_id)
+        counts = self._predicate_triples
+        counts[predicate_id] = counts.get(predicate_id, 0) + 1
         if self._numeric:
             self._numeric.pop(predicate_id, None)
-        self._stats.record_add(subject_id, predicate_id, object_id)
         self._version += 1
         self._additions += 1
         return True
@@ -242,9 +295,12 @@ class Graph(TripleStoreBase):
 
         The sharded router writes through this so it can maintain its
         global statistics from exactly the triples that were new.
-        Batching backends make the call one transaction.
+        Batching backends make the call one transaction.  A batch
+        holding a NaN term raises ``ValueError`` and writes nothing.
         """
-        return [self.add(triple) for triple in triples]
+        rows = list(triples)
+        reject_nan(rows)
+        return [self.add(triple) for triple in rows]
 
     def remove(self, triple: Triple | tuple) -> bool:
         """Delete a triple; returns whether it was present.
@@ -252,25 +308,20 @@ class Graph(TripleStoreBase):
         Term-dictionary entries are kept even when their last triple
         goes away (standard interning behavior; ids stay stable).
         """
-        key = self._key_of(self._coerce(triple))
-        if key is None or key not in self._triples:
+        ids = self._term_ids
+        subject, predicate, obj = triple
+        key = (ids.get(subject), ids.get(predicate), ids.get(obj))
+        if key not in self._triples:
             return False
         self._triples.discard(key)
         subject_id, predicate_id, object_id = key
-
-        def prune(index: dict, first: int, second: int, third: int) -> None:
-            index[first][second].discard(third)
-            if not index[first][second]:
-                del index[first][second]
-            if not index[first]:
-                del index[first]
-
-        prune(self._spo, subject_id, predicate_id, object_id)
-        prune(self._pos, predicate_id, object_id, subject_id)
-        prune(self._osp, object_id, subject_id, predicate_id)
+        if _prune(self._spo, subject_id, predicate_id, object_id):
+            _decrement(self._predicate_subjects, predicate_id)
+        _prune(self._pos, predicate_id, object_id, subject_id)
+        _prune(self._osp, object_id, subject_id, predicate_id)
+        _decrement(self._predicate_triples, predicate_id)
         if self._numeric:
             self._numeric.pop(predicate_id, None)
-        self._stats.record_remove(subject_id, predicate_id, object_id)
         self._version += 1
         return True
 
@@ -283,7 +334,8 @@ class Graph(TripleStoreBase):
         self._pos.clear()
         self._osp.clear()
         self._numeric.clear()
-        self._stats.clear()
+        self._predicate_triples.clear()
+        self._predicate_subjects.clear()
         self._version += 1
 
     # -- matching ----------------------------------------------------------
@@ -570,7 +622,7 @@ class Graph(TripleStoreBase):
         if s_const:
             return sum(map(len, self._spo.get(subject_id, _NOTHING).values()))
         if p_const:
-            return self._stats.predicate_count(predicate_id)
+            return self._predicate_triples.get(predicate_id, 0)
         if o_const:
             return sum(map(len, self._osp.get(object_id, _NOTHING).values()))
         return len(self._triples)
@@ -580,8 +632,9 @@ class Graph(TripleStoreBase):
             return len(self._pos)
         if predicate_id is None:
             return len(self._spo if position == "s" else self._osp)
-        return (self._stats.distinct_subjects(predicate_id) if position == "s"
-                else self._stats.distinct_objects(predicate_id))
+        if position == "s":
+            return self._predicate_subjects.get(predicate_id, 0)
+        return len(self._pos.get(predicate_id, _NOTHING))
 
     def _predicate_terms(self) -> list[str]:
         return [self._terms[predicate_id] for predicate_id in self._pos]

@@ -69,6 +69,21 @@ class Rule:
             raise ValueError(
                 f"rule {name!r} has unbound conclusion variables: {sorted(unbound)}"
             )
+        # Compiled once for derive(), which reads no pattern per binding.
+        # Per premise, as the semi-naive pivot: its constant predicate
+        # (None when a variable), its unifier, the other premises and,
+        # when the pivot binds every variable those use, their templates
+        # (each is then one membership test, not a join).
+        pivots = []
+        for index, premise in enumerate(self.premises):
+            rest = self.premises[:index] + self.premises[index + 1:]
+            ground = {c for pattern in rest for c in pattern
+                      if is_variable(c)} <= set(premise)
+            pivots.append((None if is_variable(premise[1]) else premise[1],
+                           _unifier(premise), rest,
+                           tuple(map(_template, rest)) if ground else None))
+        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_heads", tuple(map(_template, self.conclusions)))
 
     def instantiate(self, pattern: Pattern, binding: Binding) -> Triple:
         """One of this rule's patterns as a triple under ``binding``."""
@@ -77,6 +92,70 @@ class Rule:
             for component in pattern
         )
         return Triple(subject, predicate, obj)
+
+
+def _template(pattern: Pattern) -> tuple:
+    """``(term, is_variable)`` for s, p and o, flattened: a pattern to
+    instantiate under a binding without asking which parts are variables."""
+    return tuple(item for component in pattern
+                 for item in (component, is_variable(component)))
+
+
+def _unifier(pattern: Pattern) -> tuple[tuple, tuple, tuple]:
+    """How a triple unifies with ``pattern`` as a pivot, compiled.
+
+    ``(checks, repeats, binds)``: the ``(position, constant)`` pairs the
+    triple must equal — a constant predicate is left out, because the
+    pivot only ever meets triples filed under it — the ``(position,
+    earlier position)`` pairs of a variable repeated in the pattern, and
+    the ``(position, variable)`` pairs that bind, in first-appearance
+    order.
+    """
+    checks, repeats, binds = [], [], []
+    first: dict[str, int] = {}
+    for position, component in enumerate(pattern):
+        if not is_variable(component):
+            if position != 1:
+                checks.append((position, component))
+        elif component in first:
+            repeats.append((position, first[component]))
+        else:
+            first[component] = position
+            binds.append((position, component))
+    return tuple(checks), tuple(repeats), tuple(binds)
+
+
+def _pivot_bindings(graph: Graph, unifier: tuple, rest: tuple[Pattern, ...],
+                    probes: tuple | None, candidates: Iterable[Triple],
+                    bindings: list[Binding]) -> None:
+    """Extend ``bindings`` by every solution of ``rest`` seeded by a
+    candidate triple that unifies with the pivot (see :func:`_unifier`).
+
+    With ``probes`` (``rest`` as templates whose variables the pivot
+    binds) the only solution is the seed itself, when the graph holds
+    every instantiated probe — what ``solve`` answers, without a join.
+    """
+    checks, repeats, binds = unifier
+    for triple in candidates:
+        for position, constant in checks:
+            if constant != triple[position]:
+                break
+        else:
+            for position, earlier in repeats:
+                if triple[earlier] != triple[position]:
+                    break
+            else:
+                seed = {variable: triple[position] for position, variable in binds}
+                if probes is None:
+                    bindings.extend(solve(graph, rest, seed))
+                    continue
+                for subject, s_var, predicate, p_var, obj, o_var in probes:
+                    if (seed[subject] if s_var else subject,
+                            seed[predicate] if p_var else predicate,
+                            seed[obj] if o_var else obj) not in graph:
+                        break
+                else:
+                    bindings.append(seed)
 
 
 class GenericRuleReasoner:
@@ -107,7 +186,7 @@ class GenericRuleReasoner:
         The delta triples themselves must already be in the graph.
         Returns the number of new triples.
         """
-        frontier = {Graph._coerce(triple) for triple in delta}
+        frontier = set(map(Graph._coerce, delta))
         return len(self.derive(graph, frontier))
 
     def derive(self, graph: Graph, frontier: set[Triple] | None) -> set[Triple]:
@@ -118,16 +197,39 @@ class GenericRuleReasoner:
         evaluation from those triples only, and each later round's
         frontier is what the round before it added.  Rules cannot
         invent terms, so the loop always ends.
+
+        Semi-naive restriction: with a frontier, a rule only considers
+        matches where at least one premise (the pivot) is satisfied by a
+        frontier triple — anything else was derived in an earlier
+        round.  A pivot with a constant predicate meets only the
+        frontier triples that carry it (in frontier order), so a rule
+        none of whose pivot predicates is in the frontier costs nothing.
+        Rule, pivot and frontier order are kept: they decide the order
+        in which ``new_triples`` is filled, and with it term interning.
         """
         added_all: set[Triple] = set()
         while frontier is None or frontier:
             new_triples: set[Triple] = set()
             by_predicate: dict[object, list[Triple]] = {}
             for triple in frontier or ():
-                by_predicate.setdefault(triple.predicate, []).append(triple)
+                group = by_predicate.get(triple.predicate)
+                if group is None:
+                    by_predicate[triple.predicate] = [triple]
+                else:
+                    group.append(triple)
             for index, rule in enumerate(self.rules):
-                self._conclude(graph, index, self._rule_bindings(
-                    graph, rule, frontier, by_predicate), new_triples)
+                if frontier is None:
+                    bindings = solve(graph, rule.premises)
+                else:
+                    bindings = []
+                    for predicate, unifier, rest, probes in rule._pivots:
+                        candidates = (frontier if predicate is None
+                                      else by_predicate.get(predicate))
+                        if candidates:
+                            _pivot_bindings(graph, unifier, rest, probes,
+                                            candidates, bindings)
+                if bindings:
+                    self._conclude(graph, index, bindings, new_triples)
             for triple in new_triples:
                 graph.add(triple)
             added_all |= new_triples
@@ -138,53 +240,19 @@ class GenericRuleReasoner:
                   new_triples: set[Triple]) -> None:
         """:meth:`derive`'s per-rule hook: add to ``new_triples`` (the
         next frontier) what rule ``index`` concludes under ``bindings``
-        that ``graph`` does not hold yet."""
+        (never empty) that ``graph`` does not hold yet."""
         rule = self.rules[index]
+        guards = rule.guards
+        heads = rule._heads
         for binding in bindings:
-            if any(not guard(binding) for guard in rule.guards):
+            if guards and not all(guard(binding) for guard in guards):
                 continue
-            for conclusion in rule.conclusions:
-                triple = rule.instantiate(conclusion, binding)
+            for subject, s_var, predicate, p_var, obj, o_var in heads:
+                triple = Triple(binding[subject] if s_var else subject,
+                                binding[predicate] if p_var else predicate,
+                                binding[obj] if o_var else obj)
                 if triple not in graph:
                     new_triples.add(triple)
-
-    def _rule_bindings(
-        self, graph: Graph, rule: Rule, frontier: set[Triple] | None,
-        by_predicate: dict[object, list[Triple]],
-    ) -> list[Binding]:
-        """Bindings for a rule's premises.
-
-        Semi-naive restriction: when a frontier is given, only consider
-        matches where at least one premise is satisfied by a frontier
-        triple (anything else was already derived in a previous round).
-        A premise with a constant predicate meets only the frontier
-        triples that carry it (``by_predicate``, in frontier order).
-        """
-        if frontier is None:
-            return solve(graph, rule.premises)
-        bindings: list[Binding] = []
-        for pivot_index, pivot in enumerate(rule.premises):
-            predicate = pivot[1]
-            candidates = (frontier if is_variable(predicate)
-                          else by_predicate.get(predicate, ()))
-            rest = rule.premises[:pivot_index] + rule.premises[pivot_index + 1:]
-            for triple in candidates:
-                seed = self._unify(pivot, triple)
-                if seed is not None:
-                    bindings.extend(solve(graph, rest, seed))
-        return bindings
-
-    @staticmethod
-    def _unify(pattern: Pattern, triple: Triple) -> Binding | None:
-        binding: Binding = {}
-        for component, value in zip(pattern, iter(triple)):
-            if is_variable(component):
-                if component in binding and binding[component] != value:
-                    return None
-                binding[component] = value
-            elif component != value:
-                return None
-        return binding
 
     # -- tabled backward chaining -------------------------------------------
 

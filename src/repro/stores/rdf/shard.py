@@ -66,7 +66,7 @@ from repro.stores.rdf.query import (
     join_and_filter,
     select as _select,
 )
-from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase
+from repro.stores.rdf.stats import GraphStatistics, TripleStoreBase, reject_nan
 from repro.util.clock import SYSTEM_CLOCK, Clock
 
 #: Route labels (also used by ``FanoutPlan.explain()``).
@@ -159,12 +159,19 @@ class ShardedGraph(TripleStoreBase):
         return list(self._shards)
 
     def _coerce(self, triple: Triple | tuple) -> Triple:
-        """The triple to write: its object as first seen by the router."""
+        """The triple to write: its object as first seen by the router.
+
+        A NaN object raises ``ValueError`` before the router or any
+        shard records it.
+        """
         triple = Graph._coerce(triple)
         obj = triple.object
         if isinstance(obj, str):
             return triple
-        first = self._literals.setdefault(obj, obj)
+        first = self._literals.get(obj)
+        if first is None:
+            reject_nan((triple,))
+            first = self._literals[obj] = obj
         return (triple if first is obj
                 else Triple(triple.subject, triple.predicate, first))
 
@@ -192,6 +199,7 @@ class ShardedGraph(TripleStoreBase):
         backend rolled it back) and earlier shards keep theirs.
         """
         rows = [self._coerce(triple) for triple in triples]
+        reject_nan(rows)  # before any shard writes a row of the batch
         groups: dict[int, list[int]] = {}
         for position, triple in enumerate(rows):
             groups.setdefault(shard_of(triple.subject, self.shard_count),

@@ -12,10 +12,10 @@ scanning — so planning stays O(patterns²) regardless of graph size:
   average fan-out used to discount patterns whose subject or object is
   a join variable already bound by an earlier pattern.
 
-:class:`GraphStatistics` counts over any hashable keys: a
-:class:`repro.stores.rdf.graph.Graph` feeds it interned integer term
-ids, the sharded router (:mod:`repro.stores.rdf.shard`) the terms
-themselves.
+:class:`GraphStatistics` counts over any hashable keys; the sharded
+router (:mod:`repro.stores.rdf.shard`) feeds it the terms themselves.
+A :class:`repro.stores.rdf.graph.Graph` needs no multiplicity maps: it
+reads the same numbers off its own indexes.
 
 :class:`TripleStoreBase` is the one place the planner's cardinality
 model, and everything else a store *derives* from its indexes, is
@@ -141,6 +141,19 @@ class GraphStatistics:
     def predicate_ids(self) -> list[int]:
         """Every predicate id with at least one triple."""
         return list(self._count)
+
+
+def reject_nan(triples: Iterable) -> None:
+    """Raise ``ValueError`` when any term of ``triples`` is NaN.
+
+    NaN equals nothing, itself included, so a stored NaN could never be
+    found, removed or deduplicated again: every store calls this before
+    a write can intern a new term.
+    """
+    for triple in triples:
+        subject, predicate, obj = triple
+        if obj != obj or subject != subject or predicate != predicate:
+            raise ValueError(f"NaN is not a storable term: {tuple(triple)!r}")
 
 
 def canonical_triple_list(triples: Iterable) -> list[list]:

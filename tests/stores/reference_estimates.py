@@ -3,10 +3,15 @@
 ``reference_estimate`` / ``reference_predicate_statistics`` are the
 bodies of ``Graph.estimate_cardinality`` / ``Graph.predicate_statistics``
 as they stood before the cardinality model moved into
-:class:`repro.stores.rdf.stats.TripleStoreBase`, kept verbatim over a
-``Graph``'s indexes (``self`` renamed ``graph``).  Every engine now runs
-the one shared model, so comparing engines with each other would let a
-wrong model agree with itself; these do not share a line with it.
+:class:`repro.stores.rdf.stats.TripleStoreBase`, kept over a ``Graph``'s
+indexes (``self`` renamed ``graph``).  Every engine now runs the one
+shared model, so comparing engines with each other would let a wrong
+model agree with itself; these do not share a line with it.  Where the
+old bodies read the graph's incrementally kept per-predicate statistics,
+they now take them from :func:`predicate_scan`, one pass over
+``iter(graph)``, so the counters ``Graph`` keeps on ``add`` / ``remove``
+are checked too.  ``reference_estimate`` scans on every call unless it
+is handed the scan (A16 times the estimate alone that way).
 
 ``reference_merge_scatter`` is the router's old gather step
 (``ShardedGraph._merge_scatter``), the oracle for what concatenating
@@ -20,20 +25,29 @@ from repro.stores.rdf.query import distinct_bindings, project_bindings
 from repro.stores.rdf.stats import BOUND, PredicateStats
 
 
-def reference_predicate_statistics(graph):
-    stats = graph._stats
+#: What a predicate term the graph interned but holds no triple of counts.
+_NO_TRIPLES = PredicateStats("", 0, 0, 0)
+
+
+def predicate_scan(graph):
+    """Per-predicate statistics, counted by one pass over ``iter(graph)``."""
+    rows = {}
+    for triple in graph:
+        rows.setdefault(triple.predicate, []).append(triple)
     return {
-        graph._terms[predicate_id]: PredicateStats(
-            predicate=graph._terms[predicate_id],
-            count=stats.predicate_count(predicate_id),
-            distinct_subjects=stats.distinct_subjects(predicate_id),
-            distinct_objects=stats.distinct_objects(predicate_id),
-        )
-        for predicate_id in stats.predicate_ids()
+        predicate: PredicateStats(
+            predicate, len(triples), len({triple.subject for triple in triples}),
+            len({triple.object for triple in triples}))
+        for predicate, triples in rows.items()
     }
 
 
-def reference_estimate(graph, subject=None, predicate=None, obj=None):
+def reference_predicate_statistics(graph):
+    return predicate_scan(graph)
+
+
+def reference_estimate(graph, subject=None, predicate=None, obj=None,
+                       scan=None):
     total = len(graph._triples)
     if total == 0:
         return 0.0
@@ -54,6 +68,9 @@ def reference_estimate(graph, subject=None, predicate=None, obj=None):
     s_const = subject_id is not None
     p_const = predicate_id is not None
     o_const = object_id is not None
+    if p_const:
+        scan = predicate_scan(graph) if scan is None else scan
+        stats = scan.get(graph._terms[predicate_id], _NO_TRIPLES)
     if s_const and p_const and o_const:
         key = (subject_id, predicate_id, object_id)
         return 1.0 if key in graph._triples else 0.0
@@ -66,7 +83,7 @@ def reference_estimate(graph, subject=None, predicate=None, obj=None):
     elif s_const:
         base = sum(len(objs) for objs in graph._spo.get(subject_id, {}).values())
     elif p_const:
-        base = graph._stats.predicate_count(predicate_id)
+        base = stats.count
     elif o_const:
         base = sum(len(preds) for preds in graph._osp.get(object_id, {}).values())
     else:
@@ -77,14 +94,14 @@ def reference_estimate(graph, subject=None, predicate=None, obj=None):
     estimate = float(base)
     if subject is BOUND:
         distinct = (
-            graph._stats.distinct_subjects(predicate_id)
+            stats.distinct_subjects
             if p_const
             else len(graph._spo)
         )
         estimate /= max(1, distinct)
     if obj is BOUND:
         distinct = (
-            graph._stats.distinct_objects(predicate_id)
+            stats.distinct_objects
             if p_const
             else len(graph._osp)
         )

@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 from benchmarks.e2e.workloads import KbChurn, KbQuery, query_kwargs
 from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf import plan as plan_module
-from repro.stores.rdf.graph import Graph
+from repro.stores.rdf.graph import Graph, Triple
 from repro.stores.rdf.plan import bound_filter, build_plan, execute_plan
 from repro.stores.rdf.query import RangeFilter, _order_key, finish, select
+from repro.stores.rdf.stats import BOUND
 from tests.stores.test_equivalence_backends import (
     build_query,
     query_strategy,
@@ -366,9 +367,9 @@ def test_the_hint_alone_cuts_and_orders_the_rows():
 
 NAN = float("nan")
 BIG = 2 ** 53
+# No NaN object: every store refuses one (test_store_surface.py).
 COLUMN_OBJECTS = ["x", "10", True, False, 0, 1, -1, 2.5, -0.0, BIG, BIG + 1,
-                  float(BIG), -BIG - 1, 10 ** 30, float("inf"), float("-inf"),
-                  NAN, float("nan")]
+                  float(BIG), -BIG - 1, 10 ** 30, float("inf"), float("-inf")]
 COLUMN_BOUNDS = [None, 0, 1, 1.0, True, 2.5, -1, BIG, BIG + 1, float(BIG),
                  10 ** 30, float("inf"), float("-inf"), NAN, "low", "10"]
 
@@ -395,8 +396,9 @@ def scan_answers(triples, test):
 
 
 def test_nan_is_in_no_range():
-    triples = [("a", "p", 0.5), ("b", "p", NAN), ("c", "p", 2.0),
-               ("d", "p", "x"), ("e", "p", float("inf"))]
+    # A store refuses a NaN, so the filter is asked about one directly.
+    triples = [("a", "p", 0.5), ("c", "p", 2.0), ("d", "p", "x"),
+               ("e", "p", float("inf"))]
     for test, subjects in [
             (RangeFilter("?v", 0, 1), "a"),
             (RangeFilter("?v", None, 1), "a"),
@@ -529,6 +531,11 @@ def test_reads_between_writes_see_the_graph_as_it_is(steps):
                 assert plan.actual_rows == want_plan.actual_rows
         elif step[0] == "clear":
             graph.clear()
+        elif step[0] == "add" and step[3] != step[3]:
+            size, version = len(graph), graph.version
+            with pytest.raises(ValueError):
+                graph.add(step[1:])
+            assert (len(graph), graph.version) == (size, version)
         else:
             getattr(graph, step[0])(step[1:])
         assert column_is_exact(graph, "p") and column_is_exact(graph, "q")
@@ -541,7 +548,7 @@ def test_reads_between_writes_see_the_graph_as_it_is(steps):
 # and inf: either pair makes the column non-strict, so the scan and the
 # heap run instead of the walk.
 WALK_VALUES = [0, -0.0, False, 1, 1.0, True, 2.5, -3, BIG, BIG + 1,
-               float(BIG), 10 ** 400, -10 ** 400, float("inf"), NAN, "x"]
+               float(BIG), 10 ** 400, -10 ** 400, float("inf"), "x"]
 WALK_BOUNDS = [None, 0, 1, 2.5, -3, BIG, 10 ** 400, float("inf"), "low"]
 
 
@@ -610,32 +617,44 @@ def test_the_kb_query_range_topk_walks_the_column_and_decodes_its_cut(
     assert CountingTerms.decoded == 2 * query["limit"]
 
 
+class HoldsNan:
+    """A caller-supplied store that, unlike ours, holds a NaN: the
+    protocol only, matching a NaN by identity as interning did."""
+
+    def __init__(self, triples):
+        self.triples = [Triple(*triple) for triple in triples]
+
+    def match(self, subject=None, predicate=None, obj=None):
+        return [triple for triple in self.triples
+                if subject in (None, triple.subject)
+                and predicate in (None, triple.predicate)
+                and (obj is None or obj is triple.object or obj == triple.object)]
+
+    def estimate_cardinality(self, subject=None, predicate=None, obj=None):
+        return float(len(self.match(*(None if term is BOUND else term
+                                       for term in (subject, predicate, obj)))))
+
+
 def test_a_row_that_binds_nan_is_kept_by_every_engine():
     from repro.stores.rdf.shard import ShardedGraph
 
     triples = [("a", "p", 1.5), ("b", "p", NAN), ("c", "p", "x"),
                ("a", "q", 1), ("b", "q", 2)]
-    graph = Graph(triples)
-    sqlite = SqliteTripleStore()
-    sharded = ShardedGraph(shards=2)
-    for store in (sqlite, sharded):
-        store.add_all(triples)
+    for store in (Graph(), SqliteTripleStore(), ShardedGraph(shards=2)):
+        with pytest.raises(ValueError):
+            store.add_all(triples)
+        assert len(store) == 0
+        getattr(store, "close", lambda: None)()
+    store = HoldsNan(triples)
     for patterns, want in [
             ([("?s", "p", "?v")],
              [{"?s": "a", "?v": 1.5}, {"?s": "b", "?v": NAN},
               {"?s": "c", "?v": "x"}]),
             ([("?s", "q", "?w"), ("?s", "p", "?v")],
              [{"?s": "a", "?w": 1, "?v": 1.5}, {"?s": "b", "?w": 2, "?v": NAN}])]:
-        answers = [
-            select(graph, patterns),
-            select(GenericOnly(graph), patterns),
-            select(graph, patterns, optimize=False),
-            select(sqlite, patterns),
-            sharded.select(patterns),
-        ]
+        answers = [select(store, patterns), select(store, patterns, optimize=False)]
         assert ([sorted(map(repr, rows)) for rows in answers]
-                == [sorted(map(repr, want))] * 5), patterns
-    sqlite.close()
+                == [sorted(map(repr, want))] * 2), patterns
 
 
 def test_an_int_beyond_float_range_ranks_as_an_infinity():

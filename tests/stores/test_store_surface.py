@@ -13,12 +13,13 @@ mutants to show it can fail.
 import ast
 import inspect
 import itertools
+import json
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.kb.knowledge_base
@@ -189,6 +190,61 @@ def test_every_engine_inherits_the_surface_and_a_protocol_only_store_need_not():
     assert not isinstance(outsider, TripleStoreBase)
 
 
+def test_a_triple_is_its_plain_tuple():
+    triple = Triple("s", "p", 1)
+    assert triple == ("s", "p", 1) and hash(triple) == hash(("s", "p", 1))
+    assert {triple, ("s", "p", 1)} == {triple} and len({triple, ("s", "p", 1)}) == 1
+    assert (triple[0], triple[-1]) == ("s", 1) and tuple(triple) == ("s", "p", 1)
+    assert json.dumps(triple) == '["s", "p", 1]'
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_store_takes_a_triple_or_a_plain_tuple(backend):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = BACKENDS[backend](tmp)
+        try:
+            assert store.add(Triple("s", "p", 1)) and not store.add(("s", "p", 1))
+            assert store.add(("s", "p", 2)) and not store.add(Triple("s", "p", 2))
+            assert store.add_all([("t", "p", 1), Triple("t", "p", 2)]) == 2
+            assert ("s", "p", 1) in store and Triple("s", "p", 2) in store
+            assert sorted(store, key=repr) == [
+                ("s", "p", 1), ("s", "p", 2), ("t", "p", 1), ("t", "p", 2)]
+            assert store.match("s", "p", 1) == [("s", "p", 1)]
+            assert store.remove(("s", "p", 1)) and store.remove(Triple("s", "p", 2))
+            assert len(store) == 2
+        finally:
+            closed(store)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite-file", "sharded-4-memory",
+                                     "sharded-4-sqlite"])
+def test_every_store_refuses_nan(backend):
+    """A NaN equals nothing, itself included: stored, it could never be
+    found, removed or deduplicated again.  A write holding one raises
+    and writes nothing, one triple or a whole batch."""
+    nan = float("nan")
+    with tempfile.TemporaryDirectory() as tmp:
+        store = BACKENDS[backend](tmp)
+        try:
+            store.add(("s", "p", 1))
+            version = store.version
+            for triple in [("s", "p", nan), ("s", "p", nan), ("t", nan, "o")]:
+                with pytest.raises(ValueError, match="NaN"):
+                    store.add(triple)
+            with pytest.raises(ValueError, match="NaN"):
+                store.add_all([("a", "p", 2), ("b", "p", nan), ("c", "p", 3)])
+            with pytest.raises(ValueError, match="NaN"):
+                # On 4 shards "d" is written before "a" is reached.
+                store.add_many([("d", "q", 2), ("a", nan, "o")])
+            assert len(store) == 1 and list(store) == [("s", "p", 1)]
+            assert store.version == version
+            assert ("s", "p", nan) not in store
+            assert not store.remove(("s", "p", nan))
+            assert store.predicates() == {"p"}
+        finally:
+            closed(store)
+
+
 # -- the differential can fail: hand-made mutants -----------------------------
 
 # Predicate p0 holds 5 triples over 3 subjects and 5 objects: 5 / 3 / 5
@@ -245,6 +301,33 @@ def test_the_mutant_script_is_clean_on_the_real_engines():
     for store in (Graph(), SqliteTripleStore(), ShardedGraph(shards=4)):
         apply(store, MUTANT_SCRIPT)
         assert first_disagreement(store, graph) is None
+
+
+# -- Graph's counters follow every write ---------------------------------------
+
+# Two subjects, predicates and objects: removals hit often, and empty an
+# (s, p) bucket, a predicate, or both.
+CHURN_TERMS = (["s0", "s1"], ["p0", "p1"], ["o", 1])
+CHURN_PROBES = list(itertools.product(
+    *([None, BOUND] + terms for terms in CHURN_TERMS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=st.lists(st.tuples(st.sampled_from(["add", "add", "remove"]),
+                                 *map(st.sampled_from, CHURN_TERMS)),
+                       min_size=1, max_size=30))
+# Leave the (s0, p0) bucket, empty it, empty p0, then add it back.
+@example(script=[("add", "s0", "p0", "o"), ("add", "s0", "p0", 1),
+                 ("add", "s1", "p0", "o"), ("remove", "s0", "p0", "o"),
+                 ("remove", "s0", "p0", 1), ("remove", "s1", "p0", "o"),
+                 ("add", "s0", "p0", "o")])
+def test_graph_statistics_equal_a_scan_after_every_add_and_remove(script):
+    graph = Graph()
+    for operation, *triple in script:
+        getattr(graph, operation)(tuple(triple))
+        assert graph.predicate_statistics() == reference_predicate_statistics(graph)
+        assert [graph.estimate_cardinality(*probe) for probe in CHURN_PROBES] == [
+            reference_estimate(graph, *probe) for probe in CHURN_PROBES]
 
 
 # -- the scatter route ≡ per-shard SELECTs and the old k-way merge ------------

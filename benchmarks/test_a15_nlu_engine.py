@@ -1,10 +1,14 @@
 """A15 — the NLU engine kernel: single-scan matcher vs regex per surface.
 
-``ingest-cold`` (the flagship path of ``benchmarks/e2e``) spent 77% of
-its op time in ``services.nlu``: one compiled regex per gazetteer
+``ingest-cold`` (the flagship path of ``benchmarks/e2e``) once spent
+77% of its op time in ``services.nlu``: one compiled regex per gazetteer
 surface form, run over every document and again over every sentence.
-PR 16 replaced that with one trie scan per text and one shared
-document pass in ``analyze``.  This benchmark times the kernel alone,
+The engine now scans each document once with one trie: entities
+resolve from that scan, and ``entity_sentiment`` resolves each
+sentence from the document's occurrences inside the sentence's span
+(there is no per-sentence re-scan).  Sentences are split into spans
+and tokenised once, and those tokens are also the word counts keywords
+and concepts share.  This benchmark times the kernel alone,
 new engine vs the old one kept verbatim as a test oracle
 (``tests/services/reference_nlu.py``), on the 1,000-document seed-42
 corpus for the three provider configurations of the default catalog:

@@ -4,21 +4,34 @@
 documents returned by a Web search, and aggregate the results from all
 analyzed documents."  Key behaviours reproduced:
 
-* each URL goes to the NLU service in a **separate request** ("the
-  APIs generally only support analysis of a single document at a
-  time");
-* services that can analyze URLs directly are used that way; others
-  get the fetched, HTML-stripped text;
+* every document is analysed **on its own** ("the APIs generally only
+  support analysis of a single document at a time"): one analysis per
+  document, one monitor record per document, folded into the aggregate
+  in hit order;
+* the analyses of one page of hits travel **batched on the wire**: one
+  :meth:`~repro.core.invoker.RichClient.invoke_many` for the page,
+  which serves cache hits first and ships the rest through the
+  service's batch endpoint (or one request each when it has none);
+* services that can analyze URLs directly are used that way; the items
+  a service refuses with status 400 (it cannot fetch) are re-sent in
+  one more batch as the archived, HTML-stripped text;
 * fetched documents are archived locally **along with the query itself
   and the time the query was made**, because web documents disappear
-  and search results drift;
+  and search results drift — every hit of a page is fetched and
+  archived, in hit order, before any of them is analysed;
 * whole directories of stored files can be re-analyzed without
   touching the network.
+
+The fetches stay sequential on the caller's thread.  Under a virtual
+clock a concurrent fetch fan-out would save simulated seconds, not CPU,
+and there is no event-loop binding of this flow yet.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from pathlib import Path
+from urllib.parse import quote
 
 from repro.core.aggregation import DocumentSetAggregator
 from repro.core.invoker import InvocationResult, RichClient
@@ -84,17 +97,18 @@ class DocumentArchive:
     def export_to_directory(self, directory: str | Path) -> int:
         """Write every archived document as an .html file; returns count.
 
-        File names are derived from URLs so a directory re-analysis
+        Each file is named by its whole URL, percent-encoded, so no two
+        URLs share a file and a directory re-analysis
         (:meth:`WebSearchAnalyzer.analyze_directory`) can proceed
-        offline, as §2.2 describes.
+        offline, as §2.2 describes.  Returns the number of files
+        written.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         count = 0
         for url in self.document_urls():
             document = self.get_document(url)
-            safe_name = url.replace("://", "_").replace("/", "_") + ".html"
-            (target / safe_name).write_text(document["html"])
+            (target / (quote(url, safe="") + ".html")).write_text(document["html"])
             count += 1
         return count
 
@@ -219,17 +233,23 @@ class WebSearchAnalyzer:
     ) -> DocumentSetAggregator:
         """The full Figure-3 flow for one query.
 
-        Searches, fetches and archives each hit, analyzes every
-        document individually, and aggregates the results.
+        Searches, fetches and archives every hit in hit order, analyzes
+        every document individually — the page's analyses batched into
+        one :meth:`~repro.core.invoker.RichClient.invoke_many`, by URL,
+        with the items the service refuses (status 400) re-sent as
+        stripped text — and aggregates the results in hit order.
+
+        Raises the first failure in hit order: a failed fetch before
+        anything is analysed, otherwise the first document whose
+        analysis failed.  Every hit has been archived by then.
         """
         nlu_service = nlu_service or self.client.best_service("nlu")
         search_result = self.search(query, engine, limit=limit, news_only=news_only)
-        aggregator = DocumentSetAggregator()
-        for hit in search_result.value["results"]:
-            self.fetch(hit["url"])  # archive before analysis, per the paper
-            analysis = self.analyze_url(hit["url"], nlu_service, features)
-            aggregator.add_analysis(analysis)
-        return aggregator
+        urls = [hit["url"] for hit in search_result.value["results"]]
+        pages = [self.fetch(url) for url in urls]  # archive before analysis, per the paper
+        return self._analyze_all(
+            nlu_service, "analyze_url", [{"url": url} for url in urls], features,
+            fallback_pages=pages)
 
     def analyze_texts(
         self,
@@ -237,15 +257,14 @@ class WebSearchAnalyzer:
         nlu_service: str | None = None,
         features: tuple[str, ...] = ALL_FEATURES,
     ) -> DocumentSetAggregator:
-        """Analyze a list of local text documents and aggregate."""
+        """Analyze a list of local text documents and aggregate.
+
+        One analysis per text, batched on the wire; raises the first
+        failure in input order.
+        """
         nlu_service = nlu_service or self.client.best_service("nlu")
-        aggregator = DocumentSetAggregator()
-        for text in texts:
-            result = self.client.invoke(
-                nlu_service, "analyze", {"text": text, "features": list(features)}
-            )
-            aggregator.add_analysis(result.value)
-        return aggregator
+        return self._analyze_all(
+            nlu_service, "analyze", [{"text": text} for text in texts], features)
 
     def analyze_directory(
         self,
@@ -268,3 +287,44 @@ class WebSearchAnalyzer:
                 content = strip_html(content)
             texts.append(content)
         return self.analyze_texts(texts, nlu_service, features)
+
+    def _analyze_all(
+        self,
+        nlu_service: str,
+        operation: str,
+        documents: list[Mapping[str, object]],
+        features: tuple[str, ...],
+        fallback_pages: list[str] | None = None,
+    ) -> DocumentSetAggregator:
+        """One analysis per document, batched, folded in document order.
+
+        ``documents`` are the payloads of ``operation`` without their
+        features.  With ``fallback_pages`` (each document's HTML), the
+        documents the service refuses with status 400 ahead of the first
+        other failure are re-sent in one ``analyze`` batch as stripped
+        text.  Raises the first failed document's error, in document
+        order.
+        """
+        requested = list(features)
+        outcomes = self.client.invoke_many(
+            nlu_service, operation, [{**document, "features": requested}
+                                     for document in documents])
+        if fallback_pages is not None:
+            refused = []
+            for index, outcome in enumerate(outcomes):
+                if isinstance(outcome, RemoteServiceError) and outcome.status == 400:
+                    refused.append(index)
+                elif isinstance(outcome, Exception):
+                    break
+            retried = self.client.invoke_many(
+                nlu_service, "analyze",
+                [{"text": strip_html(fallback_pages[index]), "features": requested}
+                 for index in refused]) if refused else []
+            for index, outcome in zip(refused, retried):
+                outcomes[index] = outcome
+        aggregator = DocumentSetAggregator()
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            aggregator.add_analysis(outcome.value)
+        return aggregator

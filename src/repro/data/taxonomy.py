@@ -11,6 +11,8 @@ Serves two roles:
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
+
 
 class ConceptTaxonomy:
     """A forest of concepts with keyword triggers."""
@@ -59,6 +61,15 @@ class ConceptTaxonomy:
     def concepts_for_token(self, token: str) -> set[str]:
         """Concepts triggered by one keyword token."""
         return set(self._triggers.get(token.lower(), set()))
+
+    @property
+    def triggers(self) -> Mapping[str, Set[str]]:
+        """Lower-cased trigger token -> the concepts it triggers.
+
+        The live table, not a copy (the NLU engine reads it once per
+        token); callers must not edit it.
+        """
+        return self._triggers
 
     def subclass_pairs(self) -> list[tuple[str, str]]:
         """All (child, parent) edges — ready to become rdfs:subClassOf triples."""

@@ -24,8 +24,10 @@ surface in one pass over a text.  ``extract_entities`` resolves them
 in a fixed order: longest surface first (ties by surface string), each
 surface's occurrences left to right and non-overlapping, an occurrence
 dropped when it overlaps a span an earlier one took.  ``analyze``
-splits, tokenises and scores each sentence once and computes only what
-the requested features need.
+scans the document once, splits it into sentence spans once, tokenises
+and scores each sentence once, and computes only what the requested
+features need: a sentence's mentions for ``entity_sentiment`` are the
+document's occurrences that lie inside that sentence.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import re
 from bisect import bisect_right, insort
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
+from itertools import accumulate, chain
+from operator import itemgetter
 
 from repro.data.gazetteer import Gazetteer
 from repro.data.lexicon import SentimentLexicon
@@ -45,15 +49,15 @@ from repro.simnet.latency import LatencyDistribution
 from repro.simnet.transport import Transport
 from repro.textproc.html import strip_html
 from repro.textproc.stopwords import STOPWORDS
-from repro.textproc.tokenizer import split_sentences, tokenize, word_tokens
+from repro.textproc.tokenizer import sentence_spans, span_tokens, tokenize
 
 ALL_FEATURES = ("entities", "keywords", "concepts", "sentiment", "entity_sentiment")
 
 _CAPITALIZED_RUN_RE = re.compile(r"\b([A-Z][a-z]+(?:\s+[A-Z][a-z]+){0,2})\b")
-_WORD_RE = re.compile(r"\w+")
 _WORD_SPLIT_RE = re.compile(r"(\w+)")
 
 Span = tuple[int, int]
+Occurrence = tuple[int, int, int]
 
 
 def _stable_fraction(seed: int, token: str) -> float:
@@ -82,6 +86,14 @@ class _CaseFold(dict):
 
 _FOLD = _CaseFold({code: ord(chr(code).lower()) for code in range(128)})
 _FOLD.update({0x130: ord("i"), 0x131: ord("i"), 0x17F: ord("s")})
+
+
+def _word_counts(tokens: Iterable[str]) -> Counter[str]:
+    """Counts of the word tokens (numbers dropped), in first-seen order."""
+    counts = Counter(tokens)
+    for token in [token for token in counts if token[0].isdigit()]:
+        del counts[token]
+    return counts
 
 
 def _overlaps(taken: list[Span], start: int, end: int) -> bool:
@@ -121,37 +133,38 @@ class SurfaceMatcher:
             exact = surface if len(surface) <= 3 else None
             node.setdefault(None, []).append((rank, exact, lead, trail))
 
-    def scan(self, text: str) -> list[tuple[int, int, int]]:
+    def scan(self, text: str) -> list[Occurrence]:
         """``(rank, start, end)`` of every occurrence, sorted.
 
         ``rank`` indexes :attr:`surfaces`.  Occurrences of different
         surfaces — and of one surface with itself — may overlap.
         """
-        folded = text.translate(_FOLD)
-        words = [(folded[start:end], start, end)
-                 for start, end in map(re.Match.span, _WORD_RE.finditer(text))]
+        # Folding keeps every character's ``\w``-ness, so the folded text
+        # cuts at the same offsets: gap, word, gap, ..., word, gap.
+        pieces = _WORD_SPLIT_RE.split(text.translate(_FOLD))
+        ends = list(accumulate(map(len, pieces)))
+        final_gap = len(pieces) - 1
+        root = self._root
         found = []
-        for first, (word, start, end) in enumerate(words):
-            node = self._root.get(word)
+        for first in range(1, final_gap, 2):
+            node = root.get(pieces[first])
             last = first
             while node is not None:
                 for rank, exact, lead, trail in node.get(None, ()):
                     # A leading / trailing separator must be the whole gap
                     # to the neighbouring word (``\b`` next to a non-word
                     # character asks for a word character beyond it).
-                    if lead and (first == 0 or folded[words[first - 1][2]:start] != lead):
+                    if lead and (first == 1 or pieces[first - 1] != lead):
                         continue
-                    if trail and (last + 1 == len(words)
-                                  or folded[end:words[last + 1][1]] != trail):
+                    if trail and (last + 1 == final_gap or pieces[last + 1] != trail):
                         continue
-                    if exact is None or text.startswith(exact, start - len(lead)):
-                        found.append((rank, start - len(lead), end + len(trail)))
-                last += 1
-                if last == len(words):
+                    start = ends[first - 1] - len(lead)
+                    if exact is None or text.startswith(exact, start):
+                        found.append((rank, start, ends[last] + len(trail)))
+                if last + 1 == final_gap:
                     break
-                word, next_start, next_end = words[last]
-                node = node.get((folded[end:next_start], word))
-                end = next_end
+                node = node.get((pieces[last + 1], pieces[last + 2]))
+                last += 2
         found.sort()
         return found
 
@@ -198,8 +211,9 @@ class NluEngine:
 
     # -- features ----------------------------------------------------------
 
-    def _mentions(self, text: str) -> tuple[dict[str, list[str]], list[Span]]:
-        """Greedy longest-first resolution of the matcher's candidates.
+    def _resolve(self, text: str, occurrences: list[Occurrence]
+                 ) -> tuple[dict[str, list[str]], list[Span]]:
+        """Greedy longest-first resolution of sorted matcher occurrences.
 
         Returns entity id -> mention strings (in the text's casing, in
         resolution order) and the sorted disjoint spans they took.
@@ -208,7 +222,7 @@ class NluEngine:
         taken: list[Span] = []
         surfaces = self._matcher.surfaces
         last_rank, resume = -1, 0
-        for rank, start, end in self._matcher.scan(text):
+        for rank, start, end in occurrences:
             # One surface's occurrences do not overlap each other, taken
             # or not — what ``finditer`` would have yielded.
             if rank == last_rank and start < resume:
@@ -222,7 +236,10 @@ class NluEngine:
 
     def extract_entities(self, text: str) -> list[dict]:
         """Gazetteer NER with greedy longest-first matching."""
-        mentions, taken = self._mentions(text)
+        return self._entities(text, self._matcher.scan(text))
+
+    def _entities(self, text: str, occurrences: list[Occurrence]) -> list[dict]:
+        mentions, taken = self._resolve(text, occurrences)
         results = []
         for entity_id, surfaces in mentions.items():
             entity = self.gazetteer.get(entity_id)
@@ -273,14 +290,15 @@ class NluEngine:
         Keywords are *not* disambiguated (the paper is explicit about
         this asymmetry with entities).
         """
-        return self._keywords(Counter(word_tokens(text)), limit)
+        return self._keywords(_word_counts(tokenize(text)), limit)
 
     def _keywords(self, word_counts: Counter[str], limit: int = 10) -> list[dict]:
-        counts = Counter({word: count for word, count in word_counts.items()
-                          if len(word) > 2 and word not in STOPWORDS})
+        counts = [(word, count) for word, count in word_counts.items()
+                  if len(word) > 2 and word not in STOPWORDS]
         if not counts:
             return []
-        top = counts.most_common(limit)
+        # ``Counter.most_common``, without its Python-level heap.
+        top = sorted(counts, key=itemgetter(1), reverse=True)[:limit]
         peak = top[0][1]
         return [
             {"text": token, "relevance": round(count / peak, 4), "count": count}
@@ -289,13 +307,14 @@ class NluEngine:
 
     def extract_concepts(self, text: str, limit: int = 5) -> list[dict]:
         """Taxonomy concepts triggered by the document's tokens."""
-        return self._concepts(Counter(word_tokens(text)), limit)
+        return self._concepts(_word_counts(tokenize(text)), limit)
 
     def _concepts(self, word_counts: Counter[str], limit: int = 5) -> list[dict]:
         hits: Counter[str] = Counter()
-        for token, count in word_counts.items():
-            for concept in self.taxonomy.concepts_for_token(token):
-                hits[concept] += count
+        triggers = self.taxonomy.triggers
+        for token in filter(triggers.__contains__, word_counts):
+            for concept in triggers[token]:
+                hits[concept] += word_counts[token]
         if not hits:
             return []
         top = hits.most_common(limit)
@@ -309,9 +328,9 @@ class NluEngine:
             for concept, count in top
         ]
 
-    def _sentence_scores(self, sentences: list[str]) -> list[float]:
-        """Lexicon score of each sentence (tokenised here, once)."""
-        return [self.lexicon.score_tokens(tokenize(sentence)) for sentence in sentences]
+    def _sentence_scores(self, sentence_tokens: list[list[str]]) -> list[float]:
+        """Lexicon score of each sentence's tokens."""
+        return [self.lexicon.score_tokens(tokens) for tokens in sentence_tokens]
 
     @staticmethod
     def _polarity(score: float) -> dict:
@@ -326,7 +345,8 @@ class NluEngine:
 
     def document_sentiment(self, text: str) -> dict:
         """Whole-document polarity in [-1, 1] with a discrete label."""
-        return self._document_sentiment(self._sentence_scores(split_sentences(text)))
+        return self._document_sentiment(
+            self._sentence_scores(span_tokens(text, sentence_spans(text))))
 
     def _document_sentiment(self, scores: list[float]) -> dict:
         total = 0.0
@@ -343,14 +363,30 @@ class NluEngine:
         Mirrors the Watson feature §2.2 highlights — sentiment for
         individual entities rather than whole documents.
         """
-        sentences = split_sentences(text)
-        return self._entity_sentiment(sentences, self._sentence_scores(sentences))
+        spans = sentence_spans(text)
+        return self._entity_sentiment(
+            text, spans, self._sentence_scores(span_tokens(text, spans)),
+            self._matcher.scan(text))
 
-    def _entity_sentiment(self, sentences: list[str], scores: list[float]) -> dict[str, dict]:
+    def _entity_sentiment(self, text: str, spans: list[Span], scores: list[float],
+                          occurrences: list[Occurrence]) -> dict[str, dict]:
+        # A sentence's mentions are the document's occurrences inside its
+        # span, in scan order: sentences are whole words apart, so an
+        # occurrence within one sees the same neighbours a scan of the
+        # sentence alone would (one with a separator at a sentence edge is
+        # refused by both), and one across a break is in neither.
+        starts = [start for start, _ in spans]
+        inside: list[list[Occurrence]] = [[] for _ in spans]
+        for occurrence in occurrences:
+            index = bisect_right(starts, occurrence[1]) - 1
+            if index >= 0 and occurrence[2] <= spans[index][1]:
+                inside[index].append(occurrence)
         totals: dict[str, float] = defaultdict(float)
         counts: dict[str, int] = defaultdict(int)
-        for sentence, sentence_score in zip(sentences, scores):
-            mentions, _ = self._mentions(sentence)
+        for found, sentence_score in zip(inside, scores):
+            if not found:
+                continue
+            mentions, _ = self._resolve(text, found)
             # Same order as ``extract_entities`` reports them.
             for entity_id in sorted(mentions, key=lambda key: (-len(mentions[key]), key)):
                 totals[entity_id] += sentence_score
@@ -387,29 +423,39 @@ class NluEngine:
     def analyze(self, text: str, features: tuple[str, ...] = ALL_FEATURES) -> dict:
         """Run the requested features over one document, in one pass.
 
-        Word counts are shared by keywords and concepts; sentences are
-        split, tokenised and scored once for both sentiment features.
-        Nothing a feature needs is computed unless it was requested.
+        The surface scan is shared by entities and entity sentiment;
+        sentences are split, tokenised and scored once for both
+        sentiment features, and their tokens are the word counts
+        keywords and concepts share.  Nothing a feature needs is
+        computed unless it was requested.
         """
         unknown = set(features) - set(ALL_FEATURES)
         if unknown:
             raise ValueError(f"unknown NLU features: {sorted(unknown)}")
         result: dict[str, object] = {"language": "en", "text_length": len(text)}
+        occurrences = (self._matcher.scan(text) if "entities" in features
+                       or "entity_sentiment" in features else [])
         if "entities" in features:
-            result["entities"] = self.extract_entities(text)
+            result["entities"] = self._entities(text, occurrences)
+        by_sentence = "sentiment" in features or "entity_sentiment" in features
+        if by_sentence:
+            spans = sentence_spans(text)
+            sentence_tokens = span_tokens(text, spans)
         if "keywords" in features or "concepts" in features:
-            word_counts = Counter(word_tokens(text))
+            # The sentences' tokens, in order, are ``tokenize(text)``.
+            word_counts = _word_counts(chain.from_iterable(sentence_tokens)
+                                       if by_sentence else tokenize(text))
             if "keywords" in features:
                 result["keywords"] = self._keywords(word_counts)
             if "concepts" in features:
                 result["concepts"] = self._concepts(word_counts)
-        if "sentiment" in features or "entity_sentiment" in features:
-            sentences = split_sentences(text)
-            scores = self._sentence_scores(sentences)
+        if by_sentence:
+            scores = self._sentence_scores(sentence_tokens)
             if "sentiment" in features:
                 result["sentiment"] = self._document_sentiment(scores)
             if "entity_sentiment" in features:
-                result["entity_sentiment"] = self._entity_sentiment(sentences, scores)
+                result["entity_sentiment"] = self._entity_sentiment(
+                    text, spans, scores, occurrences)
         return result
 
 

@@ -33,7 +33,9 @@ class TfidfIndex:
 
     Documents are added with a stable ``doc_id``.  The index keeps raw
     term frequencies per document, document frequencies per term, and
-    document lengths, which is everything BM25 needs.
+    document lengths, which is everything BM25 needs; each term's
+    posting maps the documents holding it to its frequency there, so a
+    query reads each frequency straight off the posting.
     """
 
     def __init__(self, stem: bool = True) -> None:
@@ -42,7 +44,7 @@ class TfidfIndex:
         self._doc_lengths: dict[str, int] = {}
         self._total_length = 0
         self._document_frequency: Counter[str] = Counter()
-        self._postings: dict[str, set[str]] = {}
+        self._postings: dict[str, dict[str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._doc_terms)
@@ -66,9 +68,9 @@ class TfidfIndex:
         self._doc_terms[doc_id] = counts
         self._doc_lengths[doc_id] = length
         self._total_length += length
-        for term in counts:
+        for term, frequency in counts.items():
             self._document_frequency[term] += 1
-            self._postings.setdefault(term, set()).add(doc_id)
+            self._postings.setdefault(term, {})[doc_id] = frequency
 
     def remove_document(self, doc_id: str) -> None:
         """Drop ``doc_id`` from the index; unknown ids are a no-op."""
@@ -81,7 +83,7 @@ class TfidfIndex:
             if self._document_frequency[term] == 0:
                 del self._document_frequency[term]
             postings = self._postings[term]
-            postings.discard(doc_id)
+            del postings[doc_id]
             if not postings:
                 del self._postings[term]
 
@@ -119,8 +121,7 @@ class TfidfIndex:
             if doc_frequency == 0:
                 continue
             idf = math.log(1 + (total_docs - doc_frequency + 0.5) / (doc_frequency + 0.5))
-            for doc_id in self._postings[term]:
-                frequency = self._doc_terms[doc_id][term]
+            for doc_id, frequency in self._postings[term].items():
                 length_norm = 1 - b + b * self._doc_lengths[doc_id] / avg_length
                 scores[doc_id] = scores.get(doc_id, 0.0) + idf * (
                     frequency * (k1 + 1) / (frequency + k1 * length_norm)

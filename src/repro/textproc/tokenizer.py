@@ -32,8 +32,15 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     """
     tokens = _TOKEN_RE.findall(text)
     if lowercase:
-        tokens = [token.lower() for token in tokens]
+        return _lower_all(tokens)
     return tokens
+
+
+def _lower_all(tokens: list[str]) -> list[str]:
+    """Each token lower-cased: tokens hold no whitespace and no cased
+    character whose lower case depends on its neighbours, so lower-casing
+    them joined is lower-casing each."""
+    return " ".join(tokens).lower().split()
 
 
 def word_tokens(text: str, lowercase: bool = True) -> list[str]:
@@ -41,27 +48,45 @@ def word_tokens(text: str, lowercase: bool = True) -> list[str]:
     return [token for token in tokenize(text, lowercase=lowercase) if not token[0].isdigit()]
 
 
+def span_tokens(text: str, spans: list[tuple[int, int]]) -> list[list[str]]:
+    """Lower-cased :func:`tokenize` tokens of each ``text[start:end]`` span.
+
+    Scans ``text`` in place, without slicing it; for the spans of
+    :func:`sentence_spans` the lists concatenate to ``tokenize(text)``,
+    since no token crosses the whitespace between two sentences.
+    """
+    return [_lower_all(_TOKEN_RE.findall(text, start, end)) for start, end in spans]
+
+
+def sentence_spans(text: str) -> list[tuple[int, int]]:
+    """``(start, end)`` offsets of each sentence of ``text``.
+
+    Sentences end on ., ! and ? followed by whitespace or the end of
+    the text; common abbreviations (Mr., Inc., U.S., ...) do not end a
+    sentence.  Each span is stripped of surrounding whitespace and
+    whitespace-only fragments are dropped, so between two consecutive
+    spans there is only whitespace.
+    """
+    spans: list[tuple[int, int]] = []
+    # A sentence starts where the whitespace after the previous one ends,
+    # so only the first can start with blanks to strip.
+    start = len(text) - len(text.lstrip())
+    for match in _SENTENCE_END_RE.finditer(text, start):
+        if match.group(1) == ".":
+            preceding = text[start : match.start(1)].rsplit(None, 1)
+            if preceding and preceding[-1].lower().rstrip(".") in _ABBREVIATIONS:
+                continue
+        spans.append((start, match.end(1)))
+        start = match.end()
+    end = len(text.rstrip())
+    if start < end:
+        spans.append((start, end))
+    return spans
+
+
 def split_sentences(text: str) -> list[str]:
     """Split ``text`` into sentences on ., ! and ? boundaries.
 
-    Common abbreviations (Mr., Inc., U.S., ...) do not end a sentence.
-    Whitespace-only fragments are dropped; each returned sentence is
-    stripped.
+    The sentences :func:`sentence_spans` finds, as stripped strings.
     """
-    sentences: list[str] = []
-    start = 0
-    for match in _SENTENCE_END_RE.finditer(text):
-        candidate = text[start : match.end(1)]
-        preceding = candidate[: match.start(1) - start]
-        last_word = preceding.rsplit(None, 1)[-1].lower() if preceding.split() else ""
-        last_word = last_word.rstrip(".")
-        if match.group(1) == "." and last_word in _ABBREVIATIONS:
-            continue
-        stripped = candidate.strip()
-        if stripped:
-            sentences.append(stripped)
-        start = match.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    return [text[start:end] for start, end in sentence_spans(text)]

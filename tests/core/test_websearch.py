@@ -47,6 +47,19 @@ class TestDocumentArchive:
         assert len(files) == 1
         assert files[0].read_text() == "<html>a</html>"
 
+    def test_export_keeps_urls_that_differ_only_in_separators(self, tmp_path, client):
+        """``http://x/a_b`` and ``http://x/a/b`` once both became
+        ``http_x_a_b.html``: the count said 2, one file survived."""
+        archive = DocumentArchive()
+        archive.store_document("http://x/a_b", "<p>IBM thrived with excellent results.</p>", 0.0)
+        archive.store_document("http://x/a/b", "<p>Initech collapsed in a scandal.</p>", 0.0)
+        assert archive.export_to_directory(tmp_path / "dump") == 2
+        assert len(list((tmp_path / "dump").glob("*.html"))) == 2
+        aggregator = WebSearchAnalyzer(client, archive=archive).analyze_directory(
+            tmp_path / "dump", nlu_service="lexica-prime")
+        assert aggregator.documents_analyzed == 2
+        assert {"C_ibm", "C_initech"} <= {agg.entity_id for agg in aggregator.top_entities()}
+
 
 class TestSearch:
     def test_search_archives_query(self, analyzer):

@@ -8,6 +8,8 @@ configurations of the default catalog and for any gazetteer.
 """
 
 import json
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,7 @@ from repro.data.corpus import generate_corpus
 from repro.data.gazetteer import Entity, Gazetteer, default_gazetteer
 from repro.data.lexicon import default_sentiment_lexicon
 from repro.data.taxonomy import default_taxonomy
-from repro.services.nlu import ALL_FEATURES, NluEngine
+from repro.services.nlu import _FOLD, ALL_FEATURES, NluEngine
 from tests.services.reference_nlu import ReferenceNluEngine, reference_for
 
 FEATURE_SUBSETS = [subset for size in range(len(ALL_FEATURES) + 1)
@@ -184,3 +186,75 @@ def test_an_untaken_occurrence_still_hides_the_one_it_overlaps():
     # the "a b a" at 7 starts inside that dropped occurrence: never reported.
     assert [e["id"] for e in oracle.extract_entities(text)] == ["E1"]
     assert engine.extract_entities(text) == oracle.extract_entities(text)
+
+
+# -- sentence edges: one document scan serves every sentence ------------------
+#
+# ``entity_sentiment`` resolves each sentence from the occurrences the
+# document scan found inside that sentence; the oracle scans every sentence
+# on its own.  These texts crowd surfaces against sentence breaks: dotted
+# surfaces that open or close a sentence, a surface a break splits, and
+# the exact short surfaces at either edge of a sentence.
+
+_EDGE_SURFACES = ["U.S.", "U.S.A.", "U.K.", "u.s.a.", "US", "IN", "CA", "UK", "us", "In",
+                  "New York", "New York City", "the U.S", "United States", "IBM",
+                  "People's Republic of China"]
+_BREAKS = [". ", "! ", "? ", ".\n", ".\n\n", "!? ", ". \n ", "... ", ".  "]
+
+
+def _edge_sentence(parts):
+    lead, body, tail, brk = parts
+    return " ".join(word for word in (lead, body, tail) if word) + brk
+
+
+_edge_text = st.lists(
+    st.tuples(st.sampled_from(_EDGE_SURFACES + [""]),
+              st.sampled_from(_FILLER + ["", "excellent", "terrible", "Mr.", "Inc."]),
+              st.sampled_from(_EDGE_SURFACES + ["", "growth"]),
+              st.sampled_from(_BREAKS + [" ", ""])),
+    min_size=1, max_size=8,
+).map(lambda sentences: "".join(_edge_sentence(parts) for parts in sentences))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_edge_text)
+def test_sentence_edges_match_the_oracle(providers, text):
+    _assert_same_analysis(providers, text)
+
+
+@pytest.mark.parametrize("text", [
+    "New York. City is excellent.",        # a break splits "New York City"
+    "U.S. IBM is excellent. U.K.",          # dotted surface at both ends
+    "We like the U.K. The U.S.A. fell. U.S.A.",
+    "US. IN! CA? UK.\nUS IN CA",
+    "IN the US. US in the IN.",
+    "Excellent.   \n\n  U.S.A. terrible!  New York",
+    "u.s.a. rose. the U.S won.",
+])
+def test_pinned_sentence_edges_match_the_oracle(providers, text):
+    _assert_same_analysis(providers, text)
+
+
+@pytest.mark.parametrize("text", [
+    "Acme. Corp rose. Corp fell.",
+    "We met Acme. Corp was there! Acme.  Corp",
+    "Corp. Acme. Corp. Acme",
+])
+def test_a_surface_across_a_sentence_break_is_in_neither_sentence(text):
+    """The document scan finds "Acme. Corp" across the break after
+    "Acme."; no sentence holds it, so entity sentiment must not count it."""
+    engine, oracle = _tiny_engines(["Acme. Corp", "Corp"], heuristic_ner=False)
+    assert "E0" in {entity["id"] for entity in engine.extract_entities(text)}
+    assert _dump(engine.extract_entities(text)) == _dump(oracle.extract_entities(text))
+    assert _dump(engine.entity_sentiment(text)) == _dump(oracle.entity_sentiment(text))
+
+
+def test_case_folding_keeps_every_word_boundary():
+    """``SurfaceMatcher.scan`` cuts the folded text into words: folding
+    must never turn a word character into a non-word one or back."""
+    word = re.compile(r"\w")
+    changed = [code for code in range(sys.maxunicode + 1)
+               if chr(code).lower() != chr(code)]
+    assert changed
+    assert all(bool(word.match(chr(code))) == bool(word.match(chr(code).translate(_FOLD)))
+               for code in changed)

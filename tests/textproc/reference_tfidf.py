@@ -110,11 +110,21 @@ def reference_spell_counts(texts, extra_words=()):
 
 def index_state(index):
     """Everything an index holds, with the per-document and per-term
-    orders made explicit (``dict`` equality alone ignores them)."""
+    orders made explicit (``dict`` equality alone ignores them).
+
+    Postings compare as each term's set of documents (the oracle keeps
+    sets; ``TfidfIndex`` maps each document to the term's frequency
+    there), and a frequency a posting carries must be the one its
+    document's counts hold.
+    """
     return {
         "doc_terms": [(doc_id, list(counts.items()))
                       for doc_id, counts in index._doc_terms.items()],
         "doc_lengths": list(index._doc_lengths.items()),
         "document_frequency": list(index._document_frequency.items()),
-        "postings": list(index._postings.items()),
+        "postings": [(term, set(postings)) for term, postings in index._postings.items()],
+        "posting_frequencies_agree": all(
+            frequency == index._doc_terms[doc_id][term]
+            for term, postings in index._postings.items() if isinstance(postings, dict)
+            for doc_id, frequency in postings.items()),
     }

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Mapping, Sequence
-from dataclasses import replace
 
 from repro.core.aio.admission import AsyncAdmissionController
 from repro.core.aio.coalesce import AsyncCoalescer
@@ -57,6 +56,29 @@ from repro.obs import names
 from repro.services.base import ServiceRequest
 from repro.tenancy.runtime import REASON_SHED
 from repro.util.deadline import Deadline, DeadlineExceededError
+
+
+def _folded(shared: InvocationResult) -> InvocationResult:
+    """The result of a request folded onto another's upstream call.
+
+    An in-burst duplicate or a coalesced follower reports the shared
+    outcome at no cost (the leader paid): ``dataclasses.replace(shared,
+    coalesced=True, cost=0.0)``, built directly.
+    """
+    return InvocationResult(
+        value=shared.value,
+        latency=shared.latency,
+        cost=0.0,
+        service=shared.service,
+        operation=shared.operation,
+        cached=shared.cached,
+        attempts=shared.attempts,
+        coalesced=True,
+        batched=shared.batched,
+        degraded=shared.degraded,
+        stale_age=shared.stale_age,
+        entry_key=shared.entry_key,
+    )
 
 
 class AsyncInvoker:
@@ -195,7 +217,7 @@ class AsyncInvoker:
                 # the monitor record; we report the shared outcome.
                 shared = await self._flight_result(
                     flight, self.client._real_timeout(wait))
-                return replace(shared, coalesced=True, cost=0.0)
+                return _folded(shared)
         try:
             result = await self._ainvoke_remote(
                 service, service_name, operation, payload, timeout,
@@ -523,10 +545,9 @@ class AsyncInvoker:
         for indices in groups.values():
             shared = results[indices[0]]
             for index in indices[1:]:
-                if isinstance(shared, InvocationResult):
-                    results[index] = replace(shared, coalesced=True, cost=0.0)
-                else:
-                    results[index] = shared
+                results[index] = (_folded(shared)
+                                  if isinstance(shared, InvocationResult)
+                                  else shared)
         return results
 
     # -- fan-out -----------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.obs import names
 from repro.stores.kvstore import KeyValueStore
 from repro.util.clock import Clock
+from repro.util.errors import SerializationError
 
 #: Operations that are safe to serve from cache: they read remote state
 #: without changing it.  Mutations (put/delete) and anything unknown
@@ -101,6 +102,13 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+#: The key's one encoder.  A cycle makes it recurse until
+#: ``RecursionError`` (no circular-reference marker walk), which
+#: :func:`cache_key` reports like any other unserializable payload.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                check_circular=False)
+
+
 def cache_key(service: str, operation: str, payload: Mapping[str, object],
               tenant: str | None = None) -> str:
     """Canonical cache key: sorted-key JSON of the full request.
@@ -109,12 +117,26 @@ def cache_key(service: str, operation: str, payload: Mapping[str, object],
     tenants issuing the identical request get distinct entries, so one
     can never read a response cached for the other.  Untenanted keys
     (the default) are byte-identical to the historical format.
+
+    The key is ``json.dumps({"service", "operation", "payload"[,
+    "tenant"]}, sort_keys=True, separators=(",", ":"))``, spliced
+    around the payload's own canonical text: the top-level names
+    already sort as ``operation < payload < service < tenant``.
+    Raises :class:`~repro.util.errors.SerializationError` when the
+    payload cannot cross the wire (an unserializable value, a cycle,
+    nesting too deep to encode).
     """
-    request = {"service": service, "operation": operation,
-               "payload": dict(payload)}
+    encode = _KEY_ENCODER.encode
+    try:
+        body = encode(payload if type(payload) is dict else dict(payload))
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SerializationError(
+            f"payload is not JSON-serializable: {exc}") from exc
+    key = (f'{{"operation":{encode(operation)},"payload":{body},'
+           f'"service":{encode(service)}')
     if tenant is not None:
-        request["tenant"] = tenant
-    return json.dumps(request, sort_keys=True, separators=(",", ":"))
+        return f'{key},"tenant":{encode(tenant)}}}'
+    return key + "}"
 
 
 class ServiceCache:

@@ -15,16 +15,24 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.analytics.histogram import Histogram
 from repro.analytics.stats import DescriptiveStats, describe
 from repro.obs import names
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
-    """One observed service invocation."""
+#: The latency parameters of a record that has none: one shared,
+#: read-only empty mapping instead of a new dict per record.
+_NO_LATENCY_PARAMS: Mapping[str, float] = MappingProxyType({})
+
+
+class InvocationRecord(NamedTuple):
+    """One observed service invocation.
+
+    A named tuple: one is built per served item, so it must be cheap.
+    """
 
     service: str
     operation: str
@@ -33,7 +41,7 @@ class InvocationRecord:
     cost: float
     success: bool
     error: str | None = None
-    latency_params: Mapping[str, float] = field(default_factory=dict)
+    latency_params: Mapping[str, float] = _NO_LATENCY_PARAMS
     quality: float | None = None
     cached: bool = False
     trace_id: str | None = None  # cross-reference into repro.obs traces
@@ -88,19 +96,24 @@ class ServiceMonitor:
     def record(self, record: InvocationRecord) -> None:
         """Append one observation."""
         with self._lock:
-            self._records.setdefault(
-                record.service, deque(maxlen=self.max_records)
-            ).append(record)
+            self._append(self._records, record)
             if not record.cached:
-                self._remote.setdefault(
-                    record.service, deque(maxlen=self.max_records)
-                ).append(record)
+                self._append(self._remote, record)
         if self._metric_invocations is not None:
             outcome = ("cached" if record.cached
                        else "success" if record.success else "failure")
             self._outcome_counter(record.service, outcome).inc()
             if record.success and not record.cached and record.latency is not None:
                 self._metric_latency.observe(record.latency, service=record.service)
+
+    def _append(self, histories: dict[str, deque[InvocationRecord]],
+                record: InvocationRecord) -> None:
+        """Append to the record's service history (caller holds the lock);
+        the bounded deque is built once per service, not once per record."""
+        history = histories.get(record.service)
+        if history is None:
+            history = histories[record.service] = deque(maxlen=self.max_records)
+        history.append(record)
 
     def services(self) -> list[str]:
         """Names of every service with at least one record."""

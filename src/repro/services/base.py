@@ -321,14 +321,19 @@ class SimulatedService(ABC):
         return self._parse_invoke(result, operation)
 
     def _prepare_invoke(self, operation, payload):
-        """Build the (server_fn, wire request, latency params) triple."""
-        request = ServiceRequest(operation, dict(payload or {}))
-        params = self.latency_params(request)
+        """Build the (server_fn, wire request, latency params) triple.
+
+        The server side serves the request that crossed the wire — the
+        transport's decoded copy — never the caller's own objects.
+        """
+        payload = dict(payload or {})
+        params = self.latency_params(ServiceRequest(operation, payload))
 
         def server_fn(request_payload: dict) -> tuple[dict, float]:
-            return self._serve(request, params)
+            return self._serve(ServiceRequest(request_payload["operation"],
+                                              request_payload["payload"]), params)
 
-        wire_request = {"operation": operation, "payload": dict(request.payload)}
+        wire_request = {"operation": operation, "payload": payload}
         return server_fn, wire_request, params
 
     def _parse_invoke(self, result, operation: str) -> ServiceResponse:
@@ -426,15 +431,16 @@ class SimulatedService(ABC):
             raise ValueError(
                 f"batch of {len(payloads)} exceeds {self.name!r}'s "
                 f"batch_max_size={self.batch_max_size}")
-        requests = [ServiceRequest(operation, payload) for payload in payloads]
-        params = self.latency_params(requests[0])
-        params["batch"] = float(len(requests))
+        params = self.latency_params(ServiceRequest(operation, payloads[0]))
+        params["batch"] = float(len(payloads))
 
         def server_fn(request_payload: dict) -> tuple[dict, float]:
-            return self._serve_batch(requests)
+            return self._serve_batch([
+                ServiceRequest(request_payload["operation"], item)
+                for item in request_payload["batch"]])
 
         wire_request = {"operation": operation, "batch": payloads}
-        return server_fn, wire_request, params, len(requests)
+        return server_fn, wire_request, params, len(payloads)
 
     def _parse_batch(self, result, operation: str) -> list[ServiceResponse | RemoteServiceError]:
         """Unpack a batched transport result into per-item outcomes."""

@@ -37,12 +37,24 @@ ServerFn = Callable[[dict], tuple[dict, float]]
 """A service entry point: payload -> (response payload, compute latency)."""
 
 
+#: The wire's one encoder.  Without the circular-reference marker walk a
+#: cycle recurses until ``RecursionError``, reported like every other
+#: payload that cannot cross (:func:`_encode`).  ``ensure_ascii`` holds,
+#: so a text's length is its byte count.
+_WIRE_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _encode(payload: object, what: str) -> str:
+    """The compact JSON text of ``payload``, or :class:`SerializationError`."""
+    try:
+        return _WIRE_ENCODER.encode(payload)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SerializationError(f"{what} is not JSON-serializable: {exc}") from exc
+
+
 def wire_size(payload: object) -> int:
     """Bytes the payload occupies on the simulated wire (JSON-encoded)."""
-    try:
-        return len(json.dumps(payload, separators=(",", ":")).encode())
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"payload is not JSON-serializable: {exc}") from exc
+    return len(_encode(payload, "payload"))
 
 
 def _roundtrip(payload: object, direction: str) -> tuple[dict, int]:
@@ -54,11 +66,8 @@ def _roundtrip(payload: object, direction: str) -> tuple[dict, int]:
     "b"}``): the wire carried both entries and is charged for both,
     the receiver's ``dict`` keeps the last.
     """
-    try:
-        encoded = json.dumps(payload, separators=(",", ":"))
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"{direction} payload is not JSON-serializable: {exc}") from exc
-    return json.loads(encoded), len(encoded.encode())
+    encoded = _encode(payload, f"{direction} payload")
+    return json.loads(encoded), len(encoded)
 
 
 @dataclass

@@ -14,8 +14,10 @@ import asyncio
 import importlib
 import inspect
 import pkgutil
+import time
 from collections import Counter
-from dataclasses import asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -37,9 +39,11 @@ from repro.core.aio import (
     LoopRunner,
 )
 from repro.core.futures import run_sync
+from repro.core.aio.invoker import _folded
 from repro.core.hedging import HedgedInvoker
 from repro.core.invoker import InvocationResult
 from repro.core.quota import BudgetExceededError
+from repro.core.retry import AttemptLog
 from repro.services.base import ScriptedFailures, ServiceRequest
 from repro.tenancy.context import tenant_scope
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
@@ -290,6 +294,81 @@ def bound(request):
 
 def documents(count):
     return [{"text": f"Initech files memo number {n}."} for n in range(count)]
+
+
+def every_field(result):
+    """All of a result's fields, ``entry_key`` (left out of ``==``) too."""
+    return [getattr(result, field.name) for field in fields(InvocationResult)]
+
+
+def shared_result():
+    return InvocationResult(
+        value={"v": 1}, latency=0.3, cost=0.2, service="glotta",
+        operation="analyze", cached=True,
+        attempts=(AttemptLog("glotta", 1, None),), batched=True,
+        degraded=True, stale_age=4.0, entry_key="k")
+
+
+class TestFoldedResults:
+    """An in-burst duplicate and a coalesced follower report the shared
+    result at no cost: ``replace(shared, coalesced=True, cost=0.0)``."""
+
+    def test_folded_is_replace_on_every_field(self):
+        shared = shared_result()
+        folded = _folded(shared)
+        assert every_field(folded) == every_field(
+            replace(shared, coalesced=True, cost=0.0))
+        assert folded.value is shared.value
+
+    @pytest.mark.parametrize("driver", ["blocking", "loop"])
+    def test_invoke_many_duplicates(self, pair, driver):
+        _, sync_client, _, async_client = pair
+        payloads = [{"text": TEXT}, {"text": OTHER}, {"text": TEXT},
+                    {"text": TEXT}]
+        if driver == "blocking":
+            results = sync_client.invoke_many("glotta", "analyze", payloads,
+                                              use_cache=False)
+        else:
+            results = arun(async_client.aio.ainvoke_many(
+                "glotta", "analyze", payloads, use_cache=False))
+        expected = every_field(replace(results[0], coalesced=True, cost=0.0))
+        assert results[0].cost > 0 and not results[0].coalesced
+        assert every_field(results[2]) == every_field(results[3]) == expected
+
+    def test_loop_follower(self, pair):
+        _, _, _, client = pair
+        shared = shared_result()
+
+        async def scenario():
+            key = client._request_key("glotta", "analyze", {"text": TEXT})
+            leader, flight = client.aio.coalescer.lead_or_join(key)
+            assert leader
+            follower = asyncio.ensure_future(
+                client.aio.ainvoke("glotta", "analyze", {"text": TEXT}))
+            await asyncio.sleep(0)
+            client.aio.coalescer.complete(flight, shared)
+            return await follower
+
+        assert every_field(arun(scenario())) == every_field(
+            replace(shared, coalesced=True, cost=0.0))
+
+    def test_blocking_follower(self, pair):
+        _, client, _, _ = pair
+        shared = shared_result()
+        key = client._request_key("glotta", "analyze", {"text": TEXT})
+        leader, flight = client.coalescer.lead_or_join(key)
+        assert leader
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            follower = pool.submit(client.invoke, "glotta", "analyze",
+                                   {"text": TEXT})
+            give_up = time.monotonic() + 10.0
+            while (client.coalescer.stats.coalesced == 0
+                   and time.monotonic() < give_up):
+                time.sleep(0.001)
+            client.coalescer.complete(flight, shared)
+            result = follower.result(timeout=10.0)
+        assert every_field(result) == every_field(
+            replace(shared, coalesced=True, cost=0.0))
 
 
 class TestABatchIsNCallsInOneRoundTrip:

@@ -1,5 +1,7 @@
 """Tests for the RichClient facade."""
 
+import asyncio
+
 import pytest
 
 from repro.core.invoker import RichClient
@@ -8,6 +10,7 @@ from repro.core.ranking import Weights
 from repro.core.retry import AllServicesFailedError, FailoverInvoker, RetryPolicy
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
+from repro.util.errors import SerializationError
 
 TEXT = "IBM announced excellent results while Initech struggled badly."
 
@@ -53,6 +56,46 @@ class TestInvoke:
 
         with pytest.raises(NotFoundError):
             client.invoke("ghost", "op", {})
+
+
+def cyclic_payload():
+    payload = {"text": TEXT, "loop": []}
+    payload["loop"].append(payload)
+    return payload
+
+
+def too_deep_payload():
+    nested = []
+    for _ in range(5_000):
+        nested = [nested]
+    return {"text": TEXT, "deep": nested}
+
+
+ENTRY_POINTS = {
+    "invoke": lambda client, payload, use_cache: client.invoke(
+        "lexica-prime", "analyze", payload, use_cache=use_cache),
+    "ainvoke": lambda client, payload, use_cache: asyncio.run(
+        client.aio.ainvoke("lexica-prime", "analyze", payload,
+                           use_cache=use_cache)),
+    "invoke_many": lambda client, payload, use_cache: client.invoke_many(
+        "lexica-prime", "analyze", [payload], use_cache=use_cache),
+}
+
+
+class TestUnserializablePayload:
+    """A payload that cannot cross the wire raises SerializationError from
+    every entry point, whether the cache key or the wire refuses it."""
+
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("make", [
+        cyclic_payload, too_deep_payload, lambda: {"text": TEXT, "tags": {1, 2}},
+    ], ids=["cycle", "deep", "set"])
+    def test_one_error_type(self, client, make, entry, use_cache):
+        with pytest.raises(SerializationError):
+            ENTRY_POINTS[entry](client, make(), use_cache)
+        assert not any(record.success
+                       for record in client.monitor.records("lexica-prime"))
 
 
 class TestCachingBehaviour:

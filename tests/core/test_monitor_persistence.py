@@ -96,3 +96,43 @@ class TestSaveLoad:
             "nlu", weights=Weights(response_time=1, cost=0, quality=0))
         assert ranked[0][0] == "wordsmith-lite"  # knowledge survived restart
         reborn.close()
+
+
+class TestNamedTupleRecords:
+    def test_default_latency_params_are_one_read_only_mapping(self):
+        first = InvocationRecord("s", "op", 0.0, 0.1, 0.0, True)
+        second = InvocationRecord("t", "op", 1.0, None, 0.0, False)
+        assert first.latency_params is second.latency_params
+        assert first.latency_params == {}
+        with pytest.raises(TypeError):
+            first.latency_params["size"] = 1.0
+
+    def test_file_roundtrip_keeps_records_and_ranking(self, world, tmp_path):
+        """Remote calls, cache hits and ratings saved to a file come back
+        as equal records, and the ranker reads the same scores off them."""
+        from repro import RichClient
+
+        client = RichClient(world.registry)
+        for provider in ("lexica-prime", "glotta", "wordsmith-lite"):
+            for doc in world.corpus.documents[:4]:
+                client.invoke(provider, "analyze", {"text": doc.text})
+            client.invoke(provider, "analyze",
+                          {"text": world.corpus.documents[0].text})
+        client.monitor.rate_quality("glotta", 0.9)
+        path = tmp_path / "monitor.json"
+        client.monitor.save_to(FileKeyValueStore(path))
+
+        restored = ServiceMonitor()
+        restored.load_from(FileKeyValueStore(path))
+        assert restored.services() == client.monitor.services()
+        for service in client.monitor.services():
+            for include_cached in (False, True):
+                records = restored.records(service, include_cached)
+                assert records == client.monitor.records(service, include_cached)
+                assert all(isinstance(record, InvocationRecord)
+                           for record in records)
+            assert restored.summary(service) == client.monitor.summary(service)
+        reborn = RichClient(world.registry, monitor=restored)
+        assert reborn.rank_services("nlu") == client.rank_services("nlu")
+        reborn.close()
+        client.close()

@@ -236,6 +236,43 @@ class TestOneServePath:
         assert batched._rng._random.getstate() == single._rng._random.getstate()
 
 
+class KeepingService(SimulatedService):
+    """Keeps every payload its handler was given."""
+
+    def __init__(self, transport):
+        super().__init__("keeper", "test", transport)
+        self.batch_max_size = 4
+        self.seen = []
+
+    def _handle(self, request: ServiceRequest):
+        self.seen.append(request.payload)
+        return {"ok": True}
+
+
+class TestServesTheWireCopy:
+    """The handler gets the request that crossed the wire: a decoded copy
+    that shares no object with the caller and holds only JSON types."""
+
+    @staticmethod
+    def payload():
+        return {"value": {"n": [1, 2]}, "pair": (1, 2), 3: "int key"}
+
+    @pytest.mark.parametrize("endpoint", ["invoke", "invoke_batch"])
+    def test_handler_never_sees_the_callers_objects(self, transport, endpoint):
+        service = KeepingService(transport)
+        sent = self.payload()
+        if endpoint == "invoke":
+            service.invoke("keep", sent)
+        else:
+            service.invoke_batch("keep", [sent, sent])
+        for seen in service.seen:
+            assert seen == {"value": {"n": [1, 2]}, "pair": [1, 2],
+                            "3": "int key"}
+            assert seen is not sent and seen["value"] is not sent["value"]
+        sent["value"]["n"].append(99)
+        assert all(seen["value"]["n"] == [1, 2] for seen in service.seen)
+
+
 class TestServiceRegistry:
     def test_register_and_get(self, service):
         registry = ServiceRegistry([service])

@@ -81,3 +81,22 @@ class TestSizeDependentLatency:
         # ...and s2 wins on large ones — the paper's example.
         assert (fast_small.invoke("put", large_payload).latency
                 > fast_large.invoke("put", large_payload).latency)
+
+
+class TestStoresWhatCrossedTheWire:
+    """A stored value is the service's own decoded copy: mutating the
+    caller's object afterwards does not reach the store."""
+
+    def test_caller_mutation_after_put_is_not_stored(self, client):
+        value = {"items": [1, 2]}
+        client.invoke("store-standard", "put", {"key": "k", "value": value})
+        value["items"].append(3)
+        value["extra"] = True
+        got = client.invoke("store-standard", "get", {"key": "k"},
+                            use_cache=False)
+        assert got.value["value"] == {"items": [1, 2]}
+
+    def test_a_tuple_is_stored_as_the_json_array_it_crossed_as(self, client):
+        client.invoke("store-standard", "put", {"key": "t", "value": (1, 2)})
+        service = client.registry.get("store-standard")
+        assert service._data["t"] == [1, 2]

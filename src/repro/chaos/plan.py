@@ -270,20 +270,3 @@ class FaultPlan:
         lines.extend(f"  - {spec.describe()}" for spec in self.specs)
         return "\n".join(lines)
 
-
-def offline_transitions(windows: list[Window]) -> list[float]:
-    """Flatten outage windows into :class:`ScriptedConnectivity` flips.
-
-    Overlapping or touching windows are merged first; the result is the
-    sorted transition list for a model that starts online.
-    """
-    merged: list[list[float]] = []
-    for window in sorted(windows, key=lambda w: (w.start, w.end)):
-        if merged and window.start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], window.end)
-        else:
-            merged.append([window.start, window.end])
-    transitions: list[float] = []
-    for start, end in merged:
-        transitions.extend((start, end))
-    return transitions

@@ -17,19 +17,28 @@ swallows offline errors — which demonstrably *fails* the deadline and
 lost-update invariants.  The control failing is part of the harness's
 contract: it proves the invariants can catch the bugs the protections
 exist to prevent.
+
+Every scenario stands on one scaffold, :class:`_Stage`: its setup
+(world, armed plan, open ledger), :meth:`_Stage.call` (one timed call),
+:meth:`_Call.served` (the one classifier of an answered call) and
+:meth:`_Stage.drive` (the ``chaos.scenario`` span and the teardown).
+A scenario only says what its caller does.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.analytics.stats import percentile
-from repro.chaos.inject import ChaosInjector, SkewedClock
+from repro.chaos.inject import SkewedClock
 from repro.chaos.invariants import InvariantReport, ScenarioRun, check_all
 from repro.chaos.plan import (
     ClockSkew,
     ErrorBurst,
     FaultPlan,
+    FaultSpec,
     FlappingLink,
     LatencySpike,
     Partition,
@@ -43,7 +52,7 @@ from repro.core.admission import (
 )
 from repro.core.caching import ServiceCache, cache_key
 from repro.core.circuitbreaker import CircuitBreakerRegistry, CircuitOpenError
-from repro.core.invoker import RichClient
+from repro.core.invoker import InvocationResult, RichClient
 from repro.core.retry import (
     FailoverInvoker,
     RetriesExhaustedError,
@@ -90,38 +99,162 @@ class ScenarioResult:
         return self.report.render()
 
 
-def _advance_to(clock, when: float) -> None:
-    """Charge the clock forward to ``when`` (no-op if already past)."""
-    delta = when - clock.now()
-    if delta > 0:
-        clock.charge(delta)
+# -- the scaffold ------------------------------------------------------------
+
+class _Call:
+    """One issued call: its deadline and how it ended.
+
+    ``deadline`` is the caller's budget as a :class:`Deadline` (None
+    when the call has none); the body decides whether to hand it to the
+    stack — a protections-off control keeps its SLA on the ledger but
+    never tells the stack about it.
+    """
+
+    def __init__(self, run: ScenarioRun, deadline: Deadline | None) -> None:
+        self.run = run
+        self.deadline = deadline
+        self.kind: str | None = None
+        self.detail = ""
+
+    def classify(self, kind: str, detail: str = "") -> None:
+        """Label the call's outcome (one of the ledger's kinds)."""
+        self.kind = kind
+        self.detail = detail
+
+    def degraded(self, stale_age: float | None) -> None:
+        """Label the call degraded, logging the age of what it served."""
+        if stale_age is not None:
+            self.run.stale_ages.append(stale_age)
+        self.classify("degraded")
+
+    def served(self, result: InvocationResult) -> None:
+        """Label an answered call: degraded (stale) or a success."""
+        if result.degraded:
+            self.degraded(result.stale_age)
+        else:
+            self.classify("success")
 
 
-def _scenario_span(client: RichClient, run: ScenarioRun):
-    """The ``chaos.scenario`` span wrapping one scenario's action."""
-    return client.obs.tracer.span(
-        names.SPAN_CHAOS_SCENARIO,
-        {"scenario": run.scenario, "protections": run.protections})
+class _Stage:
+    """One scenario's world, armed fault plan and evidence ledger.
+
+    Building it is the setup: a fresh world, the plan's injector
+    installed on its transport, an open :class:`ScenarioRun`.
+    :meth:`drive` wraps the scenario's action in the
+    ``chaos.scenario`` span and tears down after it; :meth:`call` times
+    one logical call onto the ledger.
+    """
+
+    def __init__(self, name: str, seed: int, protections: bool,
+                 faults: tuple[FaultSpec, ...] = (),
+                 max_transport_step: float = 0.0) -> None:
+        self.plan = FaultPlan(faults, seed=seed)
+        self.world = build_world(seed=seed, corpus_size=12)
+        self.clock = self.world.clock
+        self.injector = self.plan.injector().install(self.world.transport)
+        self.run = ScenarioRun(name, seed, protections,
+                               max_transport_step=max_transport_step)
+
+    def degrading_client(self, ttl: float, stale_grace: float,
+                         **options) -> RichClient:
+        """A client that answers a failed call from in-grace cache.
+
+        Its cache holds entries ``ttl`` seconds and keeps them
+        ``stale_grace`` seconds more for degraded serves, so the
+        ledger's staleness bound is the sum.
+        """
+        cache = ServiceCache(capacity=64, ttl=ttl, clock=self.clock,
+                             stale_grace=stale_grace)
+        self.run.staleness_bound = ttl + stale_grace
+        return RichClient(self.world.registry, cache=cache,
+                          serve_stale_on_error=True, **options)
+
+    def advance_to(self, when: float) -> None:
+        """Charge the clock forward to ``when`` (no-op if already past)."""
+        delta = when - self.clock.now()
+        if delta > 0:
+            self.clock.charge(delta)
+
+    @contextmanager
+    def drive(self, client: RichClient) -> Iterator[None]:
+        """Run the scenario's action; then close ``client`` and copy
+        the injector's fault counts into the ledger."""
+        run = self.run
+        try:
+            with client.obs.tracer.span(
+                    names.SPAN_CHAOS_SCENARIO,
+                    {"scenario": run.scenario,
+                     "protections": run.protections}):
+                yield
+        finally:
+            client.close()
+            stats = self.injector.stats
+            run.injected = {
+                "errors": stats.errors,
+                "latency_spikes": stats.latency_spikes,
+                "partitions": stats.partitions,
+                "corruptions": stats.corruptions,
+            }
+
+    @contextmanager
+    def call(self, budget: float | None = None) -> Iterator[_Call]:
+        """Time one logical call with an optional ``budget`` (seconds).
+
+        The request is counted on entry; its outcome is recorded on exit
+        only if the body classified it.  A call that is never classified
+        (or raises) is left unaccounted, so counter-consistency shows it
+        as an imbalance instead of it vanishing.
+        """
+        self.run.issue()
+        started = self.clock.now()
+        deadline = (Deadline.after(self.clock, budget)
+                    if budget is not None else None)
+        call = _Call(self.run, deadline)
+        yield call
+        if call.kind is not None:
+            self.run.record(
+                call.kind, started, self.clock.now(),
+                deadline_expires=(deadline.expires_at
+                                  if deadline is not None else None),
+                detail=call.detail)
 
 
-def _finish(run: ScenarioRun, injector: ChaosInjector) -> ScenarioRun:
-    """Copy the injector's fault counts into the run ledger."""
-    stats = injector.stats
-    run.injected = {
-        "errors": stats.errors,
-        "latency_spikes": stats.latency_spikes,
-        "partitions": stats.partitions,
-        "corruptions": stats.corruptions,
-    }
-    return run
+def _secure_remote(client: RichClient) -> SecureRemoteStore:
+    """The encrypted remote store the sync scenarios replicate into."""
+    return SecureRemoteStore(client, "store-standard",
+                             StreamCipher(_CIPHER_KEY))
 
-def _read_remote(run: ScenarioRun, secure: SecureRemoteStore) -> None:
-    """Read back every expected key from the remote store (post-heal)."""
-    for key in sorted(run.expected_state):
+
+def _write(stage: _Stage, store, key: str, value: object,
+           detail: str = "") -> None:
+    """One store write, timed onto the ledger as a success."""
+    with stage.call() as call:
+        store.put(key, value)
+        call.classify("success", detail)
+
+
+def _read_back(run: ScenarioRun, secure: SecureRemoteStore,
+               expected: dict[str, object]) -> None:
+    """Expect ``expected`` remotely and read every key back (post-heal)."""
+    run.expected_state = expected
+    for key in sorted(expected):
         try:
             run.remote_state[key] = secure.get(key)
         except NotFoundError:  # repro: ignore[RA002] — a missing key IS the evidence the lost-update check needs
             pass
+
+
+def _patient_retry(call: _Call, client: RichClient, service: str,
+                   payload: dict, policy: RetryPolicy) -> None:
+    """The control's retry loop: uncached, deaf to the caller's budget."""
+    try:
+        invoke_with_retry(
+            lambda: client.invoke(service, "analyze", payload,
+                                  use_cache=False),
+            policy, clock=client.clock, service=service)
+        call.classify("success")
+    except RetriesExhaustedError:
+        call.classify("failure")
 
 
 def _metrics_from(run: ScenarioRun) -> dict[str, float]:
@@ -178,81 +311,45 @@ def scenario_error_burst(seed: int, protections: bool) -> ScenarioRun:
     Protections off: a patient retry loop sleeps far past the caller's
     2-second budget — the deadline invariant catches the overshoot.
     """
-    plan = FaultPlan(
+    stage = _Stage(
+        "error_burst", seed, protections,
         (ErrorBurst(Window(5.0, 60.0), endpoint="lexica-prime", status=500),),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("error_burst", seed, protections,
-                      max_transport_step=1.0)
+        max_transport_step=1.0)
     budget = 2.0
 
-    if protections:
-        cache = ServiceCache(capacity=64, ttl=3.0, clock=clock,
-                             stale_grace=30.0)
-        run.staleness_bound = 33.0
-        client = RichClient(
-            world.registry, cache=cache, serve_stale_on_error=True,
-            failover=FailoverInvoker(
-                default_policy=RetryPolicy(max_attempts=2, backoff=0.1),
-                clock=clock))
-        try:
-            with _scenario_span(client, run):
-                for text in _TEXTS[:3]:  # warm the cache pre-burst
-                    run.issue()
-                    started = clock.now()
-                    client.invoke("lexica-prime", "analyze", {"text": text})
-                    run.record("success", started, clock.now())
-                _advance_to(clock, 5.5)  # inside the burst; entries stale
-                for text in _TEXTS[:3]:
-                    run.issue()
-                    started = clock.now()
-                    deadline = Deadline.after(clock, budget)
-                    result = client.invoke(
-                        "lexica-prime", "analyze", {"text": text},
-                        deadline=deadline)
-                    kind = "degraded" if result.degraded else "success"
-                    if result.degraded and result.stale_age is not None:
-                        run.stale_ages.append(result.stale_age)
-                    run.record(kind, started, clock.now(),
-                               deadline_expires=deadline.expires_at)
-                for text in _TEXTS[3:]:  # failover reaches a healthy sibling
-                    run.issue()
-                    started = clock.now()
-                    deadline = Deadline.after(clock, budget)
-                    result = client.invoke_with_failover(
-                        "nlu", "analyze", {"text": text}, deadline=deadline)
-                    run.record("degraded" if result.degraded else "success",
-                               started, clock.now(),
-                               deadline_expires=deadline.expires_at)
-        finally:
-            client.close()
-        return _finish(run, injector)
-
-    client = RichClient(world.registry)
-    policy = RetryPolicy(max_attempts=3, backoff=4.0)
-    try:
-        with _scenario_span(client, run):
-            _advance_to(clock, 5.5)
+    if not protections:
+        client = RichClient(stage.world.registry)
+        policy = RetryPolicy(max_attempts=3, backoff=4.0)
+        with stage.drive(client):
+            stage.advance_to(5.5)
             for text in _TEXTS[:3]:
-                run.issue()
-                started = clock.now()
-                try:
-                    invoke_with_retry(
-                        lambda text=text: client.invoke(
-                            "lexica-prime", "analyze", {"text": text},
-                            use_cache=False),
-                        policy, clock=clock, service="lexica-prime")
-                    kind = "success"
-                except RetriesExhaustedError:
-                    kind = "failure"
-                # The caller HAD a 2-second SLA; this stack ignored it.
-                run.record(kind, started, clock.now(),
-                           deadline_expires=started + budget)
-    finally:
-        client.close()
-    return _finish(run, injector)
+                # The caller HAS a 2-second SLA; this stack ignores it.
+                with stage.call(budget) as call:
+                    _patient_retry(call, client, "lexica-prime",
+                                   {"text": text}, policy)
+        return stage.run
+
+    client = stage.degrading_client(
+        ttl=3.0, stale_grace=30.0, failover=FailoverInvoker(
+            default_policy=RetryPolicy(max_attempts=2, backoff=0.1),
+            clock=stage.clock))
+    with stage.drive(client):
+        for text in _TEXTS[:3]:  # warm the cache pre-burst
+            with stage.call() as call:
+                call.served(client.invoke("lexica-prime", "analyze",
+                                          {"text": text}))
+        stage.advance_to(5.5)  # inside the burst; entries stale
+        for text in _TEXTS[:3]:
+            with stage.call(budget) as call:
+                call.served(client.invoke(
+                    "lexica-prime", "analyze", {"text": text},
+                    deadline=call.deadline))
+        for text in _TEXTS[3:]:  # failover reaches a healthy sibling
+            with stage.call(budget) as call:
+                call.served(client.invoke_with_failover(
+                    "nlu", "analyze", {"text": text},
+                    deadline=call.deadline))
+    return stage.run
 
 
 def scenario_latency_spike(seed: int, protections: bool) -> ScenarioRun:
@@ -263,58 +360,35 @@ def scenario_latency_spike(seed: int, protections: bool) -> ScenarioRun:
     from grace-window cache.  Protections off: the caller rides out the
     full stalled response, overshooting the budget.
     """
-    plan = FaultPlan(
+    stage = _Stage(
+        "latency_spike", seed, protections,
         (LatencySpike(Window(2.0, 40.0), endpoint="glotta", extra=2.5),),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("latency_spike", seed, protections,
-                      max_transport_step=1.0)
+        max_transport_step=1.0)
     budget = 1.0
 
-    if protections:
-        cache = ServiceCache(capacity=64, ttl=1.0, clock=clock,
-                             stale_grace=20.0)
-        run.staleness_bound = 21.0
-        client = RichClient(world.registry, cache=cache,
-                            serve_stale_on_error=True)
-    else:
-        client = RichClient(world.registry)
-    try:
-        with _scenario_span(client, run):
-            for text in _TEXTS[:2]:  # warm before the spike
-                run.issue()
-                started = clock.now()
-                client.invoke("glotta", "analyze", {"text": text})
-                run.record("success", started, clock.now())
-            _advance_to(clock, 3.0)  # inside the spike; entries stale
-            for text in _TEXTS[:2]:
-                run.issue()
-                started = clock.now()
+    client = (stage.degrading_client(ttl=1.0, stale_grace=20.0)
+              if protections else RichClient(stage.world.registry))
+    with stage.drive(client):
+        for text in _TEXTS[:2]:  # warm before the spike
+            with stage.call() as call:
+                call.served(client.invoke("glotta", "analyze",
+                                          {"text": text}))
+        stage.advance_to(3.0)  # inside the spike; entries stale
+        for text in _TEXTS[:2]:
+            with stage.call(budget) as call:
                 if protections:
-                    deadline = Deadline.after(clock, budget)
                     result = client.invoke("glotta", "analyze",
-                                           {"text": text}, deadline=deadline)
-                    kind = "degraded" if result.degraded else "success"
-                    if result.degraded and result.stale_age is not None:
-                        run.stale_ages.append(result.stale_age)
-                else:
-                    client.invoke("glotta", "analyze", {"text": text},
-                                  use_cache=False)
-                    kind = "success"  # a slow success is still a success...
-                run.record(kind, started, clock.now(),
-                           deadline_expires=started + budget)
-            # An unspiked provider stays fast either way.
-            run.issue()
-            started = clock.now()
-            client.invoke("lexica-prime", "analyze", {"text": _TEXTS[4]},
-                          use_cache=False)
-            run.record("success", started, clock.now(),
-                       deadline_expires=started + budget)
-    finally:
-        client.close()
-    return _finish(run, injector)
+                                           {"text": text},
+                                           deadline=call.deadline)
+                else:  # a slow success is still a success...
+                    result = client.invoke("glotta", "analyze",
+                                           {"text": text}, use_cache=False)
+                call.served(result)
+        # An unspiked provider stays fast either way.
+        with stage.call(budget) as call:
+            call.served(client.invoke("lexica-prime", "analyze",
+                                      {"text": _TEXTS[4]}, use_cache=False))
+    return stage.run
 
 
 def scenario_partition_sync(seed: int, protections: bool) -> ScenarioRun:
@@ -325,70 +399,43 @@ def scenario_partition_sync(seed: int, protections: bool) -> ScenarioRun:
     Protections off: the naive write-through store silently drops the
     offline writes, and the no-lost-updates invariant catches it.
     """
-    plan = FaultPlan((Partition(Window(2.0, 6.0)),), seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("partition_sync", seed, protections)
-    client = RichClient(world.registry)
-    secure = SecureRemoteStore(client, "store-standard",
-                               StreamCipher(_CIPHER_KEY))
-    try:
-        with _scenario_span(client, run):
-            if protections:
-                store = OfflineSyncStore(remote=secure)
-                run.issue()
-                started = clock.now()
-                store.put("alpha", {"v": 1})  # online: pushed immediately
-                run.record("success", started, clock.now())
-                _advance_to(clock, 2.5)  # partitioned
-                for key, value in (("alpha", {"v": 2}), ("beta", {"v": 1})):
-                    run.issue()
-                    started = clock.now()
-                    store.put(key, value)  # local write + queued push
-                    run.record("success", started, clock.now(),
-                               detail="queued offline")
-                run.issue()
-                started = clock.now()
+    stage = _Stage("partition_sync", seed, protections,
+                   (Partition(Window(2.0, 6.0)),))
+    run = stage.run
+    client = RichClient(stage.world.registry)
+    secure = _secure_remote(client)
+    with stage.drive(client):
+        store = (OfflineSyncStore(remote=secure) if protections
+                 else _NaiveWriteThroughStore(secure))
+        _write(stage, store, "alpha", {"v": 1})  # online: pushed
+        stage.advance_to(2.5)  # partitioned
+        offline = ("queued offline" if protections
+                   else "write-through dropped offline")
+        for key, value in (("alpha", {"v": 2}), ("beta", {"v": 1})):
+            _write(stage, store, key, value, offline)
+        if protections:
+            with stage.call() as call:
                 assert store.get("alpha") == {"v": 2}  # local-first read
-                run.record("success", started, clock.now())
-                _advance_to(clock, 4.0)  # still partitioned
-                run.issue()
-                started = clock.now()
+                call.classify("success")
+            stage.advance_to(4.0)  # still partitioned
+            with stage.call() as call:
                 if store.sync() == 0:  # connectivity still down
-                    run.record("failure", started, clock.now(),
-                               detail="sync attempt while partitioned")
+                    call.classify("failure",
+                                  "sync attempt while partitioned")
                 else:
-                    run.record("success", started, clock.now())
-                _advance_to(clock, 6.5)  # healed
-                run.issue()
-                started = clock.now()
+                    call.classify("success")
+            stage.advance_to(6.5)  # healed
+            with stage.call() as call:
                 applied = store.sync()
-                run.record("success", started, clock.now())
-                run.note(f"sync applied={applied} "
-                         f"pending={store.pending_count}")
-                run.expected_state = {"alpha": {"v": 2}, "beta": {"v": 1}}
-            else:
-                store = _NaiveWriteThroughStore(secure)
-                run.issue()
-                started = clock.now()
-                store.put("alpha", {"v": 1})
-                run.record("success", started, clock.now())
-                _advance_to(clock, 2.5)
-                for key, value in (("alpha", {"v": 2}), ("beta", {"v": 1})):
-                    run.issue()
-                    started = clock.now()
-                    store.put(key, value)  # remote write silently dropped
-                    run.record("success", started, clock.now(),
-                               detail="write-through dropped offline")
-                _advance_to(clock, 6.5)
-                run.note(f"naive store dropped {store.dropped} "
-                         f"remote write(s)")
-                run.expected_state = {"alpha": {"v": 2}, "beta": {"v": 1}}
-            _read_remote(run, secure)
-    finally:
-        client.close()
-    return _finish(run, injector)
+                call.classify("success")
+            run.note(f"sync applied={applied} "
+                     f"pending={store.pending_count}")
+        else:
+            stage.advance_to(6.5)
+            run.note(f"naive store dropped {store.dropped} "
+                     f"remote write(s)")
+        _read_back(run, secure, {"alpha": {"v": 2}, "beta": {"v": 1}})
+    return run
 
 
 def scenario_flapping_link(seed: int, protections: bool) -> ScenarioRun:
@@ -399,68 +446,48 @@ def scenario_flapping_link(seed: int, protections: bool) -> ScenarioRun:
     keep its queue).  Convergence across *multiple* short outages is
     exactly what distinguishes a real offline queue from a lucky one.
     """
-    plan = FaultPlan(
-        (FlappingLink(Window(1.0, 9.0), period=2.0, duty_offline=0.5),),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("flapping_link", seed, protections)
-    client = RichClient(world.registry)
-    secure = SecureRemoteStore(client, "store-standard",
-                               StreamCipher(_CIPHER_KEY))
-
-    if protections:
-        store = OfflineSyncStore(remote=secure)
-    else:
-        store = _NaiveWriteThroughStore(secure)
-
-    def write(key: str, value: object, detail: str = "") -> None:
-        run.issue()
-        started = clock.now()
-        store.put(key, value)
-        run.record("success", started, clock.now(), detail=detail)
+    stage = _Stage(
+        "flapping_link", seed, protections,
+        (FlappingLink(Window(1.0, 9.0), period=2.0, duty_offline=0.5),))
+    client = RichClient(stage.world.registry)
+    secure = _secure_remote(client)
+    store = (OfflineSyncStore(remote=secure) if protections
+             else _NaiveWriteThroughStore(secure))
 
     def try_sync() -> None:
         if not protections:
             return
-        run.issue()
-        started = clock.now()
-        if store.sync() == 0 and store.pending_count:
-            run.record("failure", started, clock.now(),
-                       detail="sync attempt while link down")
-        else:
-            run.record("success", started, clock.now())
+        with stage.call() as call:
+            if store.sync() == 0 and store.pending_count:
+                call.classify("failure", "sync attempt while link down")
+            else:
+                call.classify("success")
 
-    try:
-        with _scenario_span(client, run):
-            _advance_to(clock, 0.3)   # online
-            write("a", {"v": 1})
-            _advance_to(clock, 1.2)   # offline phase 1
-            write("a", {"v": 2}, detail="offline")
-            write("b", {"v": 1}, detail="offline")
-            _advance_to(clock, 2.2)   # online phase
-            try_sync()
-            _advance_to(clock, 3.3)   # offline phase 2
-            write("b", {"v": 2}, detail="offline")
-            try_sync()                # must fail cleanly, keep the queue
-            _advance_to(clock, 4.2)   # online
-            try_sync()
-            _advance_to(clock, 5.4)   # offline phase 3
-            write("c", {"v": 3}, detail="offline")
-            _advance_to(clock, 6.3)   # online
-            write("d", {"v": 4})
-            _advance_to(clock, 8.4)   # flapping over
-            try_sync()
-            run.expected_state = {"a": {"v": 2}, "b": {"v": 2},
-                                  "c": {"v": 3}, "d": {"v": 4}}
-            if not protections:
-                run.note(f"naive store dropped {store.dropped} "
-                         f"remote write(s)")
-            _read_remote(run, secure)
-    finally:
-        client.close()
-    return _finish(run, injector)
+    with stage.drive(client):
+        stage.advance_to(0.3)   # online
+        _write(stage, store, "a", {"v": 1})
+        stage.advance_to(1.2)   # offline phase 1
+        _write(stage, store, "a", {"v": 2}, "offline")
+        _write(stage, store, "b", {"v": 1}, "offline")
+        stage.advance_to(2.2)   # online phase
+        try_sync()
+        stage.advance_to(3.3)   # offline phase 2
+        _write(stage, store, "b", {"v": 2}, "offline")
+        try_sync()              # must fail cleanly, keep the queue
+        stage.advance_to(4.2)   # online
+        try_sync()
+        stage.advance_to(5.4)   # offline phase 3
+        _write(stage, store, "c", {"v": 3}, "offline")
+        stage.advance_to(6.3)   # online
+        _write(stage, store, "d", {"v": 4})
+        stage.advance_to(8.4)   # flapping over
+        try_sync()
+        if not protections:
+            stage.run.note(f"naive store dropped {store.dropped} "
+                           f"remote write(s)")
+        _read_back(stage.run, secure, {"a": {"v": 2}, "b": {"v": 2},
+                                       "c": {"v": 3}, "d": {"v": 4}})
+    return stage.run
 
 
 def scenario_corrupt_payload(seed: int, protections: bool) -> ScenarioRun:
@@ -471,67 +498,31 @@ def scenario_corrupt_payload(seed: int, protections: bool) -> ScenarioRun:
     never-seen request still fails (there is nothing to degrade to) —
     honest degradation, not invention.
     """
-    plan = FaultPlan(
+    stage = _Stage(
+        "corrupt_payload", seed, protections,
         (PayloadCorruption(Window(2.0, 30.0), endpoint="wordsmith-lite"),),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("corrupt_payload", seed, protections,
-                      max_transport_step=1.5)
-    budget = 1.5
+        max_transport_step=1.5)
+    budget = 1.5 if protections else None
 
-    if protections:
-        cache = ServiceCache(capacity=64, ttl=1.5, clock=clock,
-                             stale_grace=20.0)
-        run.staleness_bound = 21.5
-        client = RichClient(world.registry, cache=cache,
-                            serve_stale_on_error=True)
-    else:
-        client = RichClient(world.registry)
-    try:
-        with _scenario_span(client, run):
-            for text in _TEXTS[:2]:  # warm before corruption starts
-                run.issue()
-                started = clock.now()
-                client.invoke("wordsmith-lite", "analyze", {"text": text})
-                run.record("success", started, clock.now())
-            _advance_to(clock, 2.5)  # corruption window active
-            for text in _TEXTS[:2]:
-                run.issue()
-                started = clock.now()
-                deadline = (Deadline.after(clock, budget)
-                            if protections else None)
+    client = (stage.degrading_client(ttl=1.5, stale_grace=20.0)
+              if protections else RichClient(stage.world.registry))
+    with stage.drive(client):
+        for text in _TEXTS[:2]:  # warm before corruption starts
+            with stage.call() as call:
+                call.served(client.invoke("wordsmith-lite", "analyze",
+                                          {"text": text}))
+        stage.advance_to(2.5)  # corruption window active
+        # The last request was never seen before and has no stale entry
+        # to fall back on: it must fail, not fabricate an answer.
+        for text in (_TEXTS[0], _TEXTS[1], _TEXTS[4]):
+            with stage.call(budget) as call:
                 try:
-                    result = client.invoke(
+                    call.served(client.invoke(
                         "wordsmith-lite", "analyze", {"text": text},
-                        deadline=deadline, use_cache=protections)
-                    kind = "degraded" if result.degraded else "success"
-                    if result.degraded and result.stale_age is not None:
-                        run.stale_ages.append(result.stale_age)
+                        deadline=call.deadline, use_cache=protections))
                 except NetworkError:
-                    kind = "failure"
-                run.record(kind, started, clock.now(),
-                           deadline_expires=(deadline.expires_at
-                                             if deadline else None))
-            # A request never seen before has no stale entry to fall
-            # back on: it must fail, not fabricate an answer.
-            run.issue()
-            started = clock.now()
-            deadline = Deadline.after(clock, budget) if protections else None
-            try:
-                client.invoke("wordsmith-lite", "analyze",
-                              {"text": _TEXTS[4]}, deadline=deadline,
-                              use_cache=protections)
-                kind = "success"
-            except NetworkError:
-                kind = "failure"
-            run.record(kind, started, clock.now(),
-                       deadline_expires=(deadline.expires_at
-                                         if deadline else None))
-    finally:
-        client.close()
-    return _finish(run, injector)
+                    call.classify("failure")
+    return stage.run
 
 
 def scenario_burst_partition(seed: int, protections: bool) -> ScenarioRun:
@@ -544,96 +535,65 @@ def scenario_burst_partition(seed: int, protections: bool) -> ScenarioRun:
     machine.  Protections off: a patient retry loop grinds through
     every failure, overshooting the 0.4-second budget by seconds.
     """
-    plan = FaultPlan(
+    stage = _Stage(
+        "burst_partition", seed, protections,
         (ErrorBurst(Window(1.0, 4.0), endpoint="glotta", status=500),
          Partition(Window(4.0, 6.0))),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("burst_partition", seed, protections,
-                      max_transport_step=0.4)
+        max_transport_step=0.4)
+    run = stage.run
     budget = 0.4
     ticks = [1.0 + 0.5 * index for index in range(15)]  # t = 1.0 .. 8.0
 
-    if protections:
-        cache = ServiceCache(capacity=64, ttl=0.8, clock=clock,
-                             stale_grace=30.0)
-        run.staleness_bound = 30.8
-        client = RichClient(world.registry, cache=cache,
-                            serve_stale_on_error=True)
-        breakers = CircuitBreakerRegistry(clock, failure_threshold=3,
-                                          cooldown=1.5)
-        breakers.bind_metrics(client.obs.metrics)
-        breaker = breakers.breaker("glotta")
-        run.breakers = breakers.all_breakers()
-
-        def degrade(payload: dict) -> str:
-            stale = cache.get_stale(cache_key("glotta", "analyze", payload))
-            if stale is None:
-                return "shed"
-            run.stale_ages.append(stale.age)
-            return "degraded"
-
-        try:
-            with _scenario_span(client, run):
-                for text in _TEXTS[:2]:  # warm pre-burst
-                    run.issue()
-                    started = clock.now()
-                    client.invoke("glotta", "analyze", {"text": text})
-                    run.record("success", started, clock.now())
-                for index, tick in enumerate(ticks):
-                    _advance_to(clock, tick)
-                    payload = {"text": _TEXTS[index % 2]}
-                    run.issue()
-                    started = clock.now()
-                    deadline = Deadline.after(clock, budget)
-                    try:
-                        # Breaker outside, degradation after: a stale
-                        # serve must not mask failures from the breaker.
-                        result = breaker.call(
-                            lambda: client.invoke(
-                                "glotta", "analyze", payload,
-                                deadline=deadline, allow_stale=False))
-                        kind = ("degraded" if result.degraded
-                                else "success")
-                    except CircuitOpenError:
-                        kind = degrade(payload)
-                    except NetworkError:
-                        kind = degrade(payload)
-                        if kind == "shed":
-                            kind = "failure"  # wire failure, no fallback
-                    run.record(kind, started, clock.now(),
-                               deadline_expires=deadline.expires_at)
-                run.note(f"breaker opens={breaker.stats.opens} "
-                         f"closes={breaker.stats.closes} "
-                         f"rejected={breaker.stats.calls_rejected}")
-        finally:
-            client.close()
-        return _finish(run, injector)
-
-    client = RichClient(world.registry)
-    policy = RetryPolicy(max_attempts=3, backoff=2.0)
-    try:
-        with _scenario_span(client, run):
+    if not protections:
+        client = RichClient(stage.world.registry)
+        policy = RetryPolicy(max_attempts=3, backoff=2.0)
+        with stage.drive(client):
             for index, tick in enumerate(ticks[:4]):
-                _advance_to(clock, tick)
-                payload = {"text": _TEXTS[index % 2]}
-                run.issue()
-                started = clock.now()
+                stage.advance_to(tick)
+                with stage.call(budget) as call:
+                    _patient_retry(call, client, "glotta",
+                                   {"text": _TEXTS[index % 2]}, policy)
+        return run
+
+    client = stage.degrading_client(ttl=0.8, stale_grace=30.0)
+    breakers = CircuitBreakerRegistry(stage.clock, failure_threshold=3,
+                                      cooldown=1.5)
+    breakers.bind_metrics(client.obs.metrics)
+    breaker = breakers.breaker("glotta")
+    run.breakers = breakers.all_breakers()
+
+    def degrade(call: _Call, payload: dict, no_fallback: str) -> None:
+        stale = client.cache.get_stale(
+            cache_key("glotta", "analyze", payload))
+        if stale is None:
+            call.classify(no_fallback)
+        else:
+            call.degraded(stale.age)
+
+    with stage.drive(client):
+        for text in _TEXTS[:2]:  # warm pre-burst
+            with stage.call() as call:
+                call.served(client.invoke("glotta", "analyze",
+                                          {"text": text}))
+        for index, tick in enumerate(ticks):
+            stage.advance_to(tick)
+            payload = {"text": _TEXTS[index % 2]}
+            with stage.call(budget) as call:
                 try:
-                    invoke_with_retry(
-                        lambda payload=payload: client.invoke(
-                            "glotta", "analyze", payload, use_cache=False),
-                        policy, clock=clock, service="glotta")
-                    kind = "success"
-                except RetriesExhaustedError:
-                    kind = "failure"
-                run.record(kind, started, clock.now(),
-                           deadline_expires=started + budget)
-    finally:
-        client.close()
-    return _finish(run, injector)
+                    # Breaker outside, degradation after: a stale serve
+                    # must not mask failures from the breaker.
+                    call.served(breaker.call(
+                        lambda: client.invoke(
+                            "glotta", "analyze", payload,
+                            deadline=call.deadline, allow_stale=False)))
+                except CircuitOpenError:
+                    degrade(call, payload, "shed")
+                except NetworkError:  # no fallback: a wire failure
+                    degrade(call, payload, "failure")
+        run.note(f"breaker opens={breaker.stats.opens} "
+                 f"closes={breaker.stats.closes} "
+                 f"rejected={breaker.stats.calls_rejected}")
+    return run
 
 
 def scenario_clock_skew_sync(seed: int, protections: bool) -> ScenarioRun:
@@ -645,78 +605,59 @@ def scenario_clock_skew_sync(seed: int, protections: bool) -> ScenarioRun:
     timestamp-LWW merge trusts the skewed clock and drops the newer
     write — the textbook skew-induced lost update.
     """
-    plan = FaultPlan(
+    stage = _Stage(
+        "clock_skew_sync", seed, protections,
         (ClockSkew(Window(0.0, 100.0), offset=-45.0),
-         Partition(Window(2.0, 5.0))),
-        seed=seed)
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("clock_skew_sync", seed, protections)
-    writer_clock = SkewedClock(clock, plan.skew_at(0.0))
-    client = RichClient(world.registry)
-    secure = SecureRemoteStore(client, "store-standard",
-                               StreamCipher(_CIPHER_KEY))
-    try:
-        with _scenario_span(client, run):
-            _advance_to(clock, 1.0)
-            if protections:
-                store = OfflineSyncStore(remote=secure)
-                first = {"value": "v1", "written_at": writer_clock.now()}
-                run.issue()
-                started = clock.now()
-                store.put("note", first)  # online: pushed
-                run.record("success", started, clock.now())
-                _advance_to(clock, 2.5)  # partitioned
-                second = {"value": "v2", "written_at": writer_clock.now()}
-                journal = {"value": "j1", "written_at": writer_clock.now()}
-                for key, value in (("note", second), ("journal", journal)):
-                    run.issue()
-                    started = clock.now()
-                    store.put(key, value)
-                    run.record("success", started, clock.now(),
-                               detail="queued offline, skewed stamp")
-                _advance_to(clock, 5.5)  # healed
-                run.issue()
-                started = clock.now()
+         Partition(Window(2.0, 5.0))))
+    run = stage.run
+    skew = stage.plan.skew_at(0.0)
+    writer_clock = SkewedClock(stage.clock, skew)
+    client = RichClient(stage.world.registry)
+    secure = _secure_remote(client)
+    with stage.drive(client):
+        stage.advance_to(1.0)
+        if protections:
+            store = OfflineSyncStore(remote=secure)
+            _write(stage, store, "note",  # online: pushed
+                   {"value": "v1", "written_at": writer_clock.now()})
+            stage.advance_to(2.5)  # partitioned
+            second = {"value": "v2", "written_at": writer_clock.now()}
+            journal = {"value": "j1", "written_at": writer_clock.now()}
+            for key, value in (("note", second), ("journal", journal)):
+                _write(stage, store, key, value,
+                       "queued offline, skewed stamp")
+            stage.advance_to(5.5)  # healed
+            with stage.call() as call:
                 applied = store.sync()
-                run.record("success", started, clock.now())
-                run.note(f"sync applied={applied} with writer skew "
-                         f"{plan.skew_at(0.0):.6f}s (replay by sequence)")
-                run.expected_state = {"note": second, "journal": journal}
-            else:
-                # Control: merge remote state by (skewed) timestamp.
-                first = {"value": "v1", "written_at": clock.now()}
-                run.issue()
-                started = clock.now()
-                secure.put("note", first)  # an unskewed peer wrote first
-                run.record("success", started, clock.now())
-                _advance_to(clock, 2.5)
-                # The skewed writer's update: later in real time, but
-                # stamped ~45s in the past.
-                second = {"value": "v2", "written_at": writer_clock.now()}
-                run.issue()
-                started = clock.now()
-                run.record("success", started, clock.now(),
-                           detail="held offline, skewed stamp")
-                _advance_to(clock, 5.5)
-                run.issue()
-                started = clock.now()
+                call.classify("success")
+            run.note(f"sync applied={applied} with writer skew "
+                     f"{skew:.6f}s (replay by sequence)")
+            expected = {"note": second, "journal": journal}
+        else:
+            # Control: merge remote state by (skewed) timestamp.  An
+            # unskewed peer writes first.
+            _write(stage, secure, "note",
+                   {"value": "v1", "written_at": stage.clock.now()})
+            stage.advance_to(2.5)
+            # The skewed writer's update: later in real time, but
+            # stamped ~45s in the past.
+            second = {"value": "v2", "written_at": writer_clock.now()}
+            with stage.call() as call:
+                call.classify("success", "held offline, skewed stamp")
+            stage.advance_to(5.5)
+            with stage.call() as call:
                 current = secure.get("note")
                 if second["written_at"] > current["written_at"]:
                     secure.put("note", second)
-                    run.record("success", started, clock.now())
+                    call.classify("success")
                 else:
-                    run.record("failure", started, clock.now(),
-                               detail="timestamp merge dropped the "
-                                      "newer write")
-                run.note("timestamp-LWW merge trusted a clock running "
-                         f"{plan.skew_at(0.0):.6f}s slow")
-                run.expected_state = {"note": second}
-            _read_remote(run, secure)
-    finally:
-        client.close()
-    return _finish(run, injector)
+                    call.classify("failure", "timestamp merge dropped "
+                                             "the newer write")
+            run.note("timestamp-LWW merge trusted a clock running "
+                     f"{skew:.6f}s slow")
+            expected = {"note": second}
+        _read_back(run, secure, expected)
+    return run
 
 
 def scenario_deadline_storm(seed: int, protections: bool) -> ScenarioRun:
@@ -729,69 +670,50 @@ def scenario_deadline_storm(seed: int, protections: bool) -> ScenarioRun:
     instead.  Protections off: every caller waits out the full queue
     timeout, blowing through its budget before being shed anyway.
     """
-    plan = FaultPlan((), seed=seed)  # the fault is load, not the network
-    world = build_world(seed=seed, corpus_size=12)
-    clock = world.clock
-    injector = plan.injector().install(world.transport)
-    run = ScenarioRun("deadline_storm", seed, protections,
-                      max_transport_step=0.5)
+    # The fault is load, not the network: the plan is empty.
+    stage = _Stage("deadline_storm", seed, protections,
+                   max_transport_step=0.5)
+    run = stage.run
     budget = 0.3
-    queue_timeout = 0.5 if protections else 2.0
-    admission = AdmissionController(clock, limits={
+    admission = AdmissionController(stage.clock, limits={
         "glotta": AdmissionLimit(max_concurrent=1, max_queue=4,
-                                 queue_timeout=queue_timeout)})
-    cache = ServiceCache(capacity=64, ttl=0.5, clock=clock,
+                                 queue_timeout=0.5 if protections else 2.0)})
+    cache = ServiceCache(capacity=64, ttl=0.5, clock=stage.clock,
                          stale_grace=10.0)
     if protections:
         run.staleness_bound = 10.5
-    client = RichClient(world.registry, cache=cache, admission=admission,
+    client = RichClient(stage.world.registry, cache=cache,
+                        admission=admission,
                         serve_stale_on_error=protections)
-    try:
-        with _scenario_span(client, run):
-            warm = {"text": _TEXTS[0]}
-            run.issue()
-            started = clock.now()
-            client.invoke("glotta", "analyze", warm)
-            run.record("success", started, clock.now())
-            bulkhead = admission.bulkhead_for("glotta")
-            assert bulkhead.try_acquire()  # the stuck call holds the permit
-            _advance_to(clock, 1.0)        # warm entry expired, in grace
-            storm = [warm] + [{"text": text} for text in _TEXTS[1:4]]
-            for payload in storm:
-                run.issue()
-                started = clock.now()
-                deadline = (Deadline.after(clock, budget)
-                            if protections else None)
+    with stage.drive(client):
+        warm = {"text": _TEXTS[0]}
+        with stage.call() as call:
+            call.served(client.invoke("glotta", "analyze", warm))
+        bulkhead = admission.bulkhead_for("glotta")
+        held = bulkhead.try_acquire()  # the stuck call holds the permit
+        assert held
+        stage.advance_to(1.0)          # warm entry expired, in grace
+        for payload in [warm] + [{"text": text} for text in _TEXTS[1:4]]:
+            with stage.call(budget) as call:
                 try:
-                    result = client.invoke("glotta", "analyze", payload,
-                                           deadline=deadline)
-                    kind = "degraded" if result.degraded else "success"
-                    if result.degraded and result.stale_age is not None:
-                        run.stale_ages.append(result.stale_age)
+                    call.served(client.invoke(
+                        "glotta", "analyze", payload,
+                        deadline=call.deadline if protections else None))
                 except AdmissionRejectedError as error:
-                    kind = "shed"
+                    call.classify("shed")
                     run.note(f"shed reason={error.reason} "
                              f"retry_after={error.retry_after:.6f}")
-                run.record(kind, started, clock.now(),
-                           deadline_expires=started + budget)
-            bulkhead.release()  # the stuck call finally finishes
-            for text in _TEXTS[3:]:  # recovery: permits flow again
-                run.issue()
-                started = clock.now()
-                deadline = (Deadline.after(clock, 2.0)
-                            if protections else None)
-                client.invoke("glotta", "analyze", {"text": text},
-                              deadline=deadline, use_cache=False)
-                run.record("success", started, clock.now(),
-                           deadline_expires=(deadline.expires_at
-                                             if deadline else None))
-            run.note(f"bulkhead shed_deadline="
-                     f"{bulkhead.stats.shed_deadline} "
-                     f"shed_timeout={bulkhead.stats.shed_timeout} "
-                     f"admitted={bulkhead.stats.admitted}")
-    finally:
-        client.close()
-    return _finish(run, injector)
+        bulkhead.release()  # the stuck call finally finishes
+        for text in _TEXTS[3:]:  # recovery: permits flow again
+            with stage.call(2.0 if protections else None) as call:
+                call.served(client.invoke(
+                    "glotta", "analyze", {"text": text},
+                    deadline=call.deadline, use_cache=False))
+        run.note(f"bulkhead shed_deadline="
+                 f"{bulkhead.stats.shed_deadline} "
+                 f"shed_timeout={bulkhead.stats.shed_timeout} "
+                 f"admitted={bulkhead.stats.admitted}")
+    return run
 
 
 #: Every named scenario, in the order ``run_all`` executes them.

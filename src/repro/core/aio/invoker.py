@@ -98,13 +98,11 @@ class AsyncInvoker:
         everything else is the client's own object.
         """
         self._share(client)
-        self.coalescer = (AsyncCoalescer()
-                          if client.coalescer is not None else None)
+        self.coalescer = AsyncCoalescer()
         self.admission = (AsyncAdmissionController.from_sync(client.admission)
                           if client.admission is not None else None)
         if self.obs.enabled:
-            if self.coalescer is not None:
-                self.coalescer.bind_metrics(self.obs.metrics)
+            self.coalescer.bind_metrics(self.obs.metrics)
             if self.admission is not None:
                 self.admission.bind_metrics(self.obs.metrics)
 
@@ -190,8 +188,7 @@ class AsyncInvoker:
         key = (self.client._request_key(service_name, operation, payload)
                if cacheable else None)
         hit = self.client.cached_result(service_name, operation, payload,
-                                        use_cache, allow_stale=allow_stale,
-                                        key=key)
+                                        use_cache, key=key)
         if hit is not None:
             return hit
 
@@ -209,7 +206,7 @@ class AsyncInvoker:
                 raise
 
         flight = None
-        if self.coalescer is not None and coalesce and key is not None:
+        if coalesce and key is not None:
             leader, flight = self.coalescer.lead_or_join(key)
             if not leader:
                 wait = deadline.clamp(timeout) if deadline is not None else timeout
@@ -512,7 +509,7 @@ class AsyncInvoker:
             else:
                 groups.setdefault(key, []).append(index)
         folded = sum(len(indices) - 1 for indices in groups.values())
-        if folded and self.coalescer is not None:
+        if folded:
             self.coalescer.count_folded(folded)
         leaders = [indices[0] for indices in groups.values()]
 

@@ -286,8 +286,8 @@ class ServiceCache:
         Serving an actually-stale entry counts on ``stats.stale_serves``
         (and the ``cache_stale_serves_total`` metric); fresh serves do
         not, so the counter measures degradation, not traffic.  This is
-        the serve-stale-on-error / stale-while-revalidate read path
-        used by :class:`repro.core.invoker.RichClient`.
+        the serve-stale-on-error read path used by
+        :class:`repro.core.invoker.RichClient`.
         """
         entry = self._entries.get(key)
         if entry is None:

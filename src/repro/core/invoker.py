@@ -118,9 +118,7 @@ class RichClient:
         coalescer: RequestCoalescer | None = None,
         admission: AdmissionController | None = None,
         tenancy: Tenancy | None = None,
-        coalesce_identical: bool = True,
         serve_stale_on_error: bool = False,
-        stale_while_revalidate: bool = False,
     ) -> None:
         """Build the client around ``registry``.
 
@@ -138,8 +136,8 @@ class RichClient:
                 unlimited); invoke raises RateLimitExceededError
                 instead of tripping the server.
             coalescer: single-flight table sharing concurrent identical
-                requests; a default one is created unless
-                ``coalesce_identical`` is False.
+                requests; a default one is created when None (a call
+                opts out with ``coalesce=False``).
             admission: per-service bulkheads; None = no admission
                 control.
             tenancy: the multi-tenant serving layer
@@ -150,17 +148,12 @@ class RichClient:
                 weighted-fair admission and counted in the tenant
                 metrics.  None (the default) = untenanted, behavior
                 unchanged.
-            coalesce_identical: set False to disable coalescing without
-                supplying a coalescer.
             serve_stale_on_error: degrade gracefully — when a remote
                 call fails with a transient error (see
                 :data:`DEGRADABLE_ERRORS`), answer from an
                 expired-but-retained cache entry (``degraded=True``)
                 instead of raising.  Requires a cache built with
                 ``stale_grace``.
-            stale_while_revalidate: serve a stale entry immediately on
-                a cache miss while refreshing it asynchronously on the
-                thread pool (the refresh repopulates the cache).
         """
         self.registry = registry
         self.clock = self._registry_clock(registry)
@@ -184,15 +177,13 @@ class RichClient:
         # Proactive client-side rate limiting (None = unlimited): invoke
         # raises RateLimitExceededError instead of tripping the server.
         self.rate_limiter = rate_limiter
-        if coalescer is None and coalesce_identical:
-            coalescer = RequestCoalescer()
-        self.coalescer = coalescer
+        self.coalescer = (coalescer if coalescer is not None
+                          else RequestCoalescer())
         self.admission = admission
         self.tenancy = tenancy
         if tenancy is not None:
             tenancy.attach_clock(self.clock)
         self.serve_stale_on_error = serve_stale_on_error
-        self.stale_while_revalidate = stale_while_revalidate
         # The hot-path body lives in repro.core.aio.invoker (deferred
         # import: it imports this module).  `_body` is its blocking
         # binding; the event-loop binding behind `.aio` is built lazily.
@@ -201,9 +192,6 @@ class RichClient:
         self._body = _BlockingInvoker(self)
         self._aio = None
         self._aio_lock = threading.Lock()
-        # Keys with an in-flight stale-while-revalidate refresh.
-        self._swr_refreshing: set[str] = set()
-        self._swr_lock = threading.Lock()
         # Batch metrics, bound lazily in _wire_observability.
         self._metric_batch_flushes = None
         self._metric_batch_items = None
@@ -225,8 +213,7 @@ class RichClient:
         self.monitor.bind_metrics(self.obs.metrics)
         self.cache.bind_metrics(self.obs.metrics)
         self.failover.bind_obs(self.obs)
-        if self.coalescer is not None:
-            self.coalescer.bind_metrics(self.obs.metrics)
+        self.coalescer.bind_metrics(self.obs.metrics)
         if self.admission is not None:
             self.admission.bind_metrics(self.obs.metrics)
         if self.tenancy is not None:
@@ -323,7 +310,6 @@ class RichClient:
         operation: str,
         payload: Mapping[str, object],
         use_cache: bool = True,
-        allow_stale: bool = True,
         key: str | None = None,
     ) -> InvocationResult | None:
         """Serve one request from the local cache, or return None.
@@ -336,14 +322,9 @@ class RichClient:
         :class:`MicroBatcher` so every entry point shares one probe
         path.
 
-        With ``stale_while_revalidate`` enabled, an expired-but-
-        retained entry is served immediately (``degraded=True``) while
-        an asynchronous refresh repopulates the cache; ``allow_stale=
-        False`` disables that path (the refresh call itself uses it to
-        avoid serving stale to its own probe).  ``key`` is the request's
-        :func:`~repro.core.caching.cache_key` when the caller has
-        already computed it (the invoker needs it again on a miss);
-        otherwise it is computed here.
+        ``key`` is the request's :func:`~repro.core.caching.cache_key`
+        when the caller has already computed it (the invoker needs it
+        again on a miss); otherwise it is computed here.
         """
         if not use_cache or operation not in self.cacheable_operations:
             return None
@@ -351,8 +332,6 @@ class RichClient:
             key = self._request_key(service_name, operation, payload)
         hit = self.cache.get(key)
         if hit is None:
-            if allow_stale and self.stale_while_revalidate:
-                return self._swr_serve(service_name, operation, payload, key)
             return None
         tracer = self.obs.tracer
         now = self.clock.now()
@@ -432,35 +411,6 @@ class RichClient:
             return None
         return self._record_degraded(service_name, operation, stale)
 
-    def _swr_serve(self, service_name: str, operation: str,
-                   payload: Mapping[str, object],
-                   key: str) -> InvocationResult | None:
-        """Stale-while-revalidate: serve stale now, refresh in background."""
-        stale = self.cache.get_stale(key)
-        if stale is None:
-            return None
-        self._refresh_async(service_name, operation, payload, key)
-        return self._record_degraded(service_name, operation, stale)
-
-    def _refresh_async(self, service_name: str, operation: str,
-                       payload: Mapping[str, object], key: str):
-        """Launch (at most one) background refresh for a stale key."""
-        with self._swr_lock:
-            if key in self._swr_refreshing:
-                return None
-            self._swr_refreshing.add(key)
-        future = self.executor.submit(
-            self.invoke, service_name, operation, dict(payload),
-            allow_stale=False)
-
-        def _finished(done) -> None:
-            done.exception()  # a failed refresh keeps the stale entry
-            with self._swr_lock:
-                self._swr_refreshing.discard(key)
-
-        future.add_listener(_finished)
-        return future
-
     def _deadline_guard(self, deadline: Deadline | None, context: str) -> None:
         """Raise (and count) when the caller's budget is already spent."""
         if deadline is None:
@@ -515,8 +465,9 @@ class RichClient:
         protection is consulted, follower flight waits and the wire
         timeout are clamped to the remaining budget, and the bulkhead
         never queues past it.  ``allow_stale=False`` disables the
-        degraded serve paths for this call (background refreshes use
-        it).
+        degraded serve paths for this call: a failure raises instead of
+        answering from a stale entry (a caller that degrades on its own
+        terms, e.g. behind a circuit breaker, uses it).
         """
         return run_sync(self._body.ainvoke(
             service_name, operation, payload, timeout=timeout,

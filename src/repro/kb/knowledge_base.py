@@ -30,7 +30,12 @@ from repro.stores.converters import (
     rows_to_table,
 )
 from repro.stores.csvio import read_csv, write_csv
-from repro.stores.kvstore import FileKeyValueStore, InMemoryKeyValueStore, KeyValueStore
+from repro.stores.kvstore import (
+    FileKeyValueStore,
+    InMemoryKeyValueStore,
+    KeyValueStore,
+    write_json_atomic,
+)
 from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf.graph import Graph, RDF, RDFS, REPRO, Triple
 from repro.stores.rdf.materialize import MaterializedGraph
@@ -443,16 +448,17 @@ StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
             self.kv.put(key, value)
 
     def save_local(self, path: str | Path | None = None) -> Path:
-        """Write the snapshot to disk (defaults into ``data_dir``)."""
+        """Write the snapshot to disk (defaults into ``data_dir``).
+
+        The write is atomic: a failure part-way leaves the previous
+        snapshot in place, still loadable.
+        """
         if path is None:
             if self.data_dir is None:
                 raise ConfigurationError("no data_dir configured and no path given")
             path = self.data_dir / "snapshot.json"
-        import json
-
         target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.snapshot()))
+        write_json_atomic(target, self.snapshot())
         return target
 
     def load_local(self, path: str | Path | None = None) -> None:

@@ -43,30 +43,6 @@ class ScriptedConnectivity(ConnectivityModel):
         self.transitions = list(transitions)
         self.initially_online = initially_online
 
-    @classmethod
-    def from_windows(cls, offline_windows: list[tuple[float, float]]
-                     ) -> "ScriptedConnectivity":
-        """Build from explicit ``(start, end)`` offline windows.
-
-        Windows may overlap or touch; they are merged before being
-        flattened into transitions.  This is the injection point the
-        chaos harness uses to compile :class:`~repro.chaos.plan.Partition`
-        and :class:`~repro.chaos.plan.FlappingLink` specs into a model.
-        """
-        merged: list[list[float]] = []
-        for start, end in sorted(offline_windows):
-            if end < start:
-                raise ValueError(
-                    f"window end must be >= start, got ({start}, {end})")
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        transitions: list[float] = []
-        for start, end in merged:
-            transitions.extend((start, end))
-        return cls(transitions)
-
     def is_online(self, now: float) -> bool:
         flips = bisect_right(self.transitions, now)
         online = self.initially_online
@@ -80,22 +56,6 @@ class ScriptedConnectivity(ConnectivityModel):
         if index < len(self.transitions):
             return self.transitions[index]
         return None
-
-
-class ComposedConnectivity(ConnectivityModel):
-    """Online only when *every* composed model is online.
-
-    Lets a chaos scenario overlay scripted outages on top of whatever
-    model the world was built with, without replacing it.
-    """
-
-    def __init__(self, *models: ConnectivityModel) -> None:
-        if not models:
-            raise ValueError("at least one model is required")
-        self.models = list(models)
-
-    def is_online(self, now: float) -> bool:
-        return all(model.is_online(now) for model in self.models)
 
 
 class ManualConnectivity(ConnectivityModel):

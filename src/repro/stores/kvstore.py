@@ -18,6 +18,27 @@ from repro.util.errors import NotFoundError, SerializationError
 _MISSING = object()
 
 
+def write_json_atomic(path: Path, data: object) -> None:
+    """Write ``data`` as JSON to ``path`` without ever tearing it.
+
+    The text goes to a temp file in the same directory, which then
+    replaces ``path`` in one ``os.replace``: a write that fails part-way
+    leaves the previous file intact and no temp file behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(descriptor, "w") as handle:
+            json.dump(data, handle)
+        os.replace(temp_name, path)
+    except BaseException:
+        if os.path.exists(temp_name):
+            os.unlink(temp_name)
+        raise
+
+
 class KeyValueStore(ABC):
     """Minimal mapping-style store contract shared by all backends."""
 
@@ -97,18 +118,7 @@ class FileKeyValueStore(KeyValueStore):
             self._data = json.loads(self.path.read_text())
 
     def _flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(self._data, handle)
-            os.replace(temp_name, self.path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
+        write_json_atomic(self.path, self._data)
 
     def put(self, key: str, value: object) -> None:
         try:

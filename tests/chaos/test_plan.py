@@ -11,7 +11,6 @@ from repro.chaos.plan import (
     Partition,
     PayloadCorruption,
     Window,
-    offline_transitions,
 )
 
 
@@ -118,13 +117,3 @@ class TestFaultPlan:
         plan = FaultPlan((first, ErrorBurst(Window(0, 1)), second))
         assert plan.of_type(Partition) == [first, second]
 
-
-class TestOfflineTransitions:
-    def test_merges_overlapping_and_touching_windows(self):
-        transitions = offline_transitions([
-            Window(5.0, 7.0), Window(1.0, 2.0), Window(2.0, 3.0),
-            Window(6.0, 8.0)])
-        assert transitions == [1.0, 3.0, 5.0, 8.0]
-
-    def test_empty(self):
-        assert offline_transitions([]) == []

@@ -5,12 +5,15 @@ The heart of the acceptance criteria lives here:
 * with protections ON every applicable invariant passes;
 * with protections OFF (the naive-caller control) the deadline and
   lost-update invariants demonstrably FAIL;
-* same seed => byte-identical invariant reports.
+* same seed => byte-identical invariant reports;
+* the scenario scaffold's timed call keeps counter-consistency honest.
 """
 
 import pytest
 
-from repro.chaos.scenarios import SCENARIOS, run_all, run_scenario
+from repro.chaos.invariants import check_all
+from repro.chaos.scenarios import SCENARIOS, _Stage, run_all, run_scenario
+from repro.core.invoker import RichClient
 
 #: Scenario -> invariants its protections-off control must fail.
 EXPECTED_CONTROL_FAILURES = {
@@ -122,3 +125,48 @@ class TestRunScenario:
         assert result.passed
         assert result.name == "deadline_storm"
         assert "deadline_storm" in result.render()
+
+
+class TestTimedCall:
+    """The scaffold logs ``issue`` and the outcome as two ledger events."""
+
+    @staticmethod
+    def _counter_consistency(run):
+        results = {result.name: result for result in check_all(run).results}
+        return results["counter-consistency"]
+
+    def test_unclassified_call_fails_counter_consistency(self):
+        stage = _Stage("unclassified", seed=7, protections=True)
+        client = RichClient(stage.world.registry)
+        with stage.drive(client):
+            with stage.call() as call:
+                call.served(client.invoke("glotta", "analyze",
+                                          {"text": "IBM thrives."}))
+            with stage.call():
+                assert stage.run.requests == 2  # issued on entry
+                client.invoke("glotta", "analyze", {"text": "Globex grows."})
+        assert len(stage.run.calls) == 1
+        verdict = self._counter_consistency(stage.run)
+        assert verdict.verdict == "FAIL"
+        assert verdict.detail == "2 issued but 1 accounted (1+0+0+0)"
+
+    def test_raising_call_is_issued_but_never_recorded(self):
+        stage = _Stage("raises", seed=7, protections=True)
+        with pytest.raises(RuntimeError):
+            with stage.call() as call:
+                call.classify("success")
+                raise RuntimeError("the body never finished")
+        assert (stage.run.requests, stage.run.calls) == (1, [])
+        assert self._counter_consistency(stage.run).verdict == "FAIL"
+
+    def test_classified_call_records_its_budget(self):
+        stage = _Stage("budgeted", seed=7, protections=True)
+        stage.advance_to(1.25)
+        with stage.call(0.5) as call:
+            assert stage.run.calls == []  # recorded only on exit
+            call.classify("shed", "queue full")
+        (recorded,) = stage.run.calls
+        assert (recorded.kind, recorded.started, recorded.ended,
+                recorded.deadline_expires, recorded.detail) == (
+            "shed", 1.25, 1.25, 1.75, "queue full")
+        assert self._counter_consistency(stage.run).verdict == "PASS"

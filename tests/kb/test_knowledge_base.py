@@ -1,5 +1,8 @@
 """Tests for the PersonalKnowledgeBase facade."""
 
+import errno
+import io
+
 import pytest
 
 from repro.kb.disambiguation import EntityDisambiguator, ServiceBackedStrategy
@@ -190,6 +193,45 @@ class TestPersistence:
         fresh = PersonalKnowledgeBase()
         fresh.load_local(path)
         assert ("Q30", "repro:visited", "true") in fresh.graph
+
+    def test_failed_save_leaves_previous_snapshot_loadable(
+            self, kb, tmp_path, monkeypatch):
+        kb.add_fact("USA", "repro:visited", "true")
+        path = kb.save_local(tmp_path / "snap.json")
+        kb.add_fact("x", "p", 1, disambiguate=False)
+        real_open = io.open
+
+        class DiskFull:
+            """A file whose first write lands half its text, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return DiskFull(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", failing_open)
+        with pytest.raises(OSError):
+            kb.save_local(path)
+        monkeypatch.undo()
+
+        fresh = PersonalKnowledgeBase()
+        fresh.load_local(path)
+        assert ("Q30", "repro:visited", "true") in fresh.graph
+        assert ("x", "p", 1) not in fresh.graph
+        assert [entry.name for entry in tmp_path.iterdir()] == ["snap.json"]
 
     def test_data_dir_default_paths(self, client, tmp_path):
         kb = PersonalKnowledgeBase(client=client, data_dir=tmp_path / "kbdata")

@@ -76,8 +76,18 @@ class DocumentArchive:
 
     def store_search(self, query: str, engine: str, timestamp: float,
                      result_urls: list[str]) -> None:
-        """Record a search with its query, engine, time and result URLs."""
-        self.store.put(self._search_key(query, engine, timestamp), {
+        """Record a search with its query, engine, time and result URLs.
+
+        A repeat of a search at the same instant (a cache hit takes no
+        simulated time) gets its own record under a numbered key, not
+        the earlier record's.
+        """
+        key = base = self._search_key(query, engine, timestamp)
+        repeat = 0
+        while key in self.store:
+            repeat += 1
+            key = f"{base}#{repeat:04d}"
+        self.store.put(key, {
             "query": query,
             "engine": engine,
             "timestamp": timestamp,

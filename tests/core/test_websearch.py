@@ -38,6 +38,14 @@ class TestDocumentArchive:
         assert searches[0]["result_urls"] == ["http://x/1"]
         assert len(archive.searches()) == 3
 
+    def test_a_repeat_search_at_the_same_instant_keeps_both_records(self):
+        archive = DocumentArchive()
+        archive.store_search("q1", "engine", 10.0, ["http://x/1"])
+        archive.store_search("q1", "engine", 10.0, ["http://x/2"])
+        archive.store_search("q1", "engine", 10.0, ["http://x/3"])
+        assert [record["result_urls"] for record in archive.searches("q1")] == [
+            ["http://x/1"], ["http://x/2"], ["http://x/3"]]
+
     def test_export_to_directory(self, tmp_path):
         archive = DocumentArchive()
         archive.store_document("http://x/a", "<html>a</html>", 0.0)

@@ -4,8 +4,8 @@
 ``core.gateway`` and 18% in ``core.ranking``.  PR 20 made the text path
 the one serving path (one ``json.loads`` and one ``json.dumps`` per
 envelope where there were three of each) and gave ``ServiceMonitor`` a
-remote-only history beside the any-kind log, so a ranking no longer
-copies and filters every cache hit.  Since then a warm ``invoke`` also
+remote-only history, so a ranking no longer copies and filters every
+cache hit; since then a hit is only a count in the monitor.  Since then a warm ``invoke`` also
 reuses the JSON text its cache entry keeps: the response is that text
 spliced into the envelope, where the oracle runs ``json.dumps`` over the
 whole value on every hit.  Two kernels:
@@ -28,6 +28,7 @@ Results land in ``benchmarks/results/BENCH_A17.json``.
 
 import json
 import time
+from collections import deque
 
 from benchmarks._report import fmt_row, report, report_json
 from repro import RichClient, build_world
@@ -52,15 +53,39 @@ ENVELOPE_SPEEDUP_FLOOR = 1.5
 FLAT_WITHIN = 1.5
 
 
-class SingleLogMonitor(ServiceMonitor):
-    """Reads as the monitor did before PR 20: the remote history is the
-    any-kind log with the hits filtered out, on every question."""
+#: What a cache hit leaves in the oracle's log (the old monitor appended
+#: a cached record there).
+_HIT = object()
 
-    def records(self, service, include_cached=False):
-        history = super().records(service, include_cached=True)
-        if include_cached:
-            return history
-        return [record for record in history if not record.cached]
+
+class SingleLogMonitor(ServiceMonitor):
+    """Reads as the monitor did before PR 20: one bounded log per service
+    holds remote calls and cache hits alike, and every question filters
+    the hits out of it."""
+
+    def __init__(self):
+        super().__init__()
+        self._log = {}
+
+    def _log_entry(self, service, entry):
+        with self._lock:
+            log = self._log.get(service)
+            if log is None:
+                log = self._log[service] = deque(maxlen=self.max_records)
+            log.append(entry)
+
+    def record(self, record):
+        super().record(record)
+        self._log_entry(record.service, record)
+
+    def record_hit(self, service):
+        super().record_hit(service)
+        self._log_entry(service, _HIT)
+
+    def records(self, service):
+        with self._lock:
+            history = list(self._log.get(service, ()))
+        return [entry for entry in history if entry is not _HIT]
 
 
 def _gateway(gateway_type, monitor):

@@ -31,6 +31,7 @@ Response envelope::
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 
 from repro.core.admission import AdmissionRejectedError
@@ -195,12 +196,30 @@ class SdkGateway:
             quality=float(raw.get("quality", 1.0)),
         )
 
-    def _deadline_from(self, params: Mapping[str, object]) -> Deadline | None:
-        """An optional per-request budget: ``{"deadline": seconds}``."""
-        raw = params.get("deadline")
+    @staticmethod
+    def _seconds_from(params: Mapping[str, object], name: str) -> float | None:
+        """``params[name]`` as a non-negative number of seconds, or None.
+
+        Checked before any protection or wire work: a malformed
+        ``timeout`` or ``deadline`` is the caller's 400, and must not
+        reach the service and count as its failure.
+        """
+        raw = params.get(name)
         if raw is None:
             return None
-        return Deadline.after(self.client.clock, float(raw))
+        # ``not raw >= 0`` also refuses NaN; an int past float range is
+        # an unbounded wait.
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not raw >= 0:
+            raise ValueError(
+                f"{name!r} must be a non-negative number of seconds, got {raw!r}")
+        return float(min(raw, math.inf))
+
+    def _deadline_from(self, params: Mapping[str, object]) -> Deadline | None:
+        """An optional per-request budget: ``{"deadline": seconds}``."""
+        seconds = self._seconds_from(params, "deadline")
+        if seconds is None:
+            return None
+        return Deadline.after(self.client.clock, seconds)
 
     def _method_invoke(self, params: Mapping[str, object]) -> InvocationResult:
         """The result itself; :meth:`_render_invoke` encodes it."""
@@ -208,7 +227,7 @@ class SdkGateway:
             str(params["service"]),
             str(params["operation"]),
             params.get("payload") or {},
-            timeout=params.get("timeout"),
+            timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
         )
@@ -236,7 +255,7 @@ class SdkGateway:
             str(params["service"]),
             str(params["operation"]),
             [dict(payload) for payload in payloads],
-            timeout=params.get("timeout"),
+            timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
         )
@@ -265,7 +284,7 @@ class SdkGateway:
             str(params["kind"]),
             str(params["operation"]),
             params.get("payload") or {},
-            timeout=params.get("timeout"),
+            timeout=self._seconds_from(params, "timeout"),
             weights=self._weights_from(params),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),

@@ -31,7 +31,7 @@ from repro.core.batching import MicroBatcher, RequestCoalescer
 from repro.core.caching import DEFAULT_CACHEABLE_OPERATIONS, ServiceCache, cache_key
 from repro.core.futures import CallbackExecutor, ListenableFuture, run_sync
 from repro.core.latency import LatencyPredictor
-from repro.core.monitoring import InvocationRecord, ServiceMonitor
+from repro.core.monitoring import ServiceMonitor
 from repro.obs import names
 from repro.core.quota import ClientQuotaTracker
 from repro.core.ranking import ScoreFormula, ServiceRanker, Weights
@@ -92,13 +92,13 @@ class InvocationResult:
 class RichClient:
     """The paper's rich SDK, as one client object.
 
-    All collaborators are injectable; by default the client builds its
-    own monitor, predictor, ranker, cache (1024 entries, no TTL),
-    failover invoker, single-flight request coalescer and thread pool,
-    sharing the registry's simulated clock throughout.  Admission
-    control (per-service bulkheads) is opt-in: pass an
-    :class:`AdmissionController` to bound per-service concurrency and
-    shed overload with 429-style fast failures.
+    The client builds its own predictor, ranker and single-flight
+    request coalescer over its monitor; the monitor, cache (by default
+    1024 entries, no TTL), failover invoker, quota tracker and thread
+    pool are injectable, sharing the registry's simulated clock
+    throughout.  Admission control (per-service bulkheads) is opt-in:
+    pass an :class:`AdmissionController` to bound per-service
+    concurrency and shed overload with 429-style fast failures.
     """
 
     def __init__(
@@ -106,16 +106,12 @@ class RichClient:
         registry: ServiceRegistry,
         monitor: ServiceMonitor | None = None,
         cache: ServiceCache | None = None,
-        predictor: LatencyPredictor | None = None,
-        ranker: ServiceRanker | None = None,
         failover: FailoverInvoker | None = None,
         quota: ClientQuotaTracker | None = None,
         executor: CallbackExecutor | None = None,
-        cacheable_operations: frozenset[str] = DEFAULT_CACHEABLE_OPERATIONS,
         quality_raters: Mapping[str, QualityRater] | None = None,
         obs: Observability | None = None,
         rate_limiter: ServiceRateLimiter | None = None,
-        coalescer: RequestCoalescer | None = None,
         admission: AdmissionController | None = None,
         tenancy: Tenancy | None = None,
         serve_stale_on_error: bool = False,
@@ -124,20 +120,15 @@ class RichClient:
 
         Args:
             registry: the services this client can reach.
-            monitor/cache/predictor/ranker/failover/quota/executor:
-                optional collaborator overrides; defaults are built
-                around the registry's clock.
-            cacheable_operations: operations safe to serve from cache
-                (and to coalesce — both require idempotent reads).
+            monitor/cache/failover/quota/executor: optional
+                collaborator overrides; defaults are built around the
+                registry's clock.
             quality_raters: per-operation response quality functions.
             obs: observability bundle; ``Observability.disabled()``
                 yields a zero-telemetry client.
             rate_limiter: proactive client-side token buckets (None =
                 unlimited); invoke raises RateLimitExceededError
                 instead of tripping the server.
-            coalescer: single-flight table sharing concurrent identical
-                requests; a default one is created when None (a call
-                opts out with ``coalesce=False``).
             admission: per-service bulkheads; None = no admission
                 control.
             tenancy: the multi-tenant serving layer
@@ -162,23 +153,24 @@ class RichClient:
         self.cache = cache if cache is not None else ServiceCache(
             capacity=1024, ttl=None, clock=self.clock
         )
-        self.predictor = predictor if predictor is not None else LatencyPredictor(self.monitor)
-        self.ranker = ranker if ranker is not None else ServiceRanker(
-            self.monitor, self.predictor
-        )
+        self.predictor = LatencyPredictor(self.monitor)
+        self.ranker = ServiceRanker(self.monitor, self.predictor)
         self.failover = failover if failover is not None else FailoverInvoker(
             clock=self.clock
         )
         self.quota = quota if quota is not None else ClientQuotaTracker()
         self.executor = executor if executor is not None else CallbackExecutor(max_workers=8)
-        self.cacheable_operations = cacheable_operations
+        # Operations safe to serve from cache (and to coalesce — both
+        # require idempotent reads).
+        self.cacheable_operations = DEFAULT_CACHEABLE_OPERATIONS
         # Per-operation quality raters, e.g. {"analyze": rate_analysis}.
         self.quality_raters = dict(quality_raters or {})
         # Proactive client-side rate limiting (None = unlimited): invoke
         # raises RateLimitExceededError instead of tripping the server.
         self.rate_limiter = rate_limiter
-        self.coalescer = (coalescer if coalescer is not None
-                          else RequestCoalescer())
+        # Single-flight table sharing concurrent identical requests (a
+        # call opts out with ``coalesce=False``).
+        self.coalescer = RequestCoalescer()
         self.admission = admission
         self.tenancy = tenancy
         if tenancy is not None:
@@ -315,10 +307,10 @@ class RichClient:
         """Serve one request from the local cache, or return None.
 
         A hit costs no latency, no money and no quota; it is counted in
-        the cache metrics and recorded in the monitor (as a cached,
-        zero-latency success).  A hit only produces a zero-duration
-        span when an enclosing trace is active, keeping the fast path
-        cheap.  Used by :meth:`invoke`, :meth:`invoke_many` and the
+        the cache metrics and in the monitor's hit count — it never
+        reached the service, so it is no observation of it.  A hit only
+        produces a zero-duration span when an enclosing trace is active,
+        keeping the fast path cheap.  Used by :meth:`invoke`, :meth:`invoke_many` and the
         :class:`MicroBatcher` so every entry point shares one probe
         path.
 
@@ -334,27 +326,13 @@ class RichClient:
         if hit is None:
             return None
         tracer = self.obs.tracer
-        now = self.clock.now()
-        trace_id = None
         if tracer.enabled and tracer.current_span() is not None:
-            span = tracer.instant_span(
+            tracer.instant_span(
                 names.SPAN_SDK_INVOKE,
                 {"service": service_name, "operation": operation,
                  "cached": True, "obs.category": "cache"},
-                timestamp=now)
-            trace_id = span.trace_id
-        self.monitor.record(
-            InvocationRecord(
-                service=service_name,
-                operation=operation,
-                timestamp=now,
-                latency=0.0,
-                cost=0.0,
-                success=True,
-                cached=True,
-                trace_id=trace_id,
-            )
-        )
+                timestamp=self.clock.now())
+        self.monitor.record_hit(service_name)
         return InvocationResult(
             value=hit,
             latency=0.0,
@@ -369,18 +347,8 @@ class RichClient:
 
     def _record_degraded(self, service_name: str, operation: str,
                          stale) -> InvocationResult:
-        """Account one degraded (stale) serve and build its result."""
-        self.monitor.record(
-            InvocationRecord(
-                service=service_name,
-                operation=operation,
-                timestamp=self.clock.now(),
-                latency=0.0,
-                cost=0.0,
-                success=True,
-                cached=True,
-            )
-        )
+        """Count one degraded (stale) serve and build its result."""
+        self.monitor.record_hit(service_name)
         if self._metric_degraded is not None:
             self._metric_degraded.inc()
         return InvocationResult(

@@ -2,18 +2,20 @@
 
 "Our rich SDK can collect data on services related to performance,
 availability, and the quality and accuracy of responses."  The monitor
-records one :class:`InvocationRecord` per call — latency, monetary
-cost, success/failure, the request's latency parameters, and an
-optional user-assigned quality rating — and answers the aggregate
+records one :class:`InvocationRecord` per remote call — latency,
+monetary cost, success/failure, the request's latency parameters, and
+an optional user-assigned quality rating — and answers the aggregate
 questions the ranking and prediction layers ask: mean/percentile
 latency, availability, mean cost, mean quality, latency histograms,
-and (parameter, latency) histories for regression.
+and (parameter, latency) histories for regression.  A cache hit or a
+stale serve never reaches the service, so it is no observation of it:
+the monitor only counts those.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
@@ -43,19 +45,27 @@ class InvocationRecord(NamedTuple):
     error: str | None = None
     latency_params: Mapping[str, float] = _NO_LATENCY_PARAMS
     quality: float | None = None
-    cached: bool = False
     trace_id: str | None = None  # cross-reference into repro.obs traces
 
 
-class ServiceMonitor:
-    """Bounded per-service history of invocation records.
+def _saved(record: InvocationRecord) -> dict:
+    """A record as :meth:`ServiceMonitor.save_to` stores it: every field
+    but the service, which keys its history."""
+    fields = record._asdict()
+    del fields["service"]
+    fields["latency_params"] = dict(record.latency_params)
+    return fields
 
-    ``max_records`` bounds two histories per service, each evicting its
-    oldest first (the recent past predicts better anyway): the remote
-    observations every aggregate, the ranker and the predictor read, and
-    the log of records of any kind (cache hits included) behind
-    ``records(include_cached=True)``.  Hits never evict an observation
-    of the service itself, and an aggregate never scans a hit.
+
+class ServiceMonitor:
+    """Bounded per-service history of remote invocation records.
+
+    ``max_records`` bounds each service's history, evicting its oldest
+    record first (the recent past predicts better anyway); every
+    aggregate, the ranker and the predictor read it.  Answers served
+    locally — cache hits and stale serves — are counts beside it
+    (:meth:`record_hit`), so they never evict an observation of the
+    service and an aggregate never scans one.
     """
 
     def __init__(self, max_records: int = 10_000) -> None:
@@ -63,12 +73,13 @@ class ServiceMonitor:
             raise ValueError(f"max_records must be positive, got {max_records}")
         self.max_records = max_records
         self._records: dict[str, deque[InvocationRecord]] = {}
-        self._remote: dict[str, deque[InvocationRecord]] = {}
+        self._hits: Counter[str] = Counter()
         self._ratings: dict[str, deque[float]] = {}
         self._lock = threading.Lock()
-        # Metrics mirroring (bind_metrics): record() is the single choke
-        # point every invocation passes through, so incrementing here is
-        # what guarantees monitor and metrics can never disagree.
+        # Metrics mirroring (bind_metrics): record() and record_hit() are
+        # the choke points every invocation passes through, so
+        # incrementing here is what guarantees monitor and metrics can
+        # never disagree.
         self._metric_invocations = None
         self._metric_latency = None
         self._bound_counters: dict[tuple[str, str], object] = {}
@@ -94,43 +105,44 @@ class ServiceMonitor:
         return bound
 
     def record(self, record: InvocationRecord) -> None:
-        """Append one observation."""
+        """Append one observation of a remote call."""
         with self._lock:
-            self._append(self._records, record)
-            if not record.cached:
-                self._append(self._remote, record)
+            history = self._records.get(record.service)
+            if history is None:  # one bounded deque per service, not per record
+                history = self._records[record.service] = deque(
+                    maxlen=self.max_records)
+            history.append(record)
         if self._metric_invocations is not None:
-            outcome = ("cached" if record.cached
-                       else "success" if record.success else "failure")
-            self._outcome_counter(record.service, outcome).inc()
-            if record.success and not record.cached and record.latency is not None:
+            self._outcome_counter(
+                record.service, "success" if record.success else "failure").inc()
+            if record.success and record.latency is not None:
                 self._metric_latency.observe(record.latency, service=record.service)
 
-    def _append(self, histories: dict[str, deque[InvocationRecord]],
-                record: InvocationRecord) -> None:
-        """Append to the record's service history (caller holds the lock);
-        the bounded deque is built once per service, not once per record."""
-        history = histories.get(record.service)
-        if history is None:
-            history = histories[record.service] = deque(maxlen=self.max_records)
-        history.append(record)
+    def record_hit(self, service: str) -> None:
+        """Count one answer served locally (a cache hit or a stale serve)."""
+        with self._lock:
+            self._hits[service] += 1
+        if self._metric_invocations is not None:
+            self._outcome_counter(service, "cached").inc()
 
     def services(self) -> list[str]:
-        """Names of every service with at least one record."""
+        """Names of every service with a record or a hit."""
         with self._lock:
-            return sorted(self._records)
+            return sorted(self._records.keys() | self._hits.keys())
 
-    def records(self, service: str, include_cached: bool = False) -> list[InvocationRecord]:
-        """This service's remote history (cache hits say nothing about
-        the *service*), or with ``include_cached`` its most recent
-        ``max_records`` records of any kind, in arrival order."""
-        view = self._records if include_cached else self._remote
+    def records(self, service: str) -> list[InvocationRecord]:
+        """This service's remote history, in arrival order."""
         with self._lock:
-            return list(view.get(service, ()))
+            return list(self._records.get(service, ()))
 
     def call_count(self, service: str) -> int:
         """Remote calls recorded (cache hits excluded)."""
         return len(self.records(service))
+
+    def hit_count(self, service: str) -> int:
+        """Answers served locally: cache hits and stale serves."""
+        with self._lock:
+            return self._hits[service]
 
     # -- performance --------------------------------------------------------
 
@@ -218,15 +230,6 @@ class ServiceMonitor:
 
     # -- persistence ----------------------------------------------------------
 
-    def _history_locked(self, service: str) -> list[InvocationRecord]:
-        """Everything held for ``service`` in arrival order: the remote
-        observations the any-kind log has already evicted (hits pushed
-        them out), then that log.  Replaying it rebuilds both."""
-        log = self._records[service]
-        remote = self._remote.get(service, ())
-        evicted = len(remote) - sum(1 for record in log if not record.cached)
-        return list(remote)[:evicted] + list(log)
-
     def save_to(self, store, namespace: str = "monitor") -> int:
         """Persist the collected histories into a key-value store.
 
@@ -237,24 +240,9 @@ class ServiceMonitor:
         """
         with self._lock:
             payload = {
-                "records": {
-                    service: [
-                        {
-                            "operation": record.operation,
-                            "timestamp": record.timestamp,
-                            "latency": record.latency,
-                            "cost": record.cost,
-                            "success": record.success,
-                            "error": record.error,
-                            "latency_params": dict(record.latency_params),
-                            "quality": record.quality,
-                            "cached": record.cached,
-                            "trace_id": record.trace_id,
-                        }
-                        for record in self._history_locked(service)
-                    ]
-                    for service in self._records
-                },
+                "records": {service: [_saved(record) for record in history]
+                            for service, history in self._records.items()},
+                "hits": dict(self._hits),
                 "ratings": {service: list(ratings)
                             for service, ratings in self._ratings.items()},
             }
@@ -262,20 +250,34 @@ class ServiceMonitor:
         return sum(len(records) for records in payload["records"].values())
 
     def load_from(self, store, namespace: str = "monitor") -> int:
-        """Restore histories saved with :meth:`save_to`; returns count."""
+        """Restore histories saved with :meth:`save_to`; returns the
+        record count restored.
+
+        A payload written before hits became counts holds them as
+        records marked ``"cached": true``: each becomes one hit.
+        """
         payload = store.get(namespace, default=None)
         if not isinstance(payload, dict):
             return 0
+        hits = Counter(payload.get("hits", {}))
         loaded = 0
         for service, records in payload.get("records", {}).items():
             for fields in records:
-                self.record(InvocationRecord(service=service, **fields))
-                loaded += 1
+                fields = dict(fields)
+                if fields.pop("cached", False):
+                    hits[service] += 1
+                else:
+                    self.record(InvocationRecord(service=service, **fields))
+                    loaded += 1
         with self._lock:
+            self._hits.update(hits)
             for service, ratings in payload.get("ratings", {}).items():
                 bucket = self._ratings.setdefault(
                     service, deque(maxlen=self.max_records))
                 bucket.extend(float(value) for value in ratings)
+        if self._metric_invocations is not None:
+            for service, count in hits.items():
+                self._outcome_counter(service, "cached").inc(count)
         return loaded
 
     def summary(self, service: str) -> dict:

@@ -7,12 +7,15 @@ implementations are provided:
 * :class:`ManualClock` — virtual time.  ``advance()`` moves time forward
   instantly, so a test or benchmark can execute thousands of "slow"
   service calls in microseconds while still observing realistic latency
-  numbers in the collected metrics.
+  numbers in the collected metrics.  It does not model concurrency:
+  charges made side by side — from threads or gathered coroutines —
+  add up, so six concurrent fetches cost the sum of their latencies.
 
 * :class:`RealClock` — wall-clock time with an optional ``time_scale``.
   A charged latency of 0.2 s with ``time_scale=0.001`` really sleeps
-  0.2 ms.  This is what the threaded asynchronous invocation paths use,
-  because virtual time cannot be shared safely between racing threads.
+  0.2 ms.  Runs that must show concurrency saving time (parallel
+  fan-out, hedging, the async core) use it, since its sleeps really
+  overlap.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class ManualClock(Clock):
     """Virtual clock advanced explicitly or by charged latency.
 
     Thread-safe: concurrent ``charge`` calls each advance the clock, which
-    models serialized execution.  For genuinely parallel virtual time use
-    :meth:`charge_parallel` with the maximum of the latencies involved.
+    models serialized execution — concurrent charges add up, whether
+    they come from threads or from gathered coroutines.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -64,11 +67,6 @@ class ManualClock(Clock):
 
     def charge(self, seconds: float) -> None:
         self.advance(seconds)
-
-    def charge_parallel(self, latencies: list[float]) -> None:
-        """Charge a batch of latencies that conceptually ran in parallel."""
-        if latencies:
-            self.advance(max(latencies))
 
 
 class RealClock(Clock):

@@ -18,6 +18,7 @@ never retry it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.util.clock import Clock
@@ -58,7 +59,7 @@ class Deadline:
     @classmethod
     def after(cls, clock: Clock, budget: float) -> "Deadline":
         """A deadline ``budget`` seconds from now on ``clock``."""
-        if budget < 0:
+        if budget < 0 or math.isnan(budget):
             raise ValueError(f"budget must be non-negative, got {budget}")
         return cls(clock=clock, expires_at=clock.now() + budget)
 

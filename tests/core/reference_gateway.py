@@ -7,7 +7,9 @@ the text, called it and dumped again — three ``json.loads`` and three
 ``json.dumps`` per text envelope.  The two bodies are moved here
 verbatim, and so is ``_method_invoke`` as it was before a warm hit
 reused its cache entry's JSON text: it builds the result dict that one
-``json.dumps`` over the whole response then encodes.  The other
+``json.dumps`` over the whole response then encodes (its ``timeout``
+is checked by the serving gateway's ``_seconds_from``, so a malformed
+one is refused before the call on both sides).  The other
 ``_method_*`` handlers, ``_error`` and ``_retry_after`` are inherited;
 they did not change.  ``test_gateway_differential.py`` and benchmark
 A17 compare the serving gateway against this one.  Nothing under
@@ -32,7 +34,7 @@ class ReferenceSdkGateway(SdkGateway):
             str(params["service"]),
             str(params["operation"]),
             params.get("payload") or {},
-            timeout=params.get("timeout"),
+            timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
         )

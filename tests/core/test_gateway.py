@@ -136,6 +136,58 @@ class TestErrorMapping:
         assert (gateway.requests_served, gateway.errors_returned) == (2, 2)
 
 
+
+def _footprint(client, world):
+    """What a call that reached the wire would have moved."""
+    return (world.registry.get("lexica-prime").stats.calls,
+            world.transport.stats.calls,
+            {service: client.monitor.call_count(service)
+             for service in client.monitor.services()})
+
+
+class TestMalformedTimings:
+    """A bad ``timeout`` or ``deadline`` is the caller's 400, refused
+    before any work: the service, the wire and the monitor never see it
+    (it must not count as the provider's failure in the ranking)."""
+
+    BAD = [-1, -0.5, "abc", "5", float("nan"), True, [], {}]
+
+    @pytest.mark.parametrize("name", ["timeout", "deadline"])
+    @pytest.mark.parametrize("method", ["invoke", "invoke_many", "invoke_failover"])
+    def test_every_bad_value_is_a_400_with_no_call(self, gateway, world,
+                                                   method, name):
+        params = {"service": "lexica-prime", "operation": "analyze",
+                  "use_cache": False}
+        if method == "invoke_many":
+            params["payloads"] = [{"text": TEXT}]
+        else:
+            params["payload"] = {"text": TEXT}
+        if method == "invoke_failover":
+            params["kind"] = "nlu"
+        before = _footprint(gateway.client, world)
+        for value in self.BAD:
+            text = json.dumps({"method": method, "params": {**params, name: value}})
+            response = json.loads(gateway.handle_json(text))
+            assert (response["status"], response["error_type"]) == (
+                400, "ValueError"), value
+            assert name in response["error"]
+        assert _footprint(gateway.client, world) == before
+
+    def test_a_good_value_still_reaches_the_service(self, gateway, world):
+        before = _footprint(gateway.client, world)
+        response = gateway.handle({"method": "invoke", "params": {
+            "service": "lexica-prime", "operation": "analyze",
+            "payload": {"text": TEXT}, "use_cache": False,
+            "timeout": 5, "deadline": 30.0}})
+        assert response["status"] == 200
+        assert _footprint(gateway.client, world) != before
+
+    def test_a_deadline_refuses_a_nan_budget(self, world):
+        from repro.util.deadline import Deadline
+
+        with pytest.raises(ValueError):
+            Deadline.after(world.clock, float("nan"))
+
 class TestMethods:
     def test_failover_method(self, gateway, world):
         ranked = [name for name, _ in gateway.client.rank_services("nlu")]

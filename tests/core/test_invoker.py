@@ -141,6 +141,62 @@ class TestCachingBehaviour:
         assert client.monitor.call_count("lexica-prime") == 1
 
 
+
+def spy_on_record(monitor, monkeypatch):
+    """The records ``monitor.record`` is handed from here on."""
+    seen, record = [], monitor.record
+
+    def spy(entry):
+        seen.append(entry)
+        record(entry)
+
+    monkeypatch.setattr(monitor, "record", spy)
+    return seen
+
+
+class TestHitsAreCounted:
+    """A hit or a stale serve never reached the service: the monitor
+    counts it and ``record`` is not called for it."""
+
+    @pytest.mark.parametrize("driver", ["blocking", "loop"])
+    def test_a_cache_hit_is_a_count(self, client, monkeypatch, driver):
+        seen = spy_on_record(client.monitor, monkeypatch)
+        for _ in range(3):
+            if driver == "blocking":
+                result = client.invoke("lexica-prime", "analyze", {"text": TEXT})
+            else:
+                result = asyncio.run(client.aio.ainvoke(
+                    "lexica-prime", "analyze", {"text": TEXT}))
+        assert result.cached
+        assert [record.success for record in seen] == [True]
+        assert client.monitor.hit_count("lexica-prime") == 2
+        counter = client.obs.metrics.counter("sdk_invocations_total")
+        assert counter.value(service="lexica-prime", outcome="cached") == 2
+        assert counter.value(service="lexica-prime", outcome="success") == 1
+
+    def test_a_stale_serve_is_a_count(self, world, monkeypatch):
+        from repro.core.caching import ServiceCache
+        from repro.simnet.connectivity import ManualConnectivity
+
+        cache = ServiceCache(capacity=8, ttl=10.0, clock=world.clock,
+                             stale_grace=100.0)
+        client = RichClient(world.registry, cache=cache,
+                            serve_stale_on_error=True)
+        seen = spy_on_record(client.monitor, monkeypatch)
+        client.invoke("lexica-prime", "analyze", {"text": TEXT})
+        world.clock.advance(20.0)
+        connectivity = ManualConnectivity()
+        world.transport.connectivity = connectivity
+        connectivity.go_offline()
+        stale = client.invoke("lexica-prime", "analyze", {"text": TEXT})
+        connectivity.go_online()
+        client.close()
+        assert stale.degraded and stale.cached
+        # The remote success, then the failed attempt the stale value
+        # answered for; nothing for the stale serve itself.
+        assert [record.success for record in seen] == [True, False]
+        assert client.monitor.hit_count("lexica-prime") == 1
+
 class TestBudget:
     def test_budget_blocks_remote_calls(self, client):
         client.quota.set_budget("glotta", max_calls=1)

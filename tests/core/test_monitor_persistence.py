@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.latency import LatencyPredictor
 from repro.core.monitoring import InvocationRecord, ServiceMonitor
+from repro.core.ranking import ServiceRanker
 from repro.stores.kvstore import FileKeyValueStore, InMemoryKeyValueStore
 
 
@@ -51,28 +52,76 @@ class TestSaveLoad:
         assert restored.load_from(FileKeyValueStore(tmp_path / "monitor.json")) == 6
 
     def test_remote_history_older_than_the_hit_log(self):
-        """Hits have pushed every remote record out of the any-kind log;
-        what the ranker reads must still survive a restart."""
+        """Hits outnumber the bound; the remote history the ranker reads
+        and the hit count both survive a restart."""
         original = ServiceMonitor(max_records=4)
         for at, latency in enumerate((0.1, 0.2, None)):
             original.record(InvocationRecord(
                 "store", "get", float(at), latency, 0.002, latency is not None,
                 latency_params={"size": 10.0 * at}))
-        for at in range(3, 9):
-            original.record(InvocationRecord(
-                "store", "get", float(at), 0.0, 0.0, True, cached=True))
-        assert not any(not record.cached for record in
-                       original.records("store", include_cached=True))
+        for _ in range(6):
+            original.record_hit("store")
+        original.record_hit("cache-only")
 
         store = InMemoryKeyValueStore()
-        assert original.save_to(store) == 7  # 3 remote + the 4 newest hits
+        assert original.save_to(store) == 3  # hits are counts, not records
         restored = ServiceMonitor(max_records=4)
-        assert restored.load_from(store) == 7
-        for include_cached in (False, True):
-            assert restored.records("store", include_cached) == \
-                original.records("store", include_cached)
+        assert restored.load_from(store) == 3
+        assert restored.records("store") == original.records("store")
+        assert restored.services() == ["cache-only", "store"]
+        assert (restored.hit_count("store"), restored.hit_count("cache-only")) == (6, 1)
         assert restored.summary("store") == original.summary("store")
         assert restored.mean_latency("store") == pytest.approx(0.15)
+
+    def test_a_payload_with_cached_records_still_loads(self):
+        """A payload saved when hits were records, ``"cached"`` key and
+        all: remote records come back exactly, each hit as a count."""
+        remote = [InvocationRecord("alpha", "analyze", 0.0, 0.2, 0.003, True,
+                                   latency_params={"size": 40.0}, quality=0.7,
+                                   trace_id="t1"),
+                  InvocationRecord("alpha", "analyze", 1.0, None, 0.0, False,
+                                   error="boom"),
+                  InvocationRecord("beta", "analyze", 2.0, 0.1, 0.001, True)]
+
+        def saved(record, cached=False):
+            return {"operation": record.operation, "timestamp": record.timestamp,
+                    "latency": record.latency, "cost": record.cost,
+                    "success": record.success, "error": record.error,
+                    "latency_params": dict(record.latency_params),
+                    "quality": record.quality, "cached": cached,
+                    "trace_id": record.trace_id}
+
+        hit = InvocationRecord("alpha", "analyze", 3.0, 0.0, 0.0, True)
+        store = InMemoryKeyValueStore()
+        store.put("monitor", {
+            "records": {
+                "alpha": [saved(remote[0]), saved(hit, cached=True),
+                          saved(remote[1]), saved(hit, cached=True)],
+                "beta": [saved(remote[2])],
+                "gamma": [saved(hit._replace(service="gamma"), cached=True)],
+            },
+            "ratings": {"beta": [0.9]},
+        })
+        restored = ServiceMonitor()
+        assert restored.load_from(store) == 3
+        assert restored.records("alpha") == remote[:2]
+        assert restored.records("beta") == remote[2:]
+        assert restored.services() == ["alpha", "beta", "gamma"]
+        assert [restored.hit_count(name) for name in ("alpha", "beta", "gamma")] \
+            == [2, 0, 1]
+        assert restored.records("gamma") == []
+        assert restored.mean_quality("beta") == pytest.approx(0.9)
+
+        # The rankings read the same as over the remote records alone.
+        expected = ServiceMonitor()
+        for record in remote:
+            expected.record(record)
+        expected.rate_quality("beta", 0.9)
+        for formula in ("weighted", "normalized"):
+            assert ServiceRanker(restored).rank(("alpha", "beta", "gamma"),
+                                                formula=formula) == \
+                ServiceRanker(expected).rank(("alpha", "beta", "gamma"),
+                                             formula=formula)
 
     def test_load_from_empty_store(self):
         assert ServiceMonitor().load_from(InMemoryKeyValueStore()) == 0
@@ -108,8 +157,8 @@ class TestNamedTupleRecords:
             first.latency_params["size"] = 1.0
 
     def test_file_roundtrip_keeps_records_and_ranking(self, world, tmp_path):
-        """Remote calls, cache hits and ratings saved to a file come back
-        as equal records, and the ranker reads the same scores off them."""
+        """Remote calls, hit counts and ratings saved to a file come back
+        equal, and the ranker reads the same scores off them."""
         from repro import RichClient
 
         client = RichClient(world.registry)
@@ -126,11 +175,10 @@ class TestNamedTupleRecords:
         restored.load_from(FileKeyValueStore(path))
         assert restored.services() == client.monitor.services()
         for service in client.monitor.services():
-            for include_cached in (False, True):
-                records = restored.records(service, include_cached)
-                assert records == client.monitor.records(service, include_cached)
-                assert all(isinstance(record, InvocationRecord)
-                           for record in records)
+            records = restored.records(service)
+            assert records == client.monitor.records(service)
+            assert all(isinstance(record, InvocationRecord) for record in records)
+            assert restored.hit_count(service) == client.monitor.hit_count(service) == 1
             assert restored.summary(service) == client.monitor.summary(service)
         reborn = RichClient(world.registry, monitor=restored)
         assert reborn.rank_services("nlu") == client.rank_services("nlu")

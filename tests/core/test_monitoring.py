@@ -1,16 +1,20 @@
 """Tests for the service monitor."""
 
+import sys
+import threading
+from collections import deque
+
 import pytest
 
 from repro.core.monitoring import InvocationRecord, ServiceMonitor
 
 
 def record(service="svc", latency=0.1, success=True, cost=0.01, quality=None,
-           params=None, cached=False, timestamp=0.0, error=None):
+           params=None, timestamp=0.0, error=None):
     return InvocationRecord(
         service=service, operation="op", timestamp=timestamp, latency=latency,
         cost=cost, success=success, error=error,
-        latency_params=params or {}, quality=quality, cached=cached,
+        latency_params=params or {}, quality=quality,
     )
 
 
@@ -34,31 +38,82 @@ class TestRecording:
         assert latencies == [7.0, 8.0, 9.0]
 
     def test_cached_records_excluded_by_default(self, monitor):
-        monitor.record(record(latency=0.2))
-        monitor.record(record(latency=0.0, cached=True))
+        """A hit is counted, not recorded: the history holds remote calls."""
+        remote = record(latency=0.2)
+        monitor.record(remote)
+        monitor.record_hit("svc")
         assert monitor.call_count("svc") == 1
-        assert monitor.records("svc", include_cached=True)[1].cached
+        assert monitor.hit_count("svc") == 1
+        assert monitor.records("svc") == [remote]
 
     def test_cache_hits_do_not_evict_remote_history(self):
-        """Hits and remote observations are bounded separately."""
+        """Any number of hits leaves the bounded history alone."""
         monitor = ServiceMonitor(max_records=3)
         monitor.record(record(latency=0.2, cost=0.01))
         monitor.record(record(latency=0.4, cost=0.03))
-        hits = [record(latency=0.0, cost=0.0, cached=True, timestamp=float(at))
-                for at in range(3)]
-        for hit in hits:
-            monitor.record(hit)
+        for _ in range(5):
+            monitor.record_hit("svc")
         assert monitor.call_count("svc") == 2
+        assert monitor.hit_count("svc") == 5
         assert monitor.mean_latency("svc") == pytest.approx(0.3)
         assert monitor.mean_cost("svc") == pytest.approx(0.02)
-        # The any-kind log: the most recent max_records, in arrival order.
-        assert monitor.records("svc", include_cached=True) == hits
+        assert monitor.availability("svc") == 1.0
+
+    def test_a_service_served_only_from_cache_is_listed(self, monitor):
+        monitor.record_hit("svc")
+        assert monitor.services() == ["svc"]
+        assert monitor.records("svc") == []
+        assert monitor.call_count("svc") == 0
+        assert monitor.availability("svc") is None
+        assert monitor.hit_count("ghost") == 0
+
+    def test_one_history_per_service(self, monitor):
+        monitor.record(record())
+        monitor.record_hit("svc")
+        monitor.record_hit("other")
+        assert "cached" not in InvocationRecord._fields
+        record_histories = [
+            name for name, value in vars(monitor).items()
+            if isinstance(value, dict) and any(
+                isinstance(history, deque) and history
+                and isinstance(history[0], InvocationRecord)
+                for history in value.values())]
+        assert record_histories == ["_records"]
+        assert list(monitor._records) == ["svc"]
 
     def test_unknown_service_empty(self, monitor):
         assert monitor.records("ghost") == []
         assert monitor.mean_latency("ghost") is None
         assert monitor.availability("ghost") is None
 
+
+    def test_concurrent_hits_are_all_counted(self):
+        """No hit is lost to a race between threads."""
+        monitor = ServiceMonitor()
+        per_thread, workers = 5_000, 6
+
+        class Name(str):
+            # Hashing in Python gives the interpreter a point to switch
+            # threads inside a read-modify-write of the count.
+            def __hash__(self):
+                return str.__hash__(self)
+
+        def work():
+            for _ in range(per_thread):
+                monitor.record_hit(Name("svc"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert monitor.hit_count("svc") == per_thread * workers
 
 class TestPerformance:
     def test_mean_latency(self, monitor):

@@ -63,7 +63,7 @@ def _archive(analyzer):
 def _calls(world, analyzer):
     monitor = analyzer.client.monitor
     return {service.name: (monitor.call_count(service.name),
-                           len(monitor.records(service.name, include_cached=True)))
+                           monitor.hit_count(service.name))
             for service in world.registry}
 
 

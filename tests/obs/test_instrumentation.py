@@ -58,10 +58,9 @@ class TestInvokeTracing:
         assert len(cached) == 1
         assert cached[0].trace_id == root.trace_id
         assert cached[0].duration == 0.0
-        record = client.monitor.records("lexica-prime",
-                                        include_cached=True)[-1]
-        assert record.cached
-        assert record.trace_id == root.trace_id
+        # The hit is a count in the monitor, not a record.
+        assert client.monitor.hit_count("lexica-prime") == 1
+        assert client.monitor.call_count("lexica-prime") == 1
 
     def test_failed_invoke_records_error_span(self, client, world):
         from repro.services.base import ScriptedFailures
@@ -100,12 +99,11 @@ class TestMetricsReconciliation:
         counter = client.obs.metrics.counter("sdk_invocations_total")
         monitor = client.monitor
         for service in monitor.services():
-            records = monitor.records(service, include_cached=True)
+            records = monitor.records(service)
             expected = {
-                "success": sum(1 for r in records
-                               if r.success and not r.cached),
+                "success": sum(1 for r in records if r.success),
                 "failure": sum(1 for r in records if not r.success),
-                "cached": sum(1 for r in records if r.cached),
+                "cached": monitor.hit_count(service),
             }
             for outcome, count in expected.items():
                 assert counter.value(service=service, outcome=outcome) == count

@@ -30,16 +30,6 @@ class TestManualClock:
         with pytest.raises(ValueError):
             ManualClock().advance(-1.0)
 
-    def test_charge_parallel_takes_maximum(self):
-        clock = ManualClock()
-        clock.charge_parallel([0.1, 0.5, 0.3])
-        assert clock.now() == 0.5
-
-    def test_charge_parallel_empty_is_noop(self):
-        clock = ManualClock()
-        clock.charge_parallel([])
-        assert clock.now() == 0.0
-
     def test_elapsed_since(self):
         clock = ManualClock()
         start = clock.now()

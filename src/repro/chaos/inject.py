@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from repro.chaos.plan import (
     ErrorBurst,
     FaultPlan,
-    FaultSpec,
     FlappingLink,
     LatencySpike,
     Partition,
@@ -259,8 +258,3 @@ class SqliteWriteBurst:
             if window.contains(now):
                 self.faults_raised += 1
                 raise StorageFaultError(self.name)
-
-
-def _specs_summary(specs: tuple[FaultSpec, ...]) -> str:
-    """Short stable summary used by scenario descriptions."""
-    return ", ".join(spec.describe() for spec in specs) if specs else "none"

@@ -166,8 +166,7 @@ class _Stage:
         cache = ServiceCache(capacity=64, ttl=ttl, clock=self.clock,
                              stale_grace=stale_grace)
         self.run.staleness_bound = ttl + stale_grace
-        return RichClient(self.world.registry, cache=cache,
-                          serve_stale_on_error=True, **options)
+        return RichClient(self.world.registry, cache=cache, **options)
 
     def advance_to(self, when: float) -> None:
         """Charge the clock forward to ``when`` (no-op if already past)."""
@@ -678,13 +677,13 @@ def scenario_deadline_storm(seed: int, protections: bool) -> ScenarioRun:
     admission = AdmissionController(stage.clock, limits={
         "glotta": AdmissionLimit(max_concurrent=1, max_queue=4,
                                  queue_timeout=0.5 if protections else 2.0)})
+    # Only the protected client's cache keeps expired entries to degrade to.
     cache = ServiceCache(capacity=64, ttl=0.5, clock=stage.clock,
-                         stale_grace=10.0)
+                         stale_grace=10.0 if protections else None)
     if protections:
         run.staleness_bound = 10.5
     client = RichClient(stage.world.registry, cache=cache,
-                        admission=admission,
-                        serve_stale_on_error=protections)
+                        admission=admission)
     with stage.drive(client):
         warm = {"text": _TEXTS[0]}
         with stage.call() as call:

@@ -20,8 +20,6 @@ one event loop:
   admission queues and DRR fair scheduling as awaitables;
 * :class:`AsyncCoalescer` — single-flight coalescing on asyncio
   futures (followers await a shielded shared flight);
-* :class:`AsyncHedgedInvoker` — hedges as cancellable tasks (the
-  losing leg is cancelled, not abandoned);
 * :class:`AsyncMicroBatcher` — bounded batch windows on asyncio
   futures, no background thread;
 * :func:`ainvoke_with_retry` / :class:`AsyncFailoverInvoker` — the
@@ -35,7 +33,6 @@ Concurrency and cancellation rules are documented per-coroutine and in
 from repro.core.aio.admission import AsyncAdmissionController, AsyncBulkhead
 from repro.core.aio.batching import AsyncMicroBatcher
 from repro.core.aio.coalesce import AsyncCoalescer, AsyncFlight
-from repro.core.aio.hedging import AsyncHedgedInvoker
 from repro.core.aio.invoker import AsyncInvoker
 from repro.core.aio.runner import LoopRunner
 from repro.core.retry import FailoverInvoker as AsyncFailoverInvoker
@@ -47,7 +44,6 @@ __all__ = [
     "AsyncCoalescer",
     "AsyncFailoverInvoker",
     "AsyncFlight",
-    "AsyncHedgedInvoker",
     "AsyncInvoker",
     "AsyncMicroBatcher",
     "LoopRunner",

@@ -93,11 +93,6 @@ class CoalesceStats:
     #: ``Exception`` (task cancellation, ``KeyboardInterrupt``).
     cancelled: int = 0
 
-    @property
-    def upstream_saved(self) -> int:
-        """Wire calls avoided: one per coalesced waiter."""
-        return self.coalesced
-
 
 class RequestCoalescer:
     """Single-flight table keyed by the full request.

@@ -184,10 +184,6 @@ class CallbackExecutor:
         self._pool.submit(context.run, run)
         return listenable
 
-    def map_all(self, function: Callable[[object], T], items: list) -> list[ListenableFuture[T]]:
-        """Submit ``function`` for every item; returns all futures."""
-        return [self.submit(function, item) for item in items]
-
     def shutdown(self, wait: bool = True) -> None:
         """Shut the pool down (optionally waiting for queued work)."""
         self._pool.shutdown(wait=wait)

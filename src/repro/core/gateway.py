@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 
 from repro.core.admission import AdmissionRejectedError
@@ -78,6 +79,18 @@ def _status_for(error: Exception) -> int:
     if isinstance(error, (ValueError, KeyError, TypeError, SerializationError)):
         return 400
     return 500
+
+
+def _non_negative(raw: object, name: str, what: str,
+                  finite: bool = False) -> float:
+    """``raw`` as a float if it is a non-negative int or float — a bool
+    is not a number here — else a ``ValueError``, the caller's 400.
+    An int past float range is infinite; ``finite`` refuses infinity."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        value = math.inf if raw > sys.float_info.max else float(raw)
+        if value >= 0 and not (finite and value == math.inf):  # NaN fails
+            return value
+    raise ValueError(f"{name!r} must be a {what}, got {raw!r}")
 
 
 class SdkGateway:
@@ -187,14 +200,17 @@ class SdkGateway:
 
     @staticmethod
     def _weights_from(params: Mapping[str, object]) -> Weights:
-        raw = params.get("weights") or {}
+        """``params["weights"]`` as :class:`Weights` (absent or null: the
+        defaults); it must be an object, and each weight it gives a finite
+        non-negative number.  Checked before any ranking work."""
+        raw = params.get("weights")
+        raw = {} if raw is None else raw
         if not isinstance(raw, Mapping):
             raise ValueError("'weights' must be an object")
-        return Weights(
-            response_time=float(raw.get("response_time", 1.0)),
-            cost=float(raw.get("cost", 1.0)),
-            quality=float(raw.get("quality", 1.0)),
-        )
+        return Weights(**{
+            name: _non_negative(raw.get(name, 1.0), f"weights.{name}",
+                                "finite non-negative number", finite=True)
+            for name in ("response_time", "cost", "quality")})
 
     @staticmethod
     def _seconds_from(params: Mapping[str, object], name: str) -> float | None:
@@ -202,17 +218,13 @@ class SdkGateway:
 
         Checked before any protection or wire work: a malformed
         ``timeout`` or ``deadline`` is the caller's 400, and must not
-        reach the service and count as its failure.
+        reach the service and count as its failure.  An int past float
+        range is an unbounded wait.
         """
         raw = params.get(name)
         if raw is None:
             return None
-        # ``not raw >= 0`` also refuses NaN; an int past float range is
-        # an unbounded wait.
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not raw >= 0:
-            raise ValueError(
-                f"{name!r} must be a non-negative number of seconds, got {raw!r}")
-        return float(min(raw, math.inf))
+        return _non_negative(raw, name, "non-negative number of seconds")
 
     def _deadline_from(self, params: Mapping[str, object]) -> Deadline | None:
         """An optional per-request budget: ``{"deadline": seconds}``."""

@@ -9,18 +9,26 @@ load (only the slowest ~5% of requests fire a backup) for a large
 reduction in tail latency — the classic tail-at-scale technique, built
 here from the SDK's own monitoring, ranking and async machinery.
 
+The legs are event-loop tasks, so the **losing leg is cancelled** the
+moment a leg wins: it releases its bulkhead permit and refunds its
+reservations (see :meth:`~repro.core.aio.invoker.AsyncInvoker._upstream`)
+instead of paying for a second full call.  Blocking callers hand the
+coroutine to a :class:`~repro.core.aio.LoopRunner`:
+``runner.run(hedger.ainvoke(...))``.
+
 Requires a real (scaled) clock: hedging is inherently about racing
 wall-clock timers against in-flight calls.
 """
 
 from __future__ import annotations
 
-import queue
+import asyncio
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.core.futures import resolved, run_sync
-from repro.core.invoker import InvocationResult, RichClient
+from repro.analytics.stats import percentile
+from repro.core.aio.invoker import AsyncInvoker
+from repro.core.invoker import InvocationResult
 from repro.core.ranking import Weights
 from repro.obs import names
 from repro.util.deadline import Deadline
@@ -43,28 +51,20 @@ class HedgeStats:
 
 
 class HedgedInvoker:
-    """Race a backup call against a slow primary.
+    """Race a cancellable backup task against a slow primary.
 
-    The primary leg goes through the normal :meth:`RichClient.invoke`
-    path (cache, coalescing, admission); the backup leg is fired with
+    The primary leg goes through :meth:`AsyncInvoker.ainvoke` (cache,
+    coalescing, admission); the backup leg is fired with
     ``coalesce=False`` so it never joins an in-flight identical call —
     a hedge that waits behind the request it is hedging would be
-    useless.  Mirrors its fire/win counters to the client's metrics
-    registry when observability is enabled.
-
-    The hedging *policy* — candidate ranking, the hedge delay, the
-    fire-or-ride-out decision, winner selection, stats — is the
-    coroutine :meth:`_hedged`, written once.  A driver supplies how a
-    leg is started, how the next finished leg is waited for and how a
-    loser is dropped: pool threads reporting into a ``queue.Queue``
-    here (a thread cannot be cancelled, so a losing leg runs to
-    completion unobserved), cancellable tasks in
-    :class:`repro.core.aio.AsyncHedgedInvoker`.
+    useless.  Cancelling the caller's task cancels both in-flight legs.
+    Mirrors its fire/win counters to the client's metrics registry when
+    observability is enabled.
     """
 
     def __init__(
         self,
-        client: RichClient,
+        invoker: AsyncInvoker,
         deadline_percentile: float = 0.95,
         default_deadline: float = 0.5,
         weights: Weights = Weights(),
@@ -72,12 +72,13 @@ class HedgedInvoker:
         if not 0.0 < deadline_percentile < 1.0:
             raise ValueError(
                 f"deadline_percentile must be in (0, 1), got {deadline_percentile}")
-        self.client = client
+        self.invoker = invoker
+        self.client = invoker.client
         self.deadline_percentile = deadline_percentile
         self.default_deadline = default_deadline
         self.weights = weights
         self.stats = HedgeStats()
-        obs = client.obs
+        obs = self.client.obs
         if obs.enabled:
             self._metric_requests = obs.metrics.counter(
                 names.HEDGE_REQUESTS_TOTAL, "Requests that went through the hedged invoker.")
@@ -93,38 +94,32 @@ class HedgedInvoker:
         latencies = self.client.monitor.latencies(service)
         if len(latencies) < 5:
             return self.default_deadline
-        from repro.analytics.stats import percentile
-
         return percentile(latencies, self.deadline_percentile)
 
-    def invoke(
-        self,
-        kind: str,
-        operation: str,
-        payload: Mapping[str, object] | None = None,
-        use_cache: bool = True,
-        candidates: list[str] | None = None,
-        deadline: Deadline | None = None,
-    ) -> InvocationResult:
+    async def ainvoke(self, kind: str, operation: str,
+                      payload: Mapping[str, object] | None = None,
+                      use_cache: bool = True,
+                      candidates: list[str] | None = None,
+                      deadline: Deadline | None = None) -> InvocationResult:
         """Invoke with hedging across the top two ranked services.
 
         The primary request goes to the best-ranked service; if it has
-        not completed within the primary's deadline, the same request
-        is issued to the second-ranked service and the first completed
-        result wins.  With fewer than two candidates this degrades to a
+        not completed within the primary's deadline (or already
+        failed), the same request is issued to the second-ranked
+        service, the first successful result wins and **the loser is
+        cancelled**.  With fewer than two candidates this degrades to a
         plain invocation.  ``candidates`` (already ordered, best first)
         overrides the live ranking — the ranking is adaptive, so pin it
-        when an experiment needs a fixed primary.
+        when an experiment needs a fixed primary.  Cancelling this
+        coroutine cancels both legs.
 
         An end-to-end ``deadline`` is carried into both legs, the hedge
         wait is clamped to the remaining budget, and **no backup is
         launched past expiry** — a hedge that cannot beat the deadline
         is pure extra load.
         """
-        return run_sync(self._hedged(kind, operation, payload, use_cache,
-                                     candidates, deadline))
-
-    # -- the hedging policy (one, for both drivers) --------------------------
+        return await self._hedged(kind, operation, payload, use_cache,
+                                  candidates, deadline)
 
     def _rank(self, kind: str, candidates: list[str] | None) -> list[str]:
         """Candidate services, best first (live ranking unless pinned)."""
@@ -139,15 +134,10 @@ class HedgedInvoker:
         return [name for name, _ in self.client.ranker.rank(
             candidates, weights=self.weights)]
 
-    async def _hedged(
-        self,
-        kind: str,
-        operation: str,
-        payload: Mapping[str, object] | None,
-        use_cache: bool,
-        candidates: list[str] | None,
-        deadline: Deadline | None,
-    ) -> InvocationResult:
+    async def _hedged(self, kind: str, operation: str,
+                      payload: Mapping[str, object] | None, use_cache: bool,
+                      candidates: list[str] | None,
+                      deadline: Deadline | None) -> InvocationResult:
         clock = self.client.clock
         with self.client.obs.tracer.span(
                 names.SPAN_SDK_HEDGED_INVOKE, {"kind": kind, "operation": operation}):
@@ -157,7 +147,7 @@ class HedgedInvoker:
                 self._metric_requests.inc()
             start = clock.now()
             if len(ranked) == 1:
-                role, result = "primary", await self._call(
+                role, result = "primary", await self.invoker.ainvoke(
                     ranked[0], operation, payload, use_cache=use_cache,
                     deadline=deadline)
             else:
@@ -181,20 +171,36 @@ class HedgedInvoker:
         The first *successful* leg wins; when every leg fails, the
         first-completed leg's error is raised.  However this returns —
         a winner, an error, the caller's own cancellation — legs still
-        running are dropped before it does.
+        running are cancelled, and their cleanup (permit release,
+        refunds) has run before it does.
         """
         clock = self.client.clock
-        legs = self._legs_type()
+        legs: dict[asyncio.Task, str] = {}  # running leg -> its role
+        outcomes: list[tuple[str, object]] = []  # (role, result-or-error)
+
+        def start(role: str, service: str, **options) -> None:
+            legs[asyncio.ensure_future(self.invoker.ainvoke(
+                service, operation, payload, use_cache=use_cache,
+                deadline=deadline, **options))] = role
+
+        async def collect(timeout: float | None) -> None:
+            # Legs done within ``timeout`` wall seconds, oldest first.
+            done, _ = await asyncio.wait(legs, timeout=timeout,
+                                         return_when=asyncio.FIRST_COMPLETED)
+            for task in [task for task in legs if task in done]:
+                error = (asyncio.CancelledError() if task.cancelled()
+                         else task.exception())
+                outcomes.append((legs.pop(task),
+                                 error if error is not None else task.result()))
+
         try:
-            self._start_leg(legs, "primary", primary, operation, payload,
-                            use_cache=use_cache, deadline=deadline)
+            start("primary", primary)
             hedge_after = self.deadline_for(primary)
             if deadline is not None:
                 # Never wait past the caller's budget before deciding.
                 hedge_after = min(hedge_after, deadline.remaining())
             wait_start = clock.now()
-            outcomes = await self._wait_next(
-                legs, hedge_after * getattr(clock, "time_scale", 1.0))
+            await collect(hedge_after * getattr(clock, "time_scale", 1.0))
             self.client.obs.tracer.add_event(
                 "hedge.wait", {"service": primary,
                                "seconds": clock.now() - wait_start,
@@ -203,7 +209,6 @@ class HedgedInvoker:
             # (an error is the slowest possible answer).  But a backup
             # launched past the deadline cannot produce a usable answer:
             # ride out the primary leg instead.
-            expected = 1
             if _first_success(outcomes) is None and not (
                     deadline is not None and deadline.expired()):
                 self.stats.hedges_fired += 1
@@ -213,47 +218,17 @@ class HedgedInvoker:
                 # coalesced onto an already-slow in-flight identical call
                 # it would just wait behind the same laggard it is meant
                 # to outrun.
-                self._start_leg(legs, "backup", backup, operation, payload,
-                                use_cache=use_cache, coalesce=False,
-                                deadline=deadline)
-                expected = 2
-            while True:
-                winner = _first_success(outcomes)
-                if winner is not None:
-                    return winner
-                if len(outcomes) >= expected:
+                start("backup", backup, coalesce=False)
+            while (winner := _first_success(outcomes)) is None:
+                if not legs:
                     raise outcomes[0][1]  # every leg failed
-                outcomes += await self._wait_next(legs, None)
+                await collect(None)
+            return winner
         finally:
-            await self._drop_losers(legs)
-
-    # Blocking binding: legs on the client's thread pool, reporting into
-    # a queue of (role, result-or-error) in completion order.
-
-    _legs_type = queue.Queue
-
-    def _call(self, service: str, operation: str, payload, **options):
-        return resolved(self.client.invoke(service, operation, payload,
-                                           **options))
-
-    def _start_leg(self, legs, role: str, service: str, operation: str,
-                   payload, **options) -> None:
-        def report(future) -> None:
-            error = future.exception()
-            legs.put((role, error if error is not None else future.get()))
-
-        self.client.invoke_async(service, operation, payload,
-                                 **options).add_listener(report)
-
-    def _wait_next(self, legs, timeout: float | None):
-        """Legs that finished within ``timeout`` wall seconds (None: wait)."""
-        try:
-            return resolved([legs.get(timeout=timeout)])
-        except queue.Empty:
-            return resolved([])
-
-    def _drop_losers(self, legs):
-        return resolved(None)
+            for task in legs:
+                task.cancel()
+            if legs:
+                await asyncio.gather(*legs, return_exceptions=True)
 
 
 def _first_success(outcomes: list) -> tuple | None:

@@ -49,10 +49,10 @@ QualityRater = Callable[[object], float]
 """User-provided function rating a response's quality (higher = better)."""
 
 #: Failures that may be answered with a stale cached value instead of
-#: an exception when ``serve_stale_on_error`` is enabled: transient
-#: network-side errors, shed admissions, and exhausted deadlines (a
-#: zero-cost stale answer is exactly what an out-of-budget caller can
-#: still use).  Client policy violations (budget, rate limit) are not
+#: an exception when the cache keeps expired entries (``stale_grace``):
+#: transient network-side errors, shed admissions, and exhausted
+#: deadlines (a zero-cost stale answer is exactly what an out-of-budget
+#: caller can still use).  Client policy violations (budget, rate limit) are not
 #: degradable — hiding them would defeat the policy.
 DEGRADABLE_ERRORS = (NetworkError, AdmissionRejectedError,
                      DeadlineExceededError)
@@ -114,7 +114,6 @@ class RichClient:
         rate_limiter: ServiceRateLimiter | None = None,
         admission: AdmissionController | None = None,
         tenancy: Tenancy | None = None,
-        serve_stale_on_error: bool = False,
     ) -> None:
         """Build the client around ``registry``.
 
@@ -139,12 +138,12 @@ class RichClient:
                 weighted-fair admission and counted in the tenant
                 metrics.  None (the default) = untenanted, behavior
                 unchanged.
-            serve_stale_on_error: degrade gracefully — when a remote
-                call fails with a transient error (see
-                :data:`DEGRADABLE_ERRORS`), answer from an
-                expired-but-retained cache entry (``degraded=True``)
-                instead of raising.  Requires a cache built with
-                ``stale_grace``.
+
+        A ``cache`` built with ``stale_grace`` makes the client degrade
+        gracefully: a call that fails with a transient error (see
+        :data:`DEGRADABLE_ERRORS`) is answered from an
+        expired-but-retained cache entry (``degraded=True``) instead of
+        raising.
         """
         self.registry = registry
         self.clock = self._registry_clock(registry)
@@ -175,7 +174,6 @@ class RichClient:
         self.tenancy = tenancy
         if tenancy is not None:
             tenancy.attach_clock(self.clock)
-        self.serve_stale_on_error = serve_stale_on_error
         # The hot-path body lives in repro.core.aio.invoker (deferred
         # import: it imports this module).  `_body` is its blocking
         # binding; the event-loop binding behind `.aio` is built lazily.
@@ -367,11 +365,12 @@ class RichClient:
                      error: BaseException) -> InvocationResult | None:
         """Serve-stale-on-error: a degraded answer for a failed call.
 
-        Only fires when the client opted in, the request was cacheable
-        and the failure is transient (:data:`DEGRADABLE_ERRORS`); the
-        original failure has already been recorded by the remote path.
+        Only fires when the cache keeps expired entries (``stale_grace``),
+        the request was cacheable and the failure is transient
+        (:data:`DEGRADABLE_ERRORS`); the original failure has already
+        been recorded by the remote path.
         """
-        if (key is None or not self.serve_stale_on_error
+        if (key is None or self.cache.stale_grace is None
                 or not isinstance(error, DEGRADABLE_ERRORS)):
             return None
         stale = self.cache.get_stale(key)

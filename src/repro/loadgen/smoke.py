@@ -28,10 +28,6 @@ from repro.services.catalog import build_world
 from repro.tenancy import Tenancy, Tenant, TenantRegistry
 
 
-class SmokeFailure(AssertionError):
-    """One smoke check did not hold."""
-
-
 def _check(checks: list[tuple[str, bool]], label: str, passed: bool) -> None:
     checks.append((label, passed))
 

@@ -251,12 +251,6 @@ class HistogramMetric(Metric):
         pairs.append((float("inf"), histogram.total))
         return pairs
 
-    def to_histogram(self, **labels: object) -> Histogram | None:
-        """The underlying analytics histogram (for ASCII rendering etc.)."""
-        with self._lock:
-            cell = self._cells.get(_label_key(labels))
-            return cell.histogram if cell else None
-
     def series(self) -> dict[LabelKey, _HistogramCell]:
         with self._lock:
             return dict(self._cells)

@@ -226,10 +226,6 @@ class Tracer:
         """The span active in this execution context, if any."""
         return _CURRENT_SPAN.get()
 
-    def current_trace_id(self) -> str | None:
-        span = _CURRENT_SPAN.get()
-        return span.trace_id if span is not None else None
-
     # -- span lifecycle ------------------------------------------------------
 
     def start_span(self, name: str,

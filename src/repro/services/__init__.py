@@ -20,7 +20,6 @@ from repro.services.base import (
     NeverFails,
     RandomFailures,
     ScriptedFailures,
-    OutageWindows,
     Quota,
     QuotaExceededError,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "NeverFails",
     "RandomFailures",
     "ScriptedFailures",
-    "OutageWindows",
     "Quota",
     "QuotaExceededError",
 ]

@@ -7,7 +7,7 @@ like a cloud endpoint:
 * a latency model (:mod:`repro.simnet.latency`), parameterized by the
   request's *latency parameters* — the paper's term for features like
   argument size that latency depends on;
-* a failure model (random failures, scripted failures, outage windows);
+* a failure model (random or scripted failures);
 * a monetary cost model — the ``c`` in the paper's ranking Equations 1
   and 2;
 * an optional quota, reproducing the per-day invocation limits that
@@ -138,19 +138,6 @@ class ScriptedFailures(FailureModel):
 
     def should_fail(self, call_index: int, now: float, rng: SeededRng) -> bool:
         return call_index in self.failing_calls
-
-
-class OutageWindows(FailureModel):
-    """Fails every call issued inside any of the given time windows."""
-
-    def __init__(self, windows: list[tuple[float, float]]) -> None:
-        for start, end in windows:
-            if end < start:
-                raise ValueError(f"invalid outage window ({start}, {end})")
-        self.windows = list(windows)
-
-    def should_fail(self, call_index: int, now: float, rng: SeededRng) -> bool:
-        return any(start <= now < end for start, end in self.windows)
 
 
 # ---------------------------------------------------------------------------

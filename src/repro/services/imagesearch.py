@@ -62,9 +62,6 @@ class ImageSearchService(SimulatedService):
             self._tags[image.image_id] = tags
         self._by_id = {image.image_id: image for image in self.images}
 
-    def tags_of(self, image_id: str) -> list[str]:
-        return list(self._tags[image_id])
-
     def _handle(self, request: ServiceRequest) -> object:
         payload = request.payload
         if request.operation == "search_images":

@@ -35,12 +35,10 @@ from repro.core.aio import (
     AsyncAdmissionController,
     AsyncBulkhead,
     AsyncCoalescer,
-    AsyncHedgedInvoker,
     LoopRunner,
 )
 from repro.core.futures import run_sync
 from repro.core.aio.invoker import _folded
-from repro.core.hedging import HedgedInvoker
 from repro.core.invoker import InvocationResult
 from repro.core.quota import BudgetExceededError
 from repro.core.retry import AttemptLog
@@ -254,25 +252,6 @@ class TestCompositeParity:
         assert sync_batcher.stats.size_flushes == 1
         assert sync_batcher.stats.deadline_flushes == 1
         assert sync_batcher.stats.empty_flushes == 1
-
-    def test_hedger_without_a_backup_degrades_identically(self, pair):
-        _, sync_client, _, async_client = pair
-        sync_hedger = HedgedInvoker(sync_client)
-        async_hedger = AsyncHedgedInvoker(async_client.aio)
-        sync_result = sync_hedger.invoke("nlu", "analyze", {"text": TEXT},
-                                         candidates=["glotta"])
-        async_result = arun(async_hedger.ainvoke(
-            "nlu", "analyze", {"text": TEXT}, candidates=["glotta"]))
-        assert async_result.value == sync_result.value
-        assert asdict(async_hedger.stats) == asdict(sync_hedger.stats)
-        assert sync_hedger.stats.primary_wins == 1
-        for hedger, call in ((sync_hedger, sync_hedger.invoke),
-                             (async_hedger,
-                              lambda *a, **k: arun(async_hedger.ainvoke(*a, **k)))):
-            with pytest.raises(ValueError, match="empty candidates"):
-                call("nlu", "analyze", {"text": TEXT}, candidates=[])
-            with pytest.raises(ValueError, match="no services of kind"):
-                call("no-such-kind", "analyze", {"text": TEXT})
 
 
 @pytest.fixture(params=["blocking", "loop"])

@@ -9,9 +9,12 @@ verbatim, and so is ``_method_invoke`` as it was before a warm hit
 reused its cache entry's JSON text: it builds the result dict that one
 ``json.dumps`` over the whole response then encodes (its ``timeout``
 is checked by the serving gateway's ``_seconds_from``, so a malformed
-one is refused before the call on both sides).  The other
-``_method_*`` handlers, ``_error`` and ``_retry_after`` are inherited;
-they did not change.  ``test_gateway_differential.py`` and benchmark
+one is refused before the call on both sides).  ``_weights_from``
+restates the weight rule on its own — a finite, non-negative int or
+float, bools excluded — so the differential checks the serving
+gateway's shared number check against it.  The other ``_method_*``
+handlers, ``_error`` and ``_retry_after`` are inherited; they did not
+change.  ``test_gateway_differential.py`` and benchmark
 A17 compare the serving gateway against this one.  Nothing under
 ``src/`` imports this module.
 """
@@ -19,15 +22,33 @@ A17 compare the serving gateway against this one.  Nothing under
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 
 from repro.core.gateway import SdkGateway, _status_for
+from repro.core.ranking import Weights
 from repro.tenancy.context import tenant_scope
 
 
 class ReferenceSdkGateway(SdkGateway):
     """``SdkGateway`` with the old ``handle`` / ``handle_json`` and the
     old ``_method_invoke``: every response is one ``json.dumps``."""
+
+    @staticmethod
+    def _weights_from(params: Mapping[str, object]) -> Weights:
+        raw = params.get("weights")
+        if raw is None:
+            raw = {}
+        if not isinstance(raw, Mapping):
+            raise ValueError("'weights' must be an object")
+        weights = {}
+        for name in ("response_time", "cost", "quality"):
+            value = raw.get(name, 1.0)
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"'weights.{name}' must be a finite "
+                                 f"non-negative number, got {value!r}")
+            weights[name] = float(value)
+        return Weights(**weights)
 
     def _method_invoke(self, params: Mapping[str, object]) -> dict:
         result = self.client.invoke(

@@ -128,11 +128,6 @@ class TestCallbackExecutor:
             future.add_listener(lambda _completed: done.set())
             assert done.wait(timeout=5)
 
-    def test_map_all_preserves_order(self):
-        with CallbackExecutor(max_workers=4) as executor:
-            futures = executor.map_all(lambda item: item * 10, [1, 2, 3])
-            assert [future.get(timeout=5) for future in futures] == [10, 20, 30]
-
     def test_pool_is_bounded(self):
         """More tasks than workers still all complete (queued, not spawned)."""
         active = []

@@ -188,6 +188,58 @@ class TestMalformedTimings:
         with pytest.raises(ValueError):
             Deadline.after(world.clock, float("nan"))
 
+    def test_an_integer_past_float_range_is_an_unbounded_wait(self, gateway):
+        # Python's json parses a 401-digit literal as an int that float()
+        # cannot hold; it used to escape as a 500 OverflowError.
+        text = ('{"method": "invoke", "params": {"service": "glotta", '
+                '"operation": "analyze", "payload": {"text": "IBM thrives."}, '
+                '"timeout": 1' + "0" * 400 + "}}")
+        assert json.loads(gateway.handle_json(text))["status"] == 200
+
+
+class TestMalformedWeights:
+    """A ranking weight must be a finite, non-negative number: anything
+    else is the caller's 400, refused before any ranking or call."""
+
+    BAD = ["NaN", "Infinity", "-5", '"2"', "true", "1" + "0" * 400]
+    METHODS = {"rank_services": "rank_services",
+               "best_service": "best_service",
+               "invoke_failover": "invoke_with_failover"}
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("weight", ["response_time", "cost", "quality"])
+    def test_every_bad_weight_is_a_400_before_ranking(self, gateway, world,
+                                                      monkeypatch, method,
+                                                      weight):
+        reached = []
+        monkeypatch.setattr(gateway.client, self.METHODS[method],
+                            lambda *args, **kwargs: reached.append(args))
+        before = _footprint(gateway.client, world)
+        for value in self.BAD:
+            text = ('{"method": "%s", "params": {"kind": "nlu", '
+                    '"operation": "analyze", "payload": {"text": "IBM"}, '
+                    '"weights": {"%s": %s}}}' % (method, weight, value))
+            response = json.loads(gateway.handle_json(text))
+            assert (response["status"], response["error_type"]) == (
+                400, "ValueError"), value
+            assert f"weights.{weight}" in response["error"]
+        assert reached == []
+        assert _footprint(gateway.client, world) == before
+
+    @pytest.mark.parametrize("weights", [0, False, "", [], 3, [1, 2], "high"])
+    def test_weights_must_be_an_object(self, gateway, weights):
+        # A falsy non-object used to pass as "no weights given".
+        response = gateway.handle({"method": "rank_services", "params": {
+            "kind": "nlu", "weights": weights}})
+        assert (response["status"], response["error_type"]) == (400, "ValueError")
+        assert "'weights' must be an object" in response["error"]
+
+    def test_good_weights_still_rank(self, gateway):
+        response = gateway.handle({"method": "rank_services", "params": {
+            "kind": "nlu", "weights": {"response_time": 2, "cost": 0.5}}})
+        assert response["status"] == 200
+        assert len(response["result"]) == 3
+
 class TestMethods:
     def test_failover_method(self, gateway, world):
         ranked = [name for name, _ in gateway.client.rank_services("nlu")]

@@ -9,6 +9,7 @@ together with the two counters.
 """
 
 import json
+import math
 from collections import OrderedDict
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -104,11 +105,14 @@ call_options = mostly(st.just({}), st.fixed_dictionaries({}, optional={
     "timeout": st.sampled_from([None, 1e-9, 5.0, "soon"]),
     "deadline": st.sampled_from([None, 0, 30.0, "later"]),
 }))
+bad_weights = st.sampled_from([math.nan, math.inf, -5, "2", True])
 weights = mostly(
     st.fixed_dictionaries({}, optional={
         "response_time": st.floats(0, 3), "cost": st.floats(0, 3),
         "quality": st.floats(0, 3)}),
-    st.sampled_from([[1, 2], {"quality": "high"}, 3]))
+    st.sampled_from([[1, 2], {"quality": "high"}, 3, 0, False, [], None])
+    | st.dictionaries(st.sampled_from(["response_time", "cost", "quality"]),
+                      bad_weights | st.floats(0, 3), min_size=1))
 kinds = mostly(st.sampled_from(["nlu", "search", "knowledge", "storage"]),
                st.sampled_from(["ghost", "", None]))
 latency_params = mostly(

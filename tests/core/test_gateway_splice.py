@@ -27,8 +27,7 @@ def _gateway(capacity=8):
     world = build_world(seed=42, corpus_size=20)
     cache = ServiceCache(capacity=capacity, ttl=TTL, clock=world.clock,
                          stale_grace=GRACE)
-    return SdkGateway(RichClient(world.registry, cache=cache,
-                                 serve_stale_on_error=True))
+    return SdkGateway(RichClient(world.registry, cache=cache))
 
 
 @pytest.fixture

@@ -1,16 +1,22 @@
-"""Tests for hedged requests (tail-latency mitigation)."""
+"""Tests for hedged requests (tail-latency mitigation) as cancellable tasks."""
 
-import threading
+import asyncio
+import time
 
 import pytest
 
 from repro import RichClient, build_world
+from repro.core.admission import AdmissionController, AdmissionLimit
+from repro.core.aio import LoopRunner
 from repro.core.hedging import HedgedInvoker
 from repro.core.ranking import Weights
-from repro.services.base import NeverFails
+from repro.services.base import ScriptedFailures
+from repro.simnet.latency import ConstantLatency
 from repro.util.clock import RealClock
 
 TIME_SCALE = 0.02
+TEXT = "Globex thrives while Initech struggles."
+LATENCY_ONLY = Weights(response_time=1, cost=0, quality=0)
 
 
 @pytest.fixture
@@ -33,95 +39,154 @@ def warm(client, world, calls=8):
             client.invoke(provider, "analyze", {"text": text}, use_cache=False)
 
 
-class _Gate(NeverFails):
-    """A failure model that never fails; it runs ``action`` on the leg's
-    thread at the point where the service would have decided."""
+def delayed(invoker, slow, cancelled):
+    """Patch ``invoker.ainvoke``: calls to a service in ``slow`` first
+    sleep 0.5 wall seconds; a cancelled call adds its service to
+    ``cancelled``."""
+    original = invoker.ainvoke
 
-    def __init__(self, action):
-        self.action = action
+    async def instrumented(service, operation, payload=None, **kwargs):
+        try:
+            if service in slow:
+                await asyncio.sleep(0.5)
+            return await original(service, operation, payload, **kwargs)
+        except asyncio.CancelledError:
+            cancelled.add(service)
+            raise
 
-    def should_fail(self, call_index, now, rng):
-        self.action()
-        return False
+    invoker.ainvoke = instrumented
 
 
 class TestDeadlines:
     def test_default_deadline_without_history(self, rt_client):
-        invoker = HedgedInvoker(rt_client, default_deadline=0.42)
-        assert invoker.deadline_for("lexica-prime") == 0.42
+        hedger = HedgedInvoker(rt_client.aio, default_deadline=0.42)
+        assert hedger.deadline_for("lexica-prime") == 0.42
 
     def test_deadline_from_percentile(self, rt_world, rt_client):
         warm(rt_client, rt_world)
-        invoker = HedgedInvoker(rt_client, deadline_percentile=0.95)
-        deadline = invoker.deadline_for("lexica-prime")
+        hedger = HedgedInvoker(rt_client.aio, deadline_percentile=0.95)
+        deadline = hedger.deadline_for("lexica-prime")
         latencies = rt_client.monitor.latencies("lexica-prime")
         assert min(latencies) <= deadline <= max(latencies) + 1e-9
 
     def test_percentile_validated(self, rt_client):
         with pytest.raises(ValueError):
-            HedgedInvoker(rt_client, deadline_percentile=1.0)
+            HedgedInvoker(rt_client.aio, deadline_percentile=1.0)
 
 
 class TestHedgedInvocation:
-    def test_fast_primary_never_hedges(self, rt_world, rt_client):
-        warm(rt_client, rt_world)
-        invoker = HedgedInvoker(
-            rt_client, default_deadline=10.0,
-            weights=Weights(response_time=1, cost=0, quality=0))
+    def test_fast_primary_never_hedges(self, rt_client):
+        hedger = HedgedInvoker(rt_client.aio, weights=LATENCY_ONLY)
         # Deadline is far above any latency: the primary always wins.
-        invoker.deadline_for = lambda service: 10.0  # type: ignore[assignment]
-        result = invoker.invoke("nlu", "analyze",
-                                {"text": "Globex thrives."}, use_cache=False)
+        hedger.deadline_for = lambda service: 10.0  # type: ignore[assignment]
+        result = asyncio.run(hedger.ainvoke(
+            "nlu", "analyze", {"text": TEXT}, use_cache=False))
         assert result.value["sentiment"]
-        assert invoker.stats.hedges_fired == 0
-        assert invoker.stats.primary_wins == 1
+        assert hedger.stats.hedges_fired == 0
+        assert hedger.stats.primary_wins == 1
 
-    def test_slow_primary_fires_hedge(self, rt_world, rt_client):
-        warm(rt_client, rt_world)
-        weights = Weights(response_time=1, cost=0, quality=0)
-        primary, backup = [name for name, _ in rt_client.rank_services(
-            "nlu", weights=weights)][:2]
-        # "Slow" must not depend on the scheduler: the primary's leg is
-        # held inside the service until the backup's leg reaches its own,
-        # which only a fired hedge can make happen.
-        hedged = threading.Event()
-        rt_world.service(primary).failures = _Gate(lambda: hedged.wait(10.0))
-        rt_world.service(backup).failures = _Gate(hedged.set)
-        invoker = HedgedInvoker(rt_client, weights=weights)
-        invoker.deadline_for = lambda service: 0.0001  # type: ignore[assignment]
-        result = invoker.invoke("nlu", "analyze",
-                                {"text": "Globex thrives today."},
-                                use_cache=False)
-        assert result.value["entities"] is not None
-        assert invoker.stats.hedges_fired == 1
-        assert invoker.stats.hedge_wins + invoker.stats.primary_wins == 1
+    def test_slow_primary_fires_hedge(self, rt_client):
+        hedger = HedgedInvoker(rt_client.aio)
+        hedger.deadline_for = lambda service: 0.0  # type: ignore[assignment]
+        cancelled = set()
+        delayed(rt_client.aio, {"lexica-prime"}, cancelled)
+        result = asyncio.run(hedger.ainvoke(
+            "nlu", "analyze", {"text": TEXT}, use_cache=False,
+            candidates=["lexica-prime", "glotta"]))
+        assert result.service == "glotta"
+        assert hedger.stats.hedges_fired == 1
+        assert hedger.stats.hedge_wins == 1
+        assert cancelled == {"lexica-prime"}
 
     def test_hedge_survives_primary_failure(self, rt_world, rt_client):
-        from repro.services.base import ScriptedFailures
-
         warm(rt_client, rt_world)
-        weights = Weights(response_time=1, cost=0, quality=0)
-        ranked = [name for name, _ in rt_client.rank_services("nlu",
-                                                              weights=weights)]
+        ranked = [name for name, _ in rt_client.rank_services(
+            "nlu", weights=LATENCY_ONLY)]
         rt_world.service(ranked[0]).failures = ScriptedFailures(set(range(50)))
-        invoker = HedgedInvoker(rt_client, weights=weights)
-        invoker.deadline_for = lambda service: 0.0001  # type: ignore[assignment]
-        result = invoker.invoke("nlu", "analyze",
-                                {"text": "Globex gains again."},
-                                use_cache=False)
-        assert result.service != ranked[0]
+        hedger = HedgedInvoker(rt_client.aio, weights=LATENCY_ONLY)
+        # The primary's failure alone must fire the hedge.
+        hedger.deadline_for = lambda service: 10.0  # type: ignore[assignment]
+        result = asyncio.run(hedger.ainvoke(
+            "nlu", "analyze", {"text": "Globex gains again."}, use_cache=False))
+        assert result.service == ranked[1]
+        assert hedger.stats.hedges_fired == 1
 
     def test_unknown_kind_rejected(self, rt_client):
-        with pytest.raises(ValueError):
-            HedgedInvoker(rt_client).invoke("teleport", "op", {})
+        with pytest.raises(ValueError, match="no services of kind"):
+            asyncio.run(HedgedInvoker(rt_client.aio).ainvoke(
+                "teleport", "op", {}))
 
-    def test_stats_accumulate(self, rt_world, rt_client):
-        warm(rt_client, rt_world, calls=4)
-        invoker = HedgedInvoker(rt_client, default_deadline=10.0)
-        invoker.deadline_for = lambda service: 10.0  # type: ignore[assignment]
-        for index in range(3):
-            invoker.invoke("nlu", "analyze",
-                           {"text": f"Globex report {index}."}, use_cache=False)
-        assert invoker.stats.requests == 3
-        assert len(invoker.stats.latencies) == 3
-        assert invoker.stats.hedge_rate == 0.0
+    def test_empty_candidates_rejected(self, rt_client):
+        with pytest.raises(ValueError, match="empty candidates"):
+            asyncio.run(HedgedInvoker(rt_client.aio).ainvoke(
+                "nlu", "analyze", {"text": TEXT}, candidates=[]))
+
+    def test_stats_accumulate(self, rt_client):
+        hedger = HedgedInvoker(rt_client.aio)
+        hedger.deadline_for = lambda service: 10.0  # type: ignore[assignment]
+
+        async def scenario():
+            for index in range(3):
+                await hedger.ainvoke("nlu", "analyze",
+                                     {"text": f"Globex report {index}."},
+                                     use_cache=False)
+
+        asyncio.run(scenario())
+        assert hedger.stats.requests == 3
+        assert len(hedger.stats.latencies) == 3
+        assert hedger.stats.hedge_rate == 0.0
+
+    def test_single_candidate_cannot_hedge(self, rt_client):
+        hedger = HedgedInvoker(rt_client.aio)
+        hedger.deadline_for = lambda service: 0.0  # type: ignore[assignment]
+        result = asyncio.run(hedger.ainvoke(
+            "nlu", "analyze", {"text": TEXT}, use_cache=False,
+            candidates=["glotta"]))
+        assert result.service == "glotta"
+        assert hedger.stats.hedges_fired == 0
+
+    def test_cancelling_the_caller_cancels_both_legs(self, rt_client):
+        hedger = HedgedInvoker(rt_client.aio)
+        hedger.deadline_for = lambda service: 0.0  # type: ignore[assignment]
+        cancelled = set()
+        delayed(rt_client.aio, {"lexica-prime", "glotta"}, cancelled)
+
+        async def scenario():
+            call = asyncio.ensure_future(hedger.ainvoke(
+                "nlu", "analyze", {"text": TEXT}, use_cache=False,
+                candidates=["lexica-prime", "glotta"]))
+            await asyncio.sleep(0.1)
+            call.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await call
+
+        asyncio.run(scenario())
+        assert cancelled == {"lexica-prime", "glotta"}
+
+
+class TestBlockingCallers:
+    def test_the_cancelled_loser_holds_no_permit_and_leaves_no_record(self):
+        # A primary that takes 10 s (0.2 s wall at this scale), behind a
+        # bulkhead, hedged at once: the backup wins, and the primary's
+        # leg is cancelled before the call returns.
+        world = build_world(seed=59, corpus_size=20,
+                            clock=RealClock(time_scale=TIME_SCALE))
+        world.service("lexica-prime").latency = ConstantLatency(10.0)
+        client = RichClient(world.registry, admission=AdmissionController(
+            world.clock, default_limit=AdmissionLimit(max_concurrent=1)))
+        hedger = HedgedInvoker(client.aio, default_deadline=0.0)
+        try:
+            with LoopRunner() as runner:
+                result = runner.run(hedger.ainvoke(
+                    "nlu", "analyze", {"text": TEXT}, use_cache=False,
+                    candidates=["lexica-prime", "glotta"]))
+                assert result.service == "glotta"
+                bulkhead = client.aio.admission.bulkhead_for("lexica-prime")
+                assert bulkhead.inflight == 0
+                # Past the primary's full latency: still no record.
+                time.sleep(10.0 * TIME_SCALE + 0.1)
+                assert client.monitor.records("lexica-prime") == []
+                assert client.monitor.call_count("lexica-prime") == 0
+                assert client.monitor.call_count("glotta") == 1
+        finally:
+            client.close()

@@ -180,8 +180,7 @@ class TestHitsAreCounted:
 
         cache = ServiceCache(capacity=8, ttl=10.0, clock=world.clock,
                              stale_grace=100.0)
-        client = RichClient(world.registry, cache=cache,
-                            serve_stale_on_error=True)
+        client = RichClient(world.registry, cache=cache)
         seen = spy_on_record(client.monitor, monkeypatch)
         client.invoke("lexica-prime", "analyze", {"text": TEXT})
         world.clock.advance(20.0)

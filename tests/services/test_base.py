@@ -5,7 +5,6 @@ import pytest
 from repro.services.base import (
     FreeCost,
     NeverFails,
-    OutageWindows,
     PerCallCost,
     Quota,
     QuotaExceededError,
@@ -74,17 +73,6 @@ class TestFailureModels:
         assert model.should_fail(0, 0.0, rng)
         assert not model.should_fail(1, 0.0, rng)
         assert model.should_fail(2, 0.0, rng)
-
-    def test_outage_windows(self, rng):
-        model = OutageWindows([(10.0, 20.0)])
-        assert not model.should_fail(0, 5.0, rng)
-        assert model.should_fail(0, 10.0, rng)
-        assert model.should_fail(0, 19.9, rng)
-        assert not model.should_fail(0, 20.0, rng)
-
-    def test_outage_window_validated(self):
-        with pytest.raises(ValueError):
-            OutageWindows([(5.0, 1.0)])
 
 
 class TestQuota:

@@ -7,12 +7,16 @@ is ceilinged at its worker count (one OS thread per in-flight call).
 
 Method: every call targets ``store-standard.put``, whose
 ``SizeDependentLatency`` is *deterministic* for fixed-size payloads, so
-all calls hold the wire open for the same scaled-real duration.  A
-wrapper around the service entry point counts concurrent in-flight
-calls; the async side must overlap all 10k, the sync side can never
-exceed its pool size.  Peak traced memory is reported per in-flight
-call to substantiate "flat memory" (coroutine frames, not thread
-stacks).
+all calls hold the wire open for the same duration.  A wrapper around
+the service entry point counts concurrent in-flight calls.  The async
+side runs on a virtual-clock world's virtual loop: each call's wire
+time is a timer in simulated seconds, all 10k tasks launch before the
+first timer is due, so the whole burst overlaps and ends one call's
+latency later.  The sync side must overlap real OS threads, so it runs
+on the wall clock, as ``invoke_async`` futures over a 64-worker
+``CallbackExecutor``; it can never exceed its pool size.  Peak traced
+memory is reported per in-flight call to substantiate "flat memory"
+(coroutine frames, not thread stacks).
 
 Results land in ``benchmarks/results/BENCH_A12.json`` via
 :func:`benchmarks._report.report_json`.
@@ -25,18 +29,13 @@ import tracemalloc
 from benchmarks._report import fmt_row, report, report_json
 from repro import RichClient, build_world
 from repro.core.futures import CallbackExecutor
-from repro.util.clock import RealClock
+from repro.util.clock import RealClock, run
 
 SEED = 12
 ASYNC_CALLS = 10_000
 ASYNC_TARGET = 10_000
-#: store-standard.put latency is ~0.08 simulated s; x50 makes every
-#: call hold the wire ~4 real s — far longer than launching 10k tasks
-#: takes, so the full burst overlaps.
-ASYNC_TIME_SCALE = 50.0
 SYNC_CALLS = 192
 SYNC_POOL = 64
-SYNC_TIME_SCALE = 1.0
 
 
 def _payload(index: int) -> dict:
@@ -46,8 +45,7 @@ def _payload(index: int) -> dict:
 
 
 def _measure_async() -> dict:
-    world = build_world(seed=SEED, corpus_size=10,
-                        clock=RealClock(time_scale=ASYNC_TIME_SCALE))
+    world = build_world(seed=SEED, corpus_size=10)
     client = RichClient(world.registry)
     service = world.service("store-standard")
     original = service.ainvoke
@@ -76,7 +74,7 @@ def _measure_async() -> dict:
 
     tracemalloc.start()
     threads_before = threading.active_count()
-    results, elapsed = asyncio.run(burst())
+    results, elapsed = run(burst(), world.clock)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     client.close()
@@ -92,8 +90,7 @@ def _measure_async() -> dict:
 
 
 def _measure_sync() -> dict:
-    world = build_world(seed=SEED, corpus_size=10,
-                        clock=RealClock(time_scale=SYNC_TIME_SCALE))
+    world = build_world(seed=SEED, corpus_size=10, clock=RealClock())
     client = RichClient(world.registry,
                         executor=CallbackExecutor(max_workers=SYNC_POOL))
     service = world.service("store-standard")
@@ -113,13 +110,13 @@ def _measure_sync() -> dict:
 
     service.invoke = counting
     start = client.clock.now()
-    results = client.invoke_all(
-        [("store-standard", "put", _payload(index))
-         for index in range(SYNC_CALLS)],
-        use_cache=False)
+    futures = [client.invoke_async("store-standard", "put", _payload(index),
+                                   use_cache=False, coalesce=False)
+               for index in range(SYNC_CALLS)]
+    results = [future.get() for future in futures]
     elapsed = client.clock.now() - start
     client.close()
-    assert all(not isinstance(result, Exception) for result in results)
+    assert all(result.value["stored"] for result in results)
     return {
         "calls": SYNC_CALLS,
         "pool_size": SYNC_POOL,

@@ -6,9 +6,11 @@ answered within its own observed p95, fire the same request at the
 runner-up and keep whichever answers first.  Measured: p50 is untouched
 (hedges are rare), the p99 tail drops sharply, and the extra load is
 bounded by the hedge rate (~the deadline percentile's complement).
-The hedger's legs are event-loop tasks, so a blocking caller hands each
-request to a ``LoopRunner`` and the losing leg is cancelled, not left
-to finish in the background.
+The hedger's legs are event-loop tasks, so the losing leg is cancelled,
+not left to finish in the background.  The world runs on a virtual
+clock and the requests on its virtual loop, where the hedge timer and
+the in-flight legs race in simulated seconds: the figures are
+deterministic.
 """
 
 import pytest
@@ -16,21 +18,18 @@ import pytest
 from benchmarks._report import fmt_row, report
 from repro import RichClient, build_world
 from repro.analytics.stats import percentile
-from repro.core.aio import LoopRunner
 from repro.core.hedging import HedgedInvoker
 from repro.core.ranking import Weights
 from repro.simnet.latency import LogNormalLatency
-from repro.util.clock import RealClock
+from repro.util.clock import run
 
-TIME_SCALE = 0.01
 REQUESTS = 60
 LATENCY_ONLY = Weights(response_time=1, cost=0, quality=0)
 
 
 @pytest.fixture(scope="module")
 def heavy_tail_env():
-    world = build_world(seed=103, corpus_size=30,
-                        clock=RealClock(time_scale=TIME_SCALE))
+    world = build_world(seed=103, corpus_size=30)
     # Give the fastest-median provider a vicious tail; the runner-up is
     # slightly slower at the median but tight.
     world.service("wordsmith-lite").latency = LogNormalLatency(
@@ -42,37 +41,40 @@ def heavy_tail_env():
         for doc in world.corpus.documents[:12]:
             client.invoke(provider, "analyze", {"text": doc.text},
                           use_cache=False)
-    with LoopRunner() as runner:
-        yield world, client, runner
+    yield world, client
     client.close()
 
 
 def test_hedging_cuts_the_tail(heavy_tail_env):
-    world, client, runner = heavy_tail_env
+    world, client = heavy_tail_env
     texts = [f"Globex report number {index} was excellent."
              for index in range(REQUESTS)]
-
-    # Both policies are served by the same loop, so the two rows differ
-    # only in hedging (a loop timer wakes on a 1 ms tick: 0.1 simulated
-    # seconds at this scale, on both sides).
-    plain_latencies = []
     primary = "wordsmith-lite"  # fastest median, heavy tail
-    for text in texts:
-        start = client.clock.now()
-        runner.run(client.aio.ainvoke(primary, "analyze", {"text": text},
-                                      use_cache=False))
-        plain_latencies.append(client.clock.now() - start)
+
+    async def plain():
+        latencies = []
+        for text in texts:
+            start = client.clock.now()
+            await client.aio.ainvoke(primary, "analyze", {"text": text},
+                                     use_cache=False)
+            latencies.append(client.clock.now() - start)
+        return latencies
+
+    plain_latencies = run(plain(), client.clock)
 
     invoker = HedgedInvoker(client.aio, deadline_percentile=0.75,
                             weights=LATENCY_ONLY)
-    # Pin the primary/backup pair: the live ranking would adaptively
-    # demote the heavy-tailed primary mid-experiment (itself a useful
-    # behaviour, but not what this bench isolates).
-    for text in texts:
-        runner.run(invoker.ainvoke("nlu", "analyze",
-                                   {"text": f"hedged {text}"},
-                                   use_cache=False,
-                                   candidates=[primary, "glotta"]))
+
+    async def hedged():
+        # Pin the primary/backup pair: the live ranking would adaptively
+        # demote the heavy-tailed primary mid-experiment (itself a useful
+        # behaviour, but not what this bench isolates).
+        for text in texts:
+            await invoker.ainvoke("nlu", "analyze", {"text": f"hedged {text}"},
+                                  use_cache=False,
+                                  candidates=[primary, "glotta"])
+
+    run(hedged(), client.clock)
     hedged_latencies = invoker.stats.latencies
 
     rows = [fmt_row("policy", "p50 (s)", "p95 (s)", "p99 (s)")]
@@ -95,12 +97,18 @@ def test_hedging_cuts_the_tail(heavy_tail_env):
 
 
 def test_bench_hedged_invocation(benchmark, heavy_tail_env):
-    world, client, runner = heavy_tail_env
+    # A distinct text per round and no cache, so every round times a
+    # hedged call (primary leg, maybe a backup, the race) — on the
+    # virtual loop that is the hedger's CPU cost, not a cache hit.
+    world, client = heavy_tail_env
     invoker = HedgedInvoker(client.aio, weights=LATENCY_ONLY)
+    rounds = iter(range(1_000_000))
 
-    def run():
-        return runner.run(invoker.ainvoke("nlu", "analyze",
-                                          {"text": "Globex thrives."}))
+    def once():
+        return run(invoker.ainvoke(
+            "nlu", "analyze", {"text": f"Globex thrives, round {next(rounds)}."},
+            use_cache=False), client.clock)
 
-    result = benchmark.pedantic(run, rounds=5, iterations=1)
+    result = benchmark.pedantic(once, rounds=5, iterations=1)
     assert result.value["sentiment"]
+    assert not result.cached

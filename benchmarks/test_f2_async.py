@@ -8,9 +8,10 @@ Paper claims reproduced:
 * thread pools are bounded, so a burst of calls cannot spawn unbounded
   threads (§2.1's corner-case concern).
 
-These benches run on a scaled real-time clock (RealClock) because
-genuinely concurrent calls need real threads; latencies are still
-reported in simulated seconds.
+The world runs on a virtual clock.  The parallel fan-out runs its legs
+as tasks on the world's virtual loop, where overlapping waits cost
+their maximum in simulated seconds, so every figure here is
+deterministic.
 """
 
 import pytest
@@ -18,24 +19,17 @@ import pytest
 from benchmarks._report import fmt_row, report
 from repro import RichClient, build_world
 from repro.core.futures import CallbackExecutor
-from repro.util.clock import RealClock
 
-# 1 simulated second = 250 real ms.  The scale is chosen so the scaled
-# sleeps (simulated network/service latency) dominate the real CPU time
-# of the NLU analysis itself, which the GIL serializes regardless.
-TIME_SCALE = 0.25
 CALLS = 8
 
 
 @pytest.fixture()
 def rt_world():
-    return build_world(seed=17, corpus_size=40,
-                       clock=RealClock(time_scale=TIME_SCALE))
+    return build_world(seed=17, corpus_size=40)
 
 
 def test_parallel_vs_sequential_wall_clock(rt_world):
-    client = RichClient(rt_world.registry,
-                        executor=CallbackExecutor(max_workers=CALLS))
+    client = RichClient(rt_world.registry)
     texts = [doc.text for doc in rt_world.corpus.documents[:CALLS]]
     calls = [("lexica-prime", "analyze", {"text": text}) for text in texts]
 
@@ -52,7 +46,7 @@ def test_parallel_vs_sequential_wall_clock(rt_world):
     report("F2.async.parallel", f"{CALLS} NLU calls: sequential vs parallel", [
         fmt_row("mode", "elapsed (sim s)"),
         fmt_row("sequential sync", sequential),
-        fmt_row("parallel (thread pool)", parallel),
+        fmt_row("parallel (invoke_all)", parallel),
         fmt_row("sum of latencies", sum(per_call)),
         fmt_row("max of latencies", max(per_call)),
         f"speedup: {sequential / parallel:.1f}x",

@@ -202,10 +202,6 @@ class Analyzer:
             raise ValueError("analyzer needs at least one rule")
         self.rules = rules
 
-    def run_project(self, project: Project, errors: list[str] | None = None) -> Report:
-        """Run the configured rules over an already-built project."""
-        return self.run_partitioned(project, errors).report
-
     def run_partitioned(self, project: Project,
                         errors: list[str] | None = None,
                         reuse: dict[str, FileSlice] | None = None,

@@ -112,12 +112,6 @@ class _Scope:
     local_types: dict[str, set[str]] = field(default_factory=dict)
 
 
-def _first_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 class _BodyCalls(ast.NodeVisitor):
     """Collect the ``ast.Call`` nodes of a body, skipping nested defs."""
 

@@ -2,7 +2,7 @@
 
 A lock on the invoke hot path must only guard short critical sections:
 a ``sleep``, a future ``result()``/``get()``, a queue read, file IO or
-a clock ``charge`` (which really sleeps under a scaled ``RealClock``)
+a clock ``charge`` (which really sleeps under a ``RealClock``)
 executed *inside* a ``with <lock>`` body stalls every other thread
 contending for that lock — under heavy traffic that converts one slow
 dependency into a convoyed thread pool.

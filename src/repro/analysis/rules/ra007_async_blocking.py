@@ -2,7 +2,7 @@
 
 A coroutine runs on the event loop's only thread: one synchronous
 ``time.sleep``, lock ``acquire``, ``Future.result``, ``queue.get``,
-thread ``join``, ``clock.charge`` (which really sleeps under a scaled
+thread ``join``, ``clock.charge`` (which really sleeps under a
 ``RealClock``), sync ``transport.call`` or file IO stalls *every*
 task on that loop — the async core exists precisely so ten thousand
 in-flight invocations never wait on one.

@@ -10,10 +10,13 @@ briefly in the queue or is **shed** immediately with
 :class:`AdmissionRejectedError`, which the gateway maps to HTTP 429 —
 load is refused at the front door instead of melting the thread pool.
 
-Queue waits run on the simulation clock: under a :class:`ManualClock`
-the wait is *charged* (deterministic, instant in wall time), while a
-scaled :class:`RealClock` makes racing threads genuinely block, so the
-same bulkhead works in both the simulated and the threaded paths.
+Queue waits are contended where waiting passes the clock's time (a
+thread under a real clock; a task where
+:func:`~repro.util.clock.sleeps_on_loop` holds, in simulated time on a
+:class:`~repro.util.clock.VirtualLoop`): a queued caller parks until a
+release hands it the permit or its window lapses.  Where a virtual
+clock stands still, nothing can release a permit meanwhile, so the
+whole window is *charged* (deterministic, instant in wall time).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.futures import resolved, run_sync
 from repro.obs import names
 from repro.tenancy.scheduling import DrrScheduler
-from repro.util.clock import Clock, acharge
+from repro.util.clock import Clock, RealClock
 from repro.util.errors import ReproError
 
 #: Rejection reasons carried by :class:`AdmissionRejectedError`.
@@ -153,9 +156,9 @@ class Bulkhead:
         to fair-share weights, default 1.0) — under contention an
         aggressor tenant's backlog can no longer starve everyone else,
         because freed permits go to the DRR-chosen waiter instead of
-        the longest-waiting one.  The queue discipline only shows under
-        a scaled real clock; virtual-clock runs charge the window and
-        re-probe, where queue order is moot.
+        the longest-waiting one.  The queue discipline only shows where
+        waits are contended (see the module docstring); runs that
+        charge the window and re-probe make queue order moot.
         """
         self.clock = clock
         self.service = service
@@ -373,17 +376,13 @@ class Bulkhead:
         land there, and the ticket is withdrawn before it propagates:
         no queue slot, DRR entry or handed-over permit is ever leaked.
         """
-        time_scale = getattr(self.clock, "time_scale", None)
         try:
-            if time_scale is None:
-                # Virtual clock: charge the whole queue window, then
-                # re-probe.  A single-threaded simulation cannot release
-                # a permit while we "wait", so this deterministically
-                # models the worst case (instant bookkeeping: it never
-                # suspends, under either driver).
-                await acharge(self.clock, ticket.timeout)
+            if self._contended():
+                await self._park(ticket, ticket.timeout)
             else:
-                await self._park(ticket, ticket.timeout * time_scale)
+                # The clock stands still while we "wait": charge the whole
+                # window, then re-probe — the deterministic worst case.
+                self.clock.charge(ticket.timeout)  # repro: ignore[RA007] — a virtual clock: instant
         except BaseException:
             self._withdraw(ticket)
             raise
@@ -397,7 +396,8 @@ class Bulkhead:
         :data:`REASON_QUEUE_FULL` when the wait queue is already at
         capacity (fast fail — no time is spent),
         :data:`REASON_QUEUE_TIMEOUT` when no permit frees up within the
-        limit's ``queue_timeout`` (the wait is charged to the clock),
+        limit's ``queue_timeout`` (the wait is charged to the clock
+        when it cannot be contended),
         or :data:`REASON_DEADLINE` when the caller's ``deadline``
         (:class:`repro.util.deadline.Deadline`) leaves no budget to
         queue at all.  With a deadline, the queue wait is clamped to
@@ -407,7 +407,11 @@ class Bulkhead:
         ticket = self._arrive(deadline, tenant)
         return 0.0 if ticket is None else run_sync(self._wait(ticket))
 
-    # The park primitive, blocking binding: a thread waits on an event.
+    # The park primitive, blocking binding: a thread waits on an event, in
+    # wall time (no event loop is looked up).
+
+    def _contended(self) -> bool:
+        return isinstance(self.clock, RealClock)
 
     def _new_wake(self):
         return threading.Event()

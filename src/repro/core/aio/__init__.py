@@ -18,12 +18,10 @@ one event loop:
   span) onto the task;
 * :class:`AsyncBulkhead` / :class:`AsyncAdmissionController` —
   admission queues and DRR fair scheduling as awaitables;
-* :class:`AsyncCoalescer` — single-flight coalescing on asyncio
-  futures (followers await a shielded shared flight);
 * :class:`AsyncMicroBatcher` — bounded batch windows on asyncio
   futures, no background thread;
-* :func:`ainvoke_with_retry` / :class:`AsyncFailoverInvoker` — the
-  awaitable entry points of the single retry/failover walk in
+* :meth:`FailoverInvoker.ainvoke <repro.core.retry.FailoverInvoker.ainvoke>`
+  — the awaitable entry point of the single retry/failover walk in
   :mod:`repro.core.retry` (backoffs awaited instead of slept).
 
 Concurrency and cancellation rules are documented per-coroutine and in
@@ -32,20 +30,13 @@ Concurrency and cancellation rules are documented per-coroutine and in
 
 from repro.core.aio.admission import AsyncAdmissionController, AsyncBulkhead
 from repro.core.aio.batching import AsyncMicroBatcher
-from repro.core.aio.coalesce import AsyncCoalescer, AsyncFlight
 from repro.core.aio.invoker import AsyncInvoker
 from repro.core.aio.runner import LoopRunner
-from repro.core.retry import FailoverInvoker as AsyncFailoverInvoker
-from repro.core.retry import ainvoke_with_retry
 
 __all__ = [
     "AsyncAdmissionController",
     "AsyncBulkhead",
-    "AsyncCoalescer",
-    "AsyncFailoverInvoker",
-    "AsyncFlight",
     "AsyncInvoker",
     "AsyncMicroBatcher",
     "LoopRunner",
-    "ainvoke_with_retry",
 ]

@@ -2,11 +2,13 @@
 
 The event-loop *binding* of :mod:`repro.core.admission`.  Every
 decision — fast path, shed reasons and honest ``retry_after``, the
-bounded queue window (charged whole under a virtual clock), FIFO or
-DRR-fair hand-over of freed permits, stats and metric names — is
-:class:`~repro.core.admission.Bulkhead`'s own code; what this module
-adds is how a queued caller *parks*: on an asyncio future instead of a
-thread event, so thousands of waiters share one loop.
+bounded queue window, FIFO or DRR-fair hand-over of freed permits,
+stats and metric names — is :class:`~repro.core.admission.Bulkhead`'s
+own code; what this module adds is how a queued caller *parks*: on an
+asyncio future instead of a thread event, so thousands of waiters share
+one loop.  On a :class:`~repro.util.clock.VirtualLoop` the park is in
+simulated time, so a waiter is admitted at the very instant a release
+hands it the permit.
 
 Permit state is per driver: ``client.admission`` and
 ``client.aio.admission`` bound their own in-flight calls.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.admission import AdmissionController, Bulkhead
+from repro.util.clock import sleeps_on_loop
 
 
 class AsyncBulkhead(Bulkhead):
@@ -50,17 +53,27 @@ class AsyncBulkhead(Bulkhead):
 
     # The park primitive, loop binding: a task waits on a future.
 
+    def _contended(self) -> bool:
+        return sleeps_on_loop(self.clock)
+
     def _new_wake(self):
         return asyncio.get_running_loop().create_future()
 
     def _wake(self, ticket) -> None:
-        ticket.wake.set_result(None)
+        # Thread-safe: the releaser may run on another thread's loop
+        # (two blocking fan-outs on one client each run one).
+        ticket.wake.get_loop().call_soon_threadsafe(_set_once, ticket.wake)
 
     async def _park(self, ticket, seconds: float) -> None:
         # asyncio.wait, not wait_for: it neither cancels the wake-up
         # future on a lapse nor — the 3.11 wait_for race — swallows a
         # cancellation that lands together with the wake-up.
         await asyncio.wait({ticket.wake}, timeout=seconds)
+
+
+def _set_once(wake: asyncio.Future) -> None:
+    if not wake.done():
+        wake.set_result(None)
 
 
 class AsyncAdmissionController(AdmissionController):

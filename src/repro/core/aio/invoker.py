@@ -12,8 +12,9 @@ The bodies name no waiting primitive; they await seven *wait points*
 invoke / batch, failover walk) that a binding supplies:
 
 * :class:`AsyncInvoker` itself binds them to the loop-native machinery
-  (:mod:`repro.core.aio.coalesce`, :mod:`repro.core.aio.admission`,
-  ``service.ainvoke*``) — the API behind :attr:`RichClient.aio`;
+  (:meth:`~repro.core.batching.Flight.aresult`,
+  :mod:`repro.core.aio.admission`, ``service.ainvoke*``) — the API
+  behind :attr:`RichClient.aio`;
 * :class:`_BlockingInvoker` binds them to the client's thread-safe
   collaborators.  Each wait point then blocks on the caller's thread
   and returns an already-resolved awaitable, so the body never
@@ -45,8 +46,8 @@ import asyncio
 from collections.abc import Mapping, Sequence
 
 from repro.core.aio.admission import AsyncAdmissionController
-from repro.core.aio.coalesce import AsyncCoalescer
 from repro.core.admission import AdmissionRejectedError
+from repro.core.batching import RequestCoalescer
 from repro.core.caching import cache_key
 from repro.core.futures import resolved
 from repro.core.invoker import InvocationResult, QualityRater, RichClient
@@ -85,20 +86,20 @@ class AsyncInvoker:
     """The Rich SDK's hot path as coroutines, sharing one client's state.
 
     Construct via :attr:`RichClient.aio` (lazy, cached) or directly
-    from a client.  All coroutines must run on a single event loop;
-    :class:`~repro.core.aio.runner.LoopRunner` provides one for
-    blocking callers who want their calls loop-served.
+    from a client.  Loops in several threads may share it (flights and
+    permits wake across loops); :func:`repro.util.clock.run` and
+    :class:`~repro.core.aio.runner.LoopRunner` give blocking callers one.
     """
 
     def __init__(self, client: RichClient) -> None:
         """Wrap ``client``, cloning its coalescing/admission policies.
 
-        The coalescer and admission bulkheads are loop-native clones
-        (same policy, same metric names, independent permit state);
-        everything else is the client's own object.
+        The coalescer and admission bulkheads are this binding's own
+        (same policy, same metric names, independent flights and
+        permits); everything else is the client's own object.
         """
         self._share(client)
-        self.coalescer = AsyncCoalescer()
+        self.coalescer = RequestCoalescer()
         self.admission = (AsyncAdmissionController.from_sync(client.admission)
                           if client.admission is not None else None)
         if self.obs.enabled:
@@ -134,7 +135,7 @@ class AsyncInvoker:
     # whoever wrapped it (tracers, tests).
 
     def _flight_result(self, flight, timeout):
-        return flight.result(timeout=timeout)
+        return flight.aresult(timeout=timeout)
 
     def _acquire(self, bulkhead, deadline, tenant):
         return bulkhead.acquire(deadline=deadline, tenant=tenant)
@@ -212,8 +213,7 @@ class AsyncInvoker:
                 wait = deadline.clamp(timeout) if deadline is not None else timeout
                 # Follower: the leader pays the wire call, the quota and
                 # the monitor record; we report the shared outcome.
-                shared = await self._flight_result(
-                    flight, self.client._real_timeout(wait))
+                shared = await self._flight_result(flight, wait)
                 return _folded(shared)
         try:
             result = await self._ainvoke_remote(
@@ -558,10 +558,9 @@ class AsyncInvoker:
     ) -> list[InvocationResult | Exception]:
         """Run many calls concurrently as tasks; preserves order.
 
-        The event-loop counterpart of :meth:`RichClient.invoke_all`
-        (which fans out over a thread pool instead — the one place the
-        two drivers genuinely differ): the legs are tasks, so fan-out
-        width is not bounded by a pool.  Per-leg failures come back as their
+        The body of :meth:`RichClient.invoke_all`, which runs it on a
+        loop of its own: the legs are tasks, so fan-out width is not
+        bounded by a pool.  Per-leg failures come back as their
         exception; cancelling this coroutine cancels every in-flight
         leg (the legs are child tasks of the gather).
         """
@@ -641,8 +640,8 @@ class AsyncInvoker:
         The body of :meth:`RichClient.invoke_redundant` (documented
         there).  ``parallel=True`` fans the legs out as tasks via
         :meth:`ainvoke_all`, which cancellation tears down together —
-        loop-only; the blocking driver runs ``parallel=False`` here
-        and keeps its thread-pool fan-out.
+        loop-only, so the blocking driver runs ``parallel=False`` here
+        and hands ``parallel=True`` to a loop of its own.
         """
         ordered = list(service_names)
         if parallel:
@@ -681,8 +680,8 @@ class _BlockingInvoker(AsyncInvoker):
     (which raises exactly where the body awaits it) and returns it
     :func:`~repro.core.futures.resolved`.  Nested hops and the failover
     walk go through the client's public attributes.  :meth:`ainvoke_all`
-    (so ``parallel=True``) needs an event loop and is not reachable
-    from the blocking API.
+    (so ``parallel=True``) needs an event loop: the blocking API runs
+    :attr:`RichClient.aio`'s on one instead.
     """
 
     def __init__(self, client: RichClient) -> None:

@@ -29,6 +29,7 @@ request fails only its own future, never the rest of the batch.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, TypeVar
@@ -46,34 +47,29 @@ T = TypeVar("T")
 class Flight(Generic[T]):
     """One in-flight upstream call that any number of waiters may share.
 
-    A future plus complete / fail / result.  The caller that created
-    the flight (the *leader*) performs the real work and settles it
-    exactly once with :meth:`complete` or :meth:`fail`; everyone else
-    blocks on :meth:`result`.  A follower that gives up waiting simply
-    stops waiting — the flight and the leader's upstream call go on
-    for everyone else.
+    A thread-safe future plus complete / fail / result.  The caller
+    that created the flight (the *leader*) performs the real work and
+    settles it exactly once with :meth:`complete` or :meth:`fail`;
+    everyone else blocks on :meth:`result` or awaits :meth:`aresult`,
+    from any thread or event loop.  A follower that gives up waiting
+    simply stops waiting — the flight and the leader's upstream call go
+    on for everyone else.
     """
 
     def __init__(self, key: str) -> None:
         self.key = key
-        self.future = self._new_future()
-
-    def _new_future(self):
-        return ListenableFuture()
-
-    def _settled(self) -> bool:
-        return self.future.is_done()
+        self.future: ListenableFuture[T] = ListenableFuture()
 
     def complete(self, value: T) -> bool:
         """Settle the flight successfully; False if it already settled."""
-        if self._settled():
+        if self.future.is_done():
             return False
         self.future.set_result(value)
         return True
 
     def fail(self, error: BaseException) -> bool:
         """Settle the flight with an error; False if it already settled."""
-        if self._settled():
+        if self.future.is_done():
             return False
         self.future.set_exception(error)
         return True
@@ -81,6 +77,32 @@ class Flight(Generic[T]):
     def result(self, timeout: float | None = None) -> T:
         """Block until the flight settles; raises its error if it failed."""
         return self.future.get(timeout=timeout)
+
+    async def aresult(self, timeout: float | None = None) -> T:
+        """:meth:`result` on an event loop (``timeout`` in loop seconds),
+        via a private future of that loop: cancelling one awaiter detaches
+        only it, and any loop may join a flight led on another."""
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+
+        def relay(settled: ListenableFuture[T]) -> None:
+            # On the settling thread; the loop is gone if we gave up.
+            if not loop.is_closed():
+                loop.call_soon_threadsafe(_copy_outcome, settled, waiter)
+
+        self.future.add_listener(relay)
+        return await asyncio.wait_for(waiter, timeout)
+
+
+def _copy_outcome(settled: ListenableFuture, waiter: asyncio.Future) -> None:
+    """Settle ``waiter`` like the flight's future, unless it gave up."""
+    if waiter.done():
+        return
+    error = settled.exception()
+    if error is not None:
+        waiter.set_exception(error)
+    else:
+        waiter.set_result(settled.get())
 
 
 @dataclass
@@ -104,16 +126,14 @@ class RequestCoalescer:
     requests start a fresh flight — coalescing only ever shares
     *concurrent* duplicates, never stale results.
 
-    The table, its stats and its metrics are the same code under both
-    drivers; :class:`repro.core.aio.AsyncCoalescer` only swaps the
-    flight type for one whose future is awaited instead of blocked on.
+    One class for both drivers: ``client.coalescer`` and
+    ``client.aio.coalescer`` are two instances, whose followers wait
+    with :meth:`Flight.result` and :meth:`Flight.aresult` respectively.
 
     Thread-safe.  Note the thread-pool caveat: waiters block their
     thread, so on a bounded pool at most ``max_workers - 1`` callers
     should wait on one flight (the leader needs a thread to run on).
     """
-
-    _flight_class = Flight
 
     def __init__(self) -> None:
         self.stats = CoalesceStats()
@@ -158,7 +178,7 @@ class RequestCoalescer:
                 if self._metric_hits is not None:
                     self._metric_hits.inc()
                 return False, flight
-            flight = self._flight_class(key)
+            flight = Flight(key)
             self._flights[key] = flight
             self.stats.flights += 1
             if self._metric_flights is not None:

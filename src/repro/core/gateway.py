@@ -226,6 +226,17 @@ class SdkGateway:
             return None
         return _non_negative(raw, name, "non-negative number of seconds")
 
+    @staticmethod
+    def _payload_from(params: Mapping[str, object]) -> Mapping[str, object]:
+        """``params["payload"]``, absent or null as ``{}``; a non-object is
+        the caller's 400 before any call, not the provider's failure."""
+        payload = params.get("payload")
+        if payload is None:
+            return {}
+        if not isinstance(payload, Mapping):
+            raise ValueError("'payload' must be an object")
+        return payload
+
     def _deadline_from(self, params: Mapping[str, object]) -> Deadline | None:
         """An optional per-request budget: ``{"deadline": seconds}``."""
         seconds = self._seconds_from(params, "deadline")
@@ -238,7 +249,7 @@ class SdkGateway:
         return self.client.invoke(
             str(params["service"]),
             str(params["operation"]),
-            params.get("payload") or {},
+            self._payload_from(params),
             timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
@@ -261,12 +272,13 @@ class SdkGateway:
     def _method_invoke_many(self, params: Mapping[str, object]) -> dict:
         """Batch entry point: one envelope, many payloads, per-item results."""
         payloads = params.get("payloads")
-        if not isinstance(payloads, list):
+        if not isinstance(payloads, list) or not all(
+                isinstance(payload, Mapping) for payload in payloads):
             raise ValueError("'payloads' must be a list of objects")
         outcomes = self.client.invoke_many(
             str(params["service"]),
             str(params["operation"]),
-            [dict(payload) for payload in payloads],
+            payloads,
             timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
@@ -295,7 +307,7 @@ class SdkGateway:
         result = self.client.invoke_with_failover(
             str(params["kind"]),
             str(params["operation"]),
-            params.get("payload") or {},
+            self._payload_from(params),
             timeout=self._seconds_from(params, "timeout"),
             weights=self._weights_from(params),
             use_cache=bool(params.get("use_cache", True)),

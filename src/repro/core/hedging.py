@@ -12,12 +12,13 @@ here from the SDK's own monitoring, ranking and async machinery.
 The legs are event-loop tasks, so the **losing leg is cancelled** the
 moment a leg wins: it releases its bulkhead permit and refunds its
 reservations (see :meth:`~repro.core.aio.invoker.AsyncInvoker._upstream`)
-instead of paying for a second full call.  Blocking callers hand the
-coroutine to a :class:`~repro.core.aio.LoopRunner`:
-``runner.run(hedger.ainvoke(...))``.
+instead of paying for a second full call.
 
-Requires a real (scaled) clock: hedging is inherently about racing
-wall-clock timers against in-flight calls.
+Hedging races a timer against in-flight calls, so it runs where waiting
+passes the world's time: a virtual clock's
+:class:`~repro.util.clock.VirtualLoop` (deterministically) or any loop
+under a real clock.  Blocking callers use
+``repro.util.clock.run(hedger.ainvoke(...), client.clock)``.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class HedgedInvoker:
                 deadline=deadline, **options))] = role
 
         async def collect(timeout: float | None) -> None:
-            # Legs done within ``timeout`` wall seconds, oldest first.
+            # Legs done within ``timeout`` seconds, oldest first.
             done, _ = await asyncio.wait(legs, timeout=timeout,
                                          return_when=asyncio.FIRST_COMPLETED)
             for task in [task for task in legs if task in done]:
@@ -200,7 +201,7 @@ class HedgedInvoker:
                 # Never wait past the caller's budget before deciding.
                 hedge_after = min(hedge_after, deadline.remaining())
             wait_start = clock.now()
-            await collect(hedge_after * getattr(clock, "time_scale", 1.0))
+            await collect(hedge_after)
             self.client.obs.tracer.add_event(
                 "hedge.wait", {"service": primary,
                                "seconds": clock.now() - wait_start,

@@ -5,8 +5,8 @@ paper's features in one coherent client:
 
 * synchronous invocation with monitoring, caching, client-side budget
   enforcement and optional per-response quality rating;
-* asynchronous invocation returning :class:`ListenableFuture`s, and
-  parallel fan-out over a bounded thread pool;
+* asynchronous invocation returning :class:`ListenableFuture`s over a
+  bounded thread pool, and parallel fan-out as event-loop tasks;
 * ranked failover across services of a kind (retry each per its
   policy, move down the ranking);
 * redundant multi-service invocation for comparison/combination.
@@ -42,7 +42,7 @@ from repro.services.base import ServiceRegistry
 from repro.simnet.errors import NetworkError
 from repro.tenancy.model import Tenant
 from repro.tenancy.runtime import Tenancy
-from repro.util.clock import Clock
+from repro.util.clock import Clock, run
 from repro.util.deadline import Deadline, DeadlineExceededError
 
 QualityRater = Callable[[object], float]
@@ -441,12 +441,6 @@ class RichClient:
             use_cache=use_cache, quality_rater=quality_rater,
             coalesce=coalesce, deadline=deadline, allow_stale=allow_stale))
 
-    def _real_timeout(self, timeout: float | None) -> float | None:
-        """Simulated timeout -> wall seconds for blocking waits."""
-        if timeout is None:
-            return None
-        return timeout * getattr(self.clock, "time_scale", 1.0)
-
     # -- asynchronous invocation -------------------------------------------------
 
     def invoke_async(
@@ -577,18 +571,15 @@ class RichClient:
         so one bad service does not lose the other results.  One shared
         ``deadline`` bounds every leg — it is absolute, so the legs
         race the same expiry rather than each getting a fresh budget.
+
+        The legs are ``client.aio.ainvoke_all``'s tasks, run by
+        :func:`repro.util.clock.run` in the caller's thread: on a
+        virtual clock's loop the fan-out costs its slowest leg, not the
+        sum.  Inside a running event loop it raises ``RuntimeError``.
         """
-        futures = [
-            self.invoke_async(service, operation, payload,
-                              timeout=timeout, use_cache=use_cache,
-                              deadline=deadline)
-            for service, operation, payload in calls
-        ]
-        results: list[InvocationResult | Exception] = []
-        for future in futures:
-            error = future.exception()
-            results.append(error if error is not None else future.get())
-        return results
+        return run(self.aio.ainvoke_all(calls, timeout=timeout,
+                                        use_cache=use_cache,
+                                        deadline=deadline), self.clock)
 
     # -- ranked failover -----------------------------------------------------------
 
@@ -637,14 +628,12 @@ class RichClient:
         Returns per-service results; failures are captured per service,
         so a partial aggregation (``combine_partial``) can still be
         built from whoever answered within the shared ``deadline``.
+        ``parallel=True`` fans the legs out like :meth:`invoke_all`.
         """
         if parallel:
-            names = list(service_names)
-            outcomes = self.invoke_all(
-                [(name, operation, dict(payload or {})) for name in names],
-                timeout=timeout, use_cache=use_cache, deadline=deadline,
-            )
-            return dict(zip(names, outcomes))
+            return run(self.aio.ainvoke_redundant(
+                service_names, operation, payload, timeout=timeout,
+                use_cache=use_cache, deadline=deadline), self.clock)
         return run_sync(self._body.ainvoke_redundant(
             service_names, operation, payload, timeout=timeout,
             parallel=False, use_cache=use_cache, deadline=deadline))

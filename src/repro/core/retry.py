@@ -111,7 +111,7 @@ class AllServicesFailedError(ReproError):
 async def _retry(invoke_once, charge, policy, clock, service, log, tracer,
                  backoff_counter, deadline):
     """The retry loop behind :func:`invoke_with_retry` (documented
-    there) and :func:`ainvoke_with_retry`.
+    there) and :meth:`FailoverInvoker.ainvoke`.
 
     ``invoke_once()`` and ``charge(clock, seconds)`` are its two wait
     points and return awaitables — really pending ones on an event
@@ -194,26 +194,6 @@ def invoke_with_retry(
     return run_sync(_retry(
         lambda: resolved(invoke_once()), _charge_now, policy, clock, service,
         log, tracer, backoff_counter, deadline))
-
-
-async def ainvoke_with_retry(
-    invoke_once: Callable[[], Awaitable[T]],
-    policy: RetryPolicy,
-    clock: Clock | None = None,
-    service: str = "<service>",
-    log: list[AttemptLog] | None = None,
-    tracer=None,
-    backoff_counter=None,
-    deadline=None,
-) -> T:
-    """:func:`invoke_with_retry` on an event loop: attempts and backoffs
-    (:func:`repro.util.clock.acharge`) are awaited.
-
-    ``asyncio.CancelledError`` is never retryable, so cancelling the
-    task aborts the loop at once, mid-backoff or mid-attempt.
-    """
-    return await _retry(invoke_once, acharge, policy, clock, service, log,
-                        tracer, backoff_counter, deadline)
 
 
 class FailoverInvoker:

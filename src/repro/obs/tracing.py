@@ -9,9 +9,9 @@ Design points:
 
 * **Timing comes from the SDK's** :class:`~repro.util.clock.Clock`
   abstraction, so spans measure *simulated* seconds under a
-  :class:`ManualClock` (deterministic tests) and scaled wall seconds
-  under a :class:`RealClock` — the same units every other collector in
-  the system reports.
+  :class:`ManualClock` (deterministic tests) and wall seconds under a
+  :class:`RealClock` — the same units every other collector in the
+  system reports.
 * **Context propagation uses contextvars**, and
   :class:`repro.core.futures.CallbackExecutor` submits work inside a
   copied context, so a span started before ``invoke_async`` is still

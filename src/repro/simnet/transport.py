@@ -224,10 +224,10 @@ class Transport:
         Identical wire semantics (same plan, same errors, same stats
         and spans); the difference is purely *how* latency is spent —
         each charge point becomes an ``await``
-        (:func:`repro.util.clock.acharge`), so under a scaled
-        :class:`~repro.util.clock.RealClock` thousands of calls can be
-        in flight on one event loop, and under a virtual clock the call
-        completes instantly exactly like the sync path.
+        (:func:`repro.util.clock.acharge`), so on a virtual clock's
+        :class:`~repro.util.clock.VirtualLoop` (or under a real clock)
+        thousands of calls overlap on one loop, while elsewhere a
+        virtual-clock call completes instantly like the sync path.
 
         Cancellation: cancelling the awaiting task between charge
         points abandons the call mid-wire — the charges spent so far
@@ -311,8 +311,8 @@ class Transport:
         """One wire call as a generator of latency charges.
 
         Yields each amount of simulated latency to spend; the sync
-        driver charges it to the clock (blocking under a scaled real
-        clock), the async driver awaits it.  Exceptions raised between
+        driver charges it to the clock (blocking under a real clock),
+        the async driver awaits it.  Exceptions raised between
         yields propagate to whichever driver is iterating, after the
         charges already yielded have been spent — both paths therefore
         share one copy of the connectivity/injection/timeout logic and

@@ -7,23 +7,27 @@ implementations are provided:
 * :class:`ManualClock` — virtual time.  ``advance()`` moves time forward
   instantly, so a test or benchmark can execute thousands of "slow"
   service calls in microseconds while still observing realistic latency
-  numbers in the collected metrics.  It does not model concurrency:
-  charges made side by side — from threads or gathered coroutines —
-  add up, so six concurrent fetches cost the sum of their latencies.
+  numbers in the collected metrics.  Concurrency is modelled by
+  :class:`VirtualLoop`, the event loop whose time *is* the clock, so six
+  gathered fetches cost the longest of their latencies, not the sum.
 
-* :class:`RealClock` — wall-clock time with an optional ``time_scale``.
-  A charged latency of 0.2 s with ``time_scale=0.001`` really sleeps
-  0.2 ms.  Runs that must show concurrency saving time (parallel
-  fan-out, hedging, the async core) use it, since its sleeps really
-  overlap.
+* :class:`RealClock` — the wall clock: a charge really sleeps.
+
+:func:`run` is the ``asyncio.run`` of a world: it picks the virtual
+loop for a :class:`ManualClock` and a plain one otherwise.
 """
 
 from __future__ import annotations
 
 import asyncio
+import selectors
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Coroutine
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 class Clock(ABC):
@@ -37,17 +41,12 @@ class Clock(ABC):
     def charge(self, seconds: float) -> None:
         """Account for ``seconds`` of latency passing."""
 
-    def elapsed_since(self, start: float) -> float:
-        """Seconds elapsed between ``start`` and :meth:`now`."""
-        return self.now() - start
-
 
 class ManualClock(Clock):
     """Virtual clock advanced explicitly or by charged latency.
 
-    Thread-safe: concurrent ``charge`` calls each advance the clock, which
-    models serialized execution — concurrent charges add up, whether
-    they come from threads or from gathered coroutines.
+    Thread-safe: concurrent ``charge`` calls each advance the clock, so
+    charges made side by side from threads add up.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -70,54 +69,109 @@ class ManualClock(Clock):
 
 
 class RealClock(Clock):
-    """Wall-clock time; charged latency becomes a (scaled) real sleep.
+    """The wall clock: charged latency becomes a real sleep."""
 
-    ``time_scale`` maps simulated seconds to real seconds.  ``now`` always
-    reports *simulated* seconds so metric collection sees the same units
-    regardless of which clock is in use.
-    """
-
-    def __init__(self, time_scale: float = 1.0) -> None:
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale}")
-        self.time_scale = time_scale
+    def __init__(self) -> None:
         self._origin = time.monotonic()
 
     def now(self) -> float:
-        return (time.monotonic() - self._origin) / self.time_scale
+        return time.monotonic() - self._origin
 
     def charge(self, seconds: float) -> None:
         if seconds > 0:
-            time.sleep(seconds * self.time_scale)
+            time.sleep(seconds)
 
 
 SYSTEM_CLOCK = RealClock()
-"""A shared unscaled wall clock, the default for components that need one."""
+"""A shared wall clock, the default for components that need one."""
+
+
+class _JumpingSelector(selectors.DefaultSelector):
+    """Asked to wait ``timeout`` for the next timer, moves the clock
+    there instead (after one non-blocking poll for due I/O and
+    cross-thread wake-ups); with no timer pending it really blocks."""
+
+    def __init__(self, clock: ManualClock) -> None:
+        super().__init__()
+        self._clock = clock
+
+    def select(self, timeout: float | None = None):
+        if timeout is None or timeout <= 0:
+            return super().select(timeout)
+        events = super().select(0)
+        if not events:
+            self._clock.advance(timeout)
+        return events
+
+
+class VirtualLoop(asyncio.SelectorEventLoop):
+    """An event loop whose time is a :class:`ManualClock`.
+
+    ``time()`` reads the clock, so every timer — ``asyncio.sleep``, a
+    wait's timeout, :func:`acharge` — is set in simulated seconds.
+    When no callback is ready and a timer is pending, the loop advances
+    the clock to that timer instead of blocking, so tasks waiting side
+    by side overlap.  Runs are deterministic while one loop drives the
+    clock at a time.
+    """
+
+    def __init__(self, clock: ManualClock) -> None:
+        super().__init__(_JumpingSelector(clock))
+        self.clock = clock
+
+    def time(self) -> float:
+        return self.clock.now()
+
+
+def run(main: Coroutine[object, object, T], clock: Clock) -> T:
+    """:func:`asyncio.run` on a :class:`VirtualLoop` for a
+    :class:`ManualClock`, on a plain loop for any other clock.
+
+    Leftover tasks are cancelled before the loop closes; inside a
+    running event loop it raises ``RuntimeError``.
+    """
+    if asyncio._get_running_loop() is not None:
+        main.close()
+        raise RuntimeError("run() cannot be called from a running event loop")
+    loop = (VirtualLoop(clock) if isinstance(clock, ManualClock)
+            else asyncio.new_event_loop())
+    try:
+        return loop.run_until_complete(main)
+    finally:
+        try:
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
+
+
+def sleeps_on_loop(clock: Clock) -> bool:
+    """Whether waiting here passes ``clock``'s time: under a
+    :class:`RealClock`, or on the :class:`VirtualLoop` driving ``clock``.
+    Elsewhere a virtual clock moves only when charged."""
+    if isinstance(clock, RealClock):
+        return True
+    loop = asyncio._get_running_loop()
+    return type(loop) is VirtualLoop and loop.clock is clock
 
 
 async def acharge(clock: Clock, seconds: float) -> None:
     """Charge ``seconds`` of simulated latency without blocking the loop.
 
-    The event-loop counterpart of :meth:`Clock.charge`, used by the
-    async invocation core (:mod:`repro.core.aio`):
-
-    * under a virtual :class:`ManualClock`, charging is an instant
-      bookkeeping advance — identical to the sync path, so virtual-time
-      runs stay deterministic and bit-for-bit comparable;
-    * under a scaled :class:`RealClock`, the (scaled) wait becomes an
-      ``await asyncio.sleep`` instead of a thread-blocking
-      ``time.sleep``, which is what lets thousands of in-flight calls
-      share one event loop.
-
-    Cancellation: an ``asyncio.CancelledError`` raised while sleeping
-    aborts the charge; under a real clock :meth:`Clock.now` is derived
-    from wall time, so the partial wait is still observed.
+    The event-loop counterpart of :meth:`Clock.charge`: an ``await
+    asyncio.sleep`` where waiting passes the clock's time
+    (:func:`sleeps_on_loop`), so concurrent charges overlap; elsewhere
+    the instant :meth:`ManualClock.charge` of the blocking path, so
+    those runs stay bit-for-bit comparable with it.  A cancellation
+    while sleeping aborts the charge.
     """
-    time_scale = getattr(clock, "time_scale", None)
-    if time_scale is None:
-        # Virtual clock: charge() only advances a counter; it never
-        # sleeps, so calling it from a coroutine cannot stall the loop.
+    if seconds > 0 and sleeps_on_loop(clock):
+        await asyncio.sleep(seconds)
+    else:
         clock.charge(seconds)  # repro: ignore[RA007] — instant on a virtual clock
-        return
-    if seconds > 0:
-        await asyncio.sleep(seconds * time_scale)

@@ -13,10 +13,8 @@ from repro.core.admission import (
     AdmissionRejectedError,
 )
 from repro.core.aio.admission import AsyncAdmissionController, AsyncBulkhead
-from repro.util.clock import ManualClock, RealClock
+from repro.util.clock import ManualClock, RealClock, run
 from repro.util.deadline import Deadline
-
-TIME_SCALE = 0.02
 
 
 class TestFastPath:
@@ -94,9 +92,14 @@ class TestShedding:
 
 
 class TestRealClockQueueing:
+    """Contended queueing: waiters park until a release or their window
+    lapses.  The scenarios run on a virtual loop, where a park is timed
+    in simulated seconds, so every wait below is exact."""
+
     def test_fifo_waiter_wakes_when_a_permit_frees(self):
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=4, queue_timeout=5.0))
             await bulkhead.acquire()
@@ -108,15 +111,16 @@ class TestRealClockQueueing:
             release_task = asyncio.ensure_future(holder())
             waited = await bulkhead.acquire()
             await release_task
-            assert waited > 0.0
+            assert waited == pytest.approx(0.05)
             assert bulkhead.inflight == 1
             assert bulkhead.stats.queued == 1
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
 
     def test_fifo_waiters_admit_in_arrival_order(self):
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=8, queue_timeout=5.0))
             await bulkhead.acquire()
@@ -133,13 +137,14 @@ class TestRealClockQueueing:
             await asyncio.gather(*tasks)
             assert admitted == [0, 1, 2]
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
 
     def test_queue_timeout_sheds_under_a_real_clock(self):
+        # The one scenario left on the wall clock: a lapsed window sheds
+        # there too (0.02 wall seconds).
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
-            bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
-                max_concurrent=1, max_queue=4, queue_timeout=0.4))
+            bulkhead = AsyncBulkhead(RealClock(), "svc", AdmissionLimit(
+                max_concurrent=1, max_queue=4, queue_timeout=0.02))
             await bulkhead.acquire()
             with pytest.raises(AdmissionRejectedError) as exc_info:
                 await bulkhead.acquire()
@@ -149,8 +154,9 @@ class TestRealClockQueueing:
         asyncio.run(scenario())
 
     def test_cancelled_waiter_withdraws_cleanly(self):
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=4, queue_timeout=5.0))
             await bulkhead.acquire()
@@ -164,7 +170,7 @@ class TestRealClockQueueing:
             bulkhead.release()
             assert await bulkhead.acquire() == 0.0
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
 
     @pytest.mark.parametrize("fair", [False, True], ids=["fifo", "fair"])
     def test_waiter_cancelled_after_its_wakeup_passes_the_permit_on(self, fair):
@@ -172,8 +178,9 @@ class TestRealClockQueueing:
         runs: it must end cancelled (3.11's wait_for admitted it
         instead) and the permit must reach the next waiter at once, not
         when its own queue window lapses (3.12 lost the wake-up)."""
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=4, queue_timeout=25.0),
                 fair=fair)
@@ -187,19 +194,20 @@ class TestRealClockQueueing:
             waited = await asyncio.wait_for(next_up, timeout=5.0)
             await asyncio.gather(woken, return_exceptions=True)
             assert woken.cancelled()
-            assert waited < 5.0  # of a 25 s (0.5 wall-second) window
+            assert waited == pytest.approx(0.02)  # not the 25 s window
             assert bulkhead.inflight == 1
             bulkhead.release()
             assert bulkhead.inflight == 0
             assert bulkhead.queue_depth == 0
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
 
 
 class TestFairness:
     def test_drr_spreads_grants_across_tenants(self):
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=16, queue_timeout=5.0),
                 fair=True)
@@ -224,11 +232,12 @@ class TestFairness:
             assert admitted.index(("mouse", 0)) < 3
             assert bulkhead.stats.fair_grants == 4
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
 
     def test_cancelled_granted_ticket_regrants(self):
+        clock = ManualClock()
+
         async def scenario():
-            clock = RealClock(time_scale=TIME_SCALE)
             bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
                 max_concurrent=1, max_queue=8, queue_timeout=5.0),
                 fair=True)
@@ -242,7 +251,51 @@ class TestFairness:
             await second
             assert bulkhead.inflight == 1
 
-        asyncio.run(scenario())
+        run(scenario(), clock)
+
+
+class TestVirtualLoopContention:
+    def test_a_queued_waiter_is_admitted_at_the_release_instant(self):
+        # On the virtual loop the queue is contended: the waiter parks,
+        # and a release 0.3 s in hands it the permit then.  Its recorded
+        # wait is those 0.3 s, not the 2 s window a standing clock
+        # charges.
+        clock = ManualClock()
+
+        async def scenario():
+            bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
+                max_concurrent=1, max_queue=4, queue_timeout=2.0))
+            await bulkhead.acquire()
+
+            async def holder():
+                await asyncio.sleep(0.3)
+                bulkhead.release()
+
+            release = asyncio.ensure_future(holder())
+            waited = await bulkhead.acquire()
+            await release
+            return waited, clock.now(), bulkhead.stats
+
+        waited, now, stats = run(scenario(), clock)
+        assert waited == now == pytest.approx(0.3)
+        assert stats.total_queue_wait == pytest.approx(0.3)
+        assert stats.queued == 1 and stats.shed == 0
+
+    def test_a_lapsed_window_sheds_after_exactly_the_window(self):
+        clock = ManualClock()
+
+        async def scenario():
+            bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
+                max_concurrent=1, max_queue=4, queue_timeout=0.4))
+            await bulkhead.acquire()
+            with pytest.raises(AdmissionRejectedError) as exc_info:
+                await bulkhead.acquire()
+            return exc_info.value.reason, bulkhead.stats
+
+        reason, stats = run(scenario(), clock)
+        assert reason == REASON_QUEUE_TIMEOUT
+        assert clock.now() == pytest.approx(0.4)
+        assert stats.total_queue_wait == pytest.approx(0.4)
 
 
 class TestController:

@@ -1,30 +1,31 @@
-"""Tests for single-flight coalescing on asyncio futures."""
+"""Tests for single-flight coalescing awaited on an event loop: the one
+``Flight`` type, waited on with ``aresult``."""
 
 import asyncio
 
 import pytest
 
-from repro.core.aio.coalesce import AsyncCoalescer, AsyncFlight
+from repro.core.batching import Flight, RequestCoalescer
 
 
 class TestAsyncFlight:
     def test_complete_settles_once(self):
         async def scenario():
-            flight = AsyncFlight("k")
+            flight = Flight("k")
             assert flight.complete("first")
             assert not flight.complete("second")
             assert not flight.fail(ValueError("late"))
-            return await flight.result()
+            return await flight.aresult()
 
         assert asyncio.run(scenario()) == "first"
 
     def test_timeout_bounds_the_wait_without_killing_the_flight(self):
         async def scenario():
-            flight = AsyncFlight("k")
+            flight = Flight("k")
             with pytest.raises(asyncio.TimeoutError):
-                await flight.result(timeout=0.01)
+                await flight.aresult(timeout=0.01)
             flight.complete("still alive")
-            return await flight.result()
+            return await flight.aresult()
 
         assert asyncio.run(scenario()) == "still alive"
 
@@ -32,7 +33,7 @@ class TestAsyncFlight:
 class TestAsyncCoalescer:
     def test_leader_then_followers_share_one_outcome(self):
         async def scenario():
-            coalescer = AsyncCoalescer()
+            coalescer = RequestCoalescer()
             leader, flight = coalescer.lead_or_join("k")
             assert leader
             follower, joined = coalescer.lead_or_join("k")
@@ -40,7 +41,7 @@ class TestAsyncCoalescer:
             assert joined is flight
 
             async def follow():
-                return await joined.result()
+                return await joined.aresult()
 
             waiters = [asyncio.ensure_future(follow()) for _ in range(3)]
             await asyncio.sleep(0)
@@ -55,7 +56,7 @@ class TestAsyncCoalescer:
 
     def test_settlement_clears_the_table_for_fresh_flights(self):
         async def scenario():
-            coalescer = AsyncCoalescer()
+            coalescer = RequestCoalescer()
             _, first = coalescer.lead_or_join("k")
             coalescer.complete(first, 1)
             leader, second = coalescer.lead_or_join("k")
@@ -66,10 +67,10 @@ class TestAsyncCoalescer:
 
     def test_failed_leader_shares_the_error(self):
         async def scenario():
-            coalescer = AsyncCoalescer()
+            coalescer = RequestCoalescer()
             _, flight = coalescer.lead_or_join("k")
 
-            follower = asyncio.ensure_future(flight.result())
+            follower = asyncio.ensure_future(flight.aresult())
             await asyncio.sleep(0)
             coalescer.fail(flight, RuntimeError("upstream died"))
             with pytest.raises(RuntimeError, match="upstream died"):
@@ -79,7 +80,7 @@ class TestAsyncCoalescer:
 
     def test_cancelled_leader_counts_as_cancelled_flight(self):
         async def scenario():
-            coalescer = AsyncCoalescer()
+            coalescer = RequestCoalescer()
             _, flight = coalescer.lead_or_join("k")
             coalescer.fail(flight, asyncio.CancelledError())
             assert coalescer.stats.cancelled == 1
@@ -90,11 +91,11 @@ class TestAsyncCoalescer:
 
     def test_cancelled_follower_detaches_without_killing_the_flight(self):
         async def scenario():
-            coalescer = AsyncCoalescer()
+            coalescer = RequestCoalescer()
             _, flight = coalescer.lead_or_join("k")
 
-            follower = asyncio.ensure_future(flight.result())
-            survivor = asyncio.ensure_future(flight.result())
+            follower = asyncio.ensure_future(flight.aresult())
+            survivor = asyncio.ensure_future(flight.aresult())
             await asyncio.sleep(0)
             follower.cancel()
             await asyncio.gather(follower, return_exceptions=True)

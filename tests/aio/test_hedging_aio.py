@@ -1,6 +1,7 @@
 """Tests for the hedger over a separately built ``AsyncInvoker``, driven
-from inside a running event loop (``tests/core/test_hedging.py`` covers
-the hedger over ``client.aio`` and from blocking callers)."""
+from inside a running event loop — the world's virtual loop
+(``tests/core/test_hedging.py`` covers the hedger over ``client.aio``
+and from blocking callers)."""
 
 import asyncio
 
@@ -10,16 +11,14 @@ from repro import RichClient, build_world
 from repro.core.aio.invoker import AsyncInvoker
 from repro.core.hedging import HedgedInvoker
 from repro.core.ranking import Weights
-from repro.util.clock import RealClock
+from repro.util.clock import run
 
-TIME_SCALE = 0.02
 TEXT = "Globex thrives while Initech struggles."
 
 
 @pytest.fixture
 def rt_client():
-    world = build_world(seed=59, corpus_size=20,
-                        clock=RealClock(time_scale=TIME_SCALE))
+    world = build_world(seed=59, corpus_size=20)
     client = RichClient(world.registry)
     yield client
     client.close()
@@ -45,7 +44,7 @@ class TestHedgedInvocation:
             return hedger, await hedger.ainvoke(
                 "nlu", "analyze", {"text": TEXT}, use_cache=False)
 
-        hedger, result = asyncio.run(scenario())
+        hedger, result = run(scenario(), rt_client.clock)
         assert result.value["sentiment"]
         assert hedger.stats.hedges_fired == 0
         assert hedger.stats.primary_wins == 1
@@ -74,7 +73,7 @@ class TestHedgedInvocation:
             # The hedger awaits the loser's cleanup before it returns.
             return hedger, result, set(cancelled)
 
-        hedger, result, cancelled = asyncio.run(scenario())
+        hedger, result, cancelled = run(scenario(), rt_client.clock)
         assert result.service == "glotta"
         assert hedger.stats.hedges_fired == 1
         assert hedger.stats.hedge_wins == 1

@@ -34,7 +34,6 @@ from repro.core.admission import (
 from repro.core.aio import (
     AsyncAdmissionController,
     AsyncBulkhead,
-    AsyncCoalescer,
     LoopRunner,
 )
 from repro.core.futures import run_sync
@@ -581,8 +580,7 @@ class TestPoliciesAreWrittenOnce:
     def test_loop_bindings_inherit_their_accounting(self):
         # bind_metrics is a name many classes legitimately own; what
         # must not come back is a second copy on a loop binding.
-        for binding in (AsyncBulkhead, AsyncAdmissionController,
-                        AsyncCoalescer):
+        for binding in (AsyncBulkhead, AsyncAdmissionController):
             assert "bind_metrics" not in vars(binding)
             assert "stats" not in vars(binding)
 

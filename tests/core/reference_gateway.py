@@ -12,7 +12,10 @@ is checked by the serving gateway's ``_seconds_from``, so a malformed
 one is refused before the call on both sides).  ``_weights_from``
 restates the weight rule on its own — a finite, non-negative int or
 float, bools excluded — so the differential checks the serving
-gateway's shared number check against it.  The other ``_method_*``
+gateway's shared number check against it.  A ``payload`` that is
+present, not null and not an object is refused with a ``ValueError``
+before the call (the old body sent a falsy one as ``{}``), restated
+here too.  The other ``_method_*``
 handlers, ``_error`` and ``_retry_after`` are inherited; they did not
 change.  ``test_gateway_differential.py`` and benchmark
 A17 compare the serving gateway against this one.  Nothing under
@@ -54,7 +57,7 @@ class ReferenceSdkGateway(SdkGateway):
         result = self.client.invoke(
             str(params["service"]),
             str(params["operation"]),
-            params.get("payload") or {},
+            _object_or_empty(params.get("payload")),
             timeout=self._seconds_from(params, "timeout"),
             use_cache=bool(params.get("use_cache", True)),
             deadline=self._deadline_from(params),
@@ -109,3 +112,12 @@ class ReferenceSdkGateway(SdkGateway):
             return json.dumps(self._error(400, "request must be a JSON object",
                                           "ValueError"))
         return json.dumps(self.handle(request))
+
+
+def _object_or_empty(payload: object) -> dict:
+    """The payload rule: null is ``{}``, any other non-object a 400."""
+    if payload is None:
+        return {}
+    if not isinstance(payload, dict):
+        raise ValueError("'payload' must be an object")
+    return payload

@@ -71,7 +71,8 @@ class TestBulkhead:
         assert bulkhead.queue_depth == 0
 
     def test_queued_caller_admitted_on_release_real_clock(self):
-        clock = RealClock(time_scale=0.01)
+        # Threads park in wall time: a 5 s window, released within ~0.25 s.
+        clock = RealClock()
         bulkhead = Bulkhead(clock, "svc", AdmissionLimit(
             max_concurrent=1, max_queue=1, queue_timeout=5.0))
         bulkhead.acquire()

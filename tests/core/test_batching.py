@@ -8,9 +8,8 @@ from repro import RichClient, build_world
 from repro.core.batching import Flight, MicroBatcher, RequestCoalescer
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError
+from repro.simnet.latency import ConstantLatency
 from repro.util.clock import RealClock
-
-TIME_SCALE = 0.02
 TEXT = "IBM announced excellent results while Initech struggled badly."
 
 
@@ -91,14 +90,18 @@ class TestRequestCoalescer:
 
 
 # ---------------------------------------------------------------------------
-# Coalescing through RichClient.invoke (threaded, scaled real clock)
+# Coalescing through RichClient.invoke (threaded, wall clock)
 # ---------------------------------------------------------------------------
 
 class TestInvokeCoalescing:
     @pytest.fixture
     def rt_world(self):
-        return build_world(seed=59, corpus_size=20,
-                           clock=RealClock(time_scale=TIME_SCALE))
+        # Real threads must overlap in wall time: a 50 ms service keeps
+        # the leader's flight open while the other callers join it.
+        world = build_world(seed=59, corpus_size=20, clock=RealClock())
+        for name in ("lexica-prime", "glotta"):
+            world.service(name).latency = ConstantLatency(0.05)
+        return world
 
     @pytest.fixture
     def rt_client(self, rt_world):

@@ -37,6 +37,11 @@ class TestNoThreadNoLoop:
         client.invoke_with_failover("nlu", "analyze", {"text": OTHER})
         client.invoke_redundant(["glotta", "lexica-prime"], "analyze",
                                 {"text": "redundant"}, parallel=False)
+        # The fan-outs run their legs as tasks on a loop in this thread.
+        client.invoke_all([("glotta", "analyze", {"text": "fan one"}),
+                           ("lexica-prime", "analyze", {"text": "fan two"})])
+        client.invoke_redundant(["glotta", "lexica-prime"], "analyze",
+                                {"text": "parallel"}, parallel=True)
         assert set(threading.enumerate()) == before
 
     def test_the_sync_api_needs_and_starts_no_event_loop(self, client,

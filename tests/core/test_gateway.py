@@ -240,6 +240,54 @@ class TestMalformedWeights:
         assert response["status"] == 200
         assert len(response["result"]) == 3
 
+class TestMalformedPayloads:
+    """A ``payload`` that is present, not null and not an object — and a
+    ``payloads`` item that is not an object — is the caller's 400,
+    refused before any call.  A falsy one used to reach the service as
+    ``{}`` and its refusal counted as the provider's failure."""
+
+    BAD = [0, False, "", [], 0.0, 3, "text", [["text", "IBM"]], [{"text": "IBM"}]]
+
+    @pytest.mark.parametrize("method", ["invoke", "invoke_failover"])
+    def test_every_non_object_payload_is_a_400_with_no_call(self, gateway,
+                                                            world, method):
+        params = {"service": "lexica-prime", "kind": "nlu",
+                  "operation": "analyze", "use_cache": False}
+        before = _footprint(gateway.client, world)
+        for value in self.BAD:
+            response = gateway.handle({"method": method,
+                                       "params": {**params, "payload": value}})
+            assert (response["status"], response["error_type"]) == (
+                400, "ValueError"), value
+            assert "'payload' must be an object" in response["error"]
+        assert _footprint(gateway.client, world) == before
+
+    def test_every_non_object_payloads_item_is_a_400_with_no_call(self, gateway,
+                                                                  world):
+        before = _footprint(gateway.client, world)
+        for value in self.BAD:
+            response = gateway.handle({"method": "invoke_many", "params": {
+                "service": "lexica-prime", "operation": "analyze",
+                "use_cache": False, "payloads": [{"text": TEXT}, value]}})
+            assert (response["status"], response["error_type"]) == (
+                400, "ValueError"), value
+            assert "'payloads' must be a list of objects" in response["error"]
+        assert _footprint(gateway.client, world) == before
+
+    @pytest.mark.parametrize("payload", [None, {}, {"text": TEXT}])
+    def test_null_and_object_payloads_still_reach_the_service(self, gateway,
+                                                              world, payload):
+        params = {"service": "glotta", "operation": "analyze",
+                  "use_cache": False}
+        if payload is not None:
+            params["payload"] = payload
+        transport_calls = world.transport.stats.calls
+        response = gateway.handle({"method": "invoke", "params": params})
+        assert world.transport.stats.calls == transport_calls + 1
+        # An empty request is the service's own 400, as before.
+        assert response["status"] == (200 if payload else 400)
+
+
 class TestMethods:
     def test_failover_method(self, gateway, world):
         ranked = [name for name, _ in gateway.client.rank_services("nlu")]

@@ -96,9 +96,12 @@ search_calls = st.tuples(st.sampled_from(["goggle", "bung"]), st.just("search"),
                                                 "limit": st.integers(1, 3)}))
 lookup_calls = st.tuples(st.sampled_from(["dbpedia-sim", "yago-sim"]), st.just("lookup"),
                          st.fixed_dictionaries({"entity": st.sampled_from(ENTITIES)}))
+# Payloads a service refuses but a falsy test would pass as {}, a list of
+# pairs that dict() would turn into an object, and any JSON value.
+not_objects = st.sampled_from([0, False, "", [], [["text", "x"]], 0.0])
 junk_calls = st.tuples(st.sampled_from(["glotta", "goggle", "ghost"]),
                        st.sampled_from(["analyze", "lookup", "levitate"]),
-                       json_values)
+                       not_objects | json_values)
 calls = mostly(nlu_calls | search_calls | lookup_calls, junk_calls)
 call_options = mostly(st.just({}), st.fixed_dictionaries({}, optional={
     "use_cache": st.booleans() | st.integers(0, 1),
@@ -134,7 +137,9 @@ def method_params(draw):
         batch = draw(st.lists(calls, min_size=1, max_size=3))
         params["service"], params["operation"], _ = batch[0]
         params["payloads"] = draw(mostly(
-            st.just([payload for _, _, payload in batch]), json_values))
+            st.just([payload for _, _, payload in batch]),
+            json_values | st.lists(not_objects | json_values, min_size=1,
+                                   max_size=3)))
     else:
         params["kind"] = draw(kinds)
         if draw(st.booleans()):

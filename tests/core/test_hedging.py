@@ -1,28 +1,28 @@
-"""Tests for hedged requests (tail-latency mitigation) as cancellable tasks."""
+"""Tests for hedged requests (tail-latency mitigation) as cancellable tasks.
+
+The worlds run on a virtual clock and the hedger on its virtual loop, so
+every race below is decided in simulated seconds, deterministically.
+"""
 
 import asyncio
-import time
 
 import pytest
 
 from repro import RichClient, build_world
 from repro.core.admission import AdmissionController, AdmissionLimit
-from repro.core.aio import LoopRunner
 from repro.core.hedging import HedgedInvoker
 from repro.core.ranking import Weights
 from repro.services.base import ScriptedFailures
 from repro.simnet.latency import ConstantLatency
-from repro.util.clock import RealClock
+from repro.util.clock import run
 
-TIME_SCALE = 0.02
 TEXT = "Globex thrives while Initech struggles."
 LATENCY_ONLY = Weights(response_time=1, cost=0, quality=0)
 
 
 @pytest.fixture
 def rt_world():
-    return build_world(seed=59, corpus_size=20,
-                       clock=RealClock(time_scale=TIME_SCALE))
+    return build_world(seed=59, corpus_size=20)
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def warm(client, world, calls=8):
 
 def delayed(invoker, slow, cancelled):
     """Patch ``invoker.ainvoke``: calls to a service in ``slow`` first
-    sleep 0.5 wall seconds; a cancelled call adds its service to
+    sleep 0.5 seconds; a cancelled call adds its service to
     ``cancelled``."""
     original = invoker.ainvoke
 
@@ -79,8 +79,9 @@ class TestHedgedInvocation:
         hedger = HedgedInvoker(rt_client.aio, weights=LATENCY_ONLY)
         # Deadline is far above any latency: the primary always wins.
         hedger.deadline_for = lambda service: 10.0  # type: ignore[assignment]
-        result = asyncio.run(hedger.ainvoke(
-            "nlu", "analyze", {"text": TEXT}, use_cache=False))
+        result = run(hedger.ainvoke(
+            "nlu", "analyze", {"text": TEXT}, use_cache=False),
+            rt_client.clock)
         assert result.value["sentiment"]
         assert hedger.stats.hedges_fired == 0
         assert hedger.stats.primary_wins == 1
@@ -90,9 +91,9 @@ class TestHedgedInvocation:
         hedger.deadline_for = lambda service: 0.0  # type: ignore[assignment]
         cancelled = set()
         delayed(rt_client.aio, {"lexica-prime"}, cancelled)
-        result = asyncio.run(hedger.ainvoke(
+        result = run(hedger.ainvoke(
             "nlu", "analyze", {"text": TEXT}, use_cache=False,
-            candidates=["lexica-prime", "glotta"]))
+            candidates=["lexica-prime", "glotta"]), rt_client.clock)
         assert result.service == "glotta"
         assert hedger.stats.hedges_fired == 1
         assert hedger.stats.hedge_wins == 1
@@ -106,20 +107,22 @@ class TestHedgedInvocation:
         hedger = HedgedInvoker(rt_client.aio, weights=LATENCY_ONLY)
         # The primary's failure alone must fire the hedge.
         hedger.deadline_for = lambda service: 10.0  # type: ignore[assignment]
-        result = asyncio.run(hedger.ainvoke(
-            "nlu", "analyze", {"text": "Globex gains again."}, use_cache=False))
+        result = run(hedger.ainvoke(
+            "nlu", "analyze", {"text": "Globex gains again."}, use_cache=False),
+            rt_client.clock)
         assert result.service == ranked[1]
         assert hedger.stats.hedges_fired == 1
 
     def test_unknown_kind_rejected(self, rt_client):
         with pytest.raises(ValueError, match="no services of kind"):
-            asyncio.run(HedgedInvoker(rt_client.aio).ainvoke(
-                "teleport", "op", {}))
+            run(HedgedInvoker(rt_client.aio).ainvoke(
+                "teleport", "op", {}), rt_client.clock)
 
     def test_empty_candidates_rejected(self, rt_client):
         with pytest.raises(ValueError, match="empty candidates"):
-            asyncio.run(HedgedInvoker(rt_client.aio).ainvoke(
-                "nlu", "analyze", {"text": TEXT}, candidates=[]))
+            run(HedgedInvoker(rt_client.aio).ainvoke(
+                "nlu", "analyze", {"text": TEXT}, candidates=[]),
+                rt_client.clock)
 
     def test_stats_accumulate(self, rt_client):
         hedger = HedgedInvoker(rt_client.aio)
@@ -131,7 +134,7 @@ class TestHedgedInvocation:
                                      {"text": f"Globex report {index}."},
                                      use_cache=False)
 
-        asyncio.run(scenario())
+        run(scenario(), rt_client.clock)
         assert hedger.stats.requests == 3
         assert len(hedger.stats.latencies) == 3
         assert hedger.stats.hedge_rate == 0.0
@@ -139,9 +142,9 @@ class TestHedgedInvocation:
     def test_single_candidate_cannot_hedge(self, rt_client):
         hedger = HedgedInvoker(rt_client.aio)
         hedger.deadline_for = lambda service: 0.0  # type: ignore[assignment]
-        result = asyncio.run(hedger.ainvoke(
+        result = run(hedger.ainvoke(
             "nlu", "analyze", {"text": TEXT}, use_cache=False,
-            candidates=["glotta"]))
+            candidates=["glotta"]), rt_client.clock)
         assert result.service == "glotta"
         assert hedger.stats.hedges_fired == 0
 
@@ -160,33 +163,50 @@ class TestHedgedInvocation:
             with pytest.raises(asyncio.CancelledError):
                 await call
 
-        asyncio.run(scenario())
+        run(scenario(), rt_client.clock)
         assert cancelled == {"lexica-prime", "glotta"}
 
 
 class TestBlockingCallers:
     def test_the_cancelled_loser_holds_no_permit_and_leaves_no_record(self):
-        # A primary that takes 10 s (0.2 s wall at this scale), behind a
-        # bulkhead, hedged at once: the backup wins, and the primary's
-        # leg is cancelled before the call returns.
-        world = build_world(seed=59, corpus_size=20,
-                            clock=RealClock(time_scale=TIME_SCALE))
+        # A primary that takes 10 s, behind a bulkhead, hedged at once:
+        # the backup wins, and the primary's leg is cancelled before the
+        # blocking call returns.
+        world = build_world(seed=59, corpus_size=20)
         world.service("lexica-prime").latency = ConstantLatency(10.0)
         client = RichClient(world.registry, admission=AdmissionController(
             world.clock, default_limit=AdmissionLimit(max_concurrent=1)))
         hedger = HedgedInvoker(client.aio, default_deadline=0.0)
         try:
-            with LoopRunner() as runner:
-                result = runner.run(hedger.ainvoke(
-                    "nlu", "analyze", {"text": TEXT}, use_cache=False,
-                    candidates=["lexica-prime", "glotta"]))
-                assert result.service == "glotta"
-                bulkhead = client.aio.admission.bulkhead_for("lexica-prime")
-                assert bulkhead.inflight == 0
-                # Past the primary's full latency: still no record.
-                time.sleep(10.0 * TIME_SCALE + 0.1)
-                assert client.monitor.records("lexica-prime") == []
-                assert client.monitor.call_count("lexica-prime") == 0
-                assert client.monitor.call_count("glotta") == 1
+            result = run(hedger.ainvoke(
+                "nlu", "analyze", {"text": TEXT}, use_cache=False,
+                candidates=["lexica-prime", "glotta"]), world.clock)
+            assert result.service == "glotta"
+            # The race ended with the backup, long before the primary's
+            # 10 s were up.
+            assert world.clock.now() < 10.0
+            bulkhead = client.aio.admission.bulkhead_for("lexica-prime")
+            assert bulkhead.inflight == 0
+            assert client.monitor.records("lexica-prime") == []
+            assert client.monitor.call_count("lexica-prime") == 0
+            assert client.monitor.call_count("glotta") == 1
         finally:
             client.close()
+
+    def test_a_hedged_call_is_deterministic(self):
+        def race():
+            world = build_world(seed=59, corpus_size=20)
+            world.service("lexica-prime").latency = ConstantLatency(0.4)
+            client = RichClient(world.registry)
+            hedger = HedgedInvoker(client.aio, default_deadline=0.1)
+            result = run(hedger.ainvoke(
+                "nlu", "analyze", {"text": TEXT}, use_cache=False,
+                candidates=["lexica-prime", "glotta"]), world.clock)
+            return result.service, result.latency, hedger.stats.latencies
+
+        first = race()
+        assert first == race()
+        service, latency, (elapsed,) = first
+        # The backup fired at the 0.1 s deadline and answered first.
+        assert service == "glotta"
+        assert elapsed == pytest.approx(0.1 + latency)

@@ -3,9 +3,11 @@
 A coroutine runs on the event loop's only thread: one synchronous
 ``time.sleep``, lock ``acquire``, ``Future.result``, ``queue.get``,
 thread ``join``, ``clock.charge`` (which really sleeps under a
-``RealClock``), sync ``transport.call`` or file IO stalls *every*
-task on that loop — the async core exists precisely so ten thousand
-in-flight invocations never wait on one.
+``RealClock``), sync ``transport.call``, a blocking fan-out
+(``invoke_all`` / ``invoke_redundant``, which start a loop of their own
+and raise ``RuntimeError`` inside a running one) or file IO stalls
+*every* task on that loop — the async core exists precisely so ten
+thousand in-flight invocations never wait on one.
 
 Awaited calls are exempt (``await asyncio.sleep(...)`` yields, it does
 not block), as is anything on an ``asyncio``/``anyio`` receiver.
@@ -99,6 +101,9 @@ class _CoroutineVisitor(ast.NodeVisitor):
                     "acquire": f"{receiver_text}.acquire() blocks",
                     "charge": (f"{receiver_text}.charge() sleeps under a "
                                "RealClock")}[attr]
+        if attr in {"invoke_all", "invoke_redundant"}:
+            return (f"{receiver_text}.{attr}() starts an event loop of its "
+                    f"own; await the async client's a{attr}()")
         if attr == "result" and any(
                 h in receiver_text for h in _FUTURE_HINTS):
             return f"{receiver_text}.result() blocks"
@@ -123,8 +128,9 @@ class AsyncBlockingRule(Rule):
 
     rule_id = "RA007"
     description = ("blocking call (sleep / lock.acquire / Future.result / "
-                   "queue.get / clock.charge / sync transport.call / IO) "
-                   "inside an `async def` body")
+                   "queue.get / clock.charge / sync transport.call / "
+                   "invoke_all / invoke_redundant / IO) inside an "
+                   "`async def` body")
 
     def check_file(self, source: SourceFile, project: Project) -> list[Finding]:
         """Visit every coroutine body in the file (nested ones too)."""

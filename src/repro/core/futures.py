@@ -123,37 +123,6 @@ class ListenableFuture(Generic[T]):
                 return
         self._drain()
 
-    def transform(self, mapper: Callable[[T], object]) -> "ListenableFuture":
-        """Derived future holding ``mapper(result)`` (errors propagate)."""
-        derived: ListenableFuture = ListenableFuture()
-
-        def relay(completed: "ListenableFuture[T]") -> None:
-            error = completed.exception()
-            if error is not None:
-                derived.set_exception(error)
-                return
-            try:
-                derived.set_result(mapper(completed.get()))
-            except BaseException as mapping_error:  # noqa: BLE001 — relayed to waiter
-                derived.set_exception(mapping_error)
-
-        self.add_listener(relay)
-        return derived
-
-    @classmethod
-    def completed(cls, value: T) -> "ListenableFuture[T]":
-        """An already-successful future."""
-        future: ListenableFuture[T] = cls()
-        future.set_result(value)
-        return future
-
-    @classmethod
-    def failed(cls, error: BaseException) -> "ListenableFuture":
-        """An already-failed future."""
-        future: ListenableFuture = cls()
-        future.set_exception(error)
-        return future
-
 
 class CallbackExecutor:
     """Bounded thread pool producing :class:`ListenableFuture` results."""

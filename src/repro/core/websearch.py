@@ -46,6 +46,8 @@ class DocumentArchive:
 
     def __init__(self, store: KeyValueStore | None = None) -> None:
         self.store = store if store is not None else InMemoryKeyValueStore()
+        # Each search record keeps its place in this count.
+        self._recorded = len(self.store.keys("search::"))
 
     @staticmethod
     def _doc_key(url: str) -> str:
@@ -91,17 +93,20 @@ class DocumentArchive:
             "query": query,
             "engine": engine,
             "timestamp": timestamp,
+            "sequence": self._recorded,
             "result_urls": result_urls,
         })
+        self._recorded += 1
 
     def searches(self, query: str | None = None) -> list[dict]:
-        """All recorded searches, optionally filtered by query text."""
+        """All recorded searches, optionally filtered by query text, by
+        time and, at one instant, in the order they were recorded."""
         found = []
         for key in self.store.keys("search::"):
             record = self.store.get(key)
             if isinstance(record, dict) and (query is None or record["query"] == query):
                 found.append(record)
-        found.sort(key=lambda record: record["timestamp"])
+        found.sort(key=lambda record: (record["timestamp"], record.get("sequence", 0)))
         return found
 
     def export_to_directory(self, directory: str | Path) -> int:

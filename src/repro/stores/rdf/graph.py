@@ -13,6 +13,14 @@ compare faster during joins, and keep each index entry a machine word
 instead of a repeated string.  Terms are decoded back only at the API
 boundary, so callers still see plain :class:`Triple` values.
 
+An index leaf (``_spo[s][p]``, ``_pos[p][o]``, ``_osp[o][s]``) is a 1-tuple
+while it has one member, as most of a PKB's do, and from its second
+``add`` on the set ``{first, new}`` that one-by-one inserts build.  The
+collector untracks a tuple of ints, and then a dict holding only such
+tuples.  A set never turns back into a tuple: a rebuilt set may iterate
+in another order, and rows must keep theirs.  Readers only iterate,
+take ``len`` and test ``in``.
+
 Joins stay in id space too: :meth:`Graph.execute_plan` is the optional
 backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
 It runs a whole query plan set-at-a-time over the three indexes — no
@@ -120,13 +128,15 @@ def _scan(index: dict, rows: list, first) -> list[tuple[int, ...]]:
 
 
 def _prune(index: dict, first: int, second: int, third: int) -> bool:
-    """Drop ``third`` from ``index[first][second]``, and the buckets it
-    empties; returns whether the ``(first, second)`` bucket went."""
+    """Drop ``third`` from ``index[first][second]`` (a 1-tuple leaf goes
+    whole), and the buckets it empties; returns whether the ``(first,
+    second)`` bucket went."""
     by_second = index[first]
     members = by_second[second]
-    members.discard(third)
-    if members:
-        return False
+    if type(members) is set:
+        members.discard(third)
+        if members:
+            return False
     del by_second[second]
     if not by_second:
         del index[first]
@@ -163,9 +173,9 @@ class Graph(TripleStoreBase):
         self._term_ids: dict[Term, int] = {}
         self._terms: list[Term] = []
         self._triples: set[tuple[int, int, int]] = set()
-        self._spo: dict[int, dict[int, set[int]]] = {}
-        self._pos: dict[int, dict[int, set[int]]] = {}
-        self._osp: dict[int, dict[int, set[int]]] = {}
+        self._spo: dict[int, dict[int, tuple[int] | set[int]]] = {}
+        self._pos: dict[int, dict[int, tuple[int] | set[int]]] = {}
+        self._osp: dict[int, dict[int, tuple[int] | set[int]]] = {}
         # predicate id -> its numeric column: built by the first range
         # scan, dropped by the next write to that predicate.
         self._numeric: dict[int, _Column] = {}
@@ -261,9 +271,11 @@ class Graph(TripleStoreBase):
             by_predicate = self._spo[subject_id] = {}
         objects = by_predicate.get(predicate_id)
         if objects is None:
-            by_predicate[predicate_id] = {object_id}
+            by_predicate[predicate_id] = (object_id,)
             counts = self._predicate_subjects
             counts[predicate_id] = counts.get(predicate_id, 0) + 1
+        elif type(objects) is tuple:
+            by_predicate[predicate_id] = {objects[0], object_id}
         else:
             objects.add(object_id)
         by_object = self._pos.get(predicate_id)
@@ -271,7 +283,9 @@ class Graph(TripleStoreBase):
             by_object = self._pos[predicate_id] = {}
         subjects = by_object.get(object_id)
         if subjects is None:
-            by_object[object_id] = {subject_id}
+            by_object[object_id] = (subject_id,)
+        elif type(subjects) is tuple:
+            by_object[object_id] = {subjects[0], subject_id}
         else:
             subjects.add(subject_id)
         by_subject = self._osp.get(object_id)
@@ -279,7 +293,9 @@ class Graph(TripleStoreBase):
             by_subject = self._osp[object_id] = {}
         predicates = by_subject.get(subject_id)
         if predicates is None:
-            by_subject[subject_id] = {predicate_id}
+            by_subject[subject_id] = (predicate_id,)
+        elif type(predicates) is tuple:
+            by_subject[subject_id] = {predicates[0], predicate_id}
         else:
             predicates.add(predicate_id)
         counts = self._predicate_triples
@@ -370,30 +386,30 @@ class Graph(TripleStoreBase):
             present = (subject_id, predicate_id, object_id) in self._triples
             return [Triple(subject, predicate, obj)] if present else []
         if subject is not None and predicate is not None:
-            objects = self._spo.get(subject_id, {}).get(predicate_id, set())
+            objects = self._spo.get(subject_id, _NOTHING).get(predicate_id, ())
             return [Triple(subject, predicate, terms[item]) for item in objects]
         if predicate is not None and obj is not None:
-            subjects = self._pos.get(predicate_id, {}).get(object_id, set())
+            subjects = self._pos.get(predicate_id, _NOTHING).get(object_id, ())
             return [Triple(terms[item], predicate, obj) for item in subjects]
         if subject is not None and obj is not None:
-            predicates = self._osp.get(object_id, {}).get(subject_id, set())
+            predicates = self._osp.get(object_id, _NOTHING).get(subject_id, ())
             return [Triple(subject, terms[item], obj) for item in predicates]
         if subject is not None:
             return [
                 Triple(subject, terms[predicate_key], terms[item])
-                for predicate_key, objects in self._spo.get(subject_id, {}).items()
+                for predicate_key, objects in self._spo.get(subject_id, _NOTHING).items()
                 for item in objects
             ]
         if predicate is not None:
             return [
                 Triple(terms[item], predicate, terms[object_key])
-                for object_key, subjects in self._pos.get(predicate_id, {}).items()
+                for object_key, subjects in self._pos.get(predicate_id, _NOTHING).items()
                 for item in subjects
             ]
         if obj is not None:
             return [
                 Triple(terms[subject_key], terms[item], obj)
-                for subject_key, predicates in self._osp.get(object_id, {}).items()
+                for subject_key, predicates in self._osp.get(object_id, _NOTHING).items()
                 for item in predicates
             ]
         return list(self)

@@ -41,6 +41,22 @@ def test_ra007_flags_future_waits_and_sync_transport(analyze):
     assert any("acall" in finding.message for finding in report.findings)
 
 
+def test_ra007_flags_blocking_fan_outs_on_any_receiver(analyze):
+    report = analyze({"worker.py": """\
+        async def page(client, calls):
+            return client.invoke_all(calls)
+
+        async def redundant(invoker, services):
+            return invoker.invoke_redundant(services, "analyze", {})
+
+        async def fine(client, calls):
+            return await client.aio.ainvoke_all(calls)
+        """}, select=["RA007"])
+    assert rule_ids(report) == ["RA007", "RA007"]
+    assert all("event loop of its own" in finding.message
+               for finding in report.findings)
+
+
 def test_ra007_flags_nested_coroutines_too(analyze):
     report = analyze({"worker.py": """\
         async def outer(clock):

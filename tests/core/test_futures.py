@@ -36,7 +36,8 @@ class TestListenableFuture:
         assert seen == ["done"]
 
     def test_listener_fires_immediately_when_already_done(self):
-        future = ListenableFuture.completed("early")
+        future = ListenableFuture()
+        future.set_result("early")
         seen = []
         future.add_listener(lambda completed: seen.append(completed.get()))
         assert seen == ["early"]
@@ -56,30 +57,6 @@ class TestListenableFuture:
         future.set_exception(RuntimeError())
         assert seen == [RuntimeError]
 
-    def test_completed_and_failed_constructors(self):
-        assert ListenableFuture.completed(1).get() == 1
-        failed = ListenableFuture.failed(KeyError("k"))
-        assert isinstance(failed.exception(), KeyError)
-
-    def test_transform_maps_result(self):
-        future = ListenableFuture()
-        doubled = future.transform(lambda value: value * 2)
-        future.set_result(21)
-        assert doubled.get() == 42
-
-    def test_transform_propagates_error(self):
-        future = ListenableFuture()
-        derived = future.transform(lambda value: value)
-        future.set_exception(ValueError("nope"))
-        with pytest.raises(ValueError):
-            derived.get()
-
-    def test_transform_mapper_error_captured(self):
-        future = ListenableFuture.completed(1)
-        derived = future.transform(lambda value: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            derived.get()
-
     def test_get_timeout(self):
         future = ListenableFuture()
         with pytest.raises(Exception):
@@ -98,7 +75,8 @@ class TestListenableFuture:
 
     def test_raising_listener_on_already_done_future(self):
         """The fire-immediately path quarantines exceptions the same way."""
-        future = ListenableFuture.completed("ok")
+        future = ListenableFuture()
+        future.set_result("ok")
         future.add_listener(lambda _completed: 1 / 0)
         assert len(future.listener_errors) == 1
 

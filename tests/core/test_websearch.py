@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.websearch import DocumentArchive, WebSearchAnalyzer
+from repro.stores.kvstore import FileKeyValueStore
 
 
 @pytest.fixture
@@ -45,6 +46,18 @@ class TestDocumentArchive:
         archive.store_search("q1", "engine", 10.0, ["http://x/3"])
         assert [record["result_urls"] for record in archive.searches("q1")] == [
             ["http://x/1"], ["http://x/2"], ["http://x/3"]]
+
+    def test_searches_at_one_instant_list_in_recording_order_across_a_reopen(
+            self, tmp_path):
+        path = tmp_path / "archive.json"
+        archive = DocumentArchive(FileKeyValueStore(path))
+        # Keys sort "stock" before "zzyzx": recording order must win.
+        archive.store_search("zzyzx", "engine", 10.0, ["http://x/1"])
+        archive.store_search("stock", "engine", 10.0, ["http://x/2"])
+        reopened = DocumentArchive(FileKeyValueStore(path))
+        reopened.store_search("market", "engine", 10.0, ["http://x/3"])
+        assert [record["query"] for record in reopened.searches()] == [
+            "zzyzx", "stock", "market"]
 
     def test_export_to_directory(self, tmp_path):
         archive = DocumentArchive()

@@ -11,7 +11,7 @@ slowest item, not the sum), so archive timestamps are not compared.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import RichClient, build_world
@@ -78,6 +78,11 @@ _step = st.tuples(
 
 @settings(max_examples=30, deadline=None)
 @given(steps=st.lists(_step, min_size=1, max_size=3))
+# The per-hit loop records "stock" and the cached repeat of the first
+# query at one instant: the archive must list them in recording order.
+@example(steps=[("Initech thrives stock Initech", 1, "wordsmith-lite", "goggle", False),
+                ("stock", 1, "wordsmith-lite", "goggle", False),
+                ("Initech thrives stock Initech", 1, "lexica-prime", "goggle", False)])
 def test_batched_flow_matches_the_per_hit_loop(steps):
     (old_world, old), (new_world, new) = _twin(), _twin()
     try:

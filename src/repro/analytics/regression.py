@@ -18,27 +18,33 @@ class LinearRegression:
     """Ordinary least squares y = intercept + slope * x."""
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]) -> None:
-        if len(xs) != len(ys):
-            raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-        if len(xs) < 2:
+        n = len(xs)
+        if n != len(ys):
+            raise ValueError(f"length mismatch: {n} vs {len(ys)}")
+        if n < 2:
             raise ValueError("regression needs at least two points")
         x_array = np.asarray(xs, dtype=float)
         y_array = np.asarray(ys, dtype=float)
-        x_mean = x_array.mean()
-        y_mean = y_array.mean()
-        x_spread = float(((x_array - x_mean) ** 2).sum())
+        # ``sum() / n`` is what ``ndarray.mean`` computes, and ``d * d`` is
+        # what ``d ** 2`` computes: the fit is bit-identical to the
+        # textbook formula, with each deviation taken once.
+        x_mean = x_array.sum() / n
+        y_mean = y_array.sum() / n
+        x_dev = x_array - x_mean
+        y_dev = y_array - y_mean
+        x_spread = float((x_dev * x_dev).sum())
         if x_spread == 0.0:
             # Degenerate: all x identical — predict the mean everywhere.
             self.slope = 0.0
             self.intercept = float(y_mean)
         else:
-            self.slope = float(((x_array - x_mean) * (y_array - y_mean)).sum() / x_spread)
+            self.slope = float((x_dev * y_dev).sum() / x_spread)
             self.intercept = float(y_mean - self.slope * x_mean)
         residuals = y_array - (self.intercept + self.slope * x_array)
-        total = float(((y_array - y_mean) ** 2).sum())
-        self.residual_sum_squares = float((residuals**2).sum())
+        total = float((y_dev * y_dev).sum())
+        self.residual_sum_squares = float((residuals * residuals).sum())
         self.r_squared = 1.0 if total == 0.0 else 1.0 - self.residual_sum_squares / total
-        self.n = len(xs)
+        self.n = n
 
     def predict(self, x: float) -> float:
         return self.intercept + self.slope * x

@@ -16,10 +16,15 @@ boundary, so callers still see plain :class:`Triple` values.
 An index leaf (``_spo[s][p]``, ``_pos[p][o]``, ``_osp[o][s]``) is a 1-tuple
 while it has one member, as most of a PKB's do, and from its second
 ``add`` on the set ``{first, new}`` that one-by-one inserts build.  The
-collector untracks a tuple of ints, and then a dict holding only such
-tuples.  A set never turns back into a tuple: a rebuilt set may iterate
-in another order, and rows must keep theirs.  Readers only iterate,
-take ``len`` and test ``in``.
+1-tuple is not built per leaf: the graph keeps one ``(id,)`` per
+interned term (``_singles``, made by ``_intern``) and every one-member
+leaf of that id is it.  The collector untracks a tuple of ints at its
+first collection, and a dict holding only such tuples at a full one;
+inserting a tuple it untracked long ago does not track the dict again,
+so a write of known terms neither builds a leaf nor hands the collector
+an index dict.  A set never turns back into a tuple: a rebuilt set may
+iterate in another order, and rows must keep theirs.  Readers only
+iterate, take ``len`` and test ``in``.
 
 Joins stay in id space too: :meth:`Graph.execute_plan` is the optional
 backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
@@ -172,6 +177,8 @@ class Graph(TripleStoreBase):
         # storage collapsed them).
         self._term_ids: dict[Term, int] = {}
         self._terms: list[Term] = []
+        # id -> ``(id,)``: the one-member leaf every index shares.
+        self._singles: list[tuple[int]] = []
         self._triples: set[tuple[int, int, int]] = set()
         self._spo: dict[int, dict[int, tuple[int] | set[int]]] = {}
         self._pos: dict[int, dict[int, tuple[int] | set[int]]] = {}
@@ -236,6 +243,7 @@ class Graph(TripleStoreBase):
             term_id = len(self._terms)
             self._term_ids[term] = term_id
             self._terms.append(term)
+            self._singles.append((term_id,))
         return term_id
 
     def _intern_triple(self, subject: Term, predicate: Term,
@@ -266,12 +274,13 @@ class Graph(TripleStoreBase):
         self._triples.add(key)
         # Buckets are got-or-created by hand: ``setdefault`` would build
         # a throwaway dict / set on every call.
+        singles = self._singles
         by_predicate = self._spo.get(subject_id)
         if by_predicate is None:
             by_predicate = self._spo[subject_id] = {}
         objects = by_predicate.get(predicate_id)
         if objects is None:
-            by_predicate[predicate_id] = (object_id,)
+            by_predicate[predicate_id] = singles[object_id]
             counts = self._predicate_subjects
             counts[predicate_id] = counts.get(predicate_id, 0) + 1
         elif type(objects) is tuple:
@@ -283,7 +292,7 @@ class Graph(TripleStoreBase):
             by_object = self._pos[predicate_id] = {}
         subjects = by_object.get(object_id)
         if subjects is None:
-            by_object[object_id] = (subject_id,)
+            by_object[object_id] = singles[subject_id]
         elif type(subjects) is tuple:
             by_object[object_id] = {subjects[0], subject_id}
         else:
@@ -293,7 +302,7 @@ class Graph(TripleStoreBase):
             by_subject = self._osp[object_id] = {}
         predicates = by_subject.get(subject_id)
         if predicates is None:
-            by_subject[subject_id] = (predicate_id,)
+            by_subject[subject_id] = singles[predicate_id]
         elif type(predicates) is tuple:
             by_subject[subject_id] = {predicates[0], predicate_id}
         else:
@@ -345,6 +354,7 @@ class Graph(TripleStoreBase):
         """Drop every triple and the term dictionary; version still advances."""
         self._term_ids.clear()
         self._terms.clear()
+        self._singles.clear()
         self._triples.clear()
         self._spo.clear()
         self._pos.clear()

@@ -1,7 +1,11 @@
 """Tests for regression models."""
 
+import random
+import struct
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analytics.regression import (
     LinearRegression,
@@ -59,6 +63,65 @@ class TestLinearRegression:
         model = LinearRegression(xs, ys)
         assert model.slope == pytest.approx(slope, abs=1e-6)
         assert model.intercept == pytest.approx(intercept, abs=1e-6)
+
+
+def textbook_fit(xs, ys):
+    """The least-squares formula as ``LinearRegression`` first spelled it
+    (``mean()``, ``** 2``, each deviation taken where it is used): the
+    fit must stay bit-identical to it."""
+    x_array = np.asarray(xs, dtype=float)
+    y_array = np.asarray(ys, dtype=float)
+    x_mean = x_array.mean()
+    y_mean = y_array.mean()
+    x_spread = float(((x_array - x_mean) ** 2).sum())
+    if x_spread == 0.0:
+        slope = 0.0
+        intercept = float(y_mean)
+    else:
+        slope = float(((x_array - x_mean) * (y_array - y_mean)).sum() / x_spread)
+        intercept = float(y_mean - slope * x_mean)
+    residuals = y_array - (intercept + slope * x_array)
+    total = float(((y_array - y_mean) ** 2).sum())
+    residual_sum_squares = float((residuals**2).sum())
+    r_squared = 1.0 if total == 0.0 else 1.0 - residual_sum_squares / total
+    return slope, intercept, r_squared, residual_sum_squares
+
+
+def bits(values):
+    """The exact IEEE-754 bytes, so -0.0 != 0.0 and NaN == NaN."""
+    return [struct.pack("<d", value) for value in values]
+
+
+def assert_bit_identical(xs, ys):
+    model = LinearRegression(xs, ys)
+    fitted = (model.slope, model.intercept, model.r_squared,
+              model.residual_sum_squares)
+    assert bits(fitted) == bits(textbook_fit(xs, ys))
+
+
+number = st.one_of(st.integers(-10**6, 10**6),
+                   st.floats(-1e12, 1e12, allow_subnormal=True))
+
+
+class TestLinearRegressionIsTheTextbookFormula:
+    @given(st.lists(st.tuples(number, number), min_size=2, max_size=300),
+           st.sampled_from([False] * 4 + [True]))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_series(self, points, constant_x):
+        xs = [points[0][0]] * len(points) if constant_x else [x for x, _ in points]
+        assert_bit_identical(xs, [y for _, y in points])
+
+    @given(st.integers(0, 2**32),
+           st.sampled_from([2, 3, 7, 8, 9, 30, 127, 128, 129, 1000, 10_000]),
+           st.sampled_from([1e-3, 1.0, 1e3, 1e9]))
+    @settings(max_examples=60, deadline=None)
+    def test_long_series(self, seed, length, scale):
+        # Past 8 and 128 values numpy's pairwise sum changes its blocks.
+        rng = random.Random(seed)
+        xs = sorted(rng.uniform(-scale, scale) for _ in range(length))
+        ys = [rng.gauss(0.5 * x, scale) for x in xs]
+        assert_bit_identical(xs, ys)
+        assert_bit_identical(range(length), ys)
 
 
 class TestPolynomialRegression:

@@ -7,7 +7,10 @@ leaf must iterate exactly as the all-set layout it replaced would have:
 the state machine keeps that layout as a reference (plain sets, created
 empty and filled one ``add`` at a time, emptied ones deleted) and
 compares leaf by leaf after every step, together with ``match`` and the
-``execute_plan`` hook against the generic join loop.
+``execute_plan`` hook against the generic join loop.  A one-member leaf
+is also not any 1-tuple: it is the graph's one shared ``(id,)`` for its
+member, so a write of known terms builds none and leaves the index dicts
+it touches untracked.
 """
 
 import gc
@@ -38,12 +41,11 @@ QUERIES = (
 )
 
 
-def colliding_graph() -> Graph:
-    """An empty graph whose node and object ids are all 0 mod 8, and
-    predicate ids 1 mod 8: the members of one leaf share a slot of a
-    small set's table, so a set built in another order, or rebuilt
-    after a removal, iterates differently."""
-    graph = Graph()
+def intern_colliding(graph: Graph) -> Graph:
+    """Intern into an empty graph so that node and object ids are all 0
+    mod 8, and predicate ids 1 mod 8: the members of one leaf share a
+    slot of a small set's table, so a set built in another order, or
+    rebuilt after a removal, iterates differently."""
     wanted = {8 * n: term for n, term in enumerate(OBJECTS)}
     wanted.update({8 * n + 1: term for n, term in enumerate(PREDICATES)})
     for term_id in range(max(wanted) + 1):
@@ -54,7 +56,7 @@ def colliding_graph() -> Graph:
 class LeafMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.graph = colliding_graph()
+        self.graph = intern_colliding(Graph())
         # The all-set layout, over the graph's own term ids.
         self.reference = ({}, {}, {})
 
@@ -117,6 +119,27 @@ class LeafMachine(RuleBasedStateMachine):
             self._remove(triple)
         for s in subjects:
             self._add((s, p, o))
+
+    @rule(recollide=st.booleans())
+    def clear(self, recollide):
+        """Empty the graph and its term dictionary; maybe intern the
+        colliding ids again, maybe let the next adds intern afresh."""
+        self.graph.clear()
+        self.reference = ({}, {}, {})
+        assert self.graph._singles == []
+        if recollide:
+            intern_colliding(self.graph)
+
+    @invariant()
+    def one_member_leaves_are_the_shared_tuples(self):
+        graph = self.graph
+        singles = graph._singles
+        assert singles == [(term_id,) for term_id in range(len(graph._terms))]
+        for index in (graph._spo, graph._pos, graph._osp):
+            for by_second in index.values():
+                for leaf in by_second.values():
+                    if type(leaf) is tuple:
+                        assert leaf is singles[leaf[0]]
 
     @invariant()
     def leaves_iterate_as_the_all_set_layout(self):
@@ -187,3 +210,14 @@ def test_one_member_leaves_are_untracked_after_a_collection():
     assert not any(map(gc.is_tracked, singles))
     assert (sum(map(gc.is_tracked, leaves))
             == sum(len(leaf) >= 2 for leaf in leaves))
+
+
+def test_a_new_leaf_of_known_ids_leaves_its_index_dict_untracked():
+    graph = Graph([("a", "p", "o"), ("b", "q", "o2")])
+    gc.collect()
+    graph.add(("c", "p", "o2"))
+    ids = graph._term_ids
+    # A fresh (o2,) / (p,) would be tracked until the next collection,
+    # and inserting it would track the dict it lands in.
+    assert not gc.is_tracked(graph._spo[ids["c"]])
+    assert not gc.is_tracked(graph._osp[ids["o2"]])

@@ -26,6 +26,10 @@ an index dict.  A set never turns back into a tuple: a rebuilt set may
 iterate in another order, and rows must keep theirs.  Readers only
 iterate, take ``len`` and test ``in``.
 
+The indexes are the only record of what is stored: membership is the
+``_spo[s][p]`` leaf ``add`` fetches anyway, ``len`` a counter, iteration
+a walk of ``_spo``, and a namespace term (``REPRO.slope``) one string.
+
 Joins stay in id space too: :meth:`Graph.execute_plan` is the optional
 backend hook :func:`repro.stores.rdf.plan.execute_plan` dispatches to.
 It runs a whole query plan set-at-a-time over the three indexes — no
@@ -90,7 +94,7 @@ _NOTHING = MappingProxyType({})
 
 
 class _Namespace:
-    """Attribute-style URI factory: ``RDFS.subClassOf`` etc."""
+    """Attribute-style URI factory: ``RDFS.subClassOf``, built once per name."""
 
     def __init__(self, prefix: str) -> None:
         self._prefix = prefix
@@ -98,7 +102,7 @@ class _Namespace:
     def __getattr__(self, name: str) -> str:
         if name.startswith("_"):
             raise AttributeError(name)
-        return self._prefix + name
+        return self.__dict__.setdefault(name, self._prefix + name)
 
     def __call__(self, name: str) -> str:
         return self._prefix + name
@@ -168,7 +172,8 @@ def _binding_test(predicate, decode, names: tuple[str, ...]):
 
 
 class Graph(TripleStoreBase):
-    """A set of triples with interned terms and SPO / POS / OSP indexes."""
+    """A set of triples with interned terms and SPO / POS / OSP indexes; a
+    loop over it walks a snapshot of ``_spo``, so it may add or remove."""
 
     def __init__(self, triples: Iterable[Triple | tuple] = ()) -> None:
         # Term dictionary: term -> id and id -> term.  The first-seen
@@ -179,7 +184,7 @@ class Graph(TripleStoreBase):
         self._terms: list[Term] = []
         # id -> ``(id,)``: the one-member leaf every index shares.
         self._singles: list[tuple[int]] = []
-        self._triples: set[tuple[int, int, int]] = set()
+        self._size = 0
         self._spo: dict[int, dict[int, tuple[int] | set[int]]] = {}
         self._pos: dict[int, dict[int, tuple[int] | set[int]]] = {}
         self._osp: dict[int, dict[int, tuple[int] | set[int]]] = {}
@@ -196,18 +201,17 @@ class Graph(TripleStoreBase):
             self.add(triple)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        terms = self._terms
-        for subject_id, predicate_id, object_id in self._triples:
-            yield Triple(terms[subject_id], terms[predicate_id], terms[object_id])
+        return iter(self.match())
 
     def __contains__(self, triple: Triple | tuple) -> bool:
         ids = self._term_ids
         subject, predicate, obj = triple
-        # A term never interned gets None, and no stored key holds one.
-        return (ids.get(subject), ids.get(predicate), ids.get(obj)) in self._triples
+        # A term never interned gets None, and no index holds one.
+        return ids.get(obj) in self._spo.get(ids.get(subject), _NOTHING).get(
+            ids.get(predicate), ())
 
     @property
     def version(self) -> int:
@@ -268,10 +272,6 @@ class Graph(TripleStoreBase):
         if subject_id is None or predicate_id is None or object_id is None:
             subject_id, predicate_id, object_id = self._intern_triple(
                 subject, predicate, obj)
-        key = (subject_id, predicate_id, object_id)
-        if key in self._triples:
-            return False
-        self._triples.add(key)
         # Buckets are got-or-created by hand: ``setdefault`` would build
         # a throwaway dict / set on every call.
         singles = self._singles
@@ -283,6 +283,8 @@ class Graph(TripleStoreBase):
             by_predicate[predicate_id] = singles[object_id]
             counts = self._predicate_subjects
             counts[predicate_id] = counts.get(predicate_id, 0) + 1
+        elif object_id in objects:
+            return False
         elif type(objects) is tuple:
             by_predicate[predicate_id] = {objects[0], object_id}
         else:
@@ -311,6 +313,7 @@ class Graph(TripleStoreBase):
         counts[predicate_id] = counts.get(predicate_id, 0) + 1
         if self._numeric:
             self._numeric.pop(predicate_id, None)
+        self._size += 1
         self._version += 1
         self._additions += 1
         return True
@@ -335,11 +338,11 @@ class Graph(TripleStoreBase):
         """
         ids = self._term_ids
         subject, predicate, obj = triple
-        key = (ids.get(subject), ids.get(predicate), ids.get(obj))
-        if key not in self._triples:
+        subject_id = ids.get(subject)
+        predicate_id = ids.get(predicate)
+        object_id = ids.get(obj)
+        if object_id not in self._spo.get(subject_id, _NOTHING).get(predicate_id, ()):
             return False
-        self._triples.discard(key)
-        subject_id, predicate_id, object_id = key
         if _prune(self._spo, subject_id, predicate_id, object_id):
             _decrement(self._predicate_subjects, predicate_id)
         _prune(self._pos, predicate_id, object_id, subject_id)
@@ -347,6 +350,7 @@ class Graph(TripleStoreBase):
         _decrement(self._predicate_triples, predicate_id)
         if self._numeric:
             self._numeric.pop(predicate_id, None)
+        self._size -= 1
         self._version += 1
         return True
 
@@ -355,7 +359,7 @@ class Graph(TripleStoreBase):
         self._term_ids.clear()
         self._terms.clear()
         self._singles.clear()
-        self._triples.clear()
+        self._size = 0
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
@@ -392,11 +396,10 @@ class Graph(TripleStoreBase):
             object_id = ids.get(obj)
             if object_id is None:
                 return []
-        if subject is not None and predicate is not None and obj is not None:
-            present = (subject_id, predicate_id, object_id) in self._triples
-            return [Triple(subject, predicate, obj)] if present else []
         if subject is not None and predicate is not None:
             objects = self._spo.get(subject_id, _NOTHING).get(predicate_id, ())
+            if obj is not None:
+                return [Triple(subject, predicate, obj)] if object_id in objects else []
             return [Triple(subject, predicate, terms[item]) for item in objects]
         if predicate is not None and obj is not None:
             subjects = self._pos.get(predicate_id, _NOTHING).get(object_id, ())
@@ -422,7 +425,9 @@ class Graph(TripleStoreBase):
                 for subject_key, predicates in self._osp.get(object_id, _NOTHING).items()
                 for item in predicates
             ]
-        return list(self)
+        return [Triple(terms[s], terms[p], terms[o])
+                for s, by_predicate in self._spo.items()
+                for p, objects in by_predicate.items() for o in objects]
 
     # -- set-at-a-time joins -------------------------------------------------
 
@@ -604,10 +609,9 @@ class Graph(TripleStoreBase):
                             next(obj), _NOTHING)
                         return [row for row, s in zip(rows, subject)
                                 if s in bucket]
-                    triples = self._triples
-                    return [row for row, key
-                            in zip(rows, zip(subject, predicate, obj))
-                            if key in triples]
+                    spo = self._spo
+                    return [row for row, s, p, o in zip(rows, subject, predicate, obj)
+                            if o in spo.get(s, _NOTHING).get(p, ())]
                 return _probe(self._spo, rows, subject, predicate)
             if obj is not None:
                 return _probe(self._osp, rows, obj, subject)
@@ -622,7 +626,8 @@ class Graph(TripleStoreBase):
                     for s in subjects]
         if obj is not None:
             return _scan(self._osp, rows, obj)
-        triples = self._triples
+        triples = [(s, p, o) for s, by_predicate in self._spo.items()
+                   for p, objects in by_predicate.items() for o in objects]
         return [row + triple for row in rows for triple in triples]
 
     # -- what the shared estimates and statistics read ---------------------
@@ -637,10 +642,9 @@ class Graph(TripleStoreBase):
         s_const = subject_id is not None
         p_const = predicate_id is not None
         o_const = object_id is not None
-        if s_const and p_const and o_const:
-            return int((subject_id, predicate_id, object_id) in self._triples)
         if s_const and p_const:
-            return len(self._spo.get(subject_id, _NOTHING).get(predicate_id, ()))
+            objects = self._spo.get(subject_id, _NOTHING).get(predicate_id, ())
+            return int(object_id in objects) if o_const else len(objects)
         if p_const and o_const:
             return len(self._pos.get(predicate_id, _NOTHING).get(object_id, ()))
         if s_const and o_const:
@@ -651,7 +655,7 @@ class Graph(TripleStoreBase):
             return self._predicate_triples.get(predicate_id, 0)
         if o_const:
             return sum(map(len, self._osp.get(object_id, _NOTHING).values()))
-        return len(self._triples)
+        return self._size
 
     def _distinct(self, position: str, predicate_id: int | None) -> int:
         if position == "p":

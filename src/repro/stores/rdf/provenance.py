@@ -168,13 +168,6 @@ class ConfidenceGraph:
             if self._info[triple].confidence >= min_confidence
         ]
 
-    def facts_above(self, threshold: float) -> list[tuple[Triple, float]]:
-        return [
-            (triple, info.confidence)
-            for triple, info in self._info.items()
-            if info.confidence >= threshold
-        ]
-
 
 class ConfidenceRuleEngine(GenericRuleReasoner):
     """Forward chaining that propagates confidence through rules."""

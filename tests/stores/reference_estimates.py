@@ -48,7 +48,7 @@ def reference_predicate_statistics(graph):
 
 def reference_estimate(graph, subject=None, predicate=None, obj=None,
                        scan=None):
-    total = len(graph._triples)
+    total = len(graph)
     if total == 0:
         return 0.0
     subject_id = predicate_id = object_id = None
@@ -72,8 +72,7 @@ def reference_estimate(graph, subject=None, predicate=None, obj=None,
         scan = predicate_scan(graph) if scan is None else scan
         stats = scan.get(graph._terms[predicate_id], _NO_TRIPLES)
     if s_const and p_const and o_const:
-        key = (subject_id, predicate_id, object_id)
-        return 1.0 if key in graph._triples else 0.0
+        return 1.0 if (subject, predicate, obj) in graph else 0.0
     if s_const and p_const:
         base = len(graph._spo.get(subject_id, {}).get(predicate_id, ()))
     elif p_const and o_const:

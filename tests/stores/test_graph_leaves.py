@@ -11,11 +11,16 @@ compares leaf by leaf after every step, together with ``match`` and the
 is also not any 1-tuple: it is the graph's one shared ``(id,)`` for its
 member, so a write of known terms builds none and leaves the index dicts
 it touches untracked.
+
+There is no set of stored triples beside the indexes: membership is the
+SPO leaf, ``len`` a counter, and iteration a walk of ``_spo`` — so the
+machine also checks those against the reference after every step.
 """
 
 import gc
 import random
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -81,6 +86,11 @@ class LeafMachine(RuleBasedStateMachine):
                 if not index[first]:
                     del index[first]
 
+    def _reference_ids(self):
+        """The reference's triples as id 3-tuples, in SPO order."""
+        return [(s, p, o) for s, by_second in self.reference[0].items()
+                for p, members in by_second.items() for o in members]
+
     def _add(self, triple):
         if self.graph.add(triple):
             self._reference_add(triple)
@@ -120,6 +130,29 @@ class LeafMachine(RuleBasedStateMachine):
         for s in subjects:
             self._add((s, p, o))
 
+    @rule(s=node, p=predicate, o=obj)
+    def add_duplicate(self, s, p, o):
+        """Adding a stored triple again changes nothing."""
+        self._add((s, p, o))
+        graph = self.graph
+        before = (graph.version, graph.additions, len(graph))
+        assert not graph.add((s, p, o))
+        assert (graph.version, graph.additions, len(graph)) == before
+
+    @rule(p=predicate, o=obj)
+    def remove_absent(self, p, o):
+        """A triple with a never-interned subject is not there to remove."""
+        assert not self.graph.remove(("nobody", p, o))
+
+    @rule(s=node, p=predicate)
+    def refused_nan(self, s, p):
+        """A NaN write raises and writes nothing."""
+        graph = self.graph
+        before = (graph.version, graph.additions, len(graph))
+        with pytest.raises(ValueError):
+            graph.add((s, p, float("nan")))
+        assert (graph.version, graph.additions, len(graph)) == before
+
     @rule(recollide=st.booleans())
     def clear(self, recollide):
         """Empty the graph and its term dictionary; maybe intern the
@@ -154,6 +187,27 @@ class LeafMachine(RuleBasedStateMachine):
                     assert list(leaf) == list(members)
                     assert len(leaf) == len(members)
                     assert all(member in leaf for member in members)
+
+    @invariant()
+    def len_is_the_reference_size(self):
+        assert len(self.graph) == len(self._reference_ids())
+
+    @invariant()
+    def membership_agrees_with_the_reference(self):
+        graph = self.graph
+        stored = {tuple(graph._terms[term_id] for term_id in ids)
+                  for ids in self._reference_ids()}
+        for s in NODES:
+            for p in PREDICATES:
+                for o in OBJECTS:
+                    assert ((s, p, o) in graph) == ((s, p, o) in stored)
+
+    @invariant()
+    def iteration_walks_spo_in_order(self):
+        terms = self.graph._terms
+        assert list(self.graph) == [
+            Triple(terms[s], terms[p], terms[o])
+            for s, p, o in self._reference_ids()]
 
     @invariant()
     def match_reads_the_reference_order(self):
@@ -221,3 +275,27 @@ def test_a_new_leaf_of_known_ids_leaves_its_index_dict_untracked():
     # and inserting it would track the dict it lands in.
     assert not gc.is_tracked(graph._spo[ids["c"]])
     assert not gc.is_tracked(graph._osp[ids["o2"]])
+
+
+def test_iteration_reads_a_snapshot_the_loop_may_mutate():
+    graph = Graph([("b", "q", "c"), ("a", "p", "b"), ("a", "p", "c")])
+    seen = []
+    for triple in graph:
+        seen.append(triple)
+        graph.remove(triple)
+        graph.add((triple.object, "r", triple.subject))
+    assert seen == [("b", "q", "c"), ("a", "p", "b"), ("a", "p", "c")]
+    assert sorted(graph) == [("b", "r", "a"), ("c", "r", "a"), ("c", "r", "b")]
+
+
+def test_a_duplicate_add_is_found_in_the_spo_leaf():
+    graph = Graph([("a", "p", "b"), ("a", "q", "b"), ("a", "q", "c")])
+    assert not hasattr(graph, "_triples")  # no second membership structure
+    ids = graph._term_ids
+    by_predicate = graph._spo[ids["a"]]
+    assert type(by_predicate[ids["p"]]) is tuple
+    assert type(by_predicate[ids["q"]]) is set
+    before = (graph.version, graph.additions, len(graph))
+    for triple in (("a", "p", "b"), ("a", "q", "b"), ("a", "q", "c")):
+        assert not graph.add(triple)
+    assert (graph.version, graph.additions, len(graph)) == before

@@ -60,7 +60,6 @@ class TestConfidenceGraph:
         store.assert_fact(("c", "p", "d"), 0.2)
         matched = store.match(None, "p", None, min_confidence=0.5)
         assert [triple.subject for triple, _ in matched] == ["a"]
-        assert len(store.facts_above(0.1)) == 2
 
     def test_confidence_validated(self):
         with pytest.raises(ValueError):

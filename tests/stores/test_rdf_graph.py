@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stores.rdf.graph import Graph, RDF, RDFS, Triple
+from repro.stores.rdf.graph import Graph, RDF, RDFS, REPRO, Triple, _Namespace
 
 
 @pytest.fixture
@@ -129,3 +129,21 @@ class TestNamespaces:
 
     def test_call_style(self):
         assert RDFS("label") == "rdfs:label"
+
+    def test_an_attribute_term_is_one_shared_string(self):
+        assert REPRO.slope is REPRO.slope
+        assert REPRO.slope == REPRO("slope") == "repro:slope"
+
+    def test_underscore_names_raise_and_are_not_memoised(self):
+        namespace = _Namespace("t:")
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                namespace._x
+        assert "_x" not in vars(namespace)
+
+    def test_the_memo_holds_only_the_names_read(self):
+        namespace = _Namespace("t:")
+        namespace("called")
+        assert namespace.read == "t:read"
+        assert namespace.read == "t:read"
+        assert vars(namespace) == {"_prefix": "t:", "read": "t:read"}

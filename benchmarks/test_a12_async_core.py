@@ -12,9 +12,11 @@ the service entry point counts concurrent in-flight calls.  The async
 side runs on a virtual-clock world's virtual loop: each call's wire
 time is a timer in simulated seconds, all 10k tasks launch before the
 first timer is due, so the whole burst overlaps and ends one call's
-latency later.  The sync side must overlap real OS threads, so it runs
-on the wall clock, as ``invoke_async`` futures over a 64-worker
-``CallbackExecutor``; it can never exceed its pool size.  Peak traced
+latency later.  The control is a thread-pool core: blocking
+``client.invoke`` calls on a bare 64-worker ``ThreadPoolExecutor``.  It
+must overlap real OS threads, so it runs on the wall clock, and its
+peak must reach exactly its pool size — a control that read 0 would
+measure nothing.  Peak traced
 memory is reported per in-flight call to substantiate "flat memory"
 (coroutine frames, not thread stacks).
 
@@ -25,10 +27,10 @@ Results land in ``benchmarks/results/BENCH_A12.json`` via
 import asyncio
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 from benchmarks._report import fmt_row, report, report_json
 from repro import RichClient, build_world
-from repro.core.futures import CallbackExecutor
 from repro.util.clock import RealClock, run
 
 SEED = 12
@@ -91,8 +93,7 @@ def _measure_async() -> dict:
 
 def _measure_sync() -> dict:
     world = build_world(seed=SEED, corpus_size=10, clock=RealClock())
-    client = RichClient(world.registry,
-                        executor=CallbackExecutor(max_workers=SYNC_POOL))
+    client = RichClient(world.registry)
     service = world.service("store-standard")
     original = service.invoke
     lock = threading.Lock()
@@ -110,10 +111,12 @@ def _measure_sync() -> dict:
 
     service.invoke = counting
     start = client.clock.now()
-    futures = [client.invoke_async("store-standard", "put", _payload(index),
-                                   use_cache=False, coalesce=False)
-               for index in range(SYNC_CALLS)]
-    results = [future.get() for future in futures]
+    with ThreadPoolExecutor(max_workers=SYNC_POOL) as pool:
+        futures = [pool.submit(client.invoke, "store-standard", "put",
+                               _payload(index), use_cache=False,
+                               coalesce=False)
+                   for index in range(SYNC_CALLS)]
+        results = [future.result() for future in futures]
     elapsed = client.clock.now() - start
     client.close()
     assert all(result.value["stored"] for result in results)
@@ -167,8 +170,8 @@ def test_event_loop_core_sustains_10k_inflight_invocations():
     # in one process, on one loop, with no extra threads.
     assert async_run["peak_inflight"] >= ASYNC_TARGET
     assert async_run["extra_threads"] == 0
-    # The thread-pool core cannot exceed its worker count.
-    assert sync_run["peak_inflight"] <= SYNC_POOL
+    # The thread-pool core fills its workers and cannot exceed them.
+    assert sync_run["peak_inflight"] == SYNC_POOL
     # Flat memory: well under 64 KiB per in-flight call (a thread
     # stack alone defaults to megabytes).
     assert async_run["bytes_per_inflight_call"] < 65536

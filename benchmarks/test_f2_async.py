@@ -5,20 +5,23 @@ Paper claims reproduced:
   operation is in flight (callbacks via ListenableFuture);
 * parallel invocation of several services takes ~max instead of ~sum
   of their latencies;
-* thread pools are bounded, so a burst of calls cannot spawn unbounded
-  threads (§2.1's corner-case concern).
+* a burst of calls cannot spawn unbounded threads (§2.1's corner-case
+  concern): every async call is a task on the client's one loop
+  thread, and per-service concurrency is the bulkhead's.
 
-The world runs on a virtual clock.  The parallel fan-out runs its legs
-as tasks on the world's virtual loop, where overlapping waits cost
+The world runs on a virtual clock.  The parallel fan-out and the async
+calls run as tasks on a virtual loop, where overlapping waits cost
 their maximum in simulated seconds, so every figure here is
 deterministic.
 """
+
+import threading
 
 import pytest
 
 from benchmarks._report import fmt_row, report
 from repro import RichClient, build_world
-from repro.core.futures import CallbackExecutor
+from repro.core.admission import AdmissionController, AdmissionLimit
 
 CALLS = 8
 
@@ -81,24 +84,40 @@ def test_async_call_does_not_block_application(rt_world):
     client.close()
 
 
-def test_bounded_pool_absorbs_bursts(rt_world):
-    """60 calls through a 4-worker pool: all complete, none dropped."""
-    client = RichClient(rt_world.registry,
-                        executor=CallbackExecutor(max_workers=4))
+def test_burst_runs_on_one_loop_thread_under_admission(rt_world):
+    """60 calls through ``invoke_async``: all complete on the client's
+    one loop thread, and the per-service bulkhead keeps at most 4 in
+    flight."""
+    limit = AdmissionLimit(max_concurrent=4, max_queue=64, queue_timeout=60)
+    client = RichClient(rt_world.registry, admission=AdmissionController(
+        rt_world.clock, default_limit=limit))
     text = rt_world.corpus.documents[0].text
+    threads_before = threading.active_count()
+    start = client.clock.now()
     futures = [
         client.invoke_async("wordsmith-lite", "analyze",
                             {"text": f"{text} variant {index}"}, use_cache=False)
         for index in range(60)
     ]
+    extra_threads = threading.active_count() - threads_before
     results = [future.get(timeout=60) for future in futures]
-    assert len(results) == 60
-    report("F2.async.bounded", "60-call burst through a 4-worker pool", [
-        fmt_row("submitted", 60),
-        fmt_row("completed", len(results)),
-        fmt_row("pool size", 4),
-    ])
+    elapsed = client.clock.now() - start
+    stats = client.aio.admission.bulkhead_for("wordsmith-lite").stats
     client.close()
+    left_running = threading.active_count() - threads_before
+    assert len(results) == 60
+    assert stats.peak_inflight == limit.max_concurrent
+    assert stats.shed == 0
+    assert (extra_threads, left_running) == (1, 0)
+    report("F2.async.bounded",
+           "60-call burst through invoke_async, bulkhead of 4", [
+               fmt_row("submitted", 60),
+               fmt_row("completed", len(results)),
+               fmt_row("peak in flight", stats.peak_inflight),
+               fmt_row("extra threads", extra_threads),
+               fmt_row("threads after close", left_running),
+               fmt_row("elapsed (sim s)", elapsed),
+           ])
 
 
 def test_bench_async_dispatch_overhead(benchmark, rt_world):

@@ -2,10 +2,8 @@
 
 Tenant identity (:func:`repro.tenancy.context.tenant_scope`) and the
 current trace span ride on :mod:`contextvars`.  The repo's sanctioned
-hand-off points all copy the context onto the worker:
-``CallbackExecutor.submit`` wraps the callable in
-``contextvars.copy_context().run`` and ``LoopRunner`` enters tasks
-under the submitter's context.  A *bare*
+hand-off point copies the context onto the worker: ``LoopRunner``
+enters each task under the submitter's context.  A *bare*
 ``ThreadPoolExecutor.submit(fn)`` or ``threading.Thread(target=fn)``
 silently severs all of it: the work executes as no tenant (billed to
 nobody, guest-bucketed, cache-namespaced wrongly) with an orphaned
@@ -119,7 +117,7 @@ class ContextvarDisciplineRule(Rule):
                 self.rule_id,
                 f"bare {receiver}.submit() drops contextvars — tenant and "
                 "trace scope do not reach the worker; submit "
-                "contextvars.copy_context().run (or use CallbackExecutor)")
+                "contextvars.copy_context().run")
         thread_name = graph.qualified_name(func, info.source)
         if thread_name == "threading.Thread":
             target = next((keyword.value for keyword in call.keywords

@@ -28,7 +28,7 @@ from repro.core.batching import (
     MicroBatcher,
     RequestCoalescer,
 )
-from repro.core.futures import ListenableFuture, CallbackExecutor
+from repro.core.futures import ListenableFuture
 from repro.core.monitoring import ServiceMonitor, InvocationRecord
 from repro.core.latency import LatencyPredictor
 from repro.core.ranking import (
@@ -71,7 +71,6 @@ __all__ = [
     "MicroBatcher",
     "RequestCoalescer",
     "ListenableFuture",
-    "CallbackExecutor",
     "ServiceMonitor",
     "InvocationRecord",
     "LatencyPredictor",

@@ -4,11 +4,11 @@ Retry, circuit breaking and rate limiting are all *reactive* — they act
 after a service has already started failing or throttling.  Admission
 control is the proactive complement for heavy-traffic clients: each
 service gets a **bulkhead** (a concurrency limit) plus a small bounded
-queue, so a slow or overloaded dependency can never absorb every thread
-in the SDK's pool.  A request that finds the bulkhead full either waits
+queue, so a slow or overloaded dependency can never absorb every
+caller.  A request that finds the bulkhead full either waits
 briefly in the queue or is **shed** immediately with
 :class:`AdmissionRejectedError`, which the gateway maps to HTTP 429 —
-load is refused at the front door instead of melting the thread pool.
+load is refused at the front door instead of piling up.
 
 Queue waits are contended where waiting passes the clock's time (a
 thread under a real clock; a task where

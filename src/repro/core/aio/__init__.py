@@ -1,9 +1,7 @@
 """The asyncio-native invocation core (event-loop hot path).
 
-The thread-per-in-flight-call :class:`~repro.core.futures.ListenableFuture`
-core caps concurrency at thread-pool scale.  This package holds the
-invocation hot path as coroutines, and the machinery to await it on
-one event loop:
+This package holds the invocation hot path as coroutines, and the
+machinery to await it on one event loop:
 
 * :class:`AsyncInvoker` — the hot-path body (``ainvoke`` /
   ``ainvoke_batched`` / ``ainvoke_many`` / ``ainvoke_all`` /
@@ -13,9 +11,9 @@ one event loop:
   blocking API drives the same coroutines in-thread through a blocking
   binding of their wait points (see :mod:`repro.core.aio.invoker`);
 * :class:`LoopRunner` — a dedicated event-loop thread that runs
-  coroutines on behalf of blocking callers who want their calls
-  loop-served, copying the caller's contextvars (tenant scope, trace
-  span) onto the task;
+  coroutines for blocking callers (``RichClient.invoke_async``),
+  copying the caller's contextvars (tenant scope, trace span) onto
+  the task;
 * :class:`AsyncBulkhead` / :class:`AsyncAdmissionController` —
   admission queues and DRR fair scheduling as awaitables;
 * :class:`AsyncMicroBatcher` — bounded batch windows on asyncio

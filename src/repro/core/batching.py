@@ -130,9 +130,7 @@ class RequestCoalescer:
     ``client.aio.coalescer`` are two instances, whose followers wait
     with :meth:`Flight.result` and :meth:`Flight.aresult` respectively.
 
-    Thread-safe.  Note the thread-pool caveat: waiters block their
-    thread, so on a bounded pool at most ``max_workers - 1`` callers
-    should wait on one flight (the leader needs a thread to run on).
+    Thread-safe.
     """
 
     def __init__(self) -> None:

@@ -3,10 +3,9 @@
 The paper implements asynchronous service calls with Guava's
 ``ListenableFuture``: a future plus the ability to register callbacks
 that run when the computation completes.  :class:`ListenableFuture`
-reproduces that contract over :mod:`concurrent.futures`, and
-:class:`CallbackExecutor` is the bounded thread pool §2.1 prescribes
-("to prevent the number of threads from becoming too large in corner
-cases, we use thread pools of limited size").
+reproduces that contract.  §2.1's bound on threads holds because every
+``RichClient.invoke_async`` call is a task on the client's one loop
+thread (:class:`repro.core.aio.runner.LoopRunner`), whatever the burst.
 
 :func:`run_sync` is how the blocking SDK API runs the one invocation
 body the asyncio core awaits: on the caller's own thread.
@@ -14,11 +13,10 @@ body the asyncio core awaits: on the caller's own thread.
 
 from __future__ import annotations
 
-import contextvars
 import threading
 from collections import deque
 from collections.abc import Callable, Coroutine
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
@@ -27,31 +25,29 @@ T = TypeVar("T")
 class ListenableFuture(Generic[T]):
     """A future with registered completion callbacks.
 
-    Callbacks receive the future itself and run exactly once.  Delivery
-    is **serialized and in registration order**: at any moment at most
-    one listener is executing, listeners never run while the future's
-    internal lock is held, and a listener registered while an earlier
-    one is still being delivered is queued behind it instead of running
-    concurrently on the registering thread.  (The pre-async-core
-    implementation delivered a late-registered listener immediately on
-    the registering thread, which could overlap and reorder callbacks —
-    unsafe for callbacks that assume serialized delivery.)  A listener
-    added after delivery has fully drained runs immediately on the
-    registering thread, Guava's semantics.
+    Callbacks receive the future itself and run exactly once, **one at
+    a time and in registration order**, never under the future's lock:
+    one registered mid-delivery queues behind the running one.  One
+    added after delivery drained runs at once on the registering
+    thread, Guava's semantics.
 
-    A callback that raises cannot poison the delivering thread or
-    starve the remaining callbacks: the exception is captured into
-    ``listener_errors`` (Guava logs it the same way) and delivery
-    continues.
+    :meth:`get` and :meth:`exception` return only after the listeners
+    registered before settlement ran (a listener reading its own future
+    is answered at once).
+
+    A callback that raises cannot poison the delivering thread or starve
+    the others: its exception goes to ``listener_errors`` (Guava logs
+    it the same way) and delivery continues.
     """
 
     def __init__(self) -> None:
         self._future: Future = Future()
         self._listeners: deque[Callable[["ListenableFuture[T]"], None]] = deque()
         self._lock = threading.Lock()
-        # True while some thread is draining the listener queue; makes
-        # delivery single-file without holding _lock across callbacks.
-        self._delivering = False
+        # The thread draining the listener queue, if any, and the event
+        # set when the queue first drains after settlement.
+        self._delivering: threading.Thread | None = None
+        self._delivered = threading.Event()
         #: Exceptions raised by listeners, in delivery order.
         self.listener_errors: list[BaseException] = []
 
@@ -68,31 +64,24 @@ class ListenableFuture(Generic[T]):
         self._drain()
 
     def _drain(self) -> None:
-        """Deliver queued listeners one at a time, in order.
-
-        Exactly one thread drains at a time: a second thread arriving
-        while delivery is in progress leaves its listener on the queue
-        for the draining thread (which re-checks the queue after every
-        callback, so nothing is stranded).  The lock is only held to
-        pop the queue, never across a callback.
-        """
+        """Deliver queued listeners one at a time, in order: one thread
+        drains, re-checking the queue after every callback, and holds
+        the lock only to pop it."""
         with self._lock:
-            if self._delivering:
+            if self._delivering is not None:
                 return
-            self._delivering = True
+            self._delivering = threading.current_thread()
         while True:
             with self._lock:
                 if not self._listeners:
-                    self._delivering = False
+                    self._delivering = None
+                    self._delivered.set()
                     return
                 listener = self._listeners.popleft()
-            self._deliver(listener)
-
-    def _deliver(self, listener: Callable[["ListenableFuture[T]"], None]) -> None:
-        try:
-            listener(self)
-        except Exception as error:  # noqa: BLE001 — a bad callback is quarantined
-            self.listener_errors.append(error)
+            try:
+                listener(self)
+            except Exception as error:  # noqa: BLE001 — a bad callback is quarantined
+                self.listener_errors.append(error)
 
     # -- consumer side -----------------------------------------------------
 
@@ -102,11 +91,20 @@ class ListenableFuture(Generic[T]):
 
     def get(self, timeout: float | None = None) -> T:
         """Block until done and return the result (or raise its error)."""
-        return self._future.result(timeout=timeout)
+        self._await_delivery(timeout)
+        return self._future.result(timeout=0)
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """The exception the computation raised, if any."""
-        return self._future.exception(timeout=timeout)
+        self._await_delivery(timeout)
+        return self._future.exception(timeout=0)
+
+    def _await_delivery(self, timeout: float | None) -> None:
+        """Wait until settled and the listeners registered by then ran
+        (no wait for a listener reading the future it is run for)."""
+        if (self._delivering is not threading.current_thread()
+                and not self._delivered.wait(timeout)):
+            raise FutureTimeoutError()
 
     def add_listener(self, listener: Callable[["ListenableFuture[T]"], None]) -> None:
         """Register a completion callback.
@@ -122,46 +120,6 @@ class ListenableFuture(Generic[T]):
             if not self._future.done():
                 return
         self._drain()
-
-
-class CallbackExecutor:
-    """Bounded thread pool producing :class:`ListenableFuture` results."""
-
-    def __init__(self, max_workers: int = 8) -> None:
-        if max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool = ThreadPoolExecutor(max_workers=max_workers,
-                                        thread_name_prefix="repro-sdk")
-
-    def submit(self, function: Callable[..., T], *args, **kwargs) -> ListenableFuture[T]:
-        """Run ``function`` on the pool; returns its listenable future.
-
-        The submitting thread's context (contextvars) is copied onto
-        the worker, so an observability span that is current at submit
-        time is still the parent of spans started on the pool thread.
-        """
-        listenable: ListenableFuture[T] = ListenableFuture()
-
-        def run() -> None:
-            try:
-                listenable.set_result(function(*args, **kwargs))
-            except BaseException as error:  # noqa: BLE001 — relayed to waiter
-                listenable.set_exception(error)
-
-        context = contextvars.copy_context()
-        self._pool.submit(context.run, run)
-        return listenable
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Shut the pool down (optionally waiting for queued work)."""
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "CallbackExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 def run_sync(coro: Coroutine[object, object, T]) -> T:

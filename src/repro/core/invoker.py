@@ -5,8 +5,8 @@ paper's features in one coherent client:
 
 * synchronous invocation with monitoring, caching, client-side budget
   enforcement and optional per-response quality rating;
-* asynchronous invocation returning :class:`ListenableFuture`s over a
-  bounded thread pool, and parallel fan-out as event-loop tasks;
+* asynchronous invocation returning :class:`ListenableFuture`s, and
+  parallel fan-out, as event-loop tasks;
 * ranked failover across services of a kind (retry each per its
   policy, move down the ranking);
 * redundant multi-service invocation for comparison/combination.
@@ -22,6 +22,7 @@ bound to an event loop.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.core.admission import AdmissionController, AdmissionRejectedError
 from repro.core.batching import MicroBatcher, RequestCoalescer
 from repro.core.caching import DEFAULT_CACHEABLE_OPERATIONS, ServiceCache, cache_key
-from repro.core.futures import CallbackExecutor, ListenableFuture, run_sync
+from repro.core.futures import ListenableFuture, run_sync
 from repro.core.latency import LatencyPredictor
 from repro.core.monitoring import ServiceMonitor
 from repro.obs import names
@@ -94,11 +95,11 @@ class RichClient:
 
     The client builds its own predictor, ranker and single-flight
     request coalescer over its monitor; the monitor, cache (by default
-    1024 entries, no TTL), failover invoker, quota tracker and thread
-    pool are injectable, sharing the registry's simulated clock
-    throughout.  Admission control (per-service bulkheads) is opt-in:
-    pass an :class:`AdmissionController` to bound per-service
-    concurrency and shed overload with 429-style fast failures.
+    1024 entries, no TTL), failover invoker and quota tracker are
+    injectable, sharing the registry's simulated clock throughout.
+    Admission control (per-service bulkheads) is opt-in: pass an
+    :class:`AdmissionController` to bound per-service concurrency and
+    shed overload with 429-style fast failures.
     """
 
     def __init__(
@@ -108,7 +109,6 @@ class RichClient:
         cache: ServiceCache | None = None,
         failover: FailoverInvoker | None = None,
         quota: ClientQuotaTracker | None = None,
-        executor: CallbackExecutor | None = None,
         quality_raters: Mapping[str, QualityRater] | None = None,
         obs: Observability | None = None,
         rate_limiter: ServiceRateLimiter | None = None,
@@ -119,7 +119,7 @@ class RichClient:
 
         Args:
             registry: the services this client can reach.
-            monitor/cache/failover/quota/executor: optional
+            monitor/cache/failover/quota: optional
                 collaborator overrides; defaults are built around the
                 registry's clock.
             quality_raters: per-operation response quality functions.
@@ -158,7 +158,6 @@ class RichClient:
             clock=self.clock
         )
         self.quota = quota if quota is not None else ClientQuotaTracker()
-        self.executor = executor if executor is not None else CallbackExecutor(max_workers=8)
         # Operations safe to serve from cache (and to coalesce — both
         # require idempotent reads).
         self.cacheable_operations = DEFAULT_CACHEABLE_OPERATIONS
@@ -182,6 +181,8 @@ class RichClient:
         self._body = _BlockingInvoker(self)
         self._aio = None
         self._aio_lock = threading.Lock()
+        # The loop thread behind invoke_async, started by its first call.
+        self._runner = None
         # Batch metrics, bound lazily in _wire_observability.
         self._metric_batch_flushes = None
         self._metric_batch_items = None
@@ -238,9 +239,8 @@ class RichClient:
         An :class:`repro.core.aio.AsyncInvoker` sharing this client's
         monitor, cache, quota, tenancy and observability — the
         ``await``-able API for callers that already run an event loop.
-        Blocking callers who want their calls loop-served hand its
-        coroutines to a runner:
-        ``LoopRunner().submit_listenable(client.aio.ainvoke(...))``.
+        Blocking callers get it loop-served through
+        :meth:`invoke_async`.
         The import is deferred to keep ``repro.core.invoker`` free of a
         package cycle with :mod:`repro.core.aio`.
         """
@@ -453,26 +453,32 @@ class RichClient:
         coalesce: bool = True,
         deadline: Deadline | None = None,
     ) -> ListenableFuture[InvocationResult]:
-        """Invoke on the thread pool; returns a listenable future.
+        """Invoke as ``client.aio``'s task on the client's one loop
+        thread; returns a listenable future.
 
         Register callbacks with ``future.add_listener`` — e.g. the
         paper's example of being notified when a cloud-database store
         completes without blocking the application.  ``coalesce=False``
         forces an independent upstream call even when an identical
-        request is already in flight (hedging relies on this).  A
-        ``deadline`` is carried into the pooled call unchanged — it is
-        an absolute expiry, so handing it across threads keeps the
-        original budget.
+        request is already in flight; a ``deadline`` is absolute.
 
-        The call occupies a pool thread for its duration; to run it as
-        an event-loop task instead, hand the coroutine to a runner:
-        ``LoopRunner().submit_listenable(client.aio.ainvoke(...))``.
+        The loop thread (a :class:`~repro.core.aio.runner.LoopRunner`
+        on this client's clock) starts with the first call and is
+        joined by :meth:`close`.  On a virtual clock, calls submitted
+        before the caller waits on, polls or listens to one cost their
+        maximum.  A listener runs on the loop thread: it may call
+        :meth:`invoke`; ``get`` on another unsettled call or
+        :meth:`invoke_all` raises ``RuntimeError`` there.
         """
-        return self.executor.submit(
-            self.invoke, service_name, operation, payload,
-            timeout=timeout, use_cache=use_cache, coalesce=coalesce,
-            deadline=deadline,
-        )
+        if self._runner is None:
+            from repro.core.aio.runner import LoopRunner
+
+            with self._aio_lock:
+                if self._runner is None:
+                    self._runner = LoopRunner("repro-sdk", clock=self.clock)
+        return self._runner.submit_listenable(self.aio.ainvoke(
+            service_name, operation, payload, timeout=timeout,
+            use_cache=use_cache, coalesce=coalesce, deadline=deadline))
 
     # -- batched invocation ------------------------------------------------------
 
@@ -669,11 +675,20 @@ class RichClient:
         return [self.monitor.summary(name) for name in self.monitor.services()]
 
     def close(self) -> None:
-        """Shut down the thread pool."""
-        self.executor.shutdown()
+        """Let in-flight :meth:`invoke_async` calls finish; join their thread."""
+        runner, self._runner = self._runner, None
+        if runner is not None:
+            runner.run(_quiesce())
+            runner.shutdown()
 
     def __enter__(self) -> "RichClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+async def _quiesce() -> None:
+    """Wait for every other task on the running loop."""
+    others = asyncio.all_tasks() - {asyncio.current_task()}
+    await asyncio.gather(*others, return_exceptions=True)

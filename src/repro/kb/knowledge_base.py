@@ -10,7 +10,6 @@ secure / offline remote persistence.
 
 from __future__ import annotations
 
-import asyncio
 from collections.abc import Sequence
 from contextlib import nullcontext
 from pathlib import Path
@@ -292,15 +291,6 @@ StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
         with span:
             store = self.view if self.view is not None else self.graph
             return run_select(store, patterns, **kwargs)
-
-    async def aquery(self, patterns, **kwargs):
-        """Awaitable :meth:`query`: the same call on a worker thread.
-
-        The event loop stays unblocked, and ``asyncio.to_thread``
-        copies the caller's context, so the ``kb.query`` span, its
-        tenant and the query counter are those of :meth:`query`.
-        """
-        return await asyncio.to_thread(self.query, patterns, **kwargs)
 
     def explain(self, patterns, filters: Sequence = (),
                 analyze: bool = False) -> QueryPlan:

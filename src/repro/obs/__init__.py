@@ -3,8 +3,8 @@
 Three pieces, one bundle:
 
 * :mod:`repro.obs.tracing` — :class:`Span`/:class:`Tracer` with
-  parent/child context propagation (contextvars, surviving the SDK's
-  thread pool) and a bounded :class:`SpanCollector` with JSONL export;
+  parent/child context propagation (contextvars, surviving the hop to
+  the client's loop thread) and a bounded :class:`SpanCollector` with JSONL export;
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters, gauges and bucketed histograms with Prometheus-style text
   exposition;

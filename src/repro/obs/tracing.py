@@ -13,9 +13,9 @@ Design points:
   :class:`RealClock` — the same units every other collector in the
   system reports.
 * **Context propagation uses contextvars**, and
-  :class:`repro.core.futures.CallbackExecutor` submits work inside a
+  :class:`repro.core.aio.runner.LoopRunner` starts each task inside a
   copied context, so a span started before ``invoke_async`` is still
-  the parent of spans created on a pool thread.
+  the parent of spans created on the client's loop thread.
 * **Collection is bounded**: the :class:`SpanCollector` keeps the most
   recent ``capacity`` completed spans and counts what it dropped, so a
   long-running client cannot leak memory through its own telemetry.

@@ -7,7 +7,7 @@ process, per the "millions of users" direction in ROADMAP item 1:
   rate, cache isolation) and the thread-safe :class:`TenantRegistry`;
 * :mod:`repro.tenancy.context` — contextvar propagation
   (:func:`tenant_scope` / :func:`current_tenant`), the same idiom the
-  tracer uses, surviving the SDK's thread pool;
+  tracer uses, surviving the hop to the client's loop thread;
 * :mod:`repro.tenancy.limits` — per-tenant budgets and token buckets
   composed from :mod:`repro.core.quota` and :mod:`repro.core.ratelimit`
   on the atomic reserve path;

@@ -5,10 +5,10 @@ every depth — invoker, cache, bulkhead, knowledge base — without
 threading a ``tenant=`` argument through every call signature.  The
 same idiom :mod:`repro.obs.tracing` uses for the current span is used
 here: a :mod:`contextvars` variable that
-:class:`repro.core.futures.CallbackExecutor` carries across the thread
-pool for free (it submits work inside a copied context), so an
+:class:`repro.core.aio.runner.LoopRunner` carries onto its loop thread
+for free (it starts each task inside a copied context), so an
 ``invoke_async`` issued inside a :func:`tenant_scope` still executes
-as that tenant on the pool thread.
+as that tenant on the client's loop thread.
 """
 
 from __future__ import annotations

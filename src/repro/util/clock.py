@@ -24,7 +24,7 @@ import selectors
 import threading
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Coroutine
+from collections.abc import Callable, Coroutine
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -89,18 +89,24 @@ SYSTEM_CLOCK = RealClock()
 class _JumpingSelector(selectors.DefaultSelector):
     """Asked to wait ``timeout`` for the next timer, moves the clock
     there instead (after one non-blocking poll for due I/O and
-    cross-thread wake-ups); with no timer pending it really blocks."""
+    cross-thread wake-ups); with no timer pending, or while
+    ``may_jump()`` is false, it really blocks."""
 
-    def __init__(self, clock: ManualClock) -> None:
+    def __init__(self, clock: ManualClock,
+                 may_jump: Callable[[], bool] | None = None) -> None:
         super().__init__()
         self._clock = clock
+        self._may_jump = may_jump
 
     def select(self, timeout: float | None = None):
         if timeout is None or timeout <= 0:
             return super().select(timeout)
         events = super().select(0)
-        if not events:
-            self._clock.advance(timeout)
+        if events:
+            return events
+        if self._may_jump is not None and not self._may_jump():
+            return super().select(None)
+        self._clock.advance(timeout)
         return events
 
 
@@ -112,11 +118,13 @@ class VirtualLoop(asyncio.SelectorEventLoop):
     When no callback is ready and a timer is pending, the loop advances
     the clock to that timer instead of blocking, so tasks waiting side
     by side overlap.  Runs are deterministic while one loop drives the
-    clock at a time.
+    clock at a time.  ``may_jump`` (None in :func:`run`) gates the
+    advance for a loop on a thread of its own (``LoopRunner``).
     """
 
-    def __init__(self, clock: ManualClock) -> None:
-        super().__init__(_JumpingSelector(clock))
+    def __init__(self, clock: ManualClock,
+                 may_jump: Callable[[], bool] | None = None) -> None:
+        super().__init__(_JumpingSelector(clock, may_jump))
         self.clock = clock
 
     def time(self) -> float:

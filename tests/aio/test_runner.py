@@ -2,12 +2,16 @@
 
 import asyncio
 import contextvars
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.aio import LoopRunner
+from repro.core.aio.runner import _LoopFuture
 from repro.core.futures import ListenableFuture
+from repro.util.clock import ManualClock
 
 
 @pytest.fixture
@@ -140,3 +144,63 @@ class TestShutdown:
         runner = LoopRunner()
         runner.shutdown()
         runner.shutdown()
+
+
+class TestVirtualClockGate:
+    """A runner over a ``ManualClock`` moves the clock only while one of
+    its unsettled futures is wanted."""
+
+    def test_submissions_overlap_until_one_is_wanted(self):
+        clock = ManualClock()
+        with LoopRunner(clock=clock) as runner:
+            futures = [runner.submit_listenable(asyncio.sleep(delay, delay))
+                       for delay in (0.3, 0.1, 0.2)]
+            assert [future.get(timeout=5) for future in futures] == [0.3, 0.1, 0.2]
+        assert clock.now() == pytest.approx(0.3)
+
+    def test_a_settle_between_check_and_add_leaves_nothing_wanted(self):
+        """The loop may settle a future (and discard it) between a
+        caller's done-check and its add: the caller must take it out."""
+        class SettlesInBetween(set):
+            def add(self, future):
+                future.set_result("settled")  # what the loop thread does
+                self.discard(future)
+                super().add(future)
+
+        with LoopRunner(clock=ManualClock()) as runner:
+            runner._wanted = SettlesInBetween()
+            future = _LoopFuture(runner)
+            assert future.is_done()
+            assert not runner._wanted
+            runner._wanted = set()
+
+    def test_the_wanted_set_drains_under_racing_threads(self):
+        """Eight threads want, poll and listen while the loop settles:
+        no future may stay wanted once settled (a leaked entry would
+        hold the gate open for good)."""
+        async def nap(index):
+            await asyncio.sleep(0.001 * (index % 7 + 1))
+            return index
+
+        def caller(runner, base):
+            futures = [runner.submit_listenable(nap(base + index))
+                       for index in range(50)]
+            for index, future in enumerate(futures):
+                if index % 3 == 0:
+                    future.add_listener(lambda _settled: None)
+                elif index % 3 == 1:
+                    future.is_done()
+            return [future.get(timeout=10) for future in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with LoopRunner(clock=ManualClock()) as runner:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(
+                        lambda base: caller(runner, base), range(0, 400, 50)))
+                assert results == [list(range(base, base + 50))
+                                   for base in range(0, 400, 50)]
+                assert not runner._wanted
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,4 +1,4 @@
-"""Tests for ListenableFuture and the bounded executor."""
+"""Tests for ListenableFuture and the blocking driver."""
 
 import threading
 import time
@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.core.futures import (
-    CallbackExecutor,
     ListenableFuture,
     resolved,
     run_sync,
@@ -88,47 +87,37 @@ class TestListenableFuture:
         assert future.exception() is None
 
 
-class TestCallbackExecutor:
-    def test_submit_runs_function(self):
-        with CallbackExecutor(max_workers=2) as executor:
-            future = executor.submit(lambda: 7)
-            assert future.get(timeout=5) == 7
+class TestGetWaitsForListeners:
+    """``get`` / ``exception`` return only after the listeners registered
+    before settlement have run."""
 
-    def test_submit_captures_exception(self):
-        with CallbackExecutor(max_workers=2) as executor:
-            future = executor.submit(lambda: 1 / 0)
-            assert isinstance(future.exception(timeout=5), ZeroDivisionError)
+    def test_get_does_not_overtake_a_slow_listener(self):
+        for _ in range(20):
+            future = ListenableFuture()
+            finished = []
 
-    def test_callbacks_fire_from_worker(self):
-        with CallbackExecutor(max_workers=2) as executor:
-            done = threading.Event()
-            future = executor.submit(lambda: "ok")
-            future.add_listener(lambda _completed: done.set())
-            assert done.wait(timeout=5)
+            def slow(_completed):
+                time.sleep(0.01)
+                finished.append(True)
 
-    def test_pool_is_bounded(self):
-        """More tasks than workers still all complete (queued, not spawned)."""
-        active = []
-        peak = []
-        lock = threading.Lock()
+            future.add_listener(slow)
+            completer = threading.Thread(target=future.set_result, args=(1,))
+            completer.start()
+            assert future.get(timeout=5) == 1
+            assert finished == [True]
+            completer.join(timeout=5)
 
-        def tracked():
-            with lock:
-                active.append(1)
-                peak.append(len(active))
-            time.sleep(0.01)
-            with lock:
-                active.pop()
-            return True
-
-        with CallbackExecutor(max_workers=3) as executor:
-            futures = [executor.submit(tracked) for _ in range(12)]
-            assert all(future.get(timeout=10) for future in futures)
-        assert max(peak) <= 3
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            CallbackExecutor(max_workers=0)
+    def test_exception_does_not_overtake_a_slow_listener(self):
+        future = ListenableFuture()
+        finished = []
+        future.add_listener(lambda _completed: (time.sleep(0.01),
+                                                finished.append(True)))
+        completer = threading.Thread(target=future.set_exception,
+                                     args=(KeyError("gone"),))
+        completer.start()
+        assert isinstance(future.exception(timeout=5), KeyError)
+        assert finished == [True]
+        completer.join(timeout=5)
 
 
 class TestSerializedListenerDelivery:

@@ -1,15 +1,19 @@
 """Tests for the RichClient facade."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
+from repro import build_world
 from repro.core.invoker import RichClient
 from repro.core.quota import BudgetExceededError
 from repro.core.ranking import Weights
 from repro.core.retry import AllServicesFailedError, FailoverInvoker, RetryPolicy
 from repro.services.base import ScriptedFailures
 from repro.simnet.errors import RemoteServiceError, ServiceTimeoutError
+from repro.util.clock import RealClock
 from repro.util.errors import SerializationError
 
 TEXT = "IBM announced excellent results while Initech struggled badly."
@@ -218,6 +222,82 @@ class TestAsync:
         future = client.invoke_async("lexica-prime", "analyze", {"text": TEXT})
         future.add_listener(lambda _completed: done.set())
         assert done.wait(timeout=10)
+
+    def test_eight_async_calls_cost_their_maximum(self):
+        """Concurrent ``invoke_async`` calls overlap on the client's one
+        loop, in every repetition: the clock moves by the slowest call."""
+        for _ in range(25):
+            world = build_world(seed=17, corpus_size=40)
+            client = RichClient(world.registry)
+            start = client.clock.now()
+            futures = [client.invoke_async("lexica-prime", "analyze",
+                                           {"text": document.text})
+                       for document in world.corpus.documents[:8]]
+            latencies = [future.get(timeout=10).latency for future in futures]
+            elapsed = client.clock.now() - start
+            client.close()
+            assert elapsed == pytest.approx(max(latencies), abs=1e-12)
+            assert elapsed == pytest.approx(0.2794, abs=1e-4)
+            assert sum(latencies) > 4 * elapsed
+
+    def test_a_burst_adds_one_thread_and_close_joins_it(self, world):
+        before = threading.active_count()
+        client = RichClient(world.registry)
+        assert threading.active_count() == before  # construction starts none
+        futures = [client.invoke_async("glotta", "analyze",
+                                       {"text": f"{TEXT} {index}"})
+                   for index in range(40)]
+        assert threading.active_count() == before + 1
+        assert all(future.get(timeout=10).service == "glotta"
+                   for future in futures)
+        client.close()
+        assert threading.active_count() == before
+
+    def test_close_lets_unwatched_calls_finish(self, world, client):
+        future = client.invoke_async("store-bulk", "put",
+                                     {"key": "report", "value": "x"})
+        client.close()
+        assert future.get(timeout=0).value["stored"] == "report"
+
+    def test_a_listener_may_invoke_but_not_wait_on_its_own_loop(self, client):
+        seen = {}
+
+        def listener(_completed):
+            seen["invoke"] = client.invoke("glotta", "analyze", {"text": TEXT})
+            for name, call in (
+                    ("invoke_all", lambda: client.invoke_all(
+                        [("glotta", "analyze", {"text": TEXT})])),
+                    ("get", lambda: client.invoke_async(
+                        "glotta", "analyze", {"text": "other"}).get(timeout=30))):
+                try:
+                    call()
+                except RuntimeError as error:
+                    seen[name] = error
+
+        future = client.invoke_async("lexica-prime", "analyze", {"text": TEXT})
+        future.add_listener(listener)
+        wall = time.perf_counter()
+        future.get(timeout=10)
+        assert time.perf_counter() - wall < 5  # failed fast, did not hang
+        assert seen["invoke"].service == "glotta"
+        assert isinstance(seen["invoke_all"], RuntimeError)
+        assert isinstance(seen["get"], RuntimeError)
+        assert future.listener_errors == []
+
+    def test_real_clock_calls_overlap_on_a_plain_loop(self):
+        world = build_world(seed=42, corpus_size=10, clock=RealClock())
+        client = RichClient(world.registry)
+        fired = threading.Event()
+        wall = time.perf_counter()
+        futures = [client.invoke_async("store-standard", "put",
+                                       {"key": f"k{index}", "value": "x"})
+                   for index in range(4)]
+        futures[-1].add_listener(lambda _completed: fired.set())
+        latencies = [future.get(timeout=10).latency for future in futures]
+        elapsed = time.perf_counter() - wall
+        client.close()
+        assert fired.is_set()
+        assert elapsed < 0.9 * sum(latencies)
 
     def test_invoke_all_preserves_order_and_captures_errors(self, world, client):
         world.service("glotta").failures = ScriptedFailures({0})

@@ -6,17 +6,13 @@ physical layer.  The default must stay bit-for-bit what it always was
 same queries with the same bytes.
 """
 
-import asyncio
-
 import pytest
 
 from repro.kb import KnowledgeBase, PersonalKnowledgeBase
-from repro.obs import Observability, names
 from repro.stores.backends.sqlite import SqliteTripleStore
 from repro.stores.rdf.graph import Graph
 from repro.stores.rdf.query import RangeFilter
 from repro.stores.rdf.shard import ShardedGraph
-from repro.tenancy.context import tenant_scope
 from repro.util.errors import ConfigurationError
 
 CONFIGS = {
@@ -159,43 +155,6 @@ def test_materialization_composes_with_sharded_storage():
     assert again == rows
     assert kb.view.cache.hits >= 1
     kb.graph.close()
-
-
-def test_aquery_matches_query():
-    for config in ({}, {"shards": 3}):
-        kb = seeded(**config)
-        query = dict(patterns=[("?c", "repro:population", "?p")],
-                     filters=[RangeFilter("?p", 100, None)], order_by="?p")
-        assert asyncio.run(kb.aquery(**query)) == kb.query(**query)
-
-
-@pytest.mark.parametrize("config", [{}, {"shards": 3}],
-                         ids=["default", "sharded"])
-def test_aquery_is_traced_and_tenant_scoped_like_query(config):
-    obs = Observability(enabled=True)
-    kb = seeded(obs=obs, **config)
-    query = dict(patterns=[("?c", "repro:population", "?p")],
-                 filters=[RangeFilter("?p", 100, None)], order_by="?p")
-    expected = kb.query(**query)
-    obs.tracer.collector.clear()
-    queries = obs.metrics.counter(names.KB_QUERIES_TOTAL)
-    counted = queries.value()
-
-    async def main():
-        with tenant_scope("acme"):
-            return await kb.aquery(**query)
-
-    assert asyncio.run(main()) == expected
-    assert queries.value() == counted + 1
-    spans = obs.tracer.collector.spans()
-    roots = [span for span in spans if span.name == names.SPAN_KB_QUERY]
-    assert len(roots) == 1
-    assert roots[0].attributes["tenant"] == "acme"
-    scans = [span for span in spans if span.name == names.SPAN_KB_SHARD_SCAN]
-    assert len(scans) == (1 if config else 0)
-    for scan in scans:
-        assert scan.parent_id == roots[0].span_id
-        assert scan.trace_id == roots[0].trace_id
 
 
 def test_table_and_pipeline_flow_through_sharded_store():

@@ -158,22 +158,38 @@ class TestSpanCollector:
 
 
 class TestContextPropagation:
-    def test_span_survives_callback_executor(self, clock):
-        from repro.core.futures import CallbackExecutor
+    def test_span_survives_callback_executor(self):
+        """A span open at ``invoke_async`` time parents the spans started
+        on the client's loop thread."""
+        from repro import RichClient, build_world
 
-        tracer = Tracer(clock=clock)
+        world = build_world(seed=42, corpus_size=20)
+        client = RichClient(world.registry)
+        tracer = client.obs.tracer
+        service = world.service("lexica-prime")
+        original = service.ainvoke
         observed = {}
 
-        def on_pool_thread():
+        async def on_loop_thread(operation, payload, timeout=None):
             with tracer.span("pooled") as span:
                 observed["parent_id"] = span.parent_id
                 observed["trace_id"] = span.trace_id
+            return await original(operation, payload, timeout=timeout)
 
-        with CallbackExecutor(max_workers=2) as executor:
+        service.ainvoke = on_loop_thread
+        try:
             with tracer.span("submitting") as root:
-                executor.submit(on_pool_thread).get(timeout=5.0)
-        assert observed["parent_id"] == root.span_id
+                client.invoke_async("lexica-prime", "analyze",
+                                    {"text": "IBM rose."}).get(timeout=5.0)
+        finally:
+            client.close()
+        parents = {span.span_id: span.parent_id
+                   for span in client.obs.collector.spans()}
+        chain = [observed["parent_id"]]
+        while chain[-1] in parents:
+            chain.append(parents[chain[-1]])
         assert observed["trace_id"] == root.trace_id
+        assert root.span_id in chain  # under sdk.invoke, under the root
 
     def test_ids_are_deterministic_counters(self):
         tracer = Tracer(clock=ManualClock())

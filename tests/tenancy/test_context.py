@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.futures import CallbackExecutor
+from repro import RichClient, build_world
 from repro.tenancy.context import current_tenant, tenant_scope
 
 
@@ -36,11 +36,29 @@ class TestTenantScope:
 
 class TestThreadPoolPropagation:
     def test_executor_carries_tenant_to_worker(self):
-        # CallbackExecutor submits inside a copied context, so async
-        # invokes issued under a tenant scope execute as that tenant.
-        with CallbackExecutor(max_workers=2) as executor:
+        # invoke_async submits inside a copied context, so async invokes
+        # issued under a tenant scope execute, on the client's loop
+        # thread, as that tenant.
+        world = build_world(seed=42, corpus_size=20)
+        service = world.service("lexica-prime")
+        original = service.ainvoke
+        seen = []
+
+        async def observing(operation, payload, timeout=None):
+            seen.append(current_tenant())
+            return await original(operation, payload, timeout=timeout)
+
+        service.ainvoke = observing
+        client = RichClient(world.registry)
+        try:
             with tenant_scope("acme"):
-                future = executor.submit(current_tenant)
-            assert future.get(timeout=5.0) == "acme"
+                future = client.invoke_async(
+                    "lexica-prime", "analyze", {"text": "IBM rose."},
+                    use_cache=False)
+            future.get(timeout=5.0)
             # Outside the scope, submissions are untenanted again.
-            assert executor.submit(current_tenant).get(timeout=5.0) is None
+            client.invoke_async("lexica-prime", "analyze", {"text": "IBM fell."},
+                                use_cache=False).get(timeout=5.0)
+        finally:
+            client.close()
+        assert seen == ["acme", None]

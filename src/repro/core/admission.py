@@ -10,6 +10,12 @@ briefly in the queue or is **shed** immediately with
 :class:`AdmissionRejectedError`, which the gateway maps to HTTP 429 —
 load is refused at the front door instead of piling up.
 
+A full *fair* queue does not simply refuse the newcomer: the tenant
+whose sub-queue is longest for its weight gives up its newest waiter
+(Longest Queue Drop), so a flood cannot hold every queue slot while
+the others are shed at the door.  FIFO keeps one sub-queue and always
+refuses the newcomer.
+
 Queue waits are contended where waiting passes the clock's time (a
 thread under a real clock; a task where
 :func:`~repro.util.clock.sleeps_on_loop` holds, in simulated time on a
@@ -109,7 +115,8 @@ class BulkheadStats:
 class _Ticket:
     """One queued caller: its wait window and the handle that wakes it."""
 
-    __slots__ = ("tenant", "started", "timeout", "reason", "wake", "admitted")
+    __slots__ = ("tenant", "started", "timeout", "reason", "wake", "admitted",
+                 "evicted")
 
     def __init__(self, tenant: str | None, started: float, timeout: float,
                  reason: str, wake) -> None:
@@ -121,6 +128,9 @@ class _Ticket:
         self.wake = wake
         #: Set (under the bulkhead lock) when a releaser hands over its permit.
         self.admitted = False
+        #: Set (under the lock) when a newcomer pushed it out of a full
+        #: queue: already dequeued and counted as a queue-full shed.
+        self.evicted = False
 
 
 class Bulkhead:
@@ -156,7 +166,9 @@ class Bulkhead:
         to fair-share weights, default 1.0) — under contention an
         aggressor tenant's backlog can no longer starve everyone else,
         because freed permits go to the DRR-chosen waiter instead of
-        the longest-waiting one.  The queue discipline only shows where
+        the longest-waiting one, and a full queue pushes out the
+        aggressor's newest waiter instead of refusing the newcomer.
+        The queue discipline only shows where
         waits are contended (see the module docstring); runs that
         charge the window and re-probe make queue order moot.
         """
@@ -233,7 +245,11 @@ class Bulkhead:
         queued (its ticket, to be parked on by :meth:`_wait`).
 
         A free permit means an empty queue (see the class docstring),
-        so taking it jumps nobody in either queue discipline.
+        so taking it jumps nobody in either queue discipline.  A full
+        queue makes room by pushing out the newest ticket of the lane
+        longest for its weight when the newcomer's own lane would still
+        be shorter (:meth:`DrrScheduler.push_out`; never in FIFO, whose
+        one lane is every ticket's); otherwise the newcomer is shed.
         """
         with self._lock:
             if self._inflight < self.limit.max_concurrent:
@@ -242,7 +258,13 @@ class Bulkhead:
             if deadline is not None and deadline.remaining() <= 0.0:
                 raise self._shed(REASON_DEADLINE, tenant)
             if self._waiting >= self.limit.max_queue:
-                raise self._shed(REASON_QUEUE_FULL, tenant)
+                pushed_out = self._queue.push_out(self._lane(tenant))
+                if pushed_out is None:
+                    raise self._shed(REASON_QUEUE_FULL, tenant)
+                pushed_out.evicted = True
+                self._set_waiting(self._waiting - 1)
+                self._count_shed(REASON_QUEUE_FULL, pushed_out.tenant)
+                self._wake(pushed_out)
             timeout, reason = self._queue_window(deadline)
             ticket = _Ticket(tenant, self.clock.now(), timeout, reason,
                              self._new_wake())
@@ -268,7 +290,8 @@ class Bulkhead:
 
         Returns the (simulated) seconds it queued.  A ticket handed the
         permit in the very instant its window lapsed is admitted — the
-        permit is already its own.
+        permit is already its own.  A pushed-out ticket is shed
+        ``queue-full``, counted when it was pushed out.
         """
         with self._lock:
             waited = self.clock.now() - ticket.started
@@ -277,6 +300,8 @@ class Bulkhead:
                 self._metric_wait.inc(waited, service=self.service)
             if ticket.admitted:
                 return waited
+            if ticket.evicted:
+                raise self._rejection(REASON_QUEUE_FULL)
             self._dequeue(ticket)
             raise self._shed(ticket.reason, ticket.tenant)
 
@@ -287,7 +312,7 @@ class Bulkhead:
         with self._lock:
             if ticket.admitted:
                 self._return_permit()
-            else:
+            elif not ticket.evicted:
                 self._dequeue(ticket)
 
     def release(self) -> None:
@@ -346,6 +371,9 @@ class Bulkhead:
     def _shed(self, reason: str, tenant: str | None) -> AdmissionRejectedError:
         """Count one shed and build its error (the caller raises it)."""
         self._count_shed(reason, tenant)
+        return self._rejection(reason)
+
+    def _rejection(self, reason: str) -> AdmissionRejectedError:
         return AdmissionRejectedError(self.service, reason,
                                       retry_after=self.limit.queue_timeout)
 

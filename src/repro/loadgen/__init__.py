@@ -1,13 +1,14 @@
 """repro.loadgen — deterministic multi-tenant load generation.
 
-The measurement companion to :mod:`repro.tenancy`: a discrete-event
-simulator (:mod:`~repro.loadgen.driver`) that drives Zipf-skewed
-tenant populations — tens of thousands of tenants, scripted aggressors
-— against fair (DRR) or FIFO queueing on the virtual clock, reporting
-per-tenant p50/p99 latency, shed rates and Jain's fairness index
-(:mod:`~repro.loadgen.report`); plus an end-to-end smoke scenario
+The measurement companion to :mod:`repro.tenancy`: a driver
+(:mod:`~repro.loadgen.driver`) that plays Zipf-skewed tenant
+populations — tens of thousands of tenants, scripted aggressors —
+through the shipped serving path (``client.aio`` behind a tenancy
+layer and a fair or FIFO bulkhead) as tasks on one virtual loop,
+reporting per-tenant p50/p99 latency, shed rates and Jain's fairness
+index (:mod:`~repro.loadgen.report`); plus an end-to-end smoke scenario
 (:mod:`~repro.loadgen.smoke`) that machine-checks the tenant-isolation
-contract on the real SDK stack.  ``python -m repro.loadgen --help``
+contract through the JSON gateway.  ``python -m repro.loadgen --help``
 for the CLI.
 """
 

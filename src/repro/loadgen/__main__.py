@@ -4,11 +4,12 @@ Two modes:
 
 * ``--smoke`` runs the end-to-end tenancy smoke checks against the
   real SDK stack (CI's tenancy job; exits non-zero on any failure);
-* otherwise, runs one deterministic load simulation and prints its
-  report (``--json`` for the machine-readable form).
+* otherwise, drives one seeded tenant population through the real
+  serving path on the virtual clock and prints its report (``--json``
+  for the machine-readable form).
 
-Same seed, same bytes — the simulator runs entirely on the virtual
-clock with seeded randomness.
+Same seed, same bytes — one virtual loop drives the clock, and every
+random draw is seeded.
 """
 
 from __future__ import annotations
@@ -35,28 +36,26 @@ def _parse_aggressor(text: str) -> Aggressor:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.loadgen",
-        description="Deterministic multi-tenant load generation: simulate "
-                    "Zipf-skewed tenant populations against fair or FIFO "
-                    "queueing, or smoke-test the real tenancy stack.")
+        description="Deterministic multi-tenant load generation: drive "
+                    "Zipf-skewed tenant populations through fair or FIFO "
+                    "admission on the virtual clock, or smoke-test the "
+                    "tenancy stack.")
     parser.add_argument("--smoke", action="store_true",
                         help="run the end-to-end tenancy smoke checks "
                              "(exits 1 on any failure)")
     parser.add_argument("--seed", type=int, default=7,
-                        help="simulation seed (default: 7); same seed, "
-                             "same bytes")
+                        help="run seed (default: 7); same seed, same bytes")
     parser.add_argument("--tenants", type=int, default=100,
                         help="population size (default: 100)")
-    parser.add_argument("--rate", type=float, default=400.0,
-                        help="aggregate open-loop arrivals/s (default: 400)")
+    parser.add_argument("--rate", type=float, default=65.0,
+                        help="aggregate open-loop arrivals/s (default: 65; "
+                             "the service takes ~110/s)")
     parser.add_argument("--duration", type=float, default=30.0,
                         help="simulated seconds (default: 30)")
     parser.add_argument("--discipline",
                         choices=[DISCIPLINE_FAIR, DISCIPLINE_FIFO],
                         default=DISCIPLINE_FAIR,
                         help="queue discipline (default: fair)")
-    parser.add_argument("--closed", action="store_true",
-                        help="closed-loop mode (think-time users) instead "
-                             "of the open-loop Poisson stream")
     parser.add_argument("--aggressor", action="append", default=[],
                         type=_parse_aggressor, metavar="RANK:MULT",
                         help="add a scripted aggressor tenant (repeatable), "
@@ -75,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     spec = LoadSpec(
         tenants=args.tenants,
         zipf_exponent=args.zipf,
-        mode="closed" if args.closed else "open",
         arrival_rate=args.rate,
         duration=args.duration,
         discipline=args.discipline,

@@ -1,41 +1,66 @@
-"""Deterministic load generation on the simulated clock.
+"""Deterministic load generation against the shipped serving path.
 
-A discrete-event simulator of one serving process: arrivals (open-loop
-Poisson streams, optionally closed-loop think-time users) contend for a
-server with bounded concurrency; excess requests queue under one of two
-disciplines — a single **FIFO** queue (the unfair control) or the
-weighted-fair **DRR** scheduler the bulkheads use
-(:class:`repro.tenancy.scheduling.DrrScheduler`) — and overflow is
-shed.  Everything runs on a :class:`~repro.util.clock.ManualClock` with
-all randomness drawn from seeded children of one
-:class:`~repro.util.rng.SeededRng`, so the same
-:class:`LoadSpec` always produces byte-identical reports: the fairness
-benchmark's numbers are reproducible facts, not flaky samples.
+:func:`run_spec` turns one seeded arrival schedule — open-loop Poisson
+background arrivals split across tenants by a Zipf law, plus scripted
+:class:`~repro.loadgen.workload.Aggressor` floods — into tasks on one
+:class:`~repro.util.clock.VirtualLoop`.  Each task is one tenant's call
+through ``client.aio.ainvoke`` inside its
+:func:`~repro.tenancy.context.tenant_scope`, cache and coalescing off,
+on a client whose :class:`~repro.tenancy.runtime.Tenancy` carries the
+spec's weights and whose
+:class:`~repro.core.admission.AdmissionController` builds weighted-fair
+(``"fair"``) or FIFO (``"fifo"``, the control) bulkheads sized
+:data:`LIMIT`.  The service time is the simulated service's own latency
+model; the bulkhead decides who waits and who is shed.  A completion
+records its latency, an :class:`~repro.core.admission.AdmissionRejectedError`
+a shed.
 
-The simulator scales to populations of tens of thousands of tenants
-because per-tenant state (stats, sub-queues) is created lazily on a
-tenant's first arrival and the Zipf sampler draws in O(log n).
+Open-loop arrivals keep offering load however slow the service gets,
+so a slow queue shows in the latencies instead of being hidden by
+callers that wait for their previous answer (coordinated omission).
+The schedule's randomness comes from seeded children of one
+:class:`~repro.util.rng.SeededRng`, the service's from the world's seed,
+and one loop drives the clock, so the same :class:`LoadSpec` always
+produces byte-identical reports.  Per-tenant state is created on a
+tenant's first arrival and the Zipf sampler draws in O(log n), so
+populations of tens of thousands of tenants are cheap.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from collections import deque
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+import asyncio
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 
+from repro.core.admission import (
+    AdmissionController,
+    AdmissionLimit,
+    AdmissionRejectedError,
+)
+from repro.core.invoker import RichClient
 from repro.loadgen.report import RunReport, TenantStats
 from repro.loadgen.workload import Aggressor, TenantPopulation
-from repro.tenancy.scheduling import DrrScheduler
-from repro.util.clock import ManualClock
+from repro.obs import Observability
+from repro.services.catalog import build_world
+from repro.tenancy import Tenancy, Tenant, TenantRegistry, tenant_scope
+from repro.util.clock import ManualClock, run
 from repro.util.rng import SeededRng
 
-#: Queue disciplines the simulated server supports.
+#: Queue disciplines of the bulkhead under test.
 DISCIPLINE_FAIR = "fair"
 DISCIPLINE_FIFO = "fifo"
 
-_BACKGROUND = "background"
+#: The one call every arrival makes: a place lookup, whose service
+#: time is ``geosphere``'s LogNormal latency (median 0.07 s).
+SERVICE = "geosphere"
+OPERATION = "locate"
+PAYLOAD = {"place": "Germany"}
+
+#: The bulkhead in front of :data:`SERVICE`: about 110 calls/s of
+#: capacity and a one-second queue window.  The queue holds four
+#: service times of work, so a FIFO queue's wait shows in its callers'
+#: p99 (at 16 deep it adds about one median service time).
+LIMIT = AdmissionLimit(max_concurrent=8, max_queue=32, queue_timeout=1.0)
 
 
 @dataclass(frozen=True)
@@ -44,34 +69,13 @@ class LoadSpec:
 
     ``arrival_rate`` is the aggregate background open-loop rate
     (requests per simulated second) split across tenants by the Zipf
-    law; aggressors add their scripted floods on top.  ``mode="closed"``
-    replaces the background stream with ``closed_users`` think-time
-    users (each bound to one Zipf-drawn tenant for the whole run).
-    ``service_time`` is the *median* of the lognormal service-time
-    distribution (``service_sigma`` its log-space spread).  The server
-    admits ``concurrency`` requests at once; FIFO queues are bounded by
-    ``queue_cap`` in total, fair mode bounds each tenant's sub-queue at
-    ``tenant_queue_cap`` (the per-tenant isolation that keeps one
-    tenant's backlog from consuming the whole buffer).  The per-tenant
-    cap defaults *shallow* on purpose: under sustained overload a deep
-    sub-queue just converts fair scheduling into self-queueing latency
-    — every tenant waits behind its own backlog — whereas a shallow
-    cap sheds the excess early and keeps served requests fast.
-    ``weights`` maps tenant rank to fair-share weight (default:
-    everyone 1.0).
+    law; aggressors add their scripted floods on top.  ``weights`` maps
+    tenant rank to fair-share weight (default: everyone 1.0).
     """
 
     tenants: int = 100
     zipf_exponent: float = 1.0
-    mode: str = "open"
-    arrival_rate: float = 400.0
-    closed_users: int = 32
-    think_time: float = 0.05
-    service_time: float = 0.01
-    service_sigma: float = 0.5
-    concurrency: int = 8
-    queue_cap: int = 64
-    tenant_queue_cap: int = 2
+    arrival_rate: float = 65.0
     discipline: str = DISCIPLINE_FAIR
     duration: float = 30.0
     seed: int = 7
@@ -79,8 +83,6 @@ class LoadSpec:
     weights: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("open", "closed"):
-            raise ValueError(f"mode must be 'open' or 'closed', got {self.mode!r}")
         if self.discipline not in (DISCIPLINE_FAIR, DISCIPLINE_FIFO):
             raise ValueError(
                 f"discipline must be 'fair' or 'fifo', got {self.discipline!r}")
@@ -88,44 +90,21 @@ class LoadSpec:
             raise ValueError(f"tenants must be positive, got {self.tenants}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.service_time <= 0:
+        if self.arrival_rate <= 0:
             raise ValueError(
-                f"service_time must be positive, got {self.service_time}")
-        if self.concurrency <= 0:
-            raise ValueError(
-                f"concurrency must be positive, got {self.concurrency}")
+                f"arrival_rate must be positive, got {self.arrival_rate}")
         for aggressor in self.aggressors:
             if aggressor.rank >= self.tenants:
                 raise ValueError(
                     f"aggressor rank {aggressor.rank} outside the population")
 
 
-@dataclass
-class _Job:
-    """One in-flight request."""
-
-    rank: int
-    arrived: float
-    user: int | None = None
-
-
-@dataclass(order=True)
-class _Event:
-    """Heap entry; ``seq`` breaks time ties deterministically."""
-
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    payload: object = field(compare=False, default=None)
-
-
 class LoadDriver:
     """Runs one :class:`LoadSpec` to completion and reports.
 
-    The event loop drains every scheduled event: arrival streams stop
-    producing at ``spec.duration``, then the queue drains and in-flight
-    requests complete, so the report accounts for every request that
-    ever arrived (no truncation bias at the end of the run).
+    Arrivals stop at ``spec.duration``; the run then waits for every
+    request still queued or in flight, so the report accounts for every
+    request that ever arrived (no truncation bias at the end).
     """
 
     def __init__(self, spec: LoadSpec,
@@ -134,158 +113,85 @@ class LoadDriver:
         self.population = (population if population is not None
                            else TenantPopulation(spec.tenants,
                                                  spec.zipf_exponent))
-        self.clock = ManualClock()
+        #: The last run's simulated clock.
+        self.clock: ManualClock | None = None
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> RunReport:
-        """Simulate the whole run; returns its :class:`RunReport`."""
+        """Play the whole schedule; returns its :class:`RunReport`."""
         spec = self.spec
-        root = SeededRng(spec.seed)
-        self._interarrival_rng = root.child("interarrivals")
-        self._tenant_rng = root.child("tenants")
-        self._service_rng = root.child("service")
-        self._aggressor_rngs = {
-            index: root.child(f"aggressor:{index}")
-            for index in range(len(spec.aggressors))
-        }
-        self._user_rng = root.child("users")
-        self._log_median = math.log(spec.service_time)
-        self._heap: list[_Event] = []
-        self._seq = 0
-        self._busy = 0
+        world = build_world(seed=spec.seed, corpus_size=1)
+        self.clock = world.clock
+        registry = TenantRegistry()
+        for rank, weight in (spec.weights or {}).items():
+            registry.register(Tenant(self.population.tenant_id(rank),
+                                     weight=weight))
+        tenancy = Tenancy(registry)
+        admission = AdmissionController(
+            self.clock, default_limit=LIMIT,
+            fair=spec.discipline == DISCIPLINE_FAIR,
+            weight_of=tenancy.weight_of)
+        client = RichClient(world.registry, admission=admission,
+                            tenancy=tenancy, obs=Observability.disabled())
         self._stats: dict[int, TenantStats] = {}
-        if spec.discipline == DISCIPLINE_FAIR:
-            weights = dict(spec.weights or {})
-            by_id = {self.population.tenant_id(rank): weight
-                     for rank, weight in weights.items()}
-            self._drr: DrrScheduler | None = DrrScheduler(
-                weight_of=lambda tenant: by_id.get(tenant, 1.0))
-            self._fifo: deque[_Job] | None = None
-        else:
-            self._drr = None
-            self._fifo = deque()
-
-        self._users_rank: dict[int, int] = {}
-        if spec.mode == "open" and spec.arrival_rate > 0:
-            self._push_event(
-                self._interarrival_rng.exponential(spec.arrival_rate),
-                "background")
-        if spec.mode == "closed":
-            for user in range(spec.closed_users):
-                self._users_rank[user] = self.population.sampler.draw(
-                    self._user_rng)
-                self._schedule_user(user, 0.0)
-        for index, aggressor in enumerate(spec.aggressors):
-            rate = self._aggressor_rate(aggressor)
-            first = aggressor.start + self._aggressor_rngs[index].exponential(rate)
-            if first < aggressor.active_until(spec.duration):
-                self._push_event(first, "aggressor", index)
-
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            now = event.time
-            self.clock.advance(now - self.clock.now())
-            if event.kind == "background":
-                self._on_background(now)
-            elif event.kind == "aggressor":
-                self._on_aggressor(event.payload, now)
-            elif event.kind == "user":
-                self._on_user(event.payload, now)
-            elif event.kind == "completion":
-                self._on_completion(event.payload, now)
-
+        try:
+            run(self._play(client), self.clock)
+        finally:
+            client.close()
         tenants = {stats.tenant_id: stats for stats in self._stats.values()}
         return RunReport(discipline=spec.discipline, seed=spec.seed,
                          duration=spec.duration, tenants=tenants)
 
-    # -- event handlers -----------------------------------------------------
+    # -- the schedule -------------------------------------------------------
 
-    def _on_background(self, now: float) -> None:
-        rank = self.population.sampler.draw(self._tenant_rng)
-        self._submit(rank, now, user=None)
-        next_time = now + self._interarrival_rng.exponential(
-            self.spec.arrival_rate)
-        if next_time < self.spec.duration:
-            self._push_event(next_time, "background")
+    def _arrivals(self) -> list[tuple[float, int]]:
+        """Every arrival as ``(time, rank)``, in time order.
 
-    def _on_aggressor(self, index: int, now: float) -> None:
-        aggressor = self.spec.aggressors[index]
-        self._submit(aggressor.rank, now, user=None)
-        rate = self._aggressor_rate(aggressor)
-        next_time = now + self._aggressor_rngs[index].exponential(rate)
-        if next_time < aggressor.active_until(self.spec.duration):
-            self._push_event(next_time, "aggressor", index)
+        An aggressor offers ``multiplier`` times its rank's share of the
+        background rate, on top of it.
+        """
+        spec = self.spec
+        root = SeededRng(spec.seed)
+        ranks = root.child("tenants")
+        arrivals = [(when, self.population.sampler.draw(ranks))
+                    for when in _poisson(root.child("interarrivals"),
+                                         spec.arrival_rate, 0.0,
+                                         spec.duration)]
+        for index, aggressor in enumerate(spec.aggressors):
+            rate = aggressor.multiplier * spec.arrival_rate * (
+                self.population.arrival_share(aggressor.rank))
+            arrivals += [(when, aggressor.rank)
+                         for when in _poisson(root.child(f"aggressor:{index}"),
+                                              rate, aggressor.start,
+                                              aggressor.active_until(
+                                                  spec.duration))]
+        arrivals.sort(key=lambda arrival: arrival[0])
+        return arrivals
 
-    def _on_user(self, user: int, now: float) -> None:
-        self._submit(self._users_rank[user], now, user=user)
+    async def _play(self, client: RichClient) -> None:
+        loop = asyncio.get_running_loop()
+        requests = []
+        for when, rank in self._arrivals():
+            delay = when - loop.time()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            requests.append(loop.create_task(
+                self._request(client, self._stats_for(rank))))
+        await asyncio.gather(*requests)
 
-    def _on_completion(self, job: _Job, now: float) -> None:
-        self._busy -= 1
-        stats = self._stats_for(job.rank)
-        stats.completions += 1
-        stats.latencies.append(now - job.arrived)
-        if job.user is not None:
-            self._schedule_user(job.user, now)
-        queued = self._pop_queued()
-        if queued is not None:
-            self._start(queued, now)
-
-    # -- server mechanics ---------------------------------------------------
-
-    def _submit(self, rank: int, now: float, user: int | None) -> None:
-        stats = self._stats_for(rank)
+    async def _request(self, client: RichClient, stats: TenantStats) -> None:
         stats.arrivals += 1
-        job = _Job(rank, now, user)
-        if self._busy < self.spec.concurrency:
-            self._start(job, now)
-            return
-        if self._queue_full(rank):
-            stats.sheds += 1
-            if user is not None:
-                # A shed closed-loop user backs off for a think time.
-                self._schedule_user(user, now)
-            return
-        if self._drr is not None:
-            self._drr.push(self.population.tenant_id(rank), job)
-        else:
-            self._fifo.append(job)
-
-    def _start(self, job: _Job, now: float) -> None:
-        self._busy += 1
-        duration = self._service_rng.lognormal(self._log_median,
-                                               self.spec.service_sigma)
-        self._push_event(now + duration, "completion", job)
-
-    def _queue_full(self, rank: int) -> bool:
-        if self._drr is not None:
-            tenant_id = self.population.tenant_id(rank)
-            return self._drr.depth(tenant_id) >= self.spec.tenant_queue_cap
-        return len(self._fifo) >= self.spec.queue_cap
-
-    def _pop_queued(self) -> _Job | None:
-        if self._drr is not None:
-            return self._drr.pop_next()
-        return self._fifo.popleft() if self._fifo else None
-
-    # -- helpers ------------------------------------------------------------
-
-    def _aggressor_rate(self, aggressor: Aggressor) -> float:
-        """The flood's rate: multiplier x the tenant's natural share."""
-        natural = self.spec.arrival_rate * self.population.arrival_share(
-            aggressor.rank)
-        if natural <= 0:
-            # Closed-loop runs have no background rate; anchor the flood
-            # to the users' aggregate request rate instead.
-            natural = (self.spec.closed_users / max(self.spec.think_time, 1e-9)
-                       * self.population.arrival_share(aggressor.rank))
-        return aggressor.multiplier * natural
-
-    def _schedule_user(self, user: int, now: float) -> None:
-        next_time = now + self._user_rng.exponential(
-            1.0 / max(self.spec.think_time, 1e-9))
-        if next_time < self.spec.duration:
-            self._push_event(next_time, "user", user)
+        started = self.clock.now()
+        with tenant_scope(stats.tenant_id):
+            try:
+                await client.aio.ainvoke(SERVICE, OPERATION, PAYLOAD,
+                                         use_cache=False, coalesce=False)
+            except AdmissionRejectedError:
+                stats.sheds += 1
+                return
+        stats.completions += 1
+        stats.latencies.append(self.clock.now() - started)
 
     def _stats_for(self, rank: int) -> TenantStats:
         stats = self._stats.get(rank)
@@ -297,9 +203,14 @@ class LoadDriver:
             self._stats[rank] = stats
         return stats
 
-    def _push_event(self, time: float, kind: str, payload: object = None) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, _Event(time, self._seq, kind, payload))
+
+def _poisson(rng: SeededRng, rate: float, start: float,
+             stop: float) -> Iterator[float]:
+    """Arrival instants of a Poisson stream of ``rate`` in ``(start, stop)``."""
+    now = start + rng.exponential(rate)
+    while now < stop:
+        yield now
+        now += rng.exponential(rate)
 
 
 def run_spec(spec: LoadSpec) -> RunReport:

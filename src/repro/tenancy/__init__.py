@@ -12,8 +12,8 @@ process, per the "millions of users" direction in ROADMAP item 1:
   composed from :mod:`repro.core.quota` and :mod:`repro.core.ratelimit`
   on the atomic reserve path;
 * :mod:`repro.tenancy.scheduling` — :class:`DrrScheduler`, the
-  deficit-round-robin queue behind weighted-fair admission and the
-  load generator's fair server;
+  deficit-round-robin queue (with longest-queue push-out) behind
+  weighted-fair admission;
 * :mod:`repro.tenancy.runtime` — the :class:`Tenancy` facade the
   invoker consults per call (authorize / settle / metrics);
 * :mod:`repro.tenancy.resources` — :class:`TenantPkbManager`,

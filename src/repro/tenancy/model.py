@@ -10,7 +10,7 @@ entries live in an isolated namespace.
 
 The :class:`TenantRegistry` is the directory: thread-safe, optionally
 auto-registering unknown tenants with a guest profile so an open
-population (the load generator simulates tens of thousands) does not
+population (the load generator drives tens of thousands) does not
 need explicit onboarding.
 """
 

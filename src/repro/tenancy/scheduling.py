@@ -10,10 +10,16 @@ tenant with a 10x backlog still drains at its weighted share, because
 the round only gives it ``weight`` credits per cycle regardless of
 queue depth.
 
-The structure is deliberately free of clocks and threads — callers
-(the bulkhead's fair wake order, the load generator's simulated server)
-hold their own locks and drive it deterministically, so its behaviour
-is unit-testable as pure data-structure manipulation.
+A full queue needs a second decision: who loses a slot.  Refusing the
+newcomer would let a backlogged tenant keep every slot, so DRR would
+only reorder *its* requests; :meth:`DrrScheduler.push_out` instead
+takes the newest item of the sub-queue longest for its weight —
+Longest Queue Drop (Suter et al., INFOCOM 1998).
+
+The structure is deliberately free of clocks and threads — its one
+caller, the bulkhead's wait queue, holds its own lock and drives it
+deterministically, so its behaviour is unit-testable as pure
+data-structure manipulation.
 """
 
 from __future__ import annotations
@@ -123,6 +129,27 @@ class DrrScheduler(Generic[T]):
             return False
         # Empty queues are lazily dropped from the ring in pop_next.
         return True
+
+    def push_out(self, tenant: str | None) -> T | None:
+        """Make room for one more item of ``tenant`` in a full queue.
+
+        The sub-queue longest for its weight (``depth / weight``; ties go
+        to the one first in ring order) gives up its newest item — but
+        only if ``tenant``'s own sub-queue, holding the new item, would
+        still be shorter for its weight.  Returns the pushed-out item,
+        or None when the newcomer is the one to refuse.  With a single
+        sub-queue (every item under one key) nothing is ever pushed out.
+        """
+        longest, length = None, 0.0
+        for key in self._ring:
+            queue = self._queues.get(key)
+            if queue and len(queue) / self.weight(key) > length:
+                longest, length = queue, len(queue) / self.weight(key)
+        key = tenant if tenant is not None else DEFAULT_TENANT
+        own = len(self._queues.get(key, ()))
+        if longest is None or (own + 1) / self.weight(key) >= length:
+            return None
+        return longest.pop()
 
     def depth(self, tenant: str | None = None) -> int:
         """Queued items for one tenant, or in total."""

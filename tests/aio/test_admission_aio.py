@@ -254,6 +254,38 @@ class TestFairness:
         run(scenario(), clock)
 
 
+class TestPushOut:
+    def test_the_pushed_out_task_is_shed_at_once_and_holds_no_permit(self):
+        clock = ManualClock()
+
+        async def scenario():
+            bulkhead = AsyncBulkhead(clock, "svc", AdmissionLimit(
+                max_concurrent=1, max_queue=2, queue_timeout=5.0),
+                fair=True)
+            await bulkhead.acquire(tenant="holder")
+            hogs = [asyncio.ensure_future(bulkhead.acquire(tenant="hog"))
+                    for _ in range(2)]
+            await asyncio.sleep(0.1)
+            mouse = asyncio.ensure_future(bulkhead.acquire(tenant="mouse"))
+            await asyncio.wait([hogs[1]])
+            with pytest.raises(AdmissionRejectedError) as exc_info:
+                hogs[1].result()
+            assert exc_info.value.reason == REASON_QUEUE_FULL
+            # Shed the instant the mouse arrived, not when its window ran out.
+            assert clock.now() == pytest.approx(0.1)
+            assert bulkhead.inflight == 1
+            assert bulkhead.queue_depth == 2
+            assert bulkhead.stats.shed_by_tenant == {"hog": 1}
+            bulkhead.release()
+            assert await hogs[0] == pytest.approx(0.1)
+            bulkhead.release()
+            assert await mouse == 0.0
+            bulkhead.release()
+            assert bulkhead.inflight == 0
+
+        run(scenario(), clock)
+
+
 class TestVirtualLoopContention:
     def test_a_queued_waiter_is_admitted_at_the_release_instant(self):
         # On the virtual loop the queue is contended: the waiter parks,

@@ -108,6 +108,99 @@ class TestBulkhead:
         assert bulkhead.inflight == 0
 
 
+class TestPushOut:
+    """A full fair queue gives up the longest lane's newest waiter.
+
+    Driven through the decision methods, as the stateful machine does:
+    a ticket is a queued caller whose park has not returned yet.
+    """
+
+    @staticmethod
+    def held(fair, max_queue):
+        """A one-permit bulkhead whose permit is already taken."""
+        bulkhead = Bulkhead(ManualClock(), "svc", AdmissionLimit(
+            max_concurrent=1, max_queue=max_queue, queue_timeout=1.0),
+            fair=fair)
+        assert bulkhead._arrive(None, "holder") is None
+        return bulkhead
+
+    def test_a_full_fair_queue_pushes_out_the_hogs_newest_waiter(self):
+        bulkhead = self.held(fair=True, max_queue=2)
+        oldest = bulkhead._arrive(None, "hog")
+        newest = bulkhead._arrive(None, "hog")
+        mouse = bulkhead._arrive(None, "mouse")
+        assert mouse is not None and not mouse.evicted
+        assert newest.evicted and newest.wake.is_set()
+        assert not oldest.evicted
+        assert bulkhead.queue_depth == 2
+        # Counted once, when pushed out; its caller is told queue-full.
+        assert bulkhead.stats.shed_queue_full == 1
+        assert bulkhead.stats.shed_by_tenant == {"hog": 1}
+        with pytest.raises(AdmissionRejectedError) as exc_info:
+            bulkhead._resume(newest)
+        assert exc_info.value.reason == REASON_QUEUE_FULL
+        assert exc_info.value.retry_after == 1.0
+        assert bulkhead.stats.shed_queue_full == 1
+        assert bulkhead.queue_depth == 2
+        # Both remaining waiters are still served.
+        bulkhead.release()
+        bulkhead.release()
+        assert oldest.admitted and mouse.admitted
+        assert bulkhead.stats.shed == 1
+
+    def test_fifo_sheds_the_newcomer_instead(self):
+        bulkhead = self.held(fair=False, max_queue=2)
+        waiters = [bulkhead._arrive(None, "hog") for _ in range(2)]
+        with pytest.raises(AdmissionRejectedError) as exc_info:
+            bulkhead._arrive(None, "mouse")
+        assert exc_info.value.reason == REASON_QUEUE_FULL
+        assert bulkhead.stats.shed_by_tenant == {"mouse": 1}
+        bulkhead.release()
+        bulkhead.release()
+        assert all(ticket.admitted for ticket in waiters)
+
+    def test_no_push_out_unless_the_newcomers_lane_stays_shorter(self):
+        # mouse 1, hog 2: a second mouse would make the lanes level, so
+        # it is the newcomer that is shed (no churn between equals).
+        bulkhead = self.held(fair=True, max_queue=3)
+        tickets = [bulkhead._arrive(None, tenant)
+                   for tenant in ("mouse", "hog", "hog")]
+        with pytest.raises(AdmissionRejectedError):
+            bulkhead._arrive(None, "mouse")
+        assert bulkhead.stats.shed_by_tenant == {"mouse": 1}
+        for _ in tickets:
+            bulkhead.release()
+        assert all(ticket.admitted for ticket in tickets)
+
+    def test_the_untenanted_lane_is_compared_by_its_own_depth(self):
+        # Untenanted callers share the "_default" lane: one queued there
+        # against the hog's three, so a second one is still shorter and
+        # pushes the hog out.  (The scheduler's depth(None) is the queue's
+        # total, 4, which would shed the newcomer instead.)
+        bulkhead = self.held(fair=True, max_queue=4)
+        untenanted = bulkhead._arrive(None, None)
+        hogs = [bulkhead._arrive(None, "hog") for _ in range(3)]
+        newcomer = bulkhead._arrive(None, None)
+        assert newcomer is not None
+        assert [ticket.evicted for ticket in hogs] == [False, False, True]
+        assert not untenanted.evicted
+        assert bulkhead.stats.shed_by_tenant == {"hog": 1}
+
+    def test_a_cancelled_pushed_out_waiter_leaves_nothing_behind(self):
+        bulkhead = self.held(fair=True, max_queue=2)
+        oldest, newest = (bulkhead._arrive(None, "hog") for _ in range(2))
+        mouse = bulkhead._arrive(None, "mouse")
+        assert newest.evicted
+        bulkhead._withdraw(newest)
+        assert bulkhead.queue_depth == 2
+        assert len(bulkhead._queue) == 2
+        bulkhead.release()
+        bulkhead.release()
+        assert oldest.admitted and mouse.admitted
+        assert bulkhead.inflight == 1
+        assert bulkhead.stats.shed_queue_full == 1
+
+
 class TestAdmissionController:
     def test_unconfigured_service_is_unlimited_by_default(self):
         controller = AdmissionController(ManualClock())

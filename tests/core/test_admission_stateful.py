@@ -6,7 +6,16 @@ arbitrary interleavings, in both queue disciplines.  No thread, no
 event loop and no sleep is involved: a queued caller is just a ticket
 the machine holds until it decides that caller wakes, lapses or is
 cancelled, which is exactly what either driver's park does for real.
+
+In fair mode a full queue pushes out the newest ticket of the lane
+longest for its weight (Longest Queue Drop); ``arrive`` predicts which
+ticket that is from its own model of the lanes, and the tenant mix is
+hog-heavy, and a ``flood`` rule fills the bulkhead with the hog before
+another tenant arrives, so that the branch is reached (``runTest``
+asserts it was).
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -26,16 +35,27 @@ from repro.core.admission import (
     AdmissionRejectedError,
     Bulkhead,
 )
+from repro.tenancy.scheduling import DEFAULT_TENANT
 from repro.util.clock import ManualClock
 from repro.util.deadline import Deadline
 
 QUEUE_TIMEOUT = 1.0
 #: Caller budgets: none, already spent, tighter than the queue window, roomy.
 BUDGETS = st.sampled_from([None, 0.0, 0.25, 5.0])
-TENANTS = st.sampled_from([None, "hog", "mouse", "owl"])
+#: Hog-heavy, so that full fair queues have a longest lane to push out of.
+TENANTS = st.sampled_from(["hog", "hog", "hog", None, "mouse", "owl"])
+#: Fair-share weights (the untenanted lane and unknown tenants weigh 1).
+WEIGHTS = {"hog": 1.0, "mouse": 2.0, "owl": 0.5}
+
+
+def weight_of(lane):
+    return WEIGHTS.get(lane, 1.0)
 
 
 class BulkheadMachine(RuleBasedStateMachine):
+    #: Push-outs over every example of a run (checked by ``runTest``).
+    pushed_out_total = 0
+
     @initialize(fair=st.booleans(), max_concurrent=st.integers(1, 3),
                 max_queue=st.integers(0, 4))
     def build(self, fair, max_concurrent, max_queue):
@@ -43,7 +63,8 @@ class BulkheadMachine(RuleBasedStateMachine):
         self.limit = AdmissionLimit(max_concurrent=max_concurrent,
                                     max_queue=max_queue,
                                     queue_timeout=QUEUE_TIMEOUT)
-        self.bulkhead = Bulkhead(self.clock, "svc", self.limit, fair=fair)
+        self.bulkhead = Bulkhead(self.clock, "svc", self.limit, fair=fair,
+                                 weight_of=weight_of)
         self.fair = fair
         self.running = 0      # callers holding a permit they must release
         self.parked = []      # tickets whose caller has not come back yet
@@ -52,12 +73,48 @@ class BulkheadMachine(RuleBasedStateMachine):
         self.withdrawn = 0    # cancelled while still queued (never granted)
         self.shed_on_arrival = {REASON_DEADLINE: 0, REASON_QUEUE_FULL: 0}
         self.shed_after_queue = {REASON_DEADLINE: 0, REASON_QUEUE_TIMEOUT: 0}
+        self.pushed_out = 0   # tickets a newcomer pushed out of a full queue
+        self.shed_by_tenant = Counter()
 
     def pick(self, index):
         return self.parked[index % len(self.parked)]
 
     def granted(self):
         return [ticket for ticket in self.parked if ticket.admitted]
+
+    def waiting(self):
+        return [ticket for ticket in self.parked
+                if not ticket.admitted and not ticket.evicted]
+
+    def lane(self, tenant):
+        if not self.fair or tenant is None:
+            return DEFAULT_TENANT
+        return tenant
+
+    def predict_push_out(self, tenant):
+        """The ticket a full queue gives up for ``tenant``'s newcomer.
+
+        The lane longest for its weight (ties: first in the scheduler's
+        ring) loses its newest ticket if the newcomer's lane, holding
+        the newcomer, would still be shorter for its weight.  FIFO files
+        every ticket in one lane, so it never pushes out.
+        """
+        lanes = {}
+        for ticket in self.waiting():
+            lanes.setdefault(self.lane(ticket.tenant), []).append(ticket)
+        longest, length = None, 0.0
+        for key in self.bulkhead._queue.tenants():
+            if len(lanes[key]) / weight_of(key) > length:
+                longest, length = key, len(lanes[key]) / weight_of(key)
+        own = self.lane(tenant)
+        if (longest is None
+                or (len(lanes.get(own, ())) + 1) / weight_of(own) >= length):
+            return None
+        return lanes[longest][-1]
+
+    def count_shed(self, tenant):
+        if tenant is not None:
+            self.shed_by_tenant[tenant] += 1
 
     # -- rules ---------------------------------------------------------------
 
@@ -67,6 +124,9 @@ class BulkheadMachine(RuleBasedStateMachine):
                     if budget is not None else None)
         full = self.bulkhead.inflight == self.limit.max_concurrent
         queue_full = self.bulkhead.queue_depth >= self.limit.max_queue
+        victim = (self.predict_push_out(tenant)
+                  if full and queue_full and budget != 0.0 else None)
+        evicted_before = [other for other in self.tickets if other.evicted]
         try:
             ticket = self.bulkhead._arrive(deadline, tenant)
         except AdmissionRejectedError as shed:
@@ -76,22 +136,41 @@ class BulkheadMachine(RuleBasedStateMachine):
                 assert shed.reason == REASON_DEADLINE
             else:
                 assert queue_full and shed.reason == REASON_QUEUE_FULL
+                assert victim is None, "shed although a lane was longer"
             self.shed_on_arrival[shed.reason] += 1
+            self.count_shed(tenant)
             return
+        newly_evicted = [other for other in self.tickets
+                         if other.evicted and other not in evicted_before]
+        assert newly_evicted == ([] if victim is None else [victim])
         if ticket is None:
             assert not full
             self.running += 1
             return
-        assert full and not queue_full
+        assert full and (not queue_full or victim is not None)
+        if victim is not None:
+            assert victim.evicted and victim.wake.is_set()
+            self.pushed_out += 1
+            BulkheadMachine.pushed_out_total += 1
+            self.count_shed(victim.tenant)
         assert ticket.reason == (REASON_DEADLINE if budget == 0.25
                                  else REASON_QUEUE_TIMEOUT)
         self.parked.append(ticket)
         self.tickets.append(ticket)
 
+    @rule(tenant=st.sampled_from([None, "mouse", "owl"]))
+    def flood(self, tenant):
+        """The hog takes every free permit and queue slot, then
+        ``tenant`` arrives at the full bulkhead."""
+        while (self.bulkhead.inflight < self.limit.max_concurrent
+               or self.bulkhead.queue_depth < self.limit.max_queue):
+            self.arrive("hog", None)
+        self.arrive(tenant, None)
+
     @precondition(lambda self: self.running)
     @rule()
     def release(self):
-        waiting = [ticket for ticket in self.parked if not ticket.admitted]
+        waiting = self.waiting()
         self.bulkhead.release()
         self.running -= 1
         self.returned += 1
@@ -112,6 +191,19 @@ class BulkheadMachine(RuleBasedStateMachine):
         self.parked.remove(ticket)
         self.running += 1
 
+    @precondition(lambda self: any(ticket.evicted for ticket in self.parked))
+    @rule(index=st.integers(0, 9))
+    def pushed_out_returns(self, index):
+        """A pushed-out caller, woken at once, is shed ``queue-full``
+        without being counted again."""
+        evicted = [ticket for ticket in self.parked if ticket.evicted]
+        ticket = evicted[index % len(evicted)]
+        self.parked.remove(ticket)
+        with pytest.raises(AdmissionRejectedError) as shed:
+            self.bulkhead._resume(ticket)
+        assert shed.value.reason == REASON_QUEUE_FULL
+        assert shed.value.retry_after == QUEUE_TIMEOUT
+
     @precondition(lambda self: self.parked)
     @rule(index=st.integers(0, 9))
     def lapse(self, index):
@@ -123,9 +215,13 @@ class BulkheadMachine(RuleBasedStateMachine):
             waited = self.bulkhead._resume(ticket)
         except AdmissionRejectedError as shed:
             assert not ticket.admitted
-            assert shed.reason == ticket.reason
             assert shed.retry_after == QUEUE_TIMEOUT
+            if ticket.evicted:
+                assert shed.reason == REASON_QUEUE_FULL
+                return
+            assert shed.reason == ticket.reason
             self.shed_after_queue[shed.reason] += 1
+            self.count_shed(ticket.tenant)
         else:
             assert ticket.admitted and waited >= ticket.timeout
             self.running += 1
@@ -139,7 +235,7 @@ class BulkheadMachine(RuleBasedStateMachine):
         self.bulkhead._withdraw(ticket)
         if ticket.admitted:
             self.returned += 1
-        else:
+        elif not ticket.evicted:
             self.withdrawn += 1
 
     # -- invariants ----------------------------------------------------------
@@ -158,21 +254,27 @@ class BulkheadMachine(RuleBasedStateMachine):
     @invariant()
     def the_queue_is_bounded_and_accounted(self):
         bulkhead, stats = self.bulkhead, self.bulkhead.stats
-        waiting = sum(1 for ticket in self.parked if not ticket.admitted)
+        waiting = len(self.waiting())
         assert bulkhead.queue_depth == waiting == len(bulkhead._queue)
         assert waiting <= self.limit.max_queue
         # Nobody waits while a permit is free.
         assert not waiting or bulkhead.inflight == self.limit.max_concurrent
         handed_over = sum(1 for ticket in self.tickets if ticket.admitted)
+        assert self.pushed_out == sum(1 for ticket in self.tickets
+                                      if ticket.evicted)
         assert stats.queued == len(self.tickets) == (
             handed_over + sum(self.shed_after_queue.values())
-            + self.withdrawn + waiting)
+            + self.withdrawn + self.pushed_out + waiting)
         assert stats.fair_grants == (handed_over if self.fair else 0)
 
     @invariant()
     def sheds_are_counted_once_by_reason(self):
         stats = self.bulkhead.stats
-        assert stats.shed_queue_full == self.shed_on_arrival[REASON_QUEUE_FULL]
+        # A pushed-out ticket is one queue-full shed, counted when it
+        # was pushed out (not again when its caller comes back).
+        assert stats.shed_queue_full == (self.shed_on_arrival[REASON_QUEUE_FULL]
+                                         + self.pushed_out)
+        assert stats.shed_by_tenant == self.shed_by_tenant
         assert stats.shed_timeout == self.shed_after_queue[REASON_QUEUE_TIMEOUT]
         assert stats.shed_deadline == (self.shed_on_arrival[REASON_DEADLINE]
                                        + self.shed_after_queue[REASON_DEADLINE])
@@ -192,6 +294,12 @@ class BulkheadMachine(RuleBasedStateMachine):
             self.bulkhead.release()
 
 
-TestBulkheadPolicy = BulkheadMachine.TestCase
-TestBulkheadPolicy.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None)
+class TestBulkheadPolicy(BulkheadMachine.TestCase):
+    settings = settings(max_examples=60, stateful_step_count=40,
+                        deadline=None)
+
+    def runTest(self):
+        BulkheadMachine.pushed_out_total = 0
+        super().runTest()
+        assert BulkheadMachine.pushed_out_total > 0, (
+            "no example reached the push-out branch")

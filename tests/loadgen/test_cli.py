@@ -23,7 +23,7 @@ class TestAggressorParsing:
 
 
 class TestMain:
-    ARGS = ["--tenants", "20", "--rate", "100", "--duration", "2",
+    ARGS = ["--tenants", "20", "--rate", "65", "--duration", "2",
             "--seed", "7"]
 
     def test_text_report(self, capsys):
@@ -48,10 +48,6 @@ class TestMain:
         assert main([*self.ARGS, "--discipline", "fifo",
                      "--aggressor", "0:10"]) == 0
         assert "discipline=fifo" in capsys.readouterr().out
-
-    def test_closed_loop_flag(self, capsys):
-        assert main([*self.ARGS, "--closed"]) == 0
-        assert "arrivals=" in capsys.readouterr().out
 
     def test_bad_aggressor_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

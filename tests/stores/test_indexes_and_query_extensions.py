@@ -134,53 +134,6 @@ class TestUnion:
         assert any("?country" in row for row in rows)
 
 
-class TestSmoothing:
-    def test_exponential_smoothing_basic(self):
-        from repro.analytics.timeseries import exponential_smoothing
-
-        assert exponential_smoothing([1, 2, 3, 4], 0.5) == [1.0, 1.5, 2.25, 3.125]
-        assert exponential_smoothing([], 0.5) == []
-        assert exponential_smoothing([7], 0.2) == [7.0]
-
-    def test_alpha_one_is_identity(self):
-        from repro.analytics.timeseries import exponential_smoothing
-
-        assert exponential_smoothing([3, 1, 4], 1.0) == [3.0, 1.0, 4.0]
-
-    def test_alpha_validated(self):
-        from repro.analytics.timeseries import exponential_smoothing
-
-        with pytest.raises(ValueError):
-            exponential_smoothing([1], 0.0)
-
-    def test_holt_tracks_linear_trend(self):
-        from repro.analytics.timeseries import holt_forecast
-
-        forecast = holt_forecast([1, 2, 3, 4, 5], horizon=3)
-        assert forecast == [pytest.approx(6.0), pytest.approx(7.0),
-                            pytest.approx(8.0)]
-
-    def test_holt_adapts_to_trend_change(self):
-        from repro.analytics.timeseries import holt_forecast, linear_forecast
-
-        # Flat then sharply rising: Holt weights the recent trend,
-        # a global regression underestimates.
-        series = [10.0] * 10 + [10 + 2 * step for step in range(1, 11)]
-        holt = holt_forecast(series, horizon=1)[0]
-        global_fit = linear_forecast(series, horizon=1)[0]
-        assert holt > global_fit
-
-    def test_holt_validation(self):
-        from repro.analytics.timeseries import holt_forecast
-
-        with pytest.raises(ValueError):
-            holt_forecast([1], horizon=1)
-        with pytest.raises(ValueError):
-            holt_forecast([1, 2], horizon=-1)
-        with pytest.raises(ValueError):
-            holt_forecast([1, 2], horizon=1, alpha=0.0)
-
-
 class TestOptionalCornerCases:
     def test_filter_on_unbound_optional_variable_runs_last(self, city_graph):
         # The filter's only variable is bound by the OPTIONAL group, so

@@ -145,3 +145,62 @@ class TestWeights:
     def test_weight_floor_guards_bad_callables(self):
         scheduler = DrrScheduler(weight_of=lambda tenant: 0.0)
         assert scheduler.weight("t1") == pytest.approx(1e-9)
+
+
+class TestPushOut:
+    def test_the_longest_lane_gives_up_its_newest_item(self):
+        scheduler = DrrScheduler()
+        for item in ("h0", "h1", "h2"):
+            scheduler.push("hog", item)
+        scheduler.push("mouse", "m0")
+        assert scheduler.push_out("mouse") == "h2"
+        assert scheduler.depth("hog") == 2
+        assert drain(scheduler) == ["h0", "m0", "h1"]
+
+    def test_no_push_out_unless_the_newcomer_stays_shorter(self):
+        scheduler = DrrScheduler()
+        scheduler.push("hog", "h0")
+        scheduler.push("hog", "h1")
+        scheduler.push("mouse", "m0")
+        assert scheduler.push_out("mouse") is None
+        assert scheduler.push_out("hog") is None
+        assert len(scheduler) == 3
+
+    def test_one_lane_never_pushes_out(self):
+        scheduler = DrrScheduler()
+        for item in ("a", "b", "c"):
+            scheduler.push(None, item)
+        assert scheduler.push_out(None) is None
+        assert scheduler.push_out(None) is None
+        assert DrrScheduler().push_out("anyone") is None
+
+    def test_the_untenanted_lane_counts_only_its_own_items(self):
+        scheduler = DrrScheduler()
+        scheduler.push(None, "d0")
+        for item in ("h0", "h1", "h2"):
+            scheduler.push("hog", item)
+        # The default lane holds 1 (depth(None) would say 4): 2 < 3.
+        assert scheduler.push_out(None) == "h2"
+
+    def test_lengths_are_weighted(self):
+        weights = {"big": 4.0, "small": 1.0, "tiny": 0.5}
+        scheduler = DrrScheduler(weight_of=weights.__getitem__)
+        for index in range(4):
+            scheduler.push("big", ("big", index))
+        scheduler.push("small", ("small", 0))
+        # big: 4 / 4 = 1; small with a second item: 2 / 1 = 2.
+        assert scheduler.push_out("small") is None
+        # tiny's first item weighs 1 / 0.5 = 2, no shorter than small.
+        assert scheduler.push_out("tiny") is None
+        scheduler.push("small", ("small", 1))
+        # small 2 / 1 is now the longest; a fresh big lane item: 5/4.
+        assert scheduler.push_out("big") == ("small", 1)
+
+    def test_ties_go_to_the_lane_first_in_the_ring(self):
+        scheduler = DrrScheduler()
+        scheduler.push("a", "a0")
+        scheduler.push("b", "b0")
+        scheduler.push("a", "a1")
+        scheduler.push("b", "b1")
+        assert scheduler.push_out("c") == "a1"
+        assert scheduler.push_out("c") == "b1"

@@ -31,7 +31,7 @@ from repro.chaos.plan import (
     PayloadCorruption,
     Window,
 )
-from repro.obs import names
+from repro.obs import NULL_INSTRUMENT, NULL_OBS, names
 from repro.simnet.errors import RemoteServiceError
 from repro.stores.kvstore import KeyValueStore
 from repro.util.clock import Clock
@@ -71,13 +71,14 @@ class ChaosInjector:
         self.plan = plan
         self.stats = InjectionStats()
         self._rng = SeededRng(derive_seed(plan.seed, "chaos-inject"))
-        self._metric_faults = None
-        if obs is not None and getattr(obs, "enabled", False):
-            self.bind_metrics(obs.metrics)
+        self._metric_faults = NULL_INSTRUMENT
+        self.bind_metrics((obs if obs is not None else NULL_OBS).metrics)
 
     def bind_metrics(self, registry) -> None:
-        """Mirror injected-fault counts into a MetricsRegistry (by kind)."""
-        if self._metric_faults is None:
+        """Mirror injected-fault counts into a MetricsRegistry (by kind).
+
+        First binder wins: a disabled bundle's registry claims nothing."""
+        if self._metric_faults is NULL_INSTRUMENT:
             self._metric_faults = registry.counter(
                 names.CHAOS_FAULTS_INJECTED_TOTAL,
                 "Faults injected by the chaos harness, by kind.")
@@ -89,8 +90,7 @@ class ChaosInjector:
 
     def _count(self, field_name: str, kind: str) -> None:
         setattr(self.stats, field_name, getattr(self.stats, field_name) + 1)
-        if self._metric_faults is not None:
-            self._metric_faults.inc(kind=kind)
+        self._metric_faults.inc(kind=kind)
 
     def _drew(self, probability: float) -> bool:
         # probability == 1.0 skips the draw so solid faults do not

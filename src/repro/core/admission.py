@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.futures import resolved, run_sync
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 from repro.tenancy.scheduling import DrrScheduler
 from repro.util.clock import Clock, RealClock
 from repro.util.errors import ReproError
@@ -185,13 +185,7 @@ class Bulkhead:
         # the same sub-queue (see _lane) it is plain arrival order.
         self._queue: DrrScheduler[_Ticket] = DrrScheduler(
             weight_of=weight_of if fair else None)
-        # Pre-bound obs instruments (bind_metrics); None = unmirrored.
-        self._gauge_inflight = None
-        self._gauge_queue = None
-        self._metric_admitted = None
-        self._metric_shed = None
-        self._metric_wait = None
-        self._metric_fair_grants = None
+        self.bind_metrics(NULL_METRICS)
 
     def bind_metrics(self, registry) -> None:
         """Mirror admission accounting into a MetricsRegistry.
@@ -213,10 +207,9 @@ class Bulkhead:
         self._metric_wait = registry.counter(
             names.ADMISSION_QUEUE_WAIT_SECONDS_TOTAL,
             "Simulated seconds spent queued for a bulkhead permit.")
-        if self._fair:
-            self._metric_fair_grants = registry.counter(
-                names.ADMISSION_FAIR_GRANTS_TOTAL,
-                "Permits granted by the weighted-fair (DRR) scheduler.")
+        self._metric_fair_grants = (registry if self._fair else NULL_METRICS).counter(
+            names.ADMISSION_FAIR_GRANTS_TOTAL,
+            "Permits granted by the weighted-fair (DRR) scheduler.")
 
     @property
     def inflight(self) -> int:
@@ -296,8 +289,7 @@ class Bulkhead:
         with self._lock:
             waited = self.clock.now() - ticket.started
             self.stats.total_queue_wait += waited
-            if self._metric_wait is not None:
-                self._metric_wait.inc(waited, service=self.service)
+            self._metric_wait.inc(waited, service=self.service)
             if ticket.admitted:
                 return waited
             if ticket.evicted:
@@ -328,8 +320,7 @@ class Bulkhead:
             raise RuntimeError(
                 f"bulkhead for {self.service!r}: release without acquire")
         self._inflight -= 1
-        if self._gauge_inflight is not None:
-            self._gauge_inflight.set(self._inflight, service=self.service)
+        self._gauge_inflight.set(self._inflight, service=self.service)
         self._maybe_grant()
 
     def _maybe_grant(self) -> None:
@@ -342,18 +333,15 @@ class Bulkhead:
         self._admit()
         if self._fair:
             self.stats.fair_grants += 1
-            if self._metric_fair_grants is not None:
-                self._metric_fair_grants.inc(service=self.service)
+            self._metric_fair_grants.inc(service=self.service)
         self._wake(ticket)
 
     def _admit(self) -> None:
         self._inflight += 1
         self.stats.admitted += 1
         self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
-        if self._gauge_inflight is not None:
-            self._gauge_inflight.set(self._inflight, service=self.service)
-        if self._metric_admitted is not None:
-            self._metric_admitted.inc(service=self.service)
+        self._gauge_inflight.set(self._inflight, service=self.service)
+        self._metric_admitted.inc(service=self.service)
 
     def _lane(self, tenant: str | None) -> str | None:
         """The wait queue's sub-queue for ``tenant`` (one for all in FIFO)."""
@@ -365,8 +353,7 @@ class Bulkhead:
 
     def _set_waiting(self, waiting: int) -> None:
         self._waiting = waiting
-        if self._gauge_queue is not None:
-            self._gauge_queue.set(waiting, service=self.service)
+        self._gauge_queue.set(waiting, service=self.service)
 
     def _shed(self, reason: str, tenant: str | None) -> AdmissionRejectedError:
         """Count one shed and build its error (the caller raises it)."""
@@ -378,7 +365,7 @@ class Bulkhead:
                                       retry_after=self.limit.queue_timeout)
 
     def _count_shed(self, reason: str, tenant: str | None) -> None:
-        """Mirror one shed into stats and (when bound) metrics."""
+        """Mirror one shed into stats and metrics."""
         if reason == REASON_QUEUE_FULL:
             self.stats.shed_queue_full += 1
         elif reason == REASON_DEADLINE:
@@ -388,11 +375,10 @@ class Bulkhead:
         if tenant is not None:
             self.stats.shed_by_tenant[tenant] = (
                 self.stats.shed_by_tenant.get(tenant, 0) + 1)
-        if self._metric_shed is not None:
-            labels = {"service": self.service, "reason": reason}
-            if tenant is not None:
-                labels["tenant"] = tenant
-            self._metric_shed.inc(**labels)
+        labels = {"service": self.service, "reason": reason}
+        if tenant is not None:
+            labels["tenant"] = tenant
+        self._metric_shed.inc(**labels)
 
     # -- waiting: one body, parked per driver --------------------------------
 
@@ -494,7 +480,7 @@ class AdmissionController:
         self.weight_of = weight_of
         self._limits = dict(limits or {})
         self._bulkheads: dict[str, Bulkhead] = {}
-        self._metrics = None
+        self._metrics = NULL_METRICS
         self._lock = threading.Lock()
 
     def bind_metrics(self, registry) -> None:
@@ -523,13 +509,6 @@ class AdmissionController:
             bulkhead = self._bulkhead_class(
                 self.clock, service, limit,
                 fair=self.fair, weight_of=self.weight_of)
-            if self._metrics is not None:
-                bulkhead.bind_metrics(self._metrics)
+            bulkhead.bind_metrics(self._metrics)
             self._bulkheads[service] = bulkhead
             return bulkhead
-
-    def shed_total(self) -> int:
-        """Requests shed across every bulkhead so far."""
-        with self._lock:
-            return sum(bulkhead.stats.shed
-                       for bulkhead in self._bulkheads.values())

@@ -102,10 +102,9 @@ class AsyncInvoker:
         self.coalescer = RequestCoalescer()
         self.admission = (AsyncAdmissionController.from_sync(client.admission)
                           if client.admission is not None else None)
-        if self.obs.enabled:
-            self.coalescer.bind_metrics(self.obs.metrics)
-            if self.admission is not None:
-                self.admission.bind_metrics(self.obs.metrics)
+        self.coalescer.bind_metrics(self.obs.metrics)
+        if self.admission is not None:
+            self.admission.bind_metrics(self.obs.metrics)
 
     def _share(self, client: RichClient) -> None:
         """Adopt the client's stateful collaborators (both bindings)."""
@@ -462,10 +461,9 @@ class AsyncInvoker:
                 service, service_name, operation, payloads, keys, timeout,
                 deadline, span, self.quality_raters.get(operation),
                 batched=True)
-            if self.client._metric_batch_flushes is not None:
-                self.client._metric_batch_flushes.inc()
-                self.client._metric_batch_items.inc(len(payloads))
-                self.client._metric_batch_size.observe(float(len(payloads)))
+            self.client._metric_batch_flushes.inc()
+            self.client._metric_batch_items.inc(len(payloads))
+            self.client._metric_batch_size.observe(float(len(payloads)))
             # Served items all report the one round trip they shared.
             span.set_attribute("latency", next(
                 (outcome.latency for outcome in outcomes

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, TypeVar
 
 from repro.core.futures import ListenableFuture, resolved, run_sync
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 from repro.util.deadline import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (invoker imports us)
@@ -107,7 +107,7 @@ def _copy_outcome(settled: ListenableFuture, waiter: asyncio.Future) -> None:
 
 @dataclass
 class CoalesceStats:
-    """Single-flight accounting (mirrored to metrics when bound)."""
+    """Single-flight accounting (mirrored to metrics once bound)."""
 
     flights: int = 0
     coalesced: int = 0
@@ -137,10 +137,7 @@ class RequestCoalescer:
         self.stats = CoalesceStats()
         self._flights: dict[str, Flight] = {}
         self._lock = threading.Lock()
-        # Pre-bound metric counters (bind_metrics); None = unmirrored.
-        self._metric_flights = None
-        self._metric_hits = None
-        self._metric_cancelled = None
+        self.bind_metrics(NULL_METRICS)
 
     def bind_metrics(self, registry) -> None:
         """Mirror coalescing accounting into a MetricsRegistry.
@@ -173,14 +170,12 @@ class RequestCoalescer:
             flight = self._flights.get(key)
             if flight is not None:
                 self.stats.coalesced += 1
-                if self._metric_hits is not None:
-                    self._metric_hits.inc()
+                self._metric_hits.inc()
                 return False, flight
             flight = Flight(key)
             self._flights[key] = flight
             self.stats.flights += 1
-            if self._metric_flights is not None:
-                self._metric_flights.inc()
+            self._metric_flights.inc()
             return True, flight
 
     def complete(self, flight: Flight, value) -> None:
@@ -198,8 +193,7 @@ class RequestCoalescer:
         self._discard(flight)
         if flight.fail(error) and not isinstance(error, Exception):
             self.stats.cancelled += 1
-            if self._metric_cancelled is not None:
-                self._metric_cancelled.inc()
+            self._metric_cancelled.inc()
 
     def count_folded(self, amount: int = 1) -> None:
         """Account duplicates folded outside the flight table.
@@ -211,8 +205,7 @@ class RequestCoalescer:
         """
         if amount > 0:
             self.stats.coalesced += amount
-            if self._metric_hits is not None:
-                self._metric_hits.inc(amount)
+            self._metric_hits.inc(amount)
 
     def _discard(self, flight: Flight) -> None:
         with self._lock:

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 from repro.stores.kvstore import KeyValueStore
 from repro.util.clock import Clock
 from repro.util.errors import SerializationError
@@ -176,13 +176,7 @@ class ServiceCache:
         # key -> [value, stored_at, JSON text or None]; insertion order
         # tracks recency.
         self._entries: OrderedDict[str, list] = OrderedDict()
-        # Pre-bound metric counters (see bind_metrics); None = unmirrored.
-        self._metric_hits = None
-        self._metric_misses = None
-        self._metric_evictions = None
-        self._metric_expirations = None
-        self._metric_invalidations = None
-        self._metric_stale_serves = None
+        self.bind_metrics(NULL_METRICS)
 
     def bind_metrics(self, registry) -> None:
         """Mirror hit/miss/eviction accounting into a MetricsRegistry.
@@ -243,17 +237,14 @@ class ServiceCache:
                 if self._beyond_grace(stored_at):
                     del self._entries[key]
                     self.stats.expirations += 1
-                    if self._metric_expirations is not None:
-                        self._metric_expirations.inc()
+                    self._metric_expirations.inc()
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                if self._metric_hits is not None:
-                    self._metric_hits.inc()
+                self._metric_hits.inc()
                 return value
         self.stats.misses += 1
-        if self._metric_misses is not None:
-            self._metric_misses.inc()
+        self._metric_misses.inc()
         if default is _SENTINEL:
             return None
         return default
@@ -299,12 +290,10 @@ class ServiceCache:
         if self._beyond_grace(stored_at):
             del self._entries[key]
             self.stats.expirations += 1
-            if self._metric_expirations is not None:
-                self._metric_expirations.inc()
+            self._metric_expirations.inc()
             return None
         self.stats.stale_serves += 1
-        if self._metric_stale_serves is not None:
-            self._metric_stale_serves.inc()
+        self._metric_stale_serves.inc()
         return StaleEntry(value, age)
 
     def put(self, key: str, value: object) -> None:
@@ -316,16 +305,14 @@ class ServiceCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if self._metric_evictions is not None:
-                self._metric_evictions.inc()
+            self._metric_evictions.inc()
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry (consistency hook); returns whether it existed."""
         existed = self._entries.pop(key, None) is not None
         if existed:
             self.stats.invalidations += 1
-            if self._metric_invalidations is not None:
-                self._metric_invalidations.inc()
+            self._metric_invalidations.inc()
         return existed
 
     def invalidate_service(self, service: str) -> int:
@@ -342,7 +329,7 @@ class ServiceCache:
         for key in doomed:
             del self._entries[key]
         self.stats.invalidations += len(doomed)
-        if doomed and self._metric_invalidations is not None:
+        if doomed:
             self._metric_invalidations.inc(len(doomed))
         return len(doomed)
 
@@ -375,6 +362,5 @@ class ServiceCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if self._metric_evictions is not None:
-                self._metric_evictions.inc()
+            self._metric_evictions.inc()
         return loaded

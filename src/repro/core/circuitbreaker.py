@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
 
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 from repro.util.clock import Clock
 from repro.util.errors import ReproError
 
@@ -108,9 +108,7 @@ class CircuitBreaker:
         self._opened_at = 0.0
         # At most one half-open probe may be in flight at a time.
         self._probe_inflight = False
-        # Pre-bound metric counters (bind_metrics); None = unmirrored.
-        self._metric_transitions = None
-        self._metric_rejected = None
+        self.bind_metrics(NULL_METRICS)
 
     def bind_metrics(self, registry) -> None:
         """Mirror transitions/rejections into a MetricsRegistry.
@@ -133,10 +131,9 @@ class CircuitBreaker:
         self._state = target
         self.transitions.append(
             Transition(self.clock.now(), source, target))
-        if self._metric_transitions is not None:
-            self._metric_transitions.inc(
-                service=self.service,
-                source=source.value, target=target.value)
+        self._metric_transitions.inc(
+            service=self.service,
+            source=source.value, target=target.value)
 
     @property
     def state(self) -> CircuitState:
@@ -159,15 +156,13 @@ class CircuitBreaker:
         state = self.state
         if state is CircuitState.OPEN:
             self.stats.calls_rejected += 1
-            if self._metric_rejected is not None:
-                self._metric_rejected.inc(service=self.service)
+            self._metric_rejected.inc(service=self.service)
             return False
         if state is CircuitState.HALF_OPEN:
             if self._probe_inflight:
                 self.stats.calls_rejected += 1
                 self.stats.probe_rejections += 1
-                if self._metric_rejected is not None:
-                    self._metric_rejected.inc(service=self.service)
+                self._metric_rejected.inc(service=self.service)
                 return False
             self._probe_inflight = True
         self.stats.calls_allowed += 1
@@ -222,7 +217,7 @@ class CircuitBreakerRegistry:
         self.cooldown = cooldown
         self.overrides = dict(overrides or {})
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._metrics = None
+        self._metrics = NULL_METRICS
 
     def bind_metrics(self, registry) -> None:
         """Mirror every breaker's transitions into ``registry``."""
@@ -236,19 +231,13 @@ class CircuitBreakerRegistry:
             threshold, cooldown = self.overrides.get(
                 service, (self.failure_threshold, self.cooldown))
             breaker = CircuitBreaker(self.clock, service, threshold, cooldown)
-            if self._metrics is not None:
-                breaker.bind_metrics(self._metrics)
+            breaker.bind_metrics(self._metrics)
             self._breakers[service] = breaker
         return self._breakers[service]
 
     def call(self, service: str, function: Callable[[], T]) -> T:
         """Run ``function`` through this service's breaker."""
         return self.breaker(service).call(function)
-
-    def open_circuits(self) -> list[str]:
-        """Names of services whose circuit is currently open."""
-        return [name for name, breaker in self._breakers.items()
-                if breaker.state is CircuitState.OPEN]
 
     def all_breakers(self) -> list[CircuitBreaker]:
         """Every breaker created so far (for invariant checks)."""

@@ -59,8 +59,7 @@ class HedgedInvoker:
     ``coalesce=False`` so it never joins an in-flight identical call —
     a hedge that waits behind the request it is hedging would be
     useless.  Cancelling the caller's task cancels both in-flight legs.
-    Mirrors its fire/win counters to the client's metrics registry when
-    observability is enabled.
+    Mirrors its fire/win counters to the client's metrics registry.
     """
 
     def __init__(
@@ -79,16 +78,13 @@ class HedgedInvoker:
         self.default_deadline = default_deadline
         self.weights = weights
         self.stats = HedgeStats()
-        obs = self.client.obs
-        if obs.enabled:
-            self._metric_requests = obs.metrics.counter(
-                names.HEDGE_REQUESTS_TOTAL, "Requests that went through the hedged invoker.")
-            self._metric_fired = obs.metrics.counter(
-                names.HEDGES_FIRED_TOTAL, "Requests whose backup call was actually sent.")
-            self._metric_wins = obs.metrics.counter(
-                names.HEDGE_WINS_TOTAL, "Requests won by the backup call.")
-        else:
-            self._metric_requests = self._metric_fired = self._metric_wins = None
+        metrics = self.client.obs.metrics
+        self._metric_requests = metrics.counter(
+            names.HEDGE_REQUESTS_TOTAL, "Requests that went through the hedged invoker.")
+        self._metric_fired = metrics.counter(
+            names.HEDGES_FIRED_TOTAL, "Requests whose backup call was actually sent.")
+        self._metric_wins = metrics.counter(
+            names.HEDGE_WINS_TOTAL, "Requests won by the backup call.")
 
     def deadline_for(self, service: str) -> float:
         """The hedge deadline: the service's observed latency percentile."""
@@ -144,8 +140,7 @@ class HedgedInvoker:
                 names.SPAN_SDK_HEDGED_INVOKE, {"kind": kind, "operation": operation}):
             ranked = self._rank(kind, candidates)
             self.stats.requests += 1
-            if self._metric_requests is not None:
-                self._metric_requests.inc()
+            self._metric_requests.inc()
             start = clock.now()
             if len(ranked) == 1:
                 role, result = "primary", await self.invoker.ainvoke(
@@ -159,8 +154,7 @@ class HedgedInvoker:
                 self.stats.primary_wins += 1
             else:
                 self.stats.hedge_wins += 1
-                if self._metric_wins is not None:
-                    self._metric_wins.inc()
+                self._metric_wins.inc()
             self.stats.latencies.append(clock.now() - start)
             return result
 
@@ -213,8 +207,7 @@ class HedgedInvoker:
             if _first_success(outcomes) is None and not (
                     deadline is not None and deadline.expired()):
                 self.stats.hedges_fired += 1
-                if self._metric_fired is not None:
-                    self._metric_fired.inc()
+                self._metric_fired.inc()
                 # The backup must be an independent upstream probe: if it
                 # coalesced onto an already-slow in-flight identical call
                 # it would just wait behind the same laggard it is meant

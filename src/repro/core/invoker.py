@@ -183,14 +183,7 @@ class RichClient:
         self._aio_lock = threading.Lock()
         # The loop thread behind invoke_async, started by its first call.
         self._runner = None
-        # Batch metrics, bound lazily in _wire_observability.
-        self._metric_batch_flushes = None
-        self._metric_batch_items = None
-        self._metric_batch_size = None
-        self._metric_deadline_expired = None
-        self._metric_degraded = None
-        if self.obs.enabled:
-            self._wire_observability()
+        self._wire_observability()
 
     def _wire_observability(self) -> None:
         """Thread the obs bundle through every hot-path collaborator.
@@ -199,7 +192,8 @@ class RichClient:
         mirrors its hit/miss stats, the failover invoker emits attempt
         spans, the coalescer/admission controller mirror their shed and
         share counters, and each (typically shared) transport reports
-        wire spans to whichever client bound it first.
+        wire spans to whichever client bound it first.  A disabled
+        bundle wires null instruments the same way.
         """
         self.monitor.bind_metrics(self.obs.metrics)
         self.cache.bind_metrics(self.obs.metrics)
@@ -324,7 +318,7 @@ class RichClient:
         if hit is None:
             return None
         tracer = self.obs.tracer
-        if tracer.enabled and tracer.current_span() is not None:
+        if tracer.current_span() is not None:
             tracer.instant_span(
                 names.SPAN_SDK_INVOKE,
                 {"service": service_name, "operation": operation,
@@ -347,8 +341,7 @@ class RichClient:
                          stale) -> InvocationResult:
         """Count one degraded (stale) serve and build its result."""
         self.monitor.record_hit(service_name)
-        if self._metric_degraded is not None:
-            self._metric_degraded.inc()
+        self._metric_degraded.inc()
         return InvocationResult(
             value=stale.value,
             latency=0.0,
@@ -385,8 +378,7 @@ class RichClient:
         try:
             deadline.check(context)
         except DeadlineExceededError:
-            if self._metric_deadline_expired is not None:
-                self._metric_deadline_expired.inc()
+            self._metric_deadline_expired.inc()
             raise
 
     def invoke(

@@ -20,9 +20,8 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-from repro.analytics.histogram import Histogram
 from repro.analytics.stats import DescriptiveStats, describe
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 
 
 #: The latency parameters of a record that has none: one shared,
@@ -80,9 +79,8 @@ class ServiceMonitor:
         # the choke points every invocation passes through, so
         # incrementing here is what guarantees monitor and metrics can
         # never disagree.
-        self._metric_invocations = None
-        self._metric_latency = None
         self._bound_counters: dict[tuple[str, str], object] = {}
+        self.bind_metrics(NULL_METRICS)
 
     def bind_metrics(self, registry) -> None:
         """Mirror per-service success/failure/cached counts and latency
@@ -112,18 +110,16 @@ class ServiceMonitor:
                 history = self._records[record.service] = deque(
                     maxlen=self.max_records)
             history.append(record)
-        if self._metric_invocations is not None:
-            self._outcome_counter(
-                record.service, "success" if record.success else "failure").inc()
-            if record.success and record.latency is not None:
-                self._metric_latency.observe(record.latency, service=record.service)
+        self._outcome_counter(
+            record.service, "success" if record.success else "failure").inc()
+        if record.success and record.latency is not None:
+            self._metric_latency.observe(record.latency, service=record.service)
 
     def record_hit(self, service: str) -> None:
         """Count one answer served locally (a cache hit or a stale serve)."""
         with self._lock:
             self._hits[service] += 1
-        if self._metric_invocations is not None:
-            self._outcome_counter(service, "cached").inc()
+        self._outcome_counter(service, "cached").inc()
 
     def services(self) -> list[str]:
         """Names of every service with a record or a hit."""
@@ -163,11 +159,6 @@ class ServiceMonitor:
         """Descriptive stats over observed latencies, or None."""
         values = self.latencies(service)
         return describe(values) if values else None
-
-    def latency_histogram(self, service: str, bins: int = 20) -> Histogram | None:
-        """The latency distribution §2 says users can compare."""
-        values = self.latencies(service)
-        return Histogram.from_values(values, bins=bins) if values else None
 
     def latency_observations(
         self, service: str, param: str
@@ -275,9 +266,8 @@ class ServiceMonitor:
                 bucket = self._ratings.setdefault(
                     service, deque(maxlen=self.max_records))
                 bucket.extend(float(value) for value in ratings)
-        if self._metric_invocations is not None:
-            for service, count in hits.items():
-                self._outcome_counter(service, "cached").inc(count)
+        for service, count in hits.items():
+            self._outcome_counter(service, "cached").inc(count)
         return loaded
 
     def summary(self, service: str) -> dict:

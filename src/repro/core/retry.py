@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar
 
 from repro.core.futures import resolved, run_sync
-from repro.obs import names
+from repro.obs import NULL_INSTRUMENT, NULL_OBS, NULL_TRACER, names
 from repro.simnet.errors import NetworkError
 from repro.util.clock import Clock, acharge
 from repro.util.errors import ReproError
@@ -128,19 +128,14 @@ async def _retry(invoke_once, charge, policy, clock, service, log, tracer,
                     service, attempt, last_error, deadline=deadline,
                     deadline_truncated=True) from last_error
         if delay and clock is not None:
-            if tracer is not None:
-                tracer.add_event(
-                    "retry.backoff",
-                    {"service": service, "attempt": attempt, "seconds": delay})
-            if backoff_counter is not None:
-                backoff_counter.inc(delay, service=service)
+            tracer.add_event(
+                "retry.backoff",
+                {"service": service, "attempt": attempt, "seconds": delay})
+            backoff_counter.inc(delay, service=service)
             await charge(clock, delay)
         try:
-            if tracer is not None and tracer.enabled:
-                with tracer.span(names.SPAN_FAILOVER_ATTEMPT,
-                                 {"service": service, "attempt": attempt}):
-                    result = await invoke_once()
-            else:
+            with tracer.span(names.SPAN_FAILOVER_ATTEMPT,
+                             {"service": service, "attempt": attempt}):
                 result = await invoke_once()
         except BaseException as error:  # noqa: BLE001 — classified below
             if not policy.is_retryable(error):
@@ -168,8 +163,8 @@ def invoke_with_retry(
     clock: Clock | None = None,
     service: str = "<service>",
     log: list[AttemptLog] | None = None,
-    tracer=None,
-    backoff_counter=None,
+    tracer=NULL_TRACER,
+    backoff_counter=NULL_INSTRUMENT,
     deadline=None,
 ) -> T:
     """Call ``invoke_once`` under a retry policy.
@@ -208,13 +203,15 @@ class FailoverInvoker:
         self.default_policy = default_policy if default_policy is not None else RetryPolicy()
         self.per_service = dict(per_service or {})
         self.clock = clock
-        self.tracer = None
-        self._metric_backoff = None
-        self._metric_exhausted = None
+        self.tracer = NULL_TRACER
+        self.bind_obs(NULL_OBS)
 
     def bind_obs(self, obs) -> None:
-        """Attach observability: attempt spans, backoff events/counters."""
-        if obs is None or not obs.enabled or self.tracer is not None:
+        """Attach observability: attempt spans, backoff events/counters.
+
+        First binder wins, as on the transport: a disabled bundle
+        claims nothing."""
+        if self.tracer is not NULL_TRACER:
             return
         self.tracer = obs.tracer
         self._metric_backoff = obs.metrics.counter(
@@ -288,8 +285,7 @@ class FailoverInvoker:
                 # The per-attempt errors are already in `attempts`; count
                 # the exhaustion so fleet dashboards see failover churn.
                 last_exhausted = error
-                if self._metric_exhausted is not None:
-                    self._metric_exhausted.inc(service=service)
+                self._metric_exhausted.inc(service=service)
                 continue
             return service, result, attempts
         raise AllServicesFailedError(attempts) from last_exhausted

@@ -11,7 +11,6 @@ secure / offline remote persistence.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core.invoker import RichClient
@@ -19,7 +18,7 @@ from repro.kb.disambiguation import EntityDisambiguator, ResolvedEntity
 from repro.kb.pipeline import AnalysisPipeline
 from repro.kb.spellcheck import LocalSpellChecker
 from repro.kb.sync import OfflineSyncStore
-from repro.obs import names
+from repro.obs import NULL_OBS, names
 from repro.simnet.errors import NetworkError, RemoteServiceError
 from repro.stores.converters import (
     csv_text_to_table,
@@ -98,7 +97,7 @@ StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
         # Observability is resolved before the graph is built so the
         # sharded router and SQLite backends can register instruments.
         self._storage_obs = obs if obs is not None else (
-            client.obs if client is not None else None)
+            client.obs if client is not None else NULL_OBS)
         self.graph = self._build_graph()
         self.disambiguator = disambiguator
         self.spellchecker = spellchecker
@@ -109,13 +108,9 @@ StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
         self.view: MaterializedGraph | None = None
         self._view_reasoners: list | None = None
         self.pipeline = AnalysisPipeline(self.graph, obs=self.obs)
-        if self.obs is not None and self.obs.enabled:
-            self._tracer = self.obs.tracer
-            self._metric_queries = self.obs.metrics.counter(
-                names.KB_QUERIES_TOTAL, "SELECT queries answered by the PKB.")
-        else:
-            self._tracer = None
-            self._metric_queries = None
+        self._tracer = self.obs.tracer
+        self._metric_queries = self.obs.metrics.counter(
+            names.KB_QUERIES_TOTAL, "SELECT queries answered by the PKB.")
 
     def _backend_factory(self):
         """The per-shard backend builder for the configured storage."""
@@ -280,15 +275,12 @@ StorageBackend`) and ``shards`` > 1 splits it into N hash-sharded
         materialization enabled, results come through the view's
         version-keyed cache.
         """
-        if self._metric_queries is not None:
-            self._metric_queries.inc()
+        self._metric_queries.inc()
         attributes = {"patterns": len(patterns)}
         tenant = current_tenant()
         if tenant is not None:
             attributes["tenant"] = tenant
-        span = (self._tracer.span(names.SPAN_KB_QUERY, attributes)
-                if self._tracer is not None else nullcontext())
-        with span:
+        with self._tracer.span(names.SPAN_KB_QUERY, attributes):
             store = self.view if self.view is not None else self.graph
             return run_select(store, patterns, **kwargs)
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from contextlib import nullcontext
 from operator import eq
 
 from repro.analytics.regression import LinearRegression
 from repro.analytics.timeseries import slope_trend
-from repro.obs import names
+from repro.obs import NULL_OBS, names
 from repro.stores.rdf.graph import Graph, RDF, REPRO, Triple
 from repro.stores.rdf.rules import GenericRuleReasoner, Rule
 
@@ -112,22 +111,19 @@ class AnalysisPipeline:
         self.trend_threshold = trend_threshold
         self.series_analyzed = 0
         self.last_infer_mode: str | None = None
-        # Optional repro.obs.Observability: spans around each analysis
-        # and inference run, plus fleet counters.
-        if obs is not None and obs.enabled:
-            self._tracer = obs.tracer
-            self._metric_series = obs.metrics.counter(
-                names.KB_SERIES_ANALYZED_TOTAL, "Series run through the analysis pipeline.")
-            self._metric_facts = obs.metrics.counter(
-                names.KB_FACTS_INFERRED_TOTAL, "New facts derived by the rulebase.")
-            self._metric_infer_full = obs.metrics.counter(
-                names.KB_INFER_FULL_TOTAL, "Full-fixpoint inference runs.")
-            self._metric_infer_delta = obs.metrics.counter(
-                names.KB_INFER_DELTA_TOTAL, "Incremental (delta) inference runs.")
-        else:
-            self._tracer = None
-            self._metric_series = self._metric_facts = None
-            self._metric_infer_full = self._metric_infer_delta = None
+        # repro.obs.Observability: spans around each analysis and
+        # inference run, plus fleet counters.
+        obs = obs if obs is not None else NULL_OBS
+        self._tracer = obs.tracer
+        metrics = obs.metrics
+        self._metric_series = metrics.counter(
+            names.KB_SERIES_ANALYZED_TOTAL, "Series run through the analysis pipeline.")
+        self._metric_facts = metrics.counter(
+            names.KB_FACTS_INFERRED_TOTAL, "New facts derived by the rulebase.")
+        self._metric_infer_full = metrics.counter(
+            names.KB_INFER_FULL_TOTAL, "Full-fixpoint inference runs.")
+        self._metric_infer_delta = metrics.counter(
+            names.KB_INFER_DELTA_TOTAL, "Incremental (delta) inference runs.")
 
     @property
     def graph(self) -> Graph:
@@ -166,11 +162,6 @@ class AnalysisPipeline:
             self._pending.append(triple)
         return added
 
-    def _span(self, name: str, attributes: dict):
-        if self._tracer is None:
-            return nullcontext()
-        return self._tracer.span(name, attributes)
-
     def analyze_series(
         self,
         subject: str,
@@ -196,8 +187,8 @@ class AnalysisPipeline:
         """
         if deadline is not None:
             deadline.check(f"analyze_series {subject}/{series_name}")
-        with self._span(names.SPAN_KB_ANALYZE_SERIES,
-                        {"subject": subject, "series": series_name}):
+        with self._tracer.span(names.SPAN_KB_ANALYZE_SERIES,
+                               {"subject": subject, "series": series_name}):
             return self._analyze_series(subject, xs, ys, series_name, entity_type)
 
     def _analyze_series(
@@ -230,8 +221,7 @@ class AnalysisPipeline:
         if entity_type is not None:
             self.record(Triple(subject, RDF.type, REPRO(entity_type)))
         self.series_analyzed += 1
-        if self._metric_series is not None:
-            self._metric_series.inc()
+        self._metric_series.inc()
         return {
             "subject": subject,
             "slope": model.slope,
@@ -264,7 +254,8 @@ class AnalysisPipeline:
             and counters is not None
             and counters[0] == self._synced[0] + len(self._pending)
         )
-        with self._span(names.SPAN_KB_INFER, {"series_analyzed": self.series_analyzed}) as span:
+        with self._tracer.span(names.SPAN_KB_INFER,
+                               {"series_analyzed": self.series_analyzed}) as span:
             if incremental:
                 delta = self._pending
                 if counters[1] != self._synced[1]:
@@ -278,15 +269,12 @@ class AnalysisPipeline:
                 self.last_infer_mode = "full"
             self._pending.clear()
             self._synced = self._counters()
-            if span is not None:
-                span.set_attribute("facts_derived", derived)
-                span.set_attribute("mode", self.last_infer_mode)
-        if self._metric_facts is not None and derived:
+            span.set_attribute("facts_derived", derived)
+            span.set_attribute("mode", self.last_infer_mode)
+        if derived:
             self._metric_facts.inc(derived)
-        metric_mode = (self._metric_infer_delta if self.last_infer_mode == "delta"
-                       else self._metric_infer_full)
-        if metric_mode is not None:
-            metric_mode.inc()
+        (self._metric_infer_delta if self.last_infer_mode == "delta"
+         else self._metric_infer_full).inc()
         return derived
 
     def recommendations(self) -> dict[str, str]:

@@ -14,8 +14,12 @@ Three pieces, one bundle:
 
 :class:`Observability` bundles one of each around a shared clock and
 is what :class:`repro.core.invoker.RichClient` wires through the hot
-path.  ``Observability.disabled()`` gives a no-op bundle for callers
-that want zero telemetry overhead.
+path.  ``Observability.disabled()`` gives the null bundle for callers
+that want zero telemetry overhead: its registry hands out
+:data:`NULL_INSTRUMENT` and its tracer is :data:`NULL_TRACER`, so
+"telemetry off" is decided here and nowhere else.  :data:`NULL_OBS`
+is the one shared null bundle for callers that pass none, and every
+instrumented class starts out holding null instruments.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from repro.obs.attribution import (
     attribute_trace,
 )
 from repro.obs.metrics import (
+    NULL_INSTRUMENT,
+    NULL_METRICS,
     BoundCounter,
     Counter,
     Gauge,
@@ -42,6 +48,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     CATEGORY_ATTRIBUTE,
     NULL_SPAN,
+    NULL_TRACER,
     Span,
     SpanCollector,
     SpanEvent,
@@ -59,15 +66,19 @@ class Observability:
 
     def __init__(self, clock: Clock | None = None, max_spans: int = 4096,
                  enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.metrics = MetricsRegistry()
         self.collector = SpanCollector(capacity=max_spans)
-        self.tracer = Tracer(clock=clock, collector=self.collector,
-                             enabled=enabled)
+        if enabled:
+            self.metrics = MetricsRegistry()
+            self.tracer = Tracer(clock=clock, collector=self.collector)
+        else:
+            # Shared by every disabled bundle, so binding one to a
+            # first-binder-wins hook leaves the hook unclaimed.
+            self.metrics = NULL_METRICS
+            self.tracer = NULL_TRACER
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """A bundle whose tracer is a no-op and whose hooks never bind."""
+        """The null bundle: its instruments and spans record nothing."""
         return cls(enabled=False)
 
     def analyzer(self) -> TraceAnalyzer:
@@ -75,8 +86,15 @@ class Observability:
         return TraceAnalyzer(self.collector)
 
 
+#: The null bundle used where a caller passes none.
+NULL_OBS = Observability.disabled()
+
 __all__ = [
     "Observability",
+    "NULL_OBS",
+    "NULL_METRICS",
+    "NULL_INSTRUMENT",
+    "NULL_TRACER",
     "Tracer",
     "Span",
     "SpanEvent",

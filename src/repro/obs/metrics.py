@@ -162,9 +162,6 @@ class Gauge(Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         with self._lock:
             return self._values.get(_label_key(labels), 0.0)
@@ -273,6 +270,32 @@ class HistogramMetric(Metric):
         return lines
 
 
+class NullInstrument:
+    """What an unbound hook holds: every update is a no-op.
+
+    One shared instance stands in for a counter, a bound counter, a
+    gauge and a histogram, so instrumented code increments, sets and
+    observes without asking whether telemetry is on.
+    """
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        pass
+
+    def set(self, value: float, **labels: object) -> None:
+        pass
+
+    def observe(self, value: float, **labels: object) -> None:
+        pass
+
+    def bind(self, **labels: object) -> "NullInstrument":
+        return self
+
+
+NULL_INSTRUMENT = NullInstrument()
+
+
 class MetricsRegistry:
     """Named instruments, created on first use and scraped as one page."""
 
@@ -351,3 +374,15 @@ class MetricsRegistry:
                 ]
             out[name] = entry
         return out
+
+
+class NullMetricsRegistry(MetricsRegistry):
+    """The disabled bundle's registry: it registers nothing and hands
+    out :data:`NULL_INSTRUMENT` for every name, so it always scrapes
+    empty."""
+
+    def _get_or_create(self, name: str, factory, kind: str) -> NullInstrument:
+        return NULL_INSTRUMENT
+
+
+NULL_METRICS = NullMetricsRegistry()

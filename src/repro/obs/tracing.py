@@ -127,7 +127,11 @@ class Span:
 
 
 class NullSpan:
-    """Shared no-op span handed out when tracing is disabled."""
+    """Shared no-op span handed out when tracing is disabled.
+
+    It is its own context manager, so a disabled tracer's ``span()``
+    returns it as is.
+    """
 
     __slots__ = ()
 
@@ -146,8 +150,23 @@ class NullSpan:
                   timestamp: float | None = None) -> None:
         return None
 
+    def __enter__(self) -> "NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
 
 NULL_SPAN = NullSpan()
+
+
+def _null_span(name: str, attributes: Mapping[str, object] | None = None,
+               parent: Span | None | str = "inherit") -> NullSpan:
+    return NULL_SPAN
+
+
+def _record_nothing(*args, **kwargs) -> None:
+    return None
 
 
 class SpanCollector:
@@ -210,9 +229,14 @@ class Tracer:
                  enabled: bool = True) -> None:
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.collector = collector if collector is not None else SpanCollector()
-        self.enabled = enabled
         self._id_lock = threading.Lock()
         self._next_id = 0
+        if not enabled:
+            # A disabled tracer records nothing: each entry point is
+            # swapped for a no-op, so callers never ask whether tracing
+            # is on, and span() returns NULL_SPAN without a generator.
+            self.span = self.start_span = _null_span
+            self.end_span = self.instant_span = self.add_event = _record_nothing
 
     def _new_id(self, prefix: str) -> str:
         with self._id_lock:
@@ -260,9 +284,6 @@ class Tracer:
         """Context manager: start a span, make it current, end on exit.
 
         Exceptions mark the span's status ``error`` and re-raise."""
-        if not self.enabled:
-            yield NULL_SPAN
-            return
         span = self.start_span(name, attributes)
         token = _CURRENT_SPAN.set(span)
         try:
@@ -287,8 +308,6 @@ class Tracer:
         Cheaper than :meth:`span`: one timestamp, no contextvar churn.
         Returns None when tracing is disabled.
         """
-        if not self.enabled:
-            return None
         if parent == "inherit":
             parent = _CURRENT_SPAN.get()
         if timestamp is None:
@@ -307,8 +326,10 @@ class Tracer:
     def add_event(self, name: str,
                   attributes: Mapping[str, object] | None = None) -> None:
         """Attach an event to the current span (no-op outside a span)."""
-        if not self.enabled:
-            return
         span = _CURRENT_SPAN.get()
         if span is not None:
             span.add_event(name, attributes)
+
+
+#: The disabled bundle's tracer, shared: a hook holding it is unbound.
+NULL_TRACER = Tracer(enabled=False)

@@ -21,7 +21,7 @@ import json
 from collections.abc import Callable, Generator, Mapping
 from dataclasses import dataclass, field
 
-from repro.obs import names
+from repro.obs import NULL_OBS, NULL_TRACER, names
 from repro.simnet.connectivity import AlwaysOnline, ConnectivityModel
 from repro.simnet.errors import (
     ConnectivityError,
@@ -129,13 +129,9 @@ class Transport:
         self.stats = TransportStats()
         # Chaos injection hook (install_injector); None = unfaulted.
         self.injector = None
-        # Observability hooks (bind_obs); None = uninstrumented.
-        self._tracer = None
-        self._metric_calls = None
-        self._metric_bytes_sent = None
-        self._metric_bytes_received = None
-        self._metric_timeouts = None
-        self._metric_offline = None
+        # Observability hooks: the null bundle's until bind_obs.
+        self._tracer = NULL_TRACER
+        self.bind_obs(NULL_OBS)
 
     def bind_obs(self, obs) -> None:
         """Attach a :class:`repro.obs.Observability` bundle.
@@ -144,9 +140,10 @@ class Transport:
         ``transport``, so the attribution analyzer can bill wire time to
         the right service) and byte/call/timeout counters.  First binder
         wins: a transport shared by several clients reports to the
-        observability of whichever client claimed it first.
+        observability of whichever client claimed it first.  A disabled
+        bundle claims nothing, because its tracer is the shared null one.
         """
-        if obs is None or not obs.enabled or self._tracer is not None:
+        if self._tracer is not NULL_TRACER:
             return
         self._tracer = obs.tracer
         metrics = obs.metrics
@@ -197,9 +194,6 @@ class Transport:
         after charging the latency spent before the failure.
         """
         tracer = self._tracer
-        if tracer is None:
-            return self._call(endpoint, server_fn, request, timeout,
-                              latency_params, batch_size)
         span = self._start_span(tracer, endpoint, batch_size)
         try:
             result = self._call(endpoint, server_fn, request, timeout,
@@ -235,9 +229,6 @@ class Transport:
         success or failure is recorded for the aborted remainder.
         """
         tracer = self._tracer
-        if tracer is None:
-            return await self._acall(endpoint, server_fn, request, timeout,
-                                     latency_params, batch_size)
         span = self._start_span(tracer, endpoint, batch_size)
         try:
             result = await self._acall(endpoint, server_fn, request, timeout,
@@ -256,9 +247,9 @@ class Transport:
 
     @staticmethod
     def _finish_span(tracer, span, result: TransportResult) -> None:
-        span.attributes["latency"] = result.latency
-        span.attributes["bytes_sent"] = result.bytes_sent
-        span.attributes["bytes_received"] = result.bytes_received
+        span.set_attribute("latency", result.latency)
+        span.set_attribute("bytes_sent", result.bytes_sent)
+        span.set_attribute("bytes_received", result.bytes_received)
         tracer.end_span(span)
 
     def _call(
@@ -319,8 +310,7 @@ class Transport:
         cannot drift apart.
         """
         self.stats.record_call(endpoint, batch_size)
-        if self._metric_calls is not None:
-            self._metric_calls.inc(endpoint=endpoint)
+        self._metric_calls.inc(endpoint=endpoint)
         params = dict(latency_params or {})
         injector = self.injector
         now = self.clock.now()
@@ -330,8 +320,7 @@ class Transport:
             offline = injector.offline(endpoint, now)
         if offline:
             self.stats.offline_failures += 1
-            if self._metric_offline is not None:
-                self._metric_offline.inc()
+            self._metric_offline.inc()
             raise ConnectivityError(endpoint)
 
         request_payload, sent = _roundtrip(dict(request), "request")
@@ -344,8 +333,7 @@ class Transport:
                 # came back as the response, like a real 5xx/429.
                 yield outbound
                 self.stats.bytes_sent += sent
-                if self._metric_bytes_sent is not None:
-                    self._metric_bytes_sent.inc(sent)
+                self._metric_bytes_sent.inc(sent)
                 raise RemoteServiceError(endpoint, "injected error burst",
                                          status=status)
 
@@ -357,8 +345,7 @@ class Transport:
             # the wait for the error response.
             yield outbound
             self.stats.bytes_sent += sent
-            if self._metric_bytes_sent is not None:
-                self._metric_bytes_sent.inc(sent)
+            self._metric_bytes_sent.inc(sent)
             raise
 
         inbound = self.network_latency.sample(self.rng, params)
@@ -370,9 +357,8 @@ class Transport:
             yield timeout
             self.stats.timeouts += 1
             self.stats.bytes_sent += sent
-            if self._metric_timeouts is not None:
-                self._metric_timeouts.inc()
-                self._metric_bytes_sent.inc(sent)
+            self._metric_timeouts.inc()
+            self._metric_bytes_sent.inc(sent)
             raise ServiceTimeoutError(endpoint, timeout)
 
         if injector is not None:
@@ -384,9 +370,8 @@ class Transport:
         self.stats.bytes_sent += sent
         self.stats.bytes_received += received
         self.stats.total_latency += total
-        if self._metric_bytes_sent is not None:
-            self._metric_bytes_sent.inc(sent)
-            self._metric_bytes_received.inc(received)
+        self._metric_bytes_sent.inc(sent)
+        self._metric_bytes_received.inc(received)
         return TransportResult(
             payload=response_payload,
             latency=total,

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 
-from repro.obs import names
+from repro.obs import NULL_OBS, names
 from repro.stores.rdf.graph import Term, Triple
 from repro.stores.rdf.plan import QueryPlan, join_by_match
 from repro.stores.rdf.query import RangeFilter, is_variable
@@ -144,18 +144,14 @@ class SqliteTripleStore(TripleStoreBase):
             "SELECT value FROM meta WHERE key = 'version'").fetchone()
         self._version = row[0] if row is not None else 0
         self._additions = 0
-        if obs is not None and obs.enabled:
-            self._metric_ops = obs.metrics.counter(
-                names.STORAGE_BACKEND_OPS_TOTAL,
-                "Storage-backend operations, labelled by backend and op.")
-        else:
-            self._metric_ops = None
+        self._metric_ops = (obs if obs is not None else NULL_OBS).metrics.counter(
+            names.STORAGE_BACKEND_OPS_TOTAL,
+            "Storage-backend operations, labelled by backend and op.")
 
     # -- bookkeeping -------------------------------------------------------
 
     def _count_op(self, op: str) -> None:
-        if self._metric_ops is not None:
-            self._metric_ops.inc(backend="sqlite", op=op)
+        self._metric_ops.inc(backend="sqlite", op=op)
 
     def _persist_version(self) -> None:
         self._conn.execute(

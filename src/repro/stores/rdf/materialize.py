@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.obs import names
+from repro.obs import NULL_OBS, names
 from repro.stores.rdf.graph import Graph, Term, Triple
 from repro.stores.rdf.query import Binding, Pattern, run_select
 from repro.stores.rdf.reasoner import RdfsReasoner
@@ -109,23 +109,19 @@ class MaterializedGraph(TripleStoreBase):
         ])
         self._base: set[Triple] = set(self.graph)
         self._cache = QueryResultCache(capacity=cache_size)
-        # Optional repro.obs.Observability wiring.
-        if obs is not None and obs.enabled:
-            self._metric_delta = obs.metrics.counter(
-                names.RDF_MATERIALIZE_DELTA_TOTAL,
-                "Incremental (semi-naive) materialization runs.")
-            self._metric_full = obs.metrics.counter(
-                names.RDF_MATERIALIZE_FULL_TOTAL,
-                "Full re-materialization runs.")
-            self._metric_cache_hits = obs.metrics.counter(
-                names.RDF_QUERY_CACHE_HITS_TOTAL,
-                "Materialized-view query cache hits.")
-            self._metric_cache_misses = obs.metrics.counter(
-                names.RDF_QUERY_CACHE_MISSES_TOTAL,
-                "Materialized-view query cache misses.")
-        else:
-            self._metric_delta = self._metric_full = None
-            self._metric_cache_hits = self._metric_cache_misses = None
+        metrics = (obs if obs is not None else NULL_OBS).metrics
+        self._metric_delta = metrics.counter(
+            names.RDF_MATERIALIZE_DELTA_TOTAL,
+            "Incremental (semi-naive) materialization runs.")
+        self._metric_full = metrics.counter(
+            names.RDF_MATERIALIZE_FULL_TOTAL,
+            "Full re-materialization runs.")
+        self._metric_cache_hits = metrics.counter(
+            names.RDF_QUERY_CACHE_HITS_TOTAL,
+            "Materialized-view query cache hits.")
+        self._metric_cache_misses = metrics.counter(
+            names.RDF_QUERY_CACHE_MISSES_TOTAL,
+            "Materialized-view query cache misses.")
         self.refresh()
 
     # -- delegation --------------------------------------------------------
@@ -225,15 +221,13 @@ class MaterializedGraph(TripleStoreBase):
     def refresh(self) -> int:
         """Run every rule to the joint fixpoint; returns new triples."""
         added = self.reasoner.forward(self.graph)
-        if self._metric_full is not None:
-            self._metric_full.inc()
+        self._metric_full.inc()
         return added
 
     def _derive(self, frontier: set[Triple]) -> int:
         """The joint fixpoint's extension by ``frontier``'s consequences."""
         added = len(self.reasoner.derive(self.graph, frontier))
-        if self._metric_delta is not None:
-            self._metric_delta.inc()
+        self._metric_delta.inc()
         return added
 
     def _rebuild(self) -> None:
@@ -293,11 +287,9 @@ class MaterializedGraph(TripleStoreBase):
                                   descending, limit, optional)
             cached = self._cache.get(self.graph.version, key)
             if cached is not None:
-                if self._metric_cache_hits is not None:
-                    self._metric_cache_hits.inc()
+                self._metric_cache_hits.inc()
                 return [dict(binding) for binding in cached]
-            if self._metric_cache_misses is not None:
-                self._metric_cache_misses.inc()
+            self._metric_cache_misses.inc()
         result = run_select(
             self.graph, patterns, variables=variables, filters=filters,
             distinct=distinct, order_by=order_by, descending=descending,

@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import nullcontext
 from itertools import chain
 
-from repro.obs import names
+from repro.obs import NULL_OBS, names
 from repro.stores.rdf import plan as _plan
 from repro.stores.rdf.graph import Graph, Term, Triple
 from repro.stores.rdf.query import (
@@ -120,25 +119,21 @@ class ShardedGraph(TripleStoreBase):
         # the router's global state from them (one O(n) pass).
         for triple in self:
             self._count(self._coerce(triple))
-        if obs is not None and obs.enabled:
-            self._tracer = obs.tracer
-            self._metric_scans = obs.metrics.counter(
-                names.KB_SHARD_SCANS_TOTAL,
-                "Per-shard scans issued by fan-out query execution.")
-            self._metric_fanout = obs.metrics.histogram(
-                names.KB_SHARD_FANOUT_MS,
-                "Wall milliseconds spent in scatter/gather fan-outs.")
-        else:
-            self._tracer = None
-            self._metric_scans = None
-            self._metric_fanout = None
+        obs = obs if obs is not None else NULL_OBS
+        self._tracer = obs.tracer
+        self._metric_scans = obs.metrics.counter(
+            names.KB_SHARD_SCANS_TOTAL,
+            "Per-shard scans issued by fan-out query execution.")
+        self._metric_fanout = obs.metrics.histogram(
+            names.KB_SHARD_FANOUT_MS,
+            "Wall milliseconds spent in scatter/gather fan-outs.")
 
     # -- infrastructure ----------------------------------------------------
 
     def _fan_out(self, function) -> list:
         """``function(shard)`` for every shard, on the caller's thread;
         results come back in shard order."""
-        if self._metric_scans is not None and self.shard_count > 1:
+        if self.shard_count > 1:
             self._metric_scans.inc(self.shard_count)
         return [function(shard) for shard in self._shards]
 
@@ -380,12 +375,10 @@ class ShardedGraph(TripleStoreBase):
                                    order_by, descending, limit, optional,
                                    optimize, plan)[:cut]
 
-        span = (self._tracer.span(names.SPAN_KB_SHARD_SCAN,
-                                  {"route": ROUTE_SCATTER,
-                                   "shards": self.shard_count,
-                                   "patterns": len(patterns)})
-                if self._tracer is not None else nullcontext())
-        with span:
+        with self._tracer.span(names.SPAN_KB_SHARD_SCAN,
+                               {"route": ROUTE_SCATTER,
+                                "shards": self.shard_count,
+                                "patterns": len(patterns)}):
             started = self._clock.now()
             # Per-shard runs (sorted ones, from a hook given the top-k
             # hint) concatenated in shard order: the tail's stable sort
@@ -393,7 +386,6 @@ class ShardedGraph(TripleStoreBase):
             rows = list(chain.from_iterable(self._fan_out(per_shard)))
             merged = finish(rows, variables, distinct, order_by,
                             descending, limit)
-            if self._metric_fanout is not None:
-                self._metric_fanout.observe(
-                    (self._clock.now() - started) * 1000.0)
+            self._metric_fanout.observe(
+                (self._clock.now() - started) * 1000.0)
         return merged

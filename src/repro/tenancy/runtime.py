@@ -23,7 +23,7 @@ pay-for-what-you-use layer, not a breaking change.
 
 from __future__ import annotations
 
-from repro.obs import names
+from repro.obs import NULL_METRICS, names
 from repro.tenancy.context import current_tenant
 from repro.tenancy.limits import TenantCharge, TenantLimiter
 from repro.tenancy.model import Tenant, TenantRegistry
@@ -49,9 +49,7 @@ class Tenancy:
         self._clock = clock
         self.limiter: TenantLimiter | None = (
             TenantLimiter(clock) if clock is not None else None)
-        self._metric_requests = None
-        self._metric_rejected = None
-        self._metric_cost = None
+        self.bind_metrics(NULL_METRICS)
 
     def attach_clock(self, clock: Clock) -> None:
         """Late-bind the clock (the invoker knows it at construction)."""
@@ -110,23 +108,20 @@ class Tenancy:
                actual_cost: float) -> None:
         """Account a successful call: ledger true-up plus metrics."""
         self.limiter.settle(tenant, charge, actual_cost)
-        if self._metric_requests is not None:
-            self._metric_requests.inc(tenant=tenant.tenant_id,
-                                      outcome=OUTCOME_OK)
-        if self._metric_cost is not None and actual_cost:
+        self._metric_requests.inc(tenant=tenant.tenant_id,
+                                  outcome=OUTCOME_OK)
+        if actual_cost:
             self._metric_cost.inc(actual_cost, tenant=tenant.tenant_id)
 
     def cancel(self, tenant: Tenant, charge: TenantCharge) -> None:
         """Refund a failed call's charge and count the error."""
         self.limiter.cancel(tenant, charge)
-        if self._metric_requests is not None:
-            self._metric_requests.inc(tenant=tenant.tenant_id,
-                                      outcome=OUTCOME_ERROR)
+        self._metric_requests.inc(tenant=tenant.tenant_id,
+                                  outcome=OUTCOME_ERROR)
 
     def count_rejection(self, tenant_id: str, reason: str) -> None:
         """Count one refusal in ``tenant_rejected_total``."""
-        if self._metric_rejected is not None:
-            self._metric_rejected.inc(tenant=tenant_id, reason=reason)
+        self._metric_rejected.inc(tenant=tenant_id, reason=reason)
 
     # -- introspection ------------------------------------------------------
 

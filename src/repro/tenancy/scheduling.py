@@ -103,6 +103,7 @@ class DrrScheduler(Generic[T]):
                 self._ring.popleft()
                 self._in_ring.discard(key)
                 self._deficit.pop(key, None)
+                self._queues.pop(key, None)
                 continue
             if self._deficit[key] >= 1.0:
                 self._deficit[key] -= 1.0

@@ -215,14 +215,16 @@ class TestAdmissionController:
         # Same bulkhead instance on repeat lookups.
         assert controller.bulkhead_for("svc") is bulkhead
 
-    def test_configure_overrides_and_shed_total_sums(self):
-        controller = AdmissionController(ManualClock())
+    def test_configure_overrides_the_default_limit(self):
+        controller = AdmissionController(
+            ManualClock(), default_limit=AdmissionLimit(max_concurrent=3))
         bulkhead = controller.configure("svc", AdmissionLimit(
             max_concurrent=1, max_queue=0))
+        assert controller.bulkhead_for("svc") is bulkhead
         bulkhead.acquire()
         with pytest.raises(AdmissionRejectedError):
             bulkhead.acquire()
-        assert controller.shed_total() == 1
+        assert bulkhead.stats.shed == 1
 
 
 class TestClientIntegration:

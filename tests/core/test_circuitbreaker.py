@@ -182,7 +182,8 @@ class TestRegistry:
         with pytest.raises(CircuitOpenError):
             registry.call("a", lambda: 1)
         assert registry.call("b", lambda: 2) == 2  # 'b' unaffected
-        assert registry.open_circuits() == ["a"]
+        assert registry.breaker("a").state is CircuitState.OPEN
+        assert registry.breaker("b").state is CircuitState.CLOSED
 
     def test_overrides(self, clock):
         registry = CircuitBreakerRegistry(

@@ -133,12 +133,6 @@ class TestPerformance:
         assert stats.count == 5
         assert stats.p95 > stats.p50
 
-    def test_latency_histogram(self, monitor):
-        for value in (0.1, 0.1, 0.9):
-            monitor.record(record(latency=value))
-        histogram = monitor.latency_histogram("svc", bins=4)
-        assert histogram.total == 3
-
     def test_latency_observations_pair_params(self, monitor):
         monitor.record(record(latency=0.1, params={"size": 100.0}))
         monitor.record(record(latency=0.2, params={"size": 200.0}))

@@ -61,7 +61,7 @@ class TestGauge:
         gauge = Gauge("pool_depth")
         gauge.set(5)
         gauge.inc()
-        gauge.dec(2)
+        gauge.inc(-2)
         assert gauge.value() == 4.0
 
 

@@ -103,6 +103,22 @@ class TestDisabledTracer:
         tracer = Tracer(clock=clock, enabled=False)
         assert tracer.instant_span("hit") is None
 
+    def test_disabled_start_and_end_record_nothing(self, clock):
+        tracer = Tracer(clock=clock, enabled=False)
+        span = tracer.start_span("work", {"ignored": 1})
+        assert span is NULL_SPAN
+        tracer.end_span(span)
+        tracer.end_span(span, RuntimeError("boom"))
+        assert len(tracer.collector) == 0
+
+    def test_disabled_span_is_the_null_span_itself(self, clock):
+        # No generator-based context manager on the null path.
+        tracer = Tracer(clock=clock, enabled=False)
+        assert tracer.span("work", {"ignored": 1}) is NULL_SPAN
+        with pytest.raises(ValueError):
+            with tracer.span("work"):
+                raise ValueError("propagates")
+
 
 class TestSpanCollector:
     def test_capacity_evicts_oldest_and_counts_drops(self, clock):

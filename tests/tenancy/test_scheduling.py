@@ -137,6 +137,16 @@ class TestRemoval:
         served = drain(scheduler)
         assert sorted(served) == ["a2", "b"]
 
+    def test_withdrawn_tenants_leave_no_empty_lane_behind(self):
+        # Each one-shot tenant whose only waiter times out must not
+        # keep an empty sub-queue: depth() and __bool__ walk them all.
+        scheduler = DrrScheduler()
+        for index in range(100):
+            scheduler.push(f"t{index}", index)
+            assert scheduler.remove(f"t{index}", index)
+        assert scheduler.pop_next() is None
+        assert not scheduler._queues and not scheduler._ring
+
 
 class TestWeights:
     def test_default_weight_is_one(self):
